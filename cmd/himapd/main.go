@@ -9,7 +9,10 @@
 // byte-identical bodies, coalesced onto one compile when concurrent),
 // admission is bounded (overflow answers 429), and -peers shards cache
 // ownership across replicas by consistent hashing with single-hop
-// forwarding. See DESIGN.md, "Compile service" and "Serving at scale".
+// forwarding. The wire contract has exactly one version: a request body
+// omits schema_version or pins the current value, and any other pin
+// answers a typed 400. See DESIGN.md, "Compile service" and "Serving at
+// scale".
 package main
 
 import (

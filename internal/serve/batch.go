@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 
 	"himap"
 )
@@ -31,34 +30,22 @@ import (
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requests.Add(1)
 	breq, err := DecodeBatchRequest(r.Body)
-	if err != nil {
-		s.metrics.badRequests.Add(1)
-		writeError(w, SchemaVersion, err)
-		return
+	if err == nil && len(breq.Items) > s.cfg.MaxBatchItems {
+		err = fmt.Errorf("%w: batch has %d items, limit %d", ErrBadRequest, len(breq.Items), s.cfg.MaxBatchItems)
 	}
-	if len(breq.Items) > s.cfg.MaxBatchItems {
-		s.metrics.badRequests.Add(1)
-		writeError(w, SchemaVersion, fmt.Errorf("%w: batch has %d items, limit %d",
-			ErrBadRequest, len(breq.Items), s.cfg.MaxBatchItems))
+	if err != nil {
+		s.reject(w, err)
 		return
 	}
 	s.metrics.batches.Add(1)
-	v := EffectiveVersion(breq.SchemaVersion)
 
 	// One deadline for the whole batch; items compiled after it expires
 	// answer the deadline error individually.
-	d := s.cfg.DefaultTimeout
-	if breq.Options.TimeoutMS > 0 {
-		d = time.Duration(breq.Options.TimeoutMS) * time.Millisecond
-	}
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
+	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(breq.Options.TimeoutMS))
 	defer cancel()
 
 	memo := himap.NewMemo()
-	resp := BatchResponse{SchemaVersion: v, Items: make([]BatchItemResult, len(breq.Items))}
+	resp := BatchResponse{SchemaVersion: SchemaVersion, Items: make([]BatchItemResult, len(breq.Items))}
 	var hits, misses int
 	for i := range breq.Items {
 		item := &breq.Items[i]
@@ -66,13 +53,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		hreq, err := BuildRequest(item, s.cfg)
 		if err != nil {
 			s.metrics.badRequests.Add(1)
-			status, eb := classifyError(err)
+			status, eb := classify(err)
 			resp.Items[i] = BatchItemResult{Status: status, Error: &eb}
 			continue
 		}
 		hreq.Options.Memo = memo
-		key := CacheKey(item)
-		status, body, cacheStatus := s.respond(ctx, item, hreq, key, v)
+		status, body, cacheStatus := s.respond(ctx, item, hreq, CacheKey(item))
 		if cacheStatus == "hit" || cacheStatus == "store" {
 			hits++
 		} else {
@@ -90,7 +76,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	out, err := json.Marshal(resp)
 	if err != nil {
-		writeError(w, v, err)
+		writeError(w, err)
 		return
 	}
 	// Aggregate cache accounting travels in a header, never the body —

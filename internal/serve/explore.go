@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -99,6 +98,18 @@ func (s *Server) exploreCandidates(wire *ExploreRequestWire) ([]FabricSpec, erro
 	return specs, nil
 }
 
+// candidate is the /v1/compile request one fabric of the sweep stands
+// for: it validates the kernel selection and content-addresses the
+// candidate's cache entry.
+func (wire *ExploreRequestWire) candidate(fs FabricSpec) *CompileRequestWire {
+	return &CompileRequestWire{
+		Kernel:  wire.Kernel,
+		Spec:    wire.Spec,
+		Fabric:  fs,
+		Options: OptionsSpec{InnerBlock: wire.Options.InnerBlock},
+	}
+}
+
 // handleExplore sweeps one kernel across the candidate fabrics and
 // returns every outcome ranked: successes by efficiency (desc), then II
 // (asc), then fabric name; failures after, by fabric name. Each
@@ -110,88 +121,48 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	s.metrics.explores.Add(1)
 	wire, err := DecodeExploreRequest(r.Body)
 	if err != nil {
-		s.metrics.badRequests.Add(1)
-		writeError(w, SchemaVersion, err)
+		s.reject(w, err)
 		return
 	}
-	v := EffectiveVersion(wire.SchemaVersion)
 	specs, err := s.exploreCandidates(wire)
 	if err != nil {
-		s.metrics.badRequests.Add(1)
-		writeError(w, v, err)
+		s.reject(w, err)
 		return
 	}
-	// Validate the kernel once up front through a probe compile request;
-	// candidate loops reuse the same kernel selection.
-	probe := &CompileRequestWire{
-		Kernel:  wire.Kernel,
-		Spec:    wire.Spec,
-		Fabric:  specs[0],
-		Options: OptionsSpec{InnerBlock: wire.Options.InnerBlock},
-	}
-	if _, err := BuildRequest(probe, s.cfg); err != nil {
-		s.metrics.badRequests.Add(1)
-		writeError(w, v, err)
+	// Validate the kernel once up front through the first candidate;
+	// the others differ only in their (already validated) fabric.
+	if _, err := BuildRequest(wire.candidate(specs[0]), s.cfg); err != nil {
+		s.reject(w, err)
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(),
-		s.timeout(OptionsSpec{TimeoutMS: wire.Options.TimeoutMS}))
+	// One deadline for the whole sweep, not each candidate.
+	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(wire.Options.TimeoutMS))
 	defer cancel()
 
-	entries := make([]ExploreEntry, len(specs))
+	resp := ExploreResponse{SchemaVersion: SchemaVersion, Kernel: wire.Kernel, Entries: make([]ExploreEntry, len(specs))}
+	if wire.Spec != nil {
+		resp.Kernel = wire.Spec.Name
+	}
 	for i, fs := range specs {
-		entries[i] = s.exploreEntry(ctx, wire, fs)
+		resp.Entries[i] = s.exploreEntry(ctx, wire.candidate(fs))
 	}
-	rankExplore(entries)
-	if v < 2 {
-		// Entries are cached version-independently; render the v1 shape
-		// (no error_code) at response time.
-		for i := range entries {
-			if entries[i].Error != nil {
-				e := *entries[i].Error
-				e.ErrorCode = ""
-				entries[i].Error = &e
-			}
-		}
-	}
-
-	resp := ExploreResponse{
-		SchemaVersion: v,
-		Kernel:        probeKernelName(wire),
-		Entries:       entries,
-	}
+	rankExplore(resp.Entries)
 	body, err := json.Marshal(resp)
 	if err != nil {
-		writeError(w, v, err)
+		writeError(w, err)
 		return
 	}
 	writeBody(w, http.StatusOK, append(body, '\n'), "")
 }
 
-func probeKernelName(wire *ExploreRequestWire) string {
-	if wire.Kernel != "" {
-		return wire.Kernel
-	}
-	if wire.Spec != nil {
-		return wire.Spec.Name
-	}
-	return ""
-}
-
 // exploreEntry resolves one fabric candidate: cache lookup under the
-// explore namespace, else one admitted compile priced by the fabric's
-// power model, with the per-stage wall-clock broken out from a
-// dedicated tracer. Deterministic outcomes (success and compile
-// infeasibility alike) are cached; deadline and overload outcomes are
-// not, so a retry after transient pressure re-runs the candidate.
-func (s *Server) exploreEntry(ctx context.Context, wire *ExploreRequestWire, fs FabricSpec) ExploreEntry {
-	creq := &CompileRequestWire{
-		Kernel:  wire.Kernel,
-		Spec:    wire.Spec,
-		Fabric:  fs,
-		Options: OptionsSpec{InnerBlock: wire.Options.InnerBlock},
-	}
+// explore namespace, else one compile priced by the fabric's power
+// model, with the per-stage wall-clock broken out from a dedicated
+// tracer. Deterministic outcomes (success and compile infeasibility
+// alike) are cached; deadline and overload outcomes are not, so a retry
+// after transient pressure re-runs the candidate.
+func (s *Server) exploreEntry(ctx context.Context, creq *CompileRequestWire) ExploreEntry {
 	key := "explore:" + CacheKey(creq)
 	if body, ok := s.cache.get(key); ok {
 		s.metrics.cacheHits.Add(1)
@@ -208,59 +179,36 @@ func (s *Server) exploreEntry(ctx context.Context, wire *ExploreRequestWire, fs 
 	if err != nil {
 		// Candidates were validated up front; reaching this means the
 		// compile limits changed between validation and execution.
-		_, eb := classifyError(err)
+		_, eb := classify(err)
 		e.Error = &eb
 		return e
 	}
-
-	release, err := s.admit(ctx)
-	if err != nil {
-		if errors.Is(err, ErrOverloaded) {
-			s.metrics.rejected.Add(1)
-		}
-		_, eb := classifyError(err)
-		e.Error = &eb
-		return e
-	}
-	defer release()
-
 	col := diag.NewCollector()
-	hreq.Options.Workers = s.cfg.Workers
-	hreq.Options.Tracer = diag.MultiTracer(col, s.metrics.Tracer())
-
-	s.metrics.compiles.Add(1)
-	res, err := s.compile(ctx, hreq)
-	stageMS := map[string]float64{}
+	res, err := s.execute(ctx, hreq, col, nil)
+	e.StageMS = map[string]float64{}
 	for stage, d := range col.StageWall() {
-		stageMS[stage] = float64(d.Microseconds()) / 1000
+		e.StageMS[stage] = float64(d.Microseconds()) / 1000
 	}
 	if err != nil {
-		s.metrics.failures.Add(1)
-		_, eb := classifyError(err)
+		_, eb := classify(err)
 		e.Error = &eb
-		e.StageMS = stageMS
-		if eb.Code != "deadline" && eb.Code != "overloaded" {
-			s.cachePutEntry(key, e)
+		if eb.Code == "deadline" || eb.Code == CodeOverloaded {
+			return e
 		}
-		return e
+	} else {
+		model := himap.PowerModelFor(fab)
+		e.OK = true
+		e.II = res.Config.II
+		e.Block = res.Block
+		e.Utilization = res.Utilization
+		e.MOPS = model.PerformanceMOPS(res.Config)
+		e.PowerMW = model.PowerMW(res.Config)
+		e.Eff = model.EfficiencyMOPSPerMW(res.Config)
 	}
-	model := himap.PowerModelFor(fab)
-	e.OK = true
-	e.II = res.Config.II
-	e.Block = res.Block
-	e.Utilization = res.Utilization
-	e.MOPS = model.PerformanceMOPS(res.Config)
-	e.PowerMW = model.PowerMW(res.Config)
-	e.Eff = model.EfficiencyMOPSPerMW(res.Config)
-	e.StageMS = stageMS
-	s.cachePutEntry(key, e)
-	return e
-}
-
-func (s *Server) cachePutEntry(key string, e ExploreEntry) {
 	if body, err := json.Marshal(e); err == nil {
 		s.cache.put(key, body)
 	}
+	return e
 }
 
 // rankExplore orders entries deterministically: successes by power

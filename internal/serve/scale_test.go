@@ -16,24 +16,24 @@ import (
 	"himap/internal/diag"
 )
 
-// --- wire schema v2 / v1 compatibility -------------------------------
+// --- wire schema version ----------------------------------------------
 
-// TestSchemaVersionWindow mirrors the arch-config version table: the
-// server speaks MinSchemaVersion..SchemaVersion, rejects everything
-// else, and answers a pinned request in the pinned shape.
+// TestSchemaVersionWindow: the server speaks exactly SchemaVersion. An
+// omitted schema_version or a pin of that value is served; every other
+// pin — the retired version 1 included — answers the typed 400, on all
+// three decoding endpoints.
 func TestSchemaVersionWindow(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []struct {
-		name        string
-		pin         int // 0 = omitted
-		wantStatus  int
-		wantVersion int // schema_version stamped on the body
+		name       string
+		pin        int // 0 = omitted
+		wantStatus int
 	}{
-		{"omitted means current", 0, 200, SchemaVersion},
-		{"v1 accepted, answered as v1", 1, 200, 1},
-		{"current pin accepted", 2, 200, 2},
-		{"future rejected", 3, 400, SchemaVersion},
-		{"negative rejected", -1, 400, SchemaVersion},
+		{"omitted means current", 0, 200},
+		{"v1 rejected, typed 400", 1, 400},
+		{"current pin accepted", 2, 200},
+		{"future rejected", 3, 400},
+		{"negative rejected", -1, 400},
 	}
 	for _, tc := range cases {
 		body := `{"kernel":"MVT","fabric":{"rows":4,"cols":4},"options":{}}`
@@ -52,61 +52,26 @@ func TestSchemaVersionWindow(t *testing.T) {
 			t.Errorf("%s: body not JSON: %v", tc.name, err)
 			continue
 		}
-		if probe.SchemaVersion != tc.wantVersion {
-			t.Errorf("%s: body schema_version %d, want %d", tc.name, probe.SchemaVersion, tc.wantVersion)
+		if probe.SchemaVersion != SchemaVersion {
+			t.Errorf("%s: body schema_version %d, want %d", tc.name, probe.SchemaVersion, SchemaVersion)
 		}
 	}
-}
 
-// TestV1ResponseShape pins the compatibility contract: a version-1
-// request receives the version-1 body — same mapping, no v2-only fields
-// (mapper, optimality on success; error_code on failure).
-func TestV1ResponseShape(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-
-	_, v2body := postCompile(t, ts.URL, `{"kernel":"MVT","fabric":{"rows":4,"cols":4},"options":{"mapper":"exact","block":[2,2]}}`)
-	resp, v1body := postCompile(t, ts.URL, `{"schema_version":1,"kernel":"MVT","fabric":{"rows":4,"cols":4},"options":{"mapper":"exact","block":[2,2]}}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("v1 compile status %d: %s", resp.StatusCode, v1body)
-	}
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(v1body, &raw); err != nil {
-		t.Fatal(err)
-	}
-	for _, field := range []string{"mapper", "optimality"} {
-		if _, ok := raw[field]; ok {
-			t.Errorf("v1 body carries v2 field %q", field)
+	for path, body := range map[string]string{
+		"/v1/compile":       `{"schema_version":1,"kernel":"MVT","fabric":{"rows":4,"cols":4},"options":{}}`,
+		"/v1/compile-batch": `{"schema_version":1,"items":[{"kernel":"MVT","fabric":{"rows":4,"cols":4},"options":{}}],"options":{}}`,
+		"/v1/explore":       `{"schema_version":1,"kernel":"MVT","rows":4,"cols":4,"options":{}}`,
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	var v1, v2 CompileResponse
-	if err := json.Unmarshal(v1body, &v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(v2body, &v2); err != nil {
-		t.Fatal(err)
-	}
-	if v2.Mapper != "exact" || v2.Optimality == nil {
-		t.Errorf("v2 body lost its v2 fields: mapper=%q optimality=%v", v2.Mapper, v2.Optimality)
-	}
-	if v1.II != v2.II || !bytes.Equal(v1.Bitstream, v2.Bitstream) || !bytes.Equal(v1.Config, v2.Config) {
-		t.Error("v1 and v2 answers carry different mappings — the version changes shape, never content")
-	}
-
-	// Error shape: v1 has no error_code, v2 names the diag class.
-	_, v1err := postCompile(t, ts.URL, `{"schema_version":1,"kernel":"NOPE","fabric":{"rows":4,"cols":4},"options":{}}`)
-	_, v2err := postCompile(t, ts.URL, `{"kernel":"NOPE","fabric":{"rows":4,"cols":4},"options":{}}`)
-	var e1, e2 ErrorResponse
-	if err := json.Unmarshal(v1err, &e1); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(v2err, &e2); err != nil {
-		t.Fatal(err)
-	}
-	if e1.SchemaVersion != 1 || e1.Error.ErrorCode != "" {
-		t.Errorf("v1 error body = %+v, want schema 1 without error_code", e1)
-	}
-	if e2.Error.ErrorCode != CodeUnknownKernel {
-		t.Errorf("v2 error_code = %q, want %q", e2.Error.ErrorCode, CodeUnknownKernel)
+		var er ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || er.SchemaVersion != SchemaVersion || er.Error.ErrorCode != CodeBadRequest {
+			t.Errorf("%s: schema_version 1 answered %d %+v (decode err %v), want typed 400 %s", path, resp.StatusCode, er, err, CodeBadRequest)
+		}
 	}
 }
 
@@ -456,20 +421,6 @@ func TestStreamErrorEvent(t *testing.T) {
 	}
 }
 
-// TestStreamRequiresV2: the stream is a v2 feature; a v1 pin is refused
-// up front as a plain HTTP error.
-func TestStreamRequiresV2(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	resp, events := streamCompileRequest(t, ts.URL,
-		`{"schema_version":1,"kernel":"MVT","fabric":{"rows":4,"cols":4},"options":{}}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
-	}
-	if len(events) != 0 {
-		t.Errorf("v1 stream produced SSE events: %+v", events)
-	}
-}
-
 // --- batch compile ----------------------------------------------------
 
 // TestBatchCompile: items answer individually (success and typed error),
@@ -541,15 +492,14 @@ func TestBatchCompile(t *testing.T) {
 	}
 }
 
-// TestBatchRejections: the envelope is v2-only and items may not pin
-// their own version.
+// TestBatchRejections: a malformed envelope answers 400, and items may
+// not pin their own version.
 func TestBatchRejections(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBatchItems: 2})
 	cases := []struct {
 		name string
 		body string
 	}{
-		{"v1 envelope", `{"schema_version":1,"items":[{"kernel":"MVT","fabric":{"rows":4,"cols":4},"options":{}}],"options":{}}`},
 		{"empty items", `{"items":[],"options":{}}`},
 		{"item pins version", `{"items":[{"schema_version":2,"kernel":"MVT","fabric":{"rows":4,"cols":4},"options":{}}],"options":{}}`},
 		{"too many items", `{"items":[

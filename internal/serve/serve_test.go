@@ -8,8 +8,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -168,6 +170,60 @@ func TestSingleflightCoalescing(t *testing.T) {
 	}
 }
 
+// TestFollowerOutlivesLeaderDeadline: timeout_ms is not part of the
+// cache key, so a 1 ms request and a default-deadline request share a
+// flight. The leader's 504 is its own; the follower, whose context is
+// still alive, must compile (as the new leader) and answer 200.
+func TestFollowerOutlivesLeaderDeadline(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var calls atomic.Int32
+	s.SetCompileFunc(func(ctx context.Context, req himap.Request) (*himap.Result, error) {
+		if calls.Add(1) > 1 {
+			return himap.CompileRequest(ctx, req)
+		}
+		close(started)
+		<-release // keep the flight open until the follower is parked on it
+		<-ctx.Done()
+		return nil, diag.Fail(diag.ErrCanceled, ctx.Err())
+	})
+
+	leader := make(chan int, 1)
+	go func() {
+		resp, _ := postCompile(t, ts.URL, `{"kernel":"MVT","fabric":{"rows":4,"cols":4},"options":{"timeout_ms":1}}`)
+		leader <- resp.StatusCode
+	}()
+	select {
+	case <-started:
+	case st := <-leader:
+		t.Skipf("the 1 ms leader expired before admission (status %d): no flight to follow", st)
+	}
+	follower := make(chan *http.Response, 1)
+	go func() {
+		resp, _ := postCompile(t, ts.URL, kernelRequest("MVT", 4, 4))
+		follower <- resp
+	}()
+	for deadline := time.Now().Add(10 * time.Second); s.Metrics().Snapshot().Coalesced != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never coalesced: %+v", s.Metrics().Snapshot())
+		}
+	}
+	close(release)
+
+	if st := <-leader; st != http.StatusGatewayTimeout {
+		t.Errorf("leader status %d, want 504", st)
+	}
+	resp := <-follower
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Himap-Cache") != "miss" {
+		t.Errorf("follower answered %d (cache %q), want 200 miss — it inherited the leader's deadline",
+			resp.StatusCode, resp.Header.Get("X-Himap-Cache"))
+	}
+	if snap := s.Metrics().Snapshot(); snap.Compiles != 2 || snap.Coalesced != 1 {
+		t.Errorf("compiles=%d coalesced=%d, want 2/1", snap.Compiles, snap.Coalesced)
+	}
+}
+
 // TestOverloadTypedRejection: with one worker and no queue, a second
 // distinct request is rejected with the typed 429 body.
 func TestOverloadTypedRejection(t *testing.T) {
@@ -224,26 +280,35 @@ func TestDeadlineExpiry(t *testing.T) {
 	}
 }
 
+type rejectCase struct {
+	name   string
+	body   string
+	status int
+	code   string
+}
+
+// strictDecodeCases is the /v1/compile rejection table (also the seed
+// corpus of FuzzDecodeRequest).
+var strictDecodeCases = []rejectCase{
+	{"unknown field", `{"kernel":"GEMM","fabric":{"rows":4,"cols":4},"optionz":{}}`, 400, "bad_request"},
+	{"trailing data", kernelRequest("GEMM", 4, 4) + `{"again":true}`, 400, "bad_request"},
+	{"no kernel", `{"fabric":{"rows":4,"cols":4},"options":{}}`, 400, "bad_request"},
+	{"unknown kernel", kernelRequest("NOPE", 4, 4), 404, "unknown_kernel"},
+	{"fabric too small", kernelRequest("GEMM", 1, 4), 400, "bad_request"},
+	{"fabric too large", kernelRequest("GEMM", 4, 4096), 400, "bad_request"},
+	{"bad mapper", `{"kernel":"GEMM","fabric":{"rows":4,"cols":4},"options":{"mapper":"magic"}}`, 400, "bad_request"},
+	{"block on himap", `{"kernel":"GEMM","fabric":{"rows":4,"cols":4},"options":{"block":[4,4,4]}}`, 400, "bad_request"},
+	{"future schema", `{"schema_version":3,"kernel":"GEMM","fabric":{"rows":4,"cols":4}}`, 400, "bad_request"},
+}
+
 // TestStrictDecodeAndValidation: malformed requests get typed 4xx
 // bodies, never a compile.
 func TestStrictDecodeAndValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	cases := []struct {
-		name   string
-		body   string
-		status int
-		code   string
-	}{
-		{"unknown field", `{"kernel":"GEMM","fabric":{"rows":4,"cols":4},"optionz":{}}`, 400, "bad_request"},
-		{"trailing data", kernelRequest("GEMM", 4, 4) + `{"again":true}`, 400, "bad_request"},
-		{"no kernel", `{"fabric":{"rows":4,"cols":4},"options":{}}`, 400, "bad_request"},
-		{"unknown kernel", kernelRequest("NOPE", 4, 4), 404, "unknown_kernel"},
-		{"fabric too small", kernelRequest("GEMM", 1, 4), 400, "bad_request"},
-		{"fabric too large", kernelRequest("GEMM", 4, 4096), 400, "bad_request"},
-		{"bad mapper", `{"kernel":"GEMM","fabric":{"rows":4,"cols":4},"options":{"mapper":"magic"}}`, 400, "bad_request"},
-		{"block on himap", `{"kernel":"GEMM","fabric":{"rows":4,"cols":4},"options":{"block":[4,4,4]}}`, 400, "bad_request"},
-		{"future schema", `{"schema_version":3,"kernel":"GEMM","fabric":{"rows":4,"cols":4}}`, 400, "bad_request"},
-	}
+	// Leading whitespace is legal JSON, so only the size bound can refuse
+	// this otherwise valid request.
+	cases := append(slices.Clip(strictDecodeCases), rejectCase{"oversized body",
+		strings.Repeat(" ", maxRequestBytes) + kernelRequest("GEMM", 4, 4), 400, "bad_request"})
 	for _, tc := range cases {
 		resp, b := postCompile(t, ts.URL, tc.body)
 		if resp.StatusCode != tc.status {
@@ -261,11 +326,9 @@ func TestStrictDecodeAndValidation(t *testing.T) {
 	}
 }
 
-// TestInlineSpecConventional compiles an inline wire-specified kernel
-// through the conventional mapper.
-func TestInlineSpecConventional(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	body := `{
+// inlineSpecRequest is a compile request carrying an inline kernel
+// specification (also a FuzzDecodeRequest seed).
+const inlineSpecRequest = `{
 		"spec": {
 			"name": "WIRE1D", "dim": 1, "min_block": 2,
 			"tensors": [
@@ -283,7 +346,12 @@ func TestInlineSpecConventional(t *testing.T) {
 		"fabric": {"rows": 4, "cols": 4},
 		"options": {"mapper": "conventional", "block": [4], "seed": 1}
 	}`
-	resp, b := postCompile(t, ts.URL, body)
+
+// TestInlineSpecConventional compiles an inline wire-specified kernel
+// through the conventional mapper.
+func TestInlineSpecConventional(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, b := postCompile(t, ts.URL, inlineSpecRequest)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, b)
 	}
@@ -405,10 +473,6 @@ func TestCacheKeyIgnoresTimeout(t *testing.T) {
 	b.SchemaVersion = SchemaVersion
 	if CacheKey(&a) != CacheKey(&b) {
 		t.Error("explicit schema_version changed the cache key")
-	}
-	b.SchemaVersion = 1
-	if CacheKey(&a) == CacheKey(&b) {
-		t.Error("a version-1 pin must own its own key space (v1 bodies differ from v2)")
 	}
 	b.SchemaVersion = 0
 	b.Fabric.Rows = 8

@@ -291,11 +291,13 @@ func BuildRequest(w *CompileRequestWire, cfg Config) (himap.Request, error) {
 	return req, nil
 }
 
-// timeout resolves a request's compile deadline.
-func (s *Server) timeout(o OptionsSpec) time.Duration {
+// timeout resolves a request's timeout_ms (a compile's, a batch's or an
+// explore sweep's) into its deadline: the default when omitted, clamped
+// to MaxTimeout.
+func (s *Server) timeout(timeoutMS int) time.Duration {
 	d := s.cfg.DefaultTimeout
-	if o.TimeoutMS > 0 {
-		d = time.Duration(o.TimeoutMS) * time.Millisecond
+	if timeoutMS > 0 {
+		d = time.Duration(timeoutMS) * time.Millisecond
 	}
 	if d > s.cfg.MaxTimeout {
 		d = s.cfg.MaxTimeout
@@ -361,27 +363,18 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requests.Add(1)
 	wire, err := DecodeRequest(r.Body)
 	if err != nil {
-		s.metrics.badRequests.Add(1)
-		writeError(w, SchemaVersion, err)
-		return
-	}
-	v := EffectiveVersion(wire.SchemaVersion)
-	streaming := wantsStream(r)
-	if streaming && v < 2 {
-		s.metrics.badRequests.Add(1)
-		writeError(w, v, fmt.Errorf("%w: the stage-event stream requires schema_version >= 2", ErrBadRequest))
+		s.reject(w, err)
 		return
 	}
 	hreq, err := BuildRequest(wire, s.cfg)
 	if err != nil {
-		s.metrics.badRequests.Add(1)
-		writeError(w, v, err)
+		s.reject(w, err)
 		return
 	}
 	key := CacheKey(wire)
 
-	if streaming {
-		s.streamCompile(w, r, wire, hreq, key, v)
+	if wantsStream(r) {
+		s.streamCompile(w, r, wire, hreq, key)
 		return
 	}
 
@@ -405,31 +398,40 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.metrics.forwardedServed.Add(1)
 	}
 
-	status, body, cacheStatus := s.respond(r.Context(), wire, hreq, key, v)
+	status, body, cacheStatus := s.respond(r.Context(), wire, hreq, key)
 	writeBody(w, status, body, cacheStatus)
 }
 
 // respond resolves one compile request locally: cache levels, then
-// singleflight coalescing, then an admitted, deadline-bounded compile.
-// It returns the HTTP status, body bytes, and X-Himap-Cache value.
-func (s *Server) respond(ctx context.Context, wire *CompileRequestWire, hreq himap.Request, key string, v int) (int, []byte, string) {
+// singleflight coalescing, then a deadline-bounded compile. It returns
+// the HTTP status, body bytes, and X-Himap-Cache value.
+func (s *Server) respond(ctx context.Context, wire *CompileRequestWire, hreq himap.Request, key string) (int, []byte, string) {
 	if body, status, ok := s.cacheGet(key); ok {
 		s.metrics.cacheHits.Add(1)
 		return http.StatusOK, body, status
 	}
+	ctx, cancel := context.WithTimeout(ctx, s.timeout(wire.Options.TimeoutMS))
+	defer cancel()
 
 	// Coalesce identical concurrent requests onto one compile: the first
-	// becomes the leader; the rest wait for its bytes. The leader's
-	// outcome — success or failure — is every follower's outcome.
+	// becomes the leader; the rest wait for its bytes.
 	s.flightMu.Lock()
 	if c, ok := s.flight[key]; ok {
 		s.flightMu.Unlock()
 		s.metrics.coalesced.Add(1)
 		select {
 		case <-c.done:
+			// The leader's deadline is its own — timeout_ms is not part
+			// of the key, and its client may simply have gone away. A
+			// follower still inside its deadline starts over (as the new
+			// leader, or on the cache) instead of inheriting the 504;
+			// every other outcome is shared.
+			if c.status == http.StatusGatewayTimeout && ctx.Err() == nil {
+				return s.respond(ctx, wire, hreq, key)
+			}
 			return c.status, c.body, "coalesced"
 		case <-ctx.Done():
-			status, body := renderError(v, diag.Fail(diag.ErrCanceled, ctx.Err()))
+			status, body := renderError(diag.Fail(diag.ErrCanceled, ctx.Err()))
 			return status, body, ""
 		}
 	}
@@ -438,7 +440,7 @@ func (s *Server) respond(ctx context.Context, wire *CompileRequestWire, hreq him
 	s.flightMu.Unlock()
 	s.metrics.cacheMisses.Add(1)
 
-	c.status, c.body = s.execute(ctx, wire, hreq, v)
+	c.status, c.body = s.executeBody(ctx, hreq, nil, nil)
 	if c.status == http.StatusOK {
 		s.cachePut(key, c.body)
 	}
@@ -449,51 +451,58 @@ func (s *Server) respond(ctx context.Context, wire *CompileRequestWire, hreq him
 	return c.status, c.body, "miss"
 }
 
-// execute runs one admitted, deadline-bounded compile and renders its
-// response bytes (success or error body) in the given wire version.
-func (s *Server) execute(ctx context.Context, wire *CompileRequestWire, hreq himap.Request, v int) (int, []byte) {
-	ctx, cancel := context.WithTimeout(ctx, s.timeout(wire.Options))
-	defer cancel()
-
+// execute is the one path every compile takes — plain, batch item, SSE
+// stream and explore candidate alike: reserve a slot, wire the server's
+// Workers setting and the metrics tracer (plus the adapter's own span
+// sink, if any) into the request, and run it. admitted, when non-nil,
+// is called once the slot is held and before the compile starts, so an
+// adapter can tell a pre-admission rejection from a compile failure.
+// The caller bounds ctx; encoding, caching and pricing stay with it.
+func (s *Server) execute(ctx context.Context, hreq himap.Request, tracer diag.Tracer, admitted func()) (*himap.Result, error) {
 	release, err := s.admit(ctx)
 	if err != nil {
 		if errors.Is(err, ErrOverloaded) {
 			s.metrics.rejected.Add(1)
 		}
-		return renderError(v, err)
+		return nil, err
 	}
 	defer release()
+	if admitted != nil {
+		admitted()
+	}
 
+	tracer = diag.MultiTracer(tracer, s.metrics.Tracer())
 	hreq.Options.Workers = s.cfg.Workers
-	hreq.Options.Tracer = diag.MultiTracer(hreq.Options.Tracer, s.metrics.Tracer())
-	hreq.Baseline.Tracer = diag.MultiTracer(hreq.Baseline.Tracer, s.metrics.Tracer())
+	hreq.Options.Tracer = tracer
+	hreq.Baseline.Tracer = tracer
 
 	s.metrics.compiles.Add(1)
 	res, err := s.compile(ctx, hreq)
 	if err != nil {
 		s.metrics.failures.Add(1)
-		return renderError(v, err)
 	}
-	body, err := EncodeResponseVersion(res, v)
+	return res, err
+}
+
+// executeBody is execute for the adapters that answer in /v1/compile
+// bytes: the success body or the typed error body, with its status.
+func (s *Server) executeBody(ctx context.Context, hreq himap.Request, tracer diag.Tracer, admitted func()) (int, []byte) {
+	res, err := s.execute(ctx, hreq, tracer, admitted)
+	if err != nil {
+		return renderError(err)
+	}
+	body, err := EncodeResponse(res)
 	if err != nil {
 		s.metrics.failures.Add(1)
-		return renderError(v, err)
+		return renderError(err)
 	}
 	return http.StatusOK, body
 }
 
-// EncodeResponse renders a compile result into the canonical
-// current-version response bytes. Exported so the smoke harness can
-// render a direct himap.CompileRequest result and byte-compare it with
-// the served body.
+// EncodeResponse renders a compile result into the canonical response
+// bytes. Exported so the smoke harness can render a direct
+// himap.CompileRequest result and byte-compare it with the served body.
 func EncodeResponse(res *himap.Result) ([]byte, error) {
-	return EncodeResponseVersion(res, SchemaVersion)
-}
-
-// EncodeResponseVersion renders a compile result in the requested wire
-// version: the current shape, or the version-1 shape with the v2-only
-// fields (mapper, optimality) omitted.
-func EncodeResponseVersion(res *himap.Result, v int) ([]byte, error) {
 	var cfgJSON bytes.Buffer
 	if err := res.Config.WriteJSON(&cfgJSON); err != nil {
 		return nil, fmt.Errorf("encode config: %w", err)
@@ -503,7 +512,7 @@ func EncodeResponseVersion(res *himap.Result, v int) ([]byte, error) {
 		return nil, fmt.Errorf("encode bitstream: %w", err)
 	}
 	resp := CompileResponse{
-		SchemaVersion: v,
+		SchemaVersion: SchemaVersion,
 		Kernel:        res.Kernel.Name,
 		Fabric:        res.Fabric.String(),
 		Mapper:        res.Backend,
@@ -535,12 +544,6 @@ func EncodeResponseVersion(res *himap.Result, v int) ([]byte, error) {
 			Horizon:       res.Optimality.Horizon,
 		}
 	}
-	if v < 2 {
-		// The v1 contract predates the backend registry and the exact
-		// mapper: no mapper, no optimality.
-		resp.Mapper = ""
-		resp.Optimality = nil
-	}
 	body, err := json.Marshal(resp)
 	if err != nil {
 		return nil, fmt.Errorf("encode response: %w", err)
@@ -548,58 +551,26 @@ func EncodeResponseVersion(res *himap.Result, v int) ([]byte, error) {
 	return append(body, '\n'), nil
 }
 
-// renderError maps a failure to its HTTP status and body bytes in the
-// given wire version (v1 bodies omit error_code).
-func renderError(v int, err error) (int, []byte) {
-	status, eb := classifyError(err)
-	if v < 2 {
-		eb.ErrorCode = ""
-	}
-	body, merr := json.Marshal(ErrorResponse{SchemaVersion: v, Error: eb})
+// renderError maps a failure to its HTTP status and error-body bytes.
+func renderError(err error) (int, []byte) {
+	status, eb := classify(err)
+	body, merr := json.Marshal(ErrorResponse{SchemaVersion: SchemaVersion, Error: eb})
 	if merr != nil {
-		return http.StatusInternalServerError, []byte(fmt.Sprintf(`{"schema_version":%d,"error":{"code":"internal","message":"error encoding failed"}}`+"\n", v))
+		return http.StatusInternalServerError, []byte(fmt.Sprintf(`{"schema_version":%d,"error":{"code":"internal","message":"error encoding failed"}}`+"\n", SchemaVersion))
 	}
 	return status, append(body, '\n')
 }
 
-// classifyError maps the service's failure taxonomy to wire codes: the
-// coarse HTTP-dispatch Code plus the stable v2 ErrorCode enum
-// (WireErrorCode).
-func classifyError(err error) (int, ErrorBody) {
-	msg := err.Error()
-	code := WireErrorCode(err)
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		return http.StatusTooManyRequests, ErrorBody{Code: "overloaded", ErrorCode: code, Message: msg}
-	case errors.Is(err, ErrUnknownKernel):
-		return http.StatusNotFound, ErrorBody{Code: "unknown_kernel", ErrorCode: code, Message: msg}
-	case errors.Is(err, ErrBadRequest):
-		return http.StatusBadRequest, ErrorBody{Code: "bad_request", ErrorCode: code, Message: msg}
-	case errors.Is(err, diag.ErrCanceled),
-		errors.Is(err, context.DeadlineExceeded),
-		errors.Is(err, context.Canceled):
-		return http.StatusGatewayTimeout, ErrorBody{Code: "deadline", ErrorCode: code, Message: msg, Class: diag.ErrCanceled.Error()}
-	case errors.Is(err, diag.ErrInvalidRequest):
-		// A malformed himap.Request (nil kernel) that slipped past wire
-		// validation is a caller bug, not a mapping infeasibility.
-		return http.StatusBadRequest, ErrorBody{Code: "bad_request", ErrorCode: code, Message: msg, Class: diag.ErrInvalidRequest.Error()}
-	}
-	var se *diag.StageError
-	if errors.As(err, &se) {
-		return http.StatusUnprocessableEntity, ErrorBody{Code: "infeasible", ErrorCode: code, Message: msg, Class: se.Class.Error()}
-	}
-	var tooLarge himap.BaselineTooLargeError
-	var timedOut himap.BaselineTimeoutError
-	var exactTooLarge himap.ExactTooLargeError
-	if errors.As(err, &tooLarge) || errors.As(err, &timedOut) || errors.As(err, &exactTooLarge) {
-		return http.StatusUnprocessableEntity, ErrorBody{Code: "infeasible", ErrorCode: code, Message: msg}
-	}
-	return http.StatusInternalServerError, ErrorBody{Code: "internal", ErrorCode: code, Message: msg}
+func writeError(w http.ResponseWriter, err error) {
+	status, body := renderError(err)
+	writeBody(w, status, body, "")
 }
 
-func writeError(w http.ResponseWriter, v int, err error) {
-	status, body := renderError(v, err)
-	writeBody(w, status, body, "")
+// reject answers a request that failed decoding or validation, before
+// any compile work.
+func (s *Server) reject(w http.ResponseWriter, err error) {
+	s.metrics.badRequests.Add(1)
+	writeError(w, err)
 }
 
 func writeBody(w http.ResponseWriter, status int, body []byte, cacheStatus string) {
@@ -620,7 +591,7 @@ func (s *Server) handleKernels(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := json.Marshal(resp)
 	if err != nil {
-		writeError(w, SchemaVersion, err)
+		writeError(w, err)
 		return
 	}
 	writeBody(w, http.StatusOK, append(body, '\n'), "")

@@ -129,7 +129,7 @@ func (s *Server) forward(w http.ResponseWriter, r *http.Request, wire *CompileRe
 	// The relay deadline covers the peer's whole compile plus headroom;
 	// the request's own context still cancels the relay if the client
 	// goes away.
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(wire.Options)+10*time.Second)
+	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(wire.Options.TimeoutMS)+10*time.Second)
 	defer cancel()
 	preq, err := http.NewRequestWithContext(ctx, http.MethodPost, owner+"/v1/compile", bytes.NewReader(body))
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -46,16 +45,16 @@ func (s *sseWriter) event(name string, data []byte) {
 // singleflight coalescing — its stage events belong to this request's
 // own execution, not some concurrent leader's — but its success still
 // populates both cache levels for everyone else.
-func (s *Server) streamCompile(w http.ResponseWriter, r *http.Request, wire *CompileRequestWire, hreq himap.Request, key string, v int) {
+func (s *Server) streamCompile(w http.ResponseWriter, r *http.Request, wire *CompileRequestWire, hreq himap.Request, key string) {
 	flusher, _ := w.(http.Flusher)
 	sse := &sseWriter{w: w, f: flusher}
+	started := false
 	start := func(cacheStatus string) {
 		w.Header().Set("Content-Type", "text/event-stream")
 		w.Header().Set("Cache-Control", "no-store")
-		if cacheStatus != "" {
-			w.Header().Set("X-Himap-Cache", cacheStatus)
-		}
+		w.Header().Set("X-Himap-Cache", cacheStatus)
 		w.WriteHeader(http.StatusOK)
+		started = true
 	}
 	s.metrics.streams.Add(1)
 
@@ -67,23 +66,8 @@ func (s *Server) streamCompile(w http.ResponseWriter, r *http.Request, wire *Com
 	}
 	s.metrics.cacheMisses.Add(1)
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(wire.Options))
+	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(wire.Options.TimeoutMS))
 	defer cancel()
-
-	release, err := s.admit(ctx)
-	if err != nil {
-		if errors.Is(err, ErrOverloaded) {
-			s.metrics.rejected.Add(1)
-		}
-		// Nothing streamed yet: reject as a plain HTTP error so clients
-		// and proxies see the real status code.
-		status, body := renderError(v, err)
-		writeBody(w, status, body, "")
-		return
-	}
-	defer release()
-
-	start("miss")
 
 	// Fan each tracer span onto the wire as it happens. SerialTracer
 	// serializes concurrent emissions (speculative attempts emit from
@@ -103,25 +87,17 @@ func (s *Server) streamCompile(w http.ResponseWriter, r *http.Request, wire *Com
 		}
 		sse.event(StreamEventStage, data)
 	})
-	hreq.Options.Workers = s.cfg.Workers
-	hreq.Options.Tracer = diag.MultiTracer(hreq.Options.Tracer, streamTracer, s.metrics.Tracer())
-	hreq.Baseline.Tracer = diag.MultiTracer(hreq.Baseline.Tracer, streamTracer, s.metrics.Tracer())
-
-	s.metrics.compiles.Add(1)
-	res, err := s.compile(ctx, hreq)
-	if err != nil {
-		s.metrics.failures.Add(1)
-		_, body := renderError(v, err)
+	// The stream opens only once a compile slot is held: an admission
+	// rejection has streamed nothing yet and answers as a plain HTTP
+	// error, so clients and proxies see the real status code.
+	status, body := s.executeBody(ctx, hreq, streamTracer, func() { start("miss") })
+	switch {
+	case !started:
+		writeBody(w, status, body, "")
+	case status == http.StatusOK:
+		s.cachePut(key, body)
+		sse.event(StreamEventResult, bytes.TrimRight(body, "\n"))
+	default:
 		sse.event(StreamEventError, bytes.TrimRight(body, "\n"))
-		return
 	}
-	body, err := EncodeResponseVersion(res, v)
-	if err != nil {
-		s.metrics.failures.Add(1)
-		_, ebody := renderError(v, err)
-		sse.event(StreamEventError, bytes.TrimRight(ebody, "\n"))
-		return
-	}
-	s.cachePut(key, body)
-	sse.event(StreamEventResult, bytes.TrimRight(body, "\n"))
 }

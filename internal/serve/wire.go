@@ -10,14 +10,11 @@
 // the same request — cache and coalescing status travel in the
 // X-Himap-Cache response header, never in the body.
 //
-// Version 2 of the contract makes the post-v1 growth first-class:
-// the mapper identity and optimality certificate in compile responses,
-// the machine-readable error_code enum mirroring the diag failure
-// taxonomy, the batch endpoint (POST /v1/compile-batch), and the SSE
-// stage-event stream (Accept: text/event-stream on /v1/compile).
-// Requests pinned to schema_version 1 keep working and are answered in
-// the v1 shape — the v2-only fields are omitted — while versions the
-// server does not speak are rejected up front.
+// The server speaks exactly one wire version, SchemaVersion: a request
+// either omits schema_version or pins that value, and any other pin —
+// older or newer — is rejected up front with the typed 400, so a client
+// built against another contract fails loudly instead of being
+// misinterpreted.
 package serve
 
 import (
@@ -29,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
 
 	"himap"
 	"himap/internal/diag"
@@ -36,36 +34,16 @@ import (
 	"himap/internal/kernel"
 )
 
-// SchemaVersion is the current wire-contract version, stamped on every
-// response body (success and error alike) unless the request pinned an
-// older supported version. The server bumps it only on incompatible
-// changes; clients reject versions they do not know.
+// SchemaVersion is the wire-contract version, stamped on every response
+// body (success and error alike). The server bumps it only on
+// incompatible changes; clients reject versions they do not know.
 const SchemaVersion = 2
 
-// MinSchemaVersion is the oldest wire version the server still accepts
-// and answers in kind. A version-1 request receives a version-1 body:
-// no mapper, no optimality, no error_code.
-const MinSchemaVersion = 1
-
-// EffectiveVersion resolves a request's schema_version field: omitted
-// (0) means the current version; a supported pin is honored; anything
-// else is rejected by the decoders before this is called.
-func EffectiveVersion(requested int) int {
-	if requested == 0 {
-		return SchemaVersion
-	}
-	return requested
-}
-
-// checkVersion validates a request's schema_version against the
-// supported window.
-func checkVersion(requested int) error {
-	if requested != 0 && (requested < MinSchemaVersion || requested > SchemaVersion) {
-		return fmt.Errorf("%w: unsupported schema_version %d (server speaks %d..%d)",
-			ErrBadRequest, requested, MinSchemaVersion, SchemaVersion)
-	}
-	return nil
-}
+// maxRequestBytes bounds the body of every request the server decodes,
+// so one client cannot make it buffer arbitrary JSON. A full batch of
+// MaxBatchItems inline kernel specifications (a few KiB each) fits with
+// an order of magnitude to spare.
+const maxRequestBytes = 8 << 20
 
 // Typed request-rejection sentinels. Handlers wrap them with %w, and the
 // HTTP layer maps each to its status code (400, 404, 429).
@@ -80,9 +58,9 @@ var (
 )
 
 // diagErrorCodes maps every diag sentinel failure class 1:1 to its
-// stable wire error_code (schema v2). The table test in wire_test
-// asserts the mapping is total and injective over diag.Classes(), so a
-// new sentinel cannot ship unmapped.
+// stable wire error_code. TestWireErrorCodeTotal asserts the mapping is
+// total and injective over diag.Classes(), so a new sentinel cannot
+// ship unmapped.
 var diagErrorCodes = map[error]string{
 	diag.ErrNoSubMapping:        "no_sub_mapping",
 	diag.ErrSchemeInfeasible:    "scheme_infeasible",
@@ -108,38 +86,69 @@ const (
 	CodeInternal      = "internal"
 )
 
-// WireErrorCode renders any service failure into its stable v2
-// error_code: serve-level sentinels map to their own codes, compile
-// failures to the diag class that caused them (checked in taxonomy
-// order, so the classification is deterministic even for errors
-// wrapping several sentinels), and anything unrecognized to
-// CodeInternal.
-func WireErrorCode(err error) string {
+// classify is the one failure ladder of the service: it maps an error
+// to its HTTP status and wire body — the coarse HTTP-dispatch Code, the
+// stable ErrorCode enum, and the diag Class when the compile itself
+// failed.
+func classify(err error) (status int, eb ErrorBody) {
+	eb.Message = err.Error()
+	// Context errors below a compile that did not wrap ErrCanceled still
+	// belong to the canceled class.
+	canceled := errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
+	var se *diag.StageError
+	var tooLarge himap.BaselineTooLargeError
+	var timedOut himap.BaselineTimeoutError
+	var exactTooLarge himap.ExactTooLargeError
 	switch {
 	case errors.Is(err, ErrOverloaded):
-		return CodeOverloaded
+		status, eb.Code, eb.ErrorCode = http.StatusTooManyRequests, CodeOverloaded, CodeOverloaded
 	case errors.Is(err, ErrUnknownKernel):
-		return CodeUnknownKernel
+		status, eb.Code, eb.ErrorCode = http.StatusNotFound, CodeUnknownKernel, CodeUnknownKernel
 	case errors.Is(err, ErrBadRequest):
-		return CodeBadRequest
+		status, eb.Code, eb.ErrorCode = http.StatusBadRequest, CodeBadRequest, CodeBadRequest
+	case canceled || errors.Is(err, diag.ErrCanceled):
+		status, eb.Code, eb.Class = http.StatusGatewayTimeout, "deadline", diag.ErrCanceled.Error()
+	case errors.Is(err, diag.ErrInvalidRequest):
+		// A malformed himap.Request (nil kernel) that slipped past wire
+		// validation is a caller bug, not a mapping infeasibility.
+		status, eb.Code, eb.Class = http.StatusBadRequest, CodeBadRequest, diag.ErrInvalidRequest.Error()
+	case errors.As(err, &se):
+		status, eb.Code, eb.Class = http.StatusUnprocessableEntity, "infeasible", se.Class.Error()
+	case errors.As(err, &tooLarge), errors.As(err, &timedOut), errors.As(err, &exactTooLarge):
+		status, eb.Code = http.StatusUnprocessableEntity, "infeasible"
+	default:
+		status, eb.Code = http.StatusInternalServerError, CodeInternal
+	}
+	if eb.ErrorCode != "" {
+		return status, eb // serve-level rejections reuse their Code
+	}
+	// Compile failures take the error_code of the first diag class they
+	// wrap, in taxonomy order, so the classification is deterministic
+	// even for errors wrapping several sentinels.
+	eb.ErrorCode = CodeInternal
+	if canceled {
+		eb.ErrorCode = diagErrorCodes[diag.ErrCanceled]
 	}
 	for _, class := range diag.Classes() {
 		if errors.Is(err, class) {
-			return diagErrorCodes[class]
+			eb.ErrorCode = diagErrorCodes[class]
+			break
 		}
 	}
-	// Context errors below a compile that did not wrap ErrCanceled.
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		return diagErrorCodes[diag.ErrCanceled]
-	}
-	return CodeInternal
+	return status, eb
+}
+
+// WireErrorCode is the stable error_code classify assigns to err.
+func WireErrorCode(err error) string {
+	_, eb := classify(err)
+	return eb.ErrorCode
 }
 
 // CompileRequestWire is the POST /v1/compile request body. Exactly one
 // of Kernel (a registry name, GET /v1/kernels) and Spec (an inline
 // kernel specification) must be set. SchemaVersion may be omitted
 // (treated as the current version) or set to SchemaVersion; any other
-// value is rejected so a client pinned to a future contract fails
+// value is rejected so a client pinned to another contract fails
 // loudly instead of being misinterpreted.
 type CompileRequestWire struct {
 	SchemaVersion int         `json:"schema_version,omitempty"`
@@ -293,9 +302,7 @@ type ExploreEntry struct {
 // the canonical binary configuration-memory image (BitstreamBytes),
 // base64-coded by encoding/json. The body carries no wall-clock or
 // cache-status fields, so a cached response is byte-identical to the
-// compile that produced it. Mapper and Optimality are schema-v2 fields:
-// a version-1 request receives the body without them (both are tagged
-// omitempty and cleared by the v1 renderer).
+// compile that produced it.
 type CompileResponse struct {
 	SchemaVersion int             `json:"schema_version"`
 	Kernel        string          `json:"kernel"`
@@ -332,11 +339,11 @@ type ErrorResponse struct {
 
 // ErrorBody carries the machine-readable rejection: Code is the coarse
 // HTTP-dispatch key (bad_request, unknown_kernel, overloaded, deadline,
-// infeasible, internal), ErrorCode the stable schema-v2 enum mapped 1:1
-// from the diag failure taxonomy (route_congested, bandwidth_infeasible,
+// infeasible, internal), ErrorCode the stable enum mapped 1:1 from the
+// diag failure taxonomy (route_congested, bandwidth_infeasible,
 // proved_infeasible, canceled, ...; serve-level rejections reuse their
 // Code), and Class the diag failure-class rendering when the compile
-// itself failed. Version-1 bodies omit ErrorCode.
+// itself failed.
 type ErrorBody struct {
 	Code      string `json:"code"`
 	ErrorCode string `json:"error_code,omitempty"`
@@ -344,8 +351,8 @@ type ErrorBody struct {
 	Class     string `json:"class,omitempty"`
 }
 
-// BatchRequestWire is the POST /v1/compile-batch request body (schema
-// v2 only): a list of compile requests answered per-item under one
+// BatchRequestWire is the POST /v1/compile-batch request body: a list
+// of compile requests answered per-item under one
 // deadline, with shared artifacts (IDFG, sub-mapping lists, unrolled
 // DFG/ISDG) deduplicated across the batch through one Memo. Items must
 // not pin their own schema_version — the batch envelope's version is
@@ -383,8 +390,8 @@ type BatchItemResult struct {
 	Result json.RawMessage `json:"result,omitempty"`
 }
 
-// SSE event names of the /v1/compile stream (schema v2 only; selected
-// with Accept: text/event-stream). A stream is zero or more stage
+// SSE event names of the /v1/compile stream (selected with Accept:
+// text/event-stream). A stream is zero or more stage
 // events followed by exactly one terminal event: result on success,
 // error on failure. See DESIGN.md, "Serving at scale", for the full
 // event grammar.
@@ -427,63 +434,44 @@ type KernelInfo struct {
 	Ops   int    `json:"ops"`
 }
 
-// DecodeRequest strictly decodes a compile request: unknown fields and
-// trailing garbage are ErrBadRequest, keeping the wire contract honest
-// about what the server actually interprets. Supported older schema
-// versions (MinSchemaVersion..SchemaVersion) are accepted; the caller
-// answers in the pinned shape.
-func DecodeRequest(r io.Reader) (*CompileRequestWire, error) {
-	dec := json.NewDecoder(r)
+// decodeStrict is the one decoder of untrusted request bodies: at most
+// maxRequestBytes are read, unknown fields and trailing garbage are
+// ErrBadRequest (keeping the wire contract honest about what the server
+// actually interprets), and the body's schema_version must be omitted
+// or equal to SchemaVersion.
+func decodeStrict[T any](r io.Reader, version func(*T) int) (*T, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(nil, io.NopCloser(r), maxRequestBytes))
 	dec.DisallowUnknownFields()
-	var req CompileRequestWire
-	if err := dec.Decode(&req); err != nil {
+	req := new(T)
+	if err := dec.Decode(req); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	if dec.More() {
 		return nil, fmt.Errorf("%w: trailing data after request object", ErrBadRequest)
 	}
-	if err := checkVersion(req.SchemaVersion); err != nil {
-		return nil, err
+	if v := version(req); v != 0 && v != SchemaVersion {
+		return nil, fmt.Errorf("%w: unsupported schema_version %d (server speaks %d)", ErrBadRequest, v, SchemaVersion)
 	}
-	return &req, nil
+	return req, nil
+}
+
+// DecodeRequest strictly decodes a compile request (see decodeStrict).
+func DecodeRequest(r io.Reader) (*CompileRequestWire, error) {
+	return decodeStrict(r, func(q *CompileRequestWire) int { return q.SchemaVersion })
 }
 
 // DecodeExploreRequest strictly decodes an explore request, with the
-// same unknown-field and schema-version policy as DecodeRequest.
+// same size, unknown-field and schema-version policy as DecodeRequest.
 func DecodeExploreRequest(r io.Reader) (*ExploreRequestWire, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var req ExploreRequestWire
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("%w: trailing data after request object", ErrBadRequest)
-	}
-	if err := checkVersion(req.SchemaVersion); err != nil {
-		return nil, err
-	}
-	return &req, nil
+	return decodeStrict(r, func(q *ExploreRequestWire) int { return q.SchemaVersion })
 }
 
-// DecodeBatchRequest strictly decodes a batch request. The batch
-// endpoint is schema-v2 only: a version-1 pin is rejected (v1 never had
-// batches), and items must not pin their own schema_version.
+// DecodeBatchRequest strictly decodes a batch request. Items must not
+// pin their own schema_version: the envelope's governs every item.
 func DecodeBatchRequest(r io.Reader) (*BatchRequestWire, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var req BatchRequestWire
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("%w: trailing data after request object", ErrBadRequest)
-	}
-	if err := checkVersion(req.SchemaVersion); err != nil {
+	req, err := decodeStrict(r, func(q *BatchRequestWire) int { return q.SchemaVersion })
+	if err != nil {
 		return nil, err
-	}
-	if v := EffectiveVersion(req.SchemaVersion); v < 2 {
-		return nil, fmt.Errorf("%w: compile-batch requires schema_version >= 2 (got %d)", ErrBadRequest, v)
 	}
 	if len(req.Items) == 0 {
 		return nil, fmt.Errorf("%w: batch has no items", ErrBadRequest)
@@ -494,22 +482,20 @@ func DecodeBatchRequest(r io.Reader) (*BatchRequestWire, error) {
 				ErrBadRequest, i, req.Items[i].SchemaVersion)
 		}
 	}
-	return &req, nil
+	return req, nil
 }
 
 // CacheKey is the content address of a request: the SHA-256 of its
 // canonical JSON with TimeoutMS zeroed (the timeout bounds the compile,
-// it cannot change the mapping) and SchemaVersion normalized to the
-// request's effective wire version — response bytes depend on the
-// version they were rendered for, so each supported version owns its
-// own key space, and an explicit pin of the current version shares keys
-// with an omitted one. Two requests with equal keys receive
-// byte-identical responses. The key also drives shard ownership: every
-// replica of a cluster computes the same key for the same request.
+// it cannot change the mapping) and SchemaVersion always written out,
+// so an omitted version shares keys with an explicit pin. Two requests
+// with equal keys receive byte-identical responses. The key also drives
+// shard ownership: every replica of a cluster computes the same key for
+// the same request.
 func CacheKey(req *CompileRequestWire) string {
 	norm := *req
 	norm.Options.TimeoutMS = 0
-	norm.SchemaVersion = EffectiveVersion(req.SchemaVersion)
+	norm.SchemaVersion = SchemaVersion
 	b, err := json.Marshal(&norm)
 	if err != nil {
 		// Marshal of this struct cannot fail (no channels/funcs/cycles);

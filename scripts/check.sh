@@ -21,8 +21,13 @@ go run ./cmd/himaplint -baseline himaplint.baseline.json ./...
 # Self-host: the analyzer package must satisfy its own suite.
 go run ./cmd/himaplint ./internal/analysis
 go test -race ./...
+# bench/ is its own module (replace himap => ../), so nothing above
+# compiles it: vet and test it here, or a root-module API change can
+# silently break the benchmark harness.
+(cd bench && go vet ./... && go test ./...)
 # himapd end-to-end smoke: ephemeral port, served-vs-direct byte diff
-# at wire v1 and v2, cache hit, metrics, graceful SIGTERM shutdown.
+# (miss, then hit), a schema_version 1 pin answering 400, metrics,
+# graceful SIGTERM shutdown.
 go run ./scripts/himapd_smoke
 # Serving soak smoke: a short seeded load run against a self-hosted
 # 2-replica sharded cluster must finish with zero 5xx responses and a

@@ -2,8 +2,9 @@
 // service, run by scripts/check.sh: it builds cmd/himapd, starts it on
 // an ephemeral port, compiles MVT over HTTP, byte-compares the served
 // body against a direct in-process himap.CompileRequest of the same
-// request, verifies the cache hit and the metrics counters, and then
-// shuts the daemon down gracefully with SIGTERM.
+// request, verifies the cache hit, the rejection of a retired
+// schema_version pin and the metrics counters, and then shuts the
+// daemon down gracefully with SIGTERM.
 package main
 
 import (
@@ -25,12 +26,11 @@ import (
 	"himap/internal/serve"
 )
 
-// The same request pinned to wire schema v1 and at the current version:
-// each owns its own cache key space and must byte-match its own direct
-// in-process rendering (the v1 body omits the v2-only fields).
+// The smoke request, and the same request pinned to the retired wire
+// version 1, which the server must refuse rather than misinterpret.
 const (
+	compileBody   = `{"kernel":"MVT","fabric":{"rows":4,"cols":4},"options":{}}`
 	compileBodyV1 = `{"schema_version":1,"kernel":"MVT","fabric":{"rows":4,"cols":4},"options":{}}`
-	compileBodyV2 = `{"kernel":"MVT","fabric":{"rows":4,"cols":4},"options":{}}`
 )
 
 func main() {
@@ -97,32 +97,25 @@ func run() error {
 		return err
 	}
 
-	// Serve MVT pinned to wire v1 and byte-compare with the direct API
-	// rendered at v1.
-	status, hdr, served, err := post(base+"/v1/compile", compileBodyV1)
+	// Serve MVT and byte-compare with the direct API.
+	status, hdr, served, err := post(base+"/v1/compile", compileBody)
 	if err != nil {
 		return err
 	}
-	if status != http.StatusOK {
-		return fmt.Errorf("v1 compile status %d: %s", status, served)
+	if status != http.StatusOK || hdr != "miss" {
+		return fmt.Errorf("first compile: status %d cache %q, want 200 miss: %s", status, hdr, served)
 	}
-	if hdr != "miss" {
-		return fmt.Errorf("first compile X-Himap-Cache = %q, want miss", hdr)
-	}
-	direct, err := directBytes(compileBodyV1, 1)
+	direct, err := directBytes(compileBody)
 	if err != nil {
 		return err
 	}
 	if !bytes.Equal(served, direct) {
-		return fmt.Errorf("served v1 body (%d bytes) differs from direct CompileRequest (%d bytes)",
+		return fmt.Errorf("served body (%d bytes) differs from direct CompileRequest (%d bytes)",
 			len(served), len(direct))
-	}
-	if bytes.Contains(served, []byte(`"mapper"`)) {
-		return fmt.Errorf("v1 body carries the v2 mapper field: %s", served)
 	}
 
 	// The identical request must come back from the cache, byte-identical.
-	status, hdr, cached, err := post(base+"/v1/compile", compileBodyV1)
+	status, hdr, cached, err := post(base+"/v1/compile", compileBody)
 	if err != nil {
 		return err
 	}
@@ -133,32 +126,20 @@ func run() error {
 		return fmt.Errorf("cached body differs from compiled body")
 	}
 
-	// The same request at the current version is a separate cache entry
-	// with the v2 shape, again byte-identical to the direct rendering.
-	status, hdr, servedV2, err := post(base+"/v1/compile", compileBodyV2)
+	// The server speaks one wire version; a version-1 pin is a typed 400.
+	status, _, rejected, err := post(base+"/v1/compile", compileBodyV1)
 	if err != nil {
 		return err
 	}
-	if status != http.StatusOK || hdr != "miss" {
-		return fmt.Errorf("v2 compile: status %d cache %q, want 200 miss (own key space)", status, hdr)
-	}
-	directV2, err := directBytes(compileBodyV2, serve.SchemaVersion)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(servedV2, directV2) {
-		return fmt.Errorf("served v2 body (%d bytes) differs from direct CompileRequest (%d bytes)",
-			len(servedV2), len(directV2))
-	}
-	if !bytes.Contains(servedV2, []byte(`"mapper"`)) {
-		return fmt.Errorf("v2 body lost the mapper field: %s", servedV2)
+	if status != http.StatusBadRequest || !bytes.Contains(rejected, []byte(`"code":"bad_request"`)) {
+		return fmt.Errorf("schema_version 1: status %d body %s, want typed 400", status, rejected)
 	}
 
 	metrics, err := get(base + "/metrics")
 	if err != nil {
 		return err
 	}
-	for _, want := range []string{"himapd_compiles_total 2", "himapd_cache_hits_total 1", "himapd_requests_total 3"} {
+	for _, want := range []string{"himapd_compiles_total 1", "himapd_cache_hits_total 1", "himapd_requests_total 3"} {
 		if !strings.Contains(metrics, want) {
 			return fmt.Errorf("metrics missing %q:\n%s", want, metrics)
 		}
@@ -196,9 +177,8 @@ func run() error {
 }
 
 // directBytes compiles the smoke request in-process through the same
-// wire conversion the server uses and renders the canonical bytes at
-// the given wire version.
-func directBytes(body string, version int) ([]byte, error) {
+// wire conversion the server uses and renders the canonical bytes.
+func directBytes(body string) ([]byte, error) {
 	wire, err := serve.DecodeRequest(strings.NewReader(body))
 	if err != nil {
 		return nil, err
@@ -211,7 +191,7 @@ func directBytes(body string, version int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return serve.EncodeResponseVersion(res, version)
+	return serve.EncodeResponse(res)
 }
 
 func waitHealthy(base string, budget time.Duration) error {
