@@ -103,16 +103,16 @@ func TestCompileAutoDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mapper != "himap" || res.HiMap == nil {
-		t.Errorf("GEMM should dispatch to himap, got %q", res.Mapper)
+	if res.Backend != "himap" || res.Sub == nil {
+		t.Errorf("GEMM should dispatch to himap, got %q", res.Backend)
 	}
 	for _, k := range []*himap.Kernel{himap.KernelDOTPROD(), himap.KernelRELU()} {
 		res, err := himap.CompileAuto(k, cg, himap.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", k.Name, err)
 		}
-		if res.Mapper != "conventional" || res.Baseline == nil {
-			t.Errorf("%s should dispatch to the conventional mapper, got %q", k.Name, res.Mapper)
+		if res.Backend != "conventional" || res.Conventional == nil {
+			t.Errorf("%s should dispatch to the conventional mapper, got %q", k.Name, res.Backend)
 		}
 		if err := himap.ValidateConfig(res.Config, k, res.Block, 2, 9); err != nil {
 			t.Errorf("%s: %v", k.Name, err)

@@ -157,7 +157,6 @@ func (conventionalBackend) Compile(ctx context.Context, req Request) (*Result, e
 	return &Result{
 		Kernel:       res.Kernel,
 		Fabric:       req.Fabric,
-		CGRA:         req.Fabric.CGRA,
 		Block:        res.Block,
 		Config:       res.Config,
 		Utilization:  res.Utilization,
@@ -194,7 +193,6 @@ func (exactBackend) Compile(ctx context.Context, req Request) (*Result, error) {
 	return &Result{
 		Kernel:      res.Kernel,
 		Fabric:      req.Fabric,
-		CGRA:        req.Fabric.CGRA,
 		Block:       res.Block,
 		Config:      res.Config,
 		Utilization: res.Utilization,

@@ -151,7 +151,7 @@ func TestRegistryDifferentialFingerprints(t *testing.T) {
 				t.Errorf("Backend = %q, want %q", res.Backend, himap.MapperHiMap)
 			}
 			got := mappingFingerprint(res.Config, 8, 8)
-			if want := defaultFabricFingerprints[k.Name]; got != want {
+			if want := goldenMappings[k.Name]; got != want {
 				t.Errorf("%s: himap fingerprint drifted through the registry\n got %s\nwant %s", k.Name, got, want)
 			}
 		})

@@ -9,6 +9,7 @@
 package himap_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -48,7 +49,7 @@ func BenchmarkTable2UniqueIters(b *testing.B) {
 		b.Run(k.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := core.Compile(k, arch.Default(4, 4), core.Options{})
+				res, err := core.CompileRequest(context.Background(), k, arch.DefaultFabric(4, 4), core.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -74,7 +75,7 @@ func BenchmarkFig7HiMap(b *testing.B) {
 				var res *core.Result
 				var err error
 				for i := 0; i < b.N; i++ {
-					res, err = core.Compile(k, arch.Default(size, size), core.Options{})
+					res, err = core.CompileRequest(context.Background(), k, arch.DefaultFabric(size, size), core.Options{})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -107,7 +108,7 @@ func BenchmarkFig7Baseline(b *testing.B) {
 			var res *baseline.Result
 			var err error
 			for i := 0; i < b.N; i++ {
-				res, err = baseline.Compile(c.k, arch.Default(c.size, c.size),
+				res, err = baseline.CompileRequest(context.Background(), c.k, arch.DefaultFabric(c.size, c.size),
 					c.k.UniformBlock(c.block), baseline.Options{Seed: 1, TimeBudget: 30 * time.Second})
 				if err != nil {
 					b.Fatal(err)
@@ -137,7 +138,7 @@ func BenchmarkFig8HiMapCompileTime(b *testing.B) {
 					inner = 8
 				}
 				for i := 0; i < b.N; i++ {
-					if _, err := core.Compile(k, arch.Default(size, size), core.Options{InnerBlock: inner}); err != nil {
+					if _, err := core.CompileRequest(context.Background(), k, arch.DefaultFabric(size, size), core.Options{InnerBlock: inner}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -160,7 +161,7 @@ func BenchmarkFig8BaselineCompileTime(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/b%d", c.k.Name, c.b), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := baseline.Compile(c.k, arch.Default(c.b, c.b),
+				if _, err := baseline.CompileRequest(context.Background(), c.k, arch.DefaultFabric(c.b, c.b),
 					c.k.UniformBlock(c.b), baseline.Options{Seed: 1, TimeBudget: 60 * time.Second}); err != nil {
 					b.Fatal(err)
 				}
@@ -176,7 +177,7 @@ func BenchmarkFig8Wall(b *testing.B) {
 	k := kernel.GEMM()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, err := baseline.Compile(k, arch.Default(8, 8), k.UniformBlock(8), baseline.Options{})
+		_, err := baseline.CompileRequest(context.Background(), k, arch.DefaultFabric(8, 8), k.UniformBlock(8), baseline.Options{})
 		if err == nil {
 			b.Fatal("expected the node wall")
 		}
@@ -191,7 +192,7 @@ func BenchmarkCompileEndToEnd(b *testing.B) {
 		b.Run(k.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Compile(k, arch.Default(8, 8), core.Options{}); err != nil {
+				if _, err := core.CompileRequest(context.Background(), k, arch.DefaultFabric(8, 8), core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -207,15 +208,15 @@ func BenchmarkCompileEndToEnd(b *testing.B) {
 // Compare against BenchmarkCompileCold for the memoization speedup.
 func BenchmarkCompileMemoized(b *testing.B) {
 	k := kernel.TTM()
-	cg := arch.Default(8, 8)
+	cg := arch.DefaultFabric(8, 8)
 	memo := core.NewMemo()
-	if _, err := core.Compile(k, cg, core.Options{Workers: 1, Memo: memo}); err != nil {
+	if _, err := core.CompileRequest(context.Background(), k, cg, core.Options{Workers: 1, Memo: memo}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Compile(k, cg, core.Options{Workers: 1, Memo: memo}); err != nil {
+		if _, err := core.CompileRequest(context.Background(), k, cg, core.Options{Workers: 1, Memo: memo}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -226,10 +227,10 @@ func BenchmarkCompileMemoized(b *testing.B) {
 // rebuilt from the kernel specification.
 func BenchmarkCompileCold(b *testing.B) {
 	k := kernel.TTM()
-	cg := arch.Default(8, 8)
+	cg := arch.DefaultFabric(8, 8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Compile(k, cg, core.Options{Workers: 1, Memo: core.NewMemo()}); err != nil {
+		if _, err := core.CompileRequest(context.Background(), k, cg, core.Options{Workers: 1, Memo: core.NewMemo()}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -266,7 +267,7 @@ func BenchmarkGolden(b *testing.B) {
 
 // BenchmarkSimulate times cycle-accurate execution (cycles/op reported).
 func BenchmarkSimulate(b *testing.B) {
-	res, err := core.Compile(kernel.GEMM(), arch.Default(8, 8), core.Options{})
+	res, err := core.CompileRequest(context.Background(), kernel.GEMM(), arch.DefaultFabric(8, 8), core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func BenchmarkSimulate(b *testing.B) {
 // BenchmarkValidatePipelined times full multi-block validation.
 func BenchmarkValidatePipelined(b *testing.B) {
 	k := kernel.BICG()
-	res, err := core.Compile(k, arch.Default(4, 4), core.Options{})
+	res, err := core.CompileRequest(context.Background(), k, arch.DefaultFabric(4, 4), core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -319,7 +320,7 @@ func BenchmarkUniqueIdentificationScaling(b *testing.B) {
 			var res *core.Result
 			var err error
 			for i := 0; i < b.N; i++ {
-				res, err = core.Compile(kernel.GEMM(), arch.Default(4, 4), core.Options{InnerBlock: inner})
+				res, err = core.CompileRequest(context.Background(), kernel.GEMM(), arch.DefaultFabric(4, 4), core.Options{InnerBlock: inner})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -356,7 +357,7 @@ func BenchmarkAblationNegotiation(b *testing.B) {
 			var res *core.Result
 			var err error
 			for i := 0; i < b.N; i++ {
-				res, err = core.Compile(kernel.FW(), arch.Default(4, 4), core.Options{MaxRouteRounds: rounds})
+				res, err = core.CompileRequest(context.Background(), kernel.FW(), arch.DefaultFabric(4, 4), core.Options{MaxRouteRounds: rounds})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -379,7 +380,7 @@ func BenchmarkAblationRelayPolicy(b *testing.B) {
 			var res *core.Result
 			var err error
 			for i := 0; i < b.N; i++ {
-				res, err = core.Compile(kernel.GEMM(), arch.Default(4, 4), core.Options{RelayPolicy: pol})
+				res, err = core.CompileRequest(context.Background(), kernel.GEMM(), arch.DefaultFabric(4, 4), core.Options{RelayPolicy: pol})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -453,7 +454,7 @@ func BenchmarkAblationDepthSlack(b *testing.B) {
 		b.Run(fmt.Sprintf("slack%d", slack), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Compile(kernel.FW(), arch.Default(4, 4), core.Options{DepthSlack: slack}); err != nil {
+				if _, err := core.CompileRequest(context.Background(), kernel.FW(), arch.DefaultFabric(4, 4), core.Options{DepthSlack: slack}); err != nil {
 					b.Fatal(err)
 				}
 			}

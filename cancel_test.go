@@ -1,7 +1,6 @@
 package himap_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"sync"
@@ -86,61 +85,5 @@ func TestCompileRequestUnknownMapper(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("unknown mapper accepted")
-	}
-}
-
-// TestLegacyWrappersDelegate: the deprecated entry points are thin
-// wrappers over CompileRequest and must emit identical mappings.
-func TestLegacyWrappersDelegate(t *testing.T) {
-	cg := himap.DefaultCGRA(4, 4)
-
-	old, err := compile(himap.KernelGEMM(), cg, himap.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	neu, err := himap.CompileRequest(context.Background(), himap.Request{
-		Kernel: himap.KernelGEMM(), Fabric: himap.Fabric{CGRA: cg},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var oldJSON, newJSON bytes.Buffer
-	if err := himap.SaveConfig(old.Config, &oldJSON); err != nil {
-		t.Fatal(err)
-	}
-	if err := himap.SaveConfig(neu.Config, &newJSON); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(oldJSON.Bytes(), newJSON.Bytes()) {
-		t.Error("Compile and CompileRequest emit different configurations")
-	}
-
-	oldB, err := compileBaseline(himap.KernelMVT(), cg, []int{3, 3}, himap.BaselineOptions{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	neuB, err := himap.CompileRequest(context.Background(), himap.Request{
-		Kernel: himap.KernelMVT(), Fabric: himap.Fabric{CGRA: cg},
-		Mapper: himap.MapperConventional, Block: []int{3, 3},
-		Baseline: himap.BaselineOptions{Seed: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if neuB.Conventional == nil {
-		t.Fatal("conventional result missing from Result.Conventional")
-	}
-	if oldB.Summary() != neuB.Summary() {
-		t.Errorf("baseline wrapper summary %q != unified summary %q", oldB.Summary(), neuB.Summary())
-	}
-	var oldBJ, newBJ bytes.Buffer
-	if err := himap.SaveConfig(oldB.Config, &oldBJ); err != nil {
-		t.Fatal(err)
-	}
-	if err := himap.SaveConfig(neuB.Config, &newBJ); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(oldBJ.Bytes(), newBJ.Bytes()) {
-		t.Error("CompileBaseline and unified CompileRequest emit different configurations")
 	}
 }

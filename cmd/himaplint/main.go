@@ -1,10 +1,10 @@
 // Command himaplint runs the repository's custom static-analysis suite
-// (internal/analysis): six stdlib-only go/ast + go/types analyzers over
+// (internal/analysis): five stdlib-only go/ast + go/types analyzers over
 // a module-wide interprocedural summary layer, enforcing the invariants
 // the compiler cannot — mapping determinism, typed-error discipline,
-// the escape-based //himap:noalloc hot-path contract, sync-primitive
-// hygiene, the cancellation-polling discipline below CompileRequest,
-// and lock-set consistency of may-happen-in-parallel writes.
+// the escape-based //himap:noalloc hot-path contract, the
+// cancellation-polling discipline below CompileRequest, and lock-set
+// consistency of may-happen-in-parallel writes.
 //
 // Usage:
 //

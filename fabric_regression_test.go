@@ -1,6 +1,7 @@
 package himap_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -9,16 +10,22 @@ import (
 	"himap"
 )
 
-// defaultFabricFingerprints pins the exact mappings the default fabric
-// (mesh topology, every PE memory-capable) produces for the eight
-// evaluation kernels on an 8x8 array. The hashes were captured before the
-// Fabric refactor; the refactor (and any future change) must reproduce
-// them bit-identically. The fingerprint is built from the canonical
-// instruction rendering (Instr.String), the II, and the load/store I/O
-// specs — deliberately not the raw JSON bytes, so representation-only
-// changes (e.g. widening OutSel for diagonal links) don't disturb it as
-// long as the mapping itself is unchanged.
-var defaultFabricFingerprints = map[string]string{
+// goldenMappings pins exact mappings as SHA-256 fingerprints. A row is
+// one compile request; a change that moves any hash changed a mapping.
+// The fingerprint is built from the canonical instruction rendering
+// (Instr.String), the II, and the load/store I/O specs — deliberately
+// not the raw JSON bytes, so representation-only changes (e.g. widening
+// OutSel for diagonal links) don't disturb it as long as the mapping
+// itself is unchanged.
+//
+//   - "<kernel>": the default fabric (mesh topology, every PE
+//     memory-capable) at 8x8, captured before the Fabric refactor.
+//   - "<kernel>/<fabric>": constrained 8x8 fabrics whose compiles spend
+//     several attempts and more than one negotiated-congestion round;
+//     the test compiles each at Workers 1 and 4 (route waves), and both
+//     must reproduce the one hash.
+//   - "conventional/...", "exact/...": the flat mappers at 4x4 block 2.
+var goldenMappings = map[string]string{
 	"ADI":  "4be75e3ecacdf7c9bd77223743241a082b8469bde26367d7cf2ded54b323a0cc",
 	"ATAX": "10c91fa59bf58021cd04346eb043291218cae9805275e1b04c163c79aafdd0b7",
 	"BICG": "f989d64f152302206e1678d3e39301462654623fd4e270dd05722cf30c277452",
@@ -27,6 +34,65 @@ var defaultFabricFingerprints = map[string]string{
 	"SYRK": "8d59d8f6d4454f1438d5e78570271cda6aab8333059082d344a7d94530102b8b",
 	"FW":   "bb5b461d9ff1f8380f1ec0f63fcef4afb26a75cc2b32e9dd1ce076905967ac8a",
 	"TTM":  "1bbfb68601054333cc6bb7c68a035f6c171aa1422678e47dacf1b4b3bc99dc88",
+
+	"FW/diag":           "cf039db20317d7b72a9380f42cda8d6fb7b45604b064e10e2d640ec461450560",
+	"FW/narrow-rf":      "ed686f886f520d70577405cf2f3b0e5dc8280d09e73ec2f8b09bc391eb93ff04",
+	"FW/bus":            "error: himap: compilation of FW on 8x8/bw-bus failed after 42 attempts: stage route (FW on 8x8/bw-bus, attempt 1): routing congestion unresolved: class 3 (rep (0,0,3)): himap: no memory-read slot for boundary load n24[load ld.D0@(0,0,3)]: memory-port demand infeasible on fabric: routing congestion unresolved [also failed: replicate (attempt 34): replication conflict;]",
+	"FW/mem-boundary":   "408c6c9eabe36a1b20307dfa2395a48ba917ce56e81a7ca9f4c0ff8cdcd8154e",
+	"GEMM/diag":         "d08d2b738fcee08efd501165d5a6f436cf4f6f1b713bc62f47c53f798661f8dd",
+	"GEMM/narrow-rf":    "e75fbd8599328941962e15ff339601c1f826dfa4d79073d6d6c46f94fb43336e",
+	"GEMM/bus":          "d6da43112f3f9c20dcc4bb0a148510dc99325b1b89b45f91adc379a5c87863c5",
+	"GEMM/mem-boundary": "error: himap: compilation of GEMM on 8x8/mesh/mem-boundary failed after 24 attempts: stage route (GEMM on 8x8/mesh/mem-boundary, attempt 1): routing congestion unresolved: himap: 47 resources oversubscribed (e.g. [OUT.S@(0,0)t0 REG1@(0,0)t9 OUT.S@(0,0)t8 REG0@(0,0)t12]): routing congestion unresolved",
+	"MVT/diag":          "f9a62daa38a6231c83c8fd8ffa67947ab30722d671dc92654751239edb1a22de",
+	"MVT/narrow-rf":     "fe2737308c429e5429794761d54911bc425082a89c9b2a11d94aaf31ad91fe53",
+	"MVT/bus":           "d1352773886ad5cb6402ed60cddd2ee747a8871a4b07327956bf520710c360eb",
+	"MVT/mem-boundary":  "error: himap: compilation of MVT on 8x8/mesh/mem-boundary failed after 0 attempts: stage idfg-map (MVT on 8x8/mesh/mem-boundary): memory-port demand infeasible on fabric: IDFG demands 2 memory loads per iteration; no sub-CGRA shape of the 8x8/mesh/mem-boundary fabric provides matching memory ports",
+
+	"conventional/FW/4x4": "72585af459fdeed49947c110e344214be2bc1bfc0cc815b1f4e7c2e92dbc67df",
+	"exact/MVT/4x4":       "b258fbf6a0680365e1547660ba4c6d1d466f390acba7724a19eaeaa945a71023",
+}
+
+// goldenRow is one pinned compile: the key into goldenMappings and the
+// request that must reproduce it.
+type goldenRow struct {
+	key, label string
+	req        himap.Request
+}
+
+func goldenRows() []goldenRow {
+	var rows []goldenRow
+	for _, k := range himap.EvaluationKernels() {
+		rows = append(rows, goldenRow{k.Name, k.Name,
+			himap.Request{Kernel: k, Fabric: himap.DefaultFabric(8, 8)}})
+	}
+	fabrics := []struct {
+		tag string
+		mod func(*himap.Fabric)
+	}{
+		{"diag", func(f *himap.Fabric) { f.Topology = himap.TopoMeshDiag }},
+		{"narrow-rf", func(f *himap.Fabric) { f.Bandwidth = himap.BWNarrowRF }},
+		{"bus", func(f *himap.Fabric) { f.Bandwidth = himap.BWBus }},
+		{"mem-boundary", func(f *himap.Fabric) { f.Mem = himap.MemBoundary }},
+	}
+	for _, k := range []*himap.Kernel{himap.KernelFW(), himap.KernelGEMM(), himap.KernelMVT()} {
+		for _, fv := range fabrics {
+			fab := himap.DefaultFabric(8, 8)
+			fv.mod(&fab)
+			key := k.Name + "/" + fv.tag
+			for _, w := range []int{1, 4} {
+				rows = append(rows, goldenRow{key, fmt.Sprintf("%s/w%d", key, w),
+					himap.Request{Kernel: k, Fabric: fab, Options: himap.Options{Workers: w}}})
+			}
+		}
+	}
+	small := himap.DefaultFabric(4, 4)
+	return append(rows,
+		goldenRow{"conventional/FW/4x4", "conventional/FW/4x4", himap.Request{
+			Kernel: himap.KernelFW(), Fabric: small, Mapper: himap.MapperConventional,
+			Block: []int{2, 2, 2}, Baseline: himap.BaselineOptions{Seed: 1, Workers: 1}}},
+		goldenRow{"exact/MVT/4x4", "exact/MVT/4x4", himap.Request{
+			Kernel: himap.KernelMVT(), Fabric: small, Mapper: himap.MapperExact,
+			Block: []int{2, 2}}})
 }
 
 func mappingFingerprint(cfg *himap.Config, rows, cols int) string {
@@ -50,24 +116,27 @@ func mappingFingerprint(cfg *himap.Config, rows, cols int) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestDefaultFabricBitIdentical is the regression anchor for the Fabric
-// refactor: the default fabric must keep producing exactly the mappings
-// the homogeneous-mesh model produced.
+// TestDefaultFabricBitIdentical is the regression anchor of every
+// refactor: each goldenRows request must keep producing exactly the
+// mapping pinned in goldenMappings. A request that ends in a typed
+// infeasibility is pinned by its error text instead.
 func TestDefaultFabricBitIdentical(t *testing.T) {
-	for _, k := range himap.EvaluationKernels() {
-		k := k
-		t.Run(k.Name, func(t *testing.T) {
-			r, err := compile(k, himap.DefaultCGRA(8, 8), himap.Options{})
+	for _, row := range goldenRows() {
+		row := row
+		t.Run(row.label, func(t *testing.T) {
+			var got string
+			r, err := himap.CompileRequest(context.Background(), row.req)
 			if err != nil {
-				t.Fatalf("Compile(%s): %v", k.Name, err)
+				got = "error: " + err.Error()
+			} else {
+				got = mappingFingerprint(r.Config, row.req.Fabric.Rows, row.req.Fabric.Cols)
 			}
-			got := mappingFingerprint(r.Config, 8, 8)
-			want := defaultFabricFingerprints[k.Name]
+			want := goldenMappings[row.key]
 			if want == "" {
-				t.Fatalf("no golden fingerprint for %s; capture: %q", k.Name, got)
+				t.Fatalf("no golden fingerprint for %s; capture: %q", row.key, got)
 			}
 			if got != want {
-				t.Errorf("%s: mapping fingerprint drifted\n got %s\nwant %s", k.Name, got, want)
+				t.Errorf("%s: mapping fingerprint drifted\n got %s\nwant %s", row.label, got, want)
 			}
 		})
 	}

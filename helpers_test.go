@@ -6,10 +6,8 @@ import (
 	"himap"
 )
 
-// The legacy Compile/CompileFabric/CompileBaseline wrappers were removed
-// from the public API; these test-local shims route the historical call
-// shapes through the unified CompileRequest entry point so the long-lived
-// regression suites read unchanged.
+// Test-local shorthands for the common CompileRequest shapes, so a suite
+// that compiles dozens of (kernel, fabric) pairs states only what varies.
 
 func compile(k *himap.Kernel, cg himap.CGRA, opts himap.Options) (*himap.Result, error) {
 	return himap.CompileRequest(context.Background(),

@@ -132,7 +132,8 @@ type (
 // wraps the class that caused it, so callers dispatch with errors.Is
 // regardless of stage, mapper, or Workers value:
 //
-//	_, err := himap.Compile(k, cg, himap.Options{MaxRouteRounds: 1})
+//	_, err := himap.CompileRequest(ctx, himap.Request{Kernel: k, Fabric: fab,
+//		Options: himap.Options{MaxRouteRounds: 1}})
 //	if errors.Is(err, himap.ErrRouteCongested) { ... }
 var (
 	// ErrNoSubMapping: step 1 found no valid IDFG → sub-CGRA mapping.
@@ -392,49 +393,24 @@ func KernelDOITGEN() *Kernel { return kernel.DOITGEN() }
 func KernelDOTPROD() *Kernel { return kernel.DOTPROD() }
 func KernelRELU() *Kernel    { return kernel.RELU() }
 
-// AutoResult is CompileAuto's unified outcome.
-type AutoResult struct {
-	// Mapper is "himap" or "conventional".
-	Mapper      string
-	HiMap       *Result         // set when Mapper == "himap"
-	Baseline    *BaselineResult // set when Mapper == "conventional"
-	Config      *Config
-	Block       []int
-	Utilization float64
-}
-
 // CompileAuto applies the paper's Table-I triage (§VI, benchmark
 // selection): multi-dimensional kernels with inter-iteration dependencies
 // go through HiMap's virtual systolic mapping; one-dimensional or
 // dependence-free kernels gain nothing from it and are modulo-scheduled
 // by the conventional mapper instead ("we can apply existing software
-// pipelining techniques").
-func CompileAuto(k *Kernel, cg CGRA, opts Options) (*AutoResult, error) {
+// pipelining techniques"). Result.Backend names the flow that ran.
+func CompileAuto(k *Kernel, cg CGRA, opts Options) (*Result, error) {
 	if k.Dim > 1 && k.HasInterIterationDeps() {
-		res, err := CompileRequest(context.Background(),
+		return CompileRequest(context.Background(),
 			Request{Kernel: k, Fabric: Fabric{CGRA: cg}, Options: opts})
-		if err != nil {
-			return nil, err
-		}
-		return &AutoResult{
-			Mapper: "himap", HiMap: res,
-			Config: res.Config, Block: res.Block, Utilization: res.Utilization,
-		}, nil
 	}
 	// Pick the largest block the conventional mapper handles comfortably
 	// (small: simulated annealing degrades well before the 400-node wall).
 	b := baseline.LargestFeasibleBlock(k, 60, 16)
-	res, err := CompileRequest(context.Background(), Request{
+	return CompileRequest(context.Background(), Request{
 		Kernel: k, Fabric: Fabric{CGRA: cg}, Mapper: MapperConventional,
 		Block: k.UniformBlock(b), Baseline: BaselineOptions{Seed: 1},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &AutoResult{
-		Mapper: "conventional", Baseline: res.Conventional,
-		Config: res.Config, Block: res.Block, Utilization: res.Utilization,
-	}, nil
 }
 
 // OpKind identifies a loop-body operation kind.

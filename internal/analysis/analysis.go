@@ -2,7 +2,7 @@
 // stdlib-only (go/parser + go/ast + go/types, no x/tools) driver, an
 // interprocedural summary layer (module-wide call graph with interface
 // and function-value devirtualization, per-function ctx/alloc facts),
-// and six project-specific analyzers that guard invariants no Go
+// and five project-specific analyzers that guard invariants no Go
 // compiler checks but the rest of the repository depends on:
 //
 //   - determinism: the mapping a compile emits must be a pure function of
@@ -15,8 +15,6 @@
 //   - noalloc: functions annotated //himap:noalloc (the router's Dijkstra
 //     scratch / heap hot path) must not contain allocating constructs,
 //     judged by escape-based reasoning with summary-transitive callees.
-//   - lockcheck: mutexes must not be copied, and goroutines must not
-//     capture loop variables by reference.
 //   - ctxflow: unbounded loops reachable from the CompileRequest boundary
 //     or a serve handler must poll cancellation, and received contexts
 //     must not be dropped for context.Background()/TODO().
@@ -97,9 +95,9 @@ type Analyzer struct {
 	Run  func(*Pass)
 }
 
-// All returns the six project analyzers in catalogue order.
+// All returns the five project analyzers in catalogue order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, ErrDiscipline, NoAlloc, LockCheck, Ctxflow, Lockset}
+	return []*Analyzer{Determinism, ErrDiscipline, NoAlloc, Ctxflow, Lockset}
 }
 
 // SuppressName is the pseudo-analyzer name under which the driver
@@ -135,8 +133,8 @@ type Scope map[string][]string
 //     architecture model, the simulator, and the analysis layer itself
 //     (himaplint self-hosts) — the packages whose failures escape
 //     through a public API and must stay errors.Is-able.
-//   - noalloc, lockcheck, ctxflow, and lockset are annotation, type, or
-//     summary driven and run module-wide (internal/analysis included).
+//   - noalloc, ctxflow, and lockset are annotation or summary driven
+//     and run module-wide (internal/analysis included).
 func DefaultScope() Scope {
 	compilePath := []string{
 		"himap/internal/himap",
@@ -159,7 +157,6 @@ func DefaultScope() Scope {
 			"himap/internal/serve", "himap/internal/store", "himap/cmd/himapload"),
 		ErrDiscipline.Name: append(append([]string(nil), compilePath...), "himap/internal/arch", "himap/internal/sim", "himap/internal/analysis"),
 		NoAlloc.Name:       nil,
-		LockCheck.Name:     nil,
 		Ctxflow.Name:       nil,
 		Lockset.Name:       nil,
 	}

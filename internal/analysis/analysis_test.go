@@ -18,7 +18,6 @@ func TestFixtures(t *testing.T) {
 		{"determinism", Determinism},
 		{"errdiscipline", ErrDiscipline},
 		{"noalloc", NoAlloc},
-		{"lockcheck", LockCheck},
 		{"ctxflow", Ctxflow},
 		{"lockset", Lockset},
 		{"suppress", Determinism},
@@ -83,7 +82,7 @@ func TestSummariesDeterministic(t *testing.T) {
 // of the //lint:ignore grammar, so renaming one silently disables every
 // existing suppression for it.
 func TestAnalyzerCatalogue(t *testing.T) {
-	want := []string{"determinism", "errdiscipline", "noalloc", "lockcheck", "ctxflow", "lockset"}
+	want := []string{"determinism", "errdiscipline", "noalloc", "ctxflow", "lockset"}
 	got := All()
 	if len(got) != len(want) {
 		t.Fatalf("All() = %d analyzers, want %d", len(got), len(want))

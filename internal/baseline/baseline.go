@@ -72,7 +72,6 @@ func (o Options) withDefaults() Options {
 type Result struct {
 	Kernel      *kernel.Kernel
 	Fabric      arch.Fabric
-	CGRA        arch.CGRA // Fabric.CGRA, kept for callers predating Fabric
 	Block       []int
 	II          int
 	Config      *arch.Config
@@ -105,22 +104,10 @@ func (e ErrTimeout) Error() string {
 // their winning placement straight to route.RouteDFG.
 type place = route.Placement
 
-// Compile maps the kernel's block DFG onto the CGRA (mesh links, every
-// PE memory-capable). Use CompileFabric to target other fabrics.
-func Compile(k *kernel.Kernel, cg arch.CGRA, block []int, opts Options) (*Result, error) {
-	return CompileRequest(context.Background(), k, arch.Fabric{CGRA: cg}, block, opts)
-}
-
-// CompileFabric maps the kernel's block DFG onto the fabric: SA placement
-// (loads and stores restricted to memory-capable PEs) plus negotiated
-// routing over the fabric's link set.
-func CompileFabric(k *kernel.Kernel, cg arch.Fabric, block []int, opts Options) (*Result, error) {
-	return CompileRequest(context.Background(), k, cg, block, opts)
-}
-
-// CompileRequest is the context-aware baseline entry point: Compile and
-// CompileFabric are the context.Background() special cases. The context
-// is checked before each II attempt, between the placement and routing
+// CompileRequest maps the kernel's block DFG onto the fabric: SA
+// placement (loads and stores restricted to memory-capable PEs) plus
+// negotiated routing over the fabric's link set. The context is
+// checked before each II attempt, between the placement and routing
 // phases, and every 4096 SA moves inside each annealing chain, so a
 // cancellation or deadline aborts the mapper promptly with a
 // diag.ErrCanceled StageError (the original context error stays in the
@@ -251,7 +238,7 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, cg arch.Fabric, block
 		}
 		opts.Tracer.Emit(routeSpan)
 		return &Result{
-			Kernel: k, Fabric: cg, CGRA: cg.CGRA, Block: block, II: ii,
+			Kernel: k, Fabric: cg, Block: block, II: ii,
 			Config:      cfg,
 			Utilization: float64(ncomp) / float64(pes*ii),
 			Time:        time.Since(start),

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -13,15 +14,15 @@ import (
 func TestBaselineMapsAndValidates(t *testing.T) {
 	cases := []struct {
 		k     *kernel.Kernel
-		cgra  arch.CGRA
+		cgra  arch.Fabric
 		block []int
 	}{
-		{kernel.GEMM(), arch.Default(2, 2), []int{2, 2, 2}},
-		{kernel.BICG(), arch.Default(4, 4), []int{4, 4}},
-		{kernel.ADI(), arch.Default(4, 4), []int{4, 4}},
+		{kernel.GEMM(), arch.DefaultFabric(2, 2), []int{2, 2, 2}},
+		{kernel.BICG(), arch.DefaultFabric(4, 4), []int{4, 4}},
+		{kernel.ADI(), arch.DefaultFabric(4, 4), []int{4, 4}},
 	}
 	for _, c := range cases {
-		res, err := Compile(c.k, c.cgra, c.block, Options{Seed: 1})
+		res, err := CompileRequest(context.Background(), c.k, c.cgra, c.block, Options{Seed: 1})
 		if err != nil {
 			t.Errorf("%s: %v", c.k.Name, err)
 			continue
@@ -41,7 +42,7 @@ func TestBaselineMapsAndValidates(t *testing.T) {
 func TestBaselineNodeWall(t *testing.T) {
 	// GEMM at b=8 has 8^3 iterations × 4 ops ≈ 2k nodes: over the wall.
 	k := kernel.GEMM()
-	_, err := Compile(k, arch.Default(8, 8), []int{8, 8, 8}, Options{Seed: 1})
+	_, err := CompileRequest(context.Background(), k, arch.DefaultFabric(8, 8), []int{8, 8, 8}, Options{Seed: 1})
 	var tooLarge ErrTooLarge
 	if !errors.As(err, &tooLarge) {
 		t.Fatalf("expected ErrTooLarge, got %v", err)
@@ -53,7 +54,7 @@ func TestBaselineNodeWall(t *testing.T) {
 
 func TestBaselineTimeout(t *testing.T) {
 	k := kernel.MVT()
-	_, err := Compile(k, arch.Default(4, 4), []int{6, 6}, Options{Seed: 1, TimeBudget: 1 * time.Millisecond})
+	_, err := CompileRequest(context.Background(), k, arch.DefaultFabric(4, 4), []int{6, 6}, Options{Seed: 1, TimeBudget: 1 * time.Millisecond})
 	var timeout ErrTimeout
 	if !errors.As(err, &timeout) {
 		t.Fatalf("expected ErrTimeout, got %v", err)
@@ -83,7 +84,7 @@ func TestBaselineUtilizationBelowHiMapEnvelope(t *testing.T) {
 	// The central claim of Fig. 7: conventional mapping leaves utilization
 	// on the table even where it succeeds.
 	k := kernel.BICG()
-	res, err := Compile(k, arch.Default(4, 4), []int{4, 4}, Options{Seed: 1})
+	res, err := CompileRequest(context.Background(), k, arch.DefaultFabric(4, 4), []int{4, 4}, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +95,11 @@ func TestBaselineUtilizationBelowHiMapEnvelope(t *testing.T) {
 
 func TestBaselineDeterministicWithSeed(t *testing.T) {
 	k := kernel.ADI()
-	a, err := Compile(k, arch.Default(2, 2), []int{2, 2}, Options{Seed: 5})
+	a, err := CompileRequest(context.Background(), k, arch.DefaultFabric(2, 2), []int{2, 2}, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Compile(k, arch.Default(2, 2), []int{2, 2}, Options{Seed: 5})
+	b, err := CompileRequest(context.Background(), k, arch.DefaultFabric(2, 2), []int{2, 2}, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestBaselineDeterministicWithSeed(t *testing.T) {
 func TestBaselineIIAtLeastResourceMinimum(t *testing.T) {
 	k := kernel.GEMM()
 	block := []int{2, 2, 2}
-	res, err := Compile(k, arch.Default(2, 2), block, Options{Seed: 1})
+	res, err := CompileRequest(context.Background(), k, arch.DefaultFabric(2, 2), block, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,7 +152,6 @@ type Optimality struct {
 type Result struct {
 	Kernel       *kernel.Kernel
 	Fabric       arch.Fabric
-	CGRA         arch.CGRA // Fabric.CGRA, for callers predating Fabric
 	Block        []int
 	II           int
 	Config       *arch.Config
@@ -248,17 +247,11 @@ func resourceMII(d *ir.DFG, fab arch.Fabric, routesOnFU bool) (int, error) {
 	return mii, nil
 }
 
-// Compile maps the kernel's block DFG exactly onto the CGRA (mesh links,
-// every PE memory-capable). Use CompileRequest to target other fabrics
-// or to bound the search with a context.
-func Compile(k *kernel.Kernel, cg arch.CGRA, block []int, opts Options) (*Result, error) {
-	return CompileRequest(context.Background(), k, arch.Fabric{CGRA: cg}, block, opts)
-}
-
-// CompileRequest is the context-aware exact entry point: iterative
-// deepening on II from the static lower bound, branch-and-bound at each
-// II, detailed routing (route.RouteDFG) of every complete placement, and
-// an Optimality certificate on success. Failure classes:
+// CompileRequest maps the kernel's block DFG exactly onto the fabric:
+// iterative deepening on II from the static lower bound,
+// branch-and-bound at each II, detailed routing (route.RouteDFG) of
+// every complete placement, and an Optimality certificate on success.
+// Failure classes:
 //
 //   - diag.ErrProvedInfeasible: every II up to MaxII was exhaustively
 //     refuted (within the horizon) — no mapping exists;
@@ -338,7 +331,7 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, fab arch.Fabric, bloc
 				opt.ProvedMinimal, opt.Certificate, opt.IILowerBound = true, CertExhaustive, ii
 			}
 			return &Result{
-				Kernel: k, Fabric: fab, CGRA: fab.CGRA, Block: block, II: ii,
+				Kernel: k, Fabric: fab, Block: block, II: ii,
 				Config:       cfg,
 				Utilization:  float64(d.NumCompute()) / float64(fab.NumPEs()*ii),
 				Optimality:   opt,

@@ -37,7 +37,7 @@ func TestProvedMinimalSmallKernels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Compile(k, arch.Default(accSize, accSize), k.UniformBlock(accBlock),
+			res, err := CompileRequest(context.Background(), k, arch.DefaultFabric(accSize, accSize), k.UniformBlock(accBlock),
 				Options{TimeBudget: accBudget})
 			if err != nil {
 				t.Fatalf("Compile: %v", err)
@@ -77,11 +77,11 @@ func TestExactIsUpperBoundedBySA(t *testing.T) {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
 			block := k.UniformBlock(accBlock)
-			eres, err := Compile(k, arch.Default(accSize, accSize), block, Options{TimeBudget: accBudget})
+			eres, err := CompileRequest(context.Background(), k, arch.DefaultFabric(accSize, accSize), block, Options{TimeBudget: accBudget})
 			if err != nil {
 				t.Fatalf("exact: %v", err)
 			}
-			bres, err := baseline.Compile(k, arch.Default(accSize, accSize), block, baseline.Options{Seed: 1})
+			bres, err := baseline.CompileRequest(context.Background(), k, arch.DefaultFabric(accSize, accSize), block, baseline.Options{Seed: 1})
 			if err != nil {
 				t.Fatalf("baseline: %v", err)
 			}
@@ -111,7 +111,7 @@ func TestLowerBoundStatic(t *testing.T) {
 		t.Errorf("LowerBound = %d, want >= 1", lb)
 	}
 	// A proved-minimal exact II can never undercut the universal bound.
-	res, err := Compile(k, arch.Default(accSize, accSize), k.UniformBlock(accBlock),
+	res, err := CompileRequest(context.Background(), k, arch.DefaultFabric(accSize, accSize), k.UniformBlock(accBlock),
 		Options{TimeBudget: accBudget})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestTooLargeRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Compile(k, arch.Default(accSize, accSize), k.UniformBlock(8), Options{})
+	_, err = CompileRequest(context.Background(), k, arch.DefaultFabric(accSize, accSize), k.UniformBlock(8), Options{})
 	var tooLarge ErrTooLarge
 	if !errors.As(err, &tooLarge) {
 		t.Fatalf("oversized block: %v, want ErrTooLarge", err)
@@ -149,11 +149,11 @@ func TestDeterministicResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Compile(k, arch.Default(accSize, accSize), k.UniformBlock(accBlock), Options{})
+	a, err := CompileRequest(context.Background(), k, arch.DefaultFabric(accSize, accSize), k.UniformBlock(accBlock), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Compile(k, arch.Default(accSize, accSize), k.UniformBlock(accBlock), Options{})
+	b, err := CompileRequest(context.Background(), k, arch.DefaultFabric(accSize, accSize), k.UniformBlock(accBlock), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

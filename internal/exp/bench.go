@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -92,7 +93,7 @@ func BenchCompile(size, workers int) (*BenchReport, error) {
 		runtime.GC()
 		runtime.ReadMemStats(&ms0)
 		start := time.Now()
-		res, err := himap.Compile(k, arch.Default(size, size), opts)
+		res, err := himap.CompileRequest(context.TODO(), k, arch.DefaultFabric(size, size), opts)
 		wall := time.Since(start)
 		runtime.ReadMemStats(&ms1)
 		if err != nil {
@@ -130,7 +131,7 @@ func BenchCompile(size, workers int) (*BenchReport, error) {
 	}
 	start := time.Now()
 	errs := par.Map(rep.Workers, len(jobs), func(i int) error {
-		_, err := himap.Compile(jobs[i].k, arch.Default(jobs[i].c, jobs[i].c), himap.Options{Workers: 1})
+		_, err := himap.CompileRequest(context.TODO(), jobs[i].k, arch.DefaultFabric(jobs[i].c, jobs[i].c), himap.Options{Workers: 1})
 		return err
 	})
 	rep.SweepWallMS = float64(time.Since(start).Microseconds()) / 1000
@@ -148,7 +149,7 @@ func BenchCompile(size, workers int) (*BenchReport, error) {
 		for _, k := range fabricKernels {
 			col := diag.NewCollector()
 			start := time.Now()
-			res, err := himap.Compile(k, arch.Default(fsz, fsz),
+			res, err := himap.CompileRequest(context.TODO(), k, arch.DefaultFabric(fsz, fsz),
 				himap.Options{Workers: 1, Tracer: col, Memo: himap.NewMemo()})
 			wall := time.Since(start)
 			if err != nil {

@@ -8,6 +8,7 @@
 package exp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -120,7 +121,7 @@ func TableII(size int, cfg Config) ([]TableIIRow, error) {
 	}
 	cells := par.Map(par.Workers(cfg.Workers), len(cfg.Kernels), func(i int) cell {
 		k := cfg.Kernels[i]
-		res, err := himap.Compile(k, arch.Default(size, size), himap.Options{InnerBlock: cfg.InnerBlock, Workers: 1})
+		res, err := himap.CompileRequest(context.TODO(), k, arch.DefaultFabric(size, size), himap.Options{InnerBlock: cfg.InnerBlock, Workers: 1})
 		if err != nil {
 			return cell{err: fmt.Errorf("exp: TableII %s: %v", k.Name, err)}
 		}
@@ -195,7 +196,7 @@ func Fig7(cfg Config) ([]Fig7Point, error) {
 	cells := par.Map(par.Workers(cfg.Workers), len(jobs), func(i int) cell {
 		k, size := jobs[i].k, jobs[i].size
 		p := Fig7Point{Kernel: k.Name, Size: size}
-		res, err := himap.Compile(k, arch.Default(size, size), himap.Options{InnerBlock: cfg.InnerBlock, Workers: 1})
+		res, err := himap.CompileRequest(context.TODO(), k, arch.DefaultFabric(size, size), himap.Options{InnerBlock: cfg.InnerBlock, Workers: 1})
 		if err != nil {
 			return cell{err: fmt.Errorf("exp: Fig7 HiMap %s %dx%d: %v", k.Name, size, size, err)}
 		}
@@ -246,7 +247,7 @@ func runBaselineBestEffort(k *kernel.Kernel, size int, cfg Config) (*baseline.Re
 		if remaining <= 0 {
 			break
 		}
-		res, err := baseline.Compile(k, arch.Default(size, size), k.UniformBlock(b),
+		res, err := baseline.CompileRequest(context.TODO(), k, arch.DefaultFabric(size, size), k.UniformBlock(b),
 			baseline.Options{
 				MaxNodes:   cfg.BaselineMaxNodes,
 				Seed:       cfg.Seed,
@@ -380,12 +381,12 @@ func Fig8(cfg Fig8Config) ([]Fig8Point, error) {
 		if k.Dim >= 4 && inner > cfg.MaxInner4D {
 			inner = cfg.MaxInner4D
 		}
-		res, err := himap.Compile(k, arch.Default(b, b), himap.Options{InnerBlock: inner, Workers: 1})
+		res, err := himap.CompileRequest(context.TODO(), k, arch.DefaultFabric(b, b), himap.Options{InnerBlock: inner, Workers: 1})
 		if err == nil {
 			p.HiMapOK = true
 			p.HiMapTime = res.Stats.Total
 		}
-		bres, err := baseline.Compile(k, arch.Default(b, b), k.UniformBlock(b),
+		bres, err := baseline.CompileRequest(context.TODO(), k, arch.DefaultFabric(b, b), k.UniformBlock(b),
 			baseline.Options{Seed: cfg.Seed, TimeBudget: cfg.BaselineBudget})
 		switch {
 		case err == nil:
@@ -478,7 +479,7 @@ func Envelope(sizes []int, cfg Fig8Config) ([]EnvelopePoint, error) {
 		if k.Dim >= 4 && inner > cfg.MaxInner4D {
 			inner = cfg.MaxInner4D
 		}
-		res, err := himap.Compile(k, arch.Default(size, size), himap.Options{InnerBlock: inner, Workers: 1})
+		res, err := himap.CompileRequest(context.TODO(), k, arch.DefaultFabric(size, size), himap.Options{InnerBlock: inner, Workers: 1})
 		if err != nil {
 			return cell{err: fmt.Errorf("exp: envelope %s %dx%d: %v", k.Name, size, size, err)}
 		}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -79,7 +80,7 @@ func Explore(cfg ExploreConfig) []ExplorePoint {
 		j := jobs[i]
 		p := ExplorePoint{Kernel: j.k.Name, Fabric: j.fab.String()}
 		start := time.Now()
-		res, err := himap.CompileFabric(j.k, j.fab, himap.Options{Workers: 1})
+		res, err := himap.CompileRequest(context.TODO(), j.k, j.fab, himap.Options{Workers: 1})
 		p.WallMS = float64(time.Since(start).Microseconds()) / 1000
 		if err != nil {
 			p.Fail = failClass(err)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -44,15 +45,15 @@ func ExactGap(size, blockSize int, budget time.Duration) ([]ExactGapPoint, error
 	var rows []ExactGapPoint
 	for _, k := range kernel.Evaluation() {
 		block := k.UniformBlock(blockSize)
-		eres, err := exact.Compile(k, arch.Default(size, size), block, exact.Options{TimeBudget: budget})
+		eres, err := exact.CompileRequest(context.TODO(), k, arch.DefaultFabric(size, size), block, exact.Options{TimeBudget: budget})
 		if err != nil {
 			return nil, fmt.Errorf("exp: exact gap %s: %v", k.Name, err)
 		}
-		bres, err := baseline.Compile(k, arch.Default(size, size), block, baseline.Options{Seed: 1})
+		bres, err := baseline.CompileRequest(context.TODO(), k, arch.DefaultFabric(size, size), block, baseline.Options{Seed: 1})
 		if err != nil {
 			return nil, fmt.Errorf("exp: exact gap SA %s: %v", k.Name, err)
 		}
-		hres, err := himap.Compile(k, arch.Default(size, size), himap.Options{Workers: 1})
+		hres, err := himap.CompileRequest(context.TODO(), k, arch.DefaultFabric(size, size), himap.Options{Workers: 1})
 		if err != nil {
 			return nil, fmt.Errorf("exp: exact gap himap %s: %v", k.Name, err)
 		}

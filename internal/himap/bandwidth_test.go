@@ -1,6 +1,7 @@
 package himap
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -212,7 +213,7 @@ func TestBandwidthFabricsEndToEnd(t *testing.T) {
 			k, bw := k, bw
 			t.Run(fmt.Sprintf("%s/%s", bw, k.Name), func(t *testing.T) {
 				fab := arch.Fabric{CGRA: arch.Default(8, 8), Bandwidth: bw}
-				res, err := CompileFabric(k, fab, Options{})
+				res, err := CompileRequest(context.Background(), k, fab, Options{})
 				if err != nil {
 					for _, want := range typed {
 						if errors.Is(err, want) {
@@ -248,8 +249,8 @@ func TestCostModelDifferentialFingerprint(t *testing.T) {
 	for _, k := range kernel.Evaluation() {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
-			base, baseErr := CompileFabric(k, fab, Options{})
-			unit, unitErr := CompileFabric(k, fab, Options{
+			base, baseErr := CompileRequest(context.Background(), k, fab, Options{})
+			unit, unitErr := CompileRequest(context.Background(), k, fab, Options{
 				costModel: route.UnitModel{RFRead: fab.RFReadPorts, RFWrite: fab.RFWritePorts},
 			})
 			if (baseErr == nil) != (unitErr == nil) {

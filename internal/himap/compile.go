@@ -39,7 +39,7 @@ type Options struct {
 	// Algorithm 1; by default it is found by the heuristic search).
 	ForceScheme *systolic.Scheme
 	// RelayPolicy selects how route pseudo-ops are anchored to resources
-	// (see internal/himap/routegen.go). The default RelayAuto uses
+	// (see internal/himap/layout.go). The default RelayAuto uses
 	// crossbar output registers for cross-PE relays and the memory read
 	// port for load-fed relays; RelayRegistersOnly forces every relay
 	// through the register file — the ablation showing why the crossbar
@@ -54,16 +54,6 @@ type Options struct {
 	// 0 means runtime.GOMAXPROCS(0); 1 executes exactly the historical
 	// sequential flow.
 	Workers int
-	// IncrementalRoute keeps classes whose routed resources ended a
-	// negotiated-congestion round within capacity, re-applying their
-	// plans verbatim instead of re-routing them (incremental PathFinder
-	// rip-up). Only congested classes re-route against the bumped
-	// history. Off by default: clean nets re-routed from scratch can
-	// legally choose different paths once history changes, so
-	// incremental results are not bit-identical to the historical flow
-	// on kernels needing more than one round (single-round kernels are
-	// unaffected). Every emitted mapping still passes full validation.
-	IncrementalRoute bool
 	// routeLegacy selects the pre-A* global-heap Dijkstra router core —
 	// kept for differential testing of the A*+bucket-queue rewrite.
 	routeLegacy bool
@@ -121,9 +111,6 @@ func (o Options) withDefaults() Options {
 type Result struct {
 	Kernel *kernel.Kernel
 	Fabric arch.Fabric
-	// CGRA is the fabric's PE-array parameters, kept for callers that
-	// predate the fabric model.
-	CGRA arch.CGRA
 
 	Sub     *SubMapping
 	Scheme  systolic.Scheme
@@ -149,8 +136,7 @@ type Result struct {
 
 	// Backend names the registered backend that produced this result
 	// ("himap", "conventional", "exact"). The unified request dispatcher
-	// stamps it; results built through the legacy per-mapper entry points
-	// may leave it empty.
+	// stamps it; internal/himap's own CompileRequest leaves it empty.
 	Backend string
 
 	// Optimality carries the II bound certificate when the producing
@@ -162,7 +148,7 @@ type Result struct {
 	// conventional (baseline) mapper through the unified request API; the
 	// hierarchical-flow fields (Sub, Scheme, Mapping, DFG, ISDG, CP,
 	// Classes, ...) are nil/zero in that case, while the shared fields
-	// (Kernel, Fabric, CGRA, Block, Config, Utilization) are filled from
+	// (Kernel, Fabric, Block, Config, Utilization) are filled from
 	// the baseline result.
 	Conventional *baseline.Result
 
@@ -173,46 +159,29 @@ type Result struct {
 	Exact *exact.Result
 }
 
-// Stats records compilation effort.
+// Stats records compilation effort. Per-stage wall times are not
+// repeated here: the span stream (Options.Tracer) carries them.
 type Stats struct {
-	MapTime       time.Duration // step 1 (IDFG → sub-CGRA) + scheme search
-	PlaceTime     time.Duration // step 2 (ISDG → VSA)
-	RouteTime     time.Duration // step 3 canonical routing
-	ReplicateTime time.Duration // step 3 replication + validation
 	Total         time.Duration
 	Attempts      int // (sub-mapping, scheme) pairs tried
 	CanonicalNets int
 	RouteRounds   int
-	// KeptClasses counts class plans carried across negotiated-congestion
-	// rounds by incremental re-route (0 unless Options.IncrementalRoute).
-	KeptClasses int
 }
 
-// Compile maps the kernel onto the CGRA with the HiMap algorithm and
-// returns the first valid mapping, iterating sub-CGRA mappings in
-// decreasing utilization (Algorithm 1's outer loop) and systolic schemes
-// in increasing cost until routing and replication succeed.
+// CompileRequest maps the kernel onto the fabric with the HiMap
+// algorithm and returns the first valid mapping, iterating sub-CGRA
+// mappings in decreasing utilization (Algorithm 1's outer loop) and
+// systolic schemes in increasing cost until routing and replication
+// succeed.
 //
 // The flow is a staged pass pipeline (see pipeline.go): the front stages
 // run once, then (sub-mapping, scheme) attempts execute the per-attempt
 // stages speculatively in waves of Workers, always committing to the
-// first success in sequential ranking order. On failure Compile returns a
+// first success in sequential ranking order. On failure it returns a
 // *CompileError aggregating the lowest-ranked attempt's failure and the
 // best-ranked failure per stage — deterministic for every Workers value.
-func Compile(k *kernel.Kernel, cg arch.CGRA, opts Options) (*Result, error) {
-	return CompileRequest(context.Background(), k, arch.Fabric{CGRA: cg}, opts)
-}
-
-// CompileFabric is Compile for an explicit fabric model (interconnect
-// topology + per-PE capability layout). Compile is the mesh/all-memory
-// special case.
-func CompileFabric(k *kernel.Kernel, fab arch.Fabric, opts Options) (*Result, error) {
-	return CompileRequest(context.Background(), k, fab, opts)
-}
-
-// CompileRequest is the context-aware compilation entry point: Compile
-// and CompileFabric are the context.Background() special cases. The
-// context is checked at every pipeline stage boundary and between
+//
+// The context is checked at every pipeline stage boundary and between
 // speculative waves, so cancellation (or a deadline) aborts a compile
 // mid-pipeline with a *CompileError wrapping diag.ErrCanceled — the
 // original context error stays in the cause chain for errors.Is.
@@ -264,7 +233,6 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, fab arch.Fabric, opts
 				continue
 			}
 			res := results[i]
-			res.Stats.MapTime = front.wall[StageIDFGMap] + front.wall[StageSchemeSearch]
 			res.Stats.Attempts = base + i + 1
 			res.Stats.Total = time.Since(start)
 			return res, nil

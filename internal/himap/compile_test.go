@@ -1,6 +1,7 @@
 package himap
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -22,7 +23,7 @@ var paperUtil = map[string]float64{
 func TestCompileAllKernelsMeetPaperUtilization(t *testing.T) {
 	for _, size := range []int{4, 8} {
 		for _, k := range kernel.Evaluation() {
-			res, err := Compile(k, arch.Default(size, size), Options{})
+			res, err := CompileRequest(context.Background(), k, arch.DefaultFabric(size, size), Options{})
 			if err != nil {
 				t.Errorf("%s %dx%d: %v", k.Name, size, size, err)
 				continue
@@ -51,7 +52,7 @@ func TestCompileUniqueIterationCounts(t *testing.T) {
 			if k.Name == "FW" {
 				continue // diagonal classes; covered separately
 			}
-			res, err := Compile(k, arch.Default(size, size), Options{})
+			res, err := CompileRequest(context.Background(), k, arch.DefaultFabric(size, size), Options{})
 			if err != nil {
 				t.Fatalf("%s: %v", k.Name, err)
 			}
@@ -66,7 +67,7 @@ func TestCompileUniqueIterationCounts(t *testing.T) {
 func TestCompileIIBFormula(t *testing.T) {
 	// II_B = II_S × t (Algorithm 1 line 6 / §V).
 	for _, k := range kernel.Evaluation() {
-		res, err := Compile(k, arch.Default(4, 4), Options{})
+		res, err := CompileRequest(context.Background(), k, arch.DefaultFabric(4, 4), Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", k.Name, err)
 		}
@@ -84,12 +85,12 @@ func TestCompileConfigMemoryBound(t *testing.T) {
 	// HiMap stores only unique instructions per PE; all mappings must fit
 	// the 32-entry configuration memory (§V last paragraph).
 	for _, k := range kernel.Evaluation() {
-		res, err := Compile(k, arch.Default(8, 8), Options{})
+		res, err := CompileRequest(context.Background(), k, arch.DefaultFabric(8, 8), Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", k.Name, err)
 		}
-		if got := res.Config.MaxUniqueInstrs(); got > res.CGRA.ConfigDepth {
-			t.Errorf("%s: %d unique instructions exceed depth %d", k.Name, got, res.CGRA.ConfigDepth)
+		if got := res.Config.MaxUniqueInstrs(); got > res.Fabric.ConfigDepth {
+			t.Errorf("%s: %d unique instructions exceed depth %d", k.Name, got, res.Fabric.ConfigDepth)
 		}
 	}
 }
@@ -97,7 +98,7 @@ func TestCompileConfigMemoryBound(t *testing.T) {
 func TestCompileBlockMatchesVSA(t *testing.T) {
 	// b1 = c/s1, b2 = c/s2 (Algorithm 1 line 6): the space dimensions of
 	// the block must equal the VSA extents.
-	res, err := Compile(kernel.GEMM(), arch.Default(8, 8), Options{})
+	res, err := CompileRequest(context.Background(), kernel.GEMM(), arch.DefaultFabric(8, 8), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestCompileBlockMatchesVSA(t *testing.T) {
 func TestCompileLinearArray(t *testing.T) {
 	// The §II motivating configuration: a 2-D kernel on an 8x1 array uses
 	// a 1-D space allocation with the other dimension sequenced in time.
-	res, err := Compile(kernel.BICG(), arch.Default(8, 1), Options{})
+	res, err := CompileRequest(context.Background(), kernel.BICG(), arch.DefaultFabric(8, 1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestCompileLinearArray(t *testing.T) {
 }
 
 func TestCompileNonSquareArray(t *testing.T) {
-	res, err := Compile(kernel.MVT(), arch.Default(8, 4), Options{})
+	res, err := CompileRequest(context.Background(), kernel.MVT(), arch.DefaultFabric(8, 4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +139,11 @@ func TestCompileNonSquareArray(t *testing.T) {
 }
 
 func TestCompileInnerBlockOption(t *testing.T) {
-	r4, err := Compile(kernel.GEMM(), arch.Default(4, 4), Options{InnerBlock: 4})
+	r4, err := CompileRequest(context.Background(), kernel.GEMM(), arch.DefaultFabric(4, 4), Options{InnerBlock: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := Compile(kernel.GEMM(), arch.Default(4, 4), Options{InnerBlock: 8})
+	r8, err := CompileRequest(context.Background(), kernel.GEMM(), arch.DefaultFabric(4, 4), Options{InnerBlock: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,17 +161,17 @@ func TestCompileInnerBlockOption(t *testing.T) {
 
 func TestCompileTooSmallArrayFails(t *testing.T) {
 	// A 1x1 array leaves a VSA of 1x1: blocks fall below the minimum.
-	if _, err := Compile(kernel.BICG(), arch.Default(1, 1), Options{}); err == nil {
+	if _, err := CompileRequest(context.Background(), kernel.BICG(), arch.DefaultFabric(1, 1), Options{}); err == nil {
 		t.Error("expected failure on a 1x1 array")
 	}
 }
 
 func TestCompileDeterministic(t *testing.T) {
-	a, err := Compile(kernel.SYRK(), arch.Default(4, 4), Options{})
+	a, err := CompileRequest(context.Background(), kernel.SYRK(), arch.DefaultFabric(4, 4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Compile(kernel.SYRK(), arch.Default(4, 4), Options{})
+	b, err := CompileRequest(context.Background(), kernel.SYRK(), arch.DefaultFabric(4, 4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestCompileDeterministic(t *testing.T) {
 
 func TestCompileForceScheme(t *testing.T) {
 	sch := systolic.Scheme{SpaceDims: []int{0, 1}, TimePerm: []int{2}, Skew: []int{1, 1}}
-	res, err := Compile(kernel.GEMM(), arch.Default(4, 4), Options{ForceScheme: &sch})
+	res, err := CompileRequest(context.Background(), kernel.GEMM(), arch.DefaultFabric(4, 4), Options{ForceScheme: &sch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestCompileForceScheme(t *testing.T) {
 func TestCompileFWDiagonalClasses(t *testing.T) {
 	// FW's pivot-tap diagonals add classes beyond the 27 boundary classes;
 	// the count must still be bounded and the mapping valid.
-	res, err := Compile(kernel.FW(), arch.Default(4, 4), Options{})
+	res, err := CompileRequest(context.Background(), kernel.FW(), arch.DefaultFabric(4, 4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestCompileFWDiagonalClasses(t *testing.T) {
 }
 
 func TestCompileStatsPopulated(t *testing.T) {
-	res, err := Compile(kernel.MVT(), arch.Default(4, 4), Options{})
+	res, err := CompileRequest(context.Background(), kernel.MVT(), arch.DefaultFabric(4, 4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +230,11 @@ func TestCompileStatsPopulated(t *testing.T) {
 func TestCanonicalNetCountIndependentOfBlock(t *testing.T) {
 	// The minimal-DFG property (§V): routing work depends on the number of
 	// unique iterations, not the block size.
-	small, err := Compile(kernel.GEMM(), arch.Default(4, 4), Options{InnerBlock: 4})
+	small, err := CompileRequest(context.Background(), kernel.GEMM(), arch.DefaultFabric(4, 4), Options{InnerBlock: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Compile(kernel.GEMM(), arch.Default(4, 4), Options{InnerBlock: 16})
+	big, err := CompileRequest(context.Background(), kernel.GEMM(), arch.DefaultFabric(4, 4), Options{InnerBlock: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,11 +328,11 @@ func TestRelayPolicyAblation(t *testing.T) {
 	// router compensates for register-only relays (utilization may tie but
 	// never beat the crossbar policy); both variants must produce valid,
 	// equal-or-worse mappings.
-	auto, err := Compile(kernel.GEMM(), arch.Default(4, 4), Options{})
+	auto, err := CompileRequest(context.Background(), kernel.GEMM(), arch.DefaultFabric(4, 4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	regOnly, err := Compile(kernel.GEMM(), arch.Default(4, 4), Options{RelayPolicy: RelayRegistersOnly})
+	regOnly, err := CompileRequest(context.Background(), kernel.GEMM(), arch.DefaultFabric(4, 4), Options{RelayPolicy: RelayRegistersOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,11 +353,11 @@ func TestNegotiatedCongestionAblation(t *testing.T) {
 	// routing round, FW's congested minimal depth cannot be resolved and
 	// the mapper falls back to a deeper, lower-utilization sub-CGRA
 	// mapping.
-	full, err := Compile(kernel.FW(), arch.Default(4, 4), Options{MaxRouteRounds: 8})
+	full, err := CompileRequest(context.Background(), kernel.FW(), arch.DefaultFabric(4, 4), Options{MaxRouteRounds: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := Compile(kernel.FW(), arch.Default(4, 4), Options{MaxRouteRounds: 1})
+	one, err := CompileRequest(context.Background(), kernel.FW(), arch.DefaultFabric(4, 4), Options{MaxRouteRounds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +368,7 @@ func TestNegotiatedCongestionAblation(t *testing.T) {
 }
 
 func TestIterationMapRendersAllClasses(t *testing.T) {
-	res, err := Compile(kernel.BICG(), arch.Default(4, 4), Options{})
+	res, err := CompileRequest(context.Background(), kernel.BICG(), arch.DefaultFabric(4, 4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

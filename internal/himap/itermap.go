@@ -15,9 +15,9 @@ func (r *Result) IterationMap() string {
 	// classAt[t][row][col] for one II_B window.
 	classAt := make([][][]int, r.IIB)
 	for t := range classAt {
-		classAt[t] = make([][]int, r.CGRA.Rows)
+		classAt[t] = make([][]int, r.Fabric.Rows)
 		for row := range classAt[t] {
-			classAt[t][row] = make([]int, r.CGRA.Cols)
+			classAt[t][row] = make([]int, r.Fabric.Cols)
 			for col := range classAt[t][row] {
 				classAt[t][row][col] = -1
 			}
@@ -41,11 +41,11 @@ func (r *Result) IterationMap() string {
 	fmt.Fprintf(&b, "unique-iteration schedule (%d classes, II_B = %d):\n", len(r.Classes), r.IIB)
 	for t := 0; t < r.IIB; t++ {
 		fmt.Fprintf(&b, "t%-3d ", t)
-		for row := 0; row < r.CGRA.Rows; row++ {
+		for row := 0; row < r.Fabric.Rows; row++ {
 			if row > 0 {
 				b.WriteString("     ")
 			}
-			for col := 0; col < r.CGRA.Cols; col++ {
+			for col := 0; col < r.Fabric.Cols; col++ {
 				if cls := classAt[t][row][col]; cls >= 0 {
 					fmt.Fprintf(&b, "%3d ", cls)
 				} else {

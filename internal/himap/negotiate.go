@@ -1,0 +1,174 @@
+package himap
+
+import (
+	"context"
+	"fmt"
+
+	"himap/internal/diag"
+	"himap/internal/ir"
+	"himap/internal/mrrg"
+	"himap/internal/route"
+)
+
+// RouteStats reports step-3 effort, demonstrating the block-size
+// independence of the canonical routing work.
+type RouteStats struct {
+	CanonicalNets int
+	Rounds        int
+}
+
+// routeCanonical performs Algorithm 1 lines 21-27: routes the minimal
+// DFG — one canonical net per (unique class, producer op) — under
+// negotiated congestion, returning the per-class net plans that the
+// replicate stage stamps onto every cluster. Cancellation is polled
+// once per negotiation round: a canceled ctx aborts with an error
+// wrapping diag.ErrCanceled within one round's latency.
+func (l *layout) routeCanonical(ctx context.Context, maxRounds int) ([][]canonNet, RouteStats, error) {
+	g := mrrg.New(l.cg, l.iib)
+	ses := route.NewSession(g)
+	ses.Legacy = l.legacy
+	var stats RouteStats
+	if l.costModel != nil {
+		if err := ses.SetCostModel(l.costModel); err != nil {
+			return nil, stats, err
+		}
+	}
+	// Provable-infeasibility pre-check: on bandwidth-constrained fabrics,
+	// forced link departures of the placed schedule are counted against
+	// the fabric's lanes before any congestion negotiation is attempted.
+	if err := l.checkBandwidth(); err != nil {
+		return nil, stats, err
+	}
+	l.computePins()
+	l.loadRel = make([]map[int]RelPlace, len(l.classes))
+
+	var plans [][]canonNet
+	var allNets []*route.Net
+	var roundErr error
+	for round := 0; round < maxRounds; round++ {
+		if err := ctx.Err(); err != nil {
+			return nil, stats, fmt.Errorf("himap: %w: %v", diag.ErrCanceled, err)
+		}
+		stats.Rounds = round + 1
+		ses.ResetKeepHistory()
+		for i := range l.loadRel {
+			l.loadRel[i] = map[int]RelPlace{}
+		}
+		// Nothing references a dropped round's nets once its history is
+		// bumped — recycle their storage so later rounds re-route
+		// allocation-free.
+		for _, nets := range plans {
+			for i := range nets {
+				ses.FreeNet(nets[i].net)
+			}
+		}
+		plans = plans[:0]
+		roundErr = nil
+
+		// Reserve every cluster's fixed placements (FUs and generic loads).
+		for _, n := range l.g.DFG.Nodes {
+			if abs, ok := l.nodeAbs(n.ID); ok {
+				ses.Reserve(abs)
+			}
+		}
+
+		allNets = allNets[:0]
+		for classIdx, cl := range l.classes {
+			rep := cl.Rep
+			bt, br, bc := l.regionBase(rep)
+			nets, err := l.routeClass(ses, g, classIdx, cl)
+			if err != nil {
+				roundErr = fmt.Errorf("class %d (rep %v): %w", classIdx, l.g.Clusters[cl.Rep].Iter, err)
+				break
+			}
+			plans = append(plans, nets)
+			for i := range nets {
+				allNets = append(allNets, nets[i].net)
+			}
+			// Charge the replicas of this class (routes and boundary-load
+			// slots) so later classes see the real congestion.
+			for _, m := range cl.Members {
+				if m == rep {
+					continue
+				}
+				mt, mr, mc := l.regionBase(m)
+				dt, dr, dc := mt-bt, mr-br, mc-bc
+				for i := range nets {
+					ses.ChargeShifted(nets[i].net, dt, dr, dc)
+				}
+				for _, lr := range l.loadRel[classIdx] {
+					ses.Reserve(mrrg.Node{T: mt + lr.T, R: mr + lr.R, C: mc + lr.C, Class: mrrg.ClassMemRead})
+				}
+			}
+		}
+		if roundErr != nil {
+			// Escalate costs where the failure occurred and retry.
+			if ses.BumpHistory(allNets) == 0 {
+				return nil, stats, roundErr
+			}
+			continue
+		}
+		if over := ses.OversubscribedIn(allNets); len(over) > 0 {
+			ses.BumpHistory(allNets)
+			show := over
+			if len(show) > 4 {
+				show = show[:4]
+			}
+			roundErr = fmt.Errorf("himap: %d resources oversubscribed (e.g. %v): %w", len(over), show, diag.ErrRouteCongested)
+			continue
+		}
+		break
+	}
+	if roundErr != nil {
+		return nil, stats, roundErr
+	}
+	for _, nets := range plans {
+		stats.CanonicalNets += len(nets)
+	}
+	return plans, stats, nil
+}
+
+// routeClass routes the canonical nets of one class representative.
+func (l *layout) routeClass(ses *route.Session, g *mrrg.Graph, classIdx int, cl *UniqueClass) ([]canonNet, error) {
+	d := l.g.DFG
+	rep := l.g.Clusters[cl.Rep]
+	rMin, rMax, cMin, cMax := l.classEnvelope(cl)
+	inEnv := func(n mrrg.Node) bool {
+		return n.R >= rMin && n.R <= rMax && n.C >= cMin && n.C <= cMax
+	}
+	ses.Filter = inEnv
+	defer func() { ses.Filter = nil }()
+
+	// Choose memory slots for boundary loads first (they act as sources).
+	for _, id := range rep.Nodes {
+		n := d.Nodes[id]
+		if n.Kind != ir.OpLoad {
+			continue
+		}
+		if _, generic := l.sub.Rel[n.BodyOp]; generic {
+			continue
+		}
+		if err := l.chooseBoundaryLoad(ses, classIdx, id); err != nil {
+			return nil, err
+		}
+	}
+
+	// Build every net and its sink target sets up front (target
+	// construction reads placement geometry only, never occupancy), then
+	// route. A construction failure still routes the nets built before it
+	// — routing errors are sequentially earlier, so they win; either way
+	// the session carries exactly the occupancy the historical
+	// interleaved loop left behind.
+	pend, buildErr := l.buildClassNets(ses, g, cl, inEnv)
+	if err := l.routePending(ses, pend); err != nil {
+		return nil, err
+	}
+	if buildErr != nil {
+		return nil, buildErr
+	}
+	nets := make([]canonNet, len(pend))
+	for i := range pend {
+		nets[i] = pend[i].cn
+	}
+	return nets, nil
+}

@@ -75,7 +75,6 @@ func (p Pipeline) Run(ctx *CompileContext) error {
 		start := time.Now() //lint:ignore determinism wall-clock span timing only; does not influence mapping
 		err := st.Run(ctx)
 		wall := time.Since(start)
-		ctx.wall[st.Name] += wall
 		span := diag.Span{
 			Stage: st.Name, Attempt: ctx.Attempt, Wave: ctx.Wave,
 			Wall: wall, Counters: ctx.counters,
@@ -108,8 +107,7 @@ type attempt struct {
 // share them without copying.
 type CompileContext struct {
 	// Ctx is the compile's cancellation context, checked by the pipeline
-	// runner at stage boundaries (never nil; context.Background() for the
-	// legacy context-free entry points).
+	// runner at stage boundaries (never nil).
 	Ctx context.Context
 
 	Kernel *kernel.Kernel
@@ -145,7 +143,6 @@ type CompileContext struct {
 	Config    *arch.Config
 
 	lay      *layout
-	wall     map[string]time.Duration
 	counters map[string]int64
 }
 
@@ -154,7 +151,6 @@ func newContext(ctx context.Context, k *kernel.Kernel, fab arch.Fabric, opts Opt
 		Ctx:    ctx,
 		Kernel: k, Fab: fab, Opts: opts,
 		Memo: opts.Memo, Tracer: opts.Tracer,
-		wall: map[string]time.Duration{},
 	}
 }
 
@@ -168,7 +164,6 @@ func (c *CompileContext) forAttempt(a attempt, rank, wave int) *CompileContext {
 		IDFG: c.IDFG, Subs: c.Subs, Deps: c.Deps,
 		Attempt: rank, Wave: wave,
 		Sub: a.sub, Scheme: a.sch, VX: a.vx, VY: a.vy,
-		wall: map[string]time.Duration{},
 	}
 }
 
@@ -355,18 +350,16 @@ func runRoute(c *CompileContext) error {
 	c.lay = &layout{
 		cg: c.Fab, g: c.ISDG, cp: c.CP, sub: c.Sub, iib: c.IIB,
 		classes: c.Classes, byClust: c.ByCluster,
-		ix:          buildNodeIndex(c.ISDG),
-		policy:      c.Opts.RelayPolicy,
-		workers:     c.Opts.Workers,
-		incremental: c.Opts.IncrementalRoute,
-		legacy:      c.Opts.routeLegacy,
-		costModel:   c.Opts.costModel,
+		ix:        buildNodeIndex(c.ISDG),
+		policy:    c.Opts.RelayPolicy,
+		workers:   c.Opts.Workers,
+		legacy:    c.Opts.routeLegacy,
+		costModel: c.Opts.costModel,
 	}
 	plans, rstats, err := c.lay.routeCanonical(c.Ctx, c.Opts.MaxRouteRounds)
 	c.RStats = rstats
 	c.Count("rounds", int64(rstats.Rounds))
 	c.Count("nets", int64(rstats.CanonicalNets))
-	c.Count("kept_classes", int64(rstats.KeptClasses))
 	if err != nil {
 		return err
 	}
@@ -393,12 +386,11 @@ func runValidate(c *CompileContext) error {
 	return nil
 }
 
-// buildResult assembles the Result of a successful attempt, deriving the
-// per-step Stats from the pipeline's stage wall times.
+// buildResult assembles the Result of a successful attempt.
 func (c *CompileContext) buildResult() *Result {
 	util := float64(c.DFG.NumCompute()) / float64(c.Fab.NumPEs()*c.IIB)
 	return &Result{
-		Kernel: c.Kernel, Fabric: c.Fab, CGRA: c.Fab.CGRA,
+		Kernel: c.Kernel, Fabric: c.Fab,
 		Sub: c.Sub, Scheme: c.Scheme, Mapping: c.Mapping,
 		Block: c.Block, IIB: c.IIB,
 		DFG: c.DFG, ISDG: c.ISDG, CP: c.CP,
@@ -408,13 +400,8 @@ func (c *CompileContext) buildResult() *Result {
 		Config:      c.Config,
 		Utilization: util,
 		Stats: Stats{
-			PlaceTime: c.wall[StageBlockDerive] + c.wall[StageISDGBuild] +
-				c.wall[StageForward] + c.wall[StagePlace] + c.wall[StageUnique],
-			RouteTime:     c.wall[StageRoute],
-			ReplicateTime: c.wall[StageReplicate] + c.wall[StageValidate],
 			CanonicalNets: c.RStats.CanonicalNets,
 			RouteRounds:   c.RStats.Rounds,
-			KeptClasses:   c.RStats.KeptClasses,
 		},
 	}
 }

@@ -1,6 +1,7 @@
 package himap
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -51,8 +52,8 @@ func TestRouterDifferentialLegacyVsAStar(t *testing.T) {
 				k := k
 				t.Run(fmt.Sprintf("%s/%s/%dx%d", k.Name, topo, size, size), func(t *testing.T) {
 					fab := arch.Fabric{CGRA: arch.Default(size, size), Topology: topo}
-					newR, newErr := CompileFabric(k, fab, Options{})
-					oldR, oldErr := CompileFabric(k, fab, Options{routeLegacy: true})
+					newR, newErr := CompileRequest(context.Background(), k, fab, Options{})
+					oldR, oldErr := CompileRequest(context.Background(), k, fab, Options{routeLegacy: true})
 					if (newErr == nil) != (oldErr == nil) {
 						t.Fatalf("divergent outcome: A* err = %v, Dijkstra err = %v", newErr, oldErr)
 					}
@@ -72,46 +73,5 @@ func TestRouterDifferentialLegacyVsAStar(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// TestIncrementalRouteValidAndIdenticalWhenConverged checks the
-// incremental re-route mode: every kernel must still produce a fully
-// valid mapping meeting the paper's utilization floor, and kernels that
-// converge in a single negotiated-congestion round — where incremental
-// mode has no round to carry plans across — must stay bit-identical to
-// the default flow.
-func TestIncrementalRouteValidAndIdenticalWhenConverged(t *testing.T) {
-	kept := 0
-	defer func() {
-		if kept == 0 {
-			t.Errorf("incremental mode never carried a class plan across rounds — the keep path is dead")
-		}
-	}()
-	for _, k := range kernel.Evaluation() {
-		k := k
-		t.Run(k.Name, func(t *testing.T) {
-			base, err := Compile(k, arch.Default(8, 8), Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			inc, err := Compile(k, arch.Default(8, 8), Options{IncrementalRoute: true})
-			if err != nil {
-				t.Fatalf("incremental: %v", err)
-			}
-			if err := inc.Config.Validate(); err != nil {
-				t.Fatalf("incremental config invalid: %v", err)
-			}
-			kept += inc.Stats.KeptClasses
-			if inc.Utilization < paperUtil[k.Name]-1e-9 {
-				t.Errorf("incremental U = %.1f%%, paper achieves %.0f%%",
-					inc.Utilization*100, paperUtil[k.Name]*100)
-			}
-			if base.Stats.RouteRounds == 1 {
-				if got, want := routerFingerprint(inc.Config), routerFingerprint(base.Config); got != want {
-					t.Errorf("single-round kernel diverged under incremental routing")
-				}
-			}
-		})
 	}
 }

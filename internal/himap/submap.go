@@ -9,7 +9,8 @@
 //     space-time transformation, inserting forwarding paths for multi-hop
 //     dependencies;
 //  3. unique-iteration identification, minimal-DFG routing, and
-//     replication (unique.go, routegen.go).
+//     replication (unique.go; layout.go, nets.go, negotiate.go,
+//     waves.go, replicate.go).
 package himap
 
 import (

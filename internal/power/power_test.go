@@ -1,6 +1,7 @@
 package power
 
 import (
+	"context"
 	"testing"
 
 	"himap/internal/arch"
@@ -11,7 +12,7 @@ import (
 
 func fullConfig(t *testing.T) *arch.Config {
 	t.Helper()
-	res, err := himap.Compile(kernel.GEMM(), arch.Default(4, 4), himap.Options{})
+	res, err := himap.CompileRequest(context.Background(), kernel.GEMM(), arch.DefaultFabric(4, 4), himap.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestHiMapBeatsBaselineEfficiencyShape(t *testing.T) {
 	// The Fig. 7 bottom-panel shape: at the same array size, a mapping at
 	// the performance envelope is more power efficient than a severely
 	// under-utilized one.
-	res, err := himap.Compile(kernel.MVT(), arch.Default(8, 8), himap.Options{})
+	res, err := himap.CompileRequest(context.Background(), kernel.MVT(), arch.DefaultFabric(8, 8), himap.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,11 +150,3 @@ func (s *Session) SetCostModel(m CostModel) error {
 
 // CostModel returns the installed pricing model.
 func (s *Session) CostModel() CostModel { return s.model }
-
-// CapacityOf returns the installed model's occupancy capacity for a
-// node class — what the congestion loop and the incremental-keep checks
-// must compare occupancy against (not the graph's raw capacity, which
-// an injected model may deliberately override).
-//
-//himap:noalloc
-func (s *Session) CapacityOf(c mrrg.Class) int { return int(s.capTab[c]) }

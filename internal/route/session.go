@@ -1,0 +1,401 @@
+// Package route implements negotiated-congestion routing on the implicit
+// MRRG: least-cost path search that allows resource oversubscription,
+// plus the PathFinder/SPR-style cost escalation loop HiMap's MAP() and
+// ROUTE() functions are built on (§V: "All ports are initially assigned
+// the same cost. At the end of each iteration, the costs of
+// oversubscribed ports are increased ... inspired by SPR").
+//
+// Searches run in *real* (unwrapped) time so that a route's length equals
+// the true producer→consumer latency; occupancy is charged modulo II via
+// mrrg.Graph.DenseKey. Search is pruned at the latest target cycle — the
+// resource edges are time-monotone, so no useful path extends past it.
+//
+// The default search core is A* over a Dial-style bucket queue; the
+// pre-A* binary-heap Dijkstra is kept behind Session.Legacy and the two
+// are bit-identical (see DESIGN.md "Router" for the argument):
+//
+//   - The heuristic is admissible and consistent: per target, 0.7 × the
+//     topology hop distance (arch.Fabric.HopDist — Manhattan, wrapped
+//     Manhattan on a torus, Chebyshev with diagonals) plus 0.3 × the
+//     remaining cycles, minimized over the targets (heuristicAt has the
+//     entry-cost accounting). Nodes from which no target is reachable in
+//     time are pruned outright.
+//   - Every cost atom is an exact multiple of 0.1, so a frontier entry's
+//     f = g+h quantizes exactly into a deci-cost bucket; buckets pop in
+//     Dial order and each bucket is a small binary heap ordered by the
+//     exact (float cost, RealKey) pair — the global pop order is exactly
+//     the historical (cost, key) order of the old global heap.
+//   - Tie-breaking is order-independent: on an exactly equal tentative
+//     cost the predecessor with the smaller RealKey wins the parent slot,
+//     and when the first target pops, its whole bucket is drained before
+//     committing so every same-cost parent claim (and every same-cost
+//     target) has been seen; the final target is the (cost, RealKey)
+//     minimum of the drained hits — precisely the node Dijkstra pops
+//     first.
+//
+// Memory discipline: the search inner loop is allocation-free in steady
+// state. All per-search state (dist, parent, closed, heuristic, target
+// and ownership marks) lives in flat generation-stamped scratch arrays
+// indexed by dense packed node keys; a search invalidates the previous
+// search's entries by bumping a generation counter instead of clearing
+// or reallocating. The bucket queue's per-bucket heaps are value items
+// (no container/heap interface boxing) and are themselves generation-
+// stamped. Occupancy and history costs are flat arrays over the modulo
+// key space, so the enterCost call on every relaxed edge is two array
+// loads. See DESIGN.md ("Concurrency model & hot-path memory
+// discipline").
+package route
+
+import (
+	"errors"
+
+	"himap/internal/mrrg"
+)
+
+// Sentinel route failures, errors.Is-able through the wrapped errors
+// RouteSink returns (and through the StageErrors of the mappers built on
+// this package).
+var (
+	// ErrNoPath: the search exhausted the reachable sub-graph without
+	// touching a target (or had no targets at all).
+	ErrNoPath = errors.New("no path")
+	// ErrSearchLimit: the search visited more nodes than Session.MaxVisits
+	// allows — congestion so severe the search was cut off.
+	ErrSearchLimit = errors.New("search limit exceeded")
+)
+
+// Path is a resource node sequence from a producer to one sink; node 0 is
+// the producer's own placement node (FU or memory read port). Times are
+// real (unwrapped).
+type Path []mrrg.Node
+
+// Net is one routed signal: a producer node and a tree of paths to its
+// sinks. Paths share resource nodes freely (a net may reuse its own
+// nodes at no cost — fanout taps an existing wire).
+type Net struct {
+	ID     int
+	Src    mrrg.Node
+	Paths  []Path
+	srcKey uint64      // RealKey(Src)
+	keys   []uint64    // RealKeys of list, for O(n) membership on commit
+	list   []mrrg.Node // nodes charged to occupancy (excludes Src)
+}
+
+// Nodes reports the set of real-keyed resource nodes the net occupies.
+func (n *Net) Nodes() map[uint64]bool {
+	m := make(map[uint64]bool, len(n.keys)+1)
+	m[n.srcKey] = true
+	for _, k := range n.keys {
+		m[k] = true
+	}
+	return m
+}
+
+// Session tracks resource occupancy and history costs across the nets of
+// one mapping attempt. A Session (and its scratch storage) may be reused
+// across many routing rounds; it is not safe for concurrent use — except
+// that RouteSinkIn calls on nets with provably disjoint occupancy
+// footprints may run concurrently, each with its own Scratch (see
+// RouteSinkIn).
+type Session struct {
+	G *mrrg.Graph
+
+	// PresFac scales the penalty for entering an oversubscribed node;
+	// HistBump is added to a node's history cost each escalation round.
+	PresFac  float64
+	HistBump float64
+	// MaxVisits bounds each search. NewSession derives the default from
+	// the fabric's dense key space (16× NumDenseKeys, floor 4096) so
+	// large-fabric searches are not cut off spuriously while small-fabric
+	// searches fail fast; overriding the field still works.
+	MaxVisits int
+
+	// Legacy selects the pre-A* global binary-heap Dijkstra core. It is
+	// kept for the router-equivalence differential tests: both cores
+	// produce bit-identical paths, costs, and mappings.
+	Legacy bool
+
+	// Filter, when non-nil, restricts the search to nodes it accepts.
+	// HiMap's canonical routing uses it to keep paths inside the spatial
+	// envelope that exists for every replica of the route (a class member
+	// near the array edge must be able to reuse the translated path).
+	Filter func(mrrg.Node) bool
+
+	// occ and hist are dense arrays over the modulo occupancy key space
+	// (mrrg.Graph.DenseKey) — the negotiated-congestion state.
+	occ    []int32
+	hist   []float64
+	netSeq int
+
+	// mark/markGen is generation-stamped dedup scratch for
+	// OversubscribedIn (avoids a per-call hash map).
+	mark    []uint32
+	markGen uint32
+
+	// netFree recycles Net storage from discarded routing rounds (see
+	// FreeNet); a congested attempt re-routes the same net set every
+	// round, so the freelist makes rounds after the first allocation-free
+	// on the net side.
+	netFree []*Net
+
+	// model is the installed congestion-pricing model; baseTab/capTab
+	// are its per-class materialization (see SetCostModel), so the
+	// pricing on every relaxed edge stays two array loads with no
+	// interface dispatch. NewSession installs For(G).
+	model   CostModel
+	baseTab [mrrg.NumClasses]float64
+	capTab  [mrrg.NumClasses]int32
+
+	// linearKeys records that DenseKey is a pure linear function of the
+	// dense search index (true except on shared-bus fabrics, where the
+	// Out directions collapse onto one occupancy slot). The A* core's
+	// index+tdelta occupancy-key fast path is valid only when set.
+	linearKeys bool
+
+	sc Scratch
+}
+
+// defaultMaxVisits scales the per-search visit budget with the dense key
+// space: every search closes a node at most once (up to rare ulp-scale
+// reopenings), and a search spans a small multiple of II real cycles, so
+// 16× the modulo key space is generous on every fabric while still
+// cutting off runaway congestion quickly on small arrays.
+func defaultMaxVisits(denseKeys int) int {
+	v := 16 * denseKeys
+	if v < 4096 {
+		v = 4096
+	}
+	return v
+}
+
+// NewSession creates a routing session over g with the default cost
+// parameters. Occupancy and history storage is allocated once here and
+// reused for the session's lifetime; ResetKeepHistory and Reset clear it
+// in place rather than reallocating.
+func NewSession(g *mrrg.Graph) *Session {
+	n := g.NumDenseKeys()
+	s := &Session{
+		G:          g,
+		PresFac:    2.0,
+		HistBump:   3.0,
+		MaxVisits:  defaultMaxVisits(n),
+		occ:        make([]int32, n),
+		hist:       make([]float64, n),
+		mark:       make([]uint32, n),
+		linearKeys: !g.SharedOut(),
+	}
+	if err := s.SetCostModel(For(g)); err != nil {
+		// The built-in models satisfy the invariants by construction.
+		panic(err)
+	}
+	return s
+}
+
+// ResetKeepHistory clears all occupancy and nets but keeps the
+// accumulated history costs — the state carried between negotiated
+// congestion rounds when a mapping attempt is rebuilt from scratch.
+// The occupancy storage is zeroed in place, not reallocated.
+//
+//himap:noalloc
+func (s *Session) ResetKeepHistory() {
+	clear(s.occ)
+	s.netSeq = 0
+}
+
+// Reset returns the session to its NewSession state (occupancy, history,
+// and net numbering all cleared) while keeping every allocation for
+// reuse — the cheap way to recycle a Session across mapping attempts.
+//
+//himap:noalloc
+func (s *Session) Reset() {
+	clear(s.occ)
+	clear(s.hist)
+	s.netSeq = 0
+}
+
+// baseCost is the legacy intrinsic cost of occupying one resource node
+// — the UnitModel's table and the admissibility floor every CostModel
+// is validated against. Every value is an exact multiple of 0.1 —
+// together with integral PresFac and HistBump multiples this keeps all
+// accumulated costs on the deci-unit grid the bucket queue quantizes
+// into.
+//
+//himap:noalloc
+func baseCost(c mrrg.Class) float64 {
+	switch c {
+	case mrrg.ClassOut:
+		return 1.0
+	case mrrg.ClassReg:
+		return 0.6
+	case mrrg.ClassRFRead, mrrg.ClassRFWrite:
+		return 0.3
+	case mrrg.ClassMemRead, mrrg.ClassMemWrite:
+		return 1.0
+	default:
+		return 1.0
+	}
+}
+
+// enterCost prices entering node n for a net that does not yet own it.
+//
+//himap:noalloc
+func (s *Session) enterCost(n mrrg.Node) float64 {
+	return s.enterCostAt(n, s.G.DenseKey(n))
+}
+
+// enterCostAt is enterCost with the node's dense occupancy key already
+// resolved — the A* core derives it from the search index and a
+// precomputed per-cycle delta instead of re-deriving the full DenseKey.
+//
+//himap:noalloc
+func (s *Session) enterCostAt(n mrrg.Node, key int) float64 {
+	over := int(s.occ[key]) + 1 - int(s.capTab[n.Class])
+	pen := 1.0
+	if over > 0 {
+		pen = 1.0 + float64(over)*s.PresFac
+	}
+	return s.baseTab[n.Class]*pen + s.hist[key]
+}
+
+// Reserve marks a placement node (FU slot, memory port) occupied outside
+// any net, e.g. an operation placement. It returns the new occupancy.
+//
+//himap:noalloc
+func (s *Session) Reserve(n mrrg.Node) int {
+	k := s.G.DenseKey(n)
+	s.occ[k]++
+	return int(s.occ[k])
+}
+
+// Unreserve releases a Reserve.
+//
+//himap:noalloc
+func (s *Session) Unreserve(n mrrg.Node) {
+	s.occ[s.G.DenseKey(n)]--
+}
+
+// Occ returns the current occupancy of a node (modulo II).
+//
+//himap:noalloc
+func (s *Session) Occ(n mrrg.Node) int { return int(s.occ[s.G.DenseKey(n)]) }
+
+// Hist returns the accumulated history cost of a node (for tests).
+//
+//himap:noalloc
+func (s *Session) Hist(n mrrg.Node) float64 { return s.hist[s.G.DenseKey(n)] }
+
+// NewNet starts a net at the producer's placement node. The source node's
+// occupancy is the producer's own (via Reserve); the net reuses it freely.
+// Storage comes from the FreeNet freelist when available.
+func (s *Session) NewNet(src mrrg.Node) *Net {
+	s.netSeq++
+	if k := len(s.netFree); k > 0 {
+		net := s.netFree[k-1]
+		s.netFree = s.netFree[:k-1]
+		net.ID, net.Src, net.srcKey = s.netSeq, src, mrrg.RealKey(src)
+		return net
+	}
+	return &Net{
+		ID:     s.netSeq,
+		Src:    src,
+		srcKey: mrrg.RealKey(src),
+	}
+}
+
+// FreeNet returns a net whose plan has been discarded (a failed
+// congestion round) to the session freelist for NewNet to reuse. The
+// caller must hold no references to the net afterwards, and the net's
+// occupancy charges must already be gone (FreeNet does not release
+// them — after ResetKeepHistory there is nothing left to release).
+// Path storage is NOT recycled: committed Path slices may outlive the
+// net in the caller's plan metadata; only the headers array is reused.
+func (s *Session) FreeNet(net *Net) {
+	net.keys = net.keys[:0]
+	net.list = net.list[:0]
+	net.Paths = net.Paths[:0]
+	s.netFree = append(s.netFree, net)
+}
+
+// commit charges newly used path nodes to occupancy and records them in
+// the net.
+func (s *Session) commit(net *Net, path Path) {
+	for _, n := range path {
+		rk := mrrg.RealKey(n)
+		if rk == net.srcKey || containsKey(net.keys, rk) {
+			continue
+		}
+		net.keys = append(net.keys, rk)
+		net.list = append(net.list, n)
+		s.occ[s.G.DenseKey(n)]++
+	}
+	net.Paths = append(net.Paths, path)
+}
+
+// containsKey is a linear membership scan — net node lists are short
+// (bounded by the net's total path length), so this beats a hash map.
+//
+//himap:noalloc
+func containsKey(keys []uint64, k uint64) bool {
+	for _, have := range keys {
+		if have == k {
+			return true
+		}
+	}
+	return false
+}
+
+// Release rips up an entire net, returning its resources.
+func (s *Session) Release(net *Net) {
+	for _, n := range net.list {
+		s.occ[s.G.DenseKey(n)]--
+	}
+	net.keys = net.keys[:0]
+	net.list = net.list[:0]
+	net.Paths = nil
+}
+
+// ChargeShifted charges a translated copy of the net's resources to the
+// session occupancy — used when a canonical route is replicated across
+// iteration clusters so that congestion reflects all replicas.
+func (s *Session) ChargeShifted(net *Net, dt, dr, dc int) {
+	for _, n := range net.list {
+		s.occ[s.G.DenseKey(n.Shifted(dt, dr, dc))]++
+	}
+}
+
+// OversubscribedIn returns the nodes of the given nets whose occupancy
+// exceeds capacity.
+func (s *Session) OversubscribedIn(nets []*Net) []mrrg.Node {
+	s.markGen++
+	if s.markGen == 0 {
+		clear(s.mark)
+		s.markGen = 1
+	}
+	var out []mrrg.Node
+	for _, net := range nets {
+		for _, p := range net.Paths {
+			for _, n := range p {
+				k := s.G.DenseKey(n)
+				if s.mark[k] == s.markGen {
+					continue
+				}
+				s.mark[k] = s.markGen
+				if int(s.occ[k]) > int(s.capTab[n.Class]) {
+					out = append(out, n)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// BumpHistory raises the history cost of every oversubscribed node among
+// the given nets and returns how many nodes were bumped. A return of zero
+// means the routing is congestion-free (§V's success condition).
+func (s *Session) BumpHistory(nets []*Net) int {
+	over := s.OversubscribedIn(nets)
+	for _, n := range over {
+		s.hist[s.G.DenseKey(n)] += s.HistBump
+	}
+	return len(over)
+}

@@ -396,6 +396,17 @@ func TestStreamStageEvents(t *testing.T) {
 	if n := s.Metrics().Snapshot().Streams; n != 2 {
 		t.Errorf("streams = %d, want 2", n)
 	}
+
+	// The exact mapper's spans reach the same consumers: its stream
+	// carries stage events and /metrics records its search stage.
+	_, events = streamCompileRequest(t, ts.URL,
+		`{"kernel":"MVT","fabric":{"rows":4,"cols":4},"options":{"mapper":"exact","block":[2,2]}}`)
+	if len(events) < 2 || events[0].name != StreamEventStage || events[len(events)-1].name != StreamEventResult {
+		t.Errorf("exact stream = %d events (first %q), want stage events then a result", len(events), events[0].name)
+	}
+	if _, ok := s.Metrics().Snapshot().Stages["search"]; !ok {
+		t.Error("metrics carry no search stage after an exact compile")
+	}
 }
 
 // TestStreamErrorEvent: a failing compile ends the stream with one

@@ -475,6 +475,7 @@ func (s *Server) execute(ctx context.Context, hreq himap.Request, tracer diag.Tr
 	hreq.Options.Workers = s.cfg.Workers
 	hreq.Options.Tracer = tracer
 	hreq.Baseline.Tracer = tracer
+	hreq.Exact.Tracer = tracer
 
 	s.metrics.compiles.Add(1)
 	res, err := s.compile(ctx, hreq)

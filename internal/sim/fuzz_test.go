@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -116,7 +117,7 @@ func TestFuzzRandomKernels(t *testing.T) {
 		if _, err := k.Golden(block, inputs); err != nil {
 			t.Fatalf("%s: golden: %v", k.Name, err)
 		}
-		res, err := himap.Compile(k, arch.Default(4, 4), himap.Options{})
+		res, err := himap.CompileRequest(context.Background(), k, arch.DefaultFabric(4, 4), himap.Options{})
 		if err != nil {
 			failed++
 			continue
@@ -158,7 +159,7 @@ func TestFuzzRandomKernelsFabrics(t *testing.T) {
 				if err := k.Validate(); err != nil {
 					t.Fatalf("%s: generator produced invalid spec: %v", k.Name, err)
 				}
-				res, err := himap.CompileFabric(k, fab, himap.Options{})
+				res, err := himap.CompileRequest(context.Background(), k, fab, himap.Options{})
 				if err != nil {
 					failed++
 					continue

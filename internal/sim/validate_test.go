@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -17,7 +18,7 @@ import (
 // and matches the golden executor over three pipelined block instances.
 func TestValidateAllKernels(t *testing.T) {
 	for _, k := range kernel.Evaluation() {
-		res, err := himap.Compile(k, arch.Default(4, 4), himap.Options{})
+		res, err := himap.CompileRequest(context.Background(), k, arch.DefaultFabric(4, 4), himap.Options{})
 		if err != nil {
 			t.Errorf("%s: compile: %v", k.Name, err)
 			continue
@@ -35,7 +36,7 @@ func TestValidateAllKernels8x8(t *testing.T) {
 		t.Skip("short mode")
 	}
 	for _, k := range kernel.Evaluation() {
-		res, err := himap.Compile(k, arch.Default(8, 8), himap.Options{})
+		res, err := himap.CompileRequest(context.Background(), k, arch.DefaultFabric(8, 8), himap.Options{})
 		if err != nil {
 			t.Errorf("%s: compile: %v", k.Name, err)
 			continue
@@ -49,7 +50,7 @@ func TestValidateAllKernels8x8(t *testing.T) {
 // TestValidateLinearArray validates the §II configuration end to end.
 func TestValidateLinearArray(t *testing.T) {
 	k := kernel.BICG()
-	res, err := himap.Compile(k, arch.Default(8, 1), himap.Options{})
+	res, err := himap.CompileRequest(context.Background(), k, arch.DefaultFabric(8, 1), himap.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestValidateLinearArray(t *testing.T) {
 // TestValidateConv2D validates the extension kernel.
 func TestValidateConv2D(t *testing.T) {
 	k := kernel.Conv2D()
-	res, err := himap.Compile(k, arch.Default(4, 4), himap.Options{})
+	res, err := himap.CompileRequest(context.Background(), k, arch.DefaultFabric(4, 4), himap.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestValidateConv2D(t *testing.T) {
 func TestValidateBaselineMapping(t *testing.T) {
 	k := kernel.GEMM()
 	block := []int{2, 2, 2}
-	res, err := baseline.Compile(k, arch.Default(2, 2), block, baseline.Options{Seed: 1})
+	res, err := baseline.CompileRequest(context.Background(), k, arch.DefaultFabric(2, 2), block, baseline.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestValidateBaselineMapping(t *testing.T) {
 // interference.
 func TestValidateManyBlocks(t *testing.T) {
 	k := kernel.MVT()
-	res, err := himap.Compile(k, arch.Default(4, 4), himap.Options{})
+	res, err := himap.CompileRequest(context.Background(), k, arch.DefaultFabric(4, 4), himap.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestValidateManyBlocks(t *testing.T) {
 // validation — the oracle is not vacuous.
 func TestValidateDetectsCorruption(t *testing.T) {
 	k := kernel.GEMM()
-	res, err := himap.Compile(k, arch.Default(4, 4), himap.Options{})
+	res, err := himap.CompileRequest(context.Background(), k, arch.DefaultFabric(4, 4), himap.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ outer:
 // TestValidateRejectsBadArgs.
 func TestValidateRejectsBadArgs(t *testing.T) {
 	k := kernel.GEMM()
-	res, err := himap.Compile(k, arch.Default(4, 4), himap.Options{})
+	res, err := himap.CompileRequest(context.Background(), k, arch.DefaultFabric(4, 4), himap.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestValidateRejectsBadArgs(t *testing.T) {
 // DOITGEN mirrors TTM's 4-D reuse structure on different tensors.
 func TestValidateExtensionKernels(t *testing.T) {
 	for _, k := range []*kernel.Kernel{kernel.NW(), kernel.DOITGEN()} {
-		res, err := himap.Compile(k, arch.Default(4, 4), himap.Options{})
+		res, err := himap.CompileRequest(context.Background(), k, arch.DefaultFabric(4, 4), himap.Options{})
 		if err != nil {
 			t.Errorf("%s: compile: %v", k.Name, err)
 			continue
@@ -164,7 +165,7 @@ func TestValidateExtensionKernels(t *testing.T) {
 // cycle-accurately — the bitstream carries everything the hardware needs.
 func TestBitstreamRoundTripExecutes(t *testing.T) {
 	k := kernel.GEMM()
-	res, err := himap.Compile(k, arch.Default(4, 4), himap.Options{})
+	res, err := himap.CompileRequest(context.Background(), k, arch.DefaultFabric(4, 4), himap.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestBitstreamRoundTripExecutes(t *testing.T) {
 // compiles and executes correctly.
 func TestValidateConv3D(t *testing.T) {
 	k := kernel.Conv3D()
-	res, err := himap.Compile(k, arch.Default(4, 4), himap.Options{InnerBlock: 2})
+	res, err := himap.CompileRequest(context.Background(), k, arch.DefaultFabric(4, 4), himap.Options{InnerBlock: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestValidateForwardingKernel(t *testing.T) {
 	// Force both dimensions spatial: the (0,2) dependence becomes a 2-hop
 	// offset and must be broken by forwarding relays.
 	sch := systolic.Scheme{SpaceDims: []int{0, 1}, TimePerm: nil, Skew: []int{0, 1}}
-	res, err := himap.Compile(k, arch.Default(4, 4), himap.Options{ForceScheme: &sch})
+	res, err := himap.CompileRequest(context.Background(), k, arch.DefaultFabric(4, 4), himap.Options{ForceScheme: &sch})
 	if err != nil {
 		t.Fatalf("forwarding compile: %v", err)
 	}
@@ -258,7 +259,7 @@ func TestValidateForwardingKernel(t *testing.T) {
 // executes identically — the serialized form is complete.
 func TestJSONRoundTripExecutes(t *testing.T) {
 	k := kernel.BICG()
-	res, err := himap.Compile(k, arch.Default(4, 4), himap.Options{})
+	res, err := himap.CompileRequest(context.Background(), k, arch.DefaultFabric(4, 4), himap.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

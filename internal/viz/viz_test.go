@@ -1,6 +1,7 @@
 package viz
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 func gemmConfig(t *testing.T) *arch.Config {
 	t.Helper()
-	res, err := himap.Compile(kernel.GEMM(), arch.Default(4, 4), himap.Options{})
+	res, err := himap.CompileRequest(context.Background(), kernel.GEMM(), arch.DefaultFabric(4, 4), himap.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

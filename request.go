@@ -30,9 +30,7 @@ const (
 
 // Request is the unified compilation request: one kernel, one target
 // fabric, one mapper, and that mapper's tuning options. It is the single
-// input type of CompileRequest; the legacy Compile, CompileFabric,
-// CompileBaseline, and CompileBaselineFabric entry points are thin
-// wrappers constructing a Request.
+// input type of CompileRequest.
 type Request struct {
 	// Kernel is the loop kernel to map. Required; a nil Kernel fails with
 	// an error wrapping ErrInvalidRequest for every mapper.
@@ -62,7 +60,7 @@ type Request struct {
 // wrapping ErrCanceled). A nil ctx is treated as context.Background().
 //
 // For MapperHiMap the Result is the familiar hierarchical mapping. For
-// MapperConventional the shared fields (Kernel, Fabric, CGRA, Block,
+// MapperConventional the shared fields (Kernel, Fabric, Block,
 // Config, Utilization) are filled from the conventional mapping and
 // Result.Conventional holds the full *BaselineResult. For MapperExact
 // the shared fields are filled from the exact mapping, Result.Exact

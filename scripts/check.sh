@@ -1,8 +1,10 @@
 #!/bin/sh
-# Repository health gate: formatting, vet, the project analyzer suite
-# (cmd/himaplint), build, and the full test suite under the race
-# detector. Run before sending changes; cmd/experiments and the
-# benchmarks (go test -bench . -benchmem) cover the perf side.
+# Repository health gate: formatting, vet, build, the project analyzer
+# suite (cmd/himaplint: baseline ratchet + self-host), the full test
+# suite under the race detector, the bench/ module's vet and tests, and
+# the himapd / himapload / exact / route-alloc smokes. CI runs exactly
+# this script and nothing beside it, so every gate runs once; run it
+# before sending changes. bench/run.sh covers the perf side.
 set -eux
 cd "$(dirname "$0")/.."
 unformatted=$(gofmt -l .)
