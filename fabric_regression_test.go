@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strings"
 	"testing"
 
 	"himap"
@@ -137,6 +138,53 @@ func TestDefaultFabricBitIdentical(t *testing.T) {
 			}
 			if got != want {
 				t.Errorf("%s: mapping fingerprint drifted\n got %s\nwant %s", row.label, got, want)
+			}
+		})
+	}
+}
+
+// goldenDiagnostics pins what mappingFingerprint leaves out: the SHA-256
+// of the complete arch.WriteJSON rendering, which carries every
+// Instr.Comment, the MemRead/MemWrite correlation tags, and cfg.Loads /
+// cfg.Stores in emission order. These are diagnostics, not bitstream
+// bits, but tools diff them — an emission rewrite must keep them
+// byte-identical. Keys are goldenRows keys, or "<kernel>/<fabric>" for
+// the 8x8 HiMap rows listed in TestDiagnosticsBitIdentical.
+var goldenDiagnostics = map[string]string{
+	"GEMM/mesh":           "a75e39eac2b5035910c4e52bb3938f8a70aaea37ce26c7044d3be60d002da0b4",
+	"GEMM/torus":          "0bf08059def4c6dd06c6fbbb18e0a1d1e75fe2fd7648a43f0cf53e90825decef",
+	"GEMM/narrow-rf":      "ea2d49cea315f83cde5fbf3a7c854eedd72c6c286e2ee440ef305d52ee3bebae",
+	"conventional/FW/4x4": "13b54c634388e8d497c11fb856f235c66846d0fc48f77866bdac1b6df125c638",
+	"exact/MVT/4x4":       "ef0d53d85965a807469736dcac03b69724ad9538dae5d704db6b010d1a6fc3a3",
+}
+
+func TestDiagnosticsBitIdentical(t *testing.T) {
+	torus, narrow := himap.DefaultFabric(8, 8), himap.DefaultFabric(8, 8)
+	torus.Topology, narrow.Bandwidth = himap.TopoTorus, himap.BWNarrowRF
+	rows := []goldenRow{
+		{key: "GEMM/mesh", req: himap.Request{Kernel: himap.KernelGEMM(), Fabric: himap.DefaultFabric(8, 8)}},
+		{key: "GEMM/torus", req: himap.Request{Kernel: himap.KernelGEMM(), Fabric: torus}},
+		{key: "GEMM/narrow-rf", req: himap.Request{Kernel: himap.KernelGEMM(), Fabric: narrow}},
+	}
+	for _, row := range goldenRows() {
+		if strings.HasPrefix(row.key, "conventional/") || strings.HasPrefix(row.key, "exact/") {
+			rows = append(rows, row)
+		}
+	}
+	for _, row := range rows {
+		row := row
+		t.Run(row.key, func(t *testing.T) {
+			r, err := himap.CompileRequest(context.Background(), row.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			if err := himap.SaveConfig(r.Config, h); err != nil {
+				t.Fatal(err)
+			}
+			got := hex.EncodeToString(h.Sum(nil))
+			if want := goldenDiagnostics[row.key]; got != want {
+				t.Errorf("%s: WriteJSON bytes drifted\n got %s\nwant %s", row.key, got, want)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package himap_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"himap"
@@ -81,5 +82,42 @@ func TestMemPortInfeasibleTyped(t *testing.T) {
 	var se *himap.StageError
 	if !errors.As(err, &se) {
 		t.Fatalf("error is not a StageError: %v", err)
+	}
+}
+
+// TestCompileFabricWideRegisterFile: register files wider than the eight
+// indices the router's node keys used to hold (and the sixteen the
+// emitter's claim lanes reserved) must compile and compute the kernel.
+func TestCompileFabricWideRegisterFile(t *testing.T) {
+	for _, k := range []*himap.Kernel{himap.KernelGEMM(), himap.KernelFW()} {
+		for _, regs := range []int{9, 20} {
+			k, regs := k, regs
+			t.Run(fmt.Sprintf("%s/regs%d", k.Name, regs), func(t *testing.T) {
+				fab := himap.DefaultFabric(8, 8)
+				fab.NumRegs = regs
+				res, err := compileFabric(k, fab, himap.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := himap.Validate(res, 3, 42); err != nil {
+					t.Fatalf("%d-register mapping failed cycle-accurate validation: %v", regs, err)
+				}
+			})
+		}
+	}
+}
+
+// TestFabricValidateRejectsUnroutableSizes: what the routing graph's
+// packed node keys cannot hold is a typed configuration error.
+func TestFabricValidateRejectsUnroutableSizes(t *testing.T) {
+	wide, deep := himap.DefaultFabric(8, 257), himap.DefaultFabric(8, 8)
+	deep.NumRegs = 257
+	for _, fab := range []himap.Fabric{wide, deep} {
+		if err := fab.Validate(); !errors.Is(err, himap.ErrConfigInvalid) {
+			t.Errorf("%v regs %d: err = %v, want ErrConfigInvalid", fab, fab.NumRegs, err)
+		}
+	}
+	if err := himap.DefaultFabric(256, 256).Validate(); err != nil {
+		t.Errorf("256x256 must stay valid: %v", err)
 	}
 }

@@ -38,11 +38,16 @@ func NewConfig(f Fabric, ii int) *Config {
 		panic(fmt.Sprintf("arch: II = %d", ii))
 	}
 	cfg := &Config{Fabric: f, II: ii}
+	// One backing array for every word: the streams are fixed-length, and
+	// stamping and validation walk them PE by PE.
+	words := make([]Instr, f.NumPEs()*ii)
+	streams := make([][]Instr, f.NumPEs())
 	cfg.Slots = make([][][]Instr, f.Rows)
 	for r := 0; r < f.Rows; r++ {
-		cfg.Slots[r] = make([][]Instr, f.Cols)
+		cfg.Slots[r] = streams[r*f.Cols : (r+1)*f.Cols : (r+1)*f.Cols]
 		for cc := 0; cc < f.Cols; cc++ {
-			cfg.Slots[r][cc] = make([]Instr, ii)
+			k := (r*f.Cols + cc) * ii
+			cfg.Slots[r][cc] = words[k : k+ii : k+ii]
 		}
 	}
 	return cfg
@@ -99,15 +104,18 @@ func (cfg *Config) Validate() error {
 // generation walking the iteration space), so they do not distinguish
 // words.
 func (cfg *Config) UniqueInstrs(r, c int) int {
-	seen := map[string]bool{}
-	for t := 0; t < cfg.II; t++ {
-		in := cfg.Slots[r][c][t]
-		in.Comment = ""
-		in.MemRead.Tag = ""
-		in.MemWrite.Tag = ""
-		seen[instrKey(&in)] = true
+	words := cfg.Slots[r][c]
+	n := 0
+	for t := range words {
+		first := true
+		for u := 0; u < t && first; u++ {
+			first = !words[t].SameWord(&words[u])
+		}
+		if first {
+			n++
+		}
 	}
-	return len(seen)
+	return n
 }
 
 // MaxUniqueInstrs returns the maximum per-PE unique instruction count of
@@ -122,11 +130,6 @@ func (cfg *Config) MaxUniqueInstrs() int {
 		}
 	}
 	return max
-}
-
-func instrKey(in *Instr) string {
-	s := in.String()
-	return s
 }
 
 // DataMemoryDemand returns the peak per-PE data-memory footprint of the

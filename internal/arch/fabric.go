@@ -416,10 +416,21 @@ func (f Fabric) Links() []Link {
 	return out
 }
 
-// Validate checks the fabric parameters.
+// MaxSide bounds Rows and Cols: the routing graph's node keys
+// (mrrg.RealKey) pack each coordinate into eight bits.
+const MaxSide = 256
+
+// Validate checks the fabric parameters, including the sizes the routing
+// graph's packed node keys can hold.
 func (f Fabric) Validate() error {
 	if err := f.CGRA.Validate(); err != nil {
 		return err
+	}
+	if f.Rows > MaxSide || f.Cols > MaxSide {
+		return fmt.Errorf("arch: array %dx%d exceeds the routable %d-per-side bound: %w", f.Rows, f.Cols, MaxSide, diag.ErrConfigInvalid)
+	}
+	if f.NumRegs > maxRegs {
+		return fmt.Errorf("arch: %d registers exceed the routable bound of %d: %w", f.NumRegs, maxRegs, diag.ErrConfigInvalid)
 	}
 	if int(f.Topology) >= len(topoNames) {
 		return fmt.Errorf("arch: bad topology %d: %w", f.Topology, diag.ErrConfigInvalid)

@@ -3,6 +3,7 @@ package arch
 import (
 	"fmt"
 	"himap/internal/diag"
+	"math/bits"
 	"strings"
 
 	"himap/internal/ir"
@@ -110,13 +111,45 @@ func (in *Instr) IsNop() bool {
 	return true
 }
 
-// readsOf counts distinct RF registers read by the instruction and
-// reports the per-port uses.
-func (in *Instr) regReads() map[int]bool {
-	reads := map[int]bool{}
+// maxRegs bounds a register index: the routing graph packs it into a
+// byte (mrrg.Node.Idx), and Fabric.Validate rejects wider register
+// files, so a fixed bitmask holds any legal register set.
+const maxRegs = 256
+
+// regSet is a set of register indices in [0, maxRegs).
+type regSet [maxRegs / 64]uint64
+
+// add inserts r and reports whether it was already present.
+func (s *regSet) add(r int) bool {
+	w, b := r>>6, uint64(1)<<(r&63)
+	dup := s[w]&b != 0
+	s[w] |= b
+	return dup
+}
+
+func (s *regSet) len() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// Validate checks the instruction against the architecture's port limits:
+// RF read/write ports, register indices, and single mem read/write.
+func (in *Instr) Validate(c CGRA) error {
+	nregs := min(c.NumRegs, maxRegs)
+	var reads regSet
+	badRead, hasBad := 0, false
 	note := func(o Operand) {
-		if o.Kind == OpdReg {
-			reads[o.Reg] = true
+		switch {
+		case o.Kind != OpdReg:
+		case o.Reg < 0 || o.Reg >= nregs:
+			if !hasBad {
+				badRead, hasBad = o.Reg, true
+			}
+		default:
+			reads.add(o.Reg)
 		}
 	}
 	note(in.SrcA)
@@ -130,33 +163,23 @@ func (in *Instr) regReads() map[int]bool {
 	if in.MemWrite.Active {
 		note(in.MemWrite.Src)
 	}
-	return reads
-}
-
-// Validate checks the instruction against the architecture's port limits:
-// RF read/write ports, register indices, and single mem read/write.
-func (in *Instr) Validate(c CGRA) error {
-	reads := in.regReads()
-	if len(reads) > c.RFReadPorts {
-		return fmt.Errorf("arch: instruction reads %d registers, %d read ports: %w", len(reads), c.RFReadPorts, diag.ErrConfigInvalid)
+	if hasBad {
+		return fmt.Errorf("arch: register read index %d out of %d: %w", badRead, nregs, diag.ErrConfigInvalid)
 	}
-	for r := range reads {
-		if r < 0 || r >= c.NumRegs {
-			return fmt.Errorf("arch: register read index %d out of %d: %w", r, c.NumRegs, diag.ErrConfigInvalid)
-		}
+	if n := reads.len(); n > c.RFReadPorts {
+		return fmt.Errorf("arch: instruction reads %d registers, %d read ports: %w", n, c.RFReadPorts, diag.ErrConfigInvalid)
 	}
 	if len(in.RegWr) > c.RFWritePorts {
 		return fmt.Errorf("arch: instruction writes %d registers, %d write ports: %w", len(in.RegWr), c.RFWritePorts, diag.ErrConfigInvalid)
 	}
-	seenW := map[int]bool{}
+	var written regSet
 	for _, w := range in.RegWr {
-		if w.Reg < 0 || w.Reg >= c.NumRegs {
-			return fmt.Errorf("arch: register write index %d out of %d: %w", w.Reg, c.NumRegs, diag.ErrConfigInvalid)
+		if w.Reg < 0 || w.Reg >= nregs {
+			return fmt.Errorf("arch: register write index %d out of %d: %w", w.Reg, nregs, diag.ErrConfigInvalid)
 		}
-		if seenW[w.Reg] {
+		if written.add(w.Reg) {
 			return fmt.Errorf("arch: register %d written twice in one cycle: %w", w.Reg, diag.ErrConfigInvalid)
 		}
-		seenW[w.Reg] = true
 		if w.Src.Kind == OpdNone || w.Src.Kind == OpdHold {
 			return fmt.Errorf("arch: register write from %v: %w", w.Src, diag.ErrConfigInvalid)
 		}
@@ -228,4 +251,46 @@ func (in *Instr) String() string {
 		fmt.Fprintf(&b, " st[%s]=%s", in.MemWrite.Tag, in.MemWrite.Src)
 	}
 	return b.String()
+}
+
+// sameOperand reports whether two operands render identically (see
+// Operand.String): only the field the kind selects distinguishes them.
+func sameOperand(a, b Operand) bool {
+	if a.Kind != b.Kind {
+		return a.Kind > OpdHold && b.Kind > OpdHold // every unknown kind renders "?"
+	}
+	switch a.Kind {
+	case OpdIn:
+		return a.Dir == b.Dir
+	case OpdReg:
+		return a.Reg == b.Reg
+	case OpdConst:
+		return a.Const == b.Const
+	}
+	return true
+}
+
+// SameWord reports whether two instructions are the same configuration
+// word: equal in everything String prints once the memory correlation
+// tags are dropped. Like String it ignores the comment, the sources of a
+// nop, and the source of an inactive memory write.
+func (in *Instr) SameWord(o *Instr) bool {
+	if in.Op != o.Op || len(in.RegWr) != len(o.RegWr) ||
+		in.MemRead.Active != o.MemRead.Active || in.MemWrite.Active != o.MemWrite.Active {
+		return false
+	}
+	if in.Op != ir.OpNop && !(sameOperand(in.SrcA, o.SrcA) && sameOperand(in.SrcB, o.SrcB)) {
+		return false
+	}
+	for d := range in.OutSel {
+		if !sameOperand(in.OutSel[d], o.OutSel[d]) {
+			return false
+		}
+	}
+	for i, w := range in.RegWr {
+		if w.Reg != o.RegWr[i].Reg || !sameOperand(w.Src, o.RegWr[i].Src) {
+			return false
+		}
+	}
+	return !in.MemWrite.Active || sameOperand(in.MemWrite.Src, o.MemWrite.Src)
 }

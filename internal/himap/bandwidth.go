@@ -218,3 +218,6 @@ func minDirCover(masks []uint16, nd int) int {
 	}
 	return best
 }
+
+// wrapMod folds t into [0, m).
+func wrapMod(t, m int) int { return ((t % m) + m) % m }

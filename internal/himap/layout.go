@@ -19,7 +19,6 @@ type layout struct {
 	iib     int
 	classes []*UniqueClass
 	byClust []int
-	ix      *nodeIndex
 
 	// pinRel[classIdx][bodyOp] is the region-relative relay resource
 	// pinned for a route node (deterministic, so replication is

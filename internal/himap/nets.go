@@ -10,24 +10,19 @@ import (
 	"himap/internal/route"
 )
 
-// canonSink is one sink of a canonical net, with everything replication
-// needs to translate it onto a class member.
+// canonSink is one sink of a canonical net: the representative's
+// consumer node, the port it is consumed on, and the routed path.
 type canonSink struct {
-	ConsumerBody  int
-	ConsumerDIter ir.IterVec // consumer.Iter - source-cluster rep.Iter
-	Port          int
-	Kind          ir.OpKind
-	Path          route.Path
+	ConsumerID int
+	Port       int
+	Path       route.Path
 }
 
 // canonNet is one canonically-routed signal of a class representative.
 type canonNet struct {
-	SrcID    int // DFG node ID in the rep cluster
-	SrcBody  int
-	SrcDIter ir.IterVec // source.Iter - rep.Iter (zero: source in rep)
-	Src      mrrg.Node
-	Sinks    []canonSink
-	net      *route.Net
+	SrcID int // DFG node ID in the rep cluster
+	Sinks []canonSink
+	net   *route.Net
 }
 
 // pendingSink is one fully-constructed sink of a pending net: its target
@@ -108,12 +103,7 @@ func (l *layout) buildClassNetsInto(pend []pendingNet, ses *route.Session, g *mr
 			continue // stores have no out-edges
 		}
 		p := pendingNet{
-			cn: canonNet{
-				SrcID: id, SrcBody: n.BodyOp,
-				SrcDIter: n.Iter.Sub(rep.Iter),
-				Src:      src,
-				net:      ses.NewNet(src),
-			},
+			cn:    canonNet{SrcID: id, net: ses.NewNet(src)},
 			sink0: len(l.sinkBuf), sink1: len(l.sinkBuf),
 			lo: src.T, hi: src.T,
 		}
@@ -169,12 +159,7 @@ func (l *layout) buildClassNetsInto(pend []pendingNet, ses *route.Session, g *mr
 				tgt1:     len(l.tgtBuf),
 				fromName: n.Name,
 				toName:   to.Name,
-				meta: canonSink{
-					ConsumerBody:  to.BodyOp,
-					ConsumerDIter: to.Iter.Sub(rep.Iter),
-					Port:          e.ToPort,
-					Kind:          to.Kind,
-				},
+				meta:     canonSink{ConsumerID: e.To, Port: e.ToPort},
 			})
 		}
 		p.sink1 = len(l.sinkBuf)

@@ -28,7 +28,6 @@ func buildLayout(t *testing.T, k *kernel.Kernel, cg arch.Fabric, block []int, sc
 		cg: cg, g: isdg, cp: cp, sub: sub,
 		iib:     sub.Depth * m.IIS,
 		classes: classes, byClust: byClust,
-		ix: buildNodeIndex(isdg),
 	}
 }
 
@@ -174,16 +173,13 @@ func TestPinAbsResolvesForEveryRouteNode(t *testing.T) {
 	}
 }
 
-func TestFloorDivAndWrap(t *testing.T) {
-	cases := []struct{ t, m, wantW, wantD int }{
-		{0, 8, 0, 0}, {7, 8, 7, 0}, {8, 8, 0, 1}, {-1, 8, 7, -1}, {-9, 8, 7, -2}, {17, 8, 1, 2},
+func TestWrapMod(t *testing.T) {
+	cases := []struct{ t, m, want int }{
+		{0, 8, 0}, {7, 8, 7}, {8, 8, 0}, {-1, 8, 7}, {-9, 8, 7}, {17, 8, 1},
 	}
 	for _, c := range cases {
-		if got := wrapMod(c.t, c.m); got != c.wantW {
-			t.Errorf("wrapMod(%d,%d) = %d, want %d", c.t, c.m, got, c.wantW)
-		}
-		if got := floorDiv(c.t, c.m); got != c.wantD {
-			t.Errorf("floorDiv(%d,%d) = %d, want %d", c.t, c.m, got, c.wantD)
+		if got := wrapMod(c.t, c.m); got != c.want {
+			t.Errorf("wrapMod(%d,%d) = %d, want %d", c.t, c.m, got, c.want)
 		}
 	}
 }

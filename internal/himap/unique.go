@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"himap/internal/diag"
 	"himap/internal/ir"
 	"himap/internal/systolic"
 )
@@ -215,39 +216,86 @@ func clusterSignature(g *ir.ISDG, cp *ClusterPlace, ci int, sc *sigScratch) sigH
 	return sig
 }
 
-// nodeIndex locates cluster-member nodes by (body op, iteration),
-// supporting the translation of canonical routes onto class members.
-// Keys pack the body op and the iteration's lexicographic rank into one
-// integer — replication performs millions of lookups on large blocks.
-type nodeIndex struct {
-	g     *ir.ISDG
+// nodeTable locates nodes by (body op, iteration point) in a dense
+// table, supporting the translation of a class representative's nodes
+// onto class members: the member's counterpart of a node sits in the same
+// row at the member's point index, so replication resolves it with one
+// add and one load.
+type nodeTable struct {
 	block []int
-	at    map[int64]int
+	npts  int
+	lo    int     // smallest body op (forwarding roles are negative)
+	row   []int32 // body op - lo → 1 + row of at; 0 for an op without nodes
+	at    []int32 // row*npts + point index → 1 + node ID; 0 where absent
 }
 
-const bodyOpBias = 1 << 20 // body ops are small (possibly negative) ints
-
-func buildNodeIndex(g *ir.ISDG) *nodeIndex {
-	ix := &nodeIndex{
-		g:     g,
-		block: g.DFG.Block,
-		at:    make(map[int64]int, len(g.DFG.Nodes)),
+func buildNodeTable(g *ir.ISDG) *nodeTable {
+	d := g.DFG
+	lo, hi := d.Nodes[0].BodyOp, d.Nodes[0].BodyOp
+	for _, n := range d.Nodes {
+		lo, hi = min(lo, n.BodyOp), max(hi, n.BodyOp)
 	}
-	for _, n := range g.DFG.Nodes {
-		ix.at[ix.key(n.BodyOp, n.Iter)] = n.ID
+	nt := &nodeTable{block: d.Block, npts: ir.BoxSize(d.Block), lo: lo, row: make([]int32, hi-lo+1)}
+	rows := int32(0)
+	for _, n := range d.Nodes {
+		if nt.row[n.BodyOp-lo] == 0 {
+			rows++
+			nt.row[n.BodyOp-lo] = rows
+		}
 	}
-	return ix
+	nt.at = make([]int32, int(rows)*nt.npts)
+	for _, n := range d.Nodes {
+		nt.at[nt.rowBase(n.BodyOp)+ir.PointIndex(n.Iter, nt.block)] = int32(n.ID) + 1
+	}
+	return nt
 }
 
-func (ix *nodeIndex) key(bodyOp int, iter ir.IterVec) int64 {
-	return int64(bodyOp+bodyOpBias)<<32 | int64(ir.PointIndex(iter, ix.block))
+// rowBase returns the offset in at of a body op's row.
+func (nt *nodeTable) rowBase(bodyOp int) int { return int(nt.row[bodyOp-nt.lo]-1) * nt.npts }
+
+// nodeRef names a node relative to a cluster: its body op's row and its
+// iteration offset from the cluster.
+type nodeRef struct {
+	base  int        // row offset in at, plus the point-index offset of dIter
+	body  int        // body op, for error text
+	dIter ir.IterVec // offset from the cluster's iteration; nil inside it
 }
 
-// Find returns the node with the given body op at the given iteration.
-func (ix *nodeIndex) Find(bodyOp int, iter ir.IterVec) (int, bool) {
-	if !iter.InBox(ix.block) {
-		return 0, false
+// ref describes node n relative to the cluster at iteration from.
+func (nt *nodeTable) ref(n *ir.Node, from ir.IterVec) nodeRef {
+	rf := nodeRef{base: nt.rowBase(n.BodyOp), body: n.BodyOp}
+	if !n.Iter.Equal(from) {
+		rf.dIter = n.Iter.Sub(from)
+		// PointIndex is linear, so an offset's index is the index offset.
+		rf.base += ir.PointIndex(rf.dIter, nt.block)
 	}
-	id, ok := ix.at[ix.key(bodyOp, iter)]
-	return id, ok
+	return rf
+}
+
+// resolve appends to dst the node each ref names relative to the cluster
+// at iteration iter; a ref that leaves the block or names no node there
+// is an ErrReplicaConflict.
+func (nt *nodeTable) resolve(dst []int32, refs []nodeRef, iter ir.IterVec) ([]int32, error) {
+	pi := ir.PointIndex(iter, nt.block)
+	for _, rf := range refs {
+		id := int32(0)
+		if rf.inBox(iter, nt.block) {
+			id = nt.at[rf.base+pi]
+		}
+		if id == 0 {
+			return dst, fmt.Errorf("himap: replication cannot find body op %d at offset %v of member %v: %w",
+				rf.body, rf.dIter, iter, diag.ErrReplicaConflict)
+		}
+		dst = append(dst, id-1)
+	}
+	return dst, nil
+}
+
+func (rf *nodeRef) inBox(iter ir.IterVec, block []int) bool {
+	for k, dv := range rf.dIter {
+		if v := iter[k] + dv; v < 0 || v >= block[k] {
+			return false
+		}
+	}
+	return true
 }

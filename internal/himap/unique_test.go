@@ -1,8 +1,10 @@
 package himap
 
 import (
+	"errors"
 	"testing"
 
+	"himap/internal/diag"
 	"himap/internal/ir"
 	"himap/internal/kernel"
 	"himap/internal/systolic"
@@ -93,16 +95,22 @@ func TestUniqueCountSaturatesWithBlock(t *testing.T) {
 	}
 }
 
-func TestNodeIndexFindsEveryNode(t *testing.T) {
+func TestNodeTableResolvesEveryNode(t *testing.T) {
 	g, _ := placeBICG(t, 4)
-	ix := buildNodeIndex(g)
+	nt := buildNodeTable(g)
+	origin := ir.IterVec{0, 0}
 	for _, n := range g.DFG.Nodes {
-		id, ok := ix.Find(n.BodyOp, n.Iter)
-		if !ok || id != n.ID {
-			t.Fatalf("Find(%d, %v) = %d,%v; want %d", n.BodyOp, n.Iter, id, ok, n.ID)
+		// Seen from the origin cluster and from its own.
+		for _, from := range []ir.IterVec{origin, n.Iter} {
+			ids, err := nt.resolve(nil, []nodeRef{nt.ref(n, from)}, from)
+			if err != nil || int(ids[0]) != n.ID {
+				t.Fatalf("resolve(%v from %v) = %v, %v; want %d", n, from, ids, err, n.ID)
+			}
 		}
 	}
-	if _, ok := ix.Find(9999, ir.IterVec{0, 0}); ok {
-		t.Error("Find should miss for unknown body op")
+	// The same offset from the far corner leaves the block.
+	last := g.DFG.Nodes[len(g.DFG.Nodes)-1]
+	if _, err := nt.resolve(nil, []nodeRef{nt.ref(last, origin)}, last.Iter); !errors.Is(err, diag.ErrReplicaConflict) {
+		t.Errorf("out-of-block ref: err = %v, want ErrReplicaConflict", err)
 	}
 }

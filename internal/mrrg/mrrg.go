@@ -165,17 +165,27 @@ func (g *Graph) ValidTime(t int) bool {
 // II and, on wrap-around topologies, space is folded into the array.
 func (g *Graph) Key(n Node) uint64 {
 	r, c := g.Fab.WrapCoord(n.R, n.C)
-	return ((uint64(g.WrapTime(n.T))*uint64(g.Fab.Rows)+uint64(r))*uint64(g.Fab.Cols)+uint64(c))*64 +
-		uint64(n.Class)*8 + uint64(n.Idx)
+	return ((uint64(g.WrapTime(n.T))*uint64(g.Fab.Rows)+uint64(r))*uint64(g.Fab.Cols)+uint64(c))*resSpan + resKey(n)
 }
 
+// resSpan is the per-(cycle, PE) stride of Key and RealKey: a full byte
+// of Idx under each class, so register indices up to 255 never alias the
+// next class. The packing is lexicographic in (Class, Idx), which keeps
+// key order — the router's deterministic tie-break — independent of
+// how wide the Idx field is.
+const resSpan = uint64(numClasses) << 8
+
+//himap:noalloc
+func resKey(n Node) uint64 { return uint64(n.Class)<<8 | uint64(n.Idx) }
+
 // RealKey packs the node with its real (unwrapped) time — unique per real
-// node, used for per-net reuse bookkeeping.
+// node, used for per-net reuse bookkeeping. Rows and columns take eight
+// bits each (arch.MaxSide) and the key is lexicographic in
+// (T, R, C, Class, Idx).
 //
 //himap:noalloc
 func RealKey(n Node) uint64 {
-	return ((uint64(n.T+1024)*256+uint64(n.R))*256+uint64(n.C))*64 +
-		uint64(n.Class)*8 + uint64(n.Idx)
+	return ((uint64(n.T+1024)*arch.MaxSide+uint64(n.R))*arch.MaxSide+uint64(n.C))*resSpan + resKey(n)
 }
 
 // SlotsPerPE returns the number of distinct resource slots one PE holds

@@ -83,6 +83,50 @@ func TestKeyUniqueness(t *testing.T) {
 	}
 }
 
+// TestKeysHoldWideRegisterFiles: register indices past 7 used to spill
+// into the next class's key range. Keys must stay distinct for every
+// (class, idx) of a 20-register, 8-direction PE and stay ordered
+// lexicographically by (T, R, C, Class, Idx) — the router's tie-break.
+func TestKeysHoldWideRegisterFiles(t *testing.T) {
+	fab := arch.Fabric{CGRA: arch.Default(2, 2), Topology: arch.TopoMeshDiag}
+	fab.NumRegs = 20
+	g := New(fab, 4)
+	var nodes []Node
+	for tt := 0; tt < 2; tt++ {
+		for r := 0; r < 2; r++ {
+			for c := 0; c < 2; c++ {
+				for slot := 0; slot < g.SlotsPerPE(); slot++ {
+					cl, idx := g.SlotResource(slot)
+					nodes = append(nodes, Node{T: tt, R: r, C: c, Class: cl, Idx: idx})
+				}
+			}
+		}
+	}
+	less := func(a, b Node) bool {
+		if a.T != b.T {
+			return a.T < b.T
+		}
+		if a.R != b.R {
+			return a.R < b.R
+		}
+		if a.C != b.C {
+			return a.C < b.C
+		}
+		if a.Class != b.Class {
+			return a.Class < b.Class
+		}
+		return a.Idx < b.Idx
+	}
+	for _, a := range nodes {
+		for _, b := range nodes {
+			if (RealKey(a) < RealKey(b)) != less(a, b) || (g.Key(a) < g.Key(b)) != less(a, b) {
+				t.Fatalf("key order of %v vs %v is not lexicographic (RealKey %d vs %d, Key %d vs %d)",
+					a, b, RealKey(a), RealKey(b), g.Key(a), g.Key(b))
+			}
+		}
+	}
+}
+
 func TestFUSuccessors(t *testing.T) {
 	g := New(arch.DefaultFabric(3, 3), 4)
 	succ := collectSucc(g, Node{T: 1, R: 1, C: 1, Class: ClassFU})

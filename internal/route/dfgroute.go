@@ -28,7 +28,7 @@ type Placement struct {
 // with an error wrapping diag.ErrCanceled within one round's latency.
 //
 // The routed net order (topological producer order, sinks in out-edge
-// order) and the emitted tags ("n<id>") are part of the deterministic
+// order) and the op comments ("n<id>") are part of the deterministic
 // output contract: callers' mapping fingerprints depend on them.
 func RouteDFG(ctx context.Context, d *ir.DFG, cg arch.Fabric, ii int, pl []Placement, rounds int) (*arch.Config, error) {
 	g := mrrg.New(cg, ii)
@@ -102,41 +102,31 @@ func RouteDFG(ctx context.Context, d *ir.DFG, cg arch.Fabric, ii int, pl []Place
 		return nil, fmt.Errorf("route: %w at II %d", diag.ErrRouteCongested, ii)
 	}
 
+	// One record → replay with a zero shift: the flat DFG is its own and
+	// only translate, so a ref is the node id itself.
 	cfg := arch.NewConfig(cg, ii)
-	em := NewEmitter(cfg)
+	em := NewEmitter(cfg, d)
+	tmpl := em.NewTemplate()
+	ids := make([]int32, len(d.Nodes))
 	for _, id := range order {
+		ids[id] = int32(id)
 		n := d.Nodes[id]
-		tag := fmt.Sprintf("n%d", id)
 		pn := placeNode(id)
+		var err error
 		switch {
 		case n.Kind.IsCompute():
-			if err := em.PlaceOp(pn, n.Kind, tag); err != nil {
-				return nil, err
-			}
+			err = tmpl.PlaceOp(pn, n.Kind, id)
 			if n.HasConst {
-				if err := em.SetConstOperand(pn, n.Const, tag+":const"); err != nil {
-					return nil, err
-				}
+				tmpl.SetConstOperand(pn, n.Const, id)
 			}
 		case n.Kind == ir.OpRoute:
-			// A flat placement backend has no routing pseudo-ops: data
-			// propagation occupies an FU as a move (add #0).
-			if err := em.PlaceOp(pn, ir.OpAdd, tag); err != nil {
-				return nil, err
-			}
-			if err := em.SetConstOperand(pn, 0, tag+":mov"); err != nil {
-				return nil, err
-			}
+			// A flat placement backend has no routing pseudo-ops.
+			err = tmpl.PlaceMove(pn, id)
 		case n.Kind == ir.OpLoad:
-			if err := em.PlaceLoad(pn, tag, n.Tensor); err != nil {
-				return nil, err
-			}
-			cfg.Loads = append(cfg.Loads, arch.IOSpec{
-				R: pn.R, C: pn.C,
-				Slot:   ((pn.T % ii) + ii) % ii,
-				Phase:  floorDivRoute(pn.T, ii),
-				Tensor: n.Tensor, Index: append([]int(nil), n.Index...),
-			})
+			err = tmpl.PlaceLoad(pn, id)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	for _, id := range order {
@@ -144,39 +134,30 @@ func RouteDFG(ctx context.Context, d *ir.DFG, cg arch.Fabric, ii int, pl []Place
 		if net == nil {
 			continue
 		}
-		tag := fmt.Sprintf("n%d", id)
 		outs := d.OutEdges(id)
 		for i, path := range net.Paths {
 			e := d.Edges[outs[i]]
-			to := d.Nodes[e.To]
-			storeElem := ""
-			if to.Kind == ir.OpStore {
-				storeElem = fmt.Sprintf("%s@%s", to.Tensor, to.Index.Key())
-				last := path[len(path)-1]
-				cfg.Stores = append(cfg.Stores, arch.IOSpec{
-					R: last.R, C: last.C,
-					Slot:   ((last.T % ii) + ii) % ii,
-					Phase:  floorDivRoute(last.T, ii),
-					Tensor: to.Tensor, Index: append([]int(nil), to.Index...),
-				})
-			}
-			if err := em.EmitPath(path, tag, storeElem); err != nil {
+			if err := tmpl.EmitPath(path, id, e.To); err != nil {
 				return nil, err
 			}
-			if to.Kind.IsCompute() || to.Kind == ir.OpRoute {
-				if err := em.SetOperand(placeNode(e.To), e.ToPort, path, tag); err != nil {
+			if to := d.Nodes[e.To]; to.Kind.IsCompute() || to.Kind == ir.OpRoute {
+				if err := tmpl.SetOperand(placeNode(e.To), e.ToPort, path, id); err != nil {
 					return nil, err
 				}
 			}
+		}
+	}
+	if err := em.Replay(tmpl, 0, 0, 0, ids); err != nil {
+		return nil, err
+	}
+	// The flat backends label a load by its tensor alone.
+	for _, n := range d.Nodes {
+		if n.Kind == ir.OpLoad {
+			cfg.At(pl[n.ID].R, pl[n.ID].C, pl[n.ID].T).MemRead.Tag = n.Tensor
 		}
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return cfg, nil
-}
-
-func floorDivRoute(t, m int) int {
-	w := ((t % m) + m) % m
-	return (t - w) / m
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"himap/internal/arch"
-	"himap/internal/ir"
 	"himap/internal/mrrg"
 )
 
@@ -187,103 +186,6 @@ func TestDeterministicRouting(t *testing.T) {
 				t.Fatalf("non-deterministic path node %d: %v vs %v", i, path[i], path2[i])
 			}
 		}
-	}
-}
-
-func TestEmitterSingleHop(t *testing.T) {
-	g := mrrg.New(arch.DefaultFabric(1, 2), 2)
-	s := NewSession(g)
-	src := fu(0, 0, 0)
-	s.Reserve(src)
-	net := s.NewNet(src)
-	consumer := fu(1, 0, 1)
-	path, _, err := s.RouteSink(net, g.OperandTargets(1, 0, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := arch.NewConfig(arch.DefaultFabric(1, 2), 2)
-	e := NewEmitter(cfg)
-	if err := e.PlaceOp(src, ir.OpMul, "prod"); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.PlaceOp(consumer, ir.OpAdd, "cons"); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.EmitPath(path, "v1", ""); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SetOperand(consumer, 0, path, "v1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SetConstOperand(consumer, 7, "c"); err != nil {
-		t.Fatal(err)
-	}
-	prod := cfg.At(0, 0, 0)
-	if prod.Op != ir.OpMul || prod.OutSel[arch.East].Kind != arch.OpdALU {
-		t.Errorf("producer instr %v", prod)
-	}
-	cons := cfg.At(0, 1, 1)
-	if cons.Op != ir.OpAdd || cons.SrcA != arch.FromIn(arch.West) || cons.SrcB != arch.FromConst(7) {
-		t.Errorf("consumer instr %v", cons)
-	}
-}
-
-func TestEmitterDetectsConflicts(t *testing.T) {
-	cfg := arch.NewConfig(arch.DefaultFabric(1, 2), 2)
-	e := NewEmitter(cfg)
-	n := fu(0, 0, 0)
-	if err := e.PlaceOp(n, ir.OpMul, "a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.PlaceOp(n, ir.OpAdd, "b"); err == nil {
-		t.Error("two ops on one FU slot must conflict")
-	}
-	if err := e.PlaceOp(n, ir.OpMul, "a"); err != nil {
-		t.Errorf("idempotent re-stamp must succeed: %v", err)
-	}
-}
-
-func TestEmitterRegisterPath(t *testing.T) {
-	g := mrrg.New(arch.DefaultFabric(1, 1), 4)
-	s := NewSession(g)
-	src := fu(0, 0, 0)
-	s.Reserve(src)
-	net := s.NewNet(src)
-	consumer := fu(2, 0, 0)
-	path, _, err := s.RouteSink(net, g.OperandTargets(2, 0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := arch.NewConfig(arch.DefaultFabric(1, 1), 4)
-	e := NewEmitter(cfg)
-	if err := e.PlaceOp(src, ir.OpMul, "p"); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.PlaceOp(consumer, ir.OpAdd, "c"); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.EmitPath(path, "v", ""); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SetOperand(consumer, 0, path, "v"); err != nil {
-		t.Fatal(err)
-	}
-	// The producer's slot must write a register from the ALU.
-	prod := cfg.At(0, 0, 0)
-	if len(prod.RegWr) != 1 || prod.RegWr[0].Src.Kind != arch.OpdALU {
-		t.Fatalf("producer %v should write a register from the ALU", prod)
-	}
-	reg := prod.RegWr[0].Reg
-	cons := cfg.At(0, 0, 2)
-	if cons.SrcA != arch.FromReg(reg) {
-		t.Errorf("consumer %v should read r%d", cons, reg)
-	}
-	// Fill the free operand ports (a real mapping routes them too), then
-	// the whole configuration must pass architectural validation.
-	prod.SrcA, prod.SrcB = arch.FromConst(1), arch.FromConst(2)
-	cons.SrcB = arch.FromConst(3)
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("emitted config invalid: %v", err)
 	}
 }
 

@@ -2,7 +2,7 @@
 # Repository health gate: formatting, vet, build, the project analyzer
 # suite (cmd/himaplint: baseline ratchet + self-host), the full test
 # suite under the race detector, the bench/ module's vet and tests, and
-# the himapd / himapload / exact / route-alloc smokes. CI runs exactly
+# the himapd / himapload / exact / alloc-ceiling smokes. CI runs exactly
 # this script and nothing beside it, so every gate runs once; run it
 # before sending changes. bench/run.sh covers the perf side.
 set -eux
@@ -40,7 +40,9 @@ go run ./cmd/himapload -cluster 2 -duration 3s -concurrency 4 -require-hits -out
 # certificate within a short budget.
 exact_out=$(go run ./cmd/himap -mapper exact -kernel MVT -rows 4 -cols 4 -block 2 -exact-budget 30s)
 echo "$exact_out" | grep -q "proved minimal"
-# Route-stage alloc smoke: BenchmarkRouteSinkHotPath self-enforces the
-# 29 allocs/op floor (testing.AllocsPerRun in bench_test.go) and fails
-# the run if the router's steady-state search starts allocating.
-go test -run '^$' -bench BenchmarkRouteSinkHotPath -benchtime 10x .
+# Alloc smokes, self-enforced by testing.AllocsPerRun inside the
+# benchmarks: BenchmarkRouteSinkHotPath (bench_test.go) fails if the
+# router's steady-state search exceeds its 29 allocs/op floor,
+# BenchmarkReplicateValidate (internal/himap) if stamping + validation of
+# ADI 32x32 exceeds 165 allocs/run — i.e. starts allocating per cluster.
+go test -run '^$' -bench 'BenchmarkRouteSinkHotPath|BenchmarkReplicateValidate' -benchtime 10x . ./internal/himap
