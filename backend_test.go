@@ -2,45 +2,19 @@ package himap_test
 
 import (
 	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"himap"
 )
 
-// stubBackend is a registry probe; its Compile is never reached in these
-// tests.
-type stubBackend struct{ name himap.Mapper }
-
-func (b stubBackend) Name() himap.Mapper              { return b.name }
-func (b stubBackend) Capabilities() himap.BackendCaps { return himap.BackendCaps{} }
-func (stubBackend) Compile(context.Context, himap.Request) (*himap.Result, error) {
-	return nil, nil
-}
-
-// TestRegisterBackendDuplicateRejected pins the registry contract: a
-// second registration under an existing name (and degenerate
-// registrations) fail without disturbing the registry.
-func TestRegisterBackendDuplicateRejected(t *testing.T) {
-	before := himap.Backends()
-	if err := himap.RegisterBackend(stubBackend{name: himap.MapperHiMap}); err == nil {
-		t.Error("RegisterBackend(duplicate himap) succeeded, want error")
-	}
-	if err := himap.RegisterBackend(stubBackend{name: ""}); err == nil {
-		t.Error("RegisterBackend(empty name) succeeded, want error")
-	}
-	if err := himap.RegisterBackend(nil); err == nil {
-		t.Error("RegisterBackend(nil) succeeded, want error")
-	}
-	after := himap.Backends()
-	if len(after) != len(before) {
-		t.Errorf("failed registrations changed the registry: %v -> %v", before, after)
-	}
-}
-
-// TestBackendsDeterministicOrder pins the registry's iteration order:
-// sorted by name, stable across calls, containing the three built-ins.
+// TestBackendsDeterministicOrder pins the mapper list's order: sorted by
+// name, stable across calls, containing the three built-ins.
 func TestBackendsDeterministicOrder(t *testing.T) {
 	names := himap.Backends()
 	if !sort.SliceIsSorted(names, func(i, j int) bool { return names[i] < names[j] }) {
@@ -61,7 +35,7 @@ func TestBackendsDeterministicOrder(t *testing.T) {
 	}
 	for _, want := range []himap.Mapper{himap.MapperHiMap, himap.MapperConventional, himap.MapperExact} {
 		if !seen[want] {
-			t.Errorf("built-in backend %q missing from registry: %v", want, names)
+			t.Errorf("built-in backend %q missing from Backends(): %v", want, names)
 		}
 	}
 	joined := himap.BackendNames()
@@ -70,32 +44,77 @@ func TestBackendsDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestBackendForResolvesBuiltins covers lookup, the empty-name default,
-// and the capability advertisements the serving layer relies on.
-func TestBackendForResolvesBuiltins(t *testing.T) {
-	def, ok := himap.BackendFor("")
-	if !ok || def.Name() != himap.MapperHiMap {
-		t.Fatalf(`BackendFor("") = %v, %v; want the himap backend`, def, ok)
+// mapperConstants parses request.go for every constant declared with
+// type Mapper, so the totality check below cannot miss one added later.
+func mapperConstants(t *testing.T) []himap.Mapper {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "request.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := himap.BackendFor("no-such-backend"); ok {
-		t.Error(`BackendFor("no-such-backend") resolved, want miss`)
+	var out []himap.Mapper
+	ast.Inspect(f, func(n ast.Node) bool {
+		vs, ok := n.(*ast.ValueSpec)
+		if !ok {
+			return true
+		}
+		if id, ok := vs.Type.(*ast.Ident); !ok || id.Name != "Mapper" {
+			return true
+		}
+		for _, v := range vs.Values {
+			name, err := strconv.Unquote(v.(*ast.BasicLit).Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, himap.Mapper(name))
+		}
+		return true
+	})
+	return out
+}
+
+// TestBackendsDispatchTotal pins the dispatch switch against the name
+// list: every Mapper constant is in Backends(), every Backends() name
+// compiles and is stamped into Result.Backend, and the empty mapper
+// means MapperHiMap.
+func TestBackendsDispatchTotal(t *testing.T) {
+	listed := map[himap.Mapper]bool{}
+	for _, m := range himap.Backends() {
+		listed[m] = true
 	}
-	ex, ok := himap.BackendFor(himap.MapperExact)
-	if !ok {
-		t.Fatal("BackendFor(exact) missed")
+	consts := mapperConstants(t)
+	if len(consts) != len(listed) {
+		t.Errorf("request.go declares %v, Backends() lists %v", consts, himap.Backends())
 	}
-	if caps := ex.Capabilities(); !caps.Proves || !caps.UsesExact || !caps.UsesBlock {
-		t.Errorf("exact capabilities %+v, want Proves, UsesExact, UsesBlock", caps)
+	for _, m := range consts {
+		if !listed[m] {
+			t.Errorf("Mapper constant %q missing from Backends() %v", m, himap.Backends())
+		}
 	}
-	hb, _ := himap.BackendFor(himap.MapperHiMap)
-	if caps := hb.Capabilities(); caps.Proves || !caps.UsesOptions {
-		t.Errorf("himap capabilities %+v, want UsesOptions without Proves", caps)
+	for _, m := range append([]himap.Mapper{""}, himap.Backends()...) {
+		res, err := himap.CompileRequest(context.Background(), himap.Request{
+			Kernel: himap.KernelMVT(),
+			Fabric: himap.DefaultFabric(4, 4),
+			Mapper: m,
+			Block:  []int{2, 2},
+		})
+		if err != nil {
+			t.Errorf("mapper %q does not dispatch: %v", m, err)
+			continue
+		}
+		want := m
+		if want == "" {
+			want = himap.MapperHiMap
+		}
+		if res.Backend != string(want) {
+			t.Errorf("mapper %q: Result.Backend = %q, want %q", m, res.Backend, want)
+		}
 	}
 }
 
 // TestUnknownMapperEnumeratesBackends pins the unknown-mapper error to
-// the sorted registry contents, so the message stays truthful as
-// backends come and go.
+// the sorted mapper list, so the message stays truthful as backends come
+// and go.
 func TestUnknownMapperEnumeratesBackends(t *testing.T) {
 	_, err := himap.CompileRequest(context.Background(), himap.Request{
 		Kernel: himap.KernelMVT(),
@@ -107,14 +126,14 @@ func TestUnknownMapperEnumeratesBackends(t *testing.T) {
 	}
 	msg := err.Error()
 	if !strings.Contains(msg, `"magic"`) || !strings.Contains(msg, himap.BackendNames()) {
-		t.Errorf("unknown-mapper error %q, want the name and the sorted registry %q", msg, himap.BackendNames())
+		t.Errorf("unknown-mapper error %q, want the name and the sorted mapper list %q", msg, himap.BackendNames())
 	}
 }
 
 // conventionalFingerprints pins the conventional mapper's mappings for
 // the eight evaluation kernels (8x8 default CGRA, uniform block 2,
-// seed 1), captured immediately before the backend-registry refactor.
-// Registry-routed compiles must reproduce them bit-identically.
+// seed 1), captured from the direct per-package dispatch that preceded
+// CompileRequest. Dispatched compiles must reproduce them bit-identically.
 var conventionalFingerprints = map[string]string{
 	"ADI":  "d3ebe4ad32ac923b0c57db68a206a8c6e812419157169d401bb2c6867076aea9",
 	"ATAX": "97c8e64ae15e24fd7cd0d45e47635a2c4e9698df6dc39420399d244ae97a2bca",
@@ -126,12 +145,11 @@ var conventionalFingerprints = map[string]string{
 	"TTM":  "18cc32ad3684fdb7eccdd927d89fd7d55383afae21634344ec04692dd7558036",
 }
 
-// TestRegistryDifferentialFingerprints is the refactor's differential
-// anchor: the himap and conventional flows, dispatched through the
-// backend registry, must produce bit-identical mappings to the
-// pre-refactor direct dispatch (defaultFabricFingerprints captured
-// before the Fabric refactor, conventionalFingerprints captured before
-// this one). Backend identity must be stamped on every result.
+// TestRegistryDifferentialFingerprints is the dispatch's differential
+// anchor: the himap and conventional flows, dispatched through
+// CompileRequest, must produce bit-identical mappings to the direct
+// per-package calls (goldenMappings, conventionalFingerprints). Backend
+// identity must be stamped on every result.
 func TestRegistryDifferentialFingerprints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("16 full 8x8 compiles")
@@ -152,7 +170,7 @@ func TestRegistryDifferentialFingerprints(t *testing.T) {
 			}
 			got := mappingFingerprint(res.Config, 8, 8)
 			if want := goldenMappings[k.Name]; got != want {
-				t.Errorf("%s: himap fingerprint drifted through the registry\n got %s\nwant %s", k.Name, got, want)
+				t.Errorf("%s: himap fingerprint drifted through CompileRequest\n got %s\nwant %s", k.Name, got, want)
 			}
 		})
 		t.Run("conventional/"+k.Name, func(t *testing.T) {
@@ -174,7 +192,7 @@ func TestRegistryDifferentialFingerprints(t *testing.T) {
 			}
 			got := mappingFingerprint(res.Config, 8, 8)
 			if want := conventionalFingerprints[k.Name]; got != want {
-				t.Errorf("%s: conventional fingerprint drifted through the registry\n got %s\nwant %s", k.Name, got, want)
+				t.Errorf("%s: conventional fingerprint drifted through CompileRequest\n got %s\nwant %s", k.Name, got, want)
 			}
 		})
 	}

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -52,8 +51,6 @@ func main() {
 		budget  = flag.Duration("budget", 20*time.Second, "baseline time budget per point")
 		t2size  = flag.Int("table2size", 8, "CGRA size for Table II")
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent experiment points (1 = sequential)")
-		benchJS = flag.String("bench-json", "", "write the compile-cost benchmark report (wall-clock, allocs, peak II per kernel) to this JSON file, e.g. BENCH_compile.json")
-		benchSz = flag.Int("bench-size", 8, "CGRA size for the -bench-json per-kernel rows")
 		explore = flag.Bool("explore", false, "design-space sweep: rank the fabric candidate set per kernel by MOPS/mW")
 		expSize = flag.Int("explore-size", 8, "array size for the -explore candidate set")
 		gap     = flag.Bool("gap", false, "quality-gap table: exact vs HiMap vs SA II on small kernels")
@@ -64,7 +61,7 @@ func main() {
 	if *all {
 		*table1, *table2, *fig7, *fig8 = true, true, true, true
 	}
-	if !*table1 && !*table2 && !*fig7 && !*fig8 && !*env && !*explore && !*gap && *benchJS == "" {
+	if !*table1 && !*table2 && !*fig7 && !*fig8 && !*env && !*explore && !*gap {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -122,56 +119,6 @@ func main() {
 			fatal(err)
 		}
 		exp.WriteGapTable(os.Stdout, rows)
-	}
-	if *benchJS != "" {
-		rep, err := exp.BenchCompile(*benchSz, *workers)
-		if err != nil {
-			fatal(err)
-		}
-		out, err := rep.JSON()
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*benchJS, out, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "experiments: compile-cost report written to %s\n", *benchJS)
-		for _, row := range rep.Kernels {
-			var stages []string
-			for name := range row.StageMS {
-				stages = append(stages, name)
-			}
-			sort.Slice(stages, func(i, j int) bool {
-				if row.StageMS[stages[i]] != row.StageMS[stages[j]] {
-					return row.StageMS[stages[i]] > row.StageMS[stages[j]]
-				}
-				return stages[i] < stages[j]
-			})
-			line := fmt.Sprintf("  %-6s %7.1f ms:", row.Kernel, row.WallMS)
-			for _, name := range stages {
-				line += fmt.Sprintf(" %s %.1f", name, row.StageMS[name])
-			}
-			fmt.Fprintln(os.Stderr, line)
-		}
-		for _, p := range rep.FabricSweep {
-			fmt.Fprintf(os.Stderr, "  fabric %-6s %2dx%-2d %9.1f ms (route %.1f, unique %.1f, %d rounds)\n",
-				p.Kernel, p.Size, p.Size, p.WallMS, p.RouteMS, p.UniqueMS, p.RouteRounds)
-		}
-		for _, p := range rep.ExploreSweep {
-			if p.OK {
-				fmt.Fprintf(os.Stderr, "  explore %-6s %-40s %6.1f MOPS/mW\n", p.Kernel, p.Fabric, p.Eff)
-			} else {
-				fmt.Fprintf(os.Stderr, "  explore %-6s %-40s %s\n", p.Kernel, p.Fabric, p.Fail)
-			}
-		}
-		for _, p := range rep.ExactGap {
-			cert := p.Certificate
-			if !p.Proved {
-				cert = "unproven"
-			}
-			fmt.Fprintf(os.Stderr, "  exact_gap %-6s exact II %d (%s, %.1f ms)  SA II %d  himap II %d\n",
-				p.Kernel, p.ExactII, cert, p.ExactMS, p.SAII, p.HiMapII)
-		}
 	}
 }
 

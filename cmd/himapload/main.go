@@ -1,9 +1,10 @@
 // Command himapload is the himapd load generator and soak harness: it
 // drives a cluster of replicas (self-hosted in-process with -cluster,
 // or external with -addrs) with a seeded kernel mix for a fixed
-// duration and emits a BENCH_serve.json report — request counts,
-// error-code breakdown, cache hit rate, forwarding counts, and latency
-// percentiles (p50/p90/p99/max). The harness exits nonzero on any 5xx
+// duration and prints a JSON report (stdout, or -out FILE; the one-line
+// summary goes to stderr) — request counts, error-code breakdown, cache
+// hit rate, forwarding counts, and latency percentiles
+// (p50/p90/p99/max). The harness exits nonzero on any 5xx
 // response, and with -require-hits also when the run produced zero
 // cache hits, so CI can assert the serving layer's two core promises
 // (never fail, reuse work) under sustained concurrent load.
@@ -45,7 +46,7 @@ var requestMix = []string{
 	`{"kernel":"GEMM","fabric":{"rows":5,"cols":5},"options":{"mapper":"conventional","block":[4,4,4],"seed":1}}`,
 }
 
-// report is the BENCH_serve.json document.
+// report is the soak summary himapload prints.
 type report struct {
 	Replicas    int     `json:"replicas"`
 	Concurrency int     `json:"concurrency"`
@@ -80,7 +81,7 @@ func main() {
 	duration := flag.Duration("duration", 5*time.Second, "soak duration")
 	concurrency := flag.Int("concurrency", 4, "concurrent client workers")
 	seed := flag.Int64("seed", 1, "workload PRNG seed")
-	out := flag.String("out", "BENCH_serve.json", "report path (- for stdout)")
+	out := flag.String("out", "-", "report path (- for stdout)")
 	requireHits := flag.Bool("require-hits", false, "exit nonzero when the run produced zero cache hits")
 	storeDir := flag.String("store", "", "disk store directory for self-hosted replicas (empty: memory only)")
 	flag.Parse()
@@ -130,9 +131,9 @@ func run(cluster int, addrs string, duration time.Duration, concurrency int, see
 		if err := os.WriteFile(out, body, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("himapload: wrote %s\n", out)
+		fmt.Fprintf(os.Stderr, "himapload: wrote %s\n", out)
 	}
-	fmt.Printf("himapload: %d requests, %d ok, %d 5xx, hit rate %.2f, %d forwarded, p99 %.1fms\n",
+	fmt.Fprintf(os.Stderr, "himapload: %d requests, %d ok, %d 5xx, hit rate %.2f, %d forwarded, p99 %.1fms\n",
 		rep.Requests, rep.OK, rep.Status5xx, rep.Cache.HitRate, rep.Forwarded, rep.LatencyMS.P99)
 
 	if rep.Status5xx > 0 {

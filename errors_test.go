@@ -183,8 +183,8 @@ func TestErrConfigInvalidFromLoadConfig(t *testing.T) {
 		"malformed":   `{"version": 1,`,
 		"unknown":     `{"version": 1, "bogus_field": true}`,
 		"bad version": `{"version": 99}`,
-		"topology":    `{"version": 2, "rows": 4, "cols": 4, "topology": "hypercube"}`,
-		"mem policy":  `{"version": 2, "rows": 4, "cols": 4, "mem_policy": "everywhere-but-corners"}`,
+		"topology":    `{"version": 3, "rows": 4, "cols": 4, "topology": "hypercube"}`,
+		"mem policy":  `{"version": 3, "rows": 4, "cols": 4, "mem_policy": "everywhere-but-corners"}`,
 	}
 	for name, in := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -270,10 +270,9 @@ func TestCompileErrorUnwrapExposesStages(t *testing.T) {
 	}
 }
 
-// TestNilKernelTypedError pins satellite #1 of the backend-registry
-// refactor: a nil Request.Kernel fails with a typed diag error wrapping
-// ErrInvalidRequest — never a panic — for every registered backend and
-// for the empty (default) mapper, before any backend code runs.
+// TestNilKernelTypedError: a nil Request.Kernel fails with a typed diag
+// error wrapping ErrInvalidRequest — never a panic — for every backend
+// and for the empty (default) mapper, before any backend code runs.
 func TestNilKernelTypedError(t *testing.T) {
 	mappers := append([]himap.Mapper{""}, himap.Backends()...)
 	for _, m := range mappers {

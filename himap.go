@@ -125,6 +125,8 @@ type (
 	// Memo is the compilation artifact cache (generic IDFG, sub-mapping
 	// lists, unrolled DFG/ISDG), content-keyed by kernel specification.
 	// Compiles share a process-wide cache unless Options.Memo injects one.
+	// A Memo is bounded: past a fixed weight of cached artifacts it drops
+	// them all and rebuilds on demand, which never changes a mapping.
 	Memo = core.Memo
 )
 

@@ -40,9 +40,9 @@ func FuzzDecodeConfig(f *testing.F) {
 	f.Add(validConfigJSON(f))
 	f.Add([]byte(`{"version": 1,`))
 	f.Add([]byte(`{"version": 99}`))
-	f.Add([]byte(`{"version": 2, "bogus": 0}`))
-	f.Add([]byte(`{"version": 2, "cgra": {"Rows": 1000000000, "Cols": 1000000000}, "caps": ["M"]}`))
-	f.Add([]byte(`{"version": 2, "cgra": {"Rows": 1, "Cols": 1}, "topology": "hypercube"}`))
+	f.Add([]byte(`{"version": 3, "bogus": 0}`))
+	f.Add([]byte(`{"version": 3, "cgra": {"Rows": 1000000000, "Cols": 1000000000}, "caps": ["M"]}`))
+	f.Add([]byte(`{"version": 3, "cgra": {"Rows": 1, "Cols": 1}, "topology": "hypercube"}`))
 	f.Add([]byte(`{"version": 2, "cgra": {"Rows": 1, "Cols": 1, "NumRegs": 4, "RFReadPorts": 2, "RFWritePorts": 2, "ConfigDepth": 32, "ClockMHz": 510}, "ii": 1, "slots": [[[{}]]]}`))
 	f.Add([]byte(`{"version": 3, "bandwidth": "bus", "cost_class": "low-power", "cgra": {"Rows": 1, "Cols": 1, "NumRegs": 4, "RFReadPorts": 2, "RFWritePorts": 2, "ConfigDepth": 32, "ClockMHz": 510}, "ii": 1, "slots": [[[{}]]]}`))
 	f.Add([]byte(`{"version": 2, "bandwidth": "double"}`))

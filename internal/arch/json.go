@@ -9,11 +9,9 @@ import (
 )
 
 // configJSON is the serialized form of a mapping: the architecture, the
-// schedule, and the memory correlation metadata, with a format version
-// for forward compatibility. Version 2 adds the fabric fields (topology,
-// mem_pes, caps); version 3 adds the resource/cost axes (bandwidth,
-// cost_class). Version 1 and 2 files (implicitly mesh/all-mem and
-// unit-bandwidth/balanced-cost respectively) still decode.
+// schedule, and the memory correlation metadata, with a format version.
+// ReadJSON accepts exactly configFormatVersion; any other version is a
+// typed ErrConfigInvalid rejection.
 type configJSON struct {
 	Version  int    `json:"version"`
 	CGRA     CGRA   `json:"cgra"`
@@ -22,9 +20,7 @@ type configJSON struct {
 	// Caps renders the per-PE capability grid, one string per row,
 	// 'M' for memory-capable PEs and 'C' for compute-only ones. It is
 	// derived from mem_pes and validated against it on decode.
-	Caps []string `json:"caps,omitempty"`
-	// Bandwidth and CostClass are the v3 resource/cost axes; they are
-	// rejected in files declaring version < 3.
+	Caps      []string    `json:"caps,omitempty"`
 	Bandwidth string      `json:"bandwidth,omitempty"`
 	CostClass string      `json:"cost_class,omitempty"`
 	II        int         `json:"ii"`
@@ -87,8 +83,8 @@ func ReadJSON(r io.Reader) (*Config, error) {
 	if err := dec.Decode(&cj); err != nil {
 		return nil, fmt.Errorf("arch: decoding configuration: %v: %w", err, diag.ErrConfigInvalid)
 	}
-	if cj.Version < 1 || cj.Version > configFormatVersion {
-		return nil, fmt.Errorf("arch: configuration format version %d, want 1..%d: %w", cj.Version, configFormatVersion, diag.ErrConfigInvalid)
+	if cj.Version != configFormatVersion {
+		return nil, fmt.Errorf("arch: configuration format version %d, want %d: %w", cj.Version, configFormatVersion, diag.ErrConfigInvalid)
 	}
 	if cj.CGRA.Rows > maxConfigDim || cj.CGRA.Cols > maxConfigDim {
 		return nil, fmt.Errorf("arch: array %dx%d exceeds the %d-per-side decode bound: %w", cj.CGRA.Rows, cj.CGRA.Cols, maxConfigDim, diag.ErrConfigInvalid)
@@ -106,9 +102,6 @@ func ReadJSON(r io.Reader) (*Config, error) {
 	mem, err := ParseMemPolicy(cj.MemPEs)
 	if err != nil {
 		return nil, err
-	}
-	if cj.Version < 3 && (cj.Bandwidth != "" || cj.CostClass != "") {
-		return nil, fmt.Errorf("arch: bandwidth/cost_class fields require configuration version 3, file declares %d: %w", cj.Version, diag.ErrConfigInvalid)
 	}
 	bw, err := ParseBandwidth(cj.Bandwidth)
 	if err != nil {

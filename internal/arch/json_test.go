@@ -3,6 +3,8 @@ package arch
 import (
 	"bytes"
 	"errors"
+	"flag"
+	"os"
 	"strings"
 	"testing"
 
@@ -10,8 +12,10 @@ import (
 	"himap/internal/ir"
 )
 
-func jsonSample() *Config {
-	cfg := NewConfig(DefaultFabric(2, 2), 2)
+func jsonSample() *Config { return jsonSampleOn(DefaultFabric(2, 2)) }
+
+func jsonSampleOn(fab Fabric) *Config {
+	cfg := NewConfig(fab, 2)
 	in := cfg.At(0, 0, 0)
 	in.Op = ir.OpMul
 	in.SrcA = FromIn(West)
@@ -20,7 +24,7 @@ func jsonSample() *Config {
 	in.RegWr = []RegWrite{{Reg: 1, Src: FromALU()}}
 	in.MemRead = MemOp{Active: true, Tag: "A@0,0"}
 	cfg.Loads = []IOSpec{{R: 0, C: 0, Slot: 0, Phase: -1, Tensor: "A", Index: []int{0, 0}}}
-	cfg.Stores = []IOSpec{{R: 1, C: 1, Slot: 1, Tensor: "O", Index: []int{1}}}
+	cfg.Stores = []IOSpec{{R: 1, C: 0, Slot: 1, Tensor: "O", Index: []int{1}}}
 	return cfg
 }
 
@@ -45,6 +49,48 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	}
 }
 
+var updateGolden = flag.Bool("update", false, "rewrite internal/arch/testdata/config_v3.golden.json from the current encoder")
+
+// TestConfigJSONGoldenV3 pins the one configuration file format byte
+// for byte: a hand-built mapping on a non-default fabric (torus,
+// boundary memory, bus bandwidth, low-power cost) encodes to the
+// committed file, and the committed file survives ReadJSON → WriteJSON
+// unchanged.
+func TestConfigJSONGoldenV3(t *testing.T) {
+	const path = "testdata/config_v3.golden.json"
+	cfg := jsonSampleOn(Fabric{CGRA: Default(2, 3), Topology: TopoTorus, Mem: MemBoundary, Bandwidth: BWBus, Cost: CostLowPower})
+	var enc bytes.Buffer
+	if err := cfg.WriteJSON(&enc); err != nil {
+		t.Fatal(err)
+	}
+	if *updateGolden {
+		if err := os.WriteFile(path, enc.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc.Bytes(), want) {
+		t.Errorf("WriteJSON drifted from %s:\n%s", path, enc.Bytes())
+	}
+	got, err := ReadJSON(bytes.NewReader(want))
+	if err != nil {
+		t.Fatalf("golden does not decode: %v", err)
+	}
+	if got.Fabric != cfg.Fabric {
+		t.Errorf("golden decoded as %+v, want %+v", got.Fabric, cfg.Fabric)
+	}
+	var again bytes.Buffer
+	if err := got.WriteJSON(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), want) {
+		t.Errorf("ReadJSON → WriteJSON is not byte-identical to %s:\n%s", path, again.Bytes())
+	}
+}
+
 func TestReadJSONRejectsGarbage(t *testing.T) {
 	if _, err := ReadJSON(strings.NewReader("not json")); err == nil {
 		t.Error("garbage should fail")
@@ -52,7 +98,7 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 	if _, err := ReadJSON(strings.NewReader(`{"version":99}`)); err == nil {
 		t.Error("wrong version should fail")
 	}
-	if _, err := ReadJSON(strings.NewReader(`{"version":1,"cgra":{"Rows":2,"Cols":2,"NumRegs":4,"RFReadPorts":2,"RFWritePorts":2,"ConfigDepth":32,"DataMemWords":64,"ClockMHz":510},"ii":2,"slots":[]}`)); err == nil {
+	if _, err := ReadJSON(strings.NewReader(`{"version":3,"cgra":{"Rows":2,"Cols":2,"NumRegs":4,"RFReadPorts":2,"RFWritePorts":2,"ConfigDepth":32,"DataMemWords":64,"ClockMHz":510},"ii":2,"slots":[]}`)); err == nil {
 		t.Error("shape mismatch should fail")
 	}
 }
@@ -120,23 +166,25 @@ func TestReadJSONStrict(t *testing.T) {
 	}
 }
 
-// TestReadJSONVersion1 pins backward compatibility: a version-1 file
-// (no fabric fields) decodes as the classic mesh/all-mem fabric.
+// TestReadJSONVersion1 pins the single-version contract: a version-1
+// file that is otherwise well formed (it decoded as mesh/all-mem while
+// the compatibility window stood) is a typed rejection naming the
+// version.
 func TestReadJSONVersion1(t *testing.T) {
 	v1 := `{"version":1,"cgra":{"Rows":1,"Cols":1,"NumRegs":4,"RFReadPorts":2,"RFWritePorts":2,"ConfigDepth":32,"DataMemWords":64,"ClockMHz":510},"ii":1,"slots":[[[{"Op":0}]]]}`
 	cfg, err := ReadJSON(strings.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
+	if cfg != nil || !errors.Is(err, diag.ErrConfigInvalid) {
+		t.Fatalf("version-1 file: got (%v, %v), want a typed ErrConfigInvalid rejection", cfg, err)
 	}
-	if cfg.Fabric.Topology != TopoMesh || cfg.Fabric.Mem != MemAll {
-		t.Errorf("version-1 file decoded as %+v, want mesh/all-mem", cfg.Fabric)
+	if !strings.Contains(err.Error(), "version 1, want 3") {
+		t.Errorf("rejection %q does not name the version", err)
 	}
 }
 
 // minimalJSON renders a 1x1 all-nop configuration with the given header
-// fields spliced in, for the version-compatibility table.
-func minimalJSON(version int, extra string) string {
-	return `{"version":` + extra + `,"cgra":{"Rows":1,"Cols":1,"NumRegs":4,"RFReadPorts":2,"RFWritePorts":2,"ConfigDepth":32,"DataMemWords":64,"ClockMHz":510},"ii":1,"slots":[[[{"Op":0}]]]}`
+// fields spliced in after "version":, for the strict-decode table.
+func minimalJSON(header string) string {
+	return `{"version":` + header + `,"cgra":{"Rows":1,"Cols":1,"NumRegs":4,"RFReadPorts":2,"RFWritePorts":2,"ConfigDepth":32,"DataMemWords":64,"ClockMHz":510},"ii":1,"slots":[[[{"Op":0}]]]}`
 }
 
 // TestConfigJSONV3RoundTrip pins the version-3 schema: the bandwidth
@@ -174,10 +222,9 @@ func TestConfigJSONV3RoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadJSONV3Rejections is the strict-decode table for the v3 axes:
-// unknown enum names and resource fields in pre-v3 files are typed
-// rejections, and legacy files without the fields keep decoding with
-// the unit/balanced defaults.
+// TestReadJSONV3Rejections is the strict-decode table for the version
+// and the resource/cost axes: unknown enum names and every version
+// other than 3 — with or without the axes — are typed rejections.
 func TestReadJSONV3Rejections(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -187,15 +234,16 @@ func TestReadJSONV3Rejections(t *testing.T) {
 		{"v3 bare", `3`, true},
 		{"v3 explicit defaults", `3,"bandwidth":"unit","cost_class":"balanced"`, true},
 		{"v3 bus low-power", `3,"bandwidth":"bus","cost_class":"low-power"`, true},
-		{"v2 bare", `2`, true},
+		{"v1 bare", `1`, false},
+		{"v2 bare", `2`, false},
+		{"v4 bare", `4`, false},
 		{"unknown bandwidth", `3,"bandwidth":"quad"`, false},
 		{"unknown cost class", `3,"cost_class":"military"`, false},
-		{"bandwidth needs v3", `2,"bandwidth":"bus"`, false},
-		{"cost class needs v3", `1,"cost_class":"low-power"`, false},
-		{"both need v3", `2,"bandwidth":"double","cost_class":"high-perf"`, false},
+		{"v2 with bandwidth", `2,"bandwidth":"bus"`, false},
+		{"v1 with cost class", `1,"cost_class":"low-power"`, false},
 	}
 	for _, tc := range cases {
-		cfg, err := ReadJSON(strings.NewReader(minimalJSON(0, tc.header)))
+		cfg, err := ReadJSON(strings.NewReader(minimalJSON(tc.header)))
 		if tc.ok {
 			if err != nil {
 				t.Errorf("%s: unexpected rejection: %v", tc.name, err)
@@ -209,14 +257,5 @@ func TestReadJSONV3Rejections(t *testing.T) {
 		if !errors.Is(err, diag.ErrConfigInvalid) {
 			t.Errorf("%s: rejection not typed ErrConfigInvalid: %v", tc.name, err)
 		}
-	}
-	// Pre-v3 files without the fields decode as the legacy resource
-	// model exactly.
-	cfg, err := ReadJSON(strings.NewReader(minimalJSON(0, `2`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Fabric.Bandwidth != BWUnit || cfg.Fabric.Cost != CostBalanced {
-		t.Errorf("v2 file decoded as %s/%s, want unit/balanced", cfg.Fabric.Bandwidth, cfg.Fabric.Cost)
 	}
 }

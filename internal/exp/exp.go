@@ -2,9 +2,8 @@
 // evaluation (§VI): Table I (kernel categorization), Table II (kernel
 // characteristics / max unique iterations), Figure 7 (utilization,
 // performance, and power efficiency of BHC vs HiMap across CGRA sizes),
-// and Figure 8 (compilation time vs block size). It is shared by
-// cmd/experiments and the repository's benchmark harness; EXPERIMENTS.md
-// records paper-vs-measured values.
+// and Figure 8 (compilation time vs block size). cmd/experiments is its
+// driver; EXPERIMENTS.md records paper-vs-measured values.
 package exp
 
 import (
@@ -513,31 +512,6 @@ func FormatEnvelope(points []EnvelopePoint) string {
 			p.Kernel, fmt.Sprintf("%dx%d", p.Size, p.Size),
 			p.Utilization*100, p.UniqueIters, p.IIB, p.MOPS,
 			p.CompileTime.Round(time.Millisecond))
-	}
-	return b.String()
-}
-
-// ------------------------------------------------------------- CSV export
-
-// Fig7CSV renders the Figure-7 points as CSV for external plotting.
-func Fig7CSV(points []Fig7Point) string {
-	var b strings.Builder
-	b.WriteString("kernel,size,himap_util,himap_mops,himap_eff,bhc_util,bhc_mops,bhc_eff,bhc_note\n")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%s,%d,%.4f,%.1f,%.2f,%.4f,%.1f,%.2f,%s\n",
-			p.Kernel, p.Size, p.HiMapU, p.HiMapMOPS, p.HiMapEff,
-			p.BHCU, p.BHCMOPS, p.BHCEff, p.BHCNote)
-	}
-	return b.String()
-}
-
-// Fig8CSV renders the Figure-8 points as CSV.
-func Fig8CSV(points []Fig8Point) string {
-	var b strings.Builder
-	b.WriteString("kernel,b,himap_ok,himap_seconds,bhc_ok,bhc_seconds,bhc_note\n")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%s,%d,%v,%.3f,%v,%.3f,%q\n",
-			p.Kernel, p.B, p.HiMapOK, p.HiMapTime.Seconds(), p.BHCOK, p.BHCTime.Seconds(), p.BHCNote)
 	}
 	return b.String()
 }

@@ -128,17 +128,6 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-func TestCSVExports(t *testing.T) {
-	f7 := Fig7CSV([]Fig7Point{{Kernel: "GEMM", Size: 4, HiMapU: 1, HiMapMOPS: 8160, HiMapEff: 123.5}})
-	if !strings.Contains(f7, "GEMM,4,1.0000,8160.0,123.50") {
-		t.Errorf("fig7 csv:\n%s", f7)
-	}
-	f8 := Fig8CSV([]Fig8Point{{Kernel: "MVT", B: 8, HiMapOK: true, HiMapTime: 85 * time.Millisecond, BHCNote: "timeout"}})
-	if !strings.Contains(f8, "MVT,8,true,0.085,false,0.000,\"timeout\"") {
-		t.Errorf("fig8 csv:\n%s", f8)
-	}
-}
-
 func TestEnvelopeSmall(t *testing.T) {
 	pts, err := Envelope([]int{4}, Fig8Config{})
 	if err != nil {

@@ -34,15 +34,36 @@ import (
 // Entries are computed under a per-key once, so concurrent attempts (or
 // concurrent Compile calls) requesting the same artifact build it
 // exactly once and share the result.
+//
+// The cache is bounded: every computed entry adds its weight (1, plus
+// its key length in 128-byte units, plus DFG nodes + edges for an ISDG),
+// and once the total passes the budget all four tables are dropped
+// together. Artifacts are pure functions of their key, so a reset changes
+// what is rebuilt, never what is returned; compiles in flight keep the
+// artifacts they already hold.
 type Memo struct {
+	mu           sync.Mutex
+	tables       *memoTables // replaced wholesale by a reset
+	weight       int64       // of the artifacts computed into tables
+	budget       int64       // 0 means memoBudget; tests lower it
+	hits, misses int64
+}
+
+type memoTables struct {
 	idfg    sync.Map // kernel key -> *memoEntry[*ir.IDFG]
 	subs    sync.Map // kernel key + cgra + slack -> *memoEntry[[]*SubMapping]
 	schemes sync.Map // kernel key + vsa extents + limit -> *memoEntry[[]systolic.Scheme]
 	isdg    sync.Map // kernel key + block -> *memoEntry[isdgArtifact]
-
-	hits, misses int64
-	statMu       sync.Mutex
 }
+
+// memoBudget is the weight a Memo holds before it resets. An unrolled
+// node or edge keeps about 160 bytes live, so this is roughly 170 MB:
+// seven times what the serve_mix workload of BENCHMARK.json leaves in
+// the shared memo (about 150k) and six times the heaviest single
+// compile any workload runs (GEMM 64×64, 169k), so a reset only ever
+// answers unbounded key churn — a client varying an inline spec per
+// request.
+const memoBudget = 1 << 20
 
 type isdgArtifact struct {
 	dfg  *ir.DFG
@@ -66,12 +87,28 @@ func NewMemo() *Memo { return &Memo{} }
 // Stats reports cumulative hit/miss counts (an entry computed under the
 // once counts one miss; every other arrival counts a hit).
 func (m *Memo) Stats() (hits, misses int64) {
-	m.statMu.Lock()
-	defer m.statMu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return m.hits, m.misses
 }
 
-func (m *Memo) load(table *sync.Map, key string, compute func() (any, error)) (any, error) {
+// current returns the tables new lookups go to.
+func (m *Memo) current() *memoTables {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.tables == nil {
+		m.tables = &memoTables{}
+	}
+	return m.tables
+}
+
+// load returns the artifact under key in table, computing it at most
+// once per table generation. The call that computed the entry charges
+// its weight: 1 and the key length for every entry, cached errors
+// included, plus weigh(artifact) where the artifact's size is worth
+// counting (nil otherwise). The call that takes the total past the
+// budget resets the memo and still returns its artifact.
+func (m *Memo) load(table *sync.Map, key string, weigh func(any) int64, compute func() (any, error)) (any, error) {
 	e, loaded := table.LoadOrStore(key, &memoEntry{})
 	ent := e.(*memoEntry)
 	computed := false
@@ -79,19 +116,32 @@ func (m *Memo) load(table *sync.Map, key string, compute func() (any, error)) (a
 		ent.val, ent.err = compute()
 		computed = true
 	})
-	m.statMu.Lock()
+	m.mu.Lock()
 	if computed || !loaded {
 		m.misses++
 	} else {
 		m.hits++
 	}
-	m.statMu.Unlock()
+	if computed {
+		m.weight += int64(1 + len(key)/128)
+		if weigh != nil && ent.err == nil {
+			m.weight += weigh(ent.val)
+		}
+		budget := m.budget
+		if budget == 0 {
+			budget = memoBudget
+		}
+		if m.weight > budget {
+			m.tables, m.weight = &memoTables{}, 0
+		}
+	}
+	m.mu.Unlock()
 	return ent.val, ent.err
 }
 
 // IDFG returns (building at most once) the kernel's generic IDFG.
 func (m *Memo) IDFG(k *kernel.Kernel) (*ir.IDFG, error) {
-	v, err := m.load(&m.idfg, kernelKey(k), func() (any, error) {
+	v, err := m.load(&m.current().idfg, kernelKey(k), nil, func() (any, error) {
 		return k.GenericIDFG()
 	})
 	if err != nil {
@@ -105,7 +155,7 @@ func (m *Memo) IDFG(k *kernel.Kernel) (*ir.IDFG, error) {
 // returned slice or its entries; Compile copies the prefix it truncates.
 func (m *Memo) SubMappings(k *kernel.Kernel, f *ir.IDFG, fab arch.Fabric, depthSlack int) ([]*SubMapping, error) {
 	key := fmt.Sprintf("%s|%+v|slack%d", kernelKey(k), fab, depthSlack)
-	v, err := m.load(&m.subs, key, func() (any, error) {
+	v, err := m.load(&m.current().subs, key, nil, func() (any, error) {
 		subs, err := MapIDFG(f, fab, depthSlack)
 		if err != nil {
 			return nil, err
@@ -130,7 +180,7 @@ func (m *Memo) Schemes(k *kernel.Kernel, deps []ir.IterVec, vx, vy int, opts Opt
 		return candidateSchemes(k, deps, vx, vy, opts), nil
 	}
 	key := fmt.Sprintf("%s|vsa%dx%d|n%d", kernelKey(k), vx, vy, opts.MaxSchemes)
-	v, err := m.load(&m.schemes, key, func() (any, error) {
+	v, err := m.load(&m.current().schemes, key, nil, func() (any, error) {
 		return candidateSchemes(k, deps, vx, vy, opts), nil
 	})
 	if err != nil {
@@ -143,7 +193,11 @@ func (m *Memo) Schemes(k *kernel.Kernel, deps []ir.IterVec, vx, vy int, opts Opt
 // ISDG for a block vector.
 func (m *Memo) ISDG(k *kernel.Kernel, block []int) (*ir.DFG, *ir.ISDG, error) {
 	key := fmt.Sprintf("%s|b%v", kernelKey(k), block)
-	v, err := m.load(&m.isdg, key, func() (any, error) {
+	size := func(v any) int64 {
+		dfg := v.(isdgArtifact).dfg
+		return int64(len(dfg.Nodes) + len(dfg.Edges))
+	}
+	v, err := m.load(&m.current().isdg, key, size, func() (any, error) {
 		dfg, isdg, err := k.BuildISDG(block)
 		if err != nil {
 			return nil, err

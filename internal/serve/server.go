@@ -526,7 +526,7 @@ func EncodeResponse(res *himap.Result) ([]byte, error) {
 		Bitstream:     BitstreamBytes(bs),
 	}
 	if resp.Mapper == "" {
-		// Results built outside the registry dispatcher (tests, direct
+		// Results built outside himap.CompileRequest (tests, direct
 		// backend calls) carry no Backend stamp; infer from the payload.
 		resp.Mapper = string(himap.MapperHiMap)
 		if res.Conventional != nil {

@@ -7,9 +7,8 @@ import (
 	"himap/internal/diag"
 )
 
-// Mapper selects which compilation flow a Request runs. Mappers resolve
-// through the backend registry (RegisterBackend / Backends); the three
-// built-in flows register during package initialization.
+// Mapper selects which compilation flow a Request runs; Backends lists
+// the three names CompileRequest dispatches on.
 type Mapper string
 
 const (
@@ -53,9 +52,9 @@ type Request struct {
 	Exact ExactOptions
 }
 
-// CompileRequest is the canonical compilation entry point: it resolves
-// the requested mapper in the backend registry, dispatches the request,
-// and stamps the backend identity into Result.Backend. It honors ctx for
+// CompileRequest is the canonical compilation entry point: it dispatches
+// the request to the requested mapper and stamps the mapper's name into
+// Result.Backend. It honors ctx for
 // cancellation and deadlines (a canceled compile fails with an error
 // wrapping ErrCanceled). A nil ctx is treated as context.Background().
 //
@@ -76,14 +75,25 @@ func CompileRequest(ctx context.Context, req Request) (*Result, error) {
 		return nil, diag.Failf(diag.ErrInvalidRequest, "nil kernel").
 			Stamp("request", "", req.Fabric.String(), 0)
 	}
-	b, ok := BackendFor(req.Mapper)
-	if !ok {
+	m := req.Mapper
+	if m == "" {
+		m = MapperHiMap
+	}
+	var compile func(context.Context, Request) (*Result, error)
+	switch m {
+	case MapperHiMap:
+		compile = compileHiMap
+	case MapperConventional:
+		compile = compileConventional
+	case MapperExact:
+		compile = compileExact
+	default:
 		return nil, fmt.Errorf("himap: unknown mapper %q (want %s)", req.Mapper, BackendNames())
 	}
-	res, err := b.Compile(ctx, req)
+	res, err := compile(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	res.Backend = string(b.Name())
+	res.Backend = string(m)
 	return res, nil
 }
