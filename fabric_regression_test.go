@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -23,8 +24,8 @@ import (
 //     memory-capable) at 8x8, captured before the Fabric refactor.
 //   - "<kernel>/<fabric>": constrained 8x8 fabrics whose compiles spend
 //     several attempts and more than one negotiated-congestion round;
-//     the test compiles each at Workers 1 and 4 (route waves), and both
-//     must reproduce the one hash.
+//     the test compiles each at Workers 1 and 4 (speculative attempts,
+//     sharded scheme search), and both must reproduce the one hash.
 //   - "conventional/...", "exact/...": the flat mappers at 4x4 block 2.
 var goldenMappings = map[string]string{
 	"ADI":  "4be75e3ecacdf7c9bd77223743241a082b8469bde26367d7cf2ded54b323a0cc",
@@ -185,6 +186,58 @@ func TestDiagnosticsBitIdentical(t *testing.T) {
 			got := hex.EncodeToString(h.Sum(nil))
 			if want := goldenDiagnostics[row.key]; got != want {
 				t.Errorf("%s: WriteJSON bytes drifted\n got %s\nwant %s", row.key, got, want)
+			}
+		})
+	}
+}
+
+// goldenAttemptSpans pins how the losing attempts fail, which no mapping
+// fingerprint sees: the SHA-256 of the whole span stream of a Workers=1
+// compile, one "attempt|stage|Err|sorted counters" line per span (Wall
+// and Wave left out). The order in which an attempt's nets route decides
+// which net congests and which resource the error names, so a rewrite of
+// the routing loop must reproduce both rows.
+var goldenAttemptSpans = map[string]string{
+	"FW/narrow-rf": "4bd6bb721493e2ee47bf9860c9a9360c702bd1437fa710480a7915d730132210",
+	"ATAX/diag":    "e1687fa30a76662673dbe2163818deefce98e2f06ed78a0e376ce32ebcee2805",
+}
+
+func TestAttemptSpansGolden(t *testing.T) {
+	narrow, diagFab := himap.DefaultFabric(8, 8), himap.DefaultFabric(8, 8)
+	narrow.Bandwidth, diagFab.Topology = himap.BWNarrowRF, himap.TopoMeshDiag
+	for _, row := range []goldenRow{
+		{key: "FW/narrow-rf", req: himap.Request{Kernel: himap.KernelFW(), Fabric: narrow}},
+		{key: "ATAX/diag", req: himap.Request{Kernel: himap.KernelATAX(), Fabric: diagFab}},
+	} {
+		t.Run(row.key, func(t *testing.T) {
+			spans := himap.NewTraceCollector()
+			row.req.Options = himap.Options{Workers: 1, Memo: himap.NewMemo(), Tracer: spans}
+			if _, err := himap.CompileRequest(context.Background(), row.req); err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			failed := 0
+			for _, s := range spans.Spans() {
+				names := make([]string, 0, len(s.Counters))
+				for name := range s.Counters {
+					names = append(names, name)
+				}
+				sort.Strings(names)
+				fmt.Fprintf(h, "%d|%s|%s|", s.Attempt, s.Stage, s.Err)
+				for _, name := range names {
+					fmt.Fprintf(h, "%s=%d,", name, s.Counters[name])
+				}
+				fmt.Fprintln(h)
+				if s.Err != "" {
+					failed++
+				}
+			}
+			if failed == 0 {
+				t.Fatal("no attempt failed: the row no longer pins a losing attempt")
+			}
+			got := hex.EncodeToString(h.Sum(nil))
+			if want := goldenAttemptSpans[row.key]; got != want {
+				t.Errorf("%s: span stream drifted (%d spans, %d failed)\n got %s\nwant %s", row.key, len(spans.Spans()), failed, got, want)
 			}
 		})
 	}

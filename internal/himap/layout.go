@@ -29,31 +29,15 @@ type layout struct {
 	loadRel []map[int]RelPlace
 	// policy is the relay-pin ablation knob (see Options.RelayPolicy).
 	policy RelayPolicy
-	// workers bounds route-round parallelism: waves of provably
-	// independent nets (disjoint wrapped-cycle footprints) route
-	// concurrently. <= 1 executes the historical sequential loop.
-	workers int
 	// legacy selects the pre-A* Dijkstra router core (differential
 	// testing only; see route.Session.Legacy).
 	legacy bool
 	// costModel, when non-nil, overrides the fabric-derived congestion
 	// pricing (differential testing only; see Options.costModel).
 	costModel route.CostModel
-	// waveScratch holds one router search Scratch per wave position, so
-	// concurrent searches never share working memory.
-	waveScratch []*route.Scratch
-
-	// pendBuf/sinkBuf/tgtBuf are arenas reused across every
-	// buildClassNets call (one class per call, many calls per congestion
-	// round): pending nets, their sinks, and the sink target sets.
-	// Sinks and targets are addressed by [lo, hi) index ranges into the
-	// shared arenas rather than subslices, so arena growth during
-	// construction cannot strand earlier entries on stale backing
-	// arrays. All three are append-only while a class routes, so wave
-	// workers read them concurrently without synchronization.
-	pendBuf []pendingNet
-	sinkBuf []pendingSink
-	tgtBuf  []mrrg.Node
+	// tgtBuf is the sink target set under construction, reused across
+	// every sink of the attempt.
+	tgtBuf []mrrg.Node
 }
 
 // RelPlaceReg is a region-relative relay resource for route pins: either
@@ -245,8 +229,7 @@ func (l *layout) classEnvelope(cl *UniqueClass) (rMin, rMax, cMin, cMax int) {
 		// canonical route replicates verbatim from anywhere on the array.
 		return 0, l.cg.Rows - 1, 0, l.cg.Cols - 1
 	}
-	bt, br, bc := l.regionBase(cl.Rep)
-	_ = bt
+	_, br, bc := l.regionBase(cl.Rep)
 	drMin, drMax, dcMin, dcMax := 0, 0, 0, 0
 	for _, m := range cl.Members {
 		_, mr, mc := l.regionBase(m)

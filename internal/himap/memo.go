@@ -15,7 +15,7 @@ import (
 // expensive pure derivations of the pipeline:
 //
 //   - the generic IDFG of a kernel (idfg-map stage),
-//   - the sub-CGRA mapping list per (kernel, CGRA, depth slack),
+//   - the sub-CGRA mapping list per (kernel, fabric, depth slack),
 //   - the ranked systolic scheme candidates per (kernel, VSA extents,
 //     candidate limit), and
 //   - the unrolled DFG/ISDG per (kernel, block vector), shared both
@@ -36,24 +36,26 @@ import (
 // exactly once and share the result.
 //
 // The cache is bounded: every computed entry adds its weight (1, plus
-// its key length in 128-byte units, plus DFG nodes + edges for an ISDG),
-// and once the total passes the budget all four tables are dropped
-// together. Artifacts are pure functions of their key, so a reset changes
-// what is rebuilt, never what is returned; compiles in flight keep the
-// artifacts they already hold.
+// its key text in 128-byte units, plus DFG nodes + edges for an ISDG),
+// and once the total passes the budget every entry is dropped together.
+// Artifacts are pure functions of their key, so a reset changes what is
+// rebuilt, never what is returned; compiles in flight keep the artifacts
+// they already hold.
 type Memo struct {
 	mu           sync.Mutex
-	tables       *memoTables // replaced wholesale by a reset
-	weight       int64       // of the artifacts computed into tables
-	budget       int64       // 0 means memoBudget; tests lower it
+	entries      map[memoKey]*memoEntry // replaced wholesale by a reset
+	weight       int64                  // of the artifacts computed into entries
+	budget       int64                  // 0 means memoBudget; tests lower it
 	hits, misses int64
 }
 
-type memoTables struct {
-	idfg    sync.Map // kernel key -> *memoEntry[*ir.IDFG]
-	subs    sync.Map // kernel key + cgra + slack -> *memoEntry[[]*SubMapping]
-	schemes sync.Map // kernel key + vsa extents + limit -> *memoEntry[[]systolic.Scheme]
-	isdg    sync.Map // kernel key + block -> *memoEntry[isdgArtifact]
+// memoKey identifies one artifact. It is compared as a value, so an
+// input an artifact depends on is either a field here or spelled out in
+// text — never a rendering that may leave part of it out.
+type memoKey struct {
+	kind byte        // 'i' IDFG, 'm' sub-mappings, 's' scheme candidates, 'd' DFG/ISDG
+	text string      // kernelKey, then the artifact's scalar parameters
+	fab  arch.Fabric // sub-mappings only: MapIDFG reads every field
 }
 
 // memoBudget is the weight a Memo holds before it resets. An unrolled
@@ -92,25 +94,24 @@ func (m *Memo) Stats() (hits, misses int64) {
 	return m.hits, m.misses
 }
 
-// current returns the tables new lookups go to.
-func (m *Memo) current() *memoTables {
+// load returns the artifact under key, computing it at most once per
+// generation of entries (outside the lock, under the entry's once). The
+// call that computed the entry charges its weight: 1 and the key text
+// for every entry, cached errors included, plus weigh(artifact) where
+// the artifact's size is worth counting (nil otherwise). The call that
+// takes the total past the budget resets the memo and still returns its
+// artifact.
+func (m *Memo) load(key memoKey, weigh func(any) int64, compute func() (any, error)) (any, error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.tables == nil {
-		m.tables = &memoTables{}
+	ent, loaded := m.entries[key]
+	if !loaded {
+		if m.entries == nil {
+			m.entries = map[memoKey]*memoEntry{}
+		}
+		ent = &memoEntry{}
+		m.entries[key] = ent
 	}
-	return m.tables
-}
-
-// load returns the artifact under key in table, computing it at most
-// once per table generation. The call that computed the entry charges
-// its weight: 1 and the key length for every entry, cached errors
-// included, plus weigh(artifact) where the artifact's size is worth
-// counting (nil otherwise). The call that takes the total past the
-// budget resets the memo and still returns its artifact.
-func (m *Memo) load(table *sync.Map, key string, weigh func(any) int64, compute func() (any, error)) (any, error) {
-	e, loaded := table.LoadOrStore(key, &memoEntry{})
-	ent := e.(*memoEntry)
+	m.mu.Unlock()
 	computed := false
 	ent.once.Do(func() {
 		ent.val, ent.err = compute()
@@ -123,7 +124,7 @@ func (m *Memo) load(table *sync.Map, key string, weigh func(any) int64, compute 
 		m.hits++
 	}
 	if computed {
-		m.weight += int64(1 + len(key)/128)
+		m.weight += int64(1 + len(key.text)/128)
 		if weigh != nil && ent.err == nil {
 			m.weight += weigh(ent.val)
 		}
@@ -132,7 +133,7 @@ func (m *Memo) load(table *sync.Map, key string, weigh func(any) int64, compute 
 			budget = memoBudget
 		}
 		if m.weight > budget {
-			m.tables, m.weight = &memoTables{}, 0
+			m.entries, m.weight = nil, 0
 		}
 	}
 	m.mu.Unlock()
@@ -141,7 +142,7 @@ func (m *Memo) load(table *sync.Map, key string, weigh func(any) int64, compute 
 
 // IDFG returns (building at most once) the kernel's generic IDFG.
 func (m *Memo) IDFG(k *kernel.Kernel) (*ir.IDFG, error) {
-	v, err := m.load(&m.current().idfg, kernelKey(k), nil, func() (any, error) {
+	v, err := m.load(memoKey{kind: 'i', text: kernelKey(k)}, nil, func() (any, error) {
 		return k.GenericIDFG()
 	})
 	if err != nil {
@@ -154,8 +155,8 @@ func (m *Memo) IDFG(k *kernel.Kernel) (*ir.IDFG, error) {
 // fabric with the given depth slack. Callers must not mutate the
 // returned slice or its entries; Compile copies the prefix it truncates.
 func (m *Memo) SubMappings(k *kernel.Kernel, f *ir.IDFG, fab arch.Fabric, depthSlack int) ([]*SubMapping, error) {
-	key := fmt.Sprintf("%s|%+v|slack%d", kernelKey(k), fab, depthSlack)
-	v, err := m.load(&m.current().subs, key, nil, func() (any, error) {
+	key := memoKey{kind: 'm', text: fmt.Sprintf("%s|slack%d", kernelKey(k), depthSlack), fab: fab}
+	v, err := m.load(key, nil, func() (any, error) {
 		subs, err := MapIDFG(f, fab, depthSlack)
 		if err != nil {
 			return nil, err
@@ -179,8 +180,8 @@ func (m *Memo) Schemes(k *kernel.Kernel, deps []ir.IterVec, vx, vy int, opts Opt
 	if opts.ForceScheme != nil {
 		return candidateSchemes(k, deps, vx, vy, opts), nil
 	}
-	key := fmt.Sprintf("%s|vsa%dx%d|n%d", kernelKey(k), vx, vy, opts.MaxSchemes)
-	v, err := m.load(&m.current().schemes, key, nil, func() (any, error) {
+	key := memoKey{kind: 's', text: fmt.Sprintf("%s|vsa%dx%d|n%d", kernelKey(k), vx, vy, opts.MaxSchemes)}
+	v, err := m.load(key, nil, func() (any, error) {
 		return candidateSchemes(k, deps, vx, vy, opts), nil
 	})
 	if err != nil {
@@ -192,12 +193,12 @@ func (m *Memo) Schemes(k *kernel.Kernel, deps []ir.IterVec, vx, vy int, opts Opt
 // ISDG returns (building at most once) the kernel's unrolled DFG and
 // ISDG for a block vector.
 func (m *Memo) ISDG(k *kernel.Kernel, block []int) (*ir.DFG, *ir.ISDG, error) {
-	key := fmt.Sprintf("%s|b%v", kernelKey(k), block)
+	key := memoKey{kind: 'd', text: fmt.Sprintf("%s|b%v", kernelKey(k), block)}
 	size := func(v any) int64 {
 		dfg := v.(isdgArtifact).dfg
 		return int64(len(dfg.Nodes) + len(dfg.Edges))
 	}
-	v, err := m.load(&m.current().isdg, key, size, func() (any, error) {
+	v, err := m.load(key, size, func() (any, error) {
 		dfg, isdg, err := k.BuildISDG(block)
 		if err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package himap
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -49,15 +50,80 @@ func TestSharedMemoBounded(t *testing.T) {
 // its encoded bitstream.
 func compileWith(t *testing.T, m *Memo) (*Result, *arch.Bitstream) {
 	t.Helper()
-	res, err := CompileRequest(context.Background(), kernel.GEMM(), arch.DefaultFabric(8, 8), Options{Workers: 1, Memo: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs, err := arch.Encode(res.Config)
+	res, bs, err := compileOn(kernel.GEMM(), arch.DefaultFabric(8, 8), m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res, bs
+}
+
+func compileOn(k *kernel.Kernel, fab arch.Fabric, m *Memo) (*Result, *arch.Bitstream, error) {
+	res, err := CompileRequest(context.Background(), k, fab, Options{Workers: 1, Memo: m})
+	if err != nil {
+		return nil, nil, err
+	}
+	bs, err := arch.Encode(res.Config)
+	return res, bs, err
+}
+
+// memoOutcome is everything a compile's caller can observe that the memo
+// could change: how many attempts ran and the emitted bitstream, or the
+// failure class and the attempts spent reaching it.
+type memoOutcome struct {
+	attempts int
+	failed   error
+	bs       *arch.Bitstream
+}
+
+func outcomeOn(t *testing.T, k *kernel.Kernel, fab arch.Fabric, m *Memo) memoOutcome {
+	t.Helper()
+	res, bs, err := compileOn(k, fab, m)
+	if err == nil {
+		return memoOutcome{attempts: res.Stats.Attempts, bs: bs}
+	}
+	var ce *CompileError
+	if !errors.As(err, &ce) || ce.Primary == nil {
+		t.Fatalf("%s on %+v: %v", k.Name, fab.CGRA, err)
+	}
+	return memoOutcome{attempts: ce.Attempts, failed: ce.Primary.Class}
+}
+
+// TestMemoHotEqualsColdAcrossFabrics: two fabrics of one size that
+// differ only in a field Fabric.String does not print must not share
+// sub-mappings. Each evaluation kernel compiles on the default 4x4 and
+// on a variant, in both orders on one shared memo, and every compile
+// must end exactly as it does on a fresh memo.
+func TestMemoHotEqualsColdAcrossFabrics(t *testing.T) {
+	variants := []struct {
+		tag string
+		mod func(*arch.Fabric)
+	}{
+		{"depth2", func(f *arch.Fabric) { f.ConfigDepth = 2 }},
+		{"depth4", func(f *arch.Fabric) { f.ConfigDepth = 4 }},
+		{"regs1", func(f *arch.Fabric) { f.NumRegs = 1 }},
+		{"rf1r1w", func(f *arch.Fabric) { f.RFReadPorts, f.RFWritePorts = 1, 1 }},
+	}
+	base := arch.DefaultFabric(4, 4)
+	for _, k := range kernel.Evaluation() {
+		coldBase := outcomeOn(t, k, base, NewMemo())
+		for _, v := range variants {
+			fab := base
+			v.mod(&fab)
+			coldVar := outcomeOn(t, k, fab, NewMemo())
+			check := func(order string, got, cold memoOutcome) {
+				if !reflect.DeepEqual(got, cold) {
+					t.Errorf("%s, %s: attempts %d failed %v; on a fresh memo attempts %d failed %v",
+						k.Name, order, got.attempts, got.failed, cold.attempts, cold.failed)
+				}
+			}
+			m := NewMemo()
+			check(v.tag+" first", outcomeOn(t, k, fab, m), coldVar)
+			check("default after "+v.tag, outcomeOn(t, k, base, m), coldBase)
+			m = NewMemo()
+			outcomeOn(t, k, base, m)
+			check(v.tag+" after default", outcomeOn(t, k, fab, m), coldVar)
+		}
+	}
 }
 
 // TestMemoResetKeepsOutput: artifacts are pure functions of their key,
@@ -68,7 +134,7 @@ func TestMemoResetKeepsOutput(t *testing.T) {
 	first, firstBS := compileWith(t, m)
 	_, cold := m.Stats()
 	m.mu.Lock()
-	m.tables, m.weight = &memoTables{}, 0
+	m.entries, m.weight = nil, 0
 	m.mu.Unlock()
 	second, secondBS := compileWith(t, m)
 	if _, misses := m.Stats(); misses != 2*cold {

@@ -153,22 +153,52 @@ func (l *layout) routeClass(ses *route.Session, g *mrrg.Graph, classIdx int, cl 
 		}
 	}
 
-	// Build every net and its sink target sets up front (target
-	// construction reads placement geometry only, never occupancy), then
-	// route. A construction failure still routes the nets built before it
-	// — routing errors are sequentially earlier, so they win; either way
-	// the session carries exactly the occupancy the historical
-	// interleaved loop left behind.
-	pend, buildErr := l.buildClassNets(ses, g, cl, inEnv)
-	if err := l.routePending(ses, pend); err != nil {
-		return nil, err
-	}
-	if buildErr != nil {
-		return nil, buildErr
-	}
-	nets := make([]canonNet, len(pend))
-	for i := range pend {
-		nets[i] = pend[i].cn
+	// One net per producer of the representative, one routed sink per
+	// out-edge, in DFG order; each path is committed to the session's
+	// occupancy before the next sink's search.
+	nets := make([]canonNet, 0, len(rep.Nodes))
+	for _, id := range rep.Nodes {
+		outs := d.OutEdges(id)
+		if len(outs) == 0 {
+			continue
+		}
+		n := d.Nodes[id]
+		var src mrrg.Node
+		switch {
+		case n.Kind.IsCompute():
+			src, _ = l.nodeAbs(id)
+		case n.Kind == ir.OpLoad:
+			if abs, ok := l.nodeAbs(id); ok {
+				src = abs
+			} else if abs, ok := l.loadAbs(id); ok {
+				src = abs
+			} else {
+				return nil, fmt.Errorf("himap: load %v has no placement: %w", n, diag.ErrPlacementInfeasible)
+			}
+		case n.Kind == ir.OpRoute:
+			pin, ok := l.pinAbs(id)
+			if !ok {
+				return nil, fmt.Errorf("himap: route %v has no pin: %w", n, diag.ErrPlacementInfeasible)
+			}
+			src = pin
+		default:
+			continue // stores have no out-edges
+		}
+		cn := canonNet{SrcID: id, net: ses.NewNet(src), Sinks: make([]canonSink, 0, len(outs))}
+		for _, ei := range outs {
+			e := d.Edges[ei]
+			to := d.Nodes[e.To]
+			targets, err := l.sinkTargets(g, n, src, to, inEnv)
+			if err != nil {
+				return nil, err
+			}
+			path, _, err := ses.RouteSink(cn.net, targets)
+			if err != nil {
+				return nil, fmt.Errorf("net %s -> %s: %w", n.Name, to.Name, err)
+			}
+			cn.Sinks = append(cn.Sinks, canonSink{ConsumerID: e.To, Port: e.ToPort, Path: path})
+		}
+		nets = append(nets, cn)
 	}
 	return nets, nil
 }

@@ -25,147 +25,46 @@ type canonNet struct {
 	net   *route.Net
 }
 
-// pendingSink is one fully-constructed sink of a pending net: its target
-// set (the [tgt0, tgt1) range of the layout's target arena) plus the
-// replication metadata, built before any routing so that independent
-// nets can route concurrently.
-type pendingSink struct {
-	tgt0, tgt1 int
-	meta       canonSink
-	fromName   string
-	toName     string
-}
-
-// pendingNet is a canonical net with every sink target constructed but
-// nothing routed yet; its sinks are the [sink0, sink1) range of the
-// layout's sink arena. lo/hi bound every real cycle its search can
-// touch: seeds (source and earlier sink paths) and targets all live in
-// [lo, hi], and search edges never step outside [min seed T, max target
-// T]. Two pending nets with disjoint wrapped-cycle windows therefore
-// read and write provably disjoint occupancy.
-type pendingNet struct {
-	cn           canonNet
-	sink0, sink1 int
-	lo, hi       int
-}
-
-// buildClassNets constructs the pending nets of one class representative
-// in canonical order. On a construction error it returns the nets built
-// so far — including the partially-built failing net, whose earlier
-// sinks the historical loop had already routed — alongside the error.
-func (l *layout) buildClassNets(ses *route.Session, g *mrrg.Graph, cl *UniqueClass, inEnv func(mrrg.Node) bool) ([]pendingNet, error) {
-	pend, err := l.buildClassNetsInto(l.pendBuf[:0], ses, g, cl, inEnv)
-	l.pendBuf = pend // keep the grown backing array for the next class
-	return pend, err
-}
-
-// filterTgtArena drops the out-of-envelope nodes of the target arena's
-// tail [t0:] in place.
-func (l *layout) filterTgtArena(t0 int, inEnv func(mrrg.Node) bool) {
-	out := l.tgtBuf[:t0]
-	for _, n := range l.tgtBuf[t0:] {
-		if inEnv(n) {
-			out = append(out, n)
+// sinkTargets builds, in the layout's reused target buffer, the nodes at
+// which the value of producer n (placed at src) may be handed to
+// consumer to, confined to the class envelope. It reads placement
+// geometry only, never occupancy.
+func (l *layout) sinkTargets(g *mrrg.Graph, n *ir.Node, src mrrg.Node, to *ir.Node, inEnv func(mrrg.Node) bool) ([]mrrg.Node, error) {
+	tgt := l.tgtBuf[:0]
+	switch {
+	case to.Kind.IsCompute():
+		abs, ok := l.nodeAbs(to.ID)
+		if !ok {
+			return nil, fmt.Errorf("himap: consumer %v unplaced: %w", to, diag.ErrPlacementInfeasible)
+		}
+		tgt = g.AppendOperandTargets(tgt, abs.T, abs.R, abs.C)
+	case to.Kind == ir.OpRoute:
+		pin, ok := l.pinAbs(to.ID)
+		if !ok {
+			return nil, fmt.Errorf("himap: route consumer %v has no pin: %w", to, diag.ErrPlacementInfeasible)
+		}
+		l.tgtBuf = append(tgt, pin)
+		return l.tgtBuf, nil
+	case to.Kind == ir.OpStore:
+		tgt = l.appendStoreTargets(tgt, g, to.ID, src.T)
+	default:
+		return nil, fmt.Errorf("himap: bad consumer kind %v: %w", to.Kind, diag.ErrPlacementInfeasible)
+	}
+	l.tgtBuf = tgt
+	kept := tgt[:0]
+	for _, tn := range tgt {
+		if inEnv(tn) {
+			kept = append(kept, tn)
 		}
 	}
-	l.tgtBuf = out
-}
-
-func (l *layout) buildClassNetsInto(pend []pendingNet, ses *route.Session, g *mrrg.Graph, cl *UniqueClass, inEnv func(mrrg.Node) bool) ([]pendingNet, error) {
-	d := l.g.DFG
-	rep := l.g.Clusters[cl.Rep]
-	l.sinkBuf = l.sinkBuf[:0]
-	l.tgtBuf = l.tgtBuf[:0]
-	for _, id := range rep.Nodes {
-		n := d.Nodes[id]
-		if len(d.OutEdges(id)) == 0 {
-			continue
+	if len(kept) == 0 {
+		if to.Kind == ir.OpStore && l.cg.Mem != arch.MemAll {
+			return nil, diag.Failf(diag.ErrMemPortInfeasible,
+				"himap: no memory-write port reachable for store %s within its region on the %s fabric", to.Name, l.cg)
 		}
-		var src mrrg.Node
-		switch {
-		case n.Kind.IsCompute():
-			src, _ = l.nodeAbs(id)
-		case n.Kind == ir.OpLoad:
-			if abs, ok := l.nodeAbs(id); ok {
-				src = abs
-			} else if abs, ok := l.loadAbs(id); ok {
-				src = abs
-			} else {
-				return pend, fmt.Errorf("himap: load %v has no placement: %w", n, diag.ErrPlacementInfeasible)
-			}
-		case n.Kind == ir.OpRoute:
-			pin, ok := l.pinAbs(id)
-			if !ok {
-				return pend, fmt.Errorf("himap: route %v has no pin: %w", n, diag.ErrPlacementInfeasible)
-			}
-			src = pin
-		default:
-			continue // stores have no out-edges
-		}
-		p := pendingNet{
-			cn:    canonNet{SrcID: id, net: ses.NewNet(src)},
-			sink0: len(l.sinkBuf), sink1: len(l.sinkBuf),
-			lo: src.T, hi: src.T,
-		}
-		for _, ei := range d.OutEdges(id) {
-			e := d.Edges[ei]
-			to := d.Nodes[e.To]
-			t0 := len(l.tgtBuf)
-			var err error
-			switch {
-			case to.Kind.IsCompute():
-				abs, ok := l.nodeAbs(e.To)
-				if !ok {
-					err = fmt.Errorf("himap: consumer %v unplaced: %w", to, diag.ErrPlacementInfeasible)
-					break
-				}
-				l.tgtBuf = g.AppendOperandTargets(l.tgtBuf, abs.T, abs.R, abs.C)
-				l.filterTgtArena(t0, inEnv)
-			case to.Kind == ir.OpRoute:
-				pin, ok := l.pinAbs(e.To)
-				if !ok {
-					err = fmt.Errorf("himap: route consumer %v has no pin: %w", to, diag.ErrPlacementInfeasible)
-					break
-				}
-				l.tgtBuf = append(l.tgtBuf, pin)
-			case to.Kind == ir.OpStore:
-				l.tgtBuf = l.appendStoreTargets(l.tgtBuf, g, e.To, src.T)
-				l.filterTgtArena(t0, inEnv)
-				if len(l.tgtBuf) == t0 && l.cg.Mem != arch.MemAll {
-					err = diag.Failf(diag.ErrMemPortInfeasible,
-						"himap: no memory-write port reachable for store %s within its region on the %s fabric", to.Name, l.cg)
-				}
-			default:
-				err = fmt.Errorf("himap: bad consumer kind %v: %w", to.Kind, diag.ErrPlacementInfeasible)
-			}
-			if err == nil && len(l.tgtBuf) == t0 {
-				err = fmt.Errorf("himap: no replicable delivery for %s -> %s (class envelope too tight): %w", n.Name, to.Name, diag.ErrReplicaConflict)
-			}
-			if err != nil {
-				p.sink1 = len(l.sinkBuf)
-				pend = append(pend, p)
-				return pend, err
-			}
-			for _, tn := range l.tgtBuf[t0:] {
-				if tn.T < p.lo {
-					p.lo = tn.T
-				}
-				if tn.T > p.hi {
-					p.hi = tn.T
-				}
-			}
-			l.sinkBuf = append(l.sinkBuf, pendingSink{
-				tgt0:     t0,
-				tgt1:     len(l.tgtBuf),
-				fromName: n.Name,
-				toName:   to.Name,
-				meta:     canonSink{ConsumerID: e.To, Port: e.ToPort},
-			})
-		}
-		p.sink1 = len(l.sinkBuf)
-		pend = append(pend, p)
+		return nil, fmt.Errorf("himap: no replicable delivery for %s -> %s (class envelope too tight): %w", n.Name, to.Name, diag.ErrReplicaConflict)
 	}
-	return pend, nil
+	return kept, nil
 }
 
 // appendStoreTargets appends candidate memory write ports for a store

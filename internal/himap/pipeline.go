@@ -363,7 +363,6 @@ func runRoute(c *CompileContext) error {
 		cg: c.Fab, g: c.ISDG, cp: c.CP, sub: c.Sub, iib: c.IIB,
 		classes: c.Classes, byClust: c.ByCluster,
 		policy:    c.Opts.RelayPolicy,
-		workers:   c.Opts.Workers,
 		legacy:    c.Opts.routeLegacy,
 		costModel: c.Opts.costModel,
 	}

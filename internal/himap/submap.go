@@ -10,7 +10,7 @@
 //     dependencies;
 //  3. unique-iteration identification, minimal-DFG routing, and
 //     replication (unique.go; layout.go, nets.go, negotiate.go,
-//     waves.go, replicate.go).
+//     replicate.go).
 package himap
 
 import (

@@ -416,34 +416,3 @@ func (g *Graph) AppendOperandTargets(dst []Node, t, r, c int) []Node {
 	}
 	return out
 }
-
-// RelayTargets returns acceptable nodes for a value that must be present
-// and relayable at PE (r, c) around real cycle t — the anchors of route
-// pseudo-nodes: a neighbor output register pointing here at t-1, or a
-// register of this PE at t.
-func (g *Graph) RelayTargets(t, r, c int) []Node {
-	var out []Node
-	for d := arch.Dir(0); d < arch.Dir(g.NumDirs()); d++ {
-		nr, nc, ok := g.Fab.LinkNeighbor(r, c, d)
-		if !ok {
-			continue
-		}
-		if g.ValidTime(t - 1) {
-			out = append(out, Node{T: t - 1, R: nr, C: nc, Class: ClassOut, Idx: uint8(d.Opposite())})
-		}
-	}
-	if g.ValidTime(t) {
-		for k := 0; k < g.Fab.NumRegs; k++ {
-			out = append(out, Node{T: t, R: r, C: c, Class: ClassReg, Idx: uint8(k)})
-		}
-	}
-	return out
-}
-
-// NumVirtualNodes returns the total node count of the time extension —
-// reported for scalability statistics, never allocated.
-func (g *Graph) NumVirtualNodes() int64 {
-	perPE := int64(1 /*FU*/ + g.NumDirs() /*Out*/ + g.Fab.NumRegs + 2 /*RF ports*/)
-	n := int64(g.Fab.NumPEs())*perPE + 2*int64(g.Fab.NumMemPEs()) /*mem ports*/
-	return int64(g.II) * n
-}

@@ -213,27 +213,6 @@ func TestAcyclicGraphStopsAtDepth(t *testing.T) {
 	}
 }
 
-func TestRelayTargets(t *testing.T) {
-	g := New(arch.DefaultFabric(3, 3), 4)
-	targets := g.RelayTargets(2, 1, 1)
-	// Interior PE: 4 neighbor out regs + 4 registers.
-	if len(targets) != 8 {
-		t.Fatalf("relay targets = %d (%v), want 8", len(targets), targets)
-	}
-	regs := 0
-	for _, m := range targets {
-		if m.Class == ClassReg {
-			regs++
-			if m.T != 2 || m.R != 1 || m.C != 1 {
-				t.Errorf("register relay target %v misplaced", m)
-			}
-		}
-	}
-	if regs != 4 {
-		t.Errorf("register relay targets = %d, want 4", regs)
-	}
-}
-
 func TestOperandTargets(t *testing.T) {
 	g := New(arch.DefaultFabric(3, 3), 4)
 	targets := g.OperandTargets(2, 1, 1)
@@ -351,14 +330,6 @@ func TestDenseKeyBusCollapse(t *testing.T) {
 			t.Errorf("dense key collision between %v and %v", prev, n)
 		}
 		seen[k] = n
-	}
-}
-
-func TestNumVirtualNodes(t *testing.T) {
-	g := New(arch.DefaultFabric(64, 64), 128)
-	// 64*64 PEs * 128 cycles * 13 resources/PE — millions of nodes, never allocated.
-	if got := g.NumVirtualNodes(); got != int64(64*64*128*13) {
-		t.Errorf("NumVirtualNodes = %d", got)
 	}
 }
 

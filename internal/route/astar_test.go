@@ -122,7 +122,7 @@ func TestTorusHeuristicNeverOverestimates(t *testing.T) {
 				}
 			}
 			span := maxT - tBase + 1
-			var sc Scratch
+			var sc scratch
 			sc.begin(span*f.NumPEs()*g.SlotsPerPE(), span*f.NumPEs())
 			// Suffix costs along the optimal path are exact costs-to-go.
 			for i := 0; i < len(path); i++ {

@@ -93,7 +93,7 @@ type bucketQueue struct {
 }
 
 // reset opens a new search. The queue keeps its own generation counter
-// (it must not share the Scratch's, which restarts when the scratch
+// (it must not share the scratch's, which restarts when the scratch
 // arrays grow — leftover undrained bucket entries from a prior search
 // would then masquerade as live).
 //

@@ -6,14 +6,13 @@ import (
 	"himap/internal/mrrg"
 )
 
-// Scratch is one search working set: flat arrays over the dense real-
+// scratch is one search working set: flat arrays over the dense real-
 // node index space of one search, invalidated between searches by a
 // generation stamp (an entry is live only when its stamp equals the
 // current generation). The arrays grow monotonically and are never
 // cleared, so steady-state searches allocate nothing. The zero value is
-// ready to use. RouteSink uses the Session's own Scratch; concurrent
-// RouteSinkIn callers supply one Scratch per goroutine.
-type Scratch struct {
+// ready to use.
+type scratch struct {
 	gen    uint32
 	seen   []uint32  // dist/hval/parent valid when seen[i] == gen
 	dist   []float64 // tentative cost g
@@ -40,7 +39,7 @@ type Scratch struct {
 
 // begin opens a new search generation over n dense indices (npe of them
 // per slot — the (cycle, PE) space the heuristic cache is keyed by).
-func (sc *Scratch) begin(n, npe int) {
+func (sc *scratch) begin(n, npe int) {
 	if len(sc.seen) < n {
 		// Grow geometrically: search windows vary net to net, and
 		// doubling caps the reallocation count at log of the largest
@@ -119,7 +118,7 @@ func (s *Session) nodeAt(i int32, tBase, pes, cols, slots int) mrrg.Node {
 // (both the general and the Out-credit lanes fill from one target scan).
 //
 //himap:noalloc
-func (s *Session) heuristicAt(sc *Scratch, n mrrg.Node, targets []mrrg.Node, tBase, pes, cols int) float64 {
+func (s *Session) heuristicAt(sc *scratch, n mrrg.Node, targets []mrrg.Node, tBase, pes, cols int) float64 {
 	pi := (n.T-tBase)*pes + n.R*cols + n.C
 	if sc.hseen[pi] != sc.gen {
 		sc.hseen[pi] = sc.gen
@@ -164,16 +163,7 @@ func (s *Session) heuristicAt(sc *Scratch, n mrrg.Node, targets []mrrg.Node, tBa
 // arrays: per call it allocates only the returned Path (plus one-time
 // scratch growth when a search spans more cycles than any before it).
 func (s *Session) RouteSink(net *Net, targets []mrrg.Node) (Path, float64, error) {
-	return s.RouteSinkIn(&s.sc, net, targets)
-}
-
-// RouteSinkIn is RouteSink with an explicit search Scratch. Nets whose
-// occupancy footprints are provably disjoint (their search windows cover
-// disjoint cycle sets modulo II within the same spatial envelope) may be
-// routed concurrently on one Session, each call with its own Scratch:
-// such searches read and write disjoint occupancy entries, so results
-// are bit-identical to routing the nets sequentially in any order.
-func (s *Session) RouteSinkIn(sc *Scratch, net *Net, targets []mrrg.Node) (Path, float64, error) {
+	sc := &s.sc
 	if len(targets) == 0 {
 		return nil, 0, fmt.Errorf("route: %w: no targets", ErrNoPath)
 	}
@@ -288,7 +278,7 @@ func (s *Session) RouteSinkIn(sc *Scratch, net *Net, targets []mrrg.Node) (Path,
 // searchDijkstra is the legacy core: a plain Dijkstra over one global
 // binary heap, returning at the first target popped. Kept bit-identical
 // to the historical router for the differential equivalence tests.
-func (s *Session) searchDijkstra(sc *Scratch, net *Net, targets []mrrg.Node,
+func (s *Session) searchDijkstra(sc *scratch, net *Net, targets []mrrg.Node,
 	idxOf func(mrrg.Node) int32, tBase, maxT, pes, cols, slots int) (int32, float64, error) {
 	gen := sc.gen
 	visits := 0
@@ -341,7 +331,7 @@ func (s *Session) searchDijkstra(sc *Scratch, net *Net, targets []mrrg.Node,
 // is drained (same-cost parent claims and same-cost targets all live
 // there) and the (cost, RealKey)-minimal hit is committed — the same
 // target, path, and cost the legacy core returns.
-func (s *Session) searchAStar(sc *Scratch, net *Net, targets []mrrg.Node,
+func (s *Session) searchAStar(sc *scratch, net *Net, targets []mrrg.Node,
 	idxOf func(mrrg.Node) int32, tBase, maxT, pes, cols, slots int) (int32, float64, error) {
 	gen := sc.gen
 	visits := 0

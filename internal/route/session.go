@@ -93,10 +93,7 @@ func (n *Net) Nodes() map[uint64]bool {
 
 // Session tracks resource occupancy and history costs across the nets of
 // one mapping attempt. A Session (and its scratch storage) may be reused
-// across many routing rounds; it is not safe for concurrent use — except
-// that RouteSinkIn calls on nets with provably disjoint occupancy
-// footprints may run concurrently, each with its own Scratch (see
-// RouteSinkIn).
+// across many routing rounds; it is not safe for concurrent use.
 type Session struct {
 	G *mrrg.Graph
 
@@ -152,7 +149,7 @@ type Session struct {
 	// index+tdelta occupancy-key fast path is valid only when set.
 	linearKeys bool
 
-	sc Scratch
+	sc scratch
 }
 
 // defaultMaxVisits scales the per-search visit budget with the dense key

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"himap/internal/arch"
-	"himap/internal/ir"
 )
 
 // cellOf abbreviates one instruction for the grid view.
@@ -88,20 +87,4 @@ func UtilizationMap(cfg *arch.Config) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// OpHistogram counts configured operations by kind.
-func OpHistogram(cfg *arch.Config) map[ir.OpKind]int {
-	out := map[ir.OpKind]int{}
-	for r := 0; r < cfg.Fabric.Rows; r++ {
-		for c := 0; c < cfg.Fabric.Cols; c++ {
-			for t := 0; t < cfg.II; t++ {
-				op := cfg.Slots[r][c][t].Op
-				if op != ir.OpNop {
-					out[op]++
-				}
-			}
-		}
-	}
-	return out
 }

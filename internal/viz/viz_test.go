@@ -57,15 +57,6 @@ func TestUtilizationMapFullGEMM(t *testing.T) {
 	}
 }
 
-func TestOpHistogram(t *testing.T) {
-	cfg := gemmConfig(t)
-	h := OpHistogram(cfg)
-	// 4x4 at 100% for II=8: 128 compute slots, half mul half add.
-	if h[ir.OpMul] != 64 || h[ir.OpAdd] != 64 {
-		t.Errorf("histogram = %v, want 64 mul / 64 add", h)
-	}
-}
-
 func TestCellOfClassification(t *testing.T) {
 	var in arch.Instr
 	if got := cellOf(&in); got != "." {

@@ -27,7 +27,9 @@ go build ./...
 go run ./cmd/himaplint -baseline himaplint.baseline.json ./...
 # Self-host: the analyzer package must satisfy its own suite.
 go run ./cmd/himaplint ./internal/analysis
-go test -race ./...
+# Shuffled (the seed is printed on failure): a fixed order hides coupling
+# between tests through process-wide state such as the shared memo.
+go test -race -shuffle=on ./...
 # bench/ is its own module (replace himap => ../), so nothing above
 # compiles it: vet and test it here, or a root-module API change can
 # silently break the benchmark harness.
