@@ -1,7 +1,7 @@
 // Paper-artifact benchmarks: one testing.B benchmark per table and
 // figure of the paper's evaluation (regenerating the underlying
-// measurement), the design-choice ablations, and the self-enforcing
-// router alloc ceiling. Run with
+// measurement), the design-choice ablations, and the router hot path
+// with its alloc-ceiling test. Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -232,43 +232,57 @@ func BenchmarkAblationRelayPolicy(b *testing.B) {
 
 // ------------------------------------------------------- router hot path
 
-// BenchmarkRouteSinkHotPath isolates the negotiated-congestion router's
-// inner loop: one net fanned out to three sinks at increasing space-time
-// distance on an 8x8 MRRG, with the session's occupancy reset (history
-// kept) between iterations — the exact reuse pattern of the routing
-// rounds in step 3. allocs/op is the hot-path discipline metric: the
-// generation-stamped scratch arrays keep steady-state Dijkstra runs free
-// of per-search map and heap-interface allocations. The benchmark is
-// also the regression gate: after timing, it measures steady-state
-// allocations on the warmed session and fails outright if they exceed
-// the floor recorded when the lean hot path landed (PR 1) — 29 per
-// 3-sink net (net bookkeeping, per-sink Path, OperandTargets slices),
-// with zero coming from the Dijkstra search itself.
-const routeSinkAllocFloor = 29
-
-func BenchmarkRouteSinkHotPath(b *testing.B) {
+// routeSinkIter returns one iteration of the negotiated-congestion
+// router's inner loop: one net fanned out to three sinks at increasing
+// space-time distance on an 8x8 MRRG, with the session's occupancy reset
+// (history kept) first — the exact reuse pattern of the routing rounds
+// in step 3.
+func routeSinkIter(tb testing.TB) func() {
 	g := mrrg.New(arch.DefaultFabric(8, 8), 8)
 	s := route.NewSession(g)
 	src := mrrg.Node{T: 0, R: 0, C: 0, Class: mrrg.ClassFU}
 	sinks := [][3]int{{4, 2, 2}, {8, 4, 4}, {14, 7, 7}}
-	iter := func() {
+	return func() {
 		s.ResetKeepHistory()
 		s.Reserve(src)
 		net := s.NewNet(src)
 		for _, t := range sinks {
 			if _, _, err := s.RouteSink(net, g.OperandTargets(t[0], t[1], t[2])); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 	}
+}
+
+// BenchmarkRouteSinkHotPath times routeSinkIter; allocs/op is the
+// hot-path discipline metric TestRouteSinkAllocCeiling gates.
+func BenchmarkRouteSinkHotPath(b *testing.B) {
+	iter := routeSinkIter(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		iter()
 	}
-	b.StopTimer()
-	if allocs := testing.AllocsPerRun(10, iter); allocs > routeSinkAllocFloor {
-		b.Fatalf("router hot path regressed: %.0f allocs per routed net, floor is %d", allocs, routeSinkAllocFloor)
+}
+
+// routeSinkAllocFloor is the steady-state allocation count of one
+// routeSinkIter, recorded when the lean hot path landed (PR 1): net
+// bookkeeping, per-sink Path, OperandTargets slices — zero from the
+// search itself, whose generation-stamped scratch arrays and bucket
+// queue are reused.
+const routeSinkAllocFloor = 29
+
+// TestRouteSinkAllocCeiling is the router's allocation check, measuring
+// what the compiler and runtime actually did on the warmed session. With
+// TestReplicateValidateAllocCeiling (internal/himap) it executes 38 of
+// the 47 functions the deleted noalloc analyzer used to be pointed at
+// (coverage-profiled in PR 21); the other nine — Fabric.LinkCapacity,
+// arch.mod, Session.Reset/Unreserve/Hist/enterCost, the bandwidth cost
+// model's BaseCost/Capacity, mrrg's Capacity — are one-line accessors
+// off the routed path.
+func TestRouteSinkAllocCeiling(t *testing.T) {
+	if allocs := testing.AllocsPerRun(10, routeSinkIter(t)); allocs > routeSinkAllocFloor {
+		t.Fatalf("router hot path regressed: %.0f allocs per routed net, floor is %d", allocs, routeSinkAllocFloor)
 	}
 }
 

@@ -1,9 +1,7 @@
 // Package analysis is the repo's custom static-analysis layer: a small
-// stdlib-only (go/parser + go/ast + go/types, no x/tools) driver, an
-// interprocedural summary layer (module-wide call graph with interface
-// and function-value devirtualization, per-function ctx/alloc facts),
-// and five project-specific analyzers that guard invariants no Go
-// compiler checks but the rest of the repository depends on:
+// stdlib-only (go/parser + go/ast + go/types, no x/tools) driver and
+// three project-specific analyzers, each owning a defect no other gate
+// sees (DESIGN.md, "Static analysis", has the mutation audit):
 //
 //   - determinism: the mapping a compile emits must be a pure function of
 //     (kernel, fabric, options minus Workers). Wall-clock reads, globally
@@ -12,22 +10,20 @@
 //   - errdiscipline: every failure escaping an internal package must be
 //     typed — wrapping a diag sentinel or a package-level sentinel with
 //     %w — so errors.Is/As dispatch keeps working through the public API.
-//   - noalloc: functions annotated //himap:noalloc (the router's Dijkstra
-//     scratch / heap hot path) must not contain allocating constructs,
-//     judged by escape-based reasoning with summary-transitive callees.
-//   - ctxflow: unbounded loops reachable from the CompileRequest boundary
-//     or a serve handler must poll cancellation, and received contexts
-//     must not be dropped for context.Background()/TODO().
-//   - lockset: fields written by may-happen-in-parallel code must be
-//     written under consistent lock sets.
+//   - ctxflow: in every function that takes a context.Context, unbounded
+//     loops must poll cancellation and the received context must not be
+//     dropped for context.Background()/TODO().
+//
+// Lock discipline and hot-path allocation are not checked here: the
+// race detector over the -shuffle=on suite and the two AllocsPerRun
+// ceiling tests measure what the toolchain actually did.
 //
 // The driver (Load + Run) parses and type-checks every package of the
-// module from source, builds the summaries, runs each analyzer over its
-// configured package scope, and filters diagnostics through
-// //lint:ignore suppressions — reporting ignores that are malformed or
-// suppress nothing under the pseudo-analyzer name "suppress".
-// cmd/himaplint is the CLI; the fixture harness in fixture.go backs the
-// golden tests under testdata/.
+// module from source, runs each analyzer over its configured package
+// scope, and filters diagnostics through //lint:ignore suppressions —
+// reporting ignores that are malformed or suppress nothing under the
+// pseudo-analyzer name "suppress". cmd/himaplint is the CLI; the
+// fixture harness in fixture.go backs the golden tests under testdata/.
 package analysis
 
 import (
@@ -40,9 +36,9 @@ import (
 
 // Diagnostic is one analyzer finding at one source position.
 type Diagnostic struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"pos"`
-	Message  string         `json:"message"`
+	Analyzer string
+	Pos      token.Position
+	Message  string
 }
 
 // String renders the diagnostic in the conventional file:line:col form.
@@ -60,20 +56,9 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
-	// NoAlloc is the module-wide annotation fact set: every function
-	// object carrying a //himap:noalloc annotation, keyed by its
-	// *types.Func. The noalloc analyzer combines it with the summary
-	// layer's AllocFree fact.
-	NoAlloc map[*types.Func]bool
-
-	// Sum is the module-wide interprocedural summary layer: call graph,
-	// reachability from cancellation roots, PollsCtx and AllocFree
-	// fixpoints. Built once per program by the driver.
-	Sum *Summaries
-
-	// P is the loaded package this pass runs over (the typed view of
-	// Files/Pkg/Info).
-	P *Package
+	// Prog is the whole loaded module, for checks that look one hop past
+	// the package (ctxflow's callee declarations).
+	Prog *Program
 
 	diags []Diagnostic
 }
@@ -95,9 +80,9 @@ type Analyzer struct {
 	Run  func(*Pass)
 }
 
-// All returns the five project analyzers in catalogue order.
+// All returns the three project analyzers in catalogue order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, ErrDiscipline, NoAlloc, Ctxflow, Lockset}
+	return []*Analyzer{Determinism, ErrDiscipline, Ctxflow}
 }
 
 // SuppressName is the pseudo-analyzer name under which the driver
@@ -133,8 +118,8 @@ type Scope map[string][]string
 //     architecture model, the simulator, and the analysis layer itself
 //     (himaplint self-hosts) — the packages whose failures escape
 //     through a public API and must stay errors.Is-able.
-//   - noalloc, ctxflow, and lockset are annotation or summary driven
-//     and run module-wide (internal/analysis included).
+//   - ctxflow checks every context-taking function and runs
+//     module-wide (internal/analysis included).
 func DefaultScope() Scope {
 	compilePath := []string{
 		"himap/internal/himap",
@@ -156,9 +141,7 @@ func DefaultScope() Scope {
 		Determinism.Name: append(append([]string(nil), compilePath...),
 			"himap/internal/serve", "himap/internal/store", "himap/cmd/himapload"),
 		ErrDiscipline.Name: append(append([]string(nil), compilePath...), "himap/internal/arch", "himap/internal/sim", "himap/internal/analysis"),
-		NoAlloc.Name:       nil,
 		Ctxflow.Name:       nil,
-		Lockset.Name:       nil,
 	}
 }
 
@@ -180,7 +163,6 @@ func (s Scope) includes(analyzer, pkgPath string) bool {
 // dead directives), and returns the surviving diagnostics sorted by
 // position.
 func Run(prog *Program, analyzers []*Analyzer, scope Scope) []Diagnostic {
-	sum := prog.Summaries()
 	known := knownAnalyzerNames(analyzers)
 	var out []Diagnostic
 	for _, pkg := range prog.Pkgs {
@@ -195,9 +177,7 @@ func Run(prog *Program, analyzers []*Analyzer, scope Scope) []Diagnostic {
 				Files:    pkg.Files,
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
-				NoAlloc:  prog.NoAlloc,
-				Sum:      sum,
-				P:        pkg,
+				Prog:     prog,
 			}
 			a.Run(pass)
 			pkgDiags = append(pkgDiags, pass.diags...)

@@ -6,72 +6,68 @@ import (
 	"go/types"
 )
 
-// Ctxflow verifies the repository's cancellation discipline over the
-// interprocedural summary layer (summary.go). Roots are functions
-// marked //himap:ctxroot (the public CompileRequest boundary) and http
-// handler signatures; reachability closes over static calls,
-// class-hierarchy devirtualized interface calls (the backend registry
-// dispatch), and signature-devirtualized function-value calls (pipeline
-// stages, the serve compile hook). Inside every reachable function that
+// Ctxflow verifies the repository's cancellation discipline one
+// function at a time — no call graph. Inside every module function that
 // takes a context.Context, two rules apply:
 //
 //   - every unbounded loop must poll cancellation on its spine — a
-//     ctx.Err()/ctx.Done() call, or a call forwarding ctx to a callee
-//     whose summary proves it polls. A loop is unbounded unless its
-//     condition compares against a constant or a len/cap expression
-//     (range loops are bounded by construction). The spine is the loop
-//     body descending through if/switch/select/blocks but not into
-//     nested loops or function literals; a poll behind a stride guard
+//     ctx.Err()/ctx.Done() call, or a call passing a context on to a
+//     callee declared outside the module or whose declaration uses its
+//     own context parameter (one hop through Program.Decls; what the
+//     callee does with the context is that function's own check). A
+//     loop is unbounded unless its condition compares against a
+//     constant or a len/cap expression (range loops are bounded by
+//     construction). The spine is the loop body descending through
+//     if/switch/select/blocks but not into nested loops or function
+//     literals; a poll behind a stride guard
 //     (if steps&255 == 0 { ctx.Err() }) therefore counts — the contract
 //     is bounded cancellation latency, not a check on every iteration.
 //   - the received context must not be dropped: context.Background()
-//     and context.TODO() below the API boundary are flagged unless they
-//     sit inside an `if ctx == nil` guard (the documented nil-tolerant
-//     entry points).
+//     and context.TODO() are flagged unless they sit inside an
+//     `if ctx == nil` guard (the documented nil-tolerant entry points).
 //
-// Under-approximations (documented in DESIGN.md): functions without a
-// ctx parameter are not charged for loops (they cannot poll what they
-// never received — the gap shows up at their ctx-bearing caller only if
-// that caller loops), and a spine poll need not dominate every path.
+// Blind spots (audited in DESIGN.md): a function without a ctx
+// parameter is not charged for its loops, even when it reaches a
+// context through a struct field; a spine poll need not dominate every
+// path; calls through interfaces or function values are never credited.
+// TestCancellationLatencyMidRun covers the first two dynamically.
 var Ctxflow = &Analyzer{
 	Name: "ctxflow",
-	Doc:  "verifies unbounded loops on cancellation paths poll ctx and that received contexts are never dropped",
+	Doc:  "verifies unbounded loops in context-taking functions poll ctx and that received contexts are never dropped",
 	Run:  runCtxflow,
 }
 
 func runCtxflow(p *Pass) {
-	sum := p.Sum
-	if sum == nil {
-		return
-	}
-	for _, fs := range sum.order {
-		s := sum.Funcs[fs]
-		if s.Pkg.Types != p.Pkg || s.Decl.Body == nil {
-			continue
+	for _, f := range p.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			fn, _ := p.Info.Defs[fd.Name].(*types.Func)
+			if fn == nil {
+				continue
+			}
+			if ctx := ctxParamOf(fn); ctx != nil {
+				c := &ctxflowFunc{pass: p, decl: fd, ctx: ctx}
+				c.checkLoops()
+				c.checkDrops()
+			}
 		}
-		if !sum.Reachable(fs) && !s.CtxRoot {
-			continue
-		}
-		if s.CtxParam == nil {
-			continue
-		}
-		cf := &ctxflowFunc{pass: p, sum: sum, fs: s}
-		cf.checkLoops()
-		cf.checkDrops()
 	}
 }
 
 type ctxflowFunc struct {
 	pass *Pass
-	sum  *Summaries
-	fs   *FuncSummary
+	decl *ast.FuncDecl
+	ctx  *types.Var // the function's context.Context parameter
 
 	singleInit map[*types.Var]ast.Expr // locals assigned exactly once: var -> initializer
 }
 
 // checkLoops flags every unbounded for-loop without a spine poll.
 func (c *ctxflowFunc) checkLoops() {
-	ast.Inspect(c.fs.Decl.Body, func(n ast.Node) bool {
+	ast.Inspect(c.decl.Body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false // literals run on their own goroutine/path budget
 		}
@@ -83,7 +79,7 @@ func (c *ctxflowFunc) checkLoops() {
 			return true
 		}
 		if !c.spinePolls(loop.Body.List) {
-			c.pass.Reportf(loop.Pos(), "unbounded loop in %s (reachable from a cancellation root) never polls ctx.Err/ctx.Done on its spine", c.fs.Fn.Name())
+			c.pass.Reportf(loop.Pos(), "unbounded loop in %s never polls ctx.Err/ctx.Done on its spine", c.decl.Name.Name)
 		}
 		return true
 	})
@@ -167,7 +163,7 @@ func (c *ctxflowFunc) ensureSingleInit() {
 			c.singleInit[v] = init
 		}
 	}
-	ast.Inspect(c.fs.Decl.Body, func(n ast.Node) bool {
+	ast.Inspect(c.decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for i, l := range n.Lhs {
@@ -230,7 +226,7 @@ func (c *ctxflowFunc) stmtPolls(st ast.Stmt) bool {
 		if st.Init != nil && c.stmtPolls(st.Init) {
 			return true
 		}
-		if st.Cond != nil && c.exprPolls(st.Cond) {
+		if st.Cond != nil && c.nodePolls(st.Cond) {
 			return true
 		}
 		if c.spinePolls(st.Body.List) {
@@ -241,7 +237,7 @@ func (c *ctxflowFunc) stmtPolls(st ast.Stmt) bool {
 		if st.Init != nil && c.stmtPolls(st.Init) {
 			return true
 		}
-		if st.Tag != nil && c.exprPolls(st.Tag) {
+		if st.Tag != nil && c.nodePolls(st.Tag) {
 			return true
 		}
 		return c.clausesPoll(st.Body)
@@ -274,7 +270,7 @@ func (c *ctxflowFunc) clausesPoll(body *ast.BlockStmt) bool {
 			continue
 		}
 		for _, e := range cc.List {
-			if c.exprPolls(e) {
+			if c.nodePolls(e) {
 				return true
 			}
 		}
@@ -285,11 +281,9 @@ func (c *ctxflowFunc) clausesPoll(body *ast.BlockStmt) bool {
 	return false
 }
 
-func (c *ctxflowFunc) exprPolls(e ast.Expr) bool { return c.nodePolls(e) }
-
 // nodePolls scans a spine statement or expression (stopping at nested
 // function literals) for a direct ctx poll or a ctx-forwarding call to
-// a callee whose summary polls.
+// a callee that takes over the polling duty.
 func (c *ctxflowFunc) nodePolls(n ast.Node) bool {
 	found := false
 	ast.Inspect(n, func(n ast.Node) bool {
@@ -303,11 +297,7 @@ func (c *ctxflowFunc) nodePolls(n ast.Node) bool {
 		if !ok {
 			return true
 		}
-		if isCtxPollCall(c.pass.Info, call) {
-			found = true
-			return false
-		}
-		if forwardsContext(c.pass.Info, call) && c.calleePolls(call) {
+		if isCtxPollCall(c.pass.Info, call) || (forwardsContext(c.pass.Info, call) && c.calleeUsesCtx(call)) {
 			found = true
 			return false
 		}
@@ -316,43 +306,37 @@ func (c *ctxflowFunc) nodePolls(n ast.Node) bool {
 	return found
 }
 
-// calleePolls resolves the call's target set — static, interface
-// (class-hierarchy), or function-value (signature) — and reports
-// whether every candidate's summary polls its context.
-func (c *ctxflowFunc) calleePolls(call *ast.CallExpr) bool {
-	info := c.pass.Info
-	if fn := calleeFunc(info, call); fn != nil {
-		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-			return c.allPoll(c.sum.chaOf(fn))
-		}
-		fs := c.sum.Funcs[fn]
-		return fs != nil && fs.PollsCtx
-	}
-	if tv, ok := info.Types[call.Fun]; ok {
-		if sig, ok := tv.Type.Underlying().(*types.Signature); ok {
-			return c.allPoll(c.sum.addrTakenOf(sig))
-		}
-	}
-	return false
-}
-
-func (c *ctxflowFunc) allPoll(cands []*types.Func) bool {
-	if len(cands) == 0 {
+// calleeUsesCtx is the one-hop rule: a statically resolved callee
+// outside the module is trusted with the context it is handed, a module
+// function is trusted when its body mentions its own context parameter
+// (func ignores(_ context.Context) {} does not), and a call through an
+// interface or a function value is never credited.
+func (c *ctxflowFunc) calleeUsesCtx(call *ast.CallExpr) bool {
+	fn := calleeFunc(c.pass.Info, call)
+	if fn == nil {
 		return false
 	}
-	for _, fn := range cands {
-		if fs := c.sum.Funcs[fn]; fs == nil || !fs.PollsCtx {
-			return false
-		}
+	fn = fn.Origin()
+	pkg := c.pass.Prog.Lookup(funcPkgPath(fn))
+	if pkg == nil {
+		return true
 	}
-	return true
+	decl, param := c.pass.Prog.Decls[fn], ctxParamOf(fn)
+	return decl != nil && decl.Body != nil && param != nil &&
+		usesObject(pkg.Info, decl.Body, map[types.Object]bool{param: true})
 }
 
-// checkDrops flags context.Background()/context.TODO() below the API
-// boundary, excepting calls inside an `if ctx == nil` guard.
+// checkDrops flags context.Background()/context.TODO() in a function
+// that received a context, excepting calls inside an `if ctx == nil`
+// guard.
 func (c *ctxflowFunc) checkDrops() {
-	scan := newBodyScan(c.fs.Pkg, c.fs.Decl)
-	ast.Inspect(c.fs.Decl.Body, func(n ast.Node) bool {
+	var stack []ast.Node // ancestors of the node being visited
+	ast.Inspect(c.decl.Body, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		stack = append(stack, n)
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -364,19 +348,17 @@ func (c *ctxflowFunc) checkDrops() {
 		if fn.Name() != "Background" && fn.Name() != "TODO" {
 			return true
 		}
-		if c.underNilGuard(scan, call) {
-			return true
+		if !c.underNilGuard(stack) {
+			c.pass.Reportf(call.Pos(), "%s drops its received context with context.%s (allowed only under an `if ctx == nil` guard)", c.decl.Name.Name, fn.Name())
 		}
-		c.pass.Reportf(call.Pos(), "%s drops its received context with context.%s (allowed only under an `if ctx == nil` guard)", c.fs.Fn.Name(), fn.Name())
 		return true
 	})
 }
 
-// underNilGuard reports whether the node sits inside an if whose
-// condition nil-checks the function's context parameter.
-func (c *ctxflowFunc) underNilGuard(scan *bodyScan, n ast.Node) bool {
-	scan.ensureParents()
-	for p := scan.parents[n]; p != nil && p != c.fs.Decl; p = scan.parents[p] {
+// underNilGuard reports whether any ancestor is an if whose condition
+// nil-checks the function's context parameter.
+func (c *ctxflowFunc) underNilGuard(ancestors []ast.Node) bool {
+	for _, p := range ancestors {
 		ifs, ok := p.(*ast.IfStmt)
 		if !ok {
 			continue
@@ -394,9 +376,53 @@ func (c *ctxflowFunc) underNilGuard(scan *bodyScan, n ast.Node) bool {
 
 func (c *ctxflowFunc) isCtxNilCheck(x, y ast.Expr) bool {
 	id, ok := ast.Unparen(x).(*ast.Ident)
-	if !ok || c.pass.Info.Uses[id] != c.fs.CtxParam {
+	if !ok || c.pass.Info.Uses[id] != c.ctx {
 		return false
 	}
 	yid, ok := ast.Unparen(y).(*ast.Ident)
 	return ok && yid.Name == "nil"
+}
+
+// ctxParamOf returns the function's context.Context parameter, nil if
+// it has none.
+func ctxParamOf(fn *types.Func) *types.Var {
+	params := fn.Type().(*types.Signature).Params()
+	for i := 0; i < params.Len(); i++ {
+		if isContextType(params.At(i).Type()) {
+			return params.At(i)
+		}
+	}
+	return nil
+}
+
+// isContextType reports whether t is context.Context.
+func isContextType(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
+}
+
+// forwardsContext reports whether any argument of the call is a
+// context.Context value.
+func forwardsContext(info *types.Info, call *ast.CallExpr) bool {
+	for _, arg := range call.Args {
+		if tv, ok := info.Types[arg]; ok && tv.Type != nil && isContextType(tv.Type) {
+			return true
+		}
+	}
+	return false
+}
+
+// isCtxPollCall reports a ctx.Err() or ctx.Done() call on a
+// context.Context-typed receiver.
+func isCtxPollCall(info *types.Info, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || (sel.Sel.Name != "Err" && sel.Sel.Name != "Done") {
+		return false
+	}
+	tv, ok := info.Types[sel.X]
+	return ok && tv.Type != nil && isContextType(tv.Type)
 }

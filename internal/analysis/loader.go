@@ -30,17 +30,16 @@ type Package struct {
 }
 
 // Program is the fully loaded module: every package parsed from source
-// and type-checked, plus the module-wide //himap:noalloc fact set and
-// the lazily built interprocedural summaries.
+// and type-checked, plus the index from function objects to their
+// declarations (ctxflow's one-hop callee lookup).
 type Program struct {
-	Fset    *token.FileSet
-	Module  string // module path from go.mod
-	Root    string // module root directory
-	Pkgs    []*Package
-	NoAlloc map[*types.Func]bool
+	Fset   *token.FileSet
+	Module string // module path from go.mod
+	Root   string // module root directory
+	Pkgs   []*Package
+	Decls  map[*types.Func]*ast.FuncDecl
 
 	byPath map[string]*Package
-	sum    *Summaries
 }
 
 // FindModuleRoot walks up from dir to the directory containing go.mod.
@@ -218,11 +217,11 @@ func loadModule(module, root string) (*Program, error) {
 		return nil, err
 	}
 	prog := &Program{
-		Fset:    fset,
-		Module:  module,
-		Root:    root,
-		NoAlloc: map[*types.Func]bool{},
-		byPath:  map[string]*Package{},
+		Fset:   fset,
+		Module: module,
+		Root:   root,
+		Decls:  map[*types.Func]*ast.FuncDecl{},
+		byPath: map[string]*Package{},
 	}
 	for _, d := range dirs {
 		rel, err := filepath.Rel(root, d)
@@ -239,16 +238,22 @@ func loadModule(module, root string) (*Program, error) {
 		}
 		prog.Pkgs = append(prog.Pkgs, pkg)
 		prog.byPath[path] = pkg
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+						prog.Decls[fn] = fd
+					}
+				}
+			}
+		}
 	}
 	sort.Slice(prog.Pkgs, func(i, j int) bool { return prog.Pkgs[i].Path < prog.Pkgs[j].Path })
-	for _, pkg := range prog.Pkgs {
-		collectNoAllocFacts(pkg, prog.NoAlloc)
-	}
 	return prog, nil
 }
 
 // Load parses and type-checks every package of the module rooted at (or
-// above) dir and collects the //himap:noalloc annotation facts.
+// above) dir.
 func Load(dir string) (*Program, error) {
 	root, err := FindModuleRoot(dir)
 	if err != nil {
@@ -263,25 +268,3 @@ func Load(dir string) (*Program, error) {
 
 // Lookup returns the loaded package with the given import path, if any.
 func (p *Program) Lookup(path string) *Package { return p.byPath[path] }
-
-// collectNoAllocFacts records every function whose doc comment carries a
-// //himap:noalloc annotation line.
-func collectNoAllocFacts(pkg *Package, facts map[*types.Func]bool) {
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || !hasNoAllocAnnotation(fd.Doc) {
-				continue
-			}
-			if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-				facts[fn] = true
-			}
-		}
-	}
-}
-
-// hasNoAllocAnnotation reports whether a comment group contains the
-// //himap:noalloc directive (exact directive form, no leading space).
-func hasNoAllocAnnotation(doc *ast.CommentGroup) bool {
-	return hasDirective(doc, "//himap:noalloc")
-}

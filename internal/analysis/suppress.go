@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// Suppression grammar (v2):
+// Suppression grammar:
 //
 //	//lint:ignore <analyzer> <reason>
 //
@@ -87,9 +87,9 @@ func suppressed(dirs []*ignoreDirective, d Diagnostic) bool {
 // suppressionFindings reports the directive-level problems of one
 // package: missing reasons, the rejected "all" wildcard, unknown
 // analyzer names, and dead suppressions. Deadness is only judged for
-// directives whose analyzer actually ran over this package in this
-// invocation — a filtered run (-analyzer) must not call other
-// analyzers' suppressions dead.
+// directives whose analyzer actually ran over this package — one that
+// is scoped away from it (or left out of a fixture run) must not have
+// its suppressions called dead.
 func suppressionFindings(fset *token.FileSet, dirs map[string][]*ignoreDirective, known map[string]bool, analyzers []*Analyzer, scope Scope, pkgPath string) []Diagnostic {
 	ran := map[string]bool{}
 	for _, a := range analyzers {

@@ -1,11 +1,10 @@
 // Package ctxflow is the golden fixture for the cancellation-flow
-// analyzer: below a //himap:ctxroot root, every unbounded loop of a
-// reachable context-carrying function must poll cancellation on its
-// spine, and the received context may only be replaced by
-// context.Background/TODO under an explicit nil guard. Bounded loops —
-// constant bounds, len/cap bounds, and single-assignment locals
-// initialized from those — are exempt, as are functions the call graph
-// cannot reach from any root.
+// analyzer: every unbounded loop of a context-taking function must poll
+// cancellation on its spine — directly, or by handing the context to a
+// callee that uses it — and the received context may only be replaced
+// by context.Background/TODO under an explicit nil guard. Bounded loops
+// — constant bounds, len/cap bounds, and single-assignment locals
+// initialized from those — are exempt.
 package ctxflow
 
 import (
@@ -14,9 +13,7 @@ import (
 	"ctxflow/sub"
 )
 
-// Solve is the fixture's cancellation root.
-//
-//himap:ctxroot
+// Solve is the fixture's entry point.
 func Solve(ctx context.Context, n int) int {
 	if ctx == nil {
 		ctx = context.Background() // nil guard: allowed
@@ -34,6 +31,7 @@ func Solve(ctx context.Context, n int) int {
 	}
 	total += descend(ctx, n)
 	total += pump(ctx, n)
+	total += deaf(ctx, n)
 	total += nested(ctx, n)
 	total += droppy(ctx, n)
 	total += waived(ctx, n)
@@ -59,8 +57,8 @@ func descend(ctx context.Context, n int) int {
 	}
 }
 
-// pump polls through a callee: the summary proves poller polls the
-// context it receives, so the forwarding call on the spine counts.
+// pump polls through a callee: poller's declaration uses the context it
+// receives, so the forwarding call on the spine counts.
 func pump(ctx context.Context, n int) int {
 	i := 0
 	for {
@@ -72,6 +70,21 @@ func pump(ctx context.Context, n int) int {
 }
 
 func poller(ctx context.Context) bool { return ctx.Err() != nil }
+
+// deaf forwards its context to a callee that cannot look at it: the
+// one-hop rule reads ignores' declaration and gives no credit.
+func deaf(ctx context.Context, n int) int {
+	i := 0
+	for { // want "unbounded loop in deaf"
+		ignores(ctx)
+		if i > n {
+			return i
+		}
+		i++
+	}
+}
+
+func ignores(_ context.Context) {}
 
 // nested polls on the outer spine only — the inner loop must still
 // poll for itself (the outer check never runs while it spins).
@@ -107,11 +120,12 @@ func waived(ctx context.Context, n int) int {
 	return t
 }
 
-// orphan is unreachable from any root: its loop is not checked.
+// orphan has no caller: it is checked like every other function that
+// takes a context.
 func orphan(ctx context.Context, n int) int {
 	_ = ctx
 	t := 0
-	for i := 0; i < n; i++ {
+	for i := 0; i < n; i++ { // want "unbounded loop in orphan"
 		t++
 	}
 	return t

@@ -1,6 +1,6 @@
-// Package sub exercises cross-package summary facts for ctxflow: both
-// functions are reached from the parent package's root, and the poll
-// proof for Chain crosses the package boundary through done's summary.
+// Package sub exercises ctxflow across a package boundary: both
+// functions are checked in their own package, and Chain's spine poll is
+// credited through done's declaration.
 package sub
 
 import "context"
@@ -18,7 +18,7 @@ func Chain(ctx context.Context, n int) int {
 
 func done(ctx context.Context) bool { return ctx.Err() != nil }
 
-// Spin is reached from the root and never polls.
+// Spin never polls.
 func Spin(ctx context.Context, n int) int {
 	total := 0
 	for r := 0; r < n; r++ { // want "unbounded loop in Spin"

@@ -18,8 +18,16 @@ func traced() int64 {
 // this fixture: it neither covers the determinism finding nor counts as
 // dead, because deadness is only judged for analyzers that actually ran.
 func otherAnalyzer() int64 {
-	//lint:ignore noalloc wrong analyzer name does not cover determinism
+	//lint:ignore ctxflow wrong analyzer name does not cover determinism
 	return time.Now().UnixNano() // want "time.Now in the compile path"
+}
+
+// retired names analyzers that were deleted: their directives are
+// unknown-analyzer findings, not silent no-ops.
+func retired() int {
+	//lint:ignore lockset guarded by mu at every caller // want "names unknown analyzer \"lockset\""
+	//lint:ignore noalloc scratch is reused // want "names unknown analyzer \"noalloc\""
+	return 42
 }
 
 func missingReason() int64 {

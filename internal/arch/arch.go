@@ -124,8 +124,6 @@ func Default(rows, cols int) CGRA {
 }
 
 // NumPEs returns the PE count.
-//
-//himap:noalloc
 func (c CGRA) NumPEs() int { return c.Rows * c.Cols }
 
 // InBounds reports whether (r, cc) is a valid PE coordinate.

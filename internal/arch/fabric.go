@@ -54,8 +54,6 @@ func ParseTopology(s string) (Topology, error) {
 func TopologyNames() string { return strings.Join(topoNames[:], "|") }
 
 // NumDirs returns how many link directions the topology uses per PE.
-//
-//himap:noalloc
 func (t Topology) NumDirs() int {
 	if t == TopoMeshDiag {
 		return int(MaxDirs)
@@ -64,8 +62,6 @@ func (t Topology) NumDirs() int {
 }
 
 // Wraps reports whether links wrap around the array edges.
-//
-//himap:noalloc
 func (t Topology) Wraps() bool { return t == TopoTorus }
 
 // MemPolicy selects which PEs carry a memory port (load/store capable).
@@ -257,8 +253,6 @@ func DefaultFabric(rows, cols int) Fabric {
 }
 
 // NumLinkDirs returns how many direction slots this fabric's PEs use.
-//
-//himap:noalloc
 func (f Fabric) NumLinkDirs() int { return f.Topology.NumDirs() }
 
 // LinkCapacity returns how many distinct values one inter-PE link
@@ -269,21 +263,15 @@ func (f Fabric) NumLinkDirs() int { return f.Topology.NumDirs() }
 // file (BWDouble, BWNarrowRF) or share the egress lane (BWBus). The
 // helper stays as the seam the routing capacity model and the
 // feasibility pre-check read, rather than hardcoding 1 at each site.
-//
-//himap:noalloc
 func (f Fabric) LinkCapacity() int { return 1 }
 
 // SharedOutBus reports whether all output directions of a PE share one
 // egress lane per cycle (BWBus). When true the MRRG collapses the
 // per-direction output registers of a PE into a single routing resource.
-//
-//himap:noalloc
 func (f Fabric) SharedOutBus() bool { return f.Bandwidth == BWBus }
 
 // RFReadCap returns the effective register-file read port count under
 // this fabric's bandwidth class.
-//
-//himap:noalloc
 func (f Fabric) RFReadCap() int {
 	switch f.Bandwidth {
 	case BWDouble:
@@ -296,8 +284,6 @@ func (f Fabric) RFReadCap() int {
 
 // RFWriteCap returns the effective register-file write port count under
 // this fabric's bandwidth class.
-//
-//himap:noalloc
 func (f Fabric) RFWriteCap() int {
 	switch f.Bandwidth {
 	case BWDouble:
@@ -367,8 +353,6 @@ func (f Fabric) MemPEs() [][2]int {
 // WrapCoord folds (r, c) back into the array for wrap-around
 // topologies; for bounded topologies it returns the coordinate
 // unchanged.
-//
-//himap:noalloc
 func (f Fabric) WrapCoord(r, c int) (int, int) {
 	if !f.Topology.Wraps() {
 		return r, c
@@ -491,7 +475,6 @@ func ExploreFabrics(rows, cols int) []Fabric {
 	return out
 }
 
-//himap:noalloc
 func mod(a, n int) int {
 	a %= n
 	if a < 0 {

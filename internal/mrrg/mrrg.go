@@ -141,13 +141,9 @@ func buildLinks(f arch.Fabric) []int32 {
 }
 
 // NumDirs returns the per-PE link-direction (output register) count.
-//
-//himap:noalloc
 func (g *Graph) NumDirs() int { return g.Fab.NumLinkDirs() }
 
 // WrapTime folds a real cycle into the occupancy period [0, II).
-//
-//himap:noalloc
 func (g *Graph) WrapTime(t int) int {
 	return ((t % g.II) + g.II) % g.II
 }
@@ -175,15 +171,12 @@ func (g *Graph) Key(n Node) uint64 {
 // how wide the Idx field is.
 const resSpan = uint64(numClasses) << 8
 
-//himap:noalloc
 func resKey(n Node) uint64 { return uint64(n.Class)<<8 | uint64(n.Idx) }
 
 // RealKey packs the node with its real (unwrapped) time — unique per real
 // node, used for per-net reuse bookkeeping. Rows and columns take eight
 // bits each (arch.MaxSide) and the key is lexicographic in
 // (T, R, C, Class, Idx).
-//
-//himap:noalloc
 func RealKey(n Node) uint64 {
 	return ((uint64(n.T+1024)*arch.MaxSide+uint64(n.R))*arch.MaxSide+uint64(n.C))*resSpan + resKey(n)
 }
@@ -193,16 +186,12 @@ func RealKey(n Node) uint64 {
 // read/write ports, the two memory ports, and NumRegs register-file
 // entries. It is the stride of the dense key space (9 + NumRegs on
 // 4-direction fabrics, matching the pre-Fabric layout exactly).
-//
-//himap:noalloc
 func (g *Graph) SlotsPerPE() int { return 5 + g.NumDirs() + g.Fab.NumRegs }
 
 // SlotIndex packs a (class, idx) resource into a dense per-PE slot in
 // [0, SlotsPerPE()) — unlike the sparse class*8+idx packing of Key and
 // RealKey, the dense slot space has no holes, so occupancy and search
 // scratch state can live in flat arrays instead of maps.
-//
-//himap:noalloc
 func (g *Graph) SlotIndex(c Class, idx uint8) int {
 	nd := g.NumDirs()
 	switch c {
@@ -224,8 +213,6 @@ func (g *Graph) SlotIndex(c Class, idx uint8) int {
 }
 
 // SlotResource inverts SlotIndex.
-//
-//himap:noalloc
 func (g *Graph) SlotResource(slot int) (Class, uint8) {
 	nd := g.NumDirs()
 	switch {
@@ -250,8 +237,6 @@ func (g *Graph) SlotResource(slot int) (Class, uint8) {
 // [0, NumDenseKeys()); real time is folded modulo II exactly as in Key,
 // and space wraps on wrap-around topologies (a translated route charges
 // the folded resource — translation is a graph automorphism there).
-//
-//himap:noalloc
 func (g *Graph) DenseKey(n Node) int {
 	r, c := g.Fab.WrapCoord(n.R, n.C)
 	idx := n.Idx
@@ -267,13 +252,9 @@ func (g *Graph) DenseKey(n Node) int {
 // the dense key of a node is no longer a pure linear function of its
 // per-direction slot index, so search cores must not derive occupancy
 // keys by offsetting dense search indices.
-//
-//himap:noalloc
 func (g *Graph) SharedOut() bool { return g.sharedOut }
 
 // NumDenseKeys returns the size of the dense occupancy key space.
-//
-//himap:noalloc
 func (g *Graph) NumDenseKeys() int { return g.II * g.Fab.NumPEs() * g.SlotsPerPE() }
 
 // TimeBase returns the dense-key offset of one wrapped cycle: every node
@@ -282,8 +263,6 @@ func (g *Graph) NumDenseKeys() int { return g.II * g.Fab.NumPEs() * g.SlotsPerPE
 // search so the occupancy key of a relaxed node is a single add off its
 // dense search index instead of a full DenseKey (mod + wrap + switch)
 // evaluation.
-//
-//himap:noalloc
 func (g *Graph) TimeBase(t int) int {
 	return g.WrapTime(t) * g.Fab.NumPEs() * g.SlotsPerPE()
 }
@@ -292,8 +271,6 @@ func (g *Graph) TimeBase(t int) int {
 // fabric's bandwidth class: RF ports come from the (possibly narrowed)
 // port counts, output registers from the link capacity (1 for the
 // collapsed shared-bus slot), everything else is single-occupancy.
-//
-//himap:noalloc
 func (g *Graph) Capacity(c Class) int {
 	switch c {
 	case ClassRFRead:

@@ -46,14 +46,10 @@ type UnitModel struct {
 }
 
 // BaseCost returns the legacy per-class cost table.
-//
-//himap:noalloc
 func (m UnitModel) BaseCost(c mrrg.Class) float64 { return baseCost(c) }
 
 // Capacity returns the legacy capacities: the pinned RF port counts,
 // one everywhere else.
-//
-//himap:noalloc
 func (m UnitModel) Capacity(c mrrg.Class) int {
 	switch c {
 	case mrrg.ClassRFRead:
@@ -79,13 +75,9 @@ type BandwidthModel struct {
 }
 
 // BaseCost returns the legacy per-class cost table.
-//
-//himap:noalloc
 func (m BandwidthModel) BaseCost(c mrrg.Class) float64 { return baseCost(c) }
 
 // Capacity returns the fabric's effective per-class capacities.
-//
-//himap:noalloc
 func (m BandwidthModel) Capacity(c mrrg.Class) int {
 	switch c {
 	case mrrg.ClassRFRead:

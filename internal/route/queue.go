@@ -10,7 +10,6 @@ type heapItem struct {
 	idx  int32
 }
 
-//himap:noalloc
 func itemLess(a, b heapItem) bool {
 	if a.cost != b.cost {
 		return a.cost < b.cost
@@ -24,7 +23,6 @@ func itemLess(a, b heapItem) bool {
 // deci-cost bucket.
 type minHeap []heapItem
 
-//himap:noalloc
 func (h *minHeap) push(it heapItem) {
 	q := append(*h, it)
 	i := len(q) - 1
@@ -39,7 +37,6 @@ func (h *minHeap) push(it heapItem) {
 	*h = q
 }
 
-//himap:noalloc
 func (h *minHeap) pop() heapItem {
 	q := *h
 	top := q[0]
@@ -72,8 +69,6 @@ func (h *minHeap) pop() heapItem {
 // point and round-to-nearest recovers the exact deci value; two sums
 // that are mathematically equal but float-unequal always land in the
 // same bucket, where the per-bucket heap orders them by the exact float.
-//
-//himap:noalloc
 func deci(f float64) int { return int(f*10 + 0.5) }
 
 // bucketQueue is a Dial-style monotone priority queue: frontier entries
@@ -96,8 +91,6 @@ type bucketQueue struct {
 // (it must not share the scratch's, which restarts when the scratch
 // arrays grow — leftover undrained bucket entries from a prior search
 // would then masquerade as live).
-//
-//himap:noalloc
 func (q *bucketQueue) reset() {
 	q.gen++
 	if q.gen == 0 {
@@ -108,7 +101,6 @@ func (q *bucketQueue) reset() {
 	q.n = 0
 }
 
-//himap:noalloc
 func (q *bucketQueue) push(it heapItem) {
 	d := deci(it.cost)
 	if d < q.cur {
@@ -132,8 +124,6 @@ func (q *bucketQueue) push(it heapItem) {
 
 // peek advances the cursor to the first live non-empty bucket and
 // returns its deci cost, or -1 when the queue is empty.
-//
-//himap:noalloc
 func (q *bucketQueue) peek() int {
 	if q.n == 0 {
 		return -1
@@ -144,7 +134,6 @@ func (q *bucketQueue) peek() int {
 	return q.cur
 }
 
-//himap:noalloc
 func (q *bucketQueue) pop() heapItem {
 	q.peek()
 	b := &q.buckets[q.cur]

@@ -82,8 +82,6 @@ func (sc *scratch) begin(n, npe int) {
 
 // nodeAt reconstructs the node of a dense scratch index (the inverse of
 // the packing in RouteSink).
-//
-//himap:noalloc
 func (s *Session) nodeAt(i int32, tBase, pes, cols, slots int) mrrg.Node {
 	slot := int(i) % slots
 	rest := int(i) / slots
@@ -116,8 +114,6 @@ func (s *Session) nodeAt(i int32, tBase, pes, cols, slots int) mrrg.Node {
 // It depends only on the node's (cycle, PE, is-Out), so the per-target
 // loop runs once per (cycle, PE) of a search, cached in the scratch
 // (both the general and the Out-credit lanes fill from one target scan).
-//
-//himap:noalloc
 func (s *Session) heuristicAt(sc *scratch, n mrrg.Node, targets []mrrg.Node, tBase, pes, cols int) float64 {
 	pi := (n.T-tBase)*pes + n.R*cols + n.C
 	if sc.hseen[pi] != sc.gen {

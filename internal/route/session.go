@@ -192,8 +192,6 @@ func NewSession(g *mrrg.Graph) *Session {
 // accumulated history costs — the state carried between negotiated
 // congestion rounds when a mapping attempt is rebuilt from scratch.
 // The occupancy storage is zeroed in place, not reallocated.
-//
-//himap:noalloc
 func (s *Session) ResetKeepHistory() {
 	clear(s.occ)
 	s.netSeq = 0
@@ -202,8 +200,6 @@ func (s *Session) ResetKeepHistory() {
 // Reset returns the session to its NewSession state (occupancy, history,
 // and net numbering all cleared) while keeping every allocation for
 // reuse — the cheap way to recycle a Session across mapping attempts.
-//
-//himap:noalloc
 func (s *Session) Reset() {
 	clear(s.occ)
 	clear(s.hist)
@@ -216,8 +212,6 @@ func (s *Session) Reset() {
 // together with integral PresFac and HistBump multiples this keeps all
 // accumulated costs on the deci-unit grid the bucket queue quantizes
 // into.
-//
-//himap:noalloc
 func baseCost(c mrrg.Class) float64 {
 	switch c {
 	case mrrg.ClassOut:
@@ -234,8 +228,6 @@ func baseCost(c mrrg.Class) float64 {
 }
 
 // enterCost prices entering node n for a net that does not yet own it.
-//
-//himap:noalloc
 func (s *Session) enterCost(n mrrg.Node) float64 {
 	return s.enterCostAt(n, s.G.DenseKey(n))
 }
@@ -243,8 +235,6 @@ func (s *Session) enterCost(n mrrg.Node) float64 {
 // enterCostAt is enterCost with the node's dense occupancy key already
 // resolved — the A* core derives it from the search index and a
 // precomputed per-cycle delta instead of re-deriving the full DenseKey.
-//
-//himap:noalloc
 func (s *Session) enterCostAt(n mrrg.Node, key int) float64 {
 	over := int(s.occ[key]) + 1 - int(s.capTab[n.Class])
 	pen := 1.0
@@ -256,8 +246,6 @@ func (s *Session) enterCostAt(n mrrg.Node, key int) float64 {
 
 // Reserve marks a placement node (FU slot, memory port) occupied outside
 // any net, e.g. an operation placement. It returns the new occupancy.
-//
-//himap:noalloc
 func (s *Session) Reserve(n mrrg.Node) int {
 	k := s.G.DenseKey(n)
 	s.occ[k]++
@@ -265,20 +253,14 @@ func (s *Session) Reserve(n mrrg.Node) int {
 }
 
 // Unreserve releases a Reserve.
-//
-//himap:noalloc
 func (s *Session) Unreserve(n mrrg.Node) {
 	s.occ[s.G.DenseKey(n)]--
 }
 
 // Occ returns the current occupancy of a node (modulo II).
-//
-//himap:noalloc
 func (s *Session) Occ(n mrrg.Node) int { return int(s.occ[s.G.DenseKey(n)]) }
 
 // Hist returns the accumulated history cost of a node (for tests).
-//
-//himap:noalloc
 func (s *Session) Hist(n mrrg.Node) float64 { return s.hist[s.G.DenseKey(n)] }
 
 // NewNet starts a net at the producer's placement node. The source node's
@@ -330,8 +312,6 @@ func (s *Session) commit(net *Net, path Path) {
 
 // containsKey is a linear membership scan — net node lists are short
 // (bounded by the net's total path length), so this beats a hash map.
-//
-//himap:noalloc
 func containsKey(keys []uint64, k uint64) bool {
 	for _, have := range keys {
 		if have == k {

@@ -65,8 +65,6 @@ type Request struct {
 // the shared fields are filled from the exact mapping, Result.Exact
 // holds the full *ExactResult, and Result.Optimality carries the
 // certificate. Unset fields of other flows stay nil/zero.
-//
-//himap:ctxroot
 func CompileRequest(ctx context.Context, req Request) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

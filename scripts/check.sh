@@ -1,15 +1,16 @@
 #!/bin/sh
 # Repository health gate: formatting, vet, build, the project analyzer
-# suite (cmd/himaplint: baseline ratchet + self-host), the full test
-# suite under the race detector, the bench/ module's vet, tests and a
-# one-second paper_small run for its correctness gate, and the himapd /
-# himapload / exact / alloc-ceiling smokes. CI runs exactly this script
-# and nothing beside it, so every gate runs once; run it before sending
-# changes. bench/run.sh -compare is deliberately not gated here: its time
-# and memory rows are noise-bound on a shared CI host, and the four
-# metrics that must repeat exactly (II, utilization, MOPS/mW, bitstream
-# size) are already pinned by the golden mapping tables the test suite
-# checks. Compare by hand, on a quiet machine, when a PR claims a gain.
+# suite (cmd/himaplint), the full test suite under the race detector
+# (the lock check; it also carries the two alloc-ceiling tests), the
+# bench/ module's vet, tests and a one-second paper_small run for its
+# correctness gate, and the himapd / himapload / exact smokes. CI runs
+# exactly this script and nothing beside it, so every gate runs once;
+# run it before sending changes. bench/run.sh -compare is deliberately
+# not gated here: its time and memory rows are noise-bound on a shared CI
+# host, and the four metrics that must repeat exactly (II, utilization,
+# MOPS/mW, bitstream size) are already pinned by the golden mapping
+# tables the test suite checks. Compare by hand, on a quiet machine, when
+# a PR claims a gain.
 set -eux
 cd "$(dirname "$0")/.."
 unformatted=$(gofmt -l .)
@@ -20,13 +21,11 @@ if [ -n "$unformatted" ]; then
 fi
 go vet ./...
 go build ./...
-# Analyzer suite under the debt ratchet: fails on findings not recorded
-# in the baseline AND on stale baseline entries or stale //lint:ignore
-# directives (dead suppressions are findings of the pseudo-analyzer
-# "suppress"), so fixed debt cannot linger as silent waivers.
-go run ./cmd/himaplint -baseline himaplint.baseline.json ./...
-# Self-host: the analyzer package must satisfy its own suite.
-go run ./cmd/himaplint ./internal/analysis
+# Analyzer suite, internal/analysis included: fails on any finding and
+# on stale //lint:ignore directives (dead suppressions are findings of
+# the pseudo-analyzer "suppress"), so fixed debt cannot linger as silent
+# waivers.
+go run ./cmd/himaplint ./...
 # Shuffled (the seed is printed on failure): a fixed order hides coupling
 # between tests through process-wide state such as the shared memo.
 go test -race -shuffle=on ./...
@@ -52,9 +51,3 @@ go run ./cmd/himapload -cluster 2 -duration 3s -concurrency 4 -require-hits >/de
 # certificate within a short budget.
 exact_out=$(go run ./cmd/himap -mapper exact -kernel MVT -rows 4 -cols 4 -block 2 -exact-budget 30s)
 echo "$exact_out" | grep -q "proved minimal"
-# Alloc smokes, self-enforced by testing.AllocsPerRun inside the
-# benchmarks: BenchmarkRouteSinkHotPath (bench_test.go) fails if the
-# router's steady-state search exceeds its 29 allocs/op floor,
-# BenchmarkReplicateValidate (internal/himap) if stamping + validation of
-# ADI 32x32 exceeds 165 allocs/run — i.e. starts allocating per cluster.
-go test -run '^$' -bench 'BenchmarkRouteSinkHotPath|BenchmarkReplicateValidate' -benchtime 10x . ./internal/himap
