@@ -15,6 +15,7 @@ package himap_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -283,6 +284,65 @@ const routeSinkAllocFloor = 29
 func TestRouteSinkAllocCeiling(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, routeSinkIter(t)); allocs > routeSinkAllocFloor {
 		t.Fatalf("router hot path regressed: %.0f allocs per routed net, floor is %d", allocs, routeSinkAllocFloor)
+	}
+}
+
+// ------------------------------------------------------ scale compile
+
+// scaleCompileIter returns one cold compile of GEMM on the 64x64 mesh —
+// the heaviest single compile of the scale64 workload — at Workers=1
+// with a fresh memo, so every stage from unrolling to validation runs.
+func scaleCompileIter(tb testing.TB) func() {
+	k, fab := kernel.GEMM(), arch.DefaultFabric(64, 64)
+	return func() {
+		if _, err := core.CompileRequest(context.Background(), k, fab, core.Options{Workers: 1, Memo: core.NewMemo()}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkScaleCompile times scaleCompileIter. It is also the one-
+// command profile of the large-fabric compile path:
+//
+//	go test -run '^$' -bench ScaleCompile -benchtime 3x -cpuprofile cpu.out .
+func BenchmarkScaleCompile(b *testing.B) {
+	iter := scaleCompileIter(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		iter()
+	}
+}
+
+// The allocation budget of one scaleCompileIter: the measured 13,820
+// allocations and 52.6 MB (839,707 and 125.6 MB before the search window
+// and the dense DFG/ISDG tables) plus 15 %. What a compile allocates at
+// 64x64 is what HiMap's claim is about — work per unique iteration, not
+// per PE — and it repeats exactly where the wall clock is noisy: search
+// scratch sized by the array, or a hash-map entry or key string per
+// unrolled node, each moves these numbers by tens of percent. The race
+// detector adds 4 % and 6 %, inside the margin, so check.sh gates both.
+const (
+	scaleCompileMallocCeiling = 15_900
+	scaleCompileByteCeiling   = 60_500_000
+)
+
+// TestScaleCompileAllocBudget holds one large-fabric compile under both
+// ceilings.
+func TestScaleCompileAllocBudget(t *testing.T) {
+	iter := scaleCompileIter(t)
+	iter() // warm process-wide state (kernel tables, fmt's pools)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	iter()
+	runtime.ReadMemStats(&after)
+	mallocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	t.Logf("GEMM 64x64: %d mallocs, %d bytes", mallocs, bytes)
+	if mallocs > scaleCompileMallocCeiling {
+		t.Errorf("GEMM 64x64 compile made %d allocations, ceiling is %d", mallocs, scaleCompileMallocCeiling)
+	}
+	if bytes > scaleCompileByteCeiling {
+		t.Errorf("GEMM 64x64 compile allocated %d bytes, ceiling is %d", bytes, scaleCompileByteCeiling)
 	}
 }
 

@@ -26,6 +26,10 @@ import (
 //     several attempts and more than one negotiated-congestion round;
 //     the test compiles each at Workers 1 and 4 (speculative attempts,
 //     sharded scheme search), and both must reproduce the one hash.
+//   - "scale/<kernel>/<size>/<topology>": 32x32 and 64x64 fabrics,
+//     captured at the commit before the router's search window and the
+//     dense DFG/ISDG tables landed — at 8x8 a window trims almost
+//     nothing, so only these rows see a wrong one.
 //   - "conventional/...", "exact/...": the flat mappers at 4x4 block 2.
 var goldenMappings = map[string]string{
 	"ADI":  "4be75e3ecacdf7c9bd77223743241a082b8469bde26367d7cf2ded54b323a0cc",
@@ -49,6 +53,17 @@ var goldenMappings = map[string]string{
 	"MVT/narrow-rf":     "fe2737308c429e5429794761d54911bc425082a89c9b2a11d94aaf31ad91fe53",
 	"MVT/bus":           "d1352773886ad5cb6402ed60cddd2ee747a8871a4b07327956bf520710c360eb",
 	"MVT/mem-boundary":  "error: himap: compilation of MVT on 8x8/mesh/mem-boundary failed after 0 attempts: stage idfg-map (MVT on 8x8/mesh/mem-boundary): memory-port demand infeasible on fabric: IDFG demands 2 memory loads per iteration; no sub-CGRA shape of the 8x8/mesh/mem-boundary fabric provides matching memory ports",
+
+	"scale/ADI/32x32/mesh":   "9733297ad8f5439cef0c1f53fa25672c61dc2c77e76faec02a428752422f1d6a",
+	"scale/ADI/32x32/torus":  "9733297ad8f5439cef0c1f53fa25672c61dc2c77e76faec02a428752422f1d6a",
+	"scale/ADI/32x32/diag":   "9733297ad8f5439cef0c1f53fa25672c61dc2c77e76faec02a428752422f1d6a",
+	"scale/MVT/32x32/mesh":   "4b167b3de472ad5d41337f92b13b5b92021f9a17abd5aabd53dada67e894ddb0",
+	"scale/MVT/32x32/torus":  "522cb97722ba9394db51ae9d869d24e1c8ce2cffd4ff18b3f38a88376706c1c5",
+	"scale/MVT/32x32/diag":   "932de679bf8593c9d3538fd4368b75e6e331ceb097e37a3d78fa3a1edf7eea76",
+	"scale/GEMM/32x32/mesh":  "9f4c268b5c313d7ef6ee1a01815fc53801efe532ff1df9820eadbedb5ae67f0c",
+	"scale/GEMM/32x32/torus": "368241185b57b3793927e35fa68e88cf3f36b542ff92208b6a5a9c9ab8dce115",
+	"scale/GEMM/32x32/diag":  "cd14a2191a4d1c61fef94fadaf7ac48703b713c13c1ba046101e789c97b54527",
+	"scale/GEMM/64x64/mesh":  "433b64351a58745b52e9f959746489eb74442dccf988217deaba977f1015396a",
 
 	"conventional/FW/4x4": "72585af459fdeed49947c110e344214be2bc1bfc0cc815b1f4e7c2e92dbc67df",
 	"exact/MVT/4x4":       "b258fbf6a0680365e1547660ba4c6d1d466f390acba7724a19eaeaa945a71023",
@@ -87,6 +102,23 @@ func goldenRows() []goldenRow {
 			}
 		}
 	}
+	// Large fabrics, where the router's search window is a small part of
+	// the array. MVT's first attempt fails in route at both sizes, so its
+	// rows pin a multi-attempt compile.
+	topos := []struct {
+		tag  string
+		topo himap.Topology
+	}{{"mesh", himap.TopoMesh}, {"torus", himap.TopoTorus}, {"diag", himap.TopoMeshDiag}}
+	for _, k := range []*himap.Kernel{himap.KernelADI(), himap.KernelMVT(), himap.KernelGEMM()} {
+		for _, tp := range topos {
+			fab := himap.DefaultFabric(32, 32)
+			fab.Topology = tp.topo
+			key := fmt.Sprintf("scale/%s/32x32/%s", k.Name, tp.tag)
+			rows = append(rows, goldenRow{key, key, himap.Request{Kernel: k, Fabric: fab}})
+		}
+	}
+	rows = append(rows, goldenRow{"scale/GEMM/64x64/mesh", "scale/GEMM/64x64/mesh",
+		himap.Request{Kernel: himap.KernelGEMM(), Fabric: himap.DefaultFabric(64, 64)}})
 	small := himap.DefaultFabric(4, 4)
 	return append(rows,
 		goldenRow{"conventional/FW/4x4", "conventional/FW/4x4", himap.Request{

@@ -2,11 +2,13 @@ package himap
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	"himap/internal/arch"
+	"himap/internal/diag"
 	"himap/internal/ir"
 	"himap/internal/kernel"
 	"himap/internal/systolic"
@@ -282,7 +284,7 @@ func TestForwardingTransform(t *testing.T) {
 	if m.Classify(ir.IterVec{0, 2}) != systolic.DepForward {
 		t.Fatalf("expected DepForward for (0,2) under %v", sch)
 	}
-	nd, err := ApplyForwarding(d, g, m)
+	nd, g2, err := ApplyForwarding(d, g, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,10 +299,6 @@ func TestForwardingTransform(t *testing.T) {
 	}
 	if routes == 0 {
 		t.Error("no relay nodes inserted")
-	}
-	g2, err := ir.BuildISDG(nd)
-	if err != nil {
-		t.Fatal(err)
 	}
 	// After forwarding every dependence must be local.
 	for _, dv := range g2.DistanceVectors() {
@@ -320,6 +318,14 @@ func TestForwardingTransform(t *testing.T) {
 	}
 	if err := kernel.CompareOutputs(want, got); err != nil {
 		t.Error(err)
+	}
+
+	// A DFG whose iterations leave the block it states (here: a block
+	// shrunk behind its back) ends in ErrSchemeInfeasible, through the
+	// ISDG's bounds check, not in an index panic.
+	d.Block = []int{4, 5}
+	if _, _, err := ApplyForwarding(d, g, m); !errors.Is(err, diag.ErrSchemeInfeasible) {
+		t.Errorf("forwarding over a too-small block: err = %v, want ErrSchemeInfeasible", err)
 	}
 }
 

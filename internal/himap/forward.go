@@ -18,25 +18,28 @@ const fwdBodyOpBase = 3000
 // every DFG edge whose iteration distance maps to a multi-hop space-time
 // offset under the systolic mapping is broken into a chain of single-hop
 // steps through pseudo route nodes added to the intermediate iterations.
-// It returns the original DFG unchanged when no dependence needs
-// forwarding, or a rebuilt DFG otherwise. An error means the kernel has
-// no valid replication-friendly systolic mapping (§V's Floyd-Warshall
-// impossibility discussion).
-func ApplyForwarding(d *ir.DFG, g *ir.ISDG, m *systolic.Mapping) (*ir.DFG, error) {
+// It returns the original DFG and ISDG unchanged when no dependence
+// needs forwarding, or a rebuilt DFG and its ISDG otherwise. An error
+// means the kernel has no valid replication-friendly systolic mapping
+// (§V's Floyd-Warshall impossibility discussion) — including a relay
+// whose iteration, computed here by stepping from the producer, falls
+// outside the block.
+func ApplyForwarding(d *ir.DFG, g *ir.ISDG, m *systolic.Mapping) (*ir.DFG, *ir.ISDG, error) {
 	needs := false
 	for _, dv := range g.DistanceVectors() {
 		switch m.Classify(dv) {
 		case systolic.DepForward:
 			needs = true
 		case systolic.DepInvalid:
-			return nil, fmt.Errorf("himap: dependence %v invalid under %v: %w", dv, m, diag.ErrSchemeInfeasible)
+			return nil, nil, fmt.Errorf("himap: dependence %v invalid under %v: %w", dv, m, diag.ErrSchemeInfeasible)
 		}
 	}
 	if !needs {
-		return d, nil
+		return d, g, nil
 	}
 
 	nd := ir.NewDFG(d.Block)
+	nd.Grow(len(d.Nodes), len(d.Edges))
 	idMap := make([]int, len(d.Nodes))
 	for _, n := range d.Nodes {
 		nn := nd.AddNode(ir.Node{
@@ -73,7 +76,7 @@ func ApplyForwarding(d *ir.DFG, g *ir.ISDG, m *systolic.Mapping) (*ir.DFG, error
 		}
 		e, steps, err := m.ForwardStep(dist)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		role := roleOf(from.BodyOp, e)
 		prev := idMap[edge.From]
@@ -99,8 +102,13 @@ func ApplyForwarding(d *ir.DFG, g *ir.ISDG, m *systolic.Mapping) (*ir.DFG, error
 		}
 		nd.AddEdge(prev, idMap[edge.To], edge.ToPort)
 	}
-	if err := nd.Validate(); err != nil {
-		return nil, fmt.Errorf("himap: forwarding transform produced invalid DFG: %v: %w", err, diag.ErrSchemeInfeasible)
+	err := nd.Validate()
+	var ng *ir.ISDG
+	if err == nil {
+		ng, err = ir.BuildISDG(nd)
 	}
-	return nd, nil
+	if err != nil {
+		return nil, nil, fmt.Errorf("himap: forwarding transform produced invalid DFG: %v: %w", err, diag.ErrSchemeInfeasible)
+	}
+	return nd, ng, nil
 }

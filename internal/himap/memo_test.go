@@ -26,7 +26,7 @@ func liveHeap() uint64 {
 // every compile on fresh memo keys. 150 GEMM 16×16 compiles through the
 // default memo add 1.6M units of ISDG — past memoBudget, so at least one
 // reset must happen — and used to leave 266 MB live; the ceiling is 200
-// bytes per budget unit (an unrolled node or edge keeps about 160).
+// bytes per budget unit (an unrolled node or edge keeps about 135).
 func TestSharedMemoBounded(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("150 16x16 compiles holding up to the whole budget live (about 920 MB resident under -race)")

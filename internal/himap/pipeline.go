@@ -322,20 +322,16 @@ func runISDGBuild(c *CompileContext) error {
 	return nil
 }
 
-// runForward inserts forwarding paths (AddForwardingPath, lines 14-17)
-// and rebuilds the ISDG when the DFG changed. The memoized DFG is never
-// mutated: ApplyForwarding returns a fresh graph or the original.
+// runForward inserts forwarding paths (AddForwardingPath, lines 14-17).
+// The memoized DFG is never mutated: ApplyForwarding returns a fresh
+// graph with its ISDG, or the originals.
 func runForward(c *CompileContext) error {
-	fdfg, err := ApplyForwarding(c.DFG, c.ISDG, c.Mapping)
+	fdfg, fisdg, err := ApplyForwarding(c.DFG, c.ISDG, c.Mapping)
 	if err != nil {
 		return err
 	}
 	if fdfg != c.DFG {
-		isdg, err := ir.BuildISDG(fdfg)
-		if err != nil {
-			return err
-		}
-		c.DFG, c.ISDG = fdfg, isdg
+		c.DFG, c.ISDG = fdfg, fisdg
 		c.Count("forwarded", 1)
 	}
 	return nil

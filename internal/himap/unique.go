@@ -1,7 +1,9 @@
 package himap
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"himap/internal/diag"
@@ -106,11 +108,11 @@ func (h *sigHash) str(s string) {
 	}
 }
 
-// vec folds an iteration vector (length-prefixed, like str).
-func (h *sigHash) vec(v ir.IterVec) {
+// diff folds the iteration offset v − from (length-prefixed, like str).
+func (h *sigHash) diff(v, from ir.IterVec) {
 	h.word(uint64(len(v)))
-	for _, x := range v {
-		h.sint(x)
+	for i, x := range v {
+		h.sint(x - from[i])
 	}
 }
 
@@ -181,7 +183,7 @@ func clusterSignature(g *ir.ISDG, cp *ClusterPlace, ci int, sc *sigScratch) sigH
 			p.sint(cp.T[fc] - cp.T[ci])
 			p.sint(cp.X[fc] - cp.X[ci])
 			p.sint(cp.Y[fc] - cp.Y[ci])
-			p.vec(from.Iter.Sub(c.Iter))
+			p.diff(from.Iter, c.Iter)
 		}
 		for _, ei := range d.OutEdges(id) {
 			e := d.Edges[ei]
@@ -198,15 +200,14 @@ func clusterSignature(g *ir.ISDG, cp *ClusterPlace, ci int, sc *sigScratch) sigH
 			p.sint(cp.T[tc] - cp.T[ci])
 			p.sint(cp.X[tc] - cp.X[ci])
 			p.sint(cp.Y[tc] - cp.Y[ci])
-			p.vec(to.Iter.Sub(c.Iter))
+			p.diff(to.Iter, c.Iter)
 		}
 	}
-	sort.Slice(sc.parts, func(i, j int) bool {
-		a, b := sc.parts[i], sc.parts[j]
-		if a[0] != b[0] {
-			return a[0] < b[0]
+	slices.SortFunc(sc.parts, func(a, b sigHash) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
 		}
-		return a[1] < b[1]
+		return cmp.Compare(a[1], b[1])
 	})
 	sig := sigHash{fnvOffset, mixOffset}
 	for _, p := range sc.parts {

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -41,14 +42,28 @@ type Edge struct {
 // DFG is the Data-Flow Graph of one fully unrolled block of the kernel:
 // a directed acyclic graph whose vertices are operations and whose edges
 // are data dependencies (paper §IV, D = (V_D, E_D)).
+//
+// Nodes are carved from slabs and adjacency is two flat CSR arrays over
+// Edges, so a DFG of n nodes and m edges is a handful of allocations,
+// not n + 2m. The adjacency is derived: the first OutEdges/InEdges/
+// TopoOrder/Validate after an AddNode or AddEdge rebuilds it in one
+// counting pass. kernel.BuildDFG and himap.ApplyForwarding, the two
+// product constructors, end with Validate, so a DFG they return is
+// indexed before any other goroutine can see it.
 type DFG struct {
 	Nodes []*Node
 	Edges []Edge
 
 	Block []int // block sizes (b1, ..., bl) the DFG was unrolled for
 
-	outs [][]int // node ID -> indices into Edges
-	ins  [][]int
+	slab []Node // AddNode's backing store; a full slab is replaced, never grown
+
+	// adj[outOff[id]:outOff[id+1]] are the indices into Edges of the
+	// edges leaving id, in insertion order; inOff likewise. Valid while
+	// indexed is set.
+	indexed       bool
+	outOff, inOff []int32
+	adj           []int
 }
 
 // NewDFG returns an empty DFG for the given block sizes.
@@ -58,13 +73,29 @@ func NewDFG(block []int) *DFG {
 	return &DFG{Block: b}
 }
 
+// Grow reserves room for nodes more nodes and edges more edges, so a
+// constructor that knows its size up front pays one allocation each.
+func (d *DFG) Grow(nodes, edges int) {
+	if cap(d.slab)-len(d.slab) < nodes {
+		d.slab = make([]Node, 0, nodes)
+	}
+	d.Nodes = slices.Grow(d.Nodes, nodes)
+	d.Edges = slices.Grow(d.Edges, edges)
+}
+
 // AddNode appends a node, assigning its ID, and returns it.
 func (d *DFG) AddNode(n Node) *Node {
 	n.ID = len(d.Nodes)
-	p := &n
+	if len(d.slab) == cap(d.slab) {
+		// Earlier nodes keep pointing into the old slab. A quarter of
+		// the nodes so far keeps the slab count logarithmic without
+		// doubling a Grow-sized graph for its last few nodes.
+		d.slab = make([]Node, 0, max(16, len(d.Nodes)/4))
+	}
+	d.slab = append(d.slab, n)
+	p := &d.slab[len(d.slab)-1]
 	d.Nodes = append(d.Nodes, p)
-	d.outs = append(d.outs, nil)
-	d.ins = append(d.ins, nil)
+	d.indexed = false
 	return p
 }
 
@@ -73,17 +104,76 @@ func (d *DFG) AddEdge(from, to, port int) {
 	if from < 0 || from >= len(d.Nodes) || to < 0 || to >= len(d.Nodes) {
 		panic(fmt.Sprintf("ir: AddEdge out of range (%d -> %d, %d nodes)", from, to, len(d.Nodes)))
 	}
-	idx := len(d.Edges)
 	d.Edges = append(d.Edges, Edge{From: from, To: to, ToPort: port})
-	d.outs[from] = append(d.outs[from], idx)
-	d.ins[to] = append(d.ins[to], idx)
+	d.indexed = false
+}
+
+// index rebuilds the CSR adjacency. Edges with an endpoint out of range
+// (only a hand-edited Edges slice has them; Validate reports them) are
+// left out.
+func (d *DFG) index() {
+	n := len(d.Nodes)
+	d.outOff, d.inOff, d.adj = csr(n, len(d.Edges), func(ei int) (int, int) {
+		e := d.Edges[ei]
+		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
+			return -1, -1
+		}
+		return e.From, e.To
+	})
+	d.indexed = true
+}
+
+// csr indexes m edges over n vertices: adj[outOff[v]:outOff[v+1]] lists
+// the edges leaving v and adj[inOff[v]:inOff[v+1]] those entering it,
+// both in edge order. It counts each vertex's degrees, prefix-sums the
+// counts into offsets, then drops every edge into its slot — a stable
+// counting sort, three allocations whatever n and m are. ends names the
+// endpoints of edge ei; a negative from skips the edge.
+func csr(n, m int, ends func(ei int) (from, to int)) (outOff, inOff []int32, adj []int) {
+	off := make([]int32, 2*(n+1))
+	outOff, inOff = off[:n+1], off[n+1:]
+	for ei := 0; ei < m; ei++ {
+		if from, to := ends(ei); from >= 0 {
+			outOff[from]++
+			inOff[to]++
+		}
+	}
+	// Counts to start offsets; every in-list follows the out-lists.
+	sum := int32(0)
+	for i, c := range off {
+		off[i] = sum
+		sum += c
+	}
+	adj = make([]int, sum)
+	for ei := 0; ei < m; ei++ {
+		if from, to := ends(ei); from >= 0 {
+			adj[outOff[from]] = ei
+			outOff[from]++
+			adj[inOff[to]] = ei
+			inOff[to]++
+		}
+	}
+	// Filling advanced each start to the next vertex's start: shift back.
+	copy(off[1:], off[:len(off)-1])
+	off[0] = 0
+	return outOff, inOff, adj
 }
 
 // OutEdges returns the indices (into d.Edges) of edges leaving node id.
-func (d *DFG) OutEdges(id int) []int { return d.outs[id] }
+func (d *DFG) OutEdges(id int) []int {
+	if !d.indexed {
+		d.index()
+	}
+	return d.adj[d.outOff[id]:d.outOff[id+1]]
+}
 
 // InEdges returns the indices (into d.Edges) of edges entering node id.
-func (d *DFG) InEdges(id int) []int { return d.ins[id] }
+func (d *DFG) InEdges(id int) []int {
+	if !d.indexed {
+		d.index()
+	}
+	return d.adj[d.inOff[id]:d.inOff[id+1]]
+}
 
 // NumCompute returns |V_D| counted over compute nodes only, the numerator
 // of the utilization metric.
@@ -115,7 +205,7 @@ func (d *DFG) TopoOrder() ([]int, error) {
 		id := queue[0]
 		queue = queue[1:]
 		order = append(order, id)
-		for _, ei := range d.outs[id] {
+		for _, ei := range d.OutEdges(id) {
 			t := d.Edges[ei].To
 			indeg[t]--
 			if indeg[t] == 0 {
@@ -133,7 +223,7 @@ func (d *DFG) TopoOrder() ([]int, error) {
 // consumer port within the node's arity, each input port driven at most
 // once, non-constant compute ports driven exactly once, and acyclicity.
 func (d *DFG) Validate() error {
-	seen := make(map[[2]int]bool, len(d.Edges))
+	driven := make([]uint8, len(d.Nodes)) // bit p set: input port p has a driver
 	for _, e := range d.Edges {
 		if e.From < 0 || e.From >= len(d.Nodes) || e.To < 0 || e.To >= len(d.Nodes) {
 			return fmt.Errorf("ir: edge endpoint out of range: %+v", e)
@@ -143,11 +233,11 @@ func (d *DFG) Validate() error {
 			return fmt.Errorf("ir: edge %v->%v port %d out of arity %d for %v",
 				e.From, e.To, e.ToPort, to.Kind.Arity(), to.Kind)
 		}
-		key := [2]int{e.To, e.ToPort}
-		if seen[key] {
+		bit := uint8(1) << e.ToPort
+		if driven[e.To]&bit != 0 {
 			return fmt.Errorf("ir: input port %d of node %v driven twice", e.ToPort, to)
 		}
-		seen[key] = true
+		driven[e.To] |= bit
 	}
 	for _, n := range d.Nodes {
 		ar := n.Kind.Arity()
@@ -155,7 +245,7 @@ func (d *DFG) Validate() error {
 			if p == 1 && n.HasConst {
 				continue
 			}
-			if !seen[[2]int{n.ID, p}] {
+			if driven[n.ID]&(1<<p) == 0 {
 				return fmt.Errorf("ir: input port %d of node %v undriven", p, n)
 			}
 		}

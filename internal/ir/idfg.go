@@ -33,14 +33,10 @@ func ExtractIDFG(g *ISDG, ci int) *IDFG {
 	c := g.Clusters[ci]
 	f := &IDFG{Cluster: c, DFG: g.DFG}
 	f.Comp = append(f.Comp, c.Nodes...)
-	inside := make(map[int]bool, len(c.Nodes))
-	for _, id := range c.Nodes {
-		inside[id] = true
-	}
 	for _, id := range c.Nodes {
 		for _, ei := range g.DFG.InEdges(id) {
 			e := g.DFG.Edges[ei]
-			if inside[e.From] {
+			if g.ClusterOf(e.From) == ci {
 				f.Inner = append(f.Inner, e)
 				continue
 			}
@@ -54,7 +50,7 @@ func ExtractIDFG(g *ISDG, ci int) *IDFG {
 		}
 		for _, ei := range g.DFG.OutEdges(id) {
 			e := g.DFG.Edges[ei]
-			if inside[e.To] {
+			if g.ClusterOf(e.To) == ci {
 				continue // recorded once as Inner on the consumer side
 			}
 			to := g.DFG.Nodes[e.To]

@@ -95,10 +95,10 @@ func TestISDGEdgesDeduplicated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type pair struct{ f, to int }
-	seen := map[pair]bool{}
+	type ends struct{ f, to int }
+	seen := map[ends]bool{}
 	for _, e := range g.Edges {
-		p := pair{e.From, e.To}
+		p := ends{e.From, e.To}
 		if seen[p] {
 			t.Errorf("duplicate cluster edge %d->%d", e.From, e.To)
 		}
@@ -178,5 +178,72 @@ func TestStructuralSignatureDistinguishesBoundary(t *testing.T) {
 	}
 	if sig(IterVec{0, 1}) == sig(IterVec{1, 0}) {
 		t.Error("top edge and left edge must differ")
+	}
+}
+
+// chainDFG builds a hand-made DFG with one route node per iteration,
+// chained in order, for the given block (nil: Block left unset).
+func chainDFG(block []int, iters ...IterVec) *DFG {
+	d := NewDFG(block)
+	ld := d.AddNode(Node{Kind: OpLoad, Name: "ld", BodyOp: -1, Iter: iters[0], Tensor: "A", Index: IterVec{0}})
+	prev := ld.ID
+	for _, it := range iters {
+		n := d.AddNode(Node{Kind: OpRoute, Name: "r", BodyOp: 0, Iter: it})
+		d.AddEdge(prev, n.ID, 0)
+		prev = n.ID
+	}
+	return d
+}
+
+// TestBuildISDGWithoutBlock: a hand-built DFG that never states its
+// block is indexed over the bounding box of its iterations — negative
+// coordinates included — and ClusterAt answers nil everywhere else.
+func TestBuildISDGWithoutBlock(t *testing.T) {
+	d := chainDFG(nil, IterVec{-1, 2}, IterVec{0, 2}, IterVec{0, 4}, IterVec{1, 3})
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	g, err := BuildISDG(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Clusters) != 4 || len(g.Edges) != 3 {
+		t.Fatalf("%d clusters, %d edges; want 4 and 3", len(g.Clusters), len(g.Edges))
+	}
+	if c := g.ClusterAt(IterVec{-1, 2}); c == nil || c.ID != 0 || len(c.Nodes) != 2 {
+		t.Errorf("ClusterAt(-1,2) = %+v, want cluster 0 with the load and the first route", c)
+	}
+	if c := g.ClusterAt(IterVec{1, 3}); c == nil || c.ID != 3 {
+		t.Errorf("ClusterAt(1,3) = %+v, want cluster 3", c)
+	}
+	for _, iv := range []IterVec{{0, 3}, {-2, 2}, {2, 3}, {0, 5}, {0}, {0, 2, 0}} {
+		if c := g.ClusterAt(iv); c != nil {
+			t.Errorf("ClusterAt(%v) = cluster %d, want nil", iv, c.ID)
+		}
+	}
+	if got := g.Edges[2].Dist; !got.Equal(IterVec{1, -1}) {
+		t.Errorf("edge (0,4)->(1,3) has distance %v", got)
+	}
+}
+
+// TestBuildISDGRejectsStrayIteration: an iteration outside a stated
+// block, one of the wrong dimensionality, and — with no block — one so
+// far from the rest that the bounding box is no iteration space, are
+// returned errors, not index panics or tables sized by the stray point.
+func TestBuildISDGRejectsStrayIteration(t *testing.T) {
+	for name, d := range map[string]*DFG{
+		"past the block":    chainDFG([]int{2, 2}, IterVec{0, 0}, IterVec{1, 2}),
+		"before the block":  chainDFG([]int{2, 2}, IterVec{0, 0}, IterVec{-1, 0}),
+		"wrong dimension":   chainDFG([]int{2, 2}, IterVec{0, 0}, IterVec{1}),
+		"no block, far off": chainDFG(nil, IterVec{0, 0}, IterVec{1 << 40, 1 << 40}),
+		"no block, ragged":  chainDFG(nil, IterVec{0, 0}, IterVec{1}),
+	} {
+		g, err := BuildISDG(d)
+		if err == nil {
+			t.Errorf("%s: BuildISDG accepted it (%d clusters)", name, len(g.Clusters))
+		}
 	}
 }

@@ -49,108 +49,155 @@ func (k *Kernel) BuildDFG(block []int) (*ir.DFG, error) {
 			return nil, fmt.Errorf("kernel %s: block dim %d is %d, min %d", k.Name, d, b, min)
 		}
 	}
-	d := ir.NewDFG(block)
+	// The iteration space is a box, so everything per point is a row of
+	// a dense table: nodes come from one slab sized for the body ops
+	// (boundary loads and stores spill into a second), iteration vectors
+	// from one flat array, and a producer is found by offsetting the
+	// consumer's point index — PointIndex is linear.
 	npts := ir.BoxSize(block)
-	nodeOf := make([][]int, len(k.Body)) // body op -> point index -> node ID
-	for i := range nodeOf {
-		nodeOf[i] = make([]int, npts)
-		for j := range nodeOf[i] {
-			nodeOf[i][j] = -1
-		}
+	b := dfgBuilder{k: k, block: block, d: ir.NewDFG(block), npts: npts,
+		nodeOf: make([]int32, len(k.Body)*npts), names: map[string]string{}}
+	ports := 0 // edges per interior point: one per input port and store rule
+	for _, op := range k.Body {
+		ports += op.Kind.Arity() + len(op.Stores)
 	}
-
-	var buildErr error
+	b.d.Grow(len(k.Body)*npts, ports*npts)
+	iters := make([]int, npts*k.Dim)
+	pi := 0
 	ir.ForEachPoint(block, func(pt ir.IterVec) {
-		if buildErr != nil {
+		if b.err != nil {
 			return
 		}
-		iter := pt.Clone()
-		pi := ir.PointIndex(iter, block)
-		for opIdx, op := range k.Body {
-			n := d.AddNode(ir.Node{
-				Kind:   op.Kind,
-				Name:   op.Name,
-				BodyOp: opIdx,
-				Iter:   iter,
-			})
-			nodeOf[opIdx][pi] = n.ID
-
-			wire := func(in Input, port int) {
-				if buildErr != nil {
-					return
-				}
-				src, err := selectCase(in, iter, block)
-				if err != nil {
-					buildErr = fmt.Errorf("kernel %s op %s port %d: %v", k.Name, op.Name, port, err)
-					return
-				}
-				switch src.Kind {
-				case SrcDep:
-					prodIter := iter
-					if len(src.Dist) > 0 {
-						prodIter = iter.Sub(src.Dist)
-					}
-					if !prodIter.InBox(block) {
-						buildErr = fmt.Errorf("kernel %s op %s at %v: dependence source %v outside block %v (missing boundary guard)",
-							k.Name, op.Name, iter, prodIter, block)
-						return
-					}
-					pid := nodeOf[src.Op][ir.PointIndex(prodIter, block)]
-					if pid < 0 {
-						buildErr = fmt.Errorf("kernel %s op %s at %v: producer op %d at %v not yet created (non-causal order)",
-							k.Name, op.Name, iter, src.Op, prodIter)
-						return
-					}
-					d.AddEdge(pid, n.ID, port)
-				case SrcMem:
-					ld := d.AddNode(ir.Node{
-						Kind:   ir.OpLoad,
-						Name:   "ld." + src.Tensor,
-						BodyOp: loadBodyOp(opIdx, port),
-						Iter:   iter,
-						Tensor: src.Tensor,
-						Index:  src.Map.Apply(iter),
-					})
-					d.AddEdge(ld.ID, n.ID, port)
-				case SrcConst:
-					if port != 1 {
-						buildErr = fmt.Errorf("kernel %s op %s: constant sources are only supported on port 1", k.Name, op.Name)
-						return
-					}
-					n.HasConst = true
-					n.Const = src.Value
-				}
-			}
-			ar := op.Kind.Arity()
-			if ar >= 1 {
-				wire(op.A, 0)
-			}
-			if ar >= 2 {
-				wire(op.B, 1)
-			}
-			for ri, st := range op.Stores {
-				if !st.When.Eval(iter, block) {
-					continue
-				}
-				sn := d.AddNode(ir.Node{
-					Kind:   ir.OpStore,
-					Name:   "st." + st.Tensor,
-					BodyOp: storeBodyOp(opIdx, ri),
-					Iter:   iter,
-					Tensor: st.Tensor,
-					Index:  st.Map.Apply(iter),
-				})
-				d.AddEdge(n.ID, sn.ID, 0)
-			}
-		}
+		iter := ir.IterVec(iters[pi*k.Dim : (pi+1)*k.Dim : (pi+1)*k.Dim])
+		copy(iter, pt)
+		b.point(iter, pi)
+		pi++
 	})
-	if buildErr != nil {
-		return nil, buildErr
+	if b.err != nil {
+		return nil, b.err
 	}
-	if err := d.Validate(); err != nil {
+	if err := b.d.Validate(); err != nil {
 		return nil, fmt.Errorf("kernel %s: generated DFG invalid: %v", k.Name, err)
 	}
-	return d, nil
+	return b.d, nil
+}
+
+// dfgBuilder is the state of one BuildDFG unrolling.
+type dfgBuilder struct {
+	k      *Kernel
+	block  []int
+	d      *ir.DFG
+	npts   int
+	nodeOf []int32           // body op*npts + point index -> 1 + node ID; 0 before creation
+	names  map[string]string // "ld."/"st." + tensor, built once per tensor
+	err    error
+}
+
+// name returns prefix+tensor, concatenated once per build.
+func (b *dfgBuilder) name(prefix, tensor string) string {
+	// A short concatenation that does not escape stays on the stack, so
+	// a hit allocates nothing.
+	if s, ok := b.names[prefix+tensor]; ok {
+		return s
+	}
+	s := prefix + tensor
+	b.names[s] = s
+	return s
+}
+
+// point creates the nodes of iteration iter, whose point index is pi.
+func (b *dfgBuilder) point(iter ir.IterVec, pi int) {
+	k, d := b.k, b.d
+	for opIdx := range k.Body {
+		op := &k.Body[opIdx]
+		n := d.AddNode(ir.Node{
+			Kind:   op.Kind,
+			Name:   op.Name,
+			BodyOp: opIdx,
+			Iter:   iter,
+		})
+		b.nodeOf[opIdx*b.npts+pi] = int32(n.ID) + 1
+		ar := op.Kind.Arity()
+		if ar >= 1 {
+			b.wire(n, op, op.A, 0, pi)
+		}
+		if ar >= 2 {
+			b.wire(n, op, op.B, 1, pi)
+		}
+		if b.err != nil {
+			return
+		}
+		for ri, st := range op.Stores {
+			if !st.When.Eval(iter, b.block) {
+				continue
+			}
+			sn := d.AddNode(ir.Node{
+				Kind:   ir.OpStore,
+				Name:   b.name("st.", st.Tensor),
+				BodyOp: storeBodyOp(opIdx, ri),
+				Iter:   iter,
+				Tensor: st.Tensor,
+				Index:  st.Map.Apply(iter),
+			})
+			d.AddEdge(n.ID, sn.ID, 0)
+		}
+	}
+}
+
+// wire connects input port of node n (body op op, at point index pi) to
+// the source its guards select there.
+func (b *dfgBuilder) wire(n *ir.Node, op *BodyOp, in Input, port, pi int) {
+	if b.err != nil {
+		return
+	}
+	k, d, iter := b.k, b.d, n.Iter
+	src, err := selectCase(in, iter, b.block)
+	if err != nil {
+		b.err = fmt.Errorf("kernel %s op %s port %d: %v", k.Name, op.Name, port, err)
+		return
+	}
+	switch src.Kind {
+	case SrcDep:
+		ppi := pi
+		if len(src.Dist) > 0 {
+			for i, dv := range src.Dist {
+				if v := iter[i] - dv; v < 0 || v >= b.block[i] {
+					b.err = fmt.Errorf("kernel %s op %s at %v: dependence source %v outside block %v (missing boundary guard)",
+						k.Name, op.Name, iter, iter.Sub(src.Dist), b.block)
+					return
+				}
+			}
+			ppi -= ir.PointIndex(src.Dist, b.block)
+		}
+		pid := int(b.nodeOf[src.Op*b.npts+ppi]) - 1
+		if pid < 0 {
+			prodIter := iter
+			if len(src.Dist) > 0 {
+				prodIter = iter.Sub(src.Dist)
+			}
+			b.err = fmt.Errorf("kernel %s op %s at %v: producer op %d at %v not yet created (non-causal order)",
+				k.Name, op.Name, iter, src.Op, prodIter)
+			return
+		}
+		d.AddEdge(pid, n.ID, port)
+	case SrcMem:
+		ld := d.AddNode(ir.Node{
+			Kind:   ir.OpLoad,
+			Name:   b.name("ld.", src.Tensor),
+			BodyOp: loadBodyOp(n.BodyOp, port),
+			Iter:   iter,
+			Tensor: src.Tensor,
+			Index:  src.Map.Apply(iter),
+		})
+		d.AddEdge(ld.ID, n.ID, port)
+	case SrcConst:
+		if port != 1 {
+			b.err = fmt.Errorf("kernel %s op %s: constant sources are only supported on port 1", k.Name, op.Name)
+			return
+		}
+		n.HasConst = true
+		n.Const = src.Value
+	}
 }
 
 // BuildISDG unrolls the kernel and clusters the DFG by iteration.

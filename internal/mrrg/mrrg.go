@@ -108,18 +108,32 @@ type Graph struct {
 	// single-driver bus. Dense slot *indices* keep the per-direction
 	// layout (with holes) so search scratch arrays are unaffected.
 	sharedOut bool
+
+	// nd, slots and stride cache NumDirs(), SlotsPerPE() and the dense
+	// keys per cycle (NumPEs() × slots): SlotIndex, DenseKey and TimeBase
+	// sit on every relaxed edge and occupancy charge, and re-deriving
+	// them from the fabric costs more than the key arithmetic itself.
+	nd, slots, stride int
 }
 
 // New returns the MRRG of the fabric, time-extended to ii cycles with
 // modulo wrap-around for resource accounting (H_II of §IV).
 func New(f arch.Fabric, ii int) *Graph {
-	return &Graph{Fab: f, II: ii, Wrap: true, links: buildLinks(f), sharedOut: f.SharedOutBus()}
+	return newGraph(f, ii, true)
 }
 
 // NewAcyclic returns a non-wrapping time extension of depth cycles (used
 // for IDFG → sub-CGRA mapping, H” of §IV).
 func NewAcyclic(f arch.Fabric, depth int) *Graph {
-	return &Graph{Fab: f, II: depth, Wrap: false, links: buildLinks(f), sharedOut: f.SharedOutBus()}
+	return newGraph(f, depth, false)
+}
+
+func newGraph(f arch.Fabric, ii int, wrap bool) *Graph {
+	g := &Graph{Fab: f, II: ii, Wrap: wrap, links: buildLinks(f), sharedOut: f.SharedOutBus()}
+	g.nd = f.NumLinkDirs()
+	g.slots = 5 + g.nd + f.NumRegs
+	g.stride = f.NumPEs() * g.slots
+	return g
 }
 
 func buildLinks(f arch.Fabric) []int32 {
@@ -141,11 +155,14 @@ func buildLinks(f arch.Fabric) []int32 {
 }
 
 // NumDirs returns the per-PE link-direction (output register) count.
-func (g *Graph) NumDirs() int { return g.Fab.NumLinkDirs() }
+func (g *Graph) NumDirs() int { return g.nd }
 
 // WrapTime folds a real cycle into the occupancy period [0, II).
 func (g *Graph) WrapTime(t int) int {
-	return ((t % g.II) + g.II) % g.II
+	if t %= g.II; t < 0 {
+		t += g.II
+	}
+	return t
 }
 
 // ValidTime reports whether a real cycle exists in the extension: always
@@ -186,7 +203,7 @@ func RealKey(n Node) uint64 {
 // read/write ports, the two memory ports, and NumRegs register-file
 // entries. It is the stride of the dense key space (9 + NumRegs on
 // 4-direction fabrics, matching the pre-Fabric layout exactly).
-func (g *Graph) SlotsPerPE() int { return 5 + g.NumDirs() + g.Fab.NumRegs }
+func (g *Graph) SlotsPerPE() int { return g.slots }
 
 // SlotIndex packs a (class, idx) resource into a dense per-PE slot in
 // [0, SlotsPerPE()) — unlike the sparse class*8+idx packing of Key and
@@ -243,8 +260,7 @@ func (g *Graph) DenseKey(n Node) int {
 	if g.sharedOut && n.Class == ClassOut {
 		idx = 0 // all egress directions share one bus slot
 	}
-	return (g.WrapTime(n.T)*g.Fab.NumPEs()+r*g.Fab.Cols+c)*g.SlotsPerPE() +
-		g.SlotIndex(n.Class, idx)
+	return g.WrapTime(n.T)*g.stride + (r*g.Fab.Cols+c)*g.slots + g.SlotIndex(n.Class, idx)
 }
 
 // SharedOut reports whether DenseKey collapses the output-register
@@ -263,9 +279,7 @@ func (g *Graph) NumDenseKeys() int { return g.II * g.Fab.NumPEs() * g.SlotsPerPE
 // search so the occupancy key of a relaxed node is a single add off its
 // dense search index instead of a full DenseKey (mod + wrap + switch)
 // evaluation.
-func (g *Graph) TimeBase(t int) int {
-	return g.WrapTime(t) * g.Fab.NumPEs() * g.SlotsPerPE()
-}
+func (g *Graph) TimeBase(t int) int { return g.WrapTime(t) * g.stride }
 
 // Capacity returns the occupancy capacity of a node class under the
 // fabric's bandwidth class: RF ports come from the (possibly narrowed)

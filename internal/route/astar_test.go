@@ -121,16 +121,14 @@ func TestTorusHeuristicNeverOverestimates(t *testing.T) {
 					maxT = tg.T
 				}
 			}
-			span := maxT - tBase + 1
-			var sc scratch
-			sc.begin(span*f.NumPEs()*g.SlotsPerPE(), span*f.NumPEs())
+			s.sc.begin(window{tBase: tBase, maxT: maxT, rows: f.Rows, cols: f.Cols, slots: g.SlotsPerPE()})
 			// Suffix costs along the optimal path are exact costs-to-go.
 			for i := 0; i < len(path); i++ {
 				togo := 0.0
 				for j := i + 1; j < len(path); j++ {
 					togo += ref.enterCost(path[j])
 				}
-				h := s.heuristicAt(&sc, path[i], targets, tBase, f.NumPEs(), f.Cols)
+				h := s.heuristicAt(path[i], targets)
 				if h < 0 {
 					t.Fatalf("%v trial %d: heuristic pruned path node %v with cost-to-go %v",
 						sz, trial, path[i], togo)

@@ -1,0 +1,301 @@
+package route
+
+import (
+	"container/heap"
+	"errors"
+	"math"
+	"reflect"
+	"testing"
+
+	"himap/internal/arch"
+	"himap/internal/mrrg"
+)
+
+// The oracle below is the definition RouteSink must meet, written with
+// none of its index arithmetic: a Dijkstra over mrrg.Graph.Succ whose
+// whole state is maps keyed by RealKey. It knows nothing of windows,
+// dense indices, row deltas or generations, so a wrong one of those in
+// search.go cannot hide in both — which the A*-versus-legacy tests,
+// whose two cores share idxOf, cannot promise.
+
+type oracleItem struct {
+	cost float64
+	n    mrrg.Node
+}
+
+type oracleHeap []oracleItem
+
+func (h oracleHeap) Len() int { return len(h) }
+func (h oracleHeap) Less(i, j int) bool {
+	if h[i].cost != h[j].cost {
+		return h[i].cost < h[j].cost
+	}
+	return mrrg.RealKey(h[i].n) < mrrg.RealKey(h[j].n)
+}
+func (h oracleHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *oracleHeap) Push(x any)   { *h = append(*h, x.(oracleItem)) }
+func (h *oracleHeap) Pop() any {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
+}
+
+// mapDijkstra returns the path and cost RouteSink(net, targets) must
+// return, or ok false where it must fail with ErrNoPath: pops in (cost,
+// RealKey) order, the first relaxer of an equal cost keeps the parent
+// slot, nodes the net owns cost nothing to enter, nothing past the
+// latest target is entered. It reads the session, and changes nothing.
+func mapDijkstra(s *Session, net *Net, targets []mrrg.Node) (Path, float64, bool) {
+	maxT := targets[0].T
+	isTarget := map[uint64]bool{}
+	for _, t := range targets {
+		maxT = max(maxT, t.T)
+		isTarget[mrrg.RealKey(t)] = true
+	}
+	dist := map[uint64]float64{}
+	parent := map[uint64]mrrg.Node{}
+	owned := map[uint64]bool{}
+	closed := map[uint64]bool{}
+	var h oracleHeap
+	seed := func(n mrrg.Node) {
+		if n.T > maxT {
+			return
+		}
+		k := mrrg.RealKey(n)
+		owned[k], dist[k] = true, 0
+		delete(parent, k)
+		heap.Push(&h, oracleItem{0, n})
+	}
+	seed(net.Src)
+	for _, p := range net.Paths {
+		for _, n := range p {
+			seed(n)
+		}
+	}
+	for h.Len() > 0 {
+		it := heap.Pop(&h).(oracleItem)
+		k := mrrg.RealKey(it.n)
+		if closed[k] {
+			continue
+		}
+		closed[k] = true
+		if isTarget[k] {
+			path := Path{it.n}
+			for {
+				p, ok := parent[mrrg.RealKey(path[0])]
+				if !ok {
+					return path, it.cost, true
+				}
+				path = append(Path{p}, path...)
+			}
+		}
+		s.G.Succ(it.n, func(m mrrg.Node) {
+			mk := mrrg.RealKey(m)
+			if m.T > maxT || closed[mk] {
+				return
+			}
+			nd := it.cost
+			if !owned[mk] {
+				nd += s.enterCost(m)
+			}
+			if old, seen := dist[mk]; !seen || nd < old {
+				dist[mk] = nd
+				parent[mk] = it.n
+				heap.Push(&h, oracleItem{nd, m})
+			}
+		})
+	}
+	return nil, 0, false
+}
+
+// congest charges random occupancy (present-sharing penalties) and
+// history (earlier rounds) to output and register-file resources within
+// reach of (r, c), shifted by (dr, dc).
+func congest(s *Session, rng *lcg, ii, r, c, reach, dr, dc int) {
+	f := s.G.Fab
+	pick := func() (int, int, int) {
+		pr := min(max(r+rng.next(2*reach+1)-reach, 0), f.Rows-1-max(dr, 0))
+		pc := min(max(c+rng.next(2*reach+1)-reach, 0), f.Cols-1-max(dc, 0))
+		return rng.next(2 * ii), pr + dr, pc + dc
+	}
+	for i := 0; i < 6*reach*reach; i++ {
+		t, pr, pc := pick()
+		s.Reserve(mrrg.Node{T: t, R: pr, C: pc, Class: mrrg.ClassOut, Idx: uint8(rng.next(f.NumLinkDirs()))})
+		t, pr, pc = pick()
+		s.Reserve(mrrg.Node{T: t, R: pr, C: pc, Class: mrrg.ClassRFWrite})
+	}
+	for i := 0; i < 3*reach*reach; i++ {
+		t, pr, pc := pick()
+		s.hist[s.G.DenseKey(mrrg.Node{T: t, R: pr, C: pc, Class: mrrg.ClassReg, Idx: uint8(rng.next(f.NumRegs))})] += s.HistBump
+		t, pr, pc = pick()
+		s.hist[s.G.DenseKey(mrrg.Node{T: t, R: pr, C: pc, Class: mrrg.ClassOut, Idx: uint8(rng.next(f.NumLinkDirs()))})] += s.HistBump
+	}
+}
+
+// TestRouteSinkMatchesMapDijkstra holds both search cores to the oracle
+// on fabrics large enough for the search window to be a small part of
+// the array: sources in corners, on edges and in the interior, three
+// sinks per net (so later searches seed from earlier paths), targets
+// both inside and beyond reach, under random occupancy and history. The
+// bus fabric is the linearKeys == false path.
+func TestRouteSinkMatchesMapDijkstra(t *testing.T) {
+	const side, ii = 24, 8
+	bus := arch.DefaultFabric(side, side)
+	bus.Bandwidth = arch.BWBus
+	fabrics := []arch.Fabric{
+		arch.DefaultFabric(side, side),
+		{CGRA: arch.Default(side, side), Topology: arch.TopoMeshDiag},
+		{CGRA: arch.Default(side, side), Topology: arch.TopoTorus},
+		bus,
+	}
+	spots := []int{0, side - 1, side / 2, 1 + side/3} // corner/edge/interior coordinates
+	rng := lcg(22)
+	for _, f := range fabrics {
+		g := mrrg.New(f, ii)
+		for _, legacy := range []bool{false, true} {
+			s := NewSession(g)
+			s.Legacy = legacy
+			routed, failed := 0, 0
+			for trial := 0; trial < 40; trial++ {
+				s.Reset()
+				src := fu(rng.next(ii), spots[rng.next(len(spots))], spots[rng.next(len(spots))])
+				congest(s, &rng, ii, src.R, src.C, 5, 0, 0)
+				s.Reserve(src)
+				net := s.NewNet(src)
+				for sink := 0; sink < 3; sink++ {
+					dt := 1 + rng.next(7)
+					// Up to dt+1 hops away, so one beyond reach now and
+					// then: ErrNoPath must agree too.
+					hops := rng.next(dt + 2)
+					hr := rng.next(hops + 1)
+					tr := src.R + hr*(2*rng.next(2)-1)
+					tc := src.C + (hops-hr)*(2*rng.next(2)-1)
+					if f.Topology.Wraps() {
+						tr, tc = f.WrapCoord(tr, tc)
+					} else {
+						tr, tc = min(max(tr, 0), side-1), min(max(tc, 0), side-1)
+					}
+					targets := g.OperandTargets(src.T+dt, tr, tc)
+					wantPath, wantCost, ok := mapDijkstra(s, net, targets)
+					path, cost, err := s.RouteSink(net, targets)
+					if !ok {
+						if !errors.Is(err, ErrNoPath) {
+							t.Fatalf("%v legacy=%v trial %d sink %d: oracle finds no path, RouteSink returned %v, %v", f, legacy, trial, sink, path, err)
+						}
+						failed++
+						continue
+					}
+					if err != nil {
+						t.Fatalf("%v legacy=%v trial %d sink %d: RouteSink failed (%v), oracle routes %v", f, legacy, trial, sink, err, wantPath)
+					}
+					if cost != wantCost || !reflect.DeepEqual(path, wantPath) {
+						t.Fatalf("%v legacy=%v trial %d sink %d (src %v, targets %v):\n got %v cost %v\nwant %v cost %v",
+							f, legacy, trial, sink, src, targets, path, cost, wantPath, wantCost)
+					}
+					routed++
+				}
+			}
+			if routed < 60 || failed < 3 {
+				t.Errorf("%v legacy=%v: %d routed, %d unreachable — the trial mix no longer covers both outcomes", f, legacy, routed, failed)
+			}
+		}
+	}
+}
+
+// TestRouteSinkTranslationInvariant is the property the window rests on,
+// seen from outside: on a mesh, the same interior problem (sources,
+// sinks, occupancy, history) moved by (dr, dc) routes to the same paths
+// moved by (dr, dc).
+func TestRouteSinkTranslationInvariant(t *testing.T) {
+	const side, ii = 40, 8
+	g := mrrg.New(arch.DefaultFabric(side, side), ii)
+	rng := lcg(40)
+	for trial := 0; trial < 25; trial++ {
+		dr, dc := rng.next(17), rng.next(17)
+		r, c := 11+rng.next(6), 11+rng.next(6)
+		seed := rng
+		var paths [2][]Path
+		for i, sh := range [][2]int{{0, 0}, {dr, dc}} {
+			rng = seed // both runs draw the same problem
+			s := NewSession(g)
+			congest(s, &rng, ii, r, c, 6, sh[0], sh[1])
+			src := fu(rng.next(ii), r+sh[0], c+sh[1])
+			s.Reserve(src)
+			net := s.NewNet(src)
+			for sink := 0; sink < 3; sink++ {
+				dt := 2 + rng.next(6)
+				tr, tc := r+rng.next(dt+1)-dt/2, c+rng.next(dt+1)-dt/2
+				path, _, err := s.RouteSink(net, g.OperandTargets(src.T+dt, tr+sh[0], tc+sh[1]))
+				if err != nil {
+					path = nil
+				}
+				paths[i] = append(paths[i], path)
+			}
+		}
+		for k, p := range paths[0] {
+			var moved Path
+			for _, n := range p {
+				moved = append(moved, n.Shifted(0, dr, dc))
+			}
+			if !reflect.DeepEqual(moved, paths[1][k]) {
+				t.Fatalf("trial %d sink %d shifted by (%d,%d):\n got %v\nwant %v", trial, k, dr, dc, paths[1][k], moved)
+			}
+		}
+	}
+}
+
+// TestScratchRegrowthLeavesNoStaleStamps alternates small and large
+// search windows on one session, through several scratch regrowths and a
+// wrap of the generation counter, and requires every result to equal a
+// fresh session's: a stamp that survived a regrowth or the wrap would
+// mark nodes seen, closed, owned or targets in a search that never
+// touched them.
+func TestScratchRegrowthLeavesNoStaleStamps(t *testing.T) {
+	const side, ii = 32, 8
+	g := mrrg.New(arch.DefaultFabric(side, side), ii)
+	s := NewSession(g)
+	rng := lcg(7)
+	regrowths, wrapped := 0, false
+	for step, dt := range []int{1, 3, 1, 6, 2, 12, 1, 12, 3, 1, 16, 2} {
+		if step == 7 {
+			s.sc.gen = math.MaxUint32 // the next search wraps the counter
+			wrapped = true
+		}
+		before := len(s.sc.hseen)
+		s.Reset()
+		fresh := NewSession(g)
+		src := fu(rng.next(ii), 4+rng.next(side-8), 4+rng.next(side-8))
+		tr, tc := min(src.R+dt/2, side-1), max(src.C-(dt-dt/2)+1, 0)
+		var got, want []Path
+		for _, ses := range []*Session{s, fresh} {
+			ses.Reserve(src)
+			net := ses.NewNet(src)
+			var paths []Path
+			for _, d := range []int{dt, dt + 1} { // the second search seeds from the first path
+				p, _, err := ses.RouteSink(net, g.OperandTargets(src.T+d, tr, tc))
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				paths = append(paths, p)
+			}
+			if ses == s {
+				got = paths
+			} else {
+				want = paths
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d (dt %d): reused session routed\n %v\nfresh session\n %v", step, dt, got, want)
+		}
+		if len(s.sc.seen) != s.sc.w.slots*len(s.sc.hseen) {
+			t.Fatalf("step %d: len(seen) %d != slots %d × len(hseen) %d", step, len(s.sc.seen), s.sc.w.slots, len(s.sc.hseen))
+		}
+		if len(s.sc.hseen) != before {
+			regrowths++
+		}
+	}
+	if regrowths < 3 || !wrapped || s.sc.gen > 16 {
+		t.Errorf("%d regrowths, wrapped %v, generation %d: the sequence no longer exercises regrowth and wrap", regrowths, wrapped, s.sc.gen)
+	}
+}

@@ -6,13 +6,43 @@ import (
 	"himap/internal/mrrg"
 )
 
+// window is the index space of one search: real cycles [tBase, maxT] of
+// the PEs in rows [r0, r0+rows) × columns [c0, c0+cols), slots resource
+// slots each. A value changes PE only through an output register's link
+// at the next cycle (mrrg.Succ), so a search that spans H = maxT − tBase
+// cycles never leaves the bounding box of its seeds grown by H hops:
+// RouteSink indexes that box, not the array, and the scratch a search
+// needs follows the net instead of the fabric.
+type window struct {
+	tBase, maxT int
+	r0, c0      int
+	rows, cols  int
+	slots       int
+}
+
+// cells is the number of (cycle, PE) pairs in the window.
+func (w *window) cells() int { return (w.maxT - w.tBase + 1) * w.rows * w.cols }
+
+// row is the dense index of (cycle, PE row) — the unit the A* core's
+// occupancy-key deltas are kept per.
+func (w *window) row(t, r int) int { return (t-w.tBase)*w.rows + r - w.r0 }
+
+// cell is the dense index of (cycle, PE), the heuristic cache's key.
+func (w *window) cell(t, r, c int) int { return w.row(t, r)*w.cols + c - w.c0 }
+
+// holds reports whether PE (r, c) lies inside the window.
+func (w *window) holds(r, c int) bool {
+	return r >= w.r0 && r < w.r0+w.rows && c >= w.c0 && c < w.c0+w.cols
+}
+
 // scratch is one search working set: flat arrays over the dense real-
-// node index space of one search, invalidated between searches by a
-// generation stamp (an entry is live only when its stamp equals the
+// node index space of one search window, invalidated between searches by
+// a generation stamp (an entry is live only when its stamp equals the
 // current generation). The arrays grow monotonically and are never
 // cleared, so steady-state searches allocate nothing. The zero value is
 // ready to use.
 type scratch struct {
+	w      window // of the search in progress
 	gen    uint32
 	seen   []uint32  // dist/hval/parent valid when seen[i] == gen
 	dist   []float64 // tentative cost g
@@ -22,7 +52,7 @@ type scratch struct {
 	closed []uint32  // node finalized when closed[i] == gen
 	tgt    []uint32  // node is a search target when tgt[i] == gen
 	owned  []uint32  // node already belongs to the net when owned[i] == gen
-	tdelta []int     // per relative cycle: DenseKey - search index delta
+	rdelta []int     // per window row: DenseKey - search index delta
 	hits   []int32   // targets popped while draining the goal bucket
 	heap   minHeap   // legacy core frontier
 	bq     bucketQueue
@@ -37,16 +67,21 @@ type scratch struct {
 	h1    []float64
 }
 
-// begin opens a new search generation over n dense indices (npe of them
-// per slot — the (cycle, PE) space the heuristic cache is keyed by).
-func (sc *scratch) begin(n, npe int) {
-	if len(sc.seen) < n {
+// begin opens a new search generation over window w. The per-node arrays
+// and the per-cell heuristic cache grow in one step that keeps
+// len(seen) == w.slots × len(hseen): the generation restarts only when
+// every stamped array is fresh, so a stamp from before a regrowth can
+// never read as live after it.
+func (sc *scratch) begin(w window) {
+	sc.w = w
+	if cells := w.cells(); len(sc.hseen) < cells || len(sc.seen) != w.slots*len(sc.hseen) {
 		// Grow geometrically: search windows vary net to net, and
 		// doubling caps the reallocation count at log of the largest
 		// window instead of once per new high-water mark.
-		if c := 2 * len(sc.seen); n < c {
-			n = c
+		if c := 2 * len(sc.hseen); cells < c {
+			cells = c
 		}
+		n := cells * w.slots
 		sc.seen = make([]uint32, n)
 		sc.dist = make([]float64, n)
 		sc.hval = make([]float64, n)
@@ -55,16 +90,10 @@ func (sc *scratch) begin(n, npe int) {
 		sc.closed = make([]uint32, n)
 		sc.tgt = make([]uint32, n)
 		sc.owned = make([]uint32, n)
+		sc.hseen = make([]uint32, cells)
+		sc.h0 = make([]float64, cells)
+		sc.h1 = make([]float64, cells)
 		sc.gen = 0 // fresh arrays are all-zero: restart stamping
-	}
-	if len(sc.hseen) < npe {
-		if c := 2 * len(sc.hseen); npe < c {
-			npe = c
-		}
-		sc.hseen = make([]uint32, npe)
-		sc.h0 = make([]float64, npe)
-		sc.h1 = make([]float64, npe)
-		sc.gen = 0
 	}
 	sc.gen++
 	if sc.gen == 0 { // generation counter wrapped: purge stale stamps
@@ -80,14 +109,23 @@ func (sc *scratch) begin(n, npe int) {
 	sc.bq.reset()
 }
 
+// idxOf packs a node of the search in progress into its dense scratch
+// index: the window cell times the slot count, plus the node's slot.
+func (s *Session) idxOf(n mrrg.Node) int32 {
+	w := &s.sc.w
+	return int32(w.cell(n.T, n.R, n.C)*w.slots + s.G.SlotIndex(n.Class, n.Idx))
+}
+
 // nodeAt reconstructs the node of a dense scratch index (the inverse of
-// the packing in RouteSink).
-func (s *Session) nodeAt(i int32, tBase, pes, cols, slots int) mrrg.Node {
-	slot := int(i) % slots
-	rest := int(i) / slots
-	pe := rest % pes
+// idxOf).
+func (s *Session) nodeAt(i int32) mrrg.Node {
+	w := &s.sc.w
+	slot := int(i) % w.slots
+	rest := int(i) / w.slots
+	c := rest % w.cols
+	rest /= w.cols
 	cl, idx := s.G.SlotResource(slot)
-	return mrrg.Node{T: rest/pes + tBase, R: pe / cols, C: pe % cols, Class: cl, Idx: idx}
+	return mrrg.Node{T: rest/w.rows + w.tBase, R: rest%w.rows + w.r0, C: c + w.c0, Class: cl, Idx: idx}
 }
 
 // heuristicAt is the admissible, consistent lower bound on the remaining
@@ -114,8 +152,9 @@ func (s *Session) nodeAt(i int32, tBase, pes, cols, slots int) mrrg.Node {
 // It depends only on the node's (cycle, PE, is-Out), so the per-target
 // loop runs once per (cycle, PE) of a search, cached in the scratch
 // (both the general and the Out-credit lanes fill from one target scan).
-func (s *Session) heuristicAt(sc *scratch, n mrrg.Node, targets []mrrg.Node, tBase, pes, cols int) float64 {
-	pi := (n.T-tBase)*pes + n.R*cols + n.C
+func (s *Session) heuristicAt(n mrrg.Node, targets []mrrg.Node) float64 {
+	sc := &s.sc
+	pi := sc.w.cell(n.T, n.R, n.C)
 	if sc.hseen[pi] != sc.gen {
 		sc.hseen[pi] = sc.gen
 		h0, h1 := -1.0, -1.0
@@ -150,77 +189,91 @@ func (s *Session) heuristicAt(sc *scratch, n mrrg.Node, targets []mrrg.Node, tBa
 	return sc.h0[pi]
 }
 
+// searchWindow returns the index space of extending net to targets.
+// Real cycles run from the earliest seed or target (successor times are
+// monotone, so nothing before it is reachable) to the latest target
+// (nothing after it is useful) — H cycles in all. Space is the bounding
+// box of the seeds grown by H hops and clipped to the array: every link
+// crossing takes a cycle, so nothing outside it is reachable in time. A
+// wrap-around axis keeps its whole extent (a box that crosses the seam
+// is not an interval).
+func (s *Session) searchWindow(net *Net, targets []mrrg.Node) window {
+	w := window{tBase: net.Src.T, maxT: targets[0].T, slots: s.G.SlotsPerPE()}
+	r0, r1, c0, c1 := net.Src.R, net.Src.R, net.Src.C, net.Src.C
+	for _, t := range targets {
+		w.maxT = max(w.maxT, t.T)
+		w.tBase = min(w.tBase, t.T)
+	}
+	for _, p := range net.Paths {
+		for _, n := range p {
+			w.tBase = min(w.tBase, n.T)
+			r0, r1 = min(r0, n.R), max(r1, n.R)
+			c0, c1 = min(c0, n.C), max(c1, n.C)
+		}
+	}
+	f := &s.G.Fab
+	if f.Topology.Wraps() {
+		r0, r1, c0, c1 = 0, f.Rows-1, 0, f.Cols-1
+	} else {
+		h := w.maxT - w.tBase
+		r0, r1 = max(r0-h, 0), min(r1+h, f.Rows-1)
+		c0, c1 = max(c0-h, 0), min(c1+h, f.Cols-1)
+	}
+	w.r0, w.rows, w.c0, w.cols = r0, r1-r0+1, c0, c1-c0+1
+	return w
+}
+
 // RouteSink extends the net with a least-cost path from any node the net
 // already owns to any node of targets. Newly entered nodes are charged to
 // the session occupancy (modulo II). The found path starts at an owned
 // node and ends at the reached target.
 //
 // The search runs entirely in the session's generation-stamped scratch
-// arrays: per call it allocates only the returned Path (plus one-time
-// scratch growth when a search spans more cycles than any before it).
+// arrays: per call it allocates only the returned Path (plus scratch
+// growth when a search's window is larger than any before it).
 func (s *Session) RouteSink(net *Net, targets []mrrg.Node) (Path, float64, error) {
 	sc := &s.sc
 	if len(targets) == 0 {
 		return nil, 0, fmt.Errorf("route: %w: no targets", ErrNoPath)
 	}
-	// The dense per-search index space covers real cycles [tBase, maxT]:
-	// tBase is the earliest seed or target (successor times are monotone,
-	// so nothing before it is reachable), maxT the latest target (nothing
-	// after it is useful).
-	maxT, tBase := targets[0].T, targets[0].T
+	sc.begin(s.searchWindow(net, targets))
+	w := &sc.w
+	gen := sc.gen
+
+	// A target outside the window cannot be reached in time and gets no
+	// stamp; heuristicAt still scans every target, so h — and with it the
+	// pop order — is what a whole-array index would give.
 	for _, t := range targets {
-		if t.T > maxT {
-			maxT = t.T
-		}
-		if t.T < tBase {
-			tBase = t.T
+		if w.holds(t.R, t.C) {
+			sc.tgt[s.idxOf(t)] = gen
 		}
 	}
-	if net.Src.T < tBase {
-		tBase = net.Src.T
-	}
-	for _, p := range net.Paths {
-		for _, n := range p {
-			if n.T < tBase {
-				tBase = n.T
+	astar := !s.Legacy
+	if astar && s.linearKeys {
+		// Dense-key precomputation: DenseKey(node) = search index +
+		// rdelta[window row of node], because within one (cycle, PE row)
+		// the search index and the dense occupancy key both advance by
+		// slots per column.
+		sc.rdelta = sc.rdelta[:0]
+		f := &s.G.Fab
+		for t := w.tBase; t <= w.maxT; t++ {
+			tb := s.G.TimeBase(t)
+			for r := w.r0; r < w.r0+w.rows; r++ {
+				sc.rdelta = append(sc.rdelta, tb+(r*f.Cols+w.c0-w.row(t, r)*w.cols)*w.slots)
 			}
 		}
 	}
-
-	pes := s.G.Fab.NumPEs()
-	cols := s.G.Fab.Cols
-	slots := s.G.SlotsPerPE()
-	sc.begin((maxT-tBase+1)*pes*slots, (maxT-tBase+1)*pes)
-	gen := sc.gen
-	idxOf := func(n mrrg.Node) int32 {
-		return int32(((n.T-tBase)*pes+n.R*cols+n.C)*slots + s.G.SlotIndex(n.Class, n.Idx))
-	}
-
-	for _, t := range targets {
-		sc.tgt[idxOf(t)] = gen
-	}
-	astar := !s.Legacy
-	if astar {
-		// Dense-key precomputation: DenseKey(node) = search index +
-		// tdelta[node.T - tBase], because within one cycle the search
-		// index and the dense occupancy key share the (pe, slot) layout.
-		sc.tdelta = sc.tdelta[:0]
-		stride := pes * slots
-		for tr := 0; tr <= maxT-tBase; tr++ {
-			sc.tdelta = append(sc.tdelta, s.G.TimeBase(tBase+tr)-tr*stride)
-		}
-	}
 	seed := func(n mrrg.Node) {
-		if n.T > maxT {
+		if n.T > w.maxT {
 			return
 		}
-		i := idxOf(n)
+		i := s.idxOf(n)
 		sc.owned[i] = gen
 		sc.seen[i] = gen
 		sc.dist[i] = 0
 		sc.parent[i] = -1
 		if astar {
-			h := s.heuristicAt(sc, n, targets, tBase, pes, cols)
+			h := s.heuristicAt(n, targets)
 			if h < 0 {
 				return // no target reachable from this seed in time
 			}
@@ -242,9 +295,9 @@ func (s *Session) RouteSink(net *Net, targets []mrrg.Node) (Path, float64, error
 	var cost float64
 	var err error
 	if astar {
-		goal, cost, err = s.searchAStar(sc, net, targets, idxOf, tBase, maxT, pes, cols, slots)
+		goal, cost, err = s.searchAStar(net, targets)
 	} else {
-		goal, cost, err = s.searchDijkstra(sc, net, targets, idxOf, tBase, maxT, pes, cols, slots)
+		goal, cost, err = s.searchDijkstra(net, targets)
 	}
 	if err != nil {
 		return nil, 0, err
@@ -260,7 +313,7 @@ func (s *Session) RouteSink(net *Net, targets []mrrg.Node) (Path, float64, error
 	}
 	path := make(Path, n)
 	for i, j := goal, n-1; ; j-- {
-		path[j] = s.nodeAt(i, tBase, pes, cols, slots)
+		path[j] = s.nodeAt(i)
 		p := sc.parent[i]
 		if p < 0 {
 			break
@@ -274,9 +327,9 @@ func (s *Session) RouteSink(net *Net, targets []mrrg.Node) (Path, float64, error
 // searchDijkstra is the legacy core: a plain Dijkstra over one global
 // binary heap, returning at the first target popped. Kept bit-identical
 // to the historical router for the differential equivalence tests.
-func (s *Session) searchDijkstra(sc *scratch, net *Net, targets []mrrg.Node,
-	idxOf func(mrrg.Node) int32, tBase, maxT, pes, cols, slots int) (int32, float64, error) {
-	gen := sc.gen
+func (s *Session) searchDijkstra(net *Net, targets []mrrg.Node) (int32, float64, error) {
+	sc := &s.sc
+	gen, maxT := sc.gen, sc.w.maxT
 	visits := 0
 	for len(sc.heap) > 0 {
 		it := sc.heap.pop()
@@ -291,7 +344,7 @@ func (s *Session) searchDijkstra(sc *scratch, net *Net, targets []mrrg.Node,
 		if sc.tgt[it.idx] == gen {
 			return it.idx, it.cost, nil
 		}
-		cur := s.nodeAt(it.idx, tBase, pes, cols, slots)
+		cur := s.nodeAt(it.idx)
 		base := it.cost
 		parent := it.idx
 		s.G.Succ(cur, func(m mrrg.Node) {
@@ -301,7 +354,7 @@ func (s *Session) searchDijkstra(sc *scratch, net *Net, targets []mrrg.Node,
 			if s.Filter != nil && !s.Filter(m) {
 				return
 			}
-			mi := idxOf(m)
+			mi := s.idxOf(m)
 			if sc.closed[mi] == gen {
 				return
 			}
@@ -327,9 +380,10 @@ func (s *Session) searchDijkstra(sc *scratch, net *Net, targets []mrrg.Node,
 // is drained (same-cost parent claims and same-cost targets all live
 // there) and the (cost, RealKey)-minimal hit is committed — the same
 // target, path, and cost the legacy core returns.
-func (s *Session) searchAStar(sc *scratch, net *Net, targets []mrrg.Node,
-	idxOf func(mrrg.Node) int32, tBase, maxT, pes, cols, slots int) (int32, float64, error) {
-	gen := sc.gen
+func (s *Session) searchAStar(net *Net, targets []mrrg.Node) (int32, float64, error) {
+	sc := &s.sc
+	w := &sc.w
+	gen, maxT := sc.gen, w.maxT
 	visits := 0
 	goalBucket := -1
 	var gCur float64
@@ -342,17 +396,19 @@ func (s *Session) searchAStar(sc *scratch, net *Net, targets []mrrg.Node,
 		if s.Filter != nil && !s.Filter(m) {
 			return
 		}
-		mi := idxOf(m)
+		mi := s.idxOf(m)
 		nd := gCur
 		if sc.owned[mi] != gen {
-			key := int(mi) + sc.tdelta[m.T-tBase]
-			if !s.linearKeys {
+			var key int
+			if s.linearKeys {
+				key = int(mi) + sc.rdelta[w.row(m.T, m.R)]
+			} else {
 				key = s.G.DenseKey(m) // shared-bus collapse: no linear shortcut
 			}
 			nd += s.enterCostAt(m, key)
 		}
 		if sc.seen[mi] != gen {
-			h := s.heuristicAt(sc, m, targets, tBase, pes, cols)
+			h := s.heuristicAt(m, targets)
 			if h < 0 {
 				return // no target reachable in time: prune
 			}
@@ -416,7 +472,7 @@ func (s *Session) searchAStar(sc *scratch, net *Net, targets []mrrg.Node,
 			sc.hits = append(sc.hits, i)
 			continue
 		}
-		cur := s.nodeAt(i, tBase, pes, cols, slots)
+		cur := s.nodeAt(i)
 		gCur = sc.dist[i]
 		iCur = i
 		curKey = sc.key[i]

@@ -8,7 +8,11 @@
 // Searches run in *real* (unwrapped) time so that a route's length equals
 // the true producer→consumer latency; occupancy is charged modulo II via
 // mrrg.Graph.DenseKey. Search is pruned at the latest target cycle — the
-// resource edges are time-monotone, so no useful path extends past it.
+// resource edges are time-monotone, so no useful path extends past it —
+// and, because a value changes PE only by crossing one link per cycle,
+// confined to the bounding box of the net's seeds grown by that many
+// hops (the search window of search.go): a search is indexed, and its
+// scratch sized, by what it can reach in time, not by the array.
 //
 // The default search core is A* over a Dial-style bucket queue; the
 // pre-A* binary-heap Dijkstra is kept behind Session.Legacy and the two
@@ -36,9 +40,11 @@
 // Memory discipline: the search inner loop is allocation-free in steady
 // state. All per-search state (dist, parent, closed, heuristic, target
 // and ownership marks) lives in flat generation-stamped scratch arrays
-// indexed by dense packed node keys; a search invalidates the previous
-// search's entries by bumping a generation counter instead of clearing
-// or reallocating. The bucket queue's per-bucket heaps are value items
+// indexed by dense packed node keys of the search window; a search
+// invalidates the previous search's entries by bumping a generation
+// counter instead of clearing or reallocating, and the arrays grow — all
+// together, in one step — only when a window is larger than any before
+// it in the session. The bucket queue's per-bucket heaps are value items
 // (no container/heap interface boxing) and are themselves generation-
 // stamped. Occupancy and history costs are flat arrays over the modulo
 // key space, so the enterCost call on every relaxed edge is two array
@@ -76,9 +82,17 @@ type Net struct {
 	ID     int
 	Src    mrrg.Node
 	Paths  []Path
-	srcKey uint64      // RealKey(Src)
-	keys   []uint64    // RealKeys of list, for O(n) membership on commit
-	list   []mrrg.Node // nodes charged to occupancy (excludes Src)
+	srcKey uint64    // RealKey(Src)
+	keys   []uint64  // RealKeys of list, for O(n) membership on commit
+	list   []charged // nodes charged to occupancy (excludes Src)
+}
+
+// charged is one node a net holds occupancy on, as its real cycle and
+// the part of its dense key that does not depend on the cycle — the
+// spatial key (row·Cols + col)·SlotsPerPE + occupancy slot: the node's
+// DenseKey is G.TimeBase(t) + spat.
+type charged struct {
+	t, spat int32
 }
 
 // Nodes reports the set of real-keyed resource nodes the net occupies.
@@ -146,7 +160,7 @@ type Session struct {
 	// linearKeys records that DenseKey is a pure linear function of the
 	// dense search index (true except on shared-bus fabrics, where the
 	// Out directions collapse onto one occupancy slot). The A* core's
-	// index+tdelta occupancy-key fast path is valid only when set.
+	// index+rdelta occupancy-key fast path is valid only when set.
 	linearKeys bool
 
 	sc scratch
@@ -303,9 +317,10 @@ func (s *Session) commit(net *Net, path Path) {
 		if rk == net.srcKey || containsKey(net.keys, rk) {
 			continue
 		}
+		k := s.G.DenseKey(n)
 		net.keys = append(net.keys, rk)
-		net.list = append(net.list, n)
-		s.occ[s.G.DenseKey(n)]++
+		net.list = append(net.list, charged{int32(n.T), int32(k - s.G.TimeBase(n.T))})
+		s.occ[k]++
 	}
 	net.Paths = append(net.Paths, path)
 }
@@ -323,8 +338,8 @@ func containsKey(keys []uint64, k uint64) bool {
 
 // Release rips up an entire net, returning its resources.
 func (s *Session) Release(net *Net) {
-	for _, n := range net.list {
-		s.occ[s.G.DenseKey(n)]--
+	for _, ch := range net.list {
+		s.occ[s.G.TimeBase(int(ch.t))+int(ch.spat)]--
 	}
 	net.keys = net.keys[:0]
 	net.list = net.list[:0]
@@ -333,10 +348,26 @@ func (s *Session) Release(net *Net) {
 
 // ChargeShifted charges a translated copy of the net's resources to the
 // session occupancy — used when a canonical route is replicated across
-// iteration clusters so that congestion reflects all replicas.
+// iteration clusters so that congestion reflects all replicas. A dense
+// key is linear in (row, column) within a cycle, so the copy of a node
+// sits a fixed offset from the node's own spatial key in the shifted
+// cycle's block: one WrapTime per node, not a DenseKey. On a wrap-around
+// topology a shifted coordinate may cross the seam, so the PE is taken
+// back out of the spatial key and folded.
 func (s *Session) ChargeShifted(net *Net, dt, dr, dc int) {
-	for _, n := range net.list {
-		s.occ[s.G.DenseKey(n.Shifted(dt, dr, dc))]++
+	f := &s.G.Fab
+	slots := s.G.SlotsPerPE()
+	if !f.Topology.Wraps() {
+		shift := (dr*f.Cols + dc) * slots
+		for _, ch := range net.list {
+			s.occ[s.G.TimeBase(int(ch.t)+dt)+int(ch.spat)+shift]++
+		}
+		return
+	}
+	for _, ch := range net.list {
+		pe, slot := int(ch.spat)/slots, int(ch.spat)%slots
+		r, c := f.WrapCoord(pe/f.Cols+dr, pe%f.Cols+dc)
+		s.occ[s.G.TimeBase(int(ch.t)+dt)+(r*f.Cols+c)*slots+slot]++
 	}
 }
 

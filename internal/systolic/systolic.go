@@ -174,23 +174,51 @@ func gcdVec(v ir.IterVec) int {
 // most one iteration per schedule slot. This is the resource-validity
 // condition of the transformation.
 func (m *Mapping) CheckInjective() error {
-	type pos struct{ tm, x, y int }
-	seen := map[pos]ir.IterVec{}
+	// (slot, x, y) ranges over a box — x and y are linear in the
+	// iteration, so their extremes sit at block corners — and the table
+	// over it holds 1 + the point index of the iteration in each slot.
+	xlo, xn := m.spaceRange(0)
+	ylo, yn := m.spaceRange(1)
+	seen := make([]int32, m.IIS*xn*yn)
 	var conflict error
+	pi := int32(0)
 	ir.ForEachPoint(m.Block, func(iter ir.IterVec) {
 		if conflict != nil {
 			return
 		}
 		t, x, y := m.Place(iter)
-		p := pos{((t % m.IIS) + m.IIS) % m.IIS, x, y}
-		if prev, ok := seen[p]; ok {
+		tm := ((t % m.IIS) + m.IIS) % m.IIS
+		at := &seen[(tm*xn+x-xlo)*yn+y-ylo]
+		if *at != 0 {
+			prev := make(ir.IterVec, len(m.Block))
+			for d, rest := len(m.Block)-1, int(*at-1); d >= 0; d-- {
+				prev[d], rest = rest%m.Block[d], rest/m.Block[d]
+			}
 			conflict = fmt.Errorf("%w: iterations %v and %v collide at SPE (%d,%d) slot %d",
-				ErrInfeasible, prev, iter, x, y, p.tm)
+				ErrInfeasible, prev, iter, x, y, tm)
 			return
 		}
-		seen[p] = iter.Clone()
+		pi++
+		*at = pi
 	})
 	return conflict
+}
+
+// spaceRange returns the smallest value space row i takes over the block
+// and how many values its range spans (0, 1 for an absent row).
+func (m *Mapping) spaceRange(i int) (lo, n int) {
+	if i >= len(m.S) {
+		return 0, 1
+	}
+	hi := 0
+	for d, s := range m.S[i] {
+		if v := s * (m.Block[d] - 1); v < 0 {
+			lo += v
+		} else {
+			hi += v
+		}
+	}
+	return lo, hi - lo + 1
 }
 
 // Validate checks causality and routability of every dependence and the

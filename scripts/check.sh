@@ -1,7 +1,11 @@
 #!/bin/sh
 # Repository health gate: formatting, vet, build, the project analyzer
 # suite (cmd/himaplint), the full test suite under the race detector
-# (the lock check; it also carries the two alloc-ceiling tests), the
+# (the lock check; it also carries the alloc-ceiling tests — router hot
+# path, replicate+validate, and the allocation count and bytes of one
+# cold GEMM 64x64 compile, TestScaleCompileAllocBudget — the 32x32 and
+# 64x64 scale/... rows of goldenMappings, and the router's map-Dijkstra
+# oracle, TestRouteSinkMatchesMapDijkstra), the
 # bench/ module's vet, tests and a one-second paper_small run for its
 # correctness gate, and the himapd / himapload / exact smokes. CI runs
 # exactly this script and nothing beside it, so every gate runs once;
@@ -10,7 +14,9 @@
 # host, and the four metrics that must repeat exactly (II, utilization,
 # MOPS/mW, bitstream size) are already pinned by the golden mapping
 # tables the test suite checks. Compare by hand, on a quiet machine, when
-# a PR claims a gain.
+# a PR claims a gain. The profile behind a large-fabric claim is one
+# command: go test -run '^$' -bench ScaleCompile -benchtime 3x
+# -cpuprofile cpu.out . (then go tool pprof -top himap.test cpu.out).
 set -eux
 cd "$(dirname "$0")/.."
 unformatted=$(gofmt -l .)

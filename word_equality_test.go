@@ -3,6 +3,7 @@ package himap_test
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"himap"
@@ -69,8 +70,8 @@ func TestSameWordMatchesRendering(t *testing.T) {
 	checkSameWord(t, words)
 
 	for _, row := range goldenRows() {
-		if row.req.Options.Workers > 1 {
-			continue // the same mapping as the Workers-1 row
+		if row.req.Options.Workers > 1 || strings.HasPrefix(row.key, "scale/") {
+			continue // the same mapping as the Workers-1 row; the same words on 16-64x the PEs
 		}
 		res, err := himap.CompileRequest(context.Background(), row.req)
 		if err != nil {
