@@ -346,6 +346,32 @@ func TestScaleCompileAllocBudget(t *testing.T) {
 	}
 }
 
+// ---------------------------------------------------- congested compile
+
+// BenchmarkCongestedCompile times the two heaviest router-bound compiles
+// of the congested workload — FW on the 8x8 narrow-rf fabric and MVT on
+// the 8x8 shared-bus fabric, 30-odd attempts and hundreds of PathFinder
+// rounds between them — cold (fresh memo) at Workers=1, sharing its
+// iteration with nothing else. It is the one-command profile of the
+// negotiated-congestion path:
+//
+//	go test -run '^$' -bench CongestedCompile -benchtime 5x -cpuprofile cpu.out .
+func BenchmarkCongestedCompile(b *testing.B) {
+	narrow, bus := arch.DefaultFabric(8, 8), arch.DefaultFabric(8, 8)
+	narrow.Bandwidth, bus.Bandwidth = arch.BWNarrowRF, arch.BWBus
+	fw, mvt := kernel.FW(), kernel.MVT()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.CompileRequest(context.Background(), fw, narrow, core.Options{Workers: 1, Memo: core.NewMemo()}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.CompileRequest(context.Background(), mvt, bus, core.Options{Workers: 1, Memo: core.NewMemo()}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAblationDepthSlack measures the value of MAP's fallback depth
 // exploration.
 func BenchmarkAblationDepthSlack(b *testing.B) {

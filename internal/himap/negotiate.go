@@ -41,6 +41,9 @@ func (l *layout) routeCanonical(ctx context.Context, maxRounds int) ([][]canonNe
 	}
 	l.computePins()
 	l.loadRel = make([]map[int]RelPlace, len(l.classes))
+	for i := range l.loadRel {
+		l.loadRel[i] = map[int]RelPlace{}
+	}
 
 	var plans [][]canonNet
 	var allNets []*route.Net
@@ -52,7 +55,7 @@ func (l *layout) routeCanonical(ctx context.Context, maxRounds int) ([][]canonNe
 		stats.Rounds = round + 1
 		ses.ResetKeepHistory()
 		for i := range l.loadRel {
-			l.loadRel[i] = map[int]RelPlace{}
+			clear(l.loadRel[i]) // nothing keeps a dropped round's slots
 		}
 		// Nothing references a dropped round's nets once its history is
 		// bumped — recycle their storage so later rounds re-route
@@ -103,13 +106,12 @@ func (l *layout) routeCanonical(ctx context.Context, maxRounds int) ([][]canonNe
 		}
 		if roundErr != nil {
 			// Escalate costs where the failure occurred and retry.
-			if ses.BumpHistory(allNets) == 0 {
+			if len(ses.BumpHistory(allNets)) == 0 {
 				return nil, stats, roundErr
 			}
 			continue
 		}
-		if over := ses.OversubscribedIn(allNets); len(over) > 0 {
-			ses.BumpHistory(allNets)
+		if over := ses.BumpHistory(allNets); len(over) > 0 {
 			show := over
 			if len(show) > 4 {
 				show = show[:4]
@@ -133,11 +135,9 @@ func (l *layout) routeClass(ses *route.Session, g *mrrg.Graph, classIdx int, cl 
 	d := l.g.DFG
 	rep := l.g.Clusters[cl.Rep]
 	rMin, rMax, cMin, cMax := l.classEnvelope(cl)
-	inEnv := func(n mrrg.Node) bool {
-		return n.R >= rMin && n.R <= rMax && n.C >= cMin && n.C <= cMax
-	}
-	ses.Filter = inEnv
-	defer func() { ses.Filter = nil }()
+	env := route.Box{R0: rMin, R1: rMax, C0: cMin, C1: cMax}
+	defer func(whole route.Box) { ses.Envelope = whole }(ses.Envelope)
+	ses.Envelope = env
 
 	// Choose memory slots for boundary loads first (they act as sources).
 	for _, id := range rep.Nodes {
@@ -188,7 +188,7 @@ func (l *layout) routeClass(ses *route.Session, g *mrrg.Graph, classIdx int, cl 
 		for _, ei := range outs {
 			e := d.Edges[ei]
 			to := d.Nodes[e.To]
-			targets, err := l.sinkTargets(g, n, src, to, inEnv)
+			targets, err := l.sinkTargets(g, n, src, to, env)
 			if err != nil {
 				return nil, err
 			}

@@ -29,7 +29,7 @@ type canonNet struct {
 // which the value of producer n (placed at src) may be handed to
 // consumer to, confined to the class envelope. It reads placement
 // geometry only, never occupancy.
-func (l *layout) sinkTargets(g *mrrg.Graph, n *ir.Node, src mrrg.Node, to *ir.Node, inEnv func(mrrg.Node) bool) ([]mrrg.Node, error) {
+func (l *layout) sinkTargets(g *mrrg.Graph, n *ir.Node, src mrrg.Node, to *ir.Node, env route.Box) ([]mrrg.Node, error) {
 	tgt := l.tgtBuf[:0]
 	switch {
 	case to.Kind.IsCompute():
@@ -53,7 +53,7 @@ func (l *layout) sinkTargets(g *mrrg.Graph, n *ir.Node, src mrrg.Node, to *ir.No
 	l.tgtBuf = tgt
 	kept := tgt[:0]
 	for _, tn := range tgt {
-		if inEnv(tn) {
+		if env.Holds(tn.R, tn.C) {
 			kept = append(kept, tn)
 		}
 	}

@@ -466,7 +466,7 @@ func tryPlaceIDFG(f *ir.IDFG, fab arch.Fabric, s1, s2, depth int) (*SubMapping, 
 	// Negotiated congestion: re-route with escalating history costs until
 	// clean or the round budget is exhausted (lines 35-45).
 	for round := 0; round < 10; round++ {
-		if ses.BumpHistory(nets) == 0 {
+		if len(ses.BumpHistory(nets)) == 0 {
 			rel := map[int]RelPlace{}
 			for id, pn := range place {
 				kind := PlaceFU

@@ -157,6 +157,13 @@ func buildLinks(f arch.Fabric) []int32 {
 // NumDirs returns the per-PE link-direction (output register) count.
 func (g *Graph) NumDirs() int { return g.nd }
 
+// LinkTable returns the read-only per-PE interconnect table Succ walks:
+// entry pe*NumDirs()+d is the PE index (row*Cols + col) at the far end
+// of direction d's link out of pe, or -1 where the fabric has no such
+// link. The router's A* core enumerates successors from it in index
+// space; callers must not write to it.
+func (g *Graph) LinkTable() []int32 { return g.links }
+
 // WrapTime folds a real cycle into the occupancy period [0, II).
 func (g *Graph) WrapTime(t int) int {
 	if t %= g.II; t < 0 {

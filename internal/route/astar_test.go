@@ -59,11 +59,20 @@ func TestSearchEquivalenceRandomizedCongestion(t *testing.T) {
 				new_.Reserve(src)
 				oldNet := old.NewNet(src)
 				newNet := new_.NewNet(src)
-				// Two sinks per net, so the second search also exercises
-				// zero-cost reuse of the first sink's owned nodes.
-				for sink := 0; sink < 2; sink++ {
+				// Two short sinks per net, so the second search also
+				// exercises zero-cost reuse of the first sink's owned nodes,
+				// then two long holds — 8 to 16 cycles on the source's PE
+				// or one or two hops off it, where HiMap's schedules keep
+				// most values — seeded by the paths before them.
+				for sink := 0; sink < 4; sink++ {
 					dt := 1 + rng.next(6)
-					targets := g.OperandTargets(src.T+dt, rng.next(f.Rows), rng.next(f.Cols))
+					tr, tc := rng.next(f.Rows), rng.next(f.Cols)
+					if sink >= 2 {
+						dt = 8 + rng.next(9)
+						tr, tc = f.WrapCoord(src.R+rng.next(3)-1, src.C+rng.next(3)-1)
+						tr, tc = min(max(tr, 0), f.Rows-1), min(max(tc, 0), f.Cols-1)
+					}
+					targets := g.OperandTargets(src.T+dt, tr, tc)
 					op, oc, oerr := old.RouteSink(oldNet, targets)
 					np, nc, nerr := new_.RouteSink(newNet, targets)
 					if (oerr == nil) != (nerr == nil) {
@@ -121,14 +130,14 @@ func TestTorusHeuristicNeverOverestimates(t *testing.T) {
 					maxT = tg.T
 				}
 			}
-			s.sc.begin(window{tBase: tBase, maxT: maxT, rows: f.Rows, cols: f.Cols, slots: g.SlotsPerPE()})
 			// Suffix costs along the optimal path are exact costs-to-go.
+			w := window{tBase: tBase, maxT: maxT, rows: f.Rows, cols: f.Cols, slots: g.SlotsPerPE()}
 			for i := 0; i < len(path); i++ {
 				togo := 0.0
 				for j := i + 1; j < len(path); j++ {
 					togo += ref.enterCost(path[j])
 				}
-				h := s.heuristicAt(path[i], targets)
+				h := boundAt(s, w, targets, path[i])
 				if h < 0 {
 					t.Fatalf("%v trial %d: heuristic pruned path node %v with cost-to-go %v",
 						sz, trial, path[i], togo)

@@ -10,7 +10,7 @@ import (
 
 // ErrBadCostModel: a cost model handed to SetCostModel violates the
 // pricing invariants the search cores depend on (deci-grid costs, the
-// admissibility floors, positive capacities).
+// legacy floors, positive capacities).
 var ErrBadCostModel = errors.New("invalid cost model")
 
 // CostModel is the congestion-pricing seam of the router: it declares
@@ -23,9 +23,11 @@ var ErrBadCostModel = errors.New("invalid cost model")
 //
 //   - BaseCost(c) is a positive exact multiple of 0.1 — the Dial bucket
 //     queue quantizes accumulated costs onto the deci grid.
-//   - BaseCost(c) ≥ the legacy base cost of the class — the A* heuristic
-//     (0.7·hops + 0.3·Δcycles) is a lower bound only while every time
-//     step costs ≥ 0.3 and every link crossing ≥ 1.0.
+//   - BaseCost(c) ≥ the legacy base cost of the class. Admissibility no
+//     longer rests on this floor: the A* bound is a lookahead table built
+//     from the installed model's own base costs (lookahead.go), exact for
+//     whatever they are. The check stays because every built-in model
+//     prices the legacy atoms and a cheaper class is a typo, not a model.
 //   - Capacity(c) ≥ 1.
 type CostModel interface {
 	// BaseCost is the intrinsic cost of occupying one node of class c.
@@ -68,8 +70,8 @@ func (m UnitModel) Name() string { return "unit" }
 // capacity on output registers (2 on double-pumped fabrics, 1 on the
 // collapsed shared-bus slot) and the bandwidth-narrowed RF port counts.
 // Base costs are the same deci-grid atoms as the unit model — the axis
-// varies capacities, not intrinsic costs, so the admissibility floors
-// hold by construction.
+// varies capacities, not intrinsic costs, so the legacy floors hold by
+// construction.
 type BandwidthModel struct {
 	Fab arch.Fabric
 }
@@ -113,7 +115,7 @@ func For(g *mrrg.Graph) CostModel {
 // under must stay fixed for the whole attempt.
 func (s *Session) SetCostModel(m CostModel) error {
 	var base [mrrg.NumClasses]float64
-	var caps [mrrg.NumClasses]int32
+	var caps, deci [mrrg.NumClasses]int32
 	for ci := 0; ci < mrrg.NumClasses; ci++ {
 		c := mrrg.Class(ci)
 		b := m.BaseCost(c)
@@ -123,7 +125,7 @@ func (s *Session) SetCostModel(m CostModel) error {
 				m.Name(), c, b, ErrBadCostModel)
 		}
 		if b < baseCost(c) {
-			return fmt.Errorf("route: model %s: class %s base cost %v below the admissibility floor %v: %w",
+			return fmt.Errorf("route: model %s: class %s base cost %v below the legacy floor %v: %w",
 				m.Name(), c, b, baseCost(c), ErrBadCostModel)
 		}
 		capa := m.Capacity(c)
@@ -133,10 +135,30 @@ func (s *Session) SetCostModel(m CostModel) error {
 		}
 		base[ci] = b
 		caps[ci] = int32(capa)
+		deci[ci] = int32(d)
 	}
 	s.model = m
 	s.baseTab = base
 	s.capTab = caps
+	s.baseDeci, s.la = deci, nil // the lookahead table is keyed by the base costs
+	if s.slotTab == nil {
+		s.slotTab = make([]slotInfo, s.G.SlotsPerPE())
+	}
+	for slot := range s.slotTab {
+		cl, idx := s.G.SlotResource(slot)
+		occ := slot
+		if cl == mrrg.ClassOut && s.G.SharedOut() {
+			occ = s.G.SlotIndex(mrrg.ClassOut, 0) // one bus slot for every direction
+		}
+		kind := classKind[cl]
+		if cl == mrrg.ClassOut {
+			kind = kindOutFarther // an Out with no link; costToGo splits the rest per target
+		}
+		s.slotTab[slot] = slotInfo{
+			base: base[cl], cap: caps[cl], occ: int32(occ), class: cl, idx: idx, kind: kind,
+			key: mrrg.RealKey(mrrg.Node{Class: cl, Idx: idx}) - keyOrigin,
+		}
+	}
 	return nil
 }
 

@@ -143,8 +143,8 @@ func TestUnitModelPricesLegacyFormula(t *testing.T) {
 			want *= 1 + float64(over)*s.PresFac
 		}
 		want += s.hist[key]
-		if got := s.enterCostAt(n, key); got != want {
-			t.Fatalf("trial %d %v occ=%d hist=%v: enterCostAt = %v, legacy formula = %v",
+		if got := s.enterCost(n); got != want {
+			t.Fatalf("trial %d %v occ=%d hist=%v: enterCost = %v, legacy formula = %v",
 				trial, n, s.occ[key], s.hist[key], got, want)
 		}
 	}
@@ -230,23 +230,23 @@ func TestDoublePumpedRFPricing(t *testing.T) {
 	}
 	n := mrrg.Node{T: 0, R: 1, C: 1, Class: mrrg.ClassRFWrite}
 	key := g.DenseKey(n)
-	if got := s.enterCostAt(n, key); got != 0.3 {
+	if got := s.enterCost(n); got != 0.3 {
 		t.Fatalf("empty RF write port enter cost %v, want 0.3", got)
 	}
 	s.occ[key] = 3
-	if got := s.enterCostAt(n, key); got != 0.3 {
+	if got := s.enterCost(n); got != 0.3 {
 		t.Errorf("fourth occupant priced %v on a double-pumped 2-port RF, want congestion-free 0.3", got)
 	}
 	s.occ[key] = 4
 	want := 0.3 * (1 + 1*s.PresFac)
-	if got := s.enterCostAt(n, key); got != want {
+	if got := s.enterCost(n); got != want {
 		t.Errorf("fifth occupant priced %v, want %v", got, want)
 	}
 
 	out := mrrg.Node{T: 0, R: 1, C: 1, Class: mrrg.ClassOut, Idx: 0}
 	okey := g.DenseKey(out)
 	s.occ[okey] = 1
-	if got, want := s.enterCostAt(out, okey), 1.0*(1+1*s.PresFac); got != want {
+	if got, want := s.enterCost(out), 1.0*(1+1*s.PresFac); got != want {
 		t.Errorf("second link occupant priced %v, want congested %v (links are single-lane in every class)", got, want)
 	}
 }

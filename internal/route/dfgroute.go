@@ -48,6 +48,7 @@ func RouteDFG(ctx context.Context, d *ir.DFG, cg arch.Fabric, ii int, pl []Place
 	order, _ := d.TopoOrder()
 
 	var nets []*Net
+	var targets []mrrg.Node
 	netOf := make([]*Net, len(d.Nodes))
 	routeAll := func() error {
 		for _, id := range order {
@@ -61,12 +62,13 @@ func RouteDFG(ctx context.Context, d *ir.DFG, cg arch.Fabric, ii int, pl []Place
 			for _, ei := range d.OutEdges(id) {
 				e := d.Edges[ei]
 				to := d.Nodes[e.To]
-				var targets []mrrg.Node
+				// One buffer from sink to sink: RouteSink does not
+				// retain its targets.
 				if to.Kind == ir.OpStore {
-					targets = []mrrg.Node{placeNode(e.To)}
+					targets = append(targets[:0], placeNode(e.To))
 				} else {
 					cp := pl[e.To]
-					targets = g.OperandTargets(cp.T, cp.R, cp.C)
+					targets = g.AppendOperandTargets(targets[:0], cp.T, cp.R, cp.C)
 				}
 				if _, _, err := ses.RouteSink(net, targets); err != nil {
 					return err
@@ -93,7 +95,7 @@ func RouteDFG(ctx context.Context, d *ir.DFG, cg arch.Fabric, ii int, pl []Place
 		if err := routeAll(); err != nil {
 			return nil, err
 		}
-		if ses.BumpHistory(nets) == 0 {
+		if len(ses.BumpHistory(nets)) == 0 {
 			ok = true
 			break
 		}

@@ -43,9 +43,17 @@ func (h *oracleHeap) Pop() any {
 
 // mapDijkstra returns the path and cost RouteSink(net, targets) must
 // return, or ok false where it must fail with ErrNoPath: pops in (cost,
-// RealKey) order, the first relaxer of an equal cost keeps the parent
-// slot, nodes the net owns cost nothing to enter, nothing past the
-// latest target is entered. It reads the session, and changes nothing.
+// RealKey) order, of the predecessors offering a node the same cost the
+// one with the smaller RealKey keeps the parent slot, nodes the net owns
+// cost nothing to enter, nothing past the latest target is entered. It
+// reads the session, and changes nothing.
+//
+// "The first relaxer keeps the slot" is the same rule wherever equal
+// offers come from equal costs, since predecessors pop in (cost, key)
+// order. Over a long hold they need not: two predecessors an ulp apart
+// can offer one float once the sum rounds, and the long-hold sinks below
+// reach such cases. The A* core has always broken them by key — the rule
+// every golden mapping was produced under — so the definition says so.
 func mapDijkstra(s *Session, net *Net, targets []mrrg.Node) (Path, float64, bool) {
 	maxT := targets[0].T
 	isTarget := map[uint64]bool{}
@@ -103,6 +111,8 @@ func mapDijkstra(s *Session, net *Net, targets []mrrg.Node) (Path, float64, bool
 				dist[mk] = nd
 				parent[mk] = it.n
 				heap.Push(&h, oracleItem{nd, m})
+			} else if p, has := parent[mk]; nd == old && has && k < mrrg.RealKey(p) {
+				parent[mk] = it.n
 			}
 		})
 	}
@@ -136,9 +146,10 @@ func congest(s *Session, rng *lcg, ii, r, c, reach, dr, dc int) {
 // TestRouteSinkMatchesMapDijkstra holds both search cores to the oracle
 // on fabrics large enough for the search window to be a small part of
 // the array: sources in corners, on edges and in the interior, three
-// sinks per net (so later searches seed from earlier paths), targets
-// both inside and beyond reach, under random occupancy and history. The
-// bus fabric is the linearKeys == false path.
+// sinks per net (so later searches seed from earlier paths) and now and
+// then a long hold after them, targets both inside and beyond reach,
+// under random occupancy and history. The
+// bus fabric is the path where an Out's occupancy slot is not its slot.
 func TestRouteSinkMatchesMapDijkstra(t *testing.T) {
 	const side, ii = 24, 8
 	bus := arch.DefaultFabric(side, side)
@@ -163,11 +174,20 @@ func TestRouteSinkMatchesMapDijkstra(t *testing.T) {
 				congest(s, &rng, ii, src.R, src.C, 5, 0, 0)
 				s.Reserve(src)
 				net := s.NewNet(src)
-				for sink := 0; sink < 3; sink++ {
+				// Every fifth trial ends in a long hold — 8 to 16 cycles,
+				// at most two hops off — seeded by the three paths before.
+				sinks := 3
+				if trial%5 == 0 {
+					sinks = 4
+				}
+				for sink := 0; sink < sinks; sink++ {
 					dt := 1 + rng.next(7)
 					// Up to dt+1 hops away, so one beyond reach now and
 					// then: ErrNoPath must agree too.
 					hops := rng.next(dt + 2)
+					if sink == 3 {
+						dt, hops = 8+rng.next(9), rng.next(3)
+					}
 					hr := rng.next(hops + 1)
 					tr := src.R + hr*(2*rng.next(2)-1)
 					tc := src.C + (hops-hr)*(2*rng.next(2)-1)
@@ -262,7 +282,7 @@ func TestScratchRegrowthLeavesNoStaleStamps(t *testing.T) {
 			s.sc.gen = math.MaxUint32 // the next search wraps the counter
 			wrapped = true
 		}
-		before := len(s.sc.hseen)
+		before := len(s.sc.hopGen)
 		s.Reset()
 		fresh := NewSession(g)
 		src := fu(rng.next(ii), 4+rng.next(side-8), 4+rng.next(side-8))
@@ -288,10 +308,10 @@ func TestScratchRegrowthLeavesNoStaleStamps(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("step %d (dt %d): reused session routed\n %v\nfresh session\n %v", step, dt, got, want)
 		}
-		if len(s.sc.seen) != s.sc.w.slots*len(s.sc.hseen) {
-			t.Fatalf("step %d: len(seen) %d != slots %d × len(hseen) %d", step, len(s.sc.seen), s.sc.w.slots, len(s.sc.hseen))
+		if len(s.sc.seen) != s.sc.w.slots*len(s.sc.hopGen) {
+			t.Fatalf("step %d: len(seen) %d != slots %d × len(hopGen) %d", step, len(s.sc.seen), s.sc.w.slots, len(s.sc.hopGen))
 		}
-		if len(s.sc.hseen) != before {
+		if len(s.sc.hopGen) != before {
 			regrowths++
 		}
 	}

@@ -120,7 +120,7 @@ func TestCongestionAvoidance(t *testing.T) {
 	if len(over) == 0 {
 		t.Fatal("expected oversubscription of the single east output register")
 	}
-	if n := s.BumpHistory([]*Net{netA, netB}); n == 0 {
+	if n := s.BumpHistory([]*Net{netA, netB}); len(n) == 0 {
 		t.Error("BumpHistory should report bumped nodes")
 	}
 	if s.Hist(over[0]) == 0 {
@@ -260,11 +260,11 @@ func TestResetKeepHistoryPreservesEscalation(t *testing.T) {
 	if _, _, err := s.RouteSink(netB, g.OperandTargets(1, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	n := s.BumpHistory([]*Net{netA, netB})
-	if n == 0 {
+	bumped := s.BumpHistory([]*Net{netA, netB})
+	if len(bumped) == 0 {
 		t.Fatal("expected oversubscription")
 	}
-	over := s.OversubscribedIn([]*Net{netA, netB})[0]
+	over := bumped[0]
 	h := s.Hist(over)
 	s.ResetKeepHistory()
 	if s.Occ(over) != 0 {

@@ -2,6 +2,7 @@ package route
 
 import (
 	"fmt"
+	"math"
 
 	"himap/internal/mrrg"
 )
@@ -45,9 +46,9 @@ type scratch struct {
 	w      window // of the search in progress
 	gen    uint32
 	seen   []uint32  // dist/hval/parent valid when seen[i] == gen
-	dist   []float64 // tentative cost g
-	hval   []float64 // cached heuristic h (A* core)
-	key    []uint64  // cached RealKey of node i (A* core)
+	dist   []float64 // tentative cost g; -Inf once the lookahead pruned the node
+	hval   []float64 // lookahead cost-to-go h (A* core)
+	key    []uint64  // cached RealKey of node i
 	parent []int32   // dense index of the predecessor; -1 for seeds
 	closed []uint32  // node finalized when closed[i] == gen
 	tgt    []uint32  // node is a search target when tgt[i] == gen
@@ -57,28 +58,47 @@ type scratch struct {
 	heap   minHeap   // legacy core frontier
 	bq     bucketQueue
 
-	// The heuristic depends only on a node's (cycle, PE) and whether its
-	// class is Out — not on the slot — so it is computed once per
-	// (cycle, PE) into h0 (general) / h1 (Out credit) when first touched
-	// (hseen stamp), not once per node: a SlotsPerPE-fold saving on the
-	// per-search target loops.
-	hseen []uint32
-	h0    []float64
-	h1    []float64
+	// A* lookahead state of the search in progress: the targets the
+	// table is read for, and the hop distance from each window PE to each
+	// target, filled when a PE is first touched (hopGen stamp; one spare
+	// row after the window's serves a PE outside it).
+	tg     []target
+	hop    []int16
+	hopGen []uint32
+
+	// The node being expanded, read by relax.
+	gCur   float64
+	iCur   int32
+	curKey uint64
+}
+
+// target is one search target as the lookahead reads it.
+type target struct {
+	t, r, c int
+	off     int // offset of the target class's block in the lookahead table
+}
+
+// cell is one (cycle, PE) of the search window: what relax and costToGo
+// need to know about a node besides its slot.
+type cell struct {
+	base    int32  // dense index of the cell's slot 0
+	t, r, c int    // real cycle, array row and column
+	kd      int    // occupancy key of a slot = base + kd + its occupancy slot
+	key     uint64 // RealKey of the cell's slot 0
 }
 
 // begin opens a new search generation over window w. The per-node arrays
-// and the per-cell heuristic cache grow in one step that keeps
-// len(seen) == w.slots × len(hseen): the generation restarts only when
+// and the per-cell stamp array grow in one step that keeps
+// len(seen) == w.slots × len(hopGen): the generation restarts only when
 // every stamped array is fresh, so a stamp from before a regrowth can
 // never read as live after it.
 func (sc *scratch) begin(w window) {
 	sc.w = w
-	if cells := w.cells(); len(sc.hseen) < cells || len(sc.seen) != w.slots*len(sc.hseen) {
+	if cells := w.cells(); len(sc.hopGen) < cells || len(sc.seen) != w.slots*len(sc.hopGen) {
 		// Grow geometrically: search windows vary net to net, and
 		// doubling caps the reallocation count at log of the largest
 		// window instead of once per new high-water mark.
-		if c := 2 * len(sc.hseen); cells < c {
+		if c := 2 * len(sc.hopGen); cells < c {
 			cells = c
 		}
 		n := cells * w.slots
@@ -90,9 +110,7 @@ func (sc *scratch) begin(w window) {
 		sc.closed = make([]uint32, n)
 		sc.tgt = make([]uint32, n)
 		sc.owned = make([]uint32, n)
-		sc.hseen = make([]uint32, cells)
-		sc.h0 = make([]float64, cells)
-		sc.h1 = make([]float64, cells)
+		sc.hopGen = make([]uint32, cells)
 		sc.gen = 0 // fresh arrays are all-zero: restart stamping
 	}
 	sc.gen++
@@ -101,7 +119,7 @@ func (sc *scratch) begin(w window) {
 		clear(sc.closed)
 		clear(sc.tgt)
 		clear(sc.owned)
-		clear(sc.hseen)
+		clear(sc.hopGen)
 		sc.gen = 1
 	}
 	sc.heap = sc.heap[:0]
@@ -128,65 +146,119 @@ func (s *Session) nodeAt(i int32) mrrg.Node {
 	return mrrg.Node{T: rest/w.rows + w.tBase, R: rest%w.rows + w.r0, C: c + w.c0, Class: cl, Idx: idx}
 }
 
-// heuristicAt is the admissible, consistent lower bound on the remaining
-// cost from n to the cheapest target, minimized over targets:
-//
-//	0.7·hops + 0.3·Δcycles
-//
-// where hops is the topology link distance to the target's PE and
-// Δcycles = target cycle − n's cycle. Each of the Δcycles time-advancing
-// edges enters a node costing ≥ 0.3, and each of the hops link crossings
-// additionally requires entering an output register at 1.0 (0.7 beyond
-// the 0.3 its time step already accounts for); when n itself is an
-// output register it can source the first crossing, so one 0.7 premium
-// is waived (the Out lane). A target is unreachable — skipped — when
-// Δcycles < hops (every crossing takes a full cycle) or Δcycles < 0
-// (time is monotone); a node with no reachable target returns -1 and is
-// pruned outright. Search paths never pass through net-owned (cost-0)
-// nodes — those are all seeds, and edges into them never relax — so
-// every remaining entry really does pay its class base cost. Consistency
-// (h(n) ≤ enterCost(m) + h(m) along every Succ edge) is exactly tight on
-// crossings into output registers (Δh = 1.0) and into RF write ports
-// (Δh = 0.3); see DESIGN.md for the per-edge-class case analysis.
-//
-// It depends only on the node's (cycle, PE, is-Out), so the per-target
-// loop runs once per (cycle, PE) of a search, cached in the scratch
-// (both the general and the Out-credit lanes fill from one target scan).
-func (s *Session) heuristicAt(n mrrg.Node, targets []mrrg.Node) float64 {
+// RealKey is linear in (cycle, row, column): the A* core derives a
+// node's key from its cell's and a per-slot offset instead of packing a
+// mrrg.Node per relaxed edge.
+var (
+	keyOrigin   = mrrg.RealKey(mrrg.Node{})
+	keyPerCycle = mrrg.RealKey(mrrg.Node{T: 1}) - keyOrigin
+	keyPerRow   = mrrg.RealKey(mrrg.Node{R: 1}) - keyOrigin
+	keyPerCol   = mrrg.RealKey(mrrg.Node{C: 1}) - keyOrigin
+)
+
+// cellAt returns the window cell of PE (r, c) at real cycle t. rdelta
+// must be filled (openLookahead).
+func (s *Session) cellAt(t, r, c int) cell {
+	w := &s.sc.w
+	row := w.row(t, r)
+	return cell{
+		base: int32((row*w.cols + c - w.c0) * w.slots),
+		t:    t, r: r, c: c,
+		kd:  s.sc.rdelta[row],
+		key: keyOrigin + uint64(t)*keyPerCycle + uint64(r)*keyPerRow + uint64(c)*keyPerCol,
+	}
+}
+
+// openLookahead prepares the A* state of the search begin just opened:
+// the occupancy-key delta of every window row, the target list and a
+// lookahead table deep enough for the window.
+func (s *Session) openLookahead(targets []mrrg.Node) {
 	sc := &s.sc
-	pi := sc.w.cell(n.T, n.R, n.C)
-	if sc.hseen[pi] != sc.gen {
-		sc.hseen[pi] = sc.gen
-		h0, h1 := -1.0, -1.0
-		for _, t := range targets {
-			dt := t.T - n.T
-			if dt < 0 {
-				continue // time is monotone: target already in the past
-			}
-			d := s.G.Fab.HopDist(n.R, n.C, t.R, t.C)
-			if dt < d {
-				continue // each link crossing takes a cycle: unreachable
-			}
-			ht := 0.3 * float64(dt)
-			v0 := 0.7*float64(d) + ht
-			if d > 0 {
-				d--
-			}
-			v1 := 0.7*float64(d) + ht
-			if h0 < 0 || v0 < h0 {
-				h0 = v0
-			}
-			if h1 < 0 || v1 < h1 {
-				h1 = v1
-			}
+	w := &sc.w
+	// DenseKey(node) = search index + rdelta[window row of node] (with
+	// the slot's occupancy slot in place of the slot, see slotInfo.occ):
+	// within one (cycle, PE row) the search index and the dense
+	// occupancy key both advance by slots per column.
+	sc.rdelta = sc.rdelta[:0]
+	cols := s.G.Fab.Cols
+	for t := w.tBase; t <= w.maxT; t++ {
+		tb := s.G.TimeBase(t)
+		for r := w.r0; r < w.r0+w.rows; r++ {
+			sc.rdelta = append(sc.rdelta, tb+(r*cols+w.c0-w.row(t, r)*w.cols)*w.slots)
 		}
-		sc.h0[pi] = h0
-		sc.h1[pi] = h1
 	}
-	if n.Class == mrrg.ClassOut {
-		return sc.h1[pi]
+	if h := w.maxT - w.tBase; s.la == nil || s.la.depth < h {
+		s.la = lookaheadFor(s.baseDeci, h)
 	}
-	return sc.h0[pi]
+	lw := s.la.depth + 1
+	sc.tg = sc.tg[:0]
+	for _, t := range targets {
+		sc.tg = append(sc.tg, target{t: t.T, r: t.R, c: t.C, off: int(classKind[t.Class]) * numKinds * lw * lw})
+	}
+	if need := (w.rows*w.cols + 1) * len(targets); len(sc.hop) < need {
+		sc.hop = make([]int16, max(need, 2*len(sc.hop)))
+	}
+}
+
+// hopsOf returns the hop distance from PE (r, c) to every target of the
+// search, cached per window PE.
+func (s *Session) hopsOf(r, c int) []int16 {
+	sc := &s.sc
+	w := &sc.w
+	nt := len(sc.tg)
+	pe := w.rows * w.cols // the spare row: a link's far end outside the window
+	if w.holds(r, c) {
+		pe = (r-w.r0)*w.cols + c - w.c0
+		if sc.hopGen[pe] == sc.gen {
+			return sc.hop[pe*nt : (pe+1)*nt]
+		}
+		sc.hopGen[pe] = sc.gen
+	}
+	hops := sc.hop[pe*nt : (pe+1)*nt]
+	for i := range sc.tg {
+		hops[i] = int16(s.G.Fab.HopDist(r, c, sc.tg[i].r, sc.tg[i].c))
+	}
+	return hops
+}
+
+// costToGo is the A* bound of the node at slot of cell c: the least
+// uncongested cost from it to any target, read from the lookahead table
+// (lookahead.go), or -1 when no target is reachable in time — such a
+// node is pruned outright. An output register's kind depends on the
+// target: its link leads one hop closer to some targets and away from
+// others, so the far end's distance is looked up per target too — also
+// when the far end lies outside the search window.
+func (s *Session) costToGo(c *cell, slot int) float64 {
+	sc := &s.sc
+	si := &s.slotTab[slot]
+	hops := s.hopsOf(c.r, c.c)
+	kind := int(si.kind)
+	var far []int16
+	if si.class == mrrg.ClassOut {
+		f := &s.G.Fab
+		if np := s.links[(c.r*f.Cols+c.c)*s.lay.nd+int(si.idx)]; np >= 0 {
+			far = s.hopsOf(int(np)/f.Cols, int(np)%f.Cols)
+		}
+	}
+	la := s.la
+	lw := la.depth + 1
+	best := int32(laInf)
+	for i := range sc.tg {
+		tg := &sc.tg[i]
+		dt, d := tg.t-c.t, int(hops[i])
+		if dt < 0 || d > dt {
+			continue // time is monotone, and each link crossing takes a cycle
+		}
+		k := kind
+		if far != nil {
+			k = kindOutSame + int(far[i]) - d
+		}
+		best = min(best, la.ctg[tg.off+(k*lw+dt)*lw+d])
+	}
+	if best == laInf {
+		return -1
+	}
+	return float64(best) / 10
 }
 
 // searchWindow returns the index space of extending net to targets.
@@ -226,7 +298,7 @@ func (s *Session) searchWindow(net *Net, targets []mrrg.Node) window {
 // RouteSink extends the net with a least-cost path from any node the net
 // already owns to any node of targets. Newly entered nodes are charged to
 // the session occupancy (modulo II). The found path starts at an owned
-// node and ends at the reached target.
+// node and ends at the reached target. targets is not retained.
 //
 // The search runs entirely in the session's generation-stamped scratch
 // arrays: per call it allocates only the returned Path (plus scratch
@@ -241,27 +313,16 @@ func (s *Session) RouteSink(net *Net, targets []mrrg.Node) (Path, float64, error
 	gen := sc.gen
 
 	// A target outside the window cannot be reached in time and gets no
-	// stamp; heuristicAt still scans every target, so h — and with it the
-	// pop order — is what a whole-array index would give.
+	// stamp; the lookahead still reads every target, and finds this one
+	// out of reach of every node the search can touch.
 	for _, t := range targets {
 		if w.holds(t.R, t.C) {
 			sc.tgt[s.idxOf(t)] = gen
 		}
 	}
 	astar := !s.Legacy
-	if astar && s.linearKeys {
-		// Dense-key precomputation: DenseKey(node) = search index +
-		// rdelta[window row of node], because within one (cycle, PE row)
-		// the search index and the dense occupancy key both advance by
-		// slots per column.
-		sc.rdelta = sc.rdelta[:0]
-		f := &s.G.Fab
-		for t := w.tBase; t <= w.maxT; t++ {
-			tb := s.G.TimeBase(t)
-			for r := w.r0; r < w.r0+w.rows; r++ {
-				sc.rdelta = append(sc.rdelta, tb+(r*f.Cols+w.c0-w.row(t, r)*w.cols)*w.slots)
-			}
-		}
+	if astar {
+		s.openLookahead(targets)
 	}
 	seed := func(n mrrg.Node) {
 		if n.T > w.maxT {
@@ -273,16 +334,19 @@ func (s *Session) RouteSink(net *Net, targets []mrrg.Node) (Path, float64, error
 		sc.dist[i] = 0
 		sc.parent[i] = -1
 		if astar {
-			h := s.heuristicAt(n, targets)
+			c := s.cellAt(n.T, n.R, n.C)
+			slot := int(i - c.base)
+			h := s.costToGo(&c, slot)
 			if h < 0 {
 				return // no target reachable from this seed in time
 			}
 			sc.hval[i] = h
-			sc.key[i] = mrrg.RealKey(n)
+			sc.key[i] = c.key + s.slotTab[slot].key
 			sc.bq.push(heapItem{cost: h, key: sc.key[i], idx: i})
 			return
 		}
-		sc.heap.push(heapItem{cost: 0, key: mrrg.RealKey(n), idx: i})
+		sc.key[i] = mrrg.RealKey(n)
+		sc.heap.push(heapItem{cost: 0, key: sc.key[i], idx: i})
 	}
 	seed(net.Src)
 	for _, p := range net.Paths {
@@ -325,8 +389,8 @@ func (s *Session) RouteSink(net *Net, targets []mrrg.Node) (Path, float64, error
 }
 
 // searchDijkstra is the legacy core: a plain Dijkstra over one global
-// binary heap, returning at the first target popped. Kept bit-identical
-// to the historical router for the differential equivalence tests.
+// binary heap through mrrg.Succ, returning at the first target popped.
+// Kept for the differential equivalence tests.
 func (s *Session) searchDijkstra(net *Net, targets []mrrg.Node) (int32, float64, error) {
 	sc := &s.sc
 	gen, maxT := sc.gen, sc.w.maxT
@@ -337,6 +401,7 @@ func (s *Session) searchDijkstra(net *Net, targets []mrrg.Node) (int32, float64,
 			continue
 		}
 		sc.closed[it.idx] = gen
+		s.closedNodes++
 		visits++
 		if visits > s.MaxVisits {
 			return 0, 0, fmt.Errorf("route: %w (limit %d)", ErrSearchLimit, s.MaxVisits)
@@ -351,7 +416,7 @@ func (s *Session) searchDijkstra(net *Net, targets []mrrg.Node) (int32, float64,
 			if m.T > maxT {
 				return
 			}
-			if s.Filter != nil && !s.Filter(m) {
+			if !s.Envelope.Holds(m.R, m.C) {
 				return
 			}
 			mi := s.idxOf(m)
@@ -366,7 +431,15 @@ func (s *Session) searchDijkstra(net *Net, targets []mrrg.Node) (int32, float64,
 				sc.seen[mi] = gen
 				sc.dist[mi] = nd
 				sc.parent[mi] = parent
-				sc.heap.push(heapItem{cost: nd, key: mrrg.RealKey(m), idx: mi})
+				sc.key[mi] = mrrg.RealKey(m)
+				sc.heap.push(heapItem{cost: nd, key: sc.key[mi], idx: mi})
+			} else if p := sc.parent[mi]; nd == sc.dist[mi] && p >= 0 && it.key < sc.key[p] {
+				// The A* core's tie-break, stated here too: of the
+				// predecessors offering the same cost the smaller RealKey
+				// keeps the slot. "First relaxer keeps it" is the same
+				// rule except where two predecessors' costs differ by an
+				// ulp and still sum to one float (DESIGN.md "Router").
+				sc.parent[mi] = parent
 			}
 		})
 	}
@@ -380,65 +453,23 @@ func (s *Session) searchDijkstra(net *Net, targets []mrrg.Node) (int32, float64,
 // is drained (same-cost parent claims and same-cost targets all live
 // there) and the (cost, RealKey)-minimal hit is committed — the same
 // target, path, and cost the legacy core returns.
+//
+// Successors are enumerated in index space, mirroring mrrg.Succ edge for
+// edge: a popped index is decoded into its cell once, a successor on the
+// same PE is the cell's base plus the successor's slot (one window
+// stride further for the next cycle), and a link's far end comes from
+// the graph's link table. mrrg.Succ stays the reference — the legacy
+// core and the map-Dijkstra oracle enumerate with it.
 func (s *Session) searchAStar(net *Net, targets []mrrg.Node) (int32, float64, error) {
 	sc := &s.sc
 	w := &sc.w
+	g := s.G
 	gen, maxT := sc.gen, w.maxT
+	cols := g.Fab.Cols
+	lay := &s.lay
+	stride := int32(w.rows * w.cols * w.slots) // index distance of one cycle
 	visits := 0
 	goalBucket := -1
-	var gCur float64
-	var iCur int32
-	var curKey uint64
-	relax := func(m mrrg.Node) {
-		if m.T > maxT {
-			return
-		}
-		if s.Filter != nil && !s.Filter(m) {
-			return
-		}
-		mi := s.idxOf(m)
-		nd := gCur
-		if sc.owned[mi] != gen {
-			var key int
-			if s.linearKeys {
-				key = int(mi) + sc.rdelta[w.row(m.T, m.R)]
-			} else {
-				key = s.G.DenseKey(m) // shared-bus collapse: no linear shortcut
-			}
-			nd += s.enterCostAt(m, key)
-		}
-		if sc.seen[mi] != gen {
-			h := s.heuristicAt(m, targets)
-			if h < 0 {
-				return // no target reachable in time: prune
-			}
-			sc.seen[mi] = gen
-			sc.hval[mi] = h
-			sc.key[mi] = mrrg.RealKey(m)
-			sc.dist[mi] = nd
-			sc.parent[mi] = iCur
-			sc.bq.push(heapItem{cost: nd + h, key: sc.key[mi], idx: mi})
-			return
-		}
-		if nd < sc.dist[mi] {
-			sc.dist[mi] = nd
-			sc.parent[mi] = iCur
-			if sc.closed[mi] == gen {
-				sc.closed[mi] = 0 // reopen (ulp-scale improvement)
-			}
-			sc.bq.push(heapItem{cost: nd + sc.hval[mi], key: sc.key[mi], idx: mi})
-			return
-		}
-		if nd == sc.dist[mi] {
-			// Deterministic, pop-order-independent parent tie-break: the
-			// predecessor with the smaller RealKey keeps the slot (exactly
-			// the first relaxer in Dijkstra's (g, key) pop order). Seeds
-			// (parent -1) are path heads and are never re-parented.
-			if p := sc.parent[mi]; p >= 0 && curKey < sc.key[p] {
-				sc.parent[mi] = iCur
-			}
-		}
-	}
 	for {
 		if goalBucket >= 0 {
 			if sc.bq.n == 0 || sc.bq.peek() > goalBucket {
@@ -456,6 +487,7 @@ func (s *Session) searchAStar(net *Net, targets []mrrg.Node) (int32, float64, er
 			continue // superseded by a cheaper later push
 		}
 		sc.closed[i] = gen
+		s.closedNodes++
 		if goalBucket < 0 {
 			visits++
 			if visits > s.MaxVisits {
@@ -472,11 +504,62 @@ func (s *Session) searchAStar(net *Net, targets []mrrg.Node) (int32, float64, er
 			sc.hits = append(sc.hits, i)
 			continue
 		}
-		cur := s.nodeAt(i)
-		gCur = sc.dist[i]
-		iCur = i
-		curKey = sc.key[i]
-		s.G.Succ(cur, relax)
+		sc.gCur, sc.iCur, sc.curKey = sc.dist[i], i, sc.key[i]
+
+		// Decode the index once: slot, window column, (cycle, PE row).
+		ci := int(i) / w.slots
+		slot := int(i) - ci*w.slots
+		row := ci / w.cols
+		t := row/w.rows + w.tBase
+		cur := cell{base: i - int32(slot), t: t, r: row%w.rows + w.r0, c: ci - row*w.cols + w.c0, kd: sc.rdelta[row]}
+		cur.key = sc.curKey - s.slotTab[slot].key
+		inEnv := s.Envelope.Holds(cur.r, cur.c)
+		here := inEnv && g.ValidTime(t)      // same-cycle edges stay on this PE
+		next := t < maxT && g.ValidTime(t+1) // edges into the next cycle
+		nxt := cell{base: cur.base + stride, t: t + 1, r: cur.r, c: cur.c, key: cur.key + keyPerCycle}
+		if next {
+			nxt.kd = sc.rdelta[row+w.rows]
+		}
+		stay := next && inEnv // next-cycle edges that stay on this PE
+		switch si := &s.slotTab[slot]; si.class {
+		case mrrg.ClassFU, mrrg.ClassMemRead:
+			// Freshly produced value: output registers, the RF write
+			// port, the store port.
+			if here {
+				s.fanOut(&cur, true)
+			}
+		case mrrg.ClassOut:
+			if !next {
+				break
+			}
+			if np := int(s.links[(cur.r*cols+cur.c)*lay.nd+int(si.idx)]); np >= 0 {
+				// Arrives at the link's far end next cycle.
+				if nr, nc := np/cols, np%cols; s.Envelope.Holds(nr, nc) {
+					far := s.cellAt(t+1, nr, nc)
+					s.fanOut(&far, true)
+				}
+			}
+			if stay {
+				s.relax(&nxt, slot) // hold
+			}
+		case mrrg.ClassRFWrite:
+			if stay {
+				for k := 0; k < g.Fab.NumRegs; k++ {
+					s.relax(&nxt, lay.reg+k)
+				}
+			}
+		case mrrg.ClassReg:
+			if stay {
+				s.relax(&nxt, slot) // hold
+			}
+			if here {
+				s.relax(&cur, lay.rfr) // read this cycle
+			}
+		case mrrg.ClassRFRead:
+			if here {
+				s.fanOut(&cur, false)
+			}
+		}
 	}
 	goal := sc.hits[0]
 	for _, hi := range sc.hits[1:] {
@@ -486,4 +569,73 @@ func (s *Session) searchAStar(net *Net, targets []mrrg.Node) (int32, float64, er
 		}
 	}
 	return goal, sc.dist[goal], nil
+}
+
+// fanOut relaxes the crossbar successors of a value present at cell c:
+// every output register that has a link, the RF write port when rfw is
+// set (a value read back from the RF does not re-enter it), and the
+// store port on a memory-capable PE.
+func (s *Session) fanOut(c *cell, rfw bool) {
+	f := &s.G.Fab
+	nd := s.lay.nd
+	pe := (c.r*f.Cols + c.c) * nd
+	for d := 0; d < nd; d++ {
+		if s.links[pe+d] >= 0 {
+			s.relax(c, 1+d)
+		}
+	}
+	if rfw {
+		s.relax(c, s.lay.rfw)
+	}
+	if f.MemCapable(c.r, c.c) {
+		s.relax(c, s.lay.mw)
+	}
+}
+
+// relax offers the node at slot of cell c the path through the node
+// being expanded (sc.gCur, sc.iCur, sc.curKey).
+func (s *Session) relax(c *cell, slot int) {
+	sc := &s.sc
+	gen := sc.gen
+	mi := c.base + int32(slot)
+	si := &s.slotTab[slot]
+	if sc.owned[mi] == gen {
+		// The net's own nodes are seeds at cost 0 with no parent: no
+		// offer can improve or re-parent one.
+		return
+	}
+	nd := sc.gCur + s.price(si.base, si.cap, int(c.base)+int(si.occ)+c.kd)
+	if sc.seen[mi] != gen {
+		sc.seen[mi] = gen
+		h := s.costToGo(c, slot)
+		if h < 0 {
+			// No target reachable in time: prune. -Inf makes every later
+			// offer fall through the comparisons below.
+			sc.dist[mi] = math.Inf(-1)
+			return
+		}
+		sc.hval[mi] = h
+		sc.key[mi] = c.key + si.key
+		sc.dist[mi] = nd
+		sc.parent[mi] = sc.iCur
+		sc.bq.push(heapItem{cost: nd + h, key: sc.key[mi], idx: mi})
+		return
+	}
+	if nd < sc.dist[mi] {
+		sc.dist[mi] = nd
+		sc.parent[mi] = sc.iCur
+		if sc.closed[mi] == gen {
+			sc.closed[mi] = 0 // reopen (ulp-scale improvement)
+		}
+		sc.bq.push(heapItem{cost: nd + sc.hval[mi], key: sc.key[mi], idx: mi})
+		return
+	}
+	if nd == sc.dist[mi] {
+		// Deterministic, pop-order-independent parent tie-break: of the
+		// predecessors offering the same cost, the one with the smaller
+		// RealKey keeps the slot.
+		if sc.curKey < sc.key[sc.parent[mi]] {
+			sc.parent[mi] = sc.iCur
+		}
+	}
 }

@@ -16,31 +16,40 @@
 //
 // The default search core is A* over a Dial-style bucket queue; the
 // pre-A* binary-heap Dijkstra is kept behind Session.Legacy and the two
-// are bit-identical (see DESIGN.md "Router" for the argument):
+// return the same target, path and cost (see DESIGN.md "Router" for the
+// argument):
 //
-//   - The heuristic is admissible and consistent: per target, 0.7 × the
-//     topology hop distance (arch.Fabric.HopDist — Manhattan, wrapped
-//     Manhattan on a torus, Chebyshev with diagonals) plus 0.3 × the
-//     remaining cycles, minimized over the targets (heuristicAt has the
-//     entry-cost accounting). Nodes from which no target is reachable in
+//   - The bound is the exact uncongested cost-to-go of an abstraction of
+//     mrrg.Succ that keeps time and resource class and collapses space to
+//     the hop distance from the target (arch.Fabric.HopDist — Manhattan,
+//     wrapped Manhattan on a torus, Chebyshev with diagonals), minimized
+//     over the targets: one table per base-cost vector, shared by every
+//     session of the process (lookahead.go). The abstraction is a
+//     relaxation of the real graph, so the bound is admissible and
+//     consistent, and a held value — most of HiMap's — is found without
+//     flooding the window. Nodes from which no target is reachable in
 //     time are pruned outright.
-//   - Every cost atom is an exact multiple of 0.1, so a frontier entry's
-//     f = g+h quantizes exactly into a deci-cost bucket; buckets pop in
-//     Dial order and each bucket is a small binary heap ordered by the
-//     exact (float cost, RealKey) pair — the global pop order is exactly
-//     the historical (cost, key) order of the old global heap.
-//   - Tie-breaking is order-independent: on an exactly equal tentative
-//     cost the predecessor with the smaller RealKey wins the parent slot,
-//     and when the first target pops, its whole bucket is drained before
-//     committing so every same-cost parent claim (and every same-cost
-//     target) has been seen; the final target is the (cost, RealKey)
-//     minimum of the drained hits — precisely the node Dijkstra pops
-//     first.
+//   - Successors are enumerated in index space — slot arithmetic on the
+//     popped node's dense index plus the graph's link table — mirroring
+//     mrrg.Succ, which stays the reference the legacy core and the
+//     map-Dijkstra oracle of the tests enumerate with.
+//   - Every cost atom is an exact multiple of 0.1 (the table stores
+//     integer deci units), so a frontier entry's f = g+h quantizes
+//     exactly into a deci-cost bucket; buckets pop in Dial order and each
+//     bucket is a small binary heap ordered by the exact (float cost,
+//     RealKey) pair.
+//   - Tie-breaking is order-independent: of the predecessors offering a
+//     node the same cost the one with the smaller RealKey wins the parent
+//     slot, and when the first target pops, its whole bucket is drained
+//     before committing so every same-cost parent claim (and every
+//     same-cost target) has been seen; the final target is the (cost,
+//     RealKey) minimum of the drained hits. The result therefore does not
+//     depend on which consistent bound ordered the pops.
 //
 // Memory discipline: the search inner loop is allocation-free in steady
-// state. All per-search state (dist, parent, closed, heuristic, target
-// and ownership marks) lives in flat generation-stamped scratch arrays
-// indexed by dense packed node keys of the search window; a search
+// state. All per-search state (dist, parent, closed, bound, target and
+// ownership marks, hop distances) lives in flat generation-stamped
+// scratch arrays indexed by dense packed node keys of the search window; a search
 // invalidates the previous search's entries by bumping a generation
 // counter instead of clearing or reallocating, and the arrays grow — all
 // together, in one step — only when a window is larger than any before
@@ -123,14 +132,15 @@ type Session struct {
 
 	// Legacy selects the pre-A* global binary-heap Dijkstra core. It is
 	// kept for the router-equivalence differential tests: both cores
-	// produce bit-identical paths, costs, and mappings.
+	// produce identical paths, costs, and mappings.
 	Legacy bool
 
-	// Filter, when non-nil, restricts the search to nodes it accepts.
-	// HiMap's canonical routing uses it to keep paths inside the spatial
-	// envelope that exists for every replica of the route (a class member
-	// near the array edge must be able to reuse the translated path).
-	Filter func(mrrg.Node) bool
+	// Envelope confines the search to the PEs it holds; NewSession sets
+	// the whole array. HiMap's canonical routing narrows it to the
+	// spatial envelope that exists for every replica of the route (a
+	// class member near the array edge must be able to reuse the
+	// translated path). Seeds outside it stay seeds.
+	Envelope Box
 
 	// occ and hist are dense arrays over the modulo occupancy key space
 	// (mrrg.Graph.DenseKey) — the negotiated-congestion state.
@@ -157,13 +167,45 @@ type Session struct {
 	baseTab [mrrg.NumClasses]float64
 	capTab  [mrrg.NumClasses]int32
 
-	// linearKeys records that DenseKey is a pure linear function of the
-	// dense search index (true except on shared-bus fabrics, where the
-	// Out directions collapse onto one occupancy slot). The A* core's
-	// index+rdelta occupancy-key fast path is valid only when set.
-	linearKeys bool
+	// The A* core's view of the graph and the model, per resource slot
+	// of a PE (see slotInfo), with the link table, the slot layout and
+	// the base costs in deci units — the key of the shared lookahead
+	// table la (lookahead.go), fetched at the first search and again
+	// when a search spans more cycles than it covers.
+	slotTab  []slotInfo
+	links    []int32
+	lay      struct{ nd, rfw, rfr, mw, reg int }
+	baseDeci [mrrg.NumClasses]int32
+	la       *lookahead
+
+	// closedNodes counts the nodes the searches of this session closed —
+	// the work a bound saves (TestLongHoldVisitBudget).
+	closedNodes int
 
 	sc scratch
+}
+
+// Box is an inclusive rectangle of PEs: rows R0..R1, columns C0..C1.
+type Box struct{ R0, R1, C0, C1 int }
+
+// Holds reports whether PE (r, c) lies in the box.
+func (b Box) Holds(r, c int) bool { return r >= b.R0 && r <= b.R1 && c >= b.C0 && c <= b.C1 }
+
+// slotInfo is what the A* core needs of one resource slot of a PE (the
+// dense slot space of mrrg.Graph.SlotIndex), so that relaxing an edge
+// in index space needs no mrrg.Node: the slot's class and index, the
+// installed model's base cost and capacity for the class, the slot's
+// RealKey offset within its (cycle, PE), its occupancy slot — the slot
+// itself, except on shared-bus fabrics, where every Out direction
+// charges direction 0's — and its lookahead kind.
+type slotInfo struct {
+	base  float64
+	key   uint64
+	cap   int32
+	occ   int32
+	class mrrg.Class
+	idx   uint8
+	kind  uint8
 }
 
 // defaultMaxVisits scales the per-search visit budget with the dense key
@@ -186,15 +228,21 @@ func defaultMaxVisits(denseKeys int) int {
 func NewSession(g *mrrg.Graph) *Session {
 	n := g.NumDenseKeys()
 	s := &Session{
-		G:          g,
-		PresFac:    2.0,
-		HistBump:   3.0,
-		MaxVisits:  defaultMaxVisits(n),
-		occ:        make([]int32, n),
-		hist:       make([]float64, n),
-		mark:       make([]uint32, n),
-		linearKeys: !g.SharedOut(),
+		G:         g,
+		PresFac:   2.0,
+		HistBump:  3.0,
+		MaxVisits: defaultMaxVisits(n),
+		occ:       make([]int32, n),
+		hist:      make([]float64, n),
+		mark:      make([]uint32, n),
+		Envelope:  Box{R0: 0, R1: g.Fab.Rows - 1, C0: 0, C1: g.Fab.Cols - 1},
+		links:     g.LinkTable(),
 	}
+	s.lay.nd = g.NumDirs()
+	s.lay.rfw = g.SlotIndex(mrrg.ClassRFWrite, 0)
+	s.lay.rfr = g.SlotIndex(mrrg.ClassRFRead, 0)
+	s.lay.mw = g.SlotIndex(mrrg.ClassMemWrite, 0)
+	s.lay.reg = g.SlotIndex(mrrg.ClassReg, 0)
 	if err := s.SetCostModel(For(g)); err != nil {
 		// The built-in models satisfy the invariants by construction.
 		panic(err)
@@ -221,7 +269,7 @@ func (s *Session) Reset() {
 }
 
 // baseCost is the legacy intrinsic cost of occupying one resource node
-// — the UnitModel's table and the admissibility floor every CostModel
+// — the UnitModel's table and the legacy floor every CostModel
 // is validated against. Every value is an exact multiple of 0.1 —
 // together with integral PresFac and HistBump multiples this keeps all
 // accumulated costs on the deci-unit grid the bucket queue quantizes
@@ -243,19 +291,21 @@ func baseCost(c mrrg.Class) float64 {
 
 // enterCost prices entering node n for a net that does not yet own it.
 func (s *Session) enterCost(n mrrg.Node) float64 {
-	return s.enterCostAt(n, s.G.DenseKey(n))
+	return s.price(s.baseTab[n.Class], s.capTab[n.Class], s.G.DenseKey(n))
 }
 
-// enterCostAt is enterCost with the node's dense occupancy key already
-// resolved — the A* core derives it from the search index and a
-// precomputed per-cycle delta instead of re-deriving the full DenseKey.
-func (s *Session) enterCostAt(n mrrg.Node, key int) float64 {
-	over := int(s.occ[key]) + 1 - int(s.capTab[n.Class])
+// price is the cost of entering a resource of the given base cost and
+// capacity at dense occupancy key: the base, scaled by the present-
+// sharing penalty once the entry would oversubscribe it, plus the
+// history cost. The A* core calls it with the slot's table entry and a
+// key derived from the search index.
+func (s *Session) price(base float64, capa int32, key int) float64 {
+	over := int(s.occ[key]) + 1 - int(capa)
 	pen := 1.0
 	if over > 0 {
 		pen = 1.0 + float64(over)*s.PresFac
 	}
-	return s.baseTab[n.Class]*pen + s.hist[key]
+	return base*pen + s.hist[key]
 }
 
 // Reserve marks a placement node (FU slot, memory port) occupied outside
@@ -398,12 +448,12 @@ func (s *Session) OversubscribedIn(nets []*Net) []mrrg.Node {
 }
 
 // BumpHistory raises the history cost of every oversubscribed node among
-// the given nets and returns how many nodes were bumped. A return of zero
-// means the routing is congestion-free (§V's success condition).
-func (s *Session) BumpHistory(nets []*Net) int {
+// the given nets and returns those nodes. An empty return means the
+// routing is congestion-free (§V's success condition).
+func (s *Session) BumpHistory(nets []*Net) []mrrg.Node {
 	over := s.OversubscribedIn(nets)
 	for _, n := range over {
 		s.hist[s.G.DenseKey(n)] += s.HistBump
 	}
-	return len(over)
+	return over
 }

@@ -4,8 +4,12 @@
 # (the lock check; it also carries the alloc-ceiling tests — router hot
 # path, replicate+validate, and the allocation count and bytes of one
 # cold GEMM 64x64 compile, TestScaleCompileAllocBudget — the 32x32 and
-# 64x64 scale/... rows of goldenMappings, and the router's map-Dijkstra
-# oracle, TestRouteSinkMatchesMapDijkstra), the
+# 64x64 scale/... rows of goldenMappings, the router's map-Dijkstra
+# oracle, TestRouteSinkMatchesMapDijkstra, and the gates on its A* bound:
+# the lookahead table checked against mrrg.Succ — consistent along every
+# edge, exact on an empty session, one process-wide table grown under
+# four goroutines, TestLookahead* — and TestLongHoldVisitBudget, the
+# closed-node budget of a value held in place), the
 # bench/ module's vet, tests and a one-second paper_small run for its
 # correctness gate, and the himapd / himapload / exact smokes. CI runs
 # exactly this script and nothing beside it, so every gate runs once;
@@ -16,7 +20,9 @@
 # tables the test suite checks. Compare by hand, on a quiet machine, when
 # a PR claims a gain. The profile behind a large-fabric claim is one
 # command: go test -run '^$' -bench ScaleCompile -benchtime 3x
-# -cpuprofile cpu.out . (then go tool pprof -top himap.test cpu.out).
+# -cpuprofile cpu.out . (then go tool pprof -top himap.test cpu.out);
+# behind a negotiated-congestion (router-bound) claim it is the same
+# command with -bench CongestedCompile -benchtime 5x.
 set -eux
 cd "$(dirname "$0")/.."
 unformatted=$(gofmt -l .)
