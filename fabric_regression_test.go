@@ -164,6 +164,7 @@ func TestDefaultFabricBitIdentical(t *testing.T) {
 				got = "error: " + err.Error()
 			} else {
 				got = mappingFingerprint(r.Config, row.req.Fabric.Rows, row.req.Fabric.Cols)
+				checkRenderings(t, r)
 			}
 			want := goldenMappings[row.key]
 			if want == "" {
@@ -230,7 +231,7 @@ func TestDiagnosticsBitIdentical(t *testing.T) {
 // which net congests and which resource the error names, so a rewrite of
 // the routing loop must reproduce both rows.
 var goldenAttemptSpans = map[string]string{
-	"FW/narrow-rf": "4bd6bb721493e2ee47bf9860c9a9360c702bd1437fa710480a7915d730132210",
+	"FW/narrow-rf": "87d23a516ff0e8833d7e7671062ed5a476ba7b1b1f70d5ccf281141e3751938f",
 	"ATAX/diag":    "e1687fa30a76662673dbe2163818deefce98e2f06ed78a0e376ce32ebcee2805",
 }
 

@@ -2,6 +2,7 @@ package himap
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"himap/internal/diag"
@@ -105,8 +106,11 @@ func (l *layout) routeCanonical(ctx context.Context, maxRounds int) ([][]canonNe
 			}
 		}
 		if roundErr != nil {
-			// Escalate costs where the failure occurred and retry.
-			if len(ses.BumpHistory(allNets)) == 0 {
+			// Only a search that ran out of visits can end differently
+			// once costs move; no path, no memory-read slot and missing
+			// pins are facts of the placement and repeat in every round
+			// (DESIGN.md, "Negotiation").
+			if !errors.Is(roundErr, route.ErrSearchLimit) || len(ses.BumpHistory(allNets)) == 0 {
 				return nil, stats, roundErr
 			}
 			continue

@@ -31,13 +31,15 @@ func buildLayout(t *testing.T, k *kernel.Kernel, cg arch.Fabric, block []int, sc
 	}
 }
 
-func bicgLayout(t *testing.T) *layout {
+func bicgLayout(t *testing.T) *layout { return bicgLayoutOn(t, arch.DefaultFabric(4, 4)) }
+
+// bicgLayoutOn is BICG, block 4x4, on the first sub-CGRA mapping of cg.
+func bicgLayoutOn(t *testing.T, cg arch.Fabric) *layout {
 	k := kernel.BICG()
 	f, err := k.GenericIDFG()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg := arch.DefaultFabric(4, 4)
 	subs, err := MapIDFG(f, cg, 1)
 	if err != nil {
 		t.Fatal(err)

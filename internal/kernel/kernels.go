@@ -393,13 +393,21 @@ func Evaluation() []*Kernel {
 	return []*Kernel{ADI(), ATAX(), BICG(), MVT(), GEMM(), SYRK(), FW(), TTM()}
 }
 
-// ByName returns the named kernel (case-sensitive: the Table-II names
-// plus the extension kernels CONV2D, NW, DOITGEN), or an error.
+// constructors maps every kernel of Evaluation and Extensions to the
+// function that builds it (TestByNameCoversRegistry keeps the three in
+// step), so a lookup constructs the one kernel asked for.
+var constructors = map[string]func() *Kernel{
+	"ADI": ADI, "ATAX": ATAX, "BICG": BICG, "MVT": MVT,
+	"GEMM": GEMM, "SYRK": SYRK, "FW": FW, "TTM": TTM,
+	"CONV2D": Conv2D, "CONV3D": Conv3D, "NW": NW, "DOITGEN": DOITGEN,
+	"DOTPROD": DOTPROD, "RELU": RELU,
+}
+
+// ByName returns a fresh instance of the named kernel (case-sensitive:
+// the Table-II names plus the extension kernels), or an error.
 func ByName(name string) (*Kernel, error) {
-	for _, k := range append(Evaluation(), Extensions()...) {
-		if k.Name == name {
-			return k, nil
-		}
+	if build, ok := constructors[name]; ok {
+		return build(), nil
 	}
 	return nil, fmt.Errorf("kernel: unknown kernel %q", name)
 }

@@ -262,6 +262,35 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestByNameCoversRegistry holds the name → constructor table to the two
+// kernel lists: every listed kernel is found under its own name, each
+// lookup builds a fresh instance (callers may change what they get), the
+// table names nothing else, and an unknown name keeps its error text.
+func TestByNameCoversRegistry(t *testing.T) {
+	all := append(Evaluation(), Extensions()...)
+	for _, want := range all {
+		k1, err := ByName(want.Name)
+		if err != nil {
+			t.Errorf("ByName(%q): %v", want.Name, err)
+			continue
+		}
+		k2, _ := ByName(want.Name)
+		if k1.Name != want.Name || k1.Dim != want.Dim || len(k1.Body) != len(want.Body) {
+			t.Errorf("ByName(%q) built %s (dim %d, %d ops)", want.Name, k1.Name, k1.Dim, len(k1.Body))
+		}
+		if k1 == k2 || k1 == want {
+			t.Errorf("ByName(%q) returned a shared *Kernel", want.Name)
+		}
+	}
+	if len(constructors) != len(all) {
+		t.Errorf("%d constructors for %d listed kernels", len(constructors), len(all))
+	}
+	_, err := ByName("gemm")
+	if err == nil || err.Error() != `kernel: unknown kernel "gemm"` {
+		t.Errorf(`ByName("gemm") error = %v`, err)
+	}
+}
+
 func TestCatalogCategorization(t *testing.T) {
 	cat := Categorize(Catalog())
 	if len(cat["no-dep"]) == 0 || len(cat["dep-dim1"]) == 0 ||

@@ -3,10 +3,12 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -503,15 +505,20 @@ func (s *Server) executeBody(ctx context.Context, hreq himap.Request, tracer dia
 // EncodeResponse renders a compile result into the canonical response
 // bytes. Exported so the smoke harness can render a direct
 // himap.CompileRequest result and byte-compare it with the served body.
+//
+// Every byte is written once. encoding/json renders the head fields from
+// a CompileResponse whose two large members are left nil, which fixes
+// their names, order, omissions and number forms in one place; the
+// configuration then goes in exactly as arch.Config.AppendJSON produced
+// it (already compact and escaped — what json.Marshal would make of it
+// as a RawMessage, without scanning it again) and the bitstream as the
+// base64 string encoding/json gives a []byte.
 func EncodeResponse(res *himap.Result) ([]byte, error) {
-	var cfgJSON bytes.Buffer
-	if err := res.Config.WriteJSON(&cfgJSON); err != nil {
-		return nil, fmt.Errorf("encode config: %w", err)
-	}
 	bs, err := himap.EncodeBitstream(res.Config)
 	if err != nil {
 		return nil, fmt.Errorf("encode bitstream: %w", err)
 	}
+	image := BitstreamBytes(bs)
 	resp := CompileResponse{
 		SchemaVersion: SchemaVersion,
 		Kernel:        res.Kernel.Name,
@@ -522,8 +529,6 @@ func EncodeResponse(res *himap.Result) ([]byte, error) {
 		UniqueIters:   res.UniqueIters,
 		Attempts:      res.Stats.Attempts,
 		Utilization:   res.Utilization,
-		Config:        json.RawMessage(bytes.TrimRight(cfgJSON.Bytes(), "\n")),
-		Bitstream:     BitstreamBytes(bs),
 	}
 	if resp.Mapper == "" {
 		// Results built outside himap.CompileRequest (tests, direct
@@ -545,11 +550,28 @@ func EncodeResponse(res *himap.Result) ([]byte, error) {
 			Horizon:       res.Optimality.Horizon,
 		}
 	}
-	body, err := json.Marshal(resp)
+	head, err := json.Marshal(resp)
 	if err != nil {
 		return nil, fmt.Errorf("encode response: %w", err)
 	}
-	return append(body, '\n'), nil
+	// The two nil members close the object; they are cut off and written
+	// again with their values.
+	const nilTail = `"config":null,"bitstream":null}`
+	if !bytes.HasSuffix(head, []byte(nilTail)) {
+		return nil, fmt.Errorf("encode response: head does not end in %s", nilTail)
+	}
+	head = head[:len(head)-len(nilTail)]
+	const configKey, bitstreamKey, end = `"config":`, `,"bitstream":"`, "\"}\n"
+	body := make([]byte, 0, len(head)+len(configKey)+res.Config.JSONSizeHint()+len(bitstreamKey)+
+		base64.StdEncoding.EncodedLen(len(image))+len(end))
+	body = append(body, head...)
+	body = append(body, configKey...)
+	if body, err = res.Config.AppendJSON(body); err != nil {
+		return nil, fmt.Errorf("encode config: %w", err)
+	}
+	body = append(body, bitstreamKey...)
+	body = base64.StdEncoding.AppendEncode(body, image)
+	return append(body, end...), nil
 }
 
 // renderError maps a failure to its HTTP status and error-body bytes.
@@ -576,6 +598,10 @@ func (s *Server) reject(w http.ResponseWriter, err error) {
 
 func writeBody(w http.ResponseWriter, status int, body []byte, cacheStatus string) {
 	w.Header().Set("Content-Type", "application/json")
+	// The body is complete before the first byte goes out, so say how
+	// long it is: net/http then writes it straight through instead of
+	// chunking it.
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	if cacheStatus != "" {
 		w.Header().Set("X-Himap-Cache", cacheStatus)
 	}

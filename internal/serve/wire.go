@@ -650,7 +650,16 @@ func buildAffine(rows []AffineRow) kernel.AffineMap {
 // determined by the Bitstream content, so equal mappings dump to equal
 // bytes.
 func BitstreamBytes(bs *himap.Bitstream) []byte {
-	var out []byte
+	size := 4 + 4*4 // magic and the four header fields
+	for r := range bs.Words {
+		for c, words := range bs.Words[r] {
+			size += 4 + 4*len(bs.Schedule[r][c])
+			for _, w := range words {
+				size += len(w)
+			}
+		}
+	}
+	out := make([]byte, 0, size)
 	put := func(v int) {
 		var b [4]byte
 		binary.LittleEndian.PutUint32(b[:], uint32(v))

@@ -83,23 +83,16 @@ func (s *Store) EntryPath(key string) string {
 	return filepath.Join(s.dir, name[:2], name[2:])
 }
 
-// encode renders the entry file bytes for (key, payload).
-func encode(key string, payload []byte) []byte {
-	out := make([]byte, 0, headerFixed+len(key)+len(payload))
-	out = append(out, magic[:]...)
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], formatVersion)
-	out = append(out, u32[:]...)
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(key)))
-	out = append(out, u32[:]...)
-	var u64 [8]byte
-	binary.LittleEndian.PutUint64(u64[:], uint64(len(payload)))
-	out = append(out, u64[:]...)
+// appendHeader appends everything of an entry file that precedes the
+// payload: the fixed header and the key.
+func appendHeader(dst []byte, key string, payload []byte) []byte {
+	dst = append(dst, magic[:]...)
+	dst = binary.LittleEndian.AppendUint32(dst, formatVersion)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(key)))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(payload)))
 	sum := sha256.Sum256(payload)
-	out = append(out, sum[:]...)
-	out = append(out, key...)
-	out = append(out, payload...)
-	return out
+	dst = append(dst, sum[:]...)
+	return append(dst, key...)
 }
 
 // decode parses and verifies entry bytes against the key they were
@@ -184,8 +177,13 @@ func (s *Store) Put(key string, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	data := encode(key, payload)
-	if _, err := tmp.Write(data); err != nil {
+	// Header and payload go out as two writes: joining them first would
+	// copy the whole payload to put 52 bytes and the key in front of it.
+	_, err = tmp.Write(appendHeader(make([]byte, 0, headerFixed+len(key)), key, payload))
+	if err == nil {
+		_, err = tmp.Write(payload)
+	}
+	if err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", err)

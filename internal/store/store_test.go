@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -29,6 +31,59 @@ func TestPutGetRoundTrip(t *testing.T) {
 	st := s.Stats()
 	if st.Entries != 1 || st.Hits != 1 || st.Misses != 1 || st.Puts != 1 || st.Corrupt != 0 {
 		t.Errorf("stats = %+v, want 1 entry / 1 hit / 1 miss / 1 put", st)
+	}
+}
+
+// encode is the definition of an entry file, kept from when Put built
+// the whole file in memory: magic, version, key length, payload length,
+// payload SHA-256, key, payload.
+func encode(key string, payload []byte) []byte {
+	out := make([]byte, 0, headerFixed+len(key)+len(payload))
+	out = append(out, magic[:]...)
+	var u32 [4]byte
+	binary.LittleEndian.PutUint32(u32[:], formatVersion)
+	out = append(out, u32[:]...)
+	binary.LittleEndian.PutUint32(u32[:], uint32(len(key)))
+	out = append(out, u32[:]...)
+	var u64 [8]byte
+	binary.LittleEndian.PutUint64(u64[:], uint64(len(payload)))
+	out = append(out, u64[:]...)
+	sum := sha256.Sum256(payload)
+	out = append(out, sum[:]...)
+	out = append(out, key...)
+	out = append(out, payload...)
+	return out
+}
+
+// TestPutWritesTheEntryLayout: Put streams header and payload to the
+// file separately; what lands on disk must still be the one layout, for
+// an empty payload too, and must verify.
+func TestPutWritesTheEntryLayout(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, payload := range map[string][]byte{
+		"k":            []byte("payload"),
+		"empty":        {},
+		"a/longer:key": bytes.Repeat([]byte("0123456789abcdef"), 1<<12),
+	} {
+		if err := s.Put(key, payload); err != nil {
+			t.Fatal(err)
+		}
+		file, err := os.ReadFile(s.EntryPath(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(file, encode(key, payload)) {
+			t.Errorf("%q: entry file is not header+key+payload (%d bytes)", key, len(file))
+		}
+		if err := s.Check(key); err != nil {
+			t.Errorf("%q: Check: %v", key, err)
+		}
+		if got, ok := s.Get(key); !ok || !bytes.Equal(got, payload) {
+			t.Errorf("%q: Get ok=%v, %d bytes", key, ok, len(got))
+		}
 	}
 }
 

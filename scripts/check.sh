@@ -9,9 +9,17 @@
 # the lookahead table checked against mrrg.Succ — consistent along every
 # edge, exact on an empty session, one process-wide table grown under
 # four goroutines, TestLookahead* — and TestLongHoldVisitBudget, the
-# closed-node budget of a value held in place), the
+# closed-node budget of a value held in place; and the gates on the
+# served body — the append encoders held to encoding/json's own rendering
+# for every goldenMappings row, checkRenderings, and by hand-built cases,
+# TestAppendJSONMatchesEncodingJSON; TestEncodeResponseAllocCeiling, the
+# bytes one response may allocate; TestWriteBodySetsContentLength), a
+# bounded run of FuzzConfigAppendJSON (the same differential check on
+# configurations assembled from fuzz bytes), the
 # bench/ module's vet, tests and a one-second paper_small run for its
-# correctness gate, and the himapd / himapload / exact smokes. CI runs
+# correctness gate, and the himapd / himapload / exact smokes (the himapd
+# smoke also requires Content-Length == len(body) and that the compacted
+# himap.SaveConfig file equals the served "config" member). CI runs
 # exactly this script and nothing beside it, so every gate runs once;
 # run it before sending changes. bench/run.sh -compare is deliberately
 # not gated here: its time and memory rows are noise-bound on a shared CI
@@ -22,7 +30,9 @@
 # command: go test -run '^$' -bench ScaleCompile -benchtime 3x
 # -cpuprofile cpu.out . (then go tool pprof -top himap.test cpu.out);
 # behind a negotiated-congestion (router-bound) claim it is the same
-# command with -bench CongestedCompile -benchtime 5x.
+# command with -bench CongestedCompile -benchtime 5x; behind a serving
+# (serve_mix) claim, go test -run '^$' -bench ServeMiss -benchtime 5x
+# -cpuprofile cpu.out ./internal/serve.
 set -eux
 cd "$(dirname "$0")/.."
 unformatted=$(gofmt -l .)
@@ -41,6 +51,9 @@ go run ./cmd/himaplint ./...
 # Shuffled (the seed is printed on failure): a fixed order hides coupling
 # between tests through process-wide state such as the shared memo.
 go test -race -shuffle=on ./...
+# The configuration encoder against encoding/json on generated inputs:
+# the committed seeds ran above; this spends ten seconds on new ones.
+go test -run '^$' -fuzz FuzzConfigAppendJSON -fuzztime 10s ./internal/arch
 # bench/ is its own module (replace himap => ../), so nothing above
 # compiles it: vet and test it here, or a root-module API change can
 # silently break the benchmark harness.

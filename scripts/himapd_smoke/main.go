@@ -2,15 +2,17 @@
 // service, run by scripts/check.sh: it builds cmd/himapd, starts it on
 // an ephemeral port, compiles MVT over HTTP, byte-compares the served
 // body against a direct in-process himap.CompileRequest of the same
-// request, verifies the cache hit, the rejection of a retired
-// schema_version pin and the metrics counters, and then shuts the
-// daemon down gracefully with SIGTERM.
+// request and its "config" member against the compacted himap.SaveConfig
+// file, verifies that every answer carries its Content-Length, the cache
+// hit, the rejection of a retired schema_version pin and the metrics
+// counters, and then shuts the daemon down gracefully with SIGTERM.
 package main
 
 import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -105,13 +107,27 @@ func run() error {
 	if status != http.StatusOK || hdr != "miss" {
 		return fmt.Errorf("first compile: status %d cache %q, want 200 miss: %s", status, hdr, served)
 	}
-	direct, err := directBytes(compileBody)
+	direct, saved, err := directBytes(compileBody)
 	if err != nil {
 		return err
 	}
 	if !bytes.Equal(served, direct) {
 		return fmt.Errorf("served body (%d bytes) differs from direct CompileRequest (%d bytes)",
 			len(served), len(direct))
+	}
+	// The configuration file and the served "config" member are one
+	// rendering: the file, compacted, is the member.
+	var resp serve.CompileResponse
+	if err := json.Unmarshal(served, &resp); err != nil {
+		return fmt.Errorf("served body: %w", err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, saved); err != nil {
+		return fmt.Errorf("saved config: %w", err)
+	}
+	if !bytes.Equal(compact.Bytes(), resp.Config) {
+		return fmt.Errorf("saved config compacts to %d bytes, the served config member has %d and differs",
+			compact.Len(), len(resp.Config))
 	}
 
 	// The identical request must come back from the cache, byte-identical.
@@ -177,21 +193,27 @@ func run() error {
 }
 
 // directBytes compiles the smoke request in-process through the same
-// wire conversion the server uses and renders the canonical bytes.
-func directBytes(body string) ([]byte, error) {
+// wire conversion the server uses and renders the canonical response
+// bytes, and the configuration file himap.SaveConfig writes for it.
+func directBytes(body string) (response, saved []byte, err error) {
 	wire, err := serve.DecodeRequest(strings.NewReader(body))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	req, err := serve.BuildRequest(wire, serve.Config{})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res, err := himap.CompileRequest(context.Background(), req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return serve.EncodeResponse(res)
+	var file bytes.Buffer
+	if err := himap.SaveConfig(res.Config, &file); err != nil {
+		return nil, nil, err
+	}
+	response, err = serve.EncodeResponse(res)
+	return response, file.Bytes(), err
 }
 
 func waitHealthy(base string, budget time.Duration) error {
@@ -220,6 +242,11 @@ func post(url, body string) (int, string, []byte, error) {
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return 0, "", nil, err
+	}
+	// Every /v1/compile answer, cached or compiled or rejected, is a
+	// complete body sent with its length.
+	if resp.ContentLength != int64(len(b)) {
+		return 0, "", nil, fmt.Errorf("POST %s: Content-Length %d, body %d bytes", url, resp.ContentLength, len(b))
 	}
 	return resp.StatusCode, resp.Header.Get("X-Himap-Cache"), b, nil
 }
