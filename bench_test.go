@@ -21,6 +21,7 @@ import (
 
 	"himap/internal/arch"
 	"himap/internal/baseline"
+	"himap/internal/exact"
 	core "himap/internal/himap"
 	"himap/internal/kernel"
 	"himap/internal/mrrg"
@@ -327,16 +328,22 @@ const (
 	scaleCompileByteCeiling   = 60_500_000
 )
 
-// TestScaleCompileAllocBudget holds one large-fabric compile under both
-// ceilings.
-func TestScaleCompileAllocBudget(t *testing.T) {
-	iter := scaleCompileIter(t)
-	iter() // warm process-wide state (kernel tables, fmt's pools)
+// coldAllocs runs iter once to warm process-wide state (kernel tables,
+// fmt's pools, the router's lookahead table) and returns what a second
+// run allocates.
+func coldAllocs(iter func()) (mallocs, bytes uint64) {
+	iter()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	iter()
 	runtime.ReadMemStats(&after)
-	mallocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestScaleCompileAllocBudget holds one large-fabric compile under both
+// ceilings.
+func TestScaleCompileAllocBudget(t *testing.T) {
+	mallocs, bytes := coldAllocs(scaleCompileIter(t))
 	t.Logf("GEMM 64x64: %d mallocs, %d bytes", mallocs, bytes)
 	if mallocs > scaleCompileMallocCeiling {
 		t.Errorf("GEMM 64x64 compile made %d allocations, ceiling is %d", mallocs, scaleCompileMallocCeiling)
@@ -369,6 +376,68 @@ func BenchmarkCongestedCompile(b *testing.B) {
 		if _, err := core.CompileRequest(context.Background(), mvt, bus, core.Options{Workers: 1, Memo: core.NewMemo()}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// -------------------------------------------------------- flat backends
+
+// BenchmarkFlatBackends times the sixteen compiles of the flat_backends
+// workload — the eight evaluation kernels at 4x4, block 2, through the
+// exact branch-and-bound mapper and through the conventional SA mapper
+// (seed 1, one chain) — one sub-benchmark per backend, so the profile of
+// either is one command:
+//
+//	go test -run '^$' -bench FlatBackends/exact -benchtime 5x -cpuprofile cpu.out .
+func BenchmarkFlatBackends(b *testing.B) {
+	fab := arch.DefaultFabric(4, 4)
+	b.Run("exact", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, k := range kernel.Evaluation() {
+				if _, err := exact.CompileRequest(context.Background(), k, fab, k.UniformBlock(2), exact.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("conventional", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, k := range kernel.Evaluation() {
+				if _, err := baseline.CompileRequest(context.Background(), k, fab, k.UniformBlock(2), baseline.Options{Seed: 1, Workers: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}
+
+// The allocation budget of one cold exact compile of GEMM at 4x4, block
+// 2: the measured 193,247 allocations and 25.6 MB plus 25 %. Nearly
+// all of it is the detailed router's — an MRRG, a session and up to
+// eight negotiation rounds per complete placement it is shown — so the
+// number moves with how many leaves reach the router: 65 of GEMM's 154
+// losing leaves do, the leaf screen refutes the other 89, and without
+// it this compile makes 450,622 allocations of 58.2 MB.
+const (
+	flatExactMallocCeiling = 241_500
+	flatExactByteCeiling   = 32_100_000
+)
+
+// TestFlatExactAllocBudget holds that compile under both ceilings.
+func TestFlatExactAllocBudget(t *testing.T) {
+	k, fab := kernel.GEMM(), arch.DefaultFabric(4, 4)
+	mallocs, bytes := coldAllocs(func() {
+		if _, err := exact.CompileRequest(context.Background(), k, fab, k.UniformBlock(2), exact.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("GEMM 4x4 exact: %d mallocs, %d bytes", mallocs, bytes)
+	if mallocs > flatExactMallocCeiling {
+		t.Errorf("GEMM 4x4 exact compile made %d allocations, ceiling is %d", mallocs, flatExactMallocCeiling)
+	}
+	if bytes > flatExactByteCeiling {
+		t.Errorf("GEMM 4x4 exact compile allocated %d bytes, ceiling is %d", bytes, flatExactByteCeiling)
 	}
 }
 

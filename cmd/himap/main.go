@@ -106,8 +106,8 @@ func main() {
 			fmt.Printf("optimality: II %d not proved minimal (lower bound %d, %d states explored)\n",
 				res.Config.II, opt.IILowerBound, opt.Explored)
 		}
-		fmt.Printf("solve time: %v (%d routed leaves, horizon %d)\n",
-			res.Exact.Time, res.Exact.RoutedLeaves, opt.Horizon)
+		fmt.Printf("solve time: %v (%d leaves (%d screened), horizon %d)\n",
+			res.Exact.Time, res.Exact.RoutedLeaves, res.Exact.ScreenedLeaves, opt.Horizon)
 	case res.Conventional == nil:
 		fmt.Printf("systolic mapping: %s\n", res.Mapping)
 		fmt.Printf("compile time: %v (%d canonical nets, %d rounds; -trace prints per-stage times)\n",

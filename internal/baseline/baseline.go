@@ -255,22 +255,19 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, cg arch.Fabric, block
 	return nil, fmt.Errorf("baseline: no valid mapping up to II %d for %s on %s: %w", opts.MaxII, k.Name, cg, lastErr)
 }
 
-// slotKey identifies a capacity-1 placement slot: FU / mem-read /
-// mem-write of one PE at one wrapped cycle.
-type slotKey struct {
-	kind    uint8 // 0 FU, 1 mem read, 2 mem write
-	r, c, t int
-}
-
-func slotOf(n *ir.Node, p place, ii int) slotKey {
-	k := uint8(0)
+// slotOf indexes a capacity-1 placement slot — FU / mem-read / mem-write
+// (kind 0 / 1 / 2) of one PE at one wrapped cycle τ — in the SA's dense
+// occupancy table of 3·II·Rows·Cols counters:
+// ((kind·II+τ)·Rows+r)·Cols+c.
+func slotOf(n *ir.Node, p place, ii, rows, cols int) int {
+	k := 0
 	switch n.Kind {
 	case ir.OpLoad:
 		k = 1
 	case ir.OpStore:
 		k = 2
 	}
-	return slotKey{kind: k, r: p.R, c: p.C, t: ((p.T % ii) + ii) % ii}
+	return ((k*ii+((p.T%ii)+ii)%ii)*rows+p.R)*cols + p.C
 }
 
 // anneal performs simulated annealing over joint (time, PE) placements.
@@ -322,7 +319,7 @@ func anneal(ctx context.Context, d *ir.DFG, cg arch.Fabric, ii, moves int, rng *
 	window := span + 2*ii + 2
 
 	pl := make([]place, len(d.Nodes))
-	occ := map[slotKey]int{}
+	occ := make([]int32, 3*ii*cg.Rows*cg.Cols)
 	for _, id := range order {
 		n := d.Nodes[id]
 		// Greedy: earliest feasible slot on the least-loaded PE near parents.
@@ -338,20 +335,20 @@ func anneal(ctx context.Context, d *ir.DFG, cg arch.Fabric, ii, moves int, rng *
 			if ctx.Err() != nil {
 				break // canceled: the caller aborts as soon as seeding returns
 			}
-			if occ[slotOf(n, p, ii)] == 0 {
+			if occ[slotOf(n, p, ii, cg.Rows, cg.Cols)] == 0 {
 				break
 			}
 			p.T++
 		}
 		pl[id] = p
-		occ[slotOf(n, p, ii)]++
+		occ[slotOf(n, p, ii, cg.Rows, cg.Cols)]++
 	}
 
 	cost := func(id int) float64 {
 		n := d.Nodes[id]
 		c := 0.0
 		p := pl[id]
-		if k := slotOf(n, p, ii); occ[k] > 1 {
+		if k := slotOf(n, p, ii, cg.Rows, cg.Cols); occ[k] > 1 {
 			c += 1000 * float64(occ[k]-1)
 		}
 		for _, ei := range d.InEdges(id) {
@@ -393,7 +390,7 @@ func anneal(ctx context.Context, d *ir.DFG, cg arch.Fabric, ii, moves int, rng *
 	feasible := func() bool {
 		for _, id := range order {
 			n := d.Nodes[id]
-			if occ[slotOf(n, pl[id], ii)] > 1 {
+			if occ[slotOf(n, pl[id], ii, cg.Rows, cg.Cols)] > 1 {
 				return false
 			}
 			p := pl[id]
@@ -434,15 +431,16 @@ func anneal(ctx context.Context, d *ir.DFG, cg arch.Fabric, ii, moves int, rng *
 		nt := asap[id] + rng.Intn(window-asap[id])
 		np := place{T: nt, R: rng.Intn(cg.Rows), C: rng.Intn(cg.Cols)}
 		np.R, np.C = snap(n.Kind, np.R, np.C)
-		occ[slotOf(n, old, ii)]--
+		so, sn := slotOf(n, old, ii, cg.Rows, cg.Cols), slotOf(n, np, ii, cg.Rows, cg.Cols)
+		occ[so]--
 		pl[id] = np
-		occ[slotOf(n, np, ii)]++
+		occ[sn]++
 		newCost := cost(id)
 		dc := newCost - oldCost
 		if dc > 0 && rng.Float64() >= math.Exp(-dc/temp) {
-			occ[slotOf(n, np, ii)]--
+			occ[sn]--
 			pl[id] = old
-			occ[slotOf(n, old, ii)]++
+			occ[so]++
 		}
 		temp *= decay
 	}

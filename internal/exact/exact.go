@@ -36,7 +36,28 @@
 // turns it into a validated configuration, which is the upper-bound side
 // of every certificate. If placements exist at II = k but none routes,
 // the mapper does NOT claim k infeasible — the router is not complete —
-// and optimality degrades to a lower bound only.
+// and optimality degrades to a lower bound only. One more necessary
+// condition is tested on complete placements only, before the router:
+//
+//   - link exclusivity (the leaf screen, screen.go): a cross-PE edge
+//     whose consumer fires exactly hop cycles after its producer has no
+//     cycle to spare — waiting in an output register and passing through
+//     a register file each cost one — so the value crosses one link per
+//     cycle from the producer's firing cycle on, each link one hop
+//     closer: it holds the output registers of a shortest link path in
+//     consecutive cycles. The screen enumerates those paths and
+//     backtracks for one per such edge with no output-register occupancy
+//     key (mrrg.Graph.DenseKey: wrapped cycle, PE, direction, directions
+//     folded on a shared bus) carrying more distinct nets than the cost
+//     model's capacity. Sinks of one net share a key, as fanout does in
+//     the router; edges with slack, register files and ports are left
+//     out; an edge with too many paths is dropped, and a search that runs
+//     out of visits answers "unknown". Each of these only weakens the
+//     test, so "no choice exists" means no legal routing exists and the
+//     leaf fails exactly as the router would have failed it — same leaf
+//     count, same restart, same trajectory — without the router call. It
+//     is a pre-filter: it removes nothing from the search and adds
+//     nothing to a refutation.
 //
 // Conflict analysis: every rejected candidate records which earlier
 // decisions it conflicts with; on wipeout the search backjumps to the
@@ -158,7 +179,9 @@ type Result struct {
 	Utilization  float64
 	Optimality   Optimality
 	Time         time.Duration
-	RoutedLeaves int // complete placements handed to the detailed router
+	RoutedLeaves int // complete placements that did not route: screened, or failed in the detailed router
+
+	ScreenedLeaves int // of RoutedLeaves, those the leaf screen refuted without a router call
 }
 
 // Summary renders a one-line description.
@@ -304,7 +327,7 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, fab arch.Fabric, bloc
 	}
 
 	var explored int64
-	leaves := 0
+	leaves, screened := 0, 0
 	lb := mii            // strongest proved lower bound
 	refutedBelow := true // every II in [mii, current) exhaustively refuted
 	horizonUsed := 0     // horizon of the last search (for the certificate)
@@ -318,8 +341,9 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, fab arch.Fabric, bloc
 		st, cfg := s.run(ctx, deadline)
 		explored += s.explored
 		leaves += s.leaves
+		screened += s.screened
 		span := diag.Span{Stage: "search", Attempt: ii, Wall: time.Since(searchStart),
-			Counters: map[string]int64{"explored": s.explored, "leaves": int64(s.leaves)}}
+			Counters: map[string]int64{"explored": s.explored, "leaves": int64(s.leaves), "screened": int64(s.screened)}}
 		switch st {
 		case statusRouted:
 			opts.Tracer.Emit(span)
@@ -336,7 +360,7 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, fab arch.Fabric, bloc
 				Utilization:  float64(d.NumCompute()) / float64(fab.NumPEs()*ii),
 				Optimality:   opt,
 				Time:         time.Since(start),
-				RoutedLeaves: leaves,
+				RoutedLeaves: leaves, ScreenedLeaves: screened,
 			}, nil
 		case statusRefuted:
 			if refutedBelow {

@@ -18,6 +18,7 @@ const (
 	statusUnproven                     // placements exist but none routed (or leaf cap hit): no verdict
 	statusBudget                       // time budget expired
 	statusCanceled                     // context canceled
+	statusLeaf                         // descend only: every node assigned, the placement awaits its verdict
 )
 
 // bitset is a fixed-width set of decision depths.
@@ -94,8 +95,14 @@ type searcher struct {
 
 	capFU, capMRD, capMWR, egCap, capRFR, capRFW int
 
+	hopTab []int // pes×pes: arch.Fabric.HopDist between PE indices
+
 	at  []int // node id → assigned real cycle, −1 when unassigned
 	ape []int // node id → assigned PE index
+	// slotCnt counts the assigned occupants of every (kind, wrapped
+	// cycle, PE) slot, indexed (kind·II+τ)·pes+pe and kept in step by
+	// assign/unassign, so check reads exclusivity without a scan.
+	slotCnt []int32
 
 	cand  []int    // per depth: next candidate index
 	peOrd [][]int  // per depth: frozen PE enumeration order
@@ -104,9 +111,13 @@ type searcher struct {
 	nogood   map[uint64]struct{}
 	newPin   []int // scratch: preds newly pinned by the current candidate
 	explored int64
-	leaves   int
+	leaves   int // complete placements that did not route (screened included)
+	screened int // of those, refuted by the leaf screen without a router call
 	sawLeaf  bool
 	steps    int
+	depth    int // where descend resumes: 0, or failLeaf's restart depth
+
+	screen leafScreen
 }
 
 const maxNogoods = 1 << 15
@@ -124,8 +135,12 @@ func newSearcher(d *ir.DFG, fab arch.Fabric, ii int, opts Options) *searcher {
 		s.depthOf[id] = i
 	}
 	s.memOK = make([]bool, s.pes)
+	s.hopTab = make([]int, s.pes*s.pes)
 	for p := 0; p < s.pes; p++ {
 		s.memOK[p] = fab.MemCapable(p/s.cols, p%s.cols)
+		for q := 0; q < s.pes; q++ {
+			s.hopTab[p*s.pes+q] = fab.HopDist(p/s.cols, p%s.cols, q/s.cols, q%s.cols)
+		}
 	}
 	s.isMem = make([]bool, n)
 	s.kindOf = make([]uint8, n)
@@ -191,7 +206,9 @@ func newSearcher(d *ir.DFG, fab arch.Fabric, ii int, opts Options) *searcher {
 	}
 	s.capRFR = cm.Capacity(mrrg.ClassRFRead)
 	s.capRFW = cm.Capacity(mrrg.ClassRFWrite)
+	s.screen = leafScreen{g: g, cap: cm.Capacity(mrrg.ClassOut)}
 
+	s.slotCnt = make([]int32, 3*ii*s.pes)
 	s.at = make([]int, n)
 	s.ape = make([]int, n)
 	for id := range s.at {
@@ -202,6 +219,9 @@ func newSearcher(d *ir.DFG, fab arch.Fabric, ii int, opts Options) *searcher {
 	s.confl = make([]bitset, n)
 	for i := range s.confl {
 		s.confl[i] = newBitset(n)
+	}
+	if n > 0 {
+		s.freezePEOrder(0, s.order[0])
 	}
 	return s
 }
@@ -220,8 +240,25 @@ func minNeed(from, to ir.OpKind) int {
 
 func (s *searcher) wrap(t int) int { return ((t % s.ii) + s.ii) % s.ii }
 
-func (s *searcher) hop(peA, peB int) int {
-	return s.fab.HopDist(peA/s.cols, peA%s.cols, peB/s.cols, peB%s.cols)
+func (s *searcher) hop(peA, peB int) int { return s.hopTab[peA*s.pes+peB] }
+
+func (s *searcher) slotIdx(kind uint8, t, pe int) int {
+	return (int(kind)*s.ii+s.wrap(t))*s.pes + pe
+}
+
+func (s *searcher) assign(v, t, pe int) {
+	s.at[v], s.ape[v] = t, pe
+	s.slotCnt[s.slotIdx(s.kindOf[v], t, pe)]++
+}
+
+// unassign clears node id's slot; a no-op on an unassigned node, so the
+// reset loops need not know which depths a backjump already cleared.
+func (s *searcher) unassign(id int) {
+	if s.at[id] < 0 {
+		return
+	}
+	s.slotCnt[s.slotIdx(s.kindOf[id], s.at[id], s.ape[id])]--
+	s.at[id], s.ape[id] = -1, -1
 }
 
 // need is the exact minimum latency of edge u→v once both endpoints'
@@ -275,15 +312,10 @@ func (s *searcher) check(i, v, t, pe int) bool {
 			return false
 		}
 	}
-	// Slot exclusivity: kind-specific port of (pe, t mod II).
+	// Slot exclusivity: kind-specific port of (pe, t mod II). Only the
+	// rejection walks the placed nodes, to name the occupants.
 	kind, tau := s.kindOf[v], s.wrap(t)
-	cnt, cap := 0, s.slotCap(kind)
-	for _, id := range s.order[:i] {
-		if s.at[id] >= 0 && s.kindOf[id] == kind && s.ape[id] == pe && s.wrap(s.at[id]) == tau {
-			cnt++
-		}
-	}
-	if cnt >= cap {
+	if int(s.slotCnt[s.slotIdx(kind, t, pe)]) >= s.slotCap(kind) {
 		for _, id := range s.order[:i] {
 			if s.at[id] >= 0 && s.kindOf[id] == kind && s.ape[id] == pe && s.wrap(s.at[id]) == tau {
 				s.confl[i].set(s.depthOf[id])
@@ -541,26 +573,40 @@ func (s *searcher) routeLeaf(ctx context.Context) (*arch.Config, error) {
 // unrouted complete placements is not (the detailed router is not
 // complete), so it reports statusUnproven instead.
 func (s *searcher) run(ctx context.Context, deadline time.Time) (searchStatus, *arch.Config) {
-	n := len(s.order)
-	exhausted := func() searchStatus {
-		if s.sawLeaf {
-			return statusUnproven
+	for {
+		if st := s.descend(ctx, deadline); st != statusLeaf {
+			return st, nil
 		}
+		// A leaf the screen refutes has no legal routing, so it fails
+		// exactly as a routed one would, without the router being asked.
+		if s.screen.refutes(s) {
+			s.screened++
+		} else if cfg, err := s.routeLeaf(ctx); err == nil {
+			return statusRouted, cfg
+		}
+		if !s.failLeaf() {
+			return statusUnproven, nil
+		}
+	}
+}
+
+// descend searches on from depth s.depth until every node is assigned
+// (statusLeaf: the caller judges the placement and calls failLeaf to go
+// on) or the search ends.
+func (s *searcher) descend(ctx context.Context, deadline time.Time) searchStatus {
+	n := len(s.order)
+	if n == 0 {
 		return statusRefuted
 	}
-	if n == 0 {
-		return statusRefuted, nil
-	}
-	i := 0
-	s.freezePEOrder(0, s.order[0])
+	i := s.depth
 	for {
 		s.steps++
 		if s.steps&255 == 0 {
 			if ctx.Err() != nil {
-				return statusCanceled, nil
+				return statusCanceled
 			}
 			if !deadline.IsZero() && time.Now().After(deadline) { //lint:ignore determinism opt-in TimeBudget deadline; documented nondeterminism when set
-				return statusBudget, nil
+				return statusBudget
 			}
 		}
 		v := s.order[i]
@@ -591,7 +637,7 @@ func (s *searcher) run(ctx context.Context, deadline time.Time) (searchStatus, *
 				continue
 			}
 			if s.check(i, v, t, pe) {
-				s.at[v], s.ape[v] = t, pe
+				s.assign(v, t, pe)
 				s.explored++
 				assigned = true
 				break
@@ -600,40 +646,7 @@ func (s *searcher) run(ctx context.Context, deadline time.Time) (searchStatus, *
 		if assigned {
 			i++
 			if i == n {
-				cfg, err := s.routeLeaf(ctx)
-				if err == nil {
-					return statusRouted, cfg
-				}
-				s.leaves++
-				s.sawLeaf = true
-				if s.leaves >= s.opts.MaxRoutedLeaves {
-					return statusUnproven, nil
-				}
-				// The router is deterministic, so this full assignment can
-				// never succeed. Each failed leaf restarts progressively
-				// deeper (the f-th failure re-decides the last f variables)
-				// so successive leaves diverge structurally instead of
-				// permuting the final op. Refutation soundness is moot here
-				// — a leaf exists, so this II can only end statusUnproven —
-				// and the chronological conflict set keeps CBJ consistent.
-				j := n - 1 - s.leaves
-				if j < 0 {
-					j = 0
-				}
-				for k := j + 1; k < n; k++ {
-					id := s.order[k]
-					s.at[id], s.ape[id] = -1, -1
-					s.cand[k] = 0
-					s.confl[k].clear()
-				}
-				last := s.order[j]
-				s.at[last], s.ape[last] = -1, -1
-				//lint:ignore ctxflow conflict-set fill bounded by depth j < node count; the descent loop polls every 256 steps
-				for dd := 0; dd < j; dd++ {
-					s.confl[j].set(dd)
-				}
-				i = j
-				continue
+				return statusLeaf
 			}
 			s.freezePEOrder(i, s.order[i])
 			continue
@@ -643,19 +656,52 @@ func (s *searcher) run(ctx context.Context, deadline time.Time) (searchStatus, *
 			s.nogood[s.prefixHash(i)] = struct{}{}
 		}
 		if s.confl[i].empty() {
-			return exhausted(), nil
+			if s.sawLeaf {
+				return statusUnproven
+			}
+			return statusRefuted
 		}
 		j := s.confl[i].max()
 		s.confl[j].orWithout(s.confl[i], j)
 		//lint:ignore ctxflow backjump reset bounded by depth i <= node count; the descent loop polls every 256 steps
 		for k := j + 1; k <= i; k++ {
-			id := s.order[k]
-			s.at[id], s.ape[id] = -1, -1
+			s.unassign(s.order[k])
 			s.cand[k] = 0
 			s.confl[k].clear()
 		}
-		id := s.order[j]
-		s.at[id], s.ape[id] = -1, -1
+		s.unassign(s.order[j])
 		i = j
 	}
+}
+
+// failLeaf records that the complete placement descend stopped on did
+// not route and rewinds for the next descend; false once the leaf cap is
+// spent. The router is deterministic, so this full assignment can never
+// succeed. Each failed leaf restarts progressively deeper (the f-th
+// failure re-decides the last f variables) so successive leaves diverge
+// structurally instead of permuting the final op. Refutation soundness is
+// moot here — a leaf exists, so this II can only end statusUnproven — and
+// the chronological conflict set keeps CBJ consistent.
+func (s *searcher) failLeaf() bool {
+	s.leaves++
+	s.sawLeaf = true
+	if s.leaves >= s.opts.MaxRoutedLeaves {
+		return false
+	}
+	n := len(s.order)
+	j := n - 1 - s.leaves
+	if j < 0 {
+		j = 0
+	}
+	for k := j + 1; k < n; k++ {
+		s.unassign(s.order[k])
+		s.cand[k] = 0
+		s.confl[k].clear()
+	}
+	s.unassign(s.order[j])
+	for dd := 0; dd < j; dd++ {
+		s.confl[j].set(dd)
+	}
+	s.depth = j
+	return true
 }

@@ -32,7 +32,14 @@
 # behind a negotiated-congestion (router-bound) claim it is the same
 # command with -bench CongestedCompile -benchtime 5x; behind a serving
 # (serve_mix) claim, go test -run '^$' -bench ServeMiss -benchtime 5x
-# -cpuprofile cpu.out ./internal/serve.
+# -cpuprofile cpu.out ./internal/serve; behind a flat-backend
+# (flat_backends) claim, go test -run '^$' -bench FlatBackends -benchtime
+# 5x -cpuprofile cpu.out . (sub-benchmarks exact and conventional; this
+# script runs both once so the command cannot rot). The race suite also
+# carries the exact mapper's gates: TestScreenNeverRefutesRoutable (the
+# leaf screen against the router on six fabric variants),
+# TestExactTrajectoryPinned, TestAnnealDenseMatchesMap and
+# TestFlatExactAllocBudget.
 set -eux
 cd "$(dirname "$0")/.."
 unformatted=$(gofmt -l .)
@@ -54,6 +61,8 @@ go test -race -shuffle=on ./...
 # The configuration encoder against encoding/json on generated inputs:
 # the committed seeds ran above; this spends ten seconds on new ones.
 go test -run '^$' -fuzz FuzzConfigAppendJSON -fuzztime 10s ./internal/arch
+# The flat_backends profile command, one iteration of each backend.
+go test -run '^$' -bench FlatBackends -benchtime 1x .
 # bench/ is its own module (replace himap => ../), so nothing above
 # compiles it: vet and test it here, or a root-module API change can
 # silently break the benchmark harness.
