@@ -278,10 +278,9 @@ const routeSinkAllocFloor = 29
 // what the compiler and runtime actually did on the warmed session. With
 // TestReplicateValidateAllocCeiling (internal/himap) it executes 38 of
 // the 47 functions the deleted noalloc analyzer used to be pointed at
-// (coverage-profiled in PR 21); the other nine — Fabric.LinkCapacity,
-// arch.mod, Session.Reset/Unreserve/Hist/enterCost, the bandwidth cost
-// model's BaseCost/Capacity, mrrg's Capacity — are one-line accessors
-// off the routed path.
+// (coverage-profiled in PR 21); of the other nine, those that remain —
+// Fabric.LinkCapacity, arch.mod, Session.Reset/Unreserve/Hist, mrrg's
+// Capacity — are one-line accessors off the routed path.
 func TestRouteSinkAllocCeiling(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, routeSinkIter(t)); allocs > routeSinkAllocFloor {
 		t.Fatalf("router hot path regressed: %.0f allocs per routed net, floor is %d", allocs, routeSinkAllocFloor)

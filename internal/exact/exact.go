@@ -15,8 +15,8 @@
 // conditions that every routable mapping necessarily satisfies —
 //
 //   - slot exclusivity: FU / memory-read / memory-write occupancy of one
-//     PE at one wrapped cycle is bounded by the route.CostModel capacity
-//     tables (the same tables the PathFinder router negotiates against);
+//     PE at one wrapped cycle is bounded by mrrg.Graph.Capacity (the
+//     capacities the PathFinder router negotiates against);
 //   - timing: a consumer at hop distance h from its producer fires at
 //     least max(1, h) cycles later (h for a store's write port, which is
 //     reachable in the arrival cycle), with arch.Fabric.HopDist supplying
@@ -48,8 +48,8 @@
 //     consecutive cycles. The screen enumerates those paths and
 //     backtracks for one per such edge with no output-register occupancy
 //     key (mrrg.Graph.DenseKey: wrapped cycle, PE, direction, directions
-//     folded on a shared bus) carrying more distinct nets than the cost
-//     model's capacity. Sinks of one net share a key, as fanout does in
+//     folded on a shared bus) carrying more distinct nets than its
+//     capacity. Sinks of one net share a key, as fanout does in
 //     the router; edges with slack, register files and ports are left
 //     out; an edge with too many paths is dropped, and a search that runs
 //     out of visits answers "unknown". Each of these only weakens the

@@ -19,7 +19,7 @@ const (
 // scratch owned by one searcher and is left empty between leaves.
 type leafScreen struct {
 	g   *mrrg.Graph
-	cap int // route.CostModel.Capacity(ClassOut)
+	cap int // g.Capacity(ClassOut)
 
 	edges []screenEdge
 	keys  []int32 // path arena: edge e's paths are keys[e.lo:e.hi], e.hop keys each

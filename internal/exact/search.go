@@ -192,21 +192,20 @@ func newSearcher(d *ir.DFG, fab arch.Fabric, ii int, opts Options) *searcher {
 		s.hi[id] = maxT - tail[id]
 	}
 
-	// Capacities come from the same cost-model tables the PathFinder
-	// router negotiates against, so relaxation and detailed routing agree
-	// on what the fabric provides.
+	// Capacities are the ones the PathFinder router negotiates against,
+	// so relaxation and detailed routing agree on what the fabric
+	// provides.
 	g := mrrg.New(fab, ii)
-	cm := route.For(g)
-	s.capFU = cm.Capacity(mrrg.ClassFU)
-	s.capMRD = cm.Capacity(mrrg.ClassMemRead)
-	s.capMWR = cm.Capacity(mrrg.ClassMemWrite)
-	s.egCap = cm.Capacity(mrrg.ClassOut)
+	s.capFU = g.Capacity(mrrg.ClassFU)
+	s.capMRD = g.Capacity(mrrg.ClassMemRead)
+	s.capMWR = g.Capacity(mrrg.ClassMemWrite)
+	s.egCap = g.Capacity(mrrg.ClassOut)
 	if !g.SharedOut() {
 		s.egCap *= g.NumDirs()
 	}
-	s.capRFR = cm.Capacity(mrrg.ClassRFRead)
-	s.capRFW = cm.Capacity(mrrg.ClassRFWrite)
-	s.screen = leafScreen{g: g, cap: cm.Capacity(mrrg.ClassOut)}
+	s.capRFR = g.Capacity(mrrg.ClassRFRead)
+	s.capRFW = g.Capacity(mrrg.ClassRFWrite)
+	s.screen = leafScreen{g: g, cap: g.Capacity(mrrg.ClassOut)}
 
 	s.slotCnt = make([]int32, 3*ii*s.pes)
 	s.at = make([]int, n)

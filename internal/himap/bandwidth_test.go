@@ -10,7 +10,6 @@ import (
 	"himap/internal/diag"
 	"himap/internal/kernel"
 	"himap/internal/mrrg"
-	"himap/internal/route"
 )
 
 func TestMinDirCover(t *testing.T) {
@@ -237,34 +236,5 @@ func TestBandwidthFabricsEndToEnd(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestCostModelDifferentialFingerprint pins the unit cost model to the
-// pre-seam router behavior end to end: explicitly installing the unit
-// model (the restated legacy cost table) must reproduce, kernel by
-// kernel, the exact artifact the default fabric-derived pricing emits.
-func TestCostModelDifferentialFingerprint(t *testing.T) {
-	fab := arch.DefaultFabric(8, 8)
-	for _, k := range kernel.Evaluation() {
-		k := k
-		t.Run(k.Name, func(t *testing.T) {
-			base, baseErr := CompileRequest(context.Background(), k, fab, Options{})
-			unit, unitErr := CompileRequest(context.Background(), k, fab, Options{
-				costModel: route.UnitModel{RFRead: fab.RFReadPorts, RFWrite: fab.RFWritePorts},
-			})
-			if (baseErr == nil) != (unitErr == nil) {
-				t.Fatalf("divergent outcome: default err = %v, unit err = %v", baseErr, unitErr)
-			}
-			if baseErr != nil {
-				if baseErr.Error() != unitErr.Error() {
-					t.Fatalf("divergent errors:\ndefault: %v\nunit:    %v", baseErr, unitErr)
-				}
-				return
-			}
-			if got, want := routerFingerprint(unit.Config), routerFingerprint(base.Config); got != want {
-				t.Errorf("unit cost model diverged from default pricing: %s != %s", got, want)
-			}
-		})
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"himap/internal/ir"
 	"himap/internal/kernel"
 	"himap/internal/par"
-	"himap/internal/route"
 	"himap/internal/systolic"
 )
 
@@ -54,13 +53,6 @@ type Options struct {
 	// 0 means runtime.GOMAXPROCS(0); 1 executes exactly the historical
 	// sequential flow.
 	Workers int
-	// routeLegacy selects the pre-A* global-heap Dijkstra router core —
-	// kept for differential testing of the A*+bucket-queue rewrite.
-	routeLegacy bool
-	// costModel overrides the router's congestion-pricing model (the
-	// fabric-derived route.For selection otherwise) — kept for
-	// differential testing of the CostModel seam.
-	costModel route.CostModel
 	// Tracer receives one span per executed pipeline stage (see
 	// internal/diag). nil means no tracing.
 	Tracer diag.Tracer

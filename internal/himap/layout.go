@@ -6,7 +6,6 @@ import (
 	"himap/internal/arch"
 	"himap/internal/ir"
 	"himap/internal/mrrg"
-	"himap/internal/route"
 )
 
 // layout bundles everything step 3 needs: the placed ISDG, the sub-CGRA
@@ -29,12 +28,6 @@ type layout struct {
 	loadRel []map[int]RelPlace
 	// policy is the relay-pin ablation knob (see Options.RelayPolicy).
 	policy RelayPolicy
-	// legacy selects the pre-A* Dijkstra router core (differential
-	// testing only; see route.Session.Legacy).
-	legacy bool
-	// costModel, when non-nil, overrides the fabric-derived congestion
-	// pricing (differential testing only; see Options.costModel).
-	costModel route.CostModel
 	// tgtBuf is the sink target set under construction, reused across
 	// every sink of the attempt.
 	tgtBuf []mrrg.Node

@@ -2,6 +2,8 @@ package himap
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
@@ -12,6 +14,31 @@ import (
 	"himap/internal/arch"
 	"himap/internal/kernel"
 )
+
+// routerFingerprint renders a mapping to a canonical hash: the
+// instruction stream (comments stripped), the II, and the load/store
+// I/O specs — the same canonicalization the top-level fabric regression
+// pins, so "byte-identical artifact" means the same thing in both.
+func routerFingerprint(cfg *arch.Config) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "ii=%d\n", cfg.II)
+	for r := 0; r < cfg.Fabric.Rows; r++ {
+		for c := 0; c < cfg.Fabric.Cols; c++ {
+			for t := 0; t < cfg.II; t++ {
+				in := *cfg.At(r, c, t)
+				in.Comment = ""
+				fmt.Fprintf(h, "r%d c%d t%d %s\n", r, c, t, in.String())
+			}
+		}
+	}
+	for _, l := range cfg.Loads {
+		fmt.Fprintf(h, "load %+v\n", l)
+	}
+	for _, s := range cfg.Stores {
+		fmt.Fprintf(h, "store %+v\n", s)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
 
 // liveHeap returns the heap still reachable after a full collection.
 func liveHeap() uint64 {

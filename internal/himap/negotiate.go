@@ -27,13 +27,7 @@ type RouteStats struct {
 func (l *layout) routeCanonical(ctx context.Context, maxRounds int) ([][]canonNet, RouteStats, error) {
 	g := mrrg.New(l.cg, l.iib)
 	ses := route.NewSession(g)
-	ses.Legacy = l.legacy
 	var stats RouteStats
-	if l.costModel != nil {
-		if err := ses.SetCostModel(l.costModel); err != nil {
-			return nil, stats, err
-		}
-	}
 	// Provable-infeasibility pre-check: on bandwidth-constrained fabrics,
 	// forced link departures of the placed schedule are counted against
 	// the fabric's lanes before any congestion negotiation is attempted.

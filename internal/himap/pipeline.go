@@ -358,9 +358,7 @@ func runRoute(c *CompileContext) error {
 	c.lay = &layout{
 		cg: c.Fab, g: c.ISDG, cp: c.CP, sub: c.Sub, iib: c.IIB,
 		classes: c.Classes, byClust: c.ByCluster,
-		policy:    c.Opts.RelayPolicy,
-		legacy:    c.Opts.routeLegacy,
-		costModel: c.Opts.costModel,
+		policy: c.Opts.RelayPolicy,
 	}
 	plans, rstats, err := c.lay.routeCanonical(c.Ctx, c.Opts.MaxRouteRounds)
 	c.RStats = rstats

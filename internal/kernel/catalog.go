@@ -104,8 +104,3 @@ func Categorize(infos []Info) map[string][]Info {
 	}
 	return out
 }
-
-// MappableBySystolic reports whether a kernel category benefits from
-// HiMap's virtual systolic mapping: multi-dimensional (Dim > 1) kernels
-// with inter-iteration dependencies (§VI, benchmark selection rationale).
-func MappableBySystolic(in Info) bool { return in.InterDep && in.Dim > 1 }

@@ -309,9 +309,6 @@ func TestCatalogCategorization(t *testing.T) {
 				if key == "no-dep" || key == "dep-dim1" {
 					t.Errorf("%s categorized as %s", in.Name, key)
 				}
-				if !MappableBySystolic(in) {
-					t.Errorf("%s should be systolic-mappable", in.Name)
-				}
 			}
 		}
 	}

@@ -17,7 +17,7 @@ import (
 // counts as farther, whose edges are a superset of its one hold edge.
 //
 // Every real edge n → m maps to an abstract edge entering m's class at
-// the model's base cost: a link crossing changes HopDist by at most one
+// its base cost: a link crossing changes HopDist by at most one
 // on mesh, diagonal and torus fabrics, and array edges, the routing
 // envelope, memory-less PEs and the direction of a target Out only
 // remove real edges or targets. The abstract graph is therefore a
@@ -55,9 +55,9 @@ var classKind = [mrrg.NumClasses]uint8{
 // laInf marks an abstract node from which the target is unreachable.
 const laInf = math.MaxInt32 / 2
 
-// lookahead is the cost-to-go table of one base-cost vector, in integer
-// deci units: ctg[((class·numKinds + kind)·w + Δ)·w + hops], w = depth+1.
-// It is immutable once published.
+// lookahead is the cost-to-go table, in integer deci units:
+// ctg[((class·numKinds + kind)·w + Δ)·w + hops], w = depth+1. It is
+// immutable once published.
 type lookahead struct {
 	depth int
 	ctg   []int32
@@ -68,14 +68,15 @@ type lookahead struct {
 // RFR → Out/MW), so within a cycle the kinds are filled successors
 // first: MW, Out, RFW, RFR, Reg, FU. Everything else (Out → the link's
 // far end, Out hold, RFW → Reg, Reg hold) reads the previous pass.
-func buildLookahead(base [mrrg.NumClasses]int32, depth int) *lookahead {
+func buildLookahead(depth int) *lookahead {
 	w := depth + 1
 	la := &lookahead{depth: depth, ctg: make([]int32, numTargetClasses*numKinds*w*w)}
 	for i := range la.ctg {
 		la.ctg[i] = laInf
 	}
-	bOut, bReg := base[mrrg.ClassOut], base[mrrg.ClassReg]
-	bRFR, bRFW, bMW := base[mrrg.ClassRFRead], base[mrrg.ClassRFWrite], base[mrrg.ClassMemWrite]
+	base := func(c mrrg.Class) int32 { return int32(deci(baseCost(c))) }
+	bOut, bReg := base(mrrg.ClassOut), base(mrrg.ClassReg)
+	bRFR, bRFW, bMW := base(mrrg.ClassRFRead), base(mrrg.ClassRFWrite), base(mrrg.ClassMemWrite)
 	add := func(b, v int32) int32 {
 		if v >= laInf {
 			return laInf
@@ -133,22 +134,21 @@ func buildLookahead(base [mrrg.NumClasses]int32, depth int) *lookahead {
 	return la
 }
 
-// lookaheads holds the one table per distinct base-cost vector of the
-// process. The table depends on the six base costs and nothing else —
-// not the fabric, not II — and MAP() opens hundreds of short sessions,
-// so it is shared, not per Session; a table is replaced, never written,
-// when a search spans more cycles than it covers.
+// lookaheads holds the one table of the process. The table depends on
+// the base costs and nothing else — not the fabric, not II — and MAP()
+// opens hundreds of short sessions, so it is shared, not per Session; it
+// is replaced, never written, when a search spans more cycles than it
+// covers.
 var lookaheads struct {
 	sync.Mutex
-	byBase map[[mrrg.NumClasses]int32]*lookahead
+	la *lookahead
 }
 
-// lookaheadFor returns the table of base covering at least depth cycles.
-func lookaheadFor(base [mrrg.NumClasses]int32, depth int) *lookahead {
+// lookaheadFor returns the table, covering at least depth cycles.
+func lookaheadFor(depth int) *lookahead {
 	lookaheads.Lock()
 	defer lookaheads.Unlock()
-	la := lookaheads.byBase[base]
-	if la == nil || la.depth < depth {
+	if la := lookaheads.la; la == nil || la.depth < depth {
 		d := 16
 		if la != nil {
 			d = la.depth
@@ -156,11 +156,7 @@ func lookaheadFor(base [mrrg.NumClasses]int32, depth int) *lookahead {
 		for d < depth {
 			d *= 2
 		}
-		la = buildLookahead(base, d)
-		if lookaheads.byBase == nil {
-			lookaheads.byBase = map[[mrrg.NumClasses]int32]*lookahead{}
-		}
-		lookaheads.byBase[base] = la
+		lookaheads.la = buildLookahead(d)
 	}
-	return la
+	return lookaheads.la
 }

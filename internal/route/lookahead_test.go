@@ -119,8 +119,8 @@ func TestLookaheadConsistentAlongSucc(t *testing.T) {
 					if hn < 0 {
 						t.Fatalf("%v trial %d targets %v: %v is pruned (h = -1) but its successor %v has h = %v", f, trial, targets, n, m, hm)
 					}
-					if hn > s.baseTab[m.Class]+hm+1e-9 {
-						t.Fatalf("%v trial %d targets %v: h(%v) = %v > base %v + h(%v) = %v", f, trial, targets, n, hn, s.baseTab[m.Class], m, hm)
+					if hn > oracleBase[m.Class]+hm+1e-9 {
+						t.Fatalf("%v trial %d targets %v: h(%v) = %v > base %v + h(%v) = %v", f, trial, targets, n, hn, oracleBase[m.Class], m, hm)
 					}
 				})
 			}
@@ -183,27 +183,19 @@ func TestLookaheadExactOnEmptySession(t *testing.T) {
 	}
 }
 
-// regPlus is a cost model whose base-cost vector no other test installs,
-// so its lookahead table starts absent from the process-wide registry.
-type regPlus struct{ UnitModel }
-
-func (m regPlus) BaseCost(c mrrg.Class) float64 {
-	if c == mrrg.ClassReg {
-		return 0.8
-	}
-	return m.UnitModel.BaseCost(c)
-}
-
 // TestLookaheadGrowthSharedAcrossSessions routes a 3-cycle and then a
 // 40-cycle sink — past the table's first depth — from four goroutines
-// whose sessions share one process-wide table (run under -race), and
+// whose sessions share the process-wide table (run under -race), and
 // requires every path to match a fresh session's that only ever saw the
-// grown table.
+// grown table. The table starts absent, as in a new process, whatever
+// the tests before this one grew it to.
 func TestLookaheadGrowthSharedAcrossSessions(t *testing.T) {
 	const ii = 8
 	f := arch.DefaultFabric(8, 8)
 	g := mrrg.New(f, ii)
-	model := regPlus{UnitModel{RFRead: f.RFReadPorts, RFWrite: f.RFWritePorts}}
+	lookaheads.Lock()
+	lookaheads.la = nil
+	lookaheads.Unlock()
 	route := func(s *Session, k int) []Path {
 		src := fu(0, 2+k, 3)
 		s.Reserve(src)
@@ -222,9 +214,6 @@ func TestLookaheadGrowthSharedAcrossSessions(t *testing.T) {
 	got := make([][]Path, 4)
 	for k := range got {
 		s := NewSession(g)
-		if err := s.SetCostModel(model); err != nil {
-			t.Fatal(err)
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -236,11 +225,7 @@ func TestLookaheadGrowthSharedAcrossSessions(t *testing.T) {
 	}
 	wg.Wait()
 	for k := range got {
-		fresh := NewSession(g)
-		if err := fresh.SetCostModel(model); err != nil {
-			t.Fatal(err)
-		}
-		if want := route(fresh, k); !reflect.DeepEqual(got[k], want) {
+		if want := route(NewSession(g), k); !reflect.DeepEqual(got[k], want) {
 			t.Errorf("goroutine %d routed\n %v\nfresh session\n %v", k, got[k], want)
 		}
 	}

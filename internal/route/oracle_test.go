@@ -3,6 +3,7 @@ package route
 import (
 	"container/heap"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -12,11 +13,36 @@ import (
 )
 
 // The oracle below is the definition RouteSink must meet, written with
-// none of its index arithmetic: a Dijkstra over mrrg.Graph.Succ whose
-// whole state is maps keyed by RealKey. It knows nothing of windows,
-// dense indices, row deltas or generations, so a wrong one of those in
-// search.go cannot hide in both — which the A*-versus-legacy tests,
-// whose two cores share idxOf, cannot promise.
+// none of its index arithmetic and none of its tables: a Dijkstra over
+// mrrg.Graph.Succ whose whole state is maps keyed by RealKey, pricing
+// each node from the base costs restated here. It knows nothing of
+// windows, dense indices, row deltas, generations, slot tables or the
+// lookahead, so a wrong one of those cannot hide in both.
+
+// oracleBase restates the base-cost table independently, so a drifting
+// baseCost fails loudly instead of both moving together.
+var oracleBase = map[mrrg.Class]float64{
+	mrrg.ClassFU:       1.0,
+	mrrg.ClassOut:      1.0,
+	mrrg.ClassReg:      0.6,
+	mrrg.ClassRFRead:   0.3,
+	mrrg.ClassRFWrite:  0.3,
+	mrrg.ClassMemRead:  1.0,
+	mrrg.ClassMemWrite: 1.0,
+}
+
+// oraclePrice is the cost of entering n for a net that does not own it,
+// from first principles: the class's base cost, scaled by the present-
+// sharing penalty once the entry would exceed the fabric's capacity for
+// the class, plus the node's history cost.
+func oraclePrice(s *Session, n mrrg.Node) float64 {
+	key := s.G.DenseKey(n)
+	cost := oracleBase[n.Class]
+	if over := int(s.occ[key]) + 1 - s.G.Capacity(n.Class); over > 0 {
+		cost *= 1 + float64(over)*s.PresFac
+	}
+	return cost + s.hist[key]
+}
 
 type oracleItem struct {
 	cost float64
@@ -45,8 +71,9 @@ func (h *oracleHeap) Pop() any {
 // return, or ok false where it must fail with ErrNoPath: pops in (cost,
 // RealKey) order, of the predecessors offering a node the same cost the
 // one with the smaller RealKey keeps the parent slot, nodes the net owns
-// cost nothing to enter, nothing past the latest target is entered. It
-// reads the session, and changes nothing.
+// cost nothing to enter, nothing past the latest target and nothing on a
+// PE outside s.Envelope is entered — a seed there stays a seed, and its
+// links still lead in. It reads the session, and changes nothing.
 //
 // "The first relaxer keeps the slot" is the same rule wherever equal
 // offers come from equal costs, since predecessors pop in (cost, key)
@@ -100,12 +127,12 @@ func mapDijkstra(s *Session, net *Net, targets []mrrg.Node) (Path, float64, bool
 		}
 		s.G.Succ(it.n, func(m mrrg.Node) {
 			mk := mrrg.RealKey(m)
-			if m.T > maxT || closed[mk] {
+			if m.T > maxT || closed[mk] || !s.Envelope.Holds(m.R, m.C) {
 				return
 			}
 			nd := it.cost
 			if !owned[mk] {
-				nd += s.enterCost(m)
+				nd += oraclePrice(s, m)
 			}
 			if old, seen := dist[mk]; !seen || nd < old {
 				dist[mk] = nd
@@ -143,13 +170,40 @@ func congest(s *Session, rng *lcg, ii, r, c, reach, dr, dc int) {
 	}
 }
 
-// TestRouteSinkMatchesMapDijkstra holds both search cores to the oracle
-// on fabrics large enough for the search window to be a small part of
-// the array: sources in corners, on edges and in the interior, three
-// sinks per net (so later searches seed from earlier paths) and now and
-// then a long hold after them, targets both inside and beyond reach,
-// under random occupancy and history. The
-// bus fabric is the path where an Out's occupancy slot is not its slot.
+// routeChecked runs the oracle and then RouteSink on the same session and
+// net, fails the test where they differ — path, cost, or which of them
+// finds no path — and reports whether there was a path.
+func routeChecked(t *testing.T, s *Session, net *Net, targets []mrrg.Node, what string) bool {
+	t.Helper()
+	wantPath, wantCost, ok := mapDijkstra(s, net, targets)
+	path, cost, err := s.RouteSink(net, targets)
+	switch {
+	case !ok && !errors.Is(err, ErrNoPath):
+		t.Fatalf("%s: oracle finds no path, RouteSink returned %v, %v", what, path, err)
+	case ok && err != nil:
+		t.Fatalf("%s: RouteSink failed (%v), oracle routes %v", what, err, wantPath)
+	case ok && (cost != wantCost || !reflect.DeepEqual(path, wantPath)):
+		t.Fatalf("%s (src %v, targets %v, envelope %v):\n got %v cost %v\nwant %v cost %v",
+			what, net.Src, targets, s.Envelope, path, cost, wantPath, wantCost)
+	}
+	return ok
+}
+
+// TestRouteSinkMatchesMapDijkstra holds RouteSink to the oracle on
+// fabrics large enough for the search window to be a small part of the
+// array: sources in corners, on edges and in the interior, three sinks
+// per net (so later searches seed from earlier paths) and now and then a
+// long hold after them, targets both inside and beyond reach, under
+// random occupancy and history. A sink is an operand set, a pinned Out
+// or register, or a store set — the last two are what reach the outermost
+// ring of the window. The bus fabric is the path where an Out's occupancy
+// slot is not its slot.
+//
+// The second pass over each fabric narrows Session.Envelope once the
+// first sink is routed, to a few PEs around that sink with the source
+// left outside: the net's seeds out there stay seeds — a link from one
+// may lead in, nothing else leaves it — and the later sinks sit around
+// the first, inside the envelope and just beyond it.
 func TestRouteSinkMatchesMapDijkstra(t *testing.T) {
 	const side, ii = 24, 8
 	bus := arch.DefaultFabric(side, side)
@@ -164,12 +218,13 @@ func TestRouteSinkMatchesMapDijkstra(t *testing.T) {
 	rng := lcg(22)
 	for _, f := range fabrics {
 		g := mrrg.New(f, ii)
-		for _, legacy := range []bool{false, true} {
+		for _, narrow := range []bool{false, true} {
 			s := NewSession(g)
-			s.Legacy = legacy
-			routed, failed := 0, 0
+			whole := s.Envelope
+			routed, failed, outside := 0, 0, 0
 			for trial := 0; trial < 40; trial++ {
 				s.Reset()
+				s.Envelope = whole
 				src := fu(rng.next(ii), spots[rng.next(len(spots))], spots[rng.next(len(spots))])
 				congest(s, &rng, ii, src.R, src.C, 5, 0, 0)
 				s.Reserve(src)
@@ -180,44 +235,58 @@ func TestRouteSinkMatchesMapDijkstra(t *testing.T) {
 				if trial%5 == 0 {
 					sinks = 4
 				}
+				cr, cc, dt0 := src.R, src.C, 0 // what the sinks are drawn around
 				for sink := 0; sink < sinks; sink++ {
-					dt := 1 + rng.next(7)
+					dt := dt0 + 1 + rng.next(7)
 					// Up to dt+1 hops away, so one beyond reach now and
 					// then: ErrNoPath must agree too.
-					hops := rng.next(dt + 2)
+					hops := rng.next(dt - dt0 + 2)
+					if narrow && sink > 0 {
+						hops = rng.next(4) // the envelope is at most five PEs wide
+					}
 					if sink == 3 {
-						dt, hops = 8+rng.next(9), rng.next(3)
+						dt, hops = dt0+8+rng.next(9), rng.next(3)
 					}
 					hr := rng.next(hops + 1)
-					tr := src.R + hr*(2*rng.next(2)-1)
-					tc := src.C + (hops-hr)*(2*rng.next(2)-1)
+					tr := cr + hr*(2*rng.next(2)-1)
+					tc := cc + (hops-hr)*(2*rng.next(2)-1)
 					if f.Topology.Wraps() {
 						tr, tc = f.WrapCoord(tr, tc)
 					} else {
 						tr, tc = min(max(tr, 0), side-1), min(max(tc, 0), side-1)
 					}
-					targets := g.OperandTargets(src.T+dt, tr, tc)
-					wantPath, wantCost, ok := mapDijkstra(s, net, targets)
-					path, cost, err := s.RouteSink(net, targets)
-					if !ok {
-						if !errors.Is(err, ErrNoPath) {
-							t.Fatalf("%v legacy=%v trial %d sink %d: oracle finds no path, RouteSink returned %v, %v", f, legacy, trial, sink, path, err)
+					what := fmt.Sprintf("%v narrow=%v trial %d sink %d", f, narrow, trial, sink)
+					if routeChecked(t, s, net, randomTargets(g, &rng, src.T+dt, tr, tc), what) {
+						routed++
+						if !s.Envelope.Holds(src.R, src.C) {
+							outside++
 						}
+					} else {
 						failed++
-						continue
 					}
-					if err != nil {
-						t.Fatalf("%v legacy=%v trial %d sink %d: RouteSink failed (%v), oracle routes %v", f, legacy, trial, sink, err, wantPath)
+					if narrow && sink == 0 {
+						// Up to two PEs each way around the first sink, cut
+						// between it and the source.
+						e := Box{R0: max(tr-rng.next(3), 0), R1: min(tr+rng.next(3), side-1),
+							C0: max(tc-rng.next(3), 0), C1: min(tc+rng.next(3), side-1)}
+						switch {
+						case tr > src.R:
+							e.R0 = max(e.R0, src.R+1)
+						case tr < src.R:
+							e.R1 = min(e.R1, src.R-1)
+						case tc > src.C:
+							e.C0 = max(e.C0, src.C+1)
+						case tc < src.C:
+							e.C1 = min(e.C1, src.C-1)
+						}
+						s.Envelope = e
+						cr, cc, dt0 = tr, tc, dt-1
 					}
-					if cost != wantCost || !reflect.DeepEqual(path, wantPath) {
-						t.Fatalf("%v legacy=%v trial %d sink %d (src %v, targets %v):\n got %v cost %v\nwant %v cost %v",
-							f, legacy, trial, sink, src, targets, path, cost, wantPath, wantCost)
-					}
-					routed++
 				}
 			}
-			if routed < 60 || failed < 3 {
-				t.Errorf("%v legacy=%v: %d routed, %d unreachable — the trial mix no longer covers both outcomes", f, legacy, routed, failed)
+			if routed < 60 || failed < 3 || narrow && outside < 20 {
+				t.Errorf("%v narrow=%v: %d routed, %d unreachable, %d routed with the source outside the envelope — the trial mix no longer covers these",
+					f, narrow, routed, failed, outside)
 			}
 		}
 	}

@@ -1,9 +1,8 @@
 package route
 
-// heapItem is one frontier entry: the accumulated cost (g for the legacy
-// core, f = g+h for A*), the node's RealKey (the deterministic tie-break
-// — kept identical to the historical container/heap ordering so mappings
-// are bit-stable across releases), and the node's dense scratch index.
+// heapItem is one frontier entry: the priority f = g+h, the node's
+// RealKey (the deterministic tie-break) and the node's dense scratch
+// index.
 type heapItem struct {
 	cost float64
 	key  uint64
@@ -18,9 +17,8 @@ func itemLess(a, b heapItem) bool {
 }
 
 // minHeap is a hand-rolled binary min-heap of value items — no
-// interface{} boxing, no per-push allocation once warmed up. The legacy
-// core uses one global heap; the A* bucket queue uses one small heap per
-// deci-cost bucket.
+// interface{} boxing, no per-push allocation once warmed up. The bucket
+// queue keeps one small heap per deci-cost bucket.
 type minHeap []heapItem
 
 func (h *minHeap) push(it heapItem) {

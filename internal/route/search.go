@@ -24,8 +24,8 @@ type window struct {
 // cells is the number of (cycle, PE) pairs in the window.
 func (w *window) cells() int { return (w.maxT - w.tBase + 1) * w.rows * w.cols }
 
-// row is the dense index of (cycle, PE row) — the unit the A* core's
-// occupancy-key deltas are kept per.
+// row is the dense index of (cycle, PE row) — the unit the occupancy-key
+// deltas are kept per.
 func (w *window) row(t, r int) int { return (t-w.tBase)*w.rows + r - w.r0 }
 
 // cell is the dense index of (cycle, PE), the heuristic cache's key.
@@ -47,7 +47,7 @@ type scratch struct {
 	gen    uint32
 	seen   []uint32  // dist/hval/parent valid when seen[i] == gen
 	dist   []float64 // tentative cost g; -Inf once the lookahead pruned the node
-	hval   []float64 // lookahead cost-to-go h (A* core)
+	hval   []float64 // lookahead cost-to-go h
 	key    []uint64  // cached RealKey of node i
 	parent []int32   // dense index of the predecessor; -1 for seeds
 	closed []uint32  // node finalized when closed[i] == gen
@@ -55,10 +55,9 @@ type scratch struct {
 	owned  []uint32  // node already belongs to the net when owned[i] == gen
 	rdelta []int     // per window row: DenseKey - search index delta
 	hits   []int32   // targets popped while draining the goal bucket
-	heap   minHeap   // legacy core frontier
 	bq     bucketQueue
 
-	// A* lookahead state of the search in progress: the targets the
+	// Lookahead state of the search in progress: the targets the
 	// table is read for, and the hop distance from each window PE to each
 	// target, filled when a PE is first touched (hopGen stamp; one spare
 	// row after the window's serves a PE outside it).
@@ -122,7 +121,6 @@ func (sc *scratch) begin(w window) {
 		clear(sc.hopGen)
 		sc.gen = 1
 	}
-	sc.heap = sc.heap[:0]
 	sc.hits = sc.hits[:0]
 	sc.bq.reset()
 }
@@ -146,7 +144,7 @@ func (s *Session) nodeAt(i int32) mrrg.Node {
 	return mrrg.Node{T: rest/w.rows + w.tBase, R: rest%w.rows + w.r0, C: c + w.c0, Class: cl, Idx: idx}
 }
 
-// RealKey is linear in (cycle, row, column): the A* core derives a
+// RealKey is linear in (cycle, row, column): the search derives a
 // node's key from its cell's and a per-slot offset instead of packing a
 // mrrg.Node per relaxed edge.
 var (
@@ -169,7 +167,7 @@ func (s *Session) cellAt(t, r, c int) cell {
 	}
 }
 
-// openLookahead prepares the A* state of the search begin just opened:
+// openLookahead prepares the bound of the search begin just opened:
 // the occupancy-key delta of every window row, the target list and a
 // lookahead table deep enough for the window.
 func (s *Session) openLookahead(targets []mrrg.Node) {
@@ -188,7 +186,7 @@ func (s *Session) openLookahead(targets []mrrg.Node) {
 		}
 	}
 	if h := w.maxT - w.tBase; s.la == nil || s.la.depth < h {
-		s.la = lookaheadFor(s.baseDeci, h)
+		s.la = lookaheadFor(h)
 	}
 	lw := s.la.depth + 1
 	sc.tg = sc.tg[:0]
@@ -320,10 +318,7 @@ func (s *Session) RouteSink(net *Net, targets []mrrg.Node) (Path, float64, error
 			sc.tgt[s.idxOf(t)] = gen
 		}
 	}
-	astar := !s.Legacy
-	if astar {
-		s.openLookahead(targets)
-	}
+	s.openLookahead(targets)
 	seed := func(n mrrg.Node) {
 		if n.T > w.maxT {
 			return
@@ -333,20 +328,15 @@ func (s *Session) RouteSink(net *Net, targets []mrrg.Node) (Path, float64, error
 		sc.seen[i] = gen
 		sc.dist[i] = 0
 		sc.parent[i] = -1
-		if astar {
-			c := s.cellAt(n.T, n.R, n.C)
-			slot := int(i - c.base)
-			h := s.costToGo(&c, slot)
-			if h < 0 {
-				return // no target reachable from this seed in time
-			}
-			sc.hval[i] = h
-			sc.key[i] = c.key + s.slotTab[slot].key
-			sc.bq.push(heapItem{cost: h, key: sc.key[i], idx: i})
-			return
+		c := s.cellAt(n.T, n.R, n.C)
+		slot := int(i - c.base)
+		h := s.costToGo(&c, slot)
+		if h < 0 {
+			return // no target reachable from this seed in time
 		}
-		sc.key[i] = mrrg.RealKey(n)
-		sc.heap.push(heapItem{cost: 0, key: sc.key[i], idx: i})
+		sc.hval[i] = h
+		sc.key[i] = c.key + s.slotTab[slot].key
+		sc.bq.push(heapItem{cost: h, key: sc.key[i], idx: i})
 	}
 	seed(net.Src)
 	for _, p := range net.Paths {
@@ -355,14 +345,7 @@ func (s *Session) RouteSink(net *Net, targets []mrrg.Node) (Path, float64, error
 		}
 	}
 
-	var goal int32
-	var cost float64
-	var err error
-	if astar {
-		goal, cost, err = s.searchAStar(net, targets)
-	} else {
-		goal, cost, err = s.searchDijkstra(net, targets)
-	}
+	goal, cost, err := s.searchAStar(net, targets)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -388,78 +371,19 @@ func (s *Session) RouteSink(net *Net, targets []mrrg.Node) (Path, float64, error
 	return path, cost, nil
 }
 
-// searchDijkstra is the legacy core: a plain Dijkstra over one global
-// binary heap through mrrg.Succ, returning at the first target popped.
-// Kept for the differential equivalence tests.
-func (s *Session) searchDijkstra(net *Net, targets []mrrg.Node) (int32, float64, error) {
-	sc := &s.sc
-	gen, maxT := sc.gen, sc.w.maxT
-	visits := 0
-	for len(sc.heap) > 0 {
-		it := sc.heap.pop()
-		if sc.closed[it.idx] == gen {
-			continue
-		}
-		sc.closed[it.idx] = gen
-		s.closedNodes++
-		visits++
-		if visits > s.MaxVisits {
-			return 0, 0, fmt.Errorf("route: %w (limit %d)", ErrSearchLimit, s.MaxVisits)
-		}
-		if sc.tgt[it.idx] == gen {
-			return it.idx, it.cost, nil
-		}
-		cur := s.nodeAt(it.idx)
-		base := it.cost
-		parent := it.idx
-		s.G.Succ(cur, func(m mrrg.Node) {
-			if m.T > maxT {
-				return
-			}
-			if !s.Envelope.Holds(m.R, m.C) {
-				return
-			}
-			mi := s.idxOf(m)
-			if sc.closed[mi] == gen {
-				return
-			}
-			nd := base
-			if sc.owned[mi] != gen {
-				nd += s.enterCost(m)
-			}
-			if sc.seen[mi] != gen || nd < sc.dist[mi] {
-				sc.seen[mi] = gen
-				sc.dist[mi] = nd
-				sc.parent[mi] = parent
-				sc.key[mi] = mrrg.RealKey(m)
-				sc.heap.push(heapItem{cost: nd, key: sc.key[mi], idx: mi})
-			} else if p := sc.parent[mi]; nd == sc.dist[mi] && p >= 0 && it.key < sc.key[p] {
-				// The A* core's tie-break, stated here too: of the
-				// predecessors offering the same cost the smaller RealKey
-				// keeps the slot. "First relaxer keeps it" is the same
-				// rule except where two predecessors' costs differ by an
-				// ulp and still sum to one float (DESIGN.md "Router").
-				sc.parent[mi] = parent
-			}
-		})
-	}
-	return 0, 0, fmt.Errorf("route: %w from net %d (src %v) to %v", ErrNoPath, net.ID, net.Src, targets[0])
-}
-
-// searchAStar is the default core: A* over the Dial bucket queue. Pops
-// follow the exact (f, RealKey) order; parent slots are claimed by the
-// order-independent rule "equal tentative cost → smaller predecessor
-// RealKey wins"; when the first target pops, the rest of its deci bucket
-// is drained (same-cost parent claims and same-cost targets all live
-// there) and the (cost, RealKey)-minimal hit is committed — the same
-// target, path, and cost the legacy core returns.
+// searchAStar is A* over the Dial bucket queue. Pops follow the exact
+// (f, RealKey) order; parent slots are claimed by the order-independent
+// rule "equal tentative cost → smaller predecessor RealKey wins"; when
+// the first target pops, the rest of its deci bucket is drained
+// (same-cost parent claims and same-cost targets all live there) and the
+// (cost, RealKey)-minimal hit is committed.
 //
 // Successors are enumerated in index space, mirroring mrrg.Succ edge for
 // edge: a popped index is decoded into its cell once, a successor on the
 // same PE is the cell's base plus the successor's slot (one window
 // stride further for the next cycle), and a link's far end comes from
-// the graph's link table. mrrg.Succ stays the reference — the legacy
-// core and the map-Dijkstra oracle enumerate with it.
+// the graph's link table. mrrg.Succ stays the reference — the
+// map-Dijkstra oracle of the tests enumerates with it.
 func (s *Session) searchAStar(net *Net, targets []mrrg.Node) (int32, float64, error) {
 	sc := &s.sc
 	w := &sc.w

@@ -14,25 +14,22 @@
 // hops (the search window of search.go): a search is indexed, and its
 // scratch sized, by what it can reach in time, not by the array.
 //
-// The default search core is A* over a Dial-style bucket queue; the
-// pre-A* binary-heap Dijkstra is kept behind Session.Legacy and the two
-// return the same target, path and cost (see DESIGN.md "Router" for the
-// argument):
+// The search is A* over a Dial-style bucket queue (DESIGN.md "Router"):
 //
 //   - The bound is the exact uncongested cost-to-go of an abstraction of
 //     mrrg.Succ that keeps time and resource class and collapses space to
 //     the hop distance from the target (arch.Fabric.HopDist — Manhattan,
 //     wrapped Manhattan on a torus, Chebyshev with diagonals), minimized
-//     over the targets: one table per base-cost vector, shared by every
-//     session of the process (lookahead.go). The abstraction is a
+//     over the targets: one table, shared by every session of the
+//     process (lookahead.go). The abstraction is a
 //     relaxation of the real graph, so the bound is admissible and
 //     consistent, and a held value — most of HiMap's — is found without
 //     flooding the window. Nodes from which no target is reachable in
 //     time are pruned outright.
 //   - Successors are enumerated in index space — slot arithmetic on the
 //     popped node's dense index plus the graph's link table — mirroring
-//     mrrg.Succ, which stays the reference the legacy core and the
-//     map-Dijkstra oracle of the tests enumerate with.
+//     mrrg.Succ, which stays the reference the map-Dijkstra oracle of
+//     the tests enumerates with.
 //   - Every cost atom is an exact multiple of 0.1 (the table stores
 //     integer deci units), so a frontier entry's f = g+h quantizes
 //     exactly into a deci-cost bucket; buckets pop in Dial order and each
@@ -56,9 +53,8 @@
 // it in the session. The bucket queue's per-bucket heaps are value items
 // (no container/heap interface boxing) and are themselves generation-
 // stamped. Occupancy and history costs are flat arrays over the modulo
-// key space, so the enterCost call on every relaxed edge is two array
-// loads. See DESIGN.md ("Concurrency model & hot-path memory
-// discipline").
+// key space, so pricing a relaxed edge is two array loads. See DESIGN.md
+// ("Concurrency model & hot-path memory discipline").
 package route
 
 import (
@@ -130,11 +126,6 @@ type Session struct {
 	// searches fail fast; overriding the field still works.
 	MaxVisits int
 
-	// Legacy selects the pre-A* global binary-heap Dijkstra core. It is
-	// kept for the router-equivalence differential tests: both cores
-	// produce identical paths, costs, and mappings.
-	Legacy bool
-
 	// Envelope confines the search to the PEs it holds; NewSession sets
 	// the whole array. HiMap's canonical routing narrows it to the
 	// spatial envelope that exists for every replica of the route (a
@@ -159,24 +150,18 @@ type Session struct {
 	// on the net side.
 	netFree []*Net
 
-	// model is the installed congestion-pricing model; baseTab/capTab
-	// are its per-class materialization (see SetCostModel), so the
-	// pricing on every relaxed edge stays two array loads with no
-	// interface dispatch. NewSession installs For(G).
-	model   CostModel
-	baseTab [mrrg.NumClasses]float64
-	capTab  [mrrg.NumClasses]int32
+	// capTab is mrrg.Graph.Capacity per class, what OversubscribedIn
+	// holds occupancy against.
+	capTab [mrrg.NumClasses]int32
 
-	// The A* core's view of the graph and the model, per resource slot
-	// of a PE (see slotInfo), with the link table, the slot layout and
-	// the base costs in deci units — the key of the shared lookahead
-	// table la (lookahead.go), fetched at the first search and again
-	// when a search spans more cycles than it covers.
-	slotTab  []slotInfo
-	links    []int32
-	lay      struct{ nd, rfw, rfr, mw, reg int }
-	baseDeci [mrrg.NumClasses]int32
-	la       *lookahead
+	// The search's view of the graph, per resource slot of a PE (see
+	// slotInfo), with the link table and the slot layout; la is the
+	// shared lookahead table (lookahead.go), fetched at the first search
+	// and again when a search spans more cycles than it covers.
+	slotTab []slotInfo
+	links   []int32
+	lay     struct{ nd, rfw, rfr, mw, reg int }
+	la      *lookahead
 
 	// closedNodes counts the nodes the searches of this session closed —
 	// the work a bound saves (TestLongHoldVisitBudget).
@@ -191,12 +176,12 @@ type Box struct{ R0, R1, C0, C1 int }
 // Holds reports whether PE (r, c) lies in the box.
 func (b Box) Holds(r, c int) bool { return r >= b.R0 && r <= b.R1 && c >= b.C0 && c <= b.C1 }
 
-// slotInfo is what the A* core needs of one resource slot of a PE (the
+// slotInfo is what the search needs of one resource slot of a PE (the
 // dense slot space of mrrg.Graph.SlotIndex), so that relaxing an edge
 // in index space needs no mrrg.Node: the slot's class and index, the
-// installed model's base cost and capacity for the class, the slot's
-// RealKey offset within its (cycle, PE), its occupancy slot — the slot
-// itself, except on shared-bus fabrics, where every Out direction
+// class's base cost and capacity (baseCost, mrrg.Graph.Capacity), the
+// slot's RealKey offset within its (cycle, PE), its occupancy slot — the
+// slot itself, except on shared-bus fabrics, where every Out direction
 // charges direction 0's — and its lookahead kind.
 type slotInfo struct {
 	base  float64
@@ -243,9 +228,24 @@ func NewSession(g *mrrg.Graph) *Session {
 	s.lay.rfr = g.SlotIndex(mrrg.ClassRFRead, 0)
 	s.lay.mw = g.SlotIndex(mrrg.ClassMemWrite, 0)
 	s.lay.reg = g.SlotIndex(mrrg.ClassReg, 0)
-	if err := s.SetCostModel(For(g)); err != nil {
-		// The built-in models satisfy the invariants by construction.
-		panic(err)
+	for ci := range s.capTab {
+		s.capTab[ci] = int32(g.Capacity(mrrg.Class(ci)))
+	}
+	s.slotTab = make([]slotInfo, g.SlotsPerPE())
+	for slot := range s.slotTab {
+		cl, idx := g.SlotResource(slot)
+		occ := slot
+		if cl == mrrg.ClassOut && g.SharedOut() {
+			occ = g.SlotIndex(mrrg.ClassOut, 0) // one bus slot for every direction
+		}
+		kind := classKind[cl]
+		if cl == mrrg.ClassOut {
+			kind = kindOutFarther // an Out with no link; costToGo splits the rest per target
+		}
+		s.slotTab[slot] = slotInfo{
+			base: baseCost(cl), cap: s.capTab[cl], occ: int32(occ), class: cl, idx: idx, kind: kind,
+			key: mrrg.RealKey(mrrg.Node{Class: cl, Idx: idx}) - keyOrigin,
+		}
 	}
 	return s
 }
@@ -268,12 +268,11 @@ func (s *Session) Reset() {
 	s.netSeq = 0
 }
 
-// baseCost is the legacy intrinsic cost of occupying one resource node
-// — the UnitModel's table and the legacy floor every CostModel
-// is validated against. Every value is an exact multiple of 0.1 —
-// together with integral PresFac and HistBump multiples this keeps all
-// accumulated costs on the deci-unit grid the bucket queue quantizes
-// into.
+// baseCost is the intrinsic cost of occupying one resource node. Every
+// value is an exact multiple of 0.1 — together with integral PresFac and
+// HistBump multiples this keeps all accumulated costs on the deci-unit
+// grid the bucket queue quantizes into, and the lookahead table
+// (lookahead.go) holds them as integers.
 func baseCost(c mrrg.Class) float64 {
 	switch c {
 	case mrrg.ClassOut:
@@ -289,16 +288,11 @@ func baseCost(c mrrg.Class) float64 {
 	}
 }
 
-// enterCost prices entering node n for a net that does not yet own it.
-func (s *Session) enterCost(n mrrg.Node) float64 {
-	return s.price(s.baseTab[n.Class], s.capTab[n.Class], s.G.DenseKey(n))
-}
-
 // price is the cost of entering a resource of the given base cost and
 // capacity at dense occupancy key: the base, scaled by the present-
 // sharing penalty once the entry would oversubscribe it, plus the
-// history cost. The A* core calls it with the slot's table entry and a
-// key derived from the search index.
+// history cost. relax calls it with the slot's table entry and a key
+// derived from the search index.
 func (s *Session) price(base float64, capa int32, key int) float64 {
 	over := int(s.occ[key]) + 1 - int(capa)
 	pen := 1.0

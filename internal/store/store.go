@@ -12,7 +12,7 @@
 // content address, a restart replays byte-identical responses.
 //
 // The store never orders entries and never reads the clock: its visible
-// behavior is a pure function of the Put/Get/Delete sequence, keeping
+// behavior is a pure function of the Put/Get sequence, keeping
 // it inside the repository's determinism contract.
 package store
 
@@ -200,15 +200,6 @@ func (s *Store) Put(key string, payload []byte) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.puts.Add(1)
-	return nil
-}
-
-// Delete removes the entry under key (missing entries are a no-op).
-func (s *Store) Delete(key string) error {
-	err := os.Remove(s.EntryPath(key))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("store: %w", err)
-	}
 	return nil
 }
 

@@ -203,25 +203,6 @@ func TestKeyCharsetSafety(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("key", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete("key"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Get("key"); ok {
-		t.Error("deleted key still present")
-	}
-	if err := s.Delete("key"); err != nil {
-		t.Errorf("double delete: %v", err)
-	}
-}
-
 // TestConcurrentPutGet races writers and readers over a small key
 // space; every successful Get must return a complete, verified body.
 func TestConcurrentPutGet(t *testing.T) {
