@@ -316,7 +316,9 @@ func BenchmarkScaleCompile(b *testing.B) {
 
 // The allocation budget of one scaleCompileIter: the measured 13,820
 // allocations and 52.6 MB (839,707 and 125.6 MB before the search window
-// and the dense DFG/ISDG tables) plus 15 %. What a compile allocates at
+// and the dense DFG/ISDG tables) plus 15 %; 13,364 and 52.6 MB once a
+// compile's routing sessions are re-targeted instead of reallocated —
+// this compile routes one attempt, so the budget stands. What a compile allocates at
 // 64x64 is what HiMap's claim is about — work per unique iteration, not
 // per PE — and it repeats exactly where the wall clock is noisy: search
 // scratch sized by the array, or a hash-map entry or key string per
@@ -354,27 +356,59 @@ func TestScaleCompileAllocBudget(t *testing.T) {
 
 // ---------------------------------------------------- congested compile
 
-// BenchmarkCongestedCompile times the two heaviest router-bound compiles
-// of the congested workload — FW on the 8x8 narrow-rf fabric and MVT on
-// the 8x8 shared-bus fabric, 30-odd attempts and hundreds of PathFinder
-// rounds between them — cold (fresh memo) at Workers=1, sharing its
+// congestedCompileIter returns one cold compile of each of the two
+// heaviest router-bound compiles of the congested workload — FW on the
+// 8x8 narrow-rf fabric and MVT on the 8x8 shared-bus fabric, 30-odd
+// attempts and hundreds of PathFinder rounds between them — at Workers=1
+// with a fresh memo.
+func congestedCompileIter(tb testing.TB) func() {
+	narrow, bus := arch.DefaultFabric(8, 8), arch.DefaultFabric(8, 8)
+	narrow.Bandwidth, bus.Bandwidth = arch.BWNarrowRF, arch.BWBus
+	fw, mvt := kernel.FW(), kernel.MVT()
+	return func() {
+		if _, err := core.CompileRequest(context.Background(), fw, narrow, core.Options{Workers: 1, Memo: core.NewMemo()}); err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := core.CompileRequest(context.Background(), mvt, bus, core.Options{Workers: 1, Memo: core.NewMemo()}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCongestedCompile times congestedCompileIter, sharing its
 // iteration with nothing else. It is the one-command profile of the
 // negotiated-congestion path:
 //
 //	go test -run '^$' -bench CongestedCompile -benchtime 5x -cpuprofile cpu.out .
 func BenchmarkCongestedCompile(b *testing.B) {
-	narrow, bus := arch.DefaultFabric(8, 8), arch.DefaultFabric(8, 8)
-	narrow.Bandwidth, bus.Bandwidth = arch.BWNarrowRF, arch.BWBus
-	fw, mvt := kernel.FW(), kernel.MVT()
+	iter := congestedCompileIter(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.CompileRequest(context.Background(), fw, narrow, core.Options{Workers: 1, Memo: core.NewMemo()}); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := core.CompileRequest(context.Background(), mvt, bus, core.Options{Workers: 1, Memo: core.NewMemo()}); err != nil {
-			b.Fatal(err)
-		}
+		iter()
+	}
+}
+
+// The allocation budget of one congestedCompileIter: the measured 304,065
+// allocations and 38.0 MB plus 10 % and 25 % (the race detector adds 3 %
+// and 3 %). Each compile routes its attempts on one wave-slot session
+// that every attempt re-targets; a session per attempt made 341,515
+// allocations of 82.7 MB, most of it zeroed occupancy and history and
+// search scratch regrown from empty, and fails both.
+const (
+	congestedCompileMallocCeiling = 334_500
+	congestedCompileByteCeiling   = 47_500_000
+)
+
+// TestCongestedAllocBudget holds the congested pair under both ceilings.
+func TestCongestedAllocBudget(t *testing.T) {
+	mallocs, bytes := coldAllocs(congestedCompileIter(t))
+	t.Logf("FW 8x8 narrow-rf + MVT 8x8 bus: %d mallocs, %d bytes", mallocs, bytes)
+	if mallocs > congestedCompileMallocCeiling {
+		t.Errorf("congested pair made %d allocations, ceiling is %d", mallocs, congestedCompileMallocCeiling)
+	}
+	if bytes > congestedCompileByteCeiling {
+		t.Errorf("congested pair allocated %d bytes, ceiling is %d", bytes, congestedCompileByteCeiling)
 	}
 }
 
@@ -412,15 +446,17 @@ func BenchmarkFlatBackends(b *testing.B) {
 }
 
 // The allocation budget of one cold exact compile of GEMM at 4x4, block
-// 2: the measured 193,247 allocations and 25.6 MB plus 25 %. Nearly
-// all of it is the detailed router's — an MRRG, a session and up to
-// eight negotiation rounds per complete placement it is shown — so the
-// number moves with how many leaves reach the router: 65 of GEMM's 154
-// losing leaves do, the leaf screen refutes the other 89, and without
-// it this compile makes 450,622 allocations of 58.2 MB.
+// 2: the measured 52,794 allocations and 4.8 MB plus 25 %. Most of it is
+// the detailed router's — up to eight negotiation rounds per complete
+// placement it is shown, on the one session the compile re-targets per
+// II — so the number moves with how many leaves reach the router: 65 of
+// GEMM's 154 losing leaves do, the leaf screen refutes the other 89. An
+// MRRG and a session per leaf made 193,189 allocations of 25.6 MB (one
+// session per leaf on a per-II MRRG, 101,309 and 21.6 MB), and without
+// the screen the compile made 450,622 of 58.2 MB.
 const (
-	flatExactMallocCeiling = 241_500
-	flatExactByteCeiling   = 32_100_000
+	flatExactMallocCeiling = 66_000
+	flatExactByteCeiling   = 6_050_000
 )
 
 // TestFlatExactAllocBudget holds that compile under both ceilings.

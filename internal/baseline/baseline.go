@@ -23,6 +23,7 @@ import (
 	"himap/internal/diag"
 	"himap/internal/ir"
 	"himap/internal/kernel"
+	"himap/internal/mrrg"
 	"himap/internal/par"
 	"himap/internal/route"
 )
@@ -173,6 +174,7 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, cg arch.Fabric, block
 	rng := rand.New(rand.NewSource(opts.Seed + int64(len(d.Nodes))))
 	totalMoves := 0
 	var lastErr error
+	ses := new(route.Session) // routes the winning placement of every II
 	for ii := mii; ii <= opts.MaxII; ii++ {
 		if err := ctx.Err(); err != nil {
 			return nil, diag.Fail(diag.ErrCanceled, err).Stamp("place", k.Name, cg.String(), ii)
@@ -227,7 +229,7 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, cg arch.Fabric, block
 		opts.Tracer.Emit(placeSpan)
 		pl := outs[best].pl
 		routeStart := time.Now() //lint:ignore determinism wall-clock span timing only; does not influence mapping
-		cfg, err := route.RouteDFG(ctx, d, cg, ii, pl, opts.RouteRound)
+		cfg, err := route.RouteDFG(ctx, ses.Reset(mrrg.New(cg, ii)), d, pl, opts.RouteRound)
 		routeSpan := diag.Span{Stage: "route", Attempt: ii, Wall: time.Since(routeStart)}
 		if err != nil {
 			se := diag.Classify(err, diag.ErrRouteCongested).Stamp("route", k.Name, cg.String(), ii)

@@ -81,6 +81,7 @@ import (
 	"himap/internal/diag"
 	"himap/internal/ir"
 	"himap/internal/kernel"
+	"himap/internal/route"
 )
 
 // Options tunes the exact mapper.
@@ -331,11 +332,13 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, fab arch.Fabric, bloc
 	lb := mii            // strongest proved lower bound
 	refutedBelow := true // every II in [mii, current) exhaustively refuted
 	horizonUsed := 0     // horizon of the last search (for the certificate)
+
+	ses := new(route.Session) // routes every leaf of every II
 	for ii := mii; ii <= opts.MaxII; ii++ {
 		if err := ctx.Err(); err != nil {
 			return nil, diag.Fail(diag.ErrCanceled, err).Stamp("search", k.Name, fab.String(), ii)
 		}
-		s := newSearcher(d, fab, ii, opts)
+		s := newSearcher(d, fab, ii, opts, ses)
 		horizonUsed = s.horizon
 		searchStart := time.Now() //lint:ignore determinism wall-clock span timing only; does not influence mapping
 		st, cfg := s.run(ctx, deadline)

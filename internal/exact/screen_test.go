@@ -10,6 +10,7 @@ import (
 
 	"himap/internal/arch"
 	"himap/internal/kernel"
+	"himap/internal/route"
 )
 
 type namedFabric struct {
@@ -114,6 +115,7 @@ func TestScreenNeverRefutesRoutable(t *testing.T) {
 		perturbs = 3 // perturbations chained off each of the above
 	)
 	ctx := context.Background()
+	ses := new(route.Session) // re-targeted per searcher, as in CompileRequest
 	placements, refuted := 0, 0
 	for _, nf := range screenFabrics() {
 		fname, fab := nf.name, nf.fab
@@ -159,7 +161,7 @@ func TestScreenNeverRefutesRoutable(t *testing.T) {
 				}
 			}
 			for ii := mii; ii <= mii+1; ii++ {
-				s := newSearcher(d, fab, ii, Options{}.withDefaults())
+				s := newSearcher(d, fab, ii, Options{}.withDefaults(), ses)
 				for n := 0; n < leafCap && s.descend(ctx, time.Time{}) == statusLeaf; n++ {
 					routed := judge(s, "search leaf", true)
 					shake(s, "search leaf")
@@ -167,7 +169,7 @@ func TestScreenNeverRefutesRoutable(t *testing.T) {
 						break
 					}
 				}
-				s = newSearcher(d, fab, ii, Options{}.withDefaults())
+				s = newSearcher(d, fab, ii, Options{}.withDefaults(), ses)
 				for n := 0; n < lists; n++ {
 					if listPlace(s, rng) {
 						judge(s, "list placement", false)

@@ -118,11 +118,15 @@ type searcher struct {
 	depth    int // where descend resumes: 0, or failLeaf's restart depth
 
 	screen leafScreen
+	ses    *route.Session // the compile's, re-targeted to this II's graph
 }
 
 const maxNogoods = 1 << 15
 
-func newSearcher(d *ir.DFG, fab arch.Fabric, ii int, opts Options) *searcher {
+// newSearcher prepares the search at one II. ses is the compile's routing
+// session: it is re-targeted to the II's MRRG, which every leaf of the
+// II is routed on.
+func newSearcher(d *ir.DFG, fab arch.Fabric, ii int, opts Options, ses *route.Session) *searcher {
 	n := len(d.Nodes)
 	s := &searcher{
 		d: d, fab: fab, ii: ii, opts: opts,
@@ -206,6 +210,7 @@ func newSearcher(d *ir.DFG, fab arch.Fabric, ii int, opts Options) *searcher {
 	s.capRFR = g.Capacity(mrrg.ClassRFRead)
 	s.capRFW = g.Capacity(mrrg.ClassRFWrite)
 	s.screen = leafScreen{g: g, cap: g.Capacity(mrrg.ClassOut)}
+	s.ses = ses.Reset(g)
 
 	s.slotCnt = make([]int32, 3*ii*s.pes)
 	s.at = make([]int, n)
@@ -563,7 +568,7 @@ func (s *searcher) routeLeaf(ctx context.Context) (*arch.Config, error) {
 	for id := range pl {
 		pl[id] = route.Placement{T: s.at[id], R: s.ape[id] / s.cols, C: s.ape[id] % s.cols}
 	}
-	return route.RouteDFG(ctx, s.d, s.fab, s.ii, pl, s.opts.RouteRounds)
+	return route.RouteDFG(ctx, s.ses, s.d, pl, s.opts.RouteRounds)
 }
 
 // run drives the conflict-directed backjumping search to one of the five

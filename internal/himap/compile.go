@@ -12,6 +12,7 @@ import (
 	"himap/internal/ir"
 	"himap/internal/kernel"
 	"himap/internal/par"
+	"himap/internal/route"
 	"himap/internal/systolic"
 )
 
@@ -200,7 +201,14 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, fab arch.Fabric, opts
 	// lowest-index success wins. Because every attempt ranked before the
 	// winner fails regardless of execution order, the committed mapping
 	// and Stats.Attempts are identical to the sequential (Workers=1) flow.
+	// Attempt i of a wave routes on slot i's session, created on first use
+	// and re-targeted by every later attempt of the slot: one session per
+	// slot for the life of this compile, never shared across compiles. The
+	// attempt holds it while it runs and hands it back when it fails; one
+	// that routed drops it (runRoute), since it is about to win and its
+	// session would otherwise stay live through replicate.
 	errs := make([]error, len(atts))
+	slots := make([]*route.Session, opts.Workers)
 	for base := 0; base < len(atts); base += opts.Workers {
 		if err := ctx.Err(); err != nil {
 			return nil, canceledCompileError(k.Name, fab.String(), len(atts), err)
@@ -213,9 +221,14 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, fab arch.Fabric, opts
 		waveIdx := base/opts.Workers + 1
 		results := make([]*Result, len(wave))
 		par.ForEach(opts.Workers, len(wave), func(i int) {
-			actx := front.forAttempt(wave[i], base+i+1, waveIdx)
+			if slots[i] == nil {
+				slots[i] = new(route.Session)
+			}
+			actx := front.forAttempt(wave[i], base+i+1, waveIdx, slots[i])
+			slots[i] = nil
 			if err := attemptStages.Run(actx); err != nil {
 				errs[base+i] = err
+				slots[i] = actx.ses // nil if it failed after routing: the slot starts anew
 				return
 			}
 			results[i] = actx.buildResult()

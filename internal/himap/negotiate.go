@@ -21,12 +21,13 @@ type RouteStats struct {
 // routeCanonical performs Algorithm 1 lines 21-27: routes the minimal
 // DFG — one canonical net per (unique class, producer op) — under
 // negotiated congestion, returning the per-class net plans that the
-// replicate stage stamps onto every cluster. Cancellation is polled
-// once per negotiation round: a canceled ctx aborts with an error
+// replicate stage stamps onto every cluster. ses is the attempt's wave
+// slot session, re-targeted here to the attempt's MRRG. Cancellation is
+// polled once per negotiation round: a canceled ctx aborts with an error
 // wrapping diag.ErrCanceled within one round's latency.
-func (l *layout) routeCanonical(ctx context.Context, maxRounds int) ([][]canonNet, RouteStats, error) {
+func (l *layout) routeCanonical(ctx context.Context, ses *route.Session, maxRounds int) ([][]canonNet, RouteStats, error) {
 	g := mrrg.New(l.cg, l.iib)
-	ses := route.NewSession(g)
+	ses.Reset(g)
 	var stats RouteStats
 	// Provable-infeasibility pre-check: on bandwidth-constrained fabrics,
 	// forced link departures of the placed schedule are counted against

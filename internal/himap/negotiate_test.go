@@ -24,8 +24,10 @@ func narrowBICGLayout(t *testing.T) *layout {
 // round that finds it is the last — even though earlier classes left
 // oversubscribed nodes that the next round would have bumped.
 func TestRoundInvariantFailureEndsNegotiation(t *testing.T) {
-	// The premise: on this layout a round does end oversubscribed.
-	_, st, err := narrowBICGLayout(t).routeCanonical(context.Background(), 3)
+	// The premise: on this layout a round does end oversubscribed. Both
+	// routes share one session, as the attempts of a wave slot do.
+	ses := new(route.Session)
+	_, st, err := narrowBICGLayout(t).routeCanonical(context.Background(), ses, 3)
 	if !errors.Is(err, diag.ErrRouteCongested) || st.Rounds != 3 {
 		t.Fatalf("unbroken layout: rounds=%d err=%v, want 3 congested rounds", st.Rounds, err)
 	}
@@ -48,7 +50,7 @@ func TestRoundInvariantFailureEndsNegotiation(t *testing.T) {
 	if broken < 1 {
 		t.Fatal("no class after the first has a consumer in another cluster")
 	}
-	_, st, err = l.routeCanonical(context.Background(), 8)
+	_, st, err = l.routeCanonical(context.Background(), ses, 8)
 	if !errors.Is(err, route.ErrNoPath) {
 		t.Fatalf("err = %v, want route.ErrNoPath", err)
 	}

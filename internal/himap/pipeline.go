@@ -9,6 +9,7 @@ import (
 	"himap/internal/diag"
 	"himap/internal/ir"
 	"himap/internal/kernel"
+	"himap/internal/route"
 	"himap/internal/systolic"
 )
 
@@ -155,6 +156,7 @@ type CompileContext struct {
 	Config    *arch.Config
 
 	lay      *layout
+	ses      *route.Session // the attempt's wave slot session, until it routes
 	counters map[string]int64
 }
 
@@ -167,8 +169,8 @@ func newContext(ctx context.Context, k *kernel.Kernel, fab arch.Fabric, opts Opt
 }
 
 // forAttempt derives a private context for one speculative attempt,
-// sharing the read-only front artifacts.
-func (c *CompileContext) forAttempt(a attempt, rank, wave int) *CompileContext {
+// sharing the read-only front artifacts; the attempt routes on ses.
+func (c *CompileContext) forAttempt(a attempt, rank, wave int, ses *route.Session) *CompileContext {
 	return &CompileContext{
 		Ctx:    c.Ctx,
 		Kernel: c.Kernel, Fab: c.Fab, Opts: c.Opts,
@@ -176,6 +178,7 @@ func (c *CompileContext) forAttempt(a attempt, rank, wave int) *CompileContext {
 		IDFG: c.IDFG, Subs: c.Subs, Deps: c.Deps,
 		Attempt: rank, Wave: wave,
 		Sub: a.sub, Scheme: a.sch, VX: a.vx, VY: a.vy,
+		ses: ses,
 	}
 }
 
@@ -360,13 +363,14 @@ func runRoute(c *CompileContext) error {
 		classes: c.Classes, byClust: c.ByCluster,
 		policy: c.Opts.RelayPolicy,
 	}
-	plans, rstats, err := c.lay.routeCanonical(c.Ctx, c.Opts.MaxRouteRounds)
+	plans, rstats, err := c.lay.routeCanonical(c.Ctx, c.ses, c.Opts.MaxRouteRounds)
 	c.RStats = rstats
 	c.Count("rounds", int64(rstats.Rounds))
 	c.Count("nets", int64(rstats.CanonicalNets))
 	if err != nil {
 		return err
 	}
+	c.ses = nil // routed: nothing later routes, so let the session go (CompileRequest)
 	c.Plans = plans
 	return nil
 }

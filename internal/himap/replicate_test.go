@@ -6,6 +6,7 @@ import (
 
 	"himap/internal/arch"
 	"himap/internal/kernel"
+	"himap/internal/route"
 )
 
 // replicateValidateAllocCeiling is the measured allocation count of one
@@ -26,9 +27,10 @@ func replicateValidateIter(tb testing.TB) func() {
 	if err := frontStages.Run(front); err != nil {
 		tb.Fatal(err)
 	}
-	route, stamp := attemptStages[:len(attemptStages)-2], attemptStages[len(attemptStages)-2:]
+	upToRoute, stamp := attemptStages[:len(attemptStages)-2], attemptStages[len(attemptStages)-2:]
+	ses := new(route.Session)
 	for i, a := range front.Attempts {
-		if c := front.forAttempt(a, i+1, 1); route.Run(c) == nil {
+		if c := front.forAttempt(a, i+1, 1, ses); upToRoute.Run(c) == nil {
 			return func() {
 				if err := stamp.Run(c); err != nil {
 					tb.Fatal(err)

@@ -91,6 +91,7 @@ func MapIDFG(f *ir.IDFG, fab arch.Fabric, depthSlack int) ([]*SubMapping, error)
 	nloads := numClusterLoads(f)
 	var out []*SubMapping
 	memRejects := 0
+	ses := new(route.Session) // re-targeted by every shape and depth tried
 	for _, s1 := range divisors(fab.Rows) {
 		if s1 > ncomp {
 			continue
@@ -118,7 +119,7 @@ func MapIDFG(f *ir.IDFG, fab arch.Fabric, depthSlack int) ([]*SubMapping, error)
 					memRejects++
 					continue
 				}
-				m, err := tryPlaceIDFG(f, fab, s1, s2, t)
+				m, err := tryPlaceIDFG(ses, f, fab, s1, s2, t)
 				if err != nil {
 					if errors.Is(err, diag.ErrMemPortInfeasible) {
 						memRejects++
@@ -216,12 +217,12 @@ func subFabric(fab arch.Fabric, s1, s2 int) arch.Fabric {
 // on one time-extended sub-CGRA (lines 33-45): compute ops on FU slots by
 // least accumulated routing cost from their placed parents, loads on
 // memory read ports adjacent to their consumers, with SPR-style cost
-// escalation rounds until no resource is oversubscribed.
-func tryPlaceIDFG(f *ir.IDFG, fab arch.Fabric, s1, s2, depth int) (*SubMapping, error) {
+// escalation rounds until no resource is oversubscribed. ses is
+// re-targeted to the shape's time-extended graph.
+func tryPlaceIDFG(ses *route.Session, f *ir.IDFG, fab arch.Fabric, s1, s2, depth int) (*SubMapping, error) {
 	sub := subFabric(fab, s1, s2)
 	g := mrrg.NewAcyclic(sub, depth)
-	ses := route.NewSession(g)
-	ses.MaxVisits = 20000
+	ses.Reset(g).MaxVisits = 20000
 
 	d := f.DFG
 	inside := map[int]bool{}

@@ -19,19 +19,31 @@ type Placement struct {
 }
 
 // RouteDFG performs detailed routing of every edge of a placed block DFG
-// over the fabric's MRRG at the given II and emits the validated
-// configuration. pl[i] is the slot of d.Nodes[i]: loads claim the PE's
-// memory read port, stores its write port, everything else the FU. rounds
-// bounds the PathFinder negotiated-congestion iterations; on unresolved
-// congestion the error wraps diag.ErrRouteCongested. Cancellation is
-// polled once per negotiation round: a canceled ctx fails the route
-// with an error wrapping diag.ErrCanceled within one round's latency.
+// over ses.G — the fabric's MRRG at the mapping's II, both taken from it —
+// and emits the validated configuration. It resets ses to ses.G first, so
+// the caller's session, re-targeted once per II with Session.Reset,
+// serves every placement routed at that II; the nets go back to the
+// session's freelist between rounds and on return. pl[i] is the slot of
+// d.Nodes[i]: loads claim the PE's memory read port, stores its write
+// port, everything else the FU. rounds bounds the PathFinder
+// negotiated-congestion iterations; on unresolved congestion the error
+// wraps diag.ErrRouteCongested. Cancellation is polled once per
+// negotiation round: a canceled ctx fails the route with an error
+// wrapping diag.ErrCanceled within one round's latency.
 //
 // The routed net order (topological producer order, sinks in out-edge
 // order) and the op comments ("n<id>") are part of the deterministic
 // output contract: callers' mapping fingerprints depend on them.
-func RouteDFG(ctx context.Context, d *ir.DFG, cg arch.Fabric, ii int, pl []Placement, rounds int) (*arch.Config, error) {
-	g := mrrg.New(cg, ii)
+func RouteDFG(ctx context.Context, ses *Session, d *ir.DFG, pl []Placement, rounds int) (*arch.Config, error) {
+	g := ses.G
+	cg, ii := g.Fab, g.II
+	ses.Reset(g)
+	var nets []*Net // of the round in progress
+	defer func() {
+		for _, net := range nets {
+			ses.FreeNet(net)
+		}
+	}()
 	placeNode := func(id int) mrrg.Node {
 		n := d.Nodes[id]
 		p := pl[id]
@@ -44,10 +56,8 @@ func RouteDFG(ctx context.Context, d *ir.DFG, cg arch.Fabric, ii int, pl []Place
 			return g.FUNode(p.T, p.R, p.C)
 		}
 	}
-	ses := NewSession(g)
 	order, _ := d.TopoOrder()
 
-	var nets []*Net
 	var targets []mrrg.Node
 	netOf := make([]*Net, len(d.Nodes))
 	routeAll := func() error {
@@ -90,6 +100,7 @@ func RouteDFG(ctx context.Context, d *ir.DFG, cg arch.Fabric, ii int, pl []Place
 		}
 		for _, net := range nets {
 			ses.Release(net)
+			ses.FreeNet(net)
 		}
 		nets = nets[:0]
 		if err := routeAll(); err != nil {

@@ -50,7 +50,7 @@ func TestSearchEquivalenceRandomizedCongestion(t *testing.T) {
 			g := mrrg.New(f, ii)
 			s := NewSession(g)
 			for trial := 0; trial < 50; trial++ {
-				s.Reset()
+				s.Reset(g)
 				congestDense(s, &rng, ii)
 				src := fu(rng.next(ii), rng.next(f.Rows), rng.next(f.Cols))
 				s.Reserve(src)
@@ -88,7 +88,7 @@ func TestSearchEquivalenceBandwidthModels(t *testing.T) {
 		g := mrrg.New(f, ii)
 		s := NewSession(g)
 		for trial := 0; trial < 60; trial++ {
-			s.Reset()
+			s.Reset(g)
 			congestDense(s, &rng, ii)
 			src := fu(rng.next(ii), rng.next(f.Rows), rng.next(f.Cols))
 			s.Reserve(src)

@@ -223,7 +223,7 @@ func TestRouteSinkMatchesMapDijkstra(t *testing.T) {
 			whole := s.Envelope
 			routed, failed, outside := 0, 0, 0
 			for trial := 0; trial < 40; trial++ {
-				s.Reset()
+				s.Reset(g)
 				s.Envelope = whole
 				src := fu(rng.next(ii), spots[rng.next(len(spots))], spots[rng.next(len(spots))])
 				congest(s, &rng, ii, src.R, src.C, 5, 0, 0)
@@ -346,45 +346,73 @@ func TestScratchRegrowthLeavesNoStaleStamps(t *testing.T) {
 	s := NewSession(g)
 	rng := lcg(7)
 	regrowths, wrapped := 0, false
+	var bound scratchBound
 	for step, dt := range []int{1, 3, 1, 6, 2, 12, 1, 12, 3, 1, 16, 2} {
 		if step == 7 {
 			s.sc.gen = math.MaxUint32 // the next search wraps the counter
 			wrapped = true
 		}
 		before := len(s.sc.hopGen)
-		s.Reset()
-		fresh := NewSession(g)
 		src := fu(rng.next(ii), 4+rng.next(side-8), 4+rng.next(side-8))
 		tr, tc := min(src.R+dt/2, side-1), max(src.C-(dt-dt/2)+1, 0)
-		var got, want []Path
-		for _, ses := range []*Session{s, fresh} {
-			ses.Reserve(src)
-			net := ses.NewNet(src)
-			var paths []Path
-			for _, d := range []int{dt, dt + 1} { // the second search seeds from the first path
-				p, _, err := ses.RouteSink(net, g.OperandTargets(src.T+d, tr, tc))
-				if err != nil {
-					t.Fatalf("step %d: %v", step, err)
-				}
-				paths = append(paths, p)
-			}
-			if ses == s {
-				got = paths
-			} else {
-				want = paths
-			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("step %d (dt %d): reused session routed\n %v\nfresh session\n %v", step, dt, got, want)
-		}
-		if len(s.sc.seen) != s.sc.w.slots*len(s.sc.hopGen) {
-			t.Fatalf("step %d: len(seen) %d != slots %d × len(hopGen) %d", step, len(s.sc.seen), s.sc.w.slots, len(s.sc.hopGen))
-		}
+		routeReusedAndFresh(t, s, g, &bound, src, tr, tc, dt, fmt.Sprintf("step %d", step))
 		if len(s.sc.hopGen) != before {
 			regrowths++
 		}
 	}
 	if regrowths < 3 || !wrapped || s.sc.gen > 16 {
 		t.Errorf("%d regrowths, wrapped %v, generation %d: the sequence no longer exercises regrowth and wrap", regrowths, wrapped, s.sc.gen)
+	}
+}
+
+// routeReusedAndFresh routes src to PE (tr, tc) dt and dt+1 cycles later
+// — the second search seeded by the first path — on s re-targeted to g
+// and on a fresh session over g, fails the test where the paths differ,
+// and holds s's scratch to bound after each search.
+func routeReusedAndFresh(t *testing.T, s *Session, g *mrrg.Graph, bound *scratchBound, src mrrg.Node, tr, tc, dt int, what string) {
+	t.Helper()
+	var got, want []Path
+	for _, ses := range []*Session{s.Reset(g), NewSession(g)} {
+		ses.Reserve(src)
+		net := ses.NewNet(src)
+		var paths []Path
+		for _, d := range []int{dt, dt + 1} {
+			p, _, err := ses.RouteSink(net, g.OperandTargets(src.T+d, tr, tc))
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			paths = append(paths, p)
+			if ses == s {
+				bound.check(t, s, what)
+			}
+		}
+		if ses == s {
+			got = paths
+		} else {
+			want = paths
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s (dt %d): reset session routed\n %v\nfresh session\n %v", what, dt, got, want)
+	}
+}
+
+// scratchBound tracks the largest search window a session has opened, in
+// cells and in nodes (cells × slots), and fails the test when the
+// session's scratch holds less than its last window or more than twice
+// the largest: begin grows an array only when a window outgrows it, to at
+// most double the window.
+type scratchBound struct{ cells, nodes int }
+
+func (b *scratchBound) check(t *testing.T, s *Session, what string) {
+	t.Helper()
+	sc := &s.sc
+	w, n := sc.w.cells(), sc.w.cells()*sc.w.slots
+	b.cells, b.nodes = max(b.cells, w), max(b.nodes, n)
+	if len(sc.hopGen) < w || len(sc.seen) < n {
+		t.Fatalf("%s: scratch (%d cells, %d nodes) smaller than its window (%d cells, %d nodes)", what, len(sc.hopGen), len(sc.seen), w, n)
+	}
+	if len(sc.hopGen) > 2*b.cells || len(sc.seen) > 2*b.nodes {
+		t.Fatalf("%s: scratch (%d cells, %d nodes) beyond twice the largest window (%d cells, %d nodes)", what, len(sc.hopGen), len(sc.seen), b.cells, b.nodes)
 	}
 }

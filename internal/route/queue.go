@@ -85,10 +85,9 @@ type bucketQueue struct {
 	n       int
 }
 
-// reset opens a new search. The queue keeps its own generation counter
-// (it must not share the scratch's, which restarts when the scratch
-// arrays grow — leftover undrained bucket entries from a prior search
-// would then masquerade as live).
+// reset opens a new search. The queue keeps its own generation counter,
+// so leftover undrained bucket entries from a prior search can never
+// masquerade as live whatever the scratch arrays do.
 func (q *bucketQueue) reset() {
 	q.gen++
 	if q.gen == 0 {

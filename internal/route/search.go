@@ -39,9 +39,9 @@ func (w *window) holds(r, c int) bool {
 // scratch is one search working set: flat arrays over the dense real-
 // node index space of one search window, invalidated between searches by
 // a generation stamp (an entry is live only when its stamp equals the
-// current generation). The arrays grow monotonically and are never
-// cleared, so steady-state searches allocate nothing. The zero value is
-// ready to use.
+// current generation). The arrays grow monotonically and are cleared
+// only when the generation wraps, so steady-state searches allocate
+// nothing. The zero value is ready to use.
 type scratch struct {
 	w      window // of the search in progress
 	gen    uint32
@@ -86,21 +86,21 @@ type cell struct {
 	key     uint64 // RealKey of the cell's slot 0
 }
 
-// begin opens a new search generation over window w. The per-node arrays
-// and the per-cell stamp array grow in one step that keeps
-// len(seen) == w.slots × len(hopGen): the generation restarts only when
-// every stamped array is fresh, so a stamp from before a regrowth can
-// never read as live after it.
+// begin opens a new search generation over window w. The per-cell stamps
+// and the per-node arrays each grow only when w outgrows them, to the
+// larger of w and twice their length: windows vary net to net and, on a
+// session re-targeted to another fabric, in slot count, and doubling
+// bounds both the reallocations and every array at twice the largest
+// window. The generation restarts only on a wrap: a fresh array is all
+// zero and a kept one holds only earlier stamps, so neither reads as live.
 func (sc *scratch) begin(w window) {
 	sc.w = w
-	if cells := w.cells(); len(sc.hopGen) < cells || len(sc.seen) != w.slots*len(sc.hopGen) {
-		// Grow geometrically: search windows vary net to net, and
-		// doubling caps the reallocation count at log of the largest
-		// window instead of once per new high-water mark.
-		if c := 2 * len(sc.hopGen); cells < c {
-			cells = c
-		}
-		n := cells * w.slots
+	cells := w.cells()
+	if len(sc.hopGen) < cells {
+		sc.hopGen = make([]uint32, max(cells, 2*len(sc.hopGen)))
+	}
+	if n := cells * w.slots; len(sc.seen) < n {
+		n = max(n, 2*len(sc.seen))
 		sc.seen = make([]uint32, n)
 		sc.dist = make([]float64, n)
 		sc.hval = make([]float64, n)
@@ -109,8 +109,6 @@ func (sc *scratch) begin(w window) {
 		sc.closed = make([]uint32, n)
 		sc.tgt = make([]uint32, n)
 		sc.owned = make([]uint32, n)
-		sc.hopGen = make([]uint32, cells)
-		sc.gen = 0 // fresh arrays are all-zero: restart stamping
 	}
 	sc.gen++
 	if sc.gen == 0 { // generation counter wrapped: purge stale stamps

@@ -48,12 +48,18 @@
 // ownership marks, hop distances) lives in flat generation-stamped
 // scratch arrays indexed by dense packed node keys of the search window; a search
 // invalidates the previous search's entries by bumping a generation
-// counter instead of clearing or reallocating, and the arrays grow — all
-// together, in one step — only when a window is larger than any before
-// it in the session. The bucket queue's per-bucket heaps are value items
-// (no container/heap interface boxing) and are themselves generation-
-// stamped. Occupancy and history costs are flat arrays over the modulo
-// key space, so pricing a relaxed edge is two array loads. See DESIGN.md
+// counter instead of clearing or reallocating, and the arrays grow only
+// when a window is larger than any before it in the session. The bucket
+// queue's per-bucket heaps are value items (no container/heap interface
+// boxing) and are themselves generation-stamped. Occupancy and history
+// costs are flat arrays over the modulo key space, so pricing a relaxed
+// edge is two array loads.
+//
+// A session lives for one compile: its owner (a HiMap wave slot, one
+// sub-mapping computation, an exact or conventional compile) re-targets
+// it with Reset for every attempt, leaf and II, so the scratch, the
+// bucket heaps and the net freelist warmed by one routing problem serve
+// the next, and nothing outlives the request. See DESIGN.md
 // ("Concurrency model & hot-path memory discipline").
 package route
 
@@ -112,7 +118,9 @@ func (n *Net) Nodes() map[uint64]bool {
 
 // Session tracks resource occupancy and history costs across the nets of
 // one mapping attempt. A Session (and its scratch storage) may be reused
-// across many routing rounds; it is not safe for concurrent use.
+// across many routing rounds, and re-targeted by Reset to the graph of
+// the next attempt; a zero Session routes nothing until its first Reset.
+// It is not safe for concurrent use.
 type Session struct {
 	G *mrrg.Graph
 
@@ -120,14 +128,14 @@ type Session struct {
 	// HistBump is added to a node's history cost each escalation round.
 	PresFac  float64
 	HistBump float64
-	// MaxVisits bounds each search. NewSession derives the default from
-	// the fabric's dense key space (16× NumDenseKeys, floor 4096) so
+	// MaxVisits bounds each search. Reset derives the default from the
+	// fabric's dense key space (16× NumDenseKeys, floor 4096) so
 	// large-fabric searches are not cut off spuriously while small-fabric
 	// searches fail fast; overriding the field still works.
 	MaxVisits int
 
-	// Envelope confines the search to the PEs it holds; NewSession sets
-	// the whole array. HiMap's canonical routing narrows it to the
+	// Envelope confines the search to the PEs it holds; Reset sets the
+	// whole array. HiMap's canonical routing narrows it to the
 	// spatial envelope that exists for every replica of the route (a
 	// class member near the array edge must be able to reuse the
 	// translated path). Seeds outside it stay seeds.
@@ -140,7 +148,9 @@ type Session struct {
 	netSeq int
 
 	// mark/markGen is generation-stamped dedup scratch for
-	// OversubscribedIn (avoids a per-call hash map).
+	// OversubscribedIn (avoids a per-call hash map). Reset keeps the
+	// generation running, so stamps written for an earlier graph stay
+	// stale.
 	mark    []uint32
 	markGen uint32
 
@@ -207,22 +217,36 @@ func defaultMaxVisits(denseKeys int) int {
 }
 
 // NewSession creates a routing session over g with the default cost
-// parameters. Occupancy and history storage is allocated once here and
-// reused for the session's lifetime; ResetKeepHistory and Reset clear it
-// in place rather than reallocating.
-func NewSession(g *mrrg.Graph) *Session {
+// parameters: new(Session).Reset(g). A compile creates one per routing
+// owner and re-targets it with Reset rather than calling NewSession per
+// attempt.
+func NewSession(g *mrrg.Graph) *Session { return new(Session).Reset(g) }
+
+// Reset re-targets the session to g and returns it to the state a fresh
+// session over g starts in: no occupancy, no history, net numbering and
+// the closed-node count at zero, and the default PresFac, HistBump,
+// MaxVisits and Envelope for g. The graph's view (slot table, layout,
+// capacities, link table) is rebuilt. Everything else is kept for reuse:
+// occupancy, history and mark storage is cleared in place when its
+// capacity covers g's key space, and the search scratch, the bucket
+// heaps, the net freelist and the lookahead table carry over — a reset
+// session routes exactly as a fresh one, without re-growing them.
+func (s *Session) Reset(g *mrrg.Graph) *Session {
 	n := g.NumDenseKeys()
-	s := &Session{
-		G:         g,
-		PresFac:   2.0,
-		HistBump:  3.0,
-		MaxVisits: defaultMaxVisits(n),
-		occ:       make([]int32, n),
-		hist:      make([]float64, n),
-		mark:      make([]uint32, n),
-		Envelope:  Box{R0: 0, R1: g.Fab.Rows - 1, C0: 0, C1: g.Fab.Cols - 1},
-		links:     g.LinkTable(),
+	s.G = g
+	s.PresFac, s.HistBump = 2.0, 3.0
+	s.MaxVisits = defaultMaxVisits(n)
+	s.Envelope = Box{R0: 0, R1: g.Fab.Rows - 1, C0: 0, C1: g.Fab.Cols - 1}
+	s.netSeq, s.closedNodes = 0, 0
+	s.occ = zeroed(s.occ, n)
+	s.hist = zeroed(s.hist, n)
+	if cap(s.mark) < n {
+		s.mark = make([]uint32, n) // zero never equals a running markGen
+	} else {
+		s.mark = s.mark[:n] // stale stamps are all below markGen
 	}
+
+	s.links = g.LinkTable()
 	s.lay.nd = g.NumDirs()
 	s.lay.rfw = g.SlotIndex(mrrg.ClassRFWrite, 0)
 	s.lay.rfr = g.SlotIndex(mrrg.ClassRFRead, 0)
@@ -231,8 +255,8 @@ func NewSession(g *mrrg.Graph) *Session {
 	for ci := range s.capTab {
 		s.capTab[ci] = int32(g.Capacity(mrrg.Class(ci)))
 	}
-	s.slotTab = make([]slotInfo, g.SlotsPerPE())
-	for slot := range s.slotTab {
+	s.slotTab = s.slotTab[:0]
+	for slot := 0; slot < g.SlotsPerPE(); slot++ {
 		cl, idx := g.SlotResource(slot)
 		occ := slot
 		if cl == mrrg.ClassOut && g.SharedOut() {
@@ -242,12 +266,23 @@ func NewSession(g *mrrg.Graph) *Session {
 		if cl == mrrg.ClassOut {
 			kind = kindOutFarther // an Out with no link; costToGo splits the rest per target
 		}
-		s.slotTab[slot] = slotInfo{
+		s.slotTab = append(s.slotTab, slotInfo{
 			base: baseCost(cl), cap: s.capTab[cl], occ: int32(occ), class: cl, idx: idx, kind: kind,
 			key: mrrg.RealKey(mrrg.Node{Class: cl, Idx: idx}) - keyOrigin,
-		}
+		})
 	}
 	return s
+}
+
+// zeroed returns a cleared slice of length n, reusing buf's storage when
+// its capacity suffices.
+func zeroed[T int32 | float64](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // ResetKeepHistory clears all occupancy and nets but keeps the
@@ -256,15 +291,6 @@ func NewSession(g *mrrg.Graph) *Session {
 // The occupancy storage is zeroed in place, not reallocated.
 func (s *Session) ResetKeepHistory() {
 	clear(s.occ)
-	s.netSeq = 0
-}
-
-// Reset returns the session to its NewSession state (occupancy, history,
-// and net numbering all cleared) while keeping every allocation for
-// reuse — the cheap way to recycle a Session across mapping attempts.
-func (s *Session) Reset() {
-	clear(s.occ)
-	clear(s.hist)
 	s.netSeq = 0
 }
 
@@ -420,7 +446,7 @@ func (s *Session) ChargeShifted(net *Net, dt, dr, dc int) {
 func (s *Session) OversubscribedIn(nets []*Net) []mrrg.Node {
 	s.markGen++
 	if s.markGen == 0 {
-		clear(s.mark)
+		clear(s.mark[:cap(s.mark)]) // Reset may re-slice over stamps beyond len
 		s.markGen = 1
 	}
 	var out []mrrg.Node

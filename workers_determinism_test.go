@@ -17,16 +17,44 @@ import (
 // for byte — for every paper kernel, on both the cold path (fresh
 // artifact memo) and the memoized path (recompiling against a memo warmed
 // by the first run).
+//
+// Every paper kernel wins in the first wave on the default 8x8, so two
+// congested compiles join them — FW on narrow-rf and MVT on the shared
+// bus, 30-odd attempts each: at Workers=4 they run several waves, and
+// every wave slot's routing session is re-targeted by attempts of later
+// waves.
 func TestWorkersDeterminism(t *testing.T) {
+	type tc struct {
+		name string
+		k    *himap.Kernel
+		fab  himap.Fabric
+	}
+	var cases []tc
 	for _, k := range himap.EvaluationKernels() {
-		k := k
-		t.Run(k.Name, func(t *testing.T) {
-			cg := himap.DefaultCGRA(8, 8)
-
+		cases = append(cases, tc{k.Name, k, himap.Fabric{CGRA: himap.DefaultCGRA(8, 8)}})
+	}
+	for _, c := range []struct {
+		kernel string
+		bw     himap.BandwidthClass
+	}{{"FW", himap.BWNarrowRF}, {"MVT", himap.BWBus}} {
+		k, err := himap.KernelByName(c.kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fab := himap.DefaultFabric(8, 8)
+		fab.Bandwidth = c.bw
+		cases = append(cases, tc{c.kernel + "/" + fab.String(), k, fab})
+	}
+	for _, c := range cases {
+		k, cg := c.k, c.fab
+		t.Run(c.name, func(t *testing.T) {
 			// Reference: sequential, cold memo.
-			r1, err := compile(k, cg, himap.Options{Workers: 1, Memo: himap.NewMemo()})
+			r1, err := compileFabric(k, cg, himap.Options{Workers: 1, Memo: himap.NewMemo()})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if c.fab.Bandwidth != himap.BWUnit && r1.Stats.Attempts <= 2*4 {
+				t.Fatalf("won at attempt %d: fewer than three waves of Workers=4", r1.Stats.Attempts)
 			}
 			j1 := configJSON(t, r1)
 			b1, err := himap.EncodeBitstream(r1.Config)
@@ -35,7 +63,7 @@ func TestWorkersDeterminism(t *testing.T) {
 			}
 
 			check := func(label string, opts himap.Options) {
-				r, err := compile(k, cg, opts)
+				r, err := compileFabric(k, cg, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -77,7 +105,7 @@ func TestWorkersDeterminism(t *testing.T) {
 			// shared memo warmed by a first compile, so the IDFG,
 			// sub-mapping list, and ISDG all come from the cache.
 			warm := himap.NewMemo()
-			if _, err := compile(k, cg, himap.Options{Workers: 1, Memo: warm}); err != nil {
+			if _, err := compileFabric(k, cg, himap.Options{Workers: 1, Memo: warm}); err != nil {
 				t.Fatal(err)
 			}
 			check("Workers=1 memoized", himap.Options{Workers: 1, Memo: warm})
