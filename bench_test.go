@@ -412,6 +412,41 @@ func TestCongestedAllocBudget(t *testing.T) {
 	}
 }
 
+// --------------------------------------------------- speculative window
+
+// speculationAllocRatio bounds what a cold Workers=2 compile may allocate
+// over its Workers=1 compile when attempt 1 wins. The window runs attempt
+// 1 alone, so the two allocate the same (measured 0.98x for ATAX and
+// 1.00x for GEMM at 16x16); fixed waves of two ran attempt 2 beside every
+// winner and allocated 1.62x and 1.91x.
+const speculationAllocRatio = 1.10
+
+// TestSpeculationAllocBudget holds the cold Workers=2 compiles of ATAX and
+// GEMM on the 16x16 default fabric, both won at attempt 1, to
+// speculationAllocRatio times their Workers=1 compiles.
+func TestSpeculationAllocBudget(t *testing.T) {
+	fab := arch.DefaultFabric(16, 16)
+	for _, k := range []*kernel.Kernel{kernel.ATAX(), kernel.GEMM()} {
+		alloc := func(workers int) uint64 {
+			_, bytes := coldAllocs(func() {
+				res, err := core.CompileRequest(context.Background(), k, fab, core.Options{Workers: workers, Memo: core.NewMemo()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Stats.Attempts != 1 {
+					t.Fatalf("%s won at attempt %d, not 1", k.Name, res.Stats.Attempts)
+				}
+			})
+			return bytes
+		}
+		one, two := alloc(1), alloc(2)
+		t.Logf("%s 16x16: Workers=1 %d bytes, Workers=2 %d bytes (%.2fx)", k.Name, one, two, float64(two)/float64(one))
+		if float64(two) > speculationAllocRatio*float64(one) {
+			t.Errorf("%s 16x16: Workers=2 allocated %d bytes, more than %.2fx the %d of Workers=1", k.Name, two, speculationAllocRatio, one)
+		}
+	}
+}
+
 // -------------------------------------------------------- flat backends
 
 // BenchmarkFlatBackends times the sixteen compiles of the flat_backends

@@ -122,6 +122,9 @@ func TestCancellationLatencyMidRun(t *testing.T) {
 		minWork  int64
 		maxAfter int64 // polls allowed after the flip
 		req      func(himap.Tracer) himap.Request
+		// window: attempts run concurrently, so the polls between two
+		// spans are several loops' and only the poll bound applies.
+		window bool
 	}{
 		// 46,833 decisions and 102 routed leaves at II 2. The flip poll,
 		// the next stride poll and the one that words the error make two
@@ -133,7 +136,7 @@ func TestCancellationLatencyMidRun(t *testing.T) {
 				Fabric: himap.Fabric{CGRA: himap.DefaultCGRA(4, 4), Mem: himap.MemBoundary},
 				Exact:  himap.ExactOptions{Tracer: tr},
 			}
-		}},
+		}, false},
 		// SAMoves is set so the anneal's 256 polls outnumber the seeding
 		// pass's (about 150, one per placement try) that share its span.
 		{"conventional", "place", "moves", 4096, 256 * 4096, 2, func(tr himap.Tracer) himap.Request {
@@ -143,15 +146,15 @@ func TestCancellationLatencyMidRun(t *testing.T) {
 				Block:    []int{2, 2, 2},
 				Baseline: himap.BaselineOptions{Tracer: tr, SAMoves: 256 * 4096},
 			}
-		}},
+		}, false},
 		// 34 of 36 attempts fail; the first to negotiate all 8 rounds is used.
-		{"himap", "route", "rounds", 1, 8, 2, func(tr himap.Tracer) himap.Request {
-			return himap.Request{
-				Kernel: himap.KernelFW(), Mapper: himap.MapperHiMap,
-				Fabric:  himap.Fabric{CGRA: himap.DefaultCGRA(8, 8), Bandwidth: himap.BWNarrowRF},
-				Options: himap.Options{Workers: 1, Tracer: tr},
-			}
-		}},
+		{"himap", "route", "rounds", 1, 8, 2, fwNarrow(1), false},
+		// The same compile in a speculative window of four: each of the
+		// other three in-flight attempts stops at its next poll and the
+		// first claim after the flip polls once and closes the window (4
+		// measured, one spare). A window that kept claiming would poll at
+		// least once per attempt left.
+		{"himap/workers=4", "route", "rounds", 1, 8, 5, fwNarrow(4), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -163,7 +166,7 @@ func TestCancellationLatencyMidRun(t *testing.T) {
 				t.Fatalf("no %s span with %s >= %d in the uncanceled run", tc.stage, tc.counter, tc.minWork)
 			}
 			work, polls := ref.ref.Counters[tc.counter], ref.ref.to-ref.ref.from
-			if work > tc.stride*polls {
+			if work > tc.stride*polls && !tc.window {
 				t.Fatalf("%s did %d %s between %d polls: more than one stride of %d per poll",
 					tc.stage, work, tc.counter, polls, tc.stride)
 			}
@@ -182,7 +185,7 @@ func TestCancellationLatencyMidRun(t *testing.T) {
 				t.Errorf("%d polls after the flip, want <= %d: the loop kept working", after, tc.maxAfter)
 			}
 			for _, s := range run.spans {
-				if s.Stage != tc.stage || s.to < run.flipAt {
+				if s.Stage != tc.stage || s.to < run.flipAt || tc.window {
 					continue
 				}
 				got, limit := s.Counters[tc.counter], tc.stride*(run.flipAt-s.from)
@@ -192,5 +195,17 @@ func TestCancellationLatencyMidRun(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// fwNarrow is the negotiated-congestion compile of
+// TestCancellationLatencyMidRun at the given Workers.
+func fwNarrow(workers int) func(himap.Tracer) himap.Request {
+	return func(tr himap.Tracer) himap.Request {
+		return himap.Request{
+			Kernel: himap.KernelFW(), Mapper: himap.MapperHiMap,
+			Fabric:  himap.Fabric{CGRA: himap.DefaultCGRA(8, 8), Bandwidth: himap.BWNarrowRF},
+			Options: himap.Options{Workers: workers, Tracer: tr},
+		}
 	}
 }

@@ -46,7 +46,7 @@ func main() {
 		seed     = flag.Int64("seed", 42, "validation input seed")
 		save     = flag.String("save", "", "write the mapping as JSON to this file")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "compilation worker count (1 = fully sequential; the mapping is identical either way)")
-		trace    = flag.Bool("trace", false, "print one line per pipeline stage (wall time, attempt/wave, counters) to stderr")
+		trace    = flag.Bool("trace", false, "print one line per pipeline stage (wall time, attempt/launch generation, counters) to stderr")
 	)
 	flag.Parse()
 

@@ -120,7 +120,7 @@ type (
 	// Options.Tracer (or BaselineOptions.Tracer) to observe a compile.
 	Tracer = diag.Tracer
 	// TraceSpan is one completed stage execution: stage name, attempt and
-	// wave identity, wall time, counters, and the failure (if any).
+	// launch generation, wall time, counters, and the failure (if any).
 	TraceSpan = diag.Span
 	// Memo is the compilation artifact cache (generic IDFG, sub-mapping
 	// lists, unrolled DFG/ISDG), content-keyed by kernel specification.

@@ -195,13 +195,15 @@ func Classify(err error, fallback error) *StageError {
 // ---------------------------------------------------------------- tracing
 
 // Span is one completed pipeline stage execution. Attempt and Wave
-// identify speculative attempts (0 for stages outside the attempt loop);
+// identify speculative attempts (0 for stages outside the attempt loop):
+// Wave is the attempt's launch generation, 1 + the attempts that had
+// finished when it was claimed, which is its rank under Workers=1;
 // Err carries the stage's failure rendering ("" on success); Counters
 // holds stage-specific metrics (route rounds, canonical nets, memo hits).
 type Span struct {
 	Stage    string
 	Attempt  int // 1-based attempt rank; 0 = front stage
-	Wave     int // 1-based wave index under Workers>1; 0 = front stage
+	Wave     int // 1-based launch generation; 0 = front stage
 	Wall     time.Duration
 	Err      string
 	Counters map[string]int64
@@ -209,7 +211,7 @@ type Span struct {
 
 // Tracer receives one Span per executed pipeline stage. Implementations
 // must be safe for concurrent Emit calls: speculative attempts run in
-// parallel waves and emit from their worker goroutines.
+// parallel and emit from their worker goroutines.
 type Tracer interface {
 	Emit(Span)
 }
@@ -289,7 +291,7 @@ func (t *textTracer) Emit(s Span) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "trace: %-14s", s.Stage)
 	if s.Attempt > 0 {
-		fmt.Fprintf(&b, " attempt %-3d wave %-2d", s.Attempt, s.Wave)
+		fmt.Fprintf(&b, " attempt %-3d gen %-2d ", s.Attempt, s.Wave)
 	} else {
 		b.WriteString("                   ")
 	}

@@ -2,7 +2,11 @@ package himap
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"himap/internal/arch"
@@ -47,10 +51,11 @@ type Options struct {
 	RelayPolicy RelayPolicy
 	// Workers bounds the compilation pipeline's parallelism: the systolic
 	// (H,S) scheme search is sharded across Workers goroutines, and
-	// (sub-mapping, scheme) attempts run speculatively in waves of
-	// Workers, always committing to the first attempt (in the sequential
-	// ranking order) that succeeds. The emitted mapping is therefore
-	// bit-identical for every Workers value; only wall-clock changes.
+	// (sub-mapping, scheme) attempts run speculatively in a rank-ordered
+	// window of up to Workers, opened only after attempt 1 has failed,
+	// always committing to the first attempt (in the sequential ranking
+	// order) that succeeds. The emitted mapping is therefore bit-identical
+	// for every Workers value; only wall-clock changes.
 	// 0 means runtime.GOMAXPROCS(0); 1 executes exactly the historical
 	// sequential flow.
 	Workers int
@@ -169,15 +174,18 @@ type Stats struct {
 //
 // The flow is a staged pass pipeline (see pipeline.go): the front stages
 // run once, then (sub-mapping, scheme) attempts execute the per-attempt
-// stages speculatively in waves of Workers, always committing to the
-// first success in sequential ranking order. On failure it returns a
-// *CompileError aggregating the lowest-ranked attempt's failure and the
-// best-ranked failure per stage — deterministic for every Workers value.
+// stages: attempt 1 alone, then, once it has failed, up to Workers at a
+// time in rank order with no barrier between them. A success stops every
+// higher-ranked attempt at its next poll, and the compile commits the
+// lowest-ranked success once every attempt below it has failed. On
+// failure it returns a *CompileError aggregating the lowest-ranked
+// attempt's failure and the best-ranked failure per stage, deterministic
+// for every Workers value.
 //
-// The context is checked at every pipeline stage boundary and between
-// speculative waves, so cancellation (or a deadline) aborts a compile
-// mid-pipeline with a *CompileError wrapping diag.ErrCanceled — the
-// original context error stays in the cause chain for errors.Is.
+// The context is checked at every pipeline stage boundary and before
+// each attempt is claimed, so cancellation (or a deadline) aborts a
+// compile mid-pipeline with a *CompileError wrapping diag.ErrCanceled —
+// the original context error stays in the cause chain for errors.Is.
 func CompileRequest(ctx context.Context, k *kernel.Kernel, fab arch.Fabric, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -197,59 +205,118 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, fab arch.Fabric, opts
 	}
 	atts := front.Attempts
 
-	// Attempts run speculatively in waves of Workers; within a wave the
-	// lowest-index success wins. Because every attempt ranked before the
-	// winner fails regardless of execution order, the committed mapping
-	// and Stats.Attempts are identical to the sequential (Workers=1) flow.
-	// Attempt i of a wave routes on slot i's session, created on first use
-	// and re-targeted by every later attempt of the slot: one session per
-	// slot for the life of this compile, never shared across compiles. The
-	// attempt holds it while it runs and hands it back when it fails; one
-	// that routed drops it (runRoute), since it is about to win and its
-	// session would otherwise stay live through replicate.
-	errs := make([]error, len(atts))
-	slots := make([]*route.Session, opts.Workers)
-	for base := 0; base < len(atts); base += opts.Workers {
-		if err := ctx.Err(); err != nil {
-			return nil, canceledCompileError(k.Name, fab.String(), len(atts), err)
+	// Each worker of the window routes on one session, created on first
+	// use and re-targeted by every attempt it runs, never shared across
+	// compiles; an attempt that routed drops it (runRoute), since it is
+	// about to win and its session would otherwise stay live through
+	// replicate.
+	var (
+		mu       sync.Mutex
+		turn     = sync.NewCond(&mu) // broadcast whenever an attempt finishes
+		next     int                 // rank index of the next attempt to claim
+		finished int                 // attempts finished, for the launch generation
+		best     = len(atts)         // rank index of the lowest success so far
+		won      *Result
+		cerr     error // the caller's cancellation, once a claim saw it
+		running  = make([]*attemptCtx, len(atts))
+		errs     = make([]error, len(atts))
+	)
+	// await holds rank i until every attempt below it has finished or one
+	// of them has won, so only an attempt about to win stamps a mapping.
+	await := func(i int) {
+		mu.Lock()
+		defer mu.Unlock()
+		for best > i && slices.ContainsFunc(running[:i], func(a *attemptCtx) bool { return a != nil }) {
+			turn.Wait()
 		}
-		end := base + opts.Workers
-		if end > len(atts) {
-			end = len(atts)
+	}
+	claim := func() *attemptCtx {
+		mu.Lock()
+		defer mu.Unlock()
+		for next == 1 && finished == 0 { // width 1 until attempt 1 has failed
+			turn.Wait()
 		}
-		wave := atts[base:end]
-		waveIdx := base/opts.Workers + 1
-		results := make([]*Result, len(wave))
-		par.ForEach(opts.Workers, len(wave), func(i int) {
-			if slots[i] == nil {
-				slots[i] = new(route.Session)
-			}
-			actx := front.forAttempt(wave[i], base+i+1, waveIdx, slots[i])
-			slots[i] = nil
-			if err := attemptStages.Run(actx); err != nil {
-				errs[base+i] = err
-				slots[i] = actx.ses // nil if it failed after routing: the slot starts anew
-				return
-			}
-			results[i] = actx.buildResult()
-		})
-		for i := range wave {
-			if results[i] == nil {
-				continue
-			}
-			res := results[i]
-			res.Stats.Attempts = base + i + 1
-			res.Stats.Total = time.Since(start)
-			return res, nil
+		if next >= best || cerr != nil {
+			return nil
 		}
+		if cerr = ctx.Err(); cerr != nil {
+			return nil
+		}
+		i := next
+		next++
+		running[i] = &attemptCtx{Context: ctx, idx: i, gen: finished + 1, await: func() { await(i) }}
+		return running[i]
+	}
+	run := func(a *attemptCtx, ses *route.Session) *route.Session {
+		if ses == nil {
+			ses = new(route.Session)
+		}
+		i := a.idx
+		c := front.forAttempt(atts[i], i+1, a, ses)
+		err := attemptStages.Run(c)
+		mu.Lock()
+		defer mu.Unlock()
+		defer turn.Broadcast()
+		finished++
+		running[i] = nil
+		if err != nil {
+			errs[i] = err
+		} else if i < best {
+			best, won = i, c.buildResult()
+			for _, a := range running[i+1 : next] {
+				if a != nil {
+					a.superseded.Store(true)
+				}
+			}
+		}
+		return c.ses // nil once it routed: the worker's next attempt starts anew
+	}
+	w := min(opts.Workers, len(atts))
+	par.ForEach(w, w, func(int) {
+		var ses *route.Session
+		for a := claim(); a != nil; a = claim() {
+			ses = run(a, ses)
+		}
+	})
+	// Every attempt below the lowest success failed on its own: the winner
+	// polled the caller's context after awaiting them (Stage.Ordered).
+	if won != nil {
+		won.Stats.Attempts = best + 1
+		won.Stats.Total = time.Since(start)
+		return won, nil
 	}
 	// A cancellation mid-search masquerades as "every attempt failed";
 	// surface it as such so callers dispatch on ErrCanceled, not on
 	// whichever attempt happened to fail first.
-	if err := ctx.Err(); err != nil {
-		return nil, canceledCompileError(k.Name, fab.String(), len(atts), err)
+	if cerr == nil {
+		cerr = ctx.Err()
+	}
+	if cerr != nil {
+		return nil, canceledCompileError(k.Name, fab.String(), len(atts), cerr)
 	}
 	return nil, newCompileError(k.Name, fab.String(), len(atts), errs)
+}
+
+// attemptCtx is one attempt's view of the compile's context. Err reports
+// errSuperseded once a lower-ranked attempt has won and otherwise
+// delegates, so every poll still reaches the caller's context.
+type attemptCtx struct {
+	context.Context
+	idx        int    // rank index, 0-based
+	gen        int    // launch generation: 1 + the attempts finished when it was claimed
+	await      func() // blocks until the attempt may run an Ordered stage
+	superseded atomic.Bool
+}
+
+// errSuperseded stops an attempt that a lower-ranked success has made
+// moot. It is no failure: the pipeline emits no span for it.
+var errSuperseded = errors.New("himap: attempt superseded by a lower-ranked success")
+
+func (c *attemptCtx) Err() error {
+	if c.superseded.Load() {
+		return errSuperseded
+	}
+	return c.Context.Err()
 }
 
 // candidateSchemes enumerates systolic schemes compatible with the VSA

@@ -76,8 +76,8 @@ func canceledCompileError(kernel, cgra string, attempts int, cause error) *Compi
 
 // newCompileError aggregates per-attempt failures into a CompileError.
 // errs is indexed by attempt rank (0-based); scanning in index order makes
-// Primary the deterministic lowest-ranked failure regardless of the wave
-// execution order that produced the slice.
+// Primary the deterministic lowest-ranked failure regardless of the
+// order in which the speculative window finished the attempts.
 func newCompileError(kernel, cgra string, attempts int, errs []error) *CompileError {
 	e := &CompileError{Kernel: kernel, CGRA: cgra, Attempts: attempts}
 	byStage := map[string]*diag.StageError{}

@@ -21,8 +21,8 @@ type RouteStats struct {
 // routeCanonical performs Algorithm 1 lines 21-27: routes the minimal
 // DFG — one canonical net per (unique class, producer op) — under
 // negotiated congestion, returning the per-class net plans that the
-// replicate stage stamps onto every cluster. ses is the attempt's wave
-// slot session, re-targeted here to the attempt's MRRG. Cancellation is
+// replicate stage stamps onto every cluster. ses is the worker's
+// session, re-targeted here to the attempt's MRRG. Cancellation is
 // polled once per negotiation round: a canceled ctx aborts with an error
 // wrapping diag.ErrCanceled within one round's latency.
 func (l *layout) routeCanonical(ctx context.Context, ses *route.Session, maxRounds int) ([][]canonNet, RouteStats, error) {

@@ -47,6 +47,10 @@ type Stage struct {
 	// a known sentinel in their chain.
 	Fallback error
 	Run      func(*CompileContext) error
+	// Ordered holds a speculative attempt at this stage until every
+	// lower-ranked attempt has finished: the boundary poll then stops it
+	// if one of them won, so only the winner runs the stage.
+	Ordered bool
 }
 
 // Pipeline is an ordered stage list sharing one CompileContext.
@@ -54,9 +58,11 @@ type Pipeline []Stage
 
 // Run executes the stages in order. Every stage execution — success or
 // failure — emits one tracer span carrying its wall time, the context's
-// attempt/wave identity, and any counters the stage recorded. The first
-// failure stops the pipeline and returns a *diag.StageError stamped with
-// the stage name and compile context.
+// attempt identity and launch generation, and any counters the stage
+// recorded. The first failure stops the pipeline and returns a
+// *diag.StageError stamped with the stage name and compile context. A
+// stage that a lower-ranked attempt's success stops emits no span: the
+// attempt did not fail, it was made moot.
 //
 // The compile's context.Context is checked at every stage boundary: a
 // cancellation or expired deadline aborts the pipeline before the next
@@ -74,9 +80,16 @@ type Pipeline []Stage
 // memory differed by 9 MB from one run to the next on 16x16 fabrics.
 // Yielding lets the scheduler run the pending mark worker.
 func (p Pipeline) Run(ctx *CompileContext) error {
+	a, _ := ctx.Ctx.(*attemptCtx) // nil outside the attempt window
 	for _, st := range p {
+		if st.Ordered && a != nil {
+			a.await()
+		}
 		runtime.Gosched()
 		if cerr := ctx.Ctx.Err(); cerr != nil {
+			if cerr == errSuperseded {
+				return cerr
+			}
 			se := diag.Fail(diag.ErrCanceled, cerr)
 			se.Stamp(st.Name, ctx.Kernel.Name, ctx.Fab.String(), ctx.Attempt)
 			ctx.Tracer.Emit(diag.Span{
@@ -93,6 +106,9 @@ func (p Pipeline) Run(ctx *CompileContext) error {
 			Wall: wall, Counters: ctx.counters,
 		}
 		if err != nil {
+			if a != nil && a.superseded.Load() {
+				return errSuperseded
+			}
 			se := diag.Classify(err, st.Fallback)
 			se.Stamp(st.Name, ctx.Kernel.Name, ctx.Fab.String(), ctx.Attempt)
 			span.Err = se.Error()
@@ -135,7 +151,8 @@ type CompileContext struct {
 	Deps     []ir.IterVec
 	Attempts []attempt
 
-	// Attempt identity: 1-based rank and wave index; 0 for front stages.
+	// Attempt identity: 1-based rank and launch generation (1 + the
+	// attempts finished when it was claimed); 0 for front stages.
 	Attempt int
 	Wave    int
 
@@ -156,7 +173,7 @@ type CompileContext struct {
 	Config    *arch.Config
 
 	lay      *layout
-	ses      *route.Session // the attempt's wave slot session, until it routes
+	ses      *route.Session // the worker's session, until the attempt routes
 	counters map[string]int64
 }
 
@@ -169,14 +186,15 @@ func newContext(ctx context.Context, k *kernel.Kernel, fab arch.Fabric, opts Opt
 }
 
 // forAttempt derives a private context for one speculative attempt,
-// sharing the read-only front artifacts; the attempt routes on ses.
-func (c *CompileContext) forAttempt(a attempt, rank, wave int, ses *route.Session) *CompileContext {
+// sharing the read-only front artifacts; the attempt polls actx and
+// routes on ses.
+func (c *CompileContext) forAttempt(a attempt, rank int, actx *attemptCtx, ses *route.Session) *CompileContext {
 	return &CompileContext{
-		Ctx:    c.Ctx,
+		Ctx:    actx,
 		Kernel: c.Kernel, Fab: c.Fab, Opts: c.Opts,
 		Memo: c.Memo, Tracer: c.Tracer,
 		IDFG: c.IDFG, Subs: c.Subs, Deps: c.Deps,
-		Attempt: rank, Wave: wave,
+		Attempt: rank, Wave: actx.gen,
 		Sub: a.sub, Scheme: a.sch, VX: a.vx, VY: a.vy,
 		ses: ses,
 	}
@@ -204,7 +222,7 @@ var attemptStages = Pipeline{
 	{Name: StagePlace, Fallback: diag.ErrPlacementInfeasible, Run: runPlace},
 	{Name: StageUnique, Fallback: diag.ErrPlacementInfeasible, Run: runUnique},
 	{Name: StageRoute, Fallback: diag.ErrRouteCongested, Run: runRoute},
-	{Name: StageReplicate, Fallback: diag.ErrReplicaConflict, Run: runReplicate},
+	{Name: StageReplicate, Fallback: diag.ErrReplicaConflict, Run: runReplicate, Ordered: true},
 	{Name: StageValidate, Fallback: diag.ErrConfigInvalid, Run: runValidate},
 }
 

@@ -413,7 +413,7 @@ const (
 type StageEventWire struct {
 	Stage    string           `json:"stage"`
 	Attempt  int              `json:"attempt,omitempty"`
-	Wave     int              `json:"wave,omitempty"`
+	Wave     int              `json:"wave,omitempty"` // the span's launch generation (diag.Span.Wave)
 	WallUS   int64            `json:"wall_us"`
 	Err      string           `json:"err,omitempty"`
 	Counters map[string]int64 `json:"counters,omitempty"`

@@ -20,6 +20,8 @@ go build ./...
 go run ./cmd/himaplint ./...
 # Every test under the race detector, shuffled: a fixed order hides coupling through process-wide state (the shared memo, the lookahead table).
 go test -race -shuffle=on ./...
+# The speculative window's schedule is timing-dependent, so its tests run three more times under the race detector.
+go test -race -count=3 -run 'TestWorkersDeterminism$|TestSpeculationWindowSpans|TestSpeculationAllocBudget|TestCancellationLatencyMidRun' .
 # The configuration encoder against encoding/json on ten seconds of new fuzz inputs (the committed seeds ran above).
 go test -run '^$' -fuzz FuzzConfigAppendJSON -fuzztime 10s ./internal/arch
 # The flat_backends profile command, once per backend, so it cannot rot.

@@ -2,7 +2,10 @@ package himap_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"himap"
@@ -18,11 +21,12 @@ import (
 // artifact memo) and the memoized path (recompiling against a memo warmed
 // by the first run).
 //
-// Every paper kernel wins in the first wave on the default 8x8, so two
+// Every paper kernel wins at attempt 1 or 2 on the default 8x8, so two
 // congested compiles join them — FW on narrow-rf and MVT on the shared
-// bus, 30-odd attempts each: at Workers=4 they run several waves, and
-// every wave slot's routing session is re-targeted by attempts of later
-// waves.
+// bus, 30-odd attempts each: they keep the speculative window full past
+// its first three widths of Workers=4, and every worker's routing
+// session is re-targeted by many attempts. Workers=2 is the width the
+// paper_par workload runs at on a two-processor host.
 func TestWorkersDeterminism(t *testing.T) {
 	type tc struct {
 		name string
@@ -54,7 +58,7 @@ func TestWorkersDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			if c.fab.Bandwidth != himap.BWUnit && r1.Stats.Attempts <= 2*4 {
-				t.Fatalf("won at attempt %d: fewer than three waves of Workers=4", r1.Stats.Attempts)
+				t.Fatalf("won at attempt %d: the window of Workers=4 did not fill three times", r1.Stats.Attempts)
 			}
 			j1 := configJSON(t, r1)
 			b1, err := himap.EncodeBitstream(r1.Config)
@@ -78,7 +82,7 @@ func TestWorkersDeterminism(t *testing.T) {
 					t.Fatalf("%s produced a different bitstream than Workers=1", label)
 				}
 				// Every non-timing statistic and result field must agree too —
-				// in particular Attempts, which proves the wave execution
+				// in particular Attempts, which proves the speculative window
 				// committed to the same (sub-mapping, scheme) pair.
 				if r1.Stats.Attempts != r.Stats.Attempts {
 					t.Errorf("%s: Attempts %d vs %d", label, r1.Stats.Attempts, r.Stats.Attempts)
@@ -98,7 +102,8 @@ func TestWorkersDeterminism(t *testing.T) {
 				}
 			}
 
-			// Cold path, parallel waves.
+			// Cold path, speculative window.
+			check("Workers=2 cold", himap.Options{Workers: 2, Memo: himap.NewMemo()})
 			check("Workers=4 cold", himap.Options{Workers: 4, Memo: himap.NewMemo()})
 
 			// Memoized path: both worker counts recompile against one
@@ -109,7 +114,83 @@ func TestWorkersDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			check("Workers=1 memoized", himap.Options{Workers: 1, Memo: warm})
+			check("Workers=2 memoized", himap.Options{Workers: 2, Memo: warm})
 			check("Workers=4 memoized", himap.Options{Workers: 4, Memo: warm})
+		})
+	}
+}
+
+// TestSpeculationWindowSpans pins the speculative window's schedule on
+// three compiles that win past attempt 1 (MVT 16x16 at attempt 2; FW and
+// GEMM on the 8x8 narrow-rf fabric at attempts 35 and 19), at Workers=4.
+// GEMM's attempt 21 also maps, in about half the time of attempt 19,
+// so it reaches replicate first unless replicate waits for lower ranks. The window runs
+// attempt 1 alone, so it is the only attempt of launch generation 1,
+// and then up to four at once, so some attempt launches in a generation
+// below its rank;
+// every attempt below the winner runs to completion, so it emits the
+// spans it emits at Workers=1, Wall and Wave left out; and an attempt
+// ranked above the winner is stopped before it stamps a mapping, so none
+// emits a replicate span, and stopped without failing, so none emits a
+// cancellation error span.
+func TestSpeculationWindowSpans(t *testing.T) {
+	narrow := himap.DefaultFabric(8, 8)
+	narrow.Bandwidth = himap.BWNarrowRF
+	for _, c := range []struct {
+		name string
+		k    *himap.Kernel
+		fab  himap.Fabric
+	}{
+		{"MVT/16x16", himap.KernelMVT(), himap.DefaultFabric(16, 16)},
+		{"FW/narrow-rf", himap.KernelFW(), narrow},
+		{"GEMM/narrow-rf", himap.KernelGEMM(), narrow},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			below := func(workers int) (win int, lines []string, spans []himap.TraceSpan) {
+				tr := himap.NewTraceCollector()
+				r, err := compileFabric(c.k, c.fab, himap.Options{Workers: workers, Memo: himap.NewMemo(), Tracer: tr})
+				if err != nil {
+					t.Fatalf("Workers=%d: %v", workers, err)
+				}
+				for _, s := range tr.Spans() {
+					if s.Attempt > 0 && s.Attempt < r.Stats.Attempts {
+						lines = append(lines, fmt.Sprintf("%d|%s|%s|%v", s.Attempt, s.Stage, s.Err, s.Counters))
+					}
+				}
+				sort.Strings(lines)
+				return r.Stats.Attempts, lines, tr.Spans()
+			}
+			win1, want, _ := below(1)
+			if win1 < 2 {
+				t.Fatalf("won at attempt %d: the window never widens", win1)
+			}
+			// Whether an attempt above the winner reaches replicate first is
+			// a matter of timing, so the window runs three times.
+			for run := 0; run < 3; run++ {
+				win, got, spans := below(4)
+				if win != win1 {
+					t.Fatalf("Workers=4 won at attempt %d, Workers=1 at %d", win, win1)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("attempts below the winner emitted %d spans at Workers=4, %d at Workers=1, or different ones", len(got), len(want))
+				}
+				wide := false // some attempt launched beside an unfinished one
+				for _, s := range spans {
+					if s.Attempt > win && s.Stage == "replicate" {
+						t.Errorf("attempt %d, ranked above the winner %d, emitted a replicate span", s.Attempt, win)
+					}
+					if strings.Contains(s.Err, himap.ErrCanceled.Error()) {
+						t.Errorf("attempt %d: a stopped attempt emitted the error span %q", s.Attempt, s.Err)
+					}
+					if s.Attempt > 0 && ((s.Wave == 1) != (s.Attempt == 1) || s.Wave > s.Attempt) {
+						t.Errorf("attempt %d ran in launch generation %d", s.Attempt, s.Wave)
+					}
+					wide = wide || s.Wave < s.Attempt
+				}
+				if !wide {
+					t.Error("every attempt launched in the generation of its rank: the window never widened")
+				}
+			}
 		})
 	}
 }
