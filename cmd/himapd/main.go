@@ -2,17 +2,17 @@
 // /v1/compile (named or inline kernels, fabric config, per-request
 // deadlines; Accept: text/event-stream selects the SSE stage-event
 // stream), POST /v1/compile-batch (many compiles, one deadline, shared
-// artifact memo), POST /v1/explore (one kernel ranked across a fabric
-// design space by MOPS/mW), GET /v1/kernels, GET /healthz, and GET
-// /metrics. Results are cached content-addressed in memory and —
-// with -store — on disk across restarts (identical requests return
-// byte-identical bodies, coalesced onto one compile when concurrent),
-// admission is bounded (overflow answers 429), and -peers shards cache
-// ownership across replicas by consistent hashing with single-hop
-// forwarding. The wire contract has exactly one version: a request body
-// omits schema_version or pins the current value, and any other pin
-// answers a typed 400. See DESIGN.md, "Compile service" and "Serving at
-// scale".
+// artifact memo), GET /v1/kernels, GET /healthz, and GET /metrics.
+// Results are cached content-addressed in memory and — with -store — on
+// disk across restarts (identical requests return byte-identical bodies,
+// coalesced onto one compile when concurrent), admission is bounded
+// (overflow answers 429), and -peers shards cache ownership across
+// replicas by consistent hashing with single-hop forwarding. The wire
+// contract has exactly one version: a request body omits schema_version
+// or pins the current value, and any other pin answers a typed 400. The
+// design-space sweep (one kernel ranked across fabric candidates by
+// MOPS/mW) is not served; it is `experiments -explore`. See DESIGN.md,
+// "Compile service" and "Serving at scale".
 package main
 
 import (
@@ -41,22 +41,20 @@ func main() {
 	peers := flag.String("peers", "", "comma-separated base URLs of every cluster replica, this one included (empty: unsharded)")
 	self := flag.String("self", "", "this replica's base URL; required with -peers and must appear in the list")
 	timeout := flag.Duration("timeout", 2*time.Minute, "default per-request compile deadline")
-	maxExplore := flag.Int("max-explore", 16, "fabric candidates allowed per /v1/explore request")
 	maxExactCells := flag.Int("max-exact-cells", 128, "DFG cell budget accepted by the exact mapper per request")
 	maxBatch := flag.Int("max-batch", 64, "items allowed per /v1/compile-batch request")
 	flag.Parse()
 
 	cfg := serve.Config{
-		Workers:           *workers,
-		MaxInFlight:       *maxInFlight,
-		MaxQueue:          *maxQueue,
-		CacheBytes:        *cacheMB << 20,
-		StoreDir:          *storeDir,
-		Self:              *self,
-		DefaultTimeout:    *timeout,
-		MaxExploreFabrics: *maxExplore,
-		MaxExactCells:     *maxExactCells,
-		MaxBatchItems:     *maxBatch,
+		Workers:        *workers,
+		MaxInFlight:    *maxInFlight,
+		MaxQueue:       *maxQueue,
+		CacheBytes:     *cacheMB << 20,
+		StoreDir:       *storeDir,
+		Self:           *self,
+		DefaultTimeout: *timeout,
+		MaxExactCells:  *maxExactCells,
+		MaxBatchItems:  *maxBatch,
 	}
 	if *peers != "" {
 		for _, p := range strings.Split(*peers, ",") {

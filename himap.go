@@ -253,8 +253,8 @@ func CostClassNames() string { return arch.CostClassNames() }
 
 // ExploreFabrics returns the deterministic design-space candidate set a
 // rows×cols array spans: the default fabric plus topology, memory,
-// bandwidth, and cost-class variants (the set behind POST /v1/explore
-// and the experiments explore sweep).
+// bandwidth, and cost-class variants (the set behind the experiments
+// explore sweep).
 func ExploreFabrics(rows, cols int) []Fabric { return arch.ExploreFabrics(rows, cols) }
 
 // DefaultFabric returns the paper's evaluation architecture as a fabric:

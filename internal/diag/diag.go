@@ -313,9 +313,9 @@ func (t *textTracer) Emit(s Span) {
 	io.WriteString(t.w, b.String())
 }
 
-// Collector accumulates spans in memory — the JSON tracer backing
-// internal/exp's per-stage cost reports and any test asserting on trace
-// structure.
+// Collector accumulates spans in memory for inspection after the compile —
+// the tracer behind himap.NewTraceCollector and any test asserting on
+// trace structure.
 type Collector struct {
 	mu    sync.Mutex
 	spans []Span
@@ -343,18 +343,4 @@ func (c *Collector) Reset() {
 	c.mu.Lock()
 	c.spans = nil
 	c.mu.Unlock()
-}
-
-// StageWall sums wall time per stage name over everything collected —
-// the per-stage cost breakdown of a compile (speculative attempts
-// included, so the sum can exceed the compile's wall-clock under
-// Workers > 1).
-func (c *Collector) StageWall() map[string]time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]time.Duration)
-	for _, s := range c.spans {
-		out[s.Stage] += s.Wall
-	}
-	return out
 }

@@ -59,6 +59,29 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// sweep measures every kernel × axis point, workers points at a time, and
+// returns the results in kernel-major order — or the first error in that
+// order.
+func sweep[T, P any](workers int, kernels []*kernel.Kernel, axis []T, measure func(*kernel.Kernel, T) (P, error)) ([]P, error) {
+	type cell struct {
+		p   P
+		err error
+	}
+	n := len(axis)
+	cells := par.Map(par.Workers(workers), len(kernels)*n, func(i int) cell {
+		p, err := measure(kernels[i/n], axis[i%n])
+		return cell{p, err}
+	})
+	out := make([]P, len(cells))
+	for i, c := range cells {
+		if c.err != nil {
+			return nil, c.err
+		}
+		out[i] = c.p
+	}
+	return out, nil
+}
+
 // ---------------------------------------------------------------- Table I
 
 // TableI renders the loop-kernel categorization.
@@ -114,32 +137,19 @@ type TableIIRow struct {
 // unique-iteration counts next to the paper's.
 func TableII(size int, cfg Config) ([]TableIIRow, error) {
 	cfg = cfg.withDefaults()
-	type cell struct {
-		row TableIIRow
-		err error
-	}
-	cells := par.Map(par.Workers(cfg.Workers), len(cfg.Kernels), func(i int) cell {
-		k := cfg.Kernels[i]
+	return sweep(cfg.Workers, cfg.Kernels, []int{size}, func(k *kernel.Kernel, size int) (TableIIRow, error) {
 		res, err := himap.CompileRequest(context.TODO(), k, arch.DefaultFabric(size, size), himap.Options{InnerBlock: cfg.InnerBlock, Workers: 1})
 		if err != nil {
-			return cell{err: fmt.Errorf("exp: TableII %s: %v", k.Name, err)}
+			return TableIIRow{}, fmt.Errorf("exp: TableII %s: %v", k.Name, err)
 		}
-		return cell{row: TableIIRow{
+		return TableIIRow{
 			Kernel:    k.Name,
 			Dim:       k.Dim,
 			Desc:      k.Desc,
 			MaxUnique: res.UniqueIters,
 			PaperMax:  PaperUnique[k.Name],
-		}}
+		}, nil
 	})
-	rows := make([]TableIIRow, 0, len(cells))
-	for _, c := range cells {
-		if c.err != nil {
-			return nil, c.err
-		}
-		rows = append(rows, c.row)
-	}
-	return rows, nil
 }
 
 // FormatTableII renders the rows.
@@ -177,27 +187,12 @@ type Fig7Point struct {
 func Fig7(cfg Config) ([]Fig7Point, error) {
 	cfg = cfg.withDefaults()
 	model := power.Default40nm()
-	type job struct {
-		k    *kernel.Kernel
-		size int
-	}
-	var jobs []job
-	for _, k := range cfg.Kernels {
-		for _, size := range cfg.Sizes {
-			jobs = append(jobs, job{k: k, size: size})
-		}
-	}
-	type cell struct {
-		p   Fig7Point
-		err error
-	}
 	var progressMu sync.Mutex
-	cells := par.Map(par.Workers(cfg.Workers), len(jobs), func(i int) cell {
-		k, size := jobs[i].k, jobs[i].size
+	return sweep(cfg.Workers, cfg.Kernels, cfg.Sizes, func(k *kernel.Kernel, size int) (Fig7Point, error) {
 		p := Fig7Point{Kernel: k.Name, Size: size}
 		res, err := himap.CompileRequest(context.TODO(), k, arch.DefaultFabric(size, size), himap.Options{InnerBlock: cfg.InnerBlock, Workers: 1})
 		if err != nil {
-			return cell{err: fmt.Errorf("exp: Fig7 HiMap %s %dx%d: %v", k.Name, size, size, err)}
+			return p, fmt.Errorf("exp: Fig7 HiMap %s %dx%d: %v", k.Name, size, size, err)
 		}
 		p.HiMapU = res.Utilization
 		p.HiMapMOPS = model.PerformanceMOPS(res.Config)
@@ -219,16 +214,8 @@ func Fig7(cfg Config) ([]Fig7Point, error) {
 			cfg.Progress(p)
 			progressMu.Unlock()
 		}
-		return cell{p: p}
+		return p, nil
 	})
-	out := make([]Fig7Point, 0, len(cells))
-	for _, c := range cells {
-		if c.err != nil {
-			return nil, c.err
-		}
-		out = append(out, c.p)
-	}
-	return out, nil
 }
 
 // runBaselineBestEffort drives the conventional mapper the way §VI
@@ -351,6 +338,18 @@ func (c Fig8Config) withDefaults() Fig8Config {
 	return c
 }
 
+// innerBlock is the pure-time block extent of kernel k on a size×size
+// sweep point: size itself, capped by MaxInner3D / MaxInner4D.
+func (c Fig8Config) innerBlock(k *kernel.Kernel, size int) int {
+	switch {
+	case k.Dim == 3:
+		return min(size, c.MaxInner3D)
+	case k.Dim >= 4:
+		return min(size, c.MaxInner4D)
+	}
+	return size
+}
+
 // Fig8 measures compilation time vs block size (b = c) for both mappers.
 // Points run Workers at a time; the returned slice keeps the sequential
 // (kernel-major, block-minor) order.
@@ -373,14 +372,7 @@ func Fig8(cfg Fig8Config) ([]Fig8Point, error) {
 	out := par.Map(par.Workers(cfg.Workers), len(jobs), func(i int) Fig8Point {
 		k, b := jobs[i].k, jobs[i].b
 		p := Fig8Point{Kernel: k.Name, B: b}
-		inner := b
-		if k.Dim == 3 && inner > cfg.MaxInner3D {
-			inner = cfg.MaxInner3D
-		}
-		if k.Dim >= 4 && inner > cfg.MaxInner4D {
-			inner = cfg.MaxInner4D
-		}
-		res, err := himap.CompileRequest(context.TODO(), k, arch.DefaultFabric(b, b), himap.Options{InnerBlock: inner, Workers: 1})
+		res, err := himap.CompileRequest(context.TODO(), k, arch.DefaultFabric(b, b), himap.Options{InnerBlock: cfg.innerBlock(k, b), Workers: 1})
 		if err == nil {
 			p.HiMapOK = true
 			p.HiMapTime = res.Stats.Total
@@ -455,34 +447,12 @@ func Envelope(sizes []int, cfg Fig8Config) ([]EnvelopePoint, error) {
 		sizes = []int{64}
 	}
 	model := power.Default40nm()
-	type job struct {
-		k    *kernel.Kernel
-		size int
-	}
-	var jobs []job
-	for _, k := range kernel.Evaluation() {
-		for _, size := range sizes {
-			jobs = append(jobs, job{k: k, size: size})
-		}
-	}
-	type cell struct {
-		p   EnvelopePoint
-		err error
-	}
-	cells := par.Map(par.Workers(cfg.Workers), len(jobs), func(i int) cell {
-		k, size := jobs[i].k, jobs[i].size
-		inner := size
-		if k.Dim == 3 && inner > cfg.MaxInner3D {
-			inner = cfg.MaxInner3D
-		}
-		if k.Dim >= 4 && inner > cfg.MaxInner4D {
-			inner = cfg.MaxInner4D
-		}
-		res, err := himap.CompileRequest(context.TODO(), k, arch.DefaultFabric(size, size), himap.Options{InnerBlock: inner, Workers: 1})
+	return sweep(cfg.Workers, kernel.Evaluation(), sizes, func(k *kernel.Kernel, size int) (EnvelopePoint, error) {
+		res, err := himap.CompileRequest(context.TODO(), k, arch.DefaultFabric(size, size), himap.Options{InnerBlock: cfg.innerBlock(k, size), Workers: 1})
 		if err != nil {
-			return cell{err: fmt.Errorf("exp: envelope %s %dx%d: %v", k.Name, size, size, err)}
+			return EnvelopePoint{}, fmt.Errorf("exp: envelope %s %dx%d: %v", k.Name, size, size, err)
 		}
-		return cell{p: EnvelopePoint{
+		return EnvelopePoint{
 			Kernel:      k.Name,
 			Size:        size,
 			Utilization: res.Utilization,
@@ -490,16 +460,8 @@ func Envelope(sizes []int, cfg Fig8Config) ([]EnvelopePoint, error) {
 			IIB:         res.IIB,
 			MOPS:        model.PerformanceMOPS(res.Config),
 			CompileTime: res.Stats.Total,
-		}}
+		}, nil
 	})
-	out := make([]EnvelopePoint, 0, len(cells))
-	for _, c := range cells {
-		if c.err != nil {
-			return nil, c.err
-		}
-		out = append(out, c.p)
-	}
-	return out, nil
 }
 
 // FormatEnvelope renders the large-array run.

@@ -148,9 +148,9 @@ func TestEnvelopeSmall(t *testing.T) {
 
 // TestExploreDeterministicAndTyped pins the sweep contract: two runs of
 // the same exploration (at different worker counts, so completion order
-// differs) produce identical points in identical order — wall time
-// aside — every point is either a priced success or carries a typed
-// failure class, and the per-kernel ranking is ordered as documented.
+// differs) produce identical points in identical order, every point is
+// either a priced success or carries a typed failure class, and the
+// per-kernel ranking is ordered as documented.
 func TestExploreDeterministicAndTyped(t *testing.T) {
 	cfg := ExploreConfig{
 		Kernels: []*kernel.Kernel{kernel.MVT(), kernel.ATAX()},
@@ -163,7 +163,6 @@ func TestExploreDeterministicAndTyped(t *testing.T) {
 	}
 	for i := range a {
 		x, y := a[i], b[i]
-		x.WallMS, y.WallMS = 0, 0
 		if x != y {
 			t.Errorf("point %d differs across runs:\n%+v\n%+v", i, x, y)
 		}

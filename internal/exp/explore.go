@@ -6,13 +6,11 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"himap/internal/arch"
 	"himap/internal/diag"
 	"himap/internal/himap"
 	"himap/internal/kernel"
-	"himap/internal/par"
 	"himap/internal/power"
 )
 
@@ -21,18 +19,17 @@ import (
 // model. Failed candidates stay in the list with their typed failure
 // class, so a sweep doubles as a feasibility map of the design space.
 type ExplorePoint struct {
-	Kernel string `json:"kernel"`
-	Fabric string `json:"fabric"`
-	OK     bool   `json:"ok"`
+	Kernel string
+	Fabric string
+	OK     bool
 	// Fail is the diag failure class of a failed compile ("" when OK) —
 	// e.g. "link-bandwidth demand infeasible on fabric".
-	Fail        string  `json:"fail,omitempty"`
-	IIB         int     `json:"ii_b,omitempty"`
-	Utilization float64 `json:"utilization,omitempty"`
-	MOPS        float64 `json:"mops,omitempty"`
-	PowerMW     float64 `json:"power_mw,omitempty"`
-	Eff         float64 `json:"eff_mops_per_mw,omitempty"`
-	WallMS      float64 `json:"wall_ms"`
+	Fail        string
+	IIB         int
+	Utilization float64
+	MOPS        float64
+	PowerMW     float64
+	Eff         float64
 }
 
 // ExploreConfig tunes the sweep.
@@ -61,63 +58,42 @@ func (c ExploreConfig) withDefaults() ExploreConfig {
 // fabric name; failed points follow, by fabric name.
 func Explore(cfg ExploreConfig) []ExplorePoint {
 	cfg = cfg.withDefaults()
-	type job struct {
-		k   *kernel.Kernel
-		ki  int
-		fab arch.Fabric
-	}
-	var jobs []job
-	for ki, k := range cfg.Kernels {
-		for _, fab := range cfg.Fabrics {
-			jobs = append(jobs, job{k: k, ki: ki, fab: fab})
-		}
-	}
-	type cell struct {
-		p  ExplorePoint
-		ki int
-	}
-	cells := par.Map(par.Workers(cfg.Workers), len(jobs), func(i int) cell {
-		j := jobs[i]
-		p := ExplorePoint{Kernel: j.k.Name, Fabric: j.fab.String()}
-		start := time.Now()
-		res, err := himap.CompileRequest(context.TODO(), j.k, j.fab, himap.Options{Workers: 1})
-		p.WallMS = float64(time.Since(start).Microseconds()) / 1000
+	// A failed compile is a point, not an error: the sweep cannot fail.
+	points, _ := sweep(cfg.Workers, cfg.Kernels, cfg.Fabrics, func(k *kernel.Kernel, fab arch.Fabric) (ExplorePoint, error) {
+		p := ExplorePoint{Kernel: k.Name, Fabric: fab.String()}
+		res, err := himap.CompileRequest(context.TODO(), k, fab, himap.Options{Workers: 1})
 		if err != nil {
 			p.Fail = failClass(err)
-			return cell{p: p, ki: j.ki}
+			return p, nil
 		}
-		model := power.ModelFor(j.fab)
+		model := power.ModelFor(fab)
 		p.OK = true
 		p.IIB = res.IIB
 		p.Utilization = res.Utilization
 		p.MOPS = model.PerformanceMOPS(res.Config)
 		p.PowerMW = model.PowerMW(res.Config)
 		p.Eff = model.EfficiencyMOPSPerMW(res.Config)
-		return cell{p: p, ki: j.ki}
+		return p, nil
 	})
-	sort.SliceStable(cells, func(a, b int) bool {
-		x, y := cells[a], cells[b]
-		if x.ki != y.ki {
-			return x.ki < y.ki
-		}
-		if x.p.OK != y.p.OK {
-			return x.p.OK
-		}
-		if x.p.OK {
-			if x.p.Eff != y.p.Eff {
-				return x.p.Eff > y.p.Eff
+	for lo, n := 0, len(cfg.Fabrics); lo < len(points); lo += n {
+		ranked := points[lo : lo+n]
+		sort.SliceStable(ranked, func(a, b int) bool {
+			x, y := ranked[a], ranked[b]
+			if x.OK != y.OK {
+				return x.OK
 			}
-			if x.p.IIB != y.p.IIB {
-				return x.p.IIB < y.p.IIB
+			if x.OK {
+				if x.Eff != y.Eff {
+					return x.Eff > y.Eff
+				}
+				if x.IIB != y.IIB {
+					return x.IIB < y.IIB
+				}
 			}
-		}
-		return x.p.Fabric < y.p.Fabric
-	})
-	out := make([]ExplorePoint, len(cells))
-	for i, c := range cells {
-		out[i] = c.p
+			return x.Fabric < y.Fabric
+		})
 	}
-	return out
+	return points
 }
 
 // failClass names the taxonomy class of a compile failure — the

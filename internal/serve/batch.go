@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -44,43 +43,44 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(breq.Options.TimeoutMS))
 	defer cancel()
 
+	// Each item goes into the envelope as its standalone answer, unscanned:
+	// the success body or the error body's "error" member, minus newline.
 	memo := himap.NewMemo()
-	resp := BatchResponse{SchemaVersion: SchemaVersion, Items: make([]BatchItemResult, len(breq.Items))}
+	out := fmt.Appendf(nil, `{"schema_version":%d,"items":[`, SchemaVersion)
+	errHead := fmt.Appendf(nil, `{"schema_version":%d,"error":`, SchemaVersion)
 	var hits, misses int
 	for i := range breq.Items {
 		item := &breq.Items[i]
 		s.metrics.batchItems.Add(1)
-		hreq, err := BuildRequest(item, s.cfg)
-		if err != nil {
+		var status int
+		var body []byte
+		if hreq, err := BuildRequest(item, s.cfg); err != nil {
 			s.metrics.badRequests.Add(1)
-			status, eb := classify(err)
-			resp.Items[i] = BatchItemResult{Status: status, Error: &eb}
-			continue
-		}
-		hreq.Options.Memo = memo
-		status, body, cacheStatus := s.respond(ctx, item, hreq, CacheKey(item))
-		if cacheStatus == "hit" || cacheStatus == "store" {
-			hits++
+			status, body = renderError(err)
 		} else {
-			misses++
-		}
-		if status == http.StatusOK {
-			resp.Items[i] = BatchItemResult{OK: true, Status: status, Result: json.RawMessage(bytes.TrimRight(body, "\n"))}
-		} else {
-			var ebody ErrorResponse
-			if err := json.Unmarshal(body, &ebody); err != nil {
-				ebody.Error = ErrorBody{Code: "internal", Message: "batch item error body undecodable"}
+			hreq.Options.Memo = memo
+			var cacheStatus string
+			status, body, cacheStatus = s.respond(ctx, item, hreq, CacheKey(item))
+			if cacheStatus == "hit" || cacheStatus == "store" {
+				hits++
+			} else {
+				misses++
 			}
-			resp.Items[i] = BatchItemResult{Status: status, Error: &ebody.Error}
+		}
+		if i > 0 {
+			out = append(out, ',')
+		}
+		body = bytes.TrimSuffix(body, []byte("\n"))
+		if status == http.StatusOK {
+			out = fmt.Appendf(out, `{"ok":true,"status":%d,"result":%s}`, status, body)
+		} else {
+			body = bytes.TrimSuffix(bytes.TrimPrefix(body, errHead), []byte("}"))
+			out = fmt.Appendf(out, `{"ok":false,"status":%d,"error":%s}`, status, body)
 		}
 	}
-	out, err := json.Marshal(resp)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+	out = append(out, "]}\n"...)
 	// Aggregate cache accounting travels in a header, never the body —
 	// same discipline as X-Himap-Cache on single compiles.
 	w.Header().Set("X-Himap-Batch-Cache", fmt.Sprintf("hits=%d misses=%d", hits, misses))
-	writeBody(w, http.StatusOK, append(out, '\n'), "")
+	writeBody(w, http.StatusOK, out, "")
 }

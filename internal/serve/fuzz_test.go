@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzDecodeRequest feeds untrusted bytes to the strict decoder behind
-// all three request types. It must never panic, every refusal must be
+// both request types. It must never panic, every refusal must be
 // the typed ErrBadRequest, and a compile request it accepts must
 // survive BuildRequest (typed refusals only) and CacheKey. The seed
 // corpus — the golden requests, an inline kernel specification and the
@@ -23,9 +23,6 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := DecodeBatchRequest(bytes.NewReader(data)); err != nil && !errors.Is(err, ErrBadRequest) {
 			t.Fatalf("batch decode failure is not ErrBadRequest: %v", err)
-		}
-		if _, err := DecodeExploreRequest(bytes.NewReader(data)); err != nil && !errors.Is(err, ErrBadRequest) {
-			t.Fatalf("explore decode failure is not ErrBadRequest: %v", err)
 		}
 		wire, err := DecodeRequest(bytes.NewReader(data))
 		if err != nil {

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 
@@ -50,11 +49,7 @@ var goldenCases = []struct {
 	{"error_504_deadline.json", "/v1/compile", `{"kernel":"GEMM","fabric":{"rows":4,"cols":4},"options":{"timeout_ms":30}}`, stubDeadline, 504},
 	{"batch.json", "/v1/compile-batch", `{"items":[{"kernel":"MVT","fabric":{"rows":4,"cols":4},"options":{}},{"kernel":"NOPE","fabric":{"rows":4,"cols":4},"options":{}}],"options":{}}`, nil, 200},
 	{"stream_result.sse", "/v1/compile", `{"kernel":"MVT","fabric":{"rows":4,"cols":4},"options":{}}`, nil, 200},
-	{"explore.json", "/v1/explore", `{"kernel":"MVT","fabrics":[{"rows":4,"cols":4},{"rows":4,"cols":4,"topology":"torus"},{"rows":4,"cols":4,"mem_pes":"none"}],"options":{}}`, nil, 200},
 }
-
-// stageMS matches the one wall-clock field of an explore entry.
-var stageMS = regexp.MustCompile(`,"stage_ms":\{[^}]*\}`)
 
 func TestGoldenWireBytes(t *testing.T) {
 	for _, tc := range goldenCases {
@@ -83,12 +78,9 @@ func TestGoldenWireBytes(t *testing.T) {
 			t.Errorf("%s: status %d, want %d: %s", tc.name, resp.StatusCode, tc.status, got)
 			continue
 		}
-		switch tc.name {
-		case "stream_result.sse":
+		if tc.name == "stream_result.sse" {
 			// Stage events carry wall clock; the terminal frame is the contract.
 			got = got[bytes.LastIndex(got, []byte("event: ")):]
-		case "explore.json":
-			got = stageMS.ReplaceAll(got, nil)
 		}
 		compareGolden(t, tc.name, got)
 	}

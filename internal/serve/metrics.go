@@ -49,8 +49,7 @@ func (h *stageHist) observe(wall time.Duration, failed bool) {
 type Metrics struct {
 	start time.Time
 
-	requests    atomic.Int64 // POST /v1/compile + /v1/explore bodies accepted for dispatch
-	explores    atomic.Int64 // POST /v1/explore requests
+	requests    atomic.Int64 // POST /v1/compile + /v1/compile-batch bodies accepted for dispatch
 	compiles    atomic.Int64 // compiles actually executed (post-coalescing)
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
@@ -117,7 +116,6 @@ type Snapshot struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 
 	Requests    int64 `json:"requests"`
-	Explores    int64 `json:"explores"`
 	Compiles    int64 `json:"compiles"`
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
@@ -154,7 +152,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		SchemaVersion: SchemaVersion,
 		UptimeSeconds: time.Since(m.start).Seconds(),
 		Requests:      m.requests.Load(),
-		Explores:      m.explores.Load(),
 		Compiles:      m.compiles.Load(),
 		CacheHits:     m.cacheHits.Load(),
 		CacheMisses:   m.cacheMisses.Load(),
@@ -199,7 +196,6 @@ func (s Snapshot) WriteText(w io.Writer) {
 	lines := []string{
 		fmt.Sprintf("himapd_uptime_seconds %.3f", s.UptimeSeconds),
 		fmt.Sprintf("himapd_requests_total %d", s.Requests),
-		fmt.Sprintf("himapd_explores_total %d", s.Explores),
 		fmt.Sprintf("himapd_compiles_total %d", s.Compiles),
 		fmt.Sprintf("himapd_cache_hits_total %d", s.CacheHits),
 		fmt.Sprintf("himapd_cache_misses_total %d", s.CacheMisses),

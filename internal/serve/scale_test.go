@@ -20,8 +20,8 @@ import (
 
 // TestSchemaVersionWindow: the server speaks exactly SchemaVersion. An
 // omitted schema_version or a pin of that value is served; every other
-// pin — the retired version 1 included — answers the typed 400, on all
-// three decoding endpoints.
+// pin — the retired version 1 included — answers the typed 400, on both
+// decoding endpoints.
 func TestSchemaVersionWindow(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []struct {
@@ -60,7 +60,6 @@ func TestSchemaVersionWindow(t *testing.T) {
 	for path, body := range map[string]string{
 		"/v1/compile":       `{"schema_version":1,"kernel":"MVT","fabric":{"rows":4,"cols":4},"options":{}}`,
 		"/v1/compile-batch": `{"schema_version":1,"items":[{"kernel":"MVT","fabric":{"rows":4,"cols":4},"options":{}}],"options":{}}`,
-		"/v1/explore":       `{"schema_version":1,"kernel":"MVT","rows":4,"cols":4,"options":{}}`,
 	} {
 		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
@@ -473,9 +472,11 @@ func TestBatchCompile(t *testing.T) {
 		t.Error("duplicate items returned different bytes")
 	}
 
-	// Item results are the standalone body minus the trailing newline
-	// (decode both: json.Marshal re-compacts RawMessage, so raw bytes of
-	// the envelope may differ from the standalone rendering).
+	// The envelope is what encoding/json renders for it, and item results
+	// are the standalone body byte for byte, minus the trailing newline.
+	if want, err := json.Marshal(br); err != nil || !bytes.Equal(body, append(want, '\n')) {
+		t.Errorf("batch envelope differs from its encoding/json rendering (err %v)", err)
+	}
 	httpResp, standalone := postCompile(t, ts.URL, kernelRequest("MVT", 4, 4))
 	if httpResp.StatusCode != http.StatusOK {
 		t.Fatal("standalone compile failed")
@@ -483,14 +484,7 @@ func TestBatchCompile(t *testing.T) {
 	if got := httpResp.Header.Get("X-Himap-Cache"); got != "hit" {
 		t.Errorf("standalone after batch: cache header %q, want hit (batch populated the cache)", got)
 	}
-	var fromBatch, fromHTTP CompileResponse
-	if err := json.Unmarshal(br.Items[0].Result, &fromBatch); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(standalone, &fromHTTP); err != nil {
-		t.Fatal(err)
-	}
-	if fromBatch.II != fromHTTP.II || !bytes.Equal(fromBatch.Bitstream, fromHTTP.Bitstream) {
+	if !bytes.Equal(br.Items[0].Result, bytes.TrimSuffix(standalone, []byte("\n"))) {
 		t.Error("batch item result differs from the standalone response")
 	}
 

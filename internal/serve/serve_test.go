@@ -293,18 +293,20 @@ var strictDecodeCases = []rejectCase{
 	{"unknown field", `{"kernel":"GEMM","fabric":{"rows":4,"cols":4},"optionz":{}}`, 400, "bad_request"},
 	{"trailing data", kernelRequest("GEMM", 4, 4) + `{"again":true}`, 400, "bad_request"},
 	{"no kernel", `{"fabric":{"rows":4,"cols":4},"options":{}}`, 400, "bad_request"},
+	{"kernel and spec", `{"kernel":"MVT","spec":{"name":"x","dim":1,"tensors":[],"body":[]},"fabric":{"rows":4,"cols":4}}`, 400, "bad_request"},
 	{"unknown kernel", kernelRequest("NOPE", 4, 4), 404, "unknown_kernel"},
 	{"fabric too small", kernelRequest("GEMM", 1, 4), 400, "bad_request"},
 	{"fabric too large", kernelRequest("GEMM", 4, 4096), 400, "bad_request"},
+	{"bad fabric enumeration", `{"kernel":"GEMM","fabric":{"rows":4,"cols":4,"bandwidth":"quad"}}`, 400, "bad_request"},
 	{"bad mapper", `{"kernel":"GEMM","fabric":{"rows":4,"cols":4},"options":{"mapper":"magic"}}`, 400, "bad_request"},
 	{"block on himap", `{"kernel":"GEMM","fabric":{"rows":4,"cols":4},"options":{"block":[4,4,4]}}`, 400, "bad_request"},
 	{"future schema", `{"schema_version":3,"kernel":"GEMM","fabric":{"rows":4,"cols":4}}`, 400, "bad_request"},
 }
 
 // TestStrictDecodeAndValidation: malformed requests get typed 4xx
-// bodies, never a compile.
+// bodies, never a compile, and so does a path the server does not route.
 func TestStrictDecodeAndValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	// Leading whitespace is legal JSON, so only the size bound can refuse
 	// this otherwise valid request.
 	cases := append(slices.Clip(strictDecodeCases), rejectCase{"oversized body",
@@ -323,6 +325,17 @@ func TestStrictDecodeAndValidation(t *testing.T) {
 		if er.SchemaVersion != SchemaVersion || er.Error.Code != tc.code {
 			t.Errorf("%s: body %+v, want schema %d code %s", tc.name, er, SchemaVersion, tc.code)
 		}
+	}
+
+	// The design-space sweep is cmd/experiments -explore; the server has no
+	// route for it.
+	resp, err := http.Post(ts.URL+"/v1/explore", "application/json", strings.NewReader(`{"kernel":"MVT","rows":4,"cols":4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound || s.Metrics().Snapshot().Compiles != 0 {
+		t.Errorf("retired sweep route answered %d after %d compiles, want 404 and none", resp.StatusCode, s.Metrics().Snapshot().Compiles)
 	}
 }
 

@@ -61,9 +61,6 @@ type Config struct {
 	MaxArraySide int
 	// MaxBlock bounds each requested block extent. Default 64.
 	MaxBlock int
-	// MaxExploreFabrics bounds the candidate count of one /v1/explore
-	// request. Default 16.
-	MaxExploreFabrics int
 	// MaxExactCells bounds the unrolled DFG node count the exact mapper
 	// accepts over the wire (branch-and-bound is exponential; this guard
 	// keeps one request from monopolizing a worker slot). Default 128.
@@ -97,9 +94,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBlock <= 0 {
 		c.MaxBlock = 64
-	}
-	if c.MaxExploreFabrics <= 0 {
-		c.MaxExploreFabrics = 16
 	}
 	if c.MaxExactCells <= 0 {
 		c.MaxExactCells = 128
@@ -197,7 +191,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/compile", s.handleCompile)
 	mux.HandleFunc("POST /v1/compile-batch", s.handleBatch)
-	mux.HandleFunc("POST /v1/explore", s.handleExplore)
 	mux.HandleFunc("GET /v1/kernels", s.handleKernels)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -293,9 +286,41 @@ func BuildRequest(w *CompileRequestWire, cfg Config) (himap.Request, error) {
 	return req, nil
 }
 
-// timeout resolves a request's timeout_ms (a compile's, a batch's or an
-// explore sweep's) into its deadline: the default when omitted, clamped
-// to MaxTimeout.
+// BuildFabric converts a wire fabric specification into the fabric the
+// server compiles, applying the array-size bound and strict enumeration
+// parsing.
+func BuildFabric(f FabricSpec, cfg Config) (himap.Fabric, error) {
+	cfg = cfg.withDefaults()
+	var fab himap.Fabric
+	if f.Rows < 2 || f.Cols < 2 || f.Rows > cfg.MaxArraySide || f.Cols > cfg.MaxArraySide {
+		return fab, fmt.Errorf("%w: fabric %dx%d outside [2,%d]", ErrBadRequest, f.Rows, f.Cols, cfg.MaxArraySide)
+	}
+	topo, err := himap.ParseTopology(f.Topology)
+	if err != nil {
+		return fab, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	mem, err := himap.ParseMemPolicy(f.MemPEs)
+	if err != nil {
+		return fab, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	bw, err := himap.ParseBandwidth(f.Bandwidth)
+	if err != nil {
+		return fab, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	cost, err := himap.ParseCostClass(f.CostClass)
+	if err != nil {
+		return fab, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	fab = himap.DefaultFabric(f.Rows, f.Cols)
+	fab.Topology = topo
+	fab.Mem = mem
+	fab.Bandwidth = bw
+	fab.Cost = cost
+	return fab, nil
+}
+
+// timeout resolves a request's timeout_ms (a compile's or a batch's) into
+// its deadline: the default when omitted, clamped to MaxTimeout.
 func (s *Server) timeout(timeoutMS int) time.Duration {
 	d := s.cfg.DefaultTimeout
 	if timeoutMS > 0 {
@@ -442,7 +467,7 @@ func (s *Server) respond(ctx context.Context, wire *CompileRequestWire, hreq him
 	s.flightMu.Unlock()
 	s.metrics.cacheMisses.Add(1)
 
-	c.status, c.body = s.executeBody(ctx, hreq, nil, nil)
+	c.status, c.body = s.execute(ctx, hreq, nil, nil)
 	if c.status == http.StatusOK {
 		s.cachePut(key, c.body)
 	}
@@ -453,20 +478,21 @@ func (s *Server) respond(ctx context.Context, wire *CompileRequestWire, hreq him
 	return c.status, c.body, "miss"
 }
 
-// execute is the one path every compile takes — plain, batch item, SSE
-// stream and explore candidate alike: reserve a slot, wire the server's
-// Workers setting and the metrics tracer (plus the adapter's own span
-// sink, if any) into the request, and run it. admitted, when non-nil,
-// is called once the slot is held and before the compile starts, so an
+// execute is the one path every compile takes — plain, batch item and
+// SSE stream alike: reserve a slot, wire the server's Workers setting and
+// the metrics tracer (plus the adapter's own span sink, if any) into the
+// request, run it, and answer in /v1/compile bytes: the success body or
+// the typed error body, with its status. admitted, when non-nil, is
+// called once the slot is held and before the compile starts, so an
 // adapter can tell a pre-admission rejection from a compile failure.
-// The caller bounds ctx; encoding, caching and pricing stay with it.
-func (s *Server) execute(ctx context.Context, hreq himap.Request, tracer diag.Tracer, admitted func()) (*himap.Result, error) {
+// The caller bounds ctx; caching stays with it.
+func (s *Server) execute(ctx context.Context, hreq himap.Request, tracer diag.Tracer, admitted func()) (int, []byte) {
 	release, err := s.admit(ctx)
 	if err != nil {
 		if errors.Is(err, ErrOverloaded) {
 			s.metrics.rejected.Add(1)
 		}
-		return nil, err
+		return renderError(err)
 	}
 	defer release()
 	if admitted != nil {
@@ -481,25 +507,14 @@ func (s *Server) execute(ctx context.Context, hreq himap.Request, tracer diag.Tr
 
 	s.metrics.compiles.Add(1)
 	res, err := s.compile(ctx, hreq)
-	if err != nil {
-		s.metrics.failures.Add(1)
+	if err == nil {
+		var body []byte
+		if body, err = EncodeResponse(res); err == nil {
+			return http.StatusOK, body
+		}
 	}
-	return res, err
-}
-
-// executeBody is execute for the adapters that answer in /v1/compile
-// bytes: the success body or the typed error body, with its status.
-func (s *Server) executeBody(ctx context.Context, hreq himap.Request, tracer diag.Tracer, admitted func()) (int, []byte) {
-	res, err := s.execute(ctx, hreq, tracer, admitted)
-	if err != nil {
-		return renderError(err)
-	}
-	body, err := EncodeResponse(res)
-	if err != nil {
-		s.metrics.failures.Add(1)
-		return renderError(err)
-	}
-	return http.StatusOK, body
+	s.metrics.failures.Add(1)
+	return renderError(err)
 }
 
 // EncodeResponse renders a compile result into the canonical response

@@ -90,7 +90,7 @@ func (s *Server) streamCompile(w http.ResponseWriter, r *http.Request, wire *Com
 	// The stream opens only once a compile slot is held: an admission
 	// rejection has streamed nothing yet and answers as a plain HTTP
 	// error, so clients and proxies see the real status code.
-	status, body := s.executeBody(ctx, hreq, streamTracer, func() { start("miss") })
+	status, body := s.execute(ctx, hreq, streamTracer, func() { start("miss") })
 	switch {
 	case !started:
 		writeBody(w, status, body, "")

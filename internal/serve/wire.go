@@ -246,57 +246,6 @@ type StoreWire struct {
 	Map    []AffineRow `json:"map"`
 }
 
-// ExploreRequestWire is the POST /v1/explore request body: one kernel
-// (name or inline spec, exactly as /v1/compile) swept across a set of
-// fabric candidates and ranked by power efficiency. When Fabrics is
-// empty the server sweeps the default candidate set of a Rows×Cols
-// array (himap.ExploreFabrics); an explicit list overrides it and then
-// Rows/Cols must be omitted.
-type ExploreRequestWire struct {
-	SchemaVersion int                `json:"schema_version,omitempty"`
-	Kernel        string             `json:"kernel,omitempty"`
-	Spec          *KernelSpec        `json:"spec,omitempty"`
-	Rows          int                `json:"rows,omitempty"`
-	Cols          int                `json:"cols,omitempty"`
-	Fabrics       []FabricSpec       `json:"fabrics,omitempty"`
-	Options       ExploreOptionsSpec `json:"options"`
-}
-
-// ExploreOptionsSpec tunes the sweep. TimeoutMS bounds the whole
-// request (all candidate compiles together), not each candidate.
-type ExploreOptionsSpec struct {
-	InnerBlock int `json:"inner_block,omitempty"`
-	TimeoutMS  int `json:"timeout_ms,omitempty"`
-}
-
-// ExploreResponse is the POST /v1/explore success body: every fabric
-// candidate with its outcome, ranked by MOPS/mW (successes first, then
-// typed failures; full order documented on the handler). The ranking is
-// deterministic across identical requests — only StageMS (wall clock)
-// may differ between cold entries.
-type ExploreResponse struct {
-	SchemaVersion int            `json:"schema_version"`
-	Kernel        string         `json:"kernel"`
-	Entries       []ExploreEntry `json:"entries"`
-}
-
-// ExploreEntry is one fabric candidate's outcome. Failed candidates
-// carry the compile's wire error body (code/class) instead of metrics,
-// so an infeasible bandwidth point reads exactly like the /v1/compile
-// rejection it would have been.
-type ExploreEntry struct {
-	Fabric      string             `json:"fabric"`
-	OK          bool               `json:"ok"`
-	Error       *ErrorBody         `json:"error,omitempty"`
-	II          int                `json:"ii,omitempty"`
-	Block       []int              `json:"block,omitempty"`
-	Utilization float64            `json:"utilization,omitempty"`
-	MOPS        float64            `json:"mops,omitempty"`
-	PowerMW     float64            `json:"power_mw,omitempty"`
-	Eff         float64            `json:"eff_mops_per_mw,omitempty"`
-	StageMS     map[string]float64 `json:"stage_ms,omitempty"`
-}
-
 // CompileResponse is the POST /v1/compile success body. Config is the
 // canonical configuration JSON (himap.SaveConfig bytes) and Bitstream
 // the canonical binary configuration-memory image (BitstreamBytes),
@@ -373,7 +322,9 @@ type BatchOptionsSpec struct {
 // itself answers 200 whenever the envelope was valid; per-item outcomes
 // (success or typed error) live in Items, index-aligned with the
 // request. Aggregate cache accounting travels in the
-// X-Himap-Batch-Cache response header, never in the body.
+// X-Himap-Batch-Cache response header, never in the body. The server
+// appends these bytes by hand (what json.Marshal of this type renders,
+// pinned by the batch golden); clients decode with it.
 type BatchResponse struct {
 	SchemaVersion int               `json:"schema_version"`
 	Items         []BatchItemResult `json:"items"`
@@ -458,12 +409,6 @@ func decodeStrict[T any](r io.Reader, version func(*T) int) (*T, error) {
 // DecodeRequest strictly decodes a compile request (see decodeStrict).
 func DecodeRequest(r io.Reader) (*CompileRequestWire, error) {
 	return decodeStrict(r, func(q *CompileRequestWire) int { return q.SchemaVersion })
-}
-
-// DecodeExploreRequest strictly decodes an explore request, with the
-// same size, unknown-field and schema-version policy as DecodeRequest.
-func DecodeExploreRequest(r io.Reader) (*ExploreRequestWire, error) {
-	return decodeStrict(r, func(q *ExploreRequestWire) int { return q.SchemaVersion })
 }
 
 // DecodeBatchRequest strictly decodes a batch request. Items must not

@@ -26,6 +26,10 @@ go test -race -count=3 -run 'TestWorkersDeterminism$|TestSpeculationWindowSpans|
 go test -run '^$' -fuzz FuzzConfigAppendJSON -fuzztime 10s ./internal/arch
 # The flat_backends profile command, once per backend, so it cannot rot.
 go test -run '^$' -bench FlatBackends -benchtime 1x .
+# Tables I and II are deterministic: the committed results file is what the code prints now.
+go run ./cmd/experiments -table1 -table2 | diff - results/tables.txt
+# The design-space sweep is deterministic at every -workers (~1.5 s): its committed ranking is what the code prints now.
+go run ./cmd/experiments -explore -explore-size 8 | diff - results/explore8.txt
 # bench/ is its own module (replace himap => ../): nothing above compiles it.
 (cd bench && go vet ./... && go test ./...)
 # The harness end to end: exits 1 unless its correctness gate holds and no compile failed.
