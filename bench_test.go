@@ -389,15 +389,19 @@ func BenchmarkCongestedCompile(b *testing.B) {
 	}
 }
 
-// The allocation budget of one congestedCompileIter: the measured 304,065
-// allocations and 38.0 MB plus 10 % and 25 % (the race detector adds 3 %
-// and 3 %). Each compile routes its attempts on one wave-slot session
-// that every attempt re-targets; a session per attempt made 341,515
-// allocations of 82.7 MB, most of it zeroed occupancy and history and
-// search scratch regrown from empty, and fails both.
+// The allocation budget of one congestedCompileIter: the measured 91,591
+// allocations and 17.0 MB plus 25 % (the race detector adds 21 % and
+// 13 %, most of it fmt's pooled printers, which a race build drops).
+// Each compile routes its attempts on one wave-slot session that every
+// attempt re-targets, and a negotiation round re-routes in the storage of
+// the round before it — paths from the session's arena, plans, nets and
+// sink lists reused, only forced bandwidth demands collected. Rounds that
+// allocated their paths, plans and demands afresh made 304,065
+// allocations of 38.0 MB; a session per attempt on top of that, 341,515
+// of 82.7 MB. Both fail both ceilings.
 const (
-	congestedCompileMallocCeiling = 334_500
-	congestedCompileByteCeiling   = 47_500_000
+	congestedCompileMallocCeiling = 114_500
+	congestedCompileByteCeiling   = 21_200_000
 )
 
 // TestCongestedAllocBudget holds the congested pair under both ceilings.
@@ -481,17 +485,19 @@ func BenchmarkFlatBackends(b *testing.B) {
 }
 
 // The allocation budget of one cold exact compile of GEMM at 4x4, block
-// 2: the measured 52,794 allocations and 4.8 MB plus 25 %. Most of it is
+// 2: the measured 25,225 allocations and 1.70 MB plus 25 %. Most of it is
 // the detailed router's — up to eight negotiation rounds per complete
 // placement it is shown, on the one session the compile re-targets per
-// II — so the number moves with how many leaves reach the router: 65 of
-// GEMM's 154 losing leaves do, the leaf screen refutes the other 89. An
-// MRRG and a session per leaf made 193,189 allocations of 25.6 MB (one
-// session per leaf on a per-II MRRG, 101,309 and 21.6 MB), and without
-// the screen the compile made 450,622 of 58.2 MB.
+// II, its paths carved from the session's arena — so the number moves
+// with how many leaves reach the router: 65 of GEMM's 154 losing leaves
+// do, the leaf screen refutes the other 89. A Path allocated per routed
+// sink made 52,794 allocations of 4.8 MB; an MRRG and a session per leaf
+// on top of that, 193,189 of 25.6 MB (one session per leaf on a per-II
+// MRRG, 101,309 and 21.6 MB), and without the screen the compile made
+// 450,622 of 58.2 MB.
 const (
-	flatExactMallocCeiling = 66_000
-	flatExactByteCeiling   = 6_050_000
+	flatExactMallocCeiling = 31_600
+	flatExactByteCeiling   = 2_130_000
 )
 
 // TestFlatExactAllocBudget holds that compile under both ceilings.

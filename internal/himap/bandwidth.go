@@ -1,8 +1,9 @@
 package himap
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"himap/internal/arch"
 	"himap/internal/diag"
@@ -45,9 +46,9 @@ import (
 // under-counts demand, so a reported infeasibility is a proof, not a
 // heuristic.
 
-// bwEdge is one placed producer→consumer dependence the demand counter
-// inspects; net groups the edges of one producer instance (its drives
-// in one direction are shared).
+// bwEdge is one placed producer→consumer dependence of a crafted
+// schedule (checkEdgeBandwidth); net groups the edges of one producer
+// instance (its drives in one direction are shared).
 type bwEdge struct {
 	net      int32
 	src, dst mrrg.Node
@@ -61,15 +62,15 @@ type bwDemand struct {
 	mask uint16
 }
 
-// checkBandwidth runs the pre-check over the full placed DFG. Unit-
-// bandwidth fabrics skip it entirely, so legacy failure classes are
-// byte-identical to the pre-seam pipeline.
+// checkBandwidth runs the pre-check over the full placed DFG, appending
+// the forced departure of every placed producer→compute dependence as
+// it walks the graph. Unit-bandwidth fabrics skip it entirely.
 func (l *layout) checkBandwidth() error {
 	if l.cg.Bandwidth == arch.BWUnit {
 		return nil
 	}
 	d := l.g.DFG
-	var edges []bwEdge
+	var dem []bwDemand
 	for _, n := range d.Nodes {
 		if !n.Kind.IsCompute() && n.Kind != ir.OpLoad {
 			continue
@@ -83,53 +84,60 @@ func (l *layout) checkBandwidth() error {
 			if !to.Kind.IsCompute() {
 				continue
 			}
-			dst, ok := l.nodeAbs(to.ID)
-			if !ok {
-				continue
+			if dst, ok := l.nodeAbs(to.ID); ok {
+				if dm, ok := forcedDemand(l.cg, l.iib, int32(n.ID), src, dst); ok {
+					dem = append(dem, dm)
+				}
 			}
-			edges = append(edges, bwEdge{net: int32(n.ID), src: src, dst: dst})
 		}
 	}
-	return checkEdgeBandwidth(l.cg, l.iib, edges)
+	return checkDemands(l.cg, l.iib, dem)
 }
 
-// checkEdgeBandwidth is the fabric-level core of the pre-check,
-// factored out of the layout so crafted schedules can exercise it
-// directly in tests.
+// checkEdgeBandwidth is the pre-check over an explicit edge list, so
+// crafted schedules can exercise it directly in tests.
 func checkEdgeBandwidth(f arch.Fabric, ii int, edges []bwEdge) error {
-	nd := f.NumLinkDirs()
 	var dem []bwDemand
 	for _, e := range edges {
-		sr, sc := f.WrapCoord(e.src.R, e.src.C)
-		dr, dc := f.WrapCoord(e.dst.R, e.dst.C)
-		h := f.HopDist(sr, sc, dr, dc)
-		if h < 1 || e.dst.T-e.src.T != h {
-			continue // slack (or a latency failure routing will report)
+		if dm, ok := forcedDemand(f, ii, e.net, e.src, e.dst); ok {
+			dem = append(dem, dm)
 		}
-		var mask uint16
-		for d := 0; d < nd; d++ {
-			nr, nc, ok := f.LinkNeighbor(sr, sc, arch.Dir(d))
-			if ok && f.HopDist(nr, nc, dr, dc) == h-1 {
-				mask |= 1 << uint(d)
-			}
-		}
-		if mask == 0 {
-			continue
-		}
-		dem = append(dem, bwDemand{
-			key:  int64(sr*f.Cols+sc)*int64(ii) + int64(wrapMod(e.src.T, ii)),
-			net:  e.net,
-			mask: mask,
-		})
 	}
-	sort.Slice(dem, func(i, j int) bool {
-		if dem[i].key != dem[j].key {
-			return dem[i].key < dem[j].key
+	return checkDemands(f, ii, dem)
+}
+
+// forcedDemand returns the departure that producer net's value, placed
+// at src and consumed at dst, is forced into, if any: the dependence has
+// no slack (else slack, or a latency failure routing will report) and
+// some direction leads one hop closer.
+func forcedDemand(f arch.Fabric, ii int, net int32, src, dst mrrg.Node) (bwDemand, bool) {
+	sr, sc := f.WrapCoord(src.R, src.C)
+	dr, dc := f.WrapCoord(dst.R, dst.C)
+	h := f.HopDist(sr, sc, dr, dc)
+	if h < 1 || dst.T-src.T != h {
+		return bwDemand{}, false
+	}
+	var mask uint16
+	for d := 0; d < f.NumLinkDirs(); d++ {
+		nr, nc, ok := f.LinkNeighbor(sr, sc, arch.Dir(d))
+		if ok && f.HopDist(nr, nc, dr, dc) == h-1 {
+			mask |= 1 << uint(d)
 		}
-		if dem[i].net != dem[j].net {
-			return dem[i].net < dem[j].net
-		}
-		return dem[i].mask < dem[j].mask
+	}
+	return bwDemand{
+		key:  int64(sr*f.Cols+sc)*int64(ii) + int64(wrapMod(src.T, ii)),
+		net:  net,
+		mask: mask,
+	}, mask != 0
+}
+
+// checkDemands is the fabric-level core of the pre-check: it sums the
+// forced departures per (wrapped PE, wrapped cycle) against the fabric's
+// drives and lanes.
+func checkDemands(f arch.Fabric, ii int, dem []bwDemand) error {
+	nd := f.NumLinkDirs()
+	slices.SortFunc(dem, func(a, b bwDemand) int {
+		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.net, b.net), cmp.Compare(a.mask, b.mask))
 	})
 	lanes := f.LinkCapacity()
 	bus := f.SharedOutBus()

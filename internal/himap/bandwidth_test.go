@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"himap/internal/arch"
 	"himap/internal/diag"
+	"himap/internal/ir"
 	"himap/internal/kernel"
 	"himap/internal/mrrg"
 )
@@ -236,5 +238,72 @@ func TestBandwidthFabricsEndToEnd(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// placedEdges lists, independently of checkBandwidth's walk, every
+// dependence of l's placed DFG the pre-check counts: a placed compute or
+// load producer feeding a placed compute consumer, grouped by producer.
+func placedEdges(l *layout) []bwEdge {
+	d := l.g.DFG
+	var edges []bwEdge
+	for _, e := range d.Edges {
+		from, to := d.Nodes[e.From], d.Nodes[e.To]
+		if (!from.Kind.IsCompute() && from.Kind != ir.OpLoad) || !to.Kind.IsCompute() {
+			continue
+		}
+		src, ok := l.nodeAbs(from.ID)
+		dst, ok2 := l.nodeAbs(to.ID)
+		if ok && ok2 {
+			edges = append(edges, bwEdge{net: int32(from.ID), src: src, dst: dst})
+		}
+	}
+	return edges
+}
+
+// TestCheckBandwidthMatchesEdgeList holds the pre-check the route stage
+// runs — forced demands counted as the DFG is walked — to
+// checkEdgeBandwidth over an edge list built here, on every attempt that
+// reaches the route stage of the eight evaluation kernels on the
+// congested workload's 8x8 narrow-rf and bus fabrics, at the attempt's
+// II, half of it and 1: both nil, or the same typed error with the same
+// text.
+func TestCheckBandwidthMatchesEdgeList(t *testing.T) {
+	route := slices.IndexFunc(attemptStages, func(st Stage) bool { return st.Name == StageRoute })
+	feasible, infeasible := 0, 0
+	for _, bw := range []arch.BandwidthClass{arch.BWNarrowRF, arch.BWBus} {
+		fab := arch.DefaultFabric(8, 8)
+		fab.Bandwidth = bw
+		for _, k := range kernel.Evaluation() {
+			front := newContext(context.Background(), k, fab, Options{Workers: 1, Memo: NewMemo()}.withDefaults())
+			if err := frontStages.Run(front); err != nil {
+				t.Fatalf("%s/%s: %v", k.Name, bw, err)
+			}
+			for i, a := range front.Attempts {
+				c := front.forAttempt(a, i+1, &attemptCtx{Context: context.Background(), idx: i, gen: 1}, nil)
+				if attemptStages[:route].Run(c) != nil {
+					continue
+				}
+				// Folding the same placements into a shorter period makes
+				// more of their forced departures collide.
+				for _, ii := range []int{c.IIB, max(c.IIB/2, 1), 1} {
+					l := &layout{cg: c.Fab, g: c.ISDG, cp: c.CP, sub: c.Sub, iib: ii, classes: c.Classes, byClust: c.ByCluster}
+					got, want := l.checkBandwidth(), checkEdgeBandwidth(l.cg, ii, placedEdges(l))
+					switch {
+					case got == nil && want == nil:
+						feasible++
+					case got == nil || want == nil || got.Error() != want.Error() ||
+						!errors.Is(got, diag.ErrBandwidthInfeasible) || !errors.Is(want, diag.ErrBandwidthInfeasible):
+						t.Errorf("%s/%s attempt %d at II %d: pre-check %v, over the edge list %v", k.Name, bw, i+1, ii, got, want)
+					default:
+						infeasible++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d checks feasible, %d proved infeasible", feasible, infeasible)
+	if feasible < 1000 || infeasible < 50 {
+		t.Errorf("%d feasible and %d infeasible checks: the inputs no longer exercise both outcomes", feasible, infeasible)
 	}
 }

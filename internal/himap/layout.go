@@ -6,6 +6,7 @@ import (
 	"himap/internal/arch"
 	"himap/internal/ir"
 	"himap/internal/mrrg"
+	"himap/internal/route"
 )
 
 // layout bundles everything step 3 needs: the placed ISDG, the sub-CGRA
@@ -31,6 +32,9 @@ type layout struct {
 	// tgtBuf is the sink target set under construction, reused across
 	// every sink of the attempt.
 	tgtBuf []mrrg.Node
+	// nets records, in creation order, every net routeClass started
+	// since freeNets last returned them to the session.
+	nets []*route.Net
 }
 
 // RelPlaceReg is a region-relative relay resource for route pins: either

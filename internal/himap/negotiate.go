@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"himap/internal/diag"
 	"himap/internal/ir"
@@ -25,6 +26,9 @@ type RouteStats struct {
 // session, re-targeted here to the attempt's MRRG. Cancellation is
 // polled once per negotiation round: a canceled ctx aborts with an error
 // wrapping diag.ErrCanceled within one round's latency.
+// A round re-routes in the plan buffers, nets and path arena of the
+// round it replaces; every exit but success frees the nets, so the next
+// attempt on ses reuses them too. The plans' paths live until ses resets.
 func (l *layout) routeCanonical(ctx context.Context, ses *route.Session, maxRounds int) ([][]canonNet, RouteStats, error) {
 	g := mrrg.New(l.cg, l.iib)
 	ses.Reset(g)
@@ -41,12 +45,12 @@ func (l *layout) routeCanonical(ctx context.Context, ses *route.Session, maxRoun
 		l.loadRel[i] = map[int]RelPlace{}
 	}
 
-	var plans [][]canonNet
-	var allNets []*route.Net
+	plans := make([][]canonNet, len(l.classes))
 	var roundErr error
 	for round := 0; round < maxRounds; round++ {
 		if err := ctx.Err(); err != nil {
-			return nil, stats, fmt.Errorf("himap: %w: %v", diag.ErrCanceled, err)
+			roundErr = fmt.Errorf("himap: %w: %v", diag.ErrCanceled, err)
+			break
 		}
 		stats.Rounds = round + 1
 		ses.ResetKeepHistory()
@@ -56,12 +60,7 @@ func (l *layout) routeCanonical(ctx context.Context, ses *route.Session, maxRoun
 		// Nothing references a dropped round's nets once its history is
 		// bumped — recycle their storage so later rounds re-route
 		// allocation-free.
-		for _, nets := range plans {
-			for i := range nets {
-				ses.FreeNet(nets[i].net)
-			}
-		}
-		plans = plans[:0]
+		l.freeNets(ses)
 		roundErr = nil
 
 		// Reserve every cluster's fixed placements (FUs and generic loads).
@@ -71,19 +70,17 @@ func (l *layout) routeCanonical(ctx context.Context, ses *route.Session, maxRoun
 			}
 		}
 
-		allNets = allNets[:0]
+		routed := 0 // l.nets[:routed] are the nets of the classes routed whole
 		for classIdx, cl := range l.classes {
 			rep := cl.Rep
 			bt, br, bc := l.regionBase(rep)
-			nets, err := l.routeClass(ses, g, classIdx, cl)
+			nets, err := l.routeClass(ses, g, classIdx, cl, plans[classIdx])
+			plans[classIdx] = nets
 			if err != nil {
 				roundErr = fmt.Errorf("class %d (rep %v): %w", classIdx, l.g.Clusters[cl.Rep].Iter, err)
 				break
 			}
-			plans = append(plans, nets)
-			for i := range nets {
-				allNets = append(allNets, nets[i].net)
-			}
+			routed = len(l.nets)
 			// Charge the replicas of this class (routes and boundary-load
 			// slots) so later classes see the real congestion.
 			for _, m := range cl.Members {
@@ -105,12 +102,12 @@ func (l *layout) routeCanonical(ctx context.Context, ses *route.Session, maxRoun
 			// once costs move; no path, no memory-read slot and missing
 			// pins are facts of the placement and repeat in every round
 			// (DESIGN.md, "Negotiation").
-			if !errors.Is(roundErr, route.ErrSearchLimit) || len(ses.BumpHistory(allNets)) == 0 {
-				return nil, stats, roundErr
+			if !errors.Is(roundErr, route.ErrSearchLimit) || len(ses.BumpHistory(l.nets[:routed])) == 0 {
+				break
 			}
 			continue
 		}
-		if over := ses.BumpHistory(allNets); len(over) > 0 {
+		if over := ses.BumpHistory(l.nets); len(over) > 0 {
 			show := over
 			if len(show) > 4 {
 				show = show[:4]
@@ -121,6 +118,7 @@ func (l *layout) routeCanonical(ctx context.Context, ses *route.Session, maxRoun
 		break
 	}
 	if roundErr != nil {
+		l.freeNets(ses)
 		return nil, stats, roundErr
 	}
 	for _, nets := range plans {
@@ -129,14 +127,27 @@ func (l *layout) routeCanonical(ctx context.Context, ses *route.Session, maxRoun
 	return plans, stats, nil
 }
 
-// routeClass routes the canonical nets of one class representative.
-func (l *layout) routeClass(ses *route.Session, g *mrrg.Graph, classIdx int, cl *UniqueClass) ([]canonNet, error) {
+// freeNets returns every net the layout has created since the last call
+// — a failed class's partial nets included — to ses's freelist, once.
+func (l *layout) freeNets(ses *route.Session) {
+	for _, net := range l.nets {
+		ses.FreeNet(net)
+	}
+	l.nets = l.nets[:0]
+}
+
+// routeClass routes the canonical nets of one class representative into
+// nets, the class's plan buffer from an earlier round: its slots, and the
+// sink list each one holds, are reused. The buffer comes back on failure
+// too, to serve the next round.
+func (l *layout) routeClass(ses *route.Session, g *mrrg.Graph, classIdx int, cl *UniqueClass, nets []canonNet) ([]canonNet, error) {
 	d := l.g.DFG
 	rep := l.g.Clusters[cl.Rep]
 	rMin, rMax, cMin, cMax := l.classEnvelope(cl)
 	env := route.Box{R0: rMin, R1: rMax, C0: cMin, C1: cMax}
 	defer func(whole route.Box) { ses.Envelope = whole }(ses.Envelope)
 	ses.Envelope = env
+	nets = slices.Grow(nets[:0], len(rep.Nodes))
 
 	// Choose memory slots for boundary loads first (they act as sources).
 	for _, id := range rep.Nodes {
@@ -148,14 +159,13 @@ func (l *layout) routeClass(ses *route.Session, g *mrrg.Graph, classIdx int, cl 
 			continue
 		}
 		if err := l.chooseBoundaryLoad(ses, classIdx, id); err != nil {
-			return nil, err
+			return nets, err
 		}
 	}
 
 	// One net per producer of the representative, one routed sink per
 	// out-edge, in DFG order; each path is committed to the session's
 	// occupancy before the next sink's search.
-	nets := make([]canonNet, 0, len(rep.Nodes))
 	for _, id := range rep.Nodes {
 		outs := d.OutEdges(id)
 		if len(outs) == 0 {
@@ -172,32 +182,34 @@ func (l *layout) routeClass(ses *route.Session, g *mrrg.Graph, classIdx int, cl 
 			} else if abs, ok := l.loadAbs(id); ok {
 				src = abs
 			} else {
-				return nil, fmt.Errorf("himap: load %v has no placement: %w", n, diag.ErrPlacementInfeasible)
+				return nets, fmt.Errorf("himap: load %v has no placement: %w", n, diag.ErrPlacementInfeasible)
 			}
 		case n.Kind == ir.OpRoute:
 			pin, ok := l.pinAbs(id)
 			if !ok {
-				return nil, fmt.Errorf("himap: route %v has no pin: %w", n, diag.ErrPlacementInfeasible)
+				return nets, fmt.Errorf("himap: route %v has no pin: %w", n, diag.ErrPlacementInfeasible)
 			}
 			src = pin
 		default:
 			continue // stores have no out-edges
 		}
-		cn := canonNet{SrcID: id, net: ses.NewNet(src), Sinks: make([]canonSink, 0, len(outs))}
+		nets = nets[:len(nets)+1]
+		cn := &nets[len(nets)-1]
+		*cn = canonNet{SrcID: id, net: ses.NewNet(src), Sinks: slices.Grow(cn.Sinks[:0], len(outs))}
+		l.nets = append(l.nets, cn.net)
 		for _, ei := range outs {
 			e := d.Edges[ei]
 			to := d.Nodes[e.To]
 			targets, err := l.sinkTargets(g, n, src, to, env)
 			if err != nil {
-				return nil, err
+				return nets, err
 			}
 			path, _, err := ses.RouteSink(cn.net, targets)
 			if err != nil {
-				return nil, fmt.Errorf("net %s -> %s: %w", n.Name, to.Name, err)
+				return nets, fmt.Errorf("net %s -> %s: %w", n.Name, to.Name, err)
 			}
 			cn.Sinks = append(cn.Sinks, canonSink{ConsumerID: e.To, Port: e.ToPort, Path: path})
 		}
-		nets = append(nets, cn)
 	}
 	return nets, nil
 }

@@ -3,10 +3,12 @@ package himap
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"himap/internal/arch"
 	"himap/internal/diag"
+	"himap/internal/mrrg"
 	"himap/internal/route"
 )
 
@@ -17,6 +19,26 @@ func narrowBICGLayout(t *testing.T) *layout {
 	cg := arch.DefaultFabric(4, 4)
 	cg.Bandwidth = arch.BWNarrowRF
 	return bicgLayoutOn(t, cg)
+}
+
+// breakLastClass schedules a consumer cluster of the last class of l
+// that has one a period before its producer — the value would have to
+// arrive before it exists — and returns that class.
+func breakLastClass(t *testing.T, l *layout) int {
+	t.Helper()
+	for k := len(l.classes) - 1; k >= 1; k-- {
+		rep := l.classes[k].Rep
+		for _, id := range l.g.Clusters[rep].Nodes {
+			for _, ei := range l.g.DFG.OutEdges(id) {
+				if to := l.g.ClusterOf(l.g.DFG.Edges[ei].To); to != rep {
+					l.cp.T[to] = l.cp.T[rep] - 1
+					return k
+				}
+			}
+		}
+	}
+	t.Fatal("no class after the first has a consumer in another cluster")
+	return -1
 }
 
 // TestRoundInvariantFailureEndsNegotiation: a sink that is out of reach
@@ -32,24 +54,8 @@ func TestRoundInvariantFailureEndsNegotiation(t *testing.T) {
 		t.Fatalf("unbroken layout: rounds=%d err=%v, want 3 congested rounds", st.Rounds, err)
 	}
 
-	// Schedule a consumer cluster of the last class that has one a period
-	// before its producer: the value would have to arrive before it exists.
 	l := narrowBICGLayout(t)
-	broken := -1
-	for k := len(l.classes) - 1; k >= 1 && broken < 0; k-- {
-		rep := l.classes[k].Rep
-		for _, id := range l.g.Clusters[rep].Nodes {
-			for _, ei := range l.g.DFG.OutEdges(id) {
-				if to := l.g.ClusterOf(l.g.DFG.Edges[ei].To); to != rep && broken < 0 {
-					l.cp.T[to] = l.cp.T[rep] - 1
-					broken = k
-				}
-			}
-		}
-	}
-	if broken < 1 {
-		t.Fatal("no class after the first has a consumer in another cluster")
-	}
+	broken := breakLastClass(t, l)
 	_, st, err = l.routeCanonical(context.Background(), ses, 8)
 	if !errors.Is(err, route.ErrNoPath) {
 		t.Fatalf("err = %v, want route.ErrNoPath", err)
@@ -60,5 +66,94 @@ func TestRoundInvariantFailureEndsNegotiation(t *testing.T) {
 	}
 	if st.Rounds != 1 {
 		t.Errorf("negotiation ran %d rounds on a failure no round can change, want 1", st.Rounds)
+	}
+}
+
+// cancelAfter is a context whose Err reports context.Canceled from its
+// (polls+1)-th call on: routeCanonical polls once per round, so the
+// cancellation lands with a whole round's nets recorded.
+type cancelAfter struct {
+	context.Context
+	polls int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.polls--; c.polls < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestFailedRoutesLeaveSessionReusable routes, on one session as a
+// worker's attempts do, a layout whose negotiation runs out of rounds, a
+// layout that fails inside a class (leaving that class's partial nets),
+// and one canceled after a round: each must fail as it did when every
+// round allocated afresh, and return every net it made to the freelist.
+// Then a layout routes on the session: its plans must equal those of a
+// fresh session, its record must hold exactly the plan's nets, every plan
+// net must be its own, and each must still hold every node of its sinks'
+// paths. A net freed twice on a failing exit would reach two live nets
+// through the freelist; a winner's net freed on success would lose its
+// nodes.
+func TestFailedRoutesLeaveSessionReusable(t *testing.T) {
+	ses := new(route.Session)
+	broken := narrowBICGLayout(t)
+	breakLastClass(t, broken)
+	for _, f := range []struct {
+		what   string
+		l      *layout
+		ctx    context.Context
+		rounds int
+		want   string
+	}{
+		{"out of rounds", narrowBICGLayout(t), context.Background(), 3,
+			"himap: 32 resources oversubscribed (e.g. [RFW@(0,0)t-1 RFR@(0,0)t2 OUT.E@(0,0)t2 OUT.S@(0,0)t2]): routing congestion unresolved"},
+		{"failed inside a class", broken, context.Background(), 8,
+			"class 7 (rep (3,1)): net r -> r: route: no path from net 63 (src OUT.E@(3,0)t15) to OUT.E@(3,1)t11"},
+		{"canceled after a round", narrowBICGLayout(t), &cancelAfter{Context: context.Background(), polls: 1}, 8,
+			"himap: compilation canceled: context canceled"},
+	} {
+		if _, _, err := f.l.routeCanonical(f.ctx, ses, f.rounds); err == nil || err.Error() != f.want {
+			t.Fatalf("%s: err = %v, want %s", f.what, err, f.want)
+		}
+		if len(f.l.nets) != 0 {
+			t.Fatalf("%s: %d nets kept out of the session's freelist", f.what, len(f.l.nets))
+		}
+	}
+
+	l := bicgLayout(t)
+	got, st, err := l.routeCanonical(context.Background(), ses, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(l.nets) != st.CanonicalNets {
+		t.Fatalf("the routed layout records %d nets for a plan of %d", len(l.nets), st.CanonicalNets)
+	}
+	want, _, err := bicgLayout(t).routeCanonical(context.Background(), new(route.Session), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[*route.Net]bool{}
+	for ci := range want {
+		if len(got[ci]) != len(want[ci]) {
+			t.Fatalf("class %d: %d nets after failed routes on the session, %d on a fresh one", ci, len(got[ci]), len(want[ci]))
+		}
+		for i, cn := range got[ci] {
+			if cn.SrcID != want[ci][i].SrcID || !reflect.DeepEqual(cn.Sinks, want[ci][i].Sinks) {
+				t.Fatalf("class %d net %d: after failed routes on the session\n %+v\na fresh session routed\n %+v", ci, i, cn, want[ci][i])
+			}
+			if seen[cn.net] {
+				t.Fatalf("class %d net %d (src %d) shares its route.Net with another net of the plan", ci, i, cn.SrcID)
+			}
+			seen[cn.net] = true
+			nodes := cn.net.Nodes()
+			for _, sink := range cn.Sinks {
+				for _, n := range sink.Path {
+					if !nodes[mrrg.RealKey(n)] {
+						t.Fatalf("class %d net %d lost %v of its path to node %d", ci, i, n, sink.ConsumerID)
+					}
+				}
+			}
+		}
 	}
 }

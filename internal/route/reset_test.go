@@ -120,7 +120,8 @@ func (tr resetTrial) run(t *testing.T, s *Session, bound *scratchBound, what str
 // owner calls between attempts, leaves and IIs, so a field it forgets to
 // restore, or scratch it keeps from a graph of another shape, shows here
 // first. The scratch must also stay within twice the largest window the
-// session has opened.
+// session has opened, and Reset must rewind the path arena the previous
+// trial left dirty.
 func TestSessionResetEqualsFresh(t *testing.T) {
 	topos := []arch.Topology{arch.TopoMesh, arch.TopoTorus, arch.TopoMeshDiag}
 	bws := []arch.BandwidthClass{arch.BWUnit, arch.BWDouble, arch.BWBus, arch.BWNarrowRF}
@@ -128,7 +129,7 @@ func TestSessionResetEqualsFresh(t *testing.T) {
 	s := new(Session)
 	var bound scratchBound
 	slots := map[int]bool{}
-	acyclic, narrowed, routed, failed, congested := 0, 0, 0, 0, 0
+	acyclic, narrowed, routed, failed, congested, dirty := 0, 0, 0, 0, 0, 0
 	for step := 0; step < 120; step++ {
 		f := arch.Fabric{CGRA: arch.Default(1+rng.next(8), 2+rng.next(7)),
 			Topology: topos[rng.next(len(topos))], Bandwidth: bws[rng.next(len(bws))]}
@@ -150,7 +151,13 @@ func TestSessionResetEqualsFresh(t *testing.T) {
 			// Both generation counters wrap during this trial.
 			s.markGen, s.sc.gen = math.MaxUint32-1, math.MaxUint32-1
 		}
-		got := tr.run(t, s.Reset(g), &bound, what)
+		if len(s.arena) > 0 {
+			dirty++
+		}
+		if s.Reset(g); len(s.arena) != 0 {
+			t.Fatalf("%s: Reset left %d path nodes in the arena", what, len(s.arena))
+		}
+		got := tr.run(t, s, &bound, what)
 		fresh := NewSession(g)
 		want := tr.run(t, fresh, &scratchBound{}, what)
 		for i := range want { // both logs have one entry per search and round
@@ -175,10 +182,10 @@ func TestSessionResetEqualsFresh(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d routed, %d failed, %d rounds ending oversubscribed", routed, failed, congested)
-	if len(slots) < 6 || acyclic < 15 || narrowed < 20 || routed < 300 || failed < 100 || congested < 30 {
-		t.Errorf("%d slot counts, %d acyclic graphs, %d narrowed envelopes, %d routed, %d failed, %d oversubscribed: the sequence no longer covers these",
-			len(slots), acyclic, narrowed, routed, failed, congested)
+	t.Logf("%d routed, %d failed, %d rounds ending oversubscribed, %d resets of a dirty arena", routed, failed, congested, dirty)
+	if len(slots) < 6 || acyclic < 15 || narrowed < 20 || routed < 300 || failed < 100 || congested < 30 || dirty < 60 {
+		t.Errorf("%d slot counts, %d acyclic graphs, %d narrowed envelopes, %d routed, %d failed, %d oversubscribed, %d dirty resets: the sequence no longer covers these",
+			len(slots), acyclic, narrowed, routed, failed, congested, dirty)
 	}
 }
 

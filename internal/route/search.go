@@ -294,11 +294,13 @@ func (s *Session) searchWindow(net *Net, targets []mrrg.Node) window {
 // RouteSink extends the net with a least-cost path from any node the net
 // already owns to any node of targets. Newly entered nodes are charged to
 // the session occupancy (modulo II). The found path starts at an owned
-// node and ends at the reached target. targets is not retained.
+// node and ends at the reached target; it is carved from the session's
+// path arena and stays valid until the next Reset or ResetKeepHistory.
+// targets is not retained.
 //
 // The search runs entirely in the session's generation-stamped scratch
-// arrays: per call it allocates only the returned Path (plus scratch
-// growth when a search's window is larger than any before it).
+// arrays and the path comes from the arena: a call allocates only when
+// the scratch, the arena or the net's lists must grow.
 func (s *Session) RouteSink(net *Net, targets []mrrg.Node) (Path, float64, error) {
 	sc := &s.sc
 	if len(targets) == 0 {
@@ -356,7 +358,7 @@ func (s *Session) RouteSink(net *Net, targets []mrrg.Node) (Path, float64, error
 		}
 		i = p
 	}
-	path := make(Path, n)
+	path := s.carvePath(n)
 	for i, j := goal, n-1; ; j-- {
 		path[j] = s.nodeAt(i)
 		p := sc.parent[i]

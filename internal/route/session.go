@@ -53,13 +53,14 @@
 // queue's per-bucket heaps are value items (no container/heap interface
 // boxing) and are themselves generation-stamped. Occupancy and history
 // costs are flat arrays over the modulo key space, so pricing a relaxed
-// edge is two array loads.
+// edge is two array loads. Returned paths are carved from a session-
+// owned arena that Reset and ResetKeepHistory rewind.
 //
 // A session lives for one compile: its owner (a HiMap wave slot, one
 // sub-mapping computation, an exact or conventional compile) re-targets
 // it with Reset for every attempt, leaf and II, so the scratch, the
-// bucket heaps and the net freelist warmed by one routing problem serve
-// the next, and nothing outlives the request. See DESIGN.md
+// bucket heaps, the path arena and the net freelist warmed by one routing
+// problem serve the next, and nothing outlives the request. See DESIGN.md
 // ("Concurrency model & hot-path memory discipline").
 package route
 
@@ -83,7 +84,10 @@ var (
 
 // Path is a resource node sequence from a producer to one sink; node 0 is
 // the producer's own placement node (FU or memory read port). Times are
-// real (unwrapped).
+// real (unwrapped). A Path RouteSink returns lives in its session's path
+// arena: it stays valid until that session's next Reset or
+// ResetKeepHistory, and its capacity equals its length, so appending to
+// it copies instead of overwriting the next path.
 type Path []mrrg.Node
 
 // Net is one routed signal: a producer node and a tree of paths to its
@@ -159,6 +163,11 @@ type Session struct {
 	// round, so the freelist makes rounds after the first allocation-free
 	// on the net side.
 	netFree []*Net
+	// arena holds the nodes of every Path RouteSink returned since the
+	// last Reset or ResetKeepHistory, which rewind it (carvePath); over
+	// is OversubscribedIn's result, valid until its next call.
+	arena []mrrg.Node
+	over  []mrrg.Node
 
 	// capTab is mrrg.Graph.Capacity per class, what OversubscribedIn
 	// holds occupancy against.
@@ -228,7 +237,8 @@ func NewSession(g *mrrg.Graph) *Session { return new(Session).Reset(g) }
 // MaxVisits and Envelope for g. The graph's view (slot table, layout,
 // capacities, link table) is rebuilt. Everything else is kept for reuse:
 // occupancy, history and mark storage is cleared in place when its
-// capacity covers g's key space, and the search scratch, the bucket
+// capacity covers g's key space, the path arena is rewound (every Path
+// it returned before is invalid), and the search scratch, the bucket
 // heaps, the net freelist and the lookahead table carry over — a reset
 // session routes exactly as a fresh one, without re-growing them.
 func (s *Session) Reset(g *mrrg.Graph) *Session {
@@ -238,6 +248,7 @@ func (s *Session) Reset(g *mrrg.Graph) *Session {
 	s.MaxVisits = defaultMaxVisits(n)
 	s.Envelope = Box{R0: 0, R1: g.Fab.Rows - 1, C0: 0, C1: g.Fab.Cols - 1}
 	s.netSeq, s.closedNodes = 0, 0
+	s.arena = s.arena[:0]
 	s.occ = zeroed(s.occ, n)
 	s.hist = zeroed(s.hist, n)
 	if cap(s.mark) < n {
@@ -288,10 +299,24 @@ func zeroed[T int32 | float64](buf []T, n int) []T {
 // ResetKeepHistory clears all occupancy and nets but keeps the
 // accumulated history costs — the state carried between negotiated
 // congestion rounds when a mapping attempt is rebuilt from scratch.
-// The occupancy storage is zeroed in place, not reallocated.
+// The occupancy storage is zeroed in place and the path arena rewound:
+// the dropped round's paths are invalid.
 func (s *Session) ResetKeepHistory() {
 	clear(s.occ)
 	s.netSeq = 0
+	s.arena = s.arena[:0]
+}
+
+// carvePath cuts a Path of n nodes, capacity n, from the arena. A full
+// arena is replaced by one twice its size (the old one lives on in its
+// paths), so it stays within twice the nodes of the largest round.
+func (s *Session) carvePath(n int) Path {
+	k := len(s.arena)
+	if cap(s.arena)-k < n {
+		s.arena, k = make([]mrrg.Node, 0, max(2*cap(s.arena), n)), 0
+	}
+	s.arena = s.arena[:k+n]
+	return Path(s.arena[k : k+n : k+n])
 }
 
 // baseCost is the intrinsic cost of occupying one resource node. Every
@@ -366,12 +391,12 @@ func (s *Session) NewNet(src mrrg.Node) *Net {
 }
 
 // FreeNet returns a net whose plan has been discarded (a failed
-// congestion round) to the session freelist for NewNet to reuse. The
-// caller must hold no references to the net afterwards, and the net's
-// occupancy charges must already be gone (FreeNet does not release
-// them — after ResetKeepHistory there is nothing left to release).
-// Path storage is NOT recycled: committed Path slices may outlive the
-// net in the caller's plan metadata; only the headers array is reused.
+// congestion round or attempt) to the session freelist for NewNet to
+// reuse. The caller must free it once and hold no references to it
+// afterwards, and its occupancy charges must be gone before the session
+// routes again (FreeNet does not release them; Reset and
+// ResetKeepHistory clear them). Its lists and Paths headers are reused;
+// its path nodes belong to the arena, which those two calls rewind.
 func (s *Session) FreeNet(net *Net) {
 	net.keys = net.keys[:0]
 	net.list = net.list[:0]
@@ -442,14 +467,15 @@ func (s *Session) ChargeShifted(net *Net, dt, dr, dc int) {
 }
 
 // OversubscribedIn returns the nodes of the given nets whose occupancy
-// exceeds capacity.
+// exceeds capacity, in a buffer the session owns: the result stays
+// valid until the next OversubscribedIn or BumpHistory call.
 func (s *Session) OversubscribedIn(nets []*Net) []mrrg.Node {
 	s.markGen++
 	if s.markGen == 0 {
 		clear(s.mark[:cap(s.mark)]) // Reset may re-slice over stamps beyond len
 		s.markGen = 1
 	}
-	var out []mrrg.Node
+	out := s.over[:0]
 	for _, net := range nets {
 		for _, p := range net.Paths {
 			for _, n := range p {
@@ -464,11 +490,13 @@ func (s *Session) OversubscribedIn(nets []*Net) []mrrg.Node {
 			}
 		}
 	}
+	s.over = out
 	return out
 }
 
 // BumpHistory raises the history cost of every oversubscribed node among
-// the given nets and returns those nodes. An empty return means the
+// the given nets and returns those nodes, in OversubscribedIn's buffer:
+// valid until the next call of either. An empty return means the
 // routing is congestion-free (§V's success condition).
 func (s *Session) BumpHistory(nets []*Net) []mrrg.Node {
 	over := s.OversubscribedIn(nets)

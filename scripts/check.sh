@@ -20,12 +20,13 @@ go build ./...
 go run ./cmd/himaplint ./...
 # Every test under the race detector, shuffled: a fixed order hides coupling through process-wide state (the shared memo, the lookahead table).
 go test -race -shuffle=on ./...
-# The speculative window's schedule is timing-dependent, so its tests run three more times under the race detector.
-go test -race -count=3 -run 'TestWorkersDeterminism$|TestSpeculationWindowSpans|TestSpeculationAllocBudget|TestCancellationLatencyMidRun' .
+# The speculative window's schedule is timing-dependent, and nets and path storage persist across the attempts of a worker's session, so these tests run three more times under the race detector.
+go test -race -count=3 -run 'TestWorkersDeterminism$|TestSpeculationWindowSpans|TestSpeculationAllocBudget|TestCancellationLatencyMidRun|TestPathArenaContract|TestFailedRoutesLeaveSessionReusable' . ./internal/route ./internal/himap
 # The configuration encoder against encoding/json on ten seconds of new fuzz inputs (the committed seeds ran above).
 go test -run '^$' -fuzz FuzzConfigAppendJSON -fuzztime 10s ./internal/arch
-# The flat_backends profile command, once per backend, so it cannot rot.
+# The flat_backends and congested profile commands, once each, so they cannot rot.
 go test -run '^$' -bench FlatBackends -benchtime 1x .
+go test -run '^$' -bench CongestedCompile -benchtime 1x .
 # Tables I and II are deterministic: the committed results file is what the code prints now.
 go run ./cmd/experiments -table1 -table2 | diff - results/tables.txt
 # The design-space sweep is deterministic at every -workers (~1.5 s): its committed ranking is what the code prints now.
