@@ -314,19 +314,19 @@ func BenchmarkScaleCompile(b *testing.B) {
 	}
 }
 
-// The allocation budget of one scaleCompileIter: the measured 13,820
-// allocations and 52.6 MB (839,707 and 125.6 MB before the search window
-// and the dense DFG/ISDG tables) plus 15 %; 13,364 and 52.6 MB once a
-// compile's routing sessions are re-targeted instead of reallocated —
-// this compile routes one attempt, so the budget stands. What a compile allocates at
+// The allocation budget of one scaleCompileIter: the measured 12,212
+// allocations and 50.7 MB plus 15 % (839,707 and 125.6 MB before the
+// search window and the dense DFG/ISDG tables; 12,261 and 52.5 MB while
+// every search node took 44 bytes and every session zeroed history and
+// dedup marks over the whole key space). What a compile allocates at
 // 64x64 is what HiMap's claim is about — work per unique iteration, not
 // per PE — and it repeats exactly where the wall clock is noisy: search
 // scratch sized by the array, or a hash-map entry or key string per
 // unrolled node, each moves these numbers by tens of percent. The race
-// detector adds 4 % and 6 %, inside the margin, so check.sh gates both.
+// detector adds 6 % and 7 %, inside the margin, so check.sh gates both.
 const (
-	scaleCompileMallocCeiling = 15_900
-	scaleCompileByteCeiling   = 60_500_000
+	scaleCompileMallocCeiling = 14_100
+	scaleCompileByteCeiling   = 58_300_000
 )
 
 // coldAllocs runs iter once to warm process-wide state (kernel tables,
@@ -389,19 +389,23 @@ func BenchmarkCongestedCompile(b *testing.B) {
 	}
 }
 
-// The allocation budget of one congestedCompileIter: the measured 91,591
-// allocations and 17.0 MB plus 25 % (the race detector adds 21 % and
-// 13 %, most of it fmt's pooled printers, which a race build drops).
-// Each compile routes its attempts on one wave-slot session that every
-// attempt re-targets, and a negotiation round re-routes in the storage of
-// the round before it — paths from the session's arena, plans, nets and
-// sink lists reused, only forced bandwidth demands collected. Rounds that
-// allocated their paths, plans and demands afresh made 304,065
-// allocations of 38.0 MB; a session per attempt on top of that, 341,515
-// of 82.7 MB. Both fail both ceilings.
+// The allocation budget of one congestedCompileIter: the measured 91,431
+// allocations and 14.5 MB plus 25 % (the race detector adds 21 % and
+// 15 %, most of it fmt's pooled printers, which a race build drops).
+// Each compile routes its attempts on one window-worker session that
+// every attempt re-targets, a negotiation round re-routes in the storage
+// of the round before it — paths from the session's arena, plans, nets
+// and sink lists reused, only forced bandwidth demands collected — and
+// the session's searches take 20 bytes a node of windows clipped to the
+// routing envelope, its history arriving with the first congestion.
+// 44-byte search nodes over unclipped windows and history and dedup
+// marks zeroed per compile made 17.0 MB, inside the ceiling; rounds that
+// allocated their paths, plans and demands afresh on top of that,
+// 304,065 allocations of 38.0 MB; a session per attempt on top of that,
+// 341,515 of 82.7 MB. Both fail both ceilings.
 const (
 	congestedCompileMallocCeiling = 114_500
-	congestedCompileByteCeiling   = 21_200_000
+	congestedCompileByteCeiling   = 18_200_000
 )
 
 // TestCongestedAllocBudget holds the congested pair under both ceilings.
@@ -485,19 +489,21 @@ func BenchmarkFlatBackends(b *testing.B) {
 }
 
 // The allocation budget of one cold exact compile of GEMM at 4x4, block
-// 2: the measured 25,225 allocations and 1.70 MB plus 25 %. Most of it is
+// 2: the measured 25,207 allocations and 1.54 MB plus 25 %. Most of it is
 // the detailed router's — up to eight negotiation rounds per complete
 // placement it is shown, on the one session the compile re-targets per
 // II, its paths carved from the session's arena — so the number moves
 // with how many leaves reach the router: 65 of GEMM's 154 losing leaves
-// do, the leaf screen refutes the other 89. A Path allocated per routed
-// sink made 52,794 allocations of 4.8 MB; an MRRG and a session per leaf
-// on top of that, 193,189 of 25.6 MB (one session per leaf on a per-II
-// MRRG, 101,309 and 21.6 MB), and without the screen the compile made
-// 450,622 of 58.2 MB.
+// do, the leaf screen refutes the other 89. 44-byte search nodes and
+// history and dedup marks zeroed per II made 1.70 MB, inside the
+// ceiling; a Path allocated
+// per routed sink on top of that, 52,794 allocations of 4.8 MB; an MRRG
+// and a session per leaf on top of that, 193,189 of 25.6 MB (one session
+// per leaf on a per-II MRRG, 101,309 and 21.6 MB), and without the
+// screen the compile made 450,622 of 58.2 MB.
 const (
 	flatExactMallocCeiling = 31_600
-	flatExactByteCeiling   = 2_130_000
+	flatExactByteCeiling   = 1_925_000
 )
 
 // TestFlatExactAllocBudget holds that compile under both ceilings.

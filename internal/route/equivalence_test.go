@@ -28,8 +28,9 @@ func congestDense(s *Session, rng *lcg, ii int) {
 			Class: mrrg.ClassOut, Idx: uint8(rng.next(f.NumLinkDirs())),
 		})
 	}
+	hist := s.history()
 	for i := 0; i < 2*f.NumPEs(); i++ {
-		s.hist[s.G.DenseKey(mrrg.Node{
+		hist[s.G.DenseKey(mrrg.Node{
 			T: rng.next(ii), R: rng.next(f.Rows), C: rng.next(f.Cols),
 			Class: mrrg.ClassReg, Idx: uint8(rng.next(f.NumRegs)),
 		})] += s.HistBump

@@ -11,13 +11,16 @@ import (
 )
 
 // openBounds opens a search over window w for targets and returns the A*
-// bound of any node of the window.
+// bound of any node of the window, as a cost, or -1 where it prunes.
 func openBounds(s *Session, w window, targets []mrrg.Node) func(mrrg.Node) float64 {
 	s.sc.begin(w)
 	s.openLookahead(targets)
 	return func(n mrrg.Node) float64 {
 		c := s.cellAt(n.T, n.R, n.C)
-		return s.costToGo(&c, s.G.SlotIndex(n.Class, n.Idx))
+		if h := s.costToGo(&c, s.G.SlotIndex(n.Class, n.Idx)); h >= 0 {
+			return float64(h) / 10
+		}
+		return -1
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 
@@ -41,7 +40,7 @@ func oraclePrice(s *Session, n mrrg.Node) float64 {
 	if over := int(s.occ[key]) + 1 - s.G.Capacity(n.Class); over > 0 {
 		cost *= 1 + float64(over)*s.PresFac
 	}
-	return cost + s.hist[key]
+	return cost + s.Hist(n)
 }
 
 type oracleItem struct {
@@ -162,11 +161,12 @@ func congest(s *Session, rng *lcg, ii, r, c, reach, dr, dc int) {
 		t, pr, pc = pick()
 		s.Reserve(mrrg.Node{T: t, R: pr, C: pc, Class: mrrg.ClassRFWrite})
 	}
+	hist := s.history()
 	for i := 0; i < 3*reach*reach; i++ {
 		t, pr, pc := pick()
-		s.hist[s.G.DenseKey(mrrg.Node{T: t, R: pr, C: pc, Class: mrrg.ClassReg, Idx: uint8(rng.next(f.NumRegs))})] += s.HistBump
+		hist[s.G.DenseKey(mrrg.Node{T: t, R: pr, C: pc, Class: mrrg.ClassReg, Idx: uint8(rng.next(f.NumRegs))})] += s.HistBump
 		t, pr, pc = pick()
-		s.hist[s.G.DenseKey(mrrg.Node{T: t, R: pr, C: pc, Class: mrrg.ClassOut, Idx: uint8(rng.next(f.NumLinkDirs()))})] += s.HistBump
+		hist[s.G.DenseKey(mrrg.Node{T: t, R: pr, C: pc, Class: mrrg.ClassOut, Idx: uint8(rng.next(f.NumLinkDirs()))})] += s.HistBump
 	}
 }
 
@@ -336,9 +336,9 @@ func TestRouteSinkTranslationInvariant(t *testing.T) {
 
 // TestScratchRegrowthLeavesNoStaleStamps alternates small and large
 // search windows on one session, through several scratch regrowths and a
-// wrap of the generation counter, and requires every result to equal a
-// fresh session's: a stamp that survived a regrowth or the wrap would
-// mark nodes seen, closed, owned or targets in a search that never
+// wrap of the generation in the stamp word, and requires every result to
+// equal a fresh session's: a stamp that survived a regrowth or the wrap
+// would mark nodes seen, closed, owned or targets in a search that never
 // touched them.
 func TestScratchRegrowthLeavesNoStaleStamps(t *testing.T) {
 	const side, ii = 32, 8
@@ -349,7 +349,7 @@ func TestScratchRegrowthLeavesNoStaleStamps(t *testing.T) {
 	var bound scratchBound
 	for step, dt := range []int{1, 3, 1, 6, 2, 12, 1, 12, 3, 1, 16, 2} {
 		if step == 7 {
-			s.sc.gen = math.MaxUint32 // the next search wraps the counter
+			s.sc.gen = genLimit - 1 // the next search wraps the generation
 			wrapped = true
 		}
 		before := len(s.sc.hopGen)
@@ -401,7 +401,9 @@ func routeReusedAndFresh(t *testing.T, s *Session, g *mrrg.Graph, bound *scratch
 // cells and in nodes (cells × slots), and fails the test when the
 // session's scratch holds less than its last window or more than twice
 // the largest: begin grows an array only when a window outgrows it, to at
-// most double the window.
+// most double the window. It also fails on a node or cell stamp from a
+// generation after the current one — after a wrap, such a stamp turns
+// live again once the generation reaches it.
 type scratchBound struct{ cells, nodes int }
 
 func (b *scratchBound) check(t *testing.T, s *Session, what string) {
@@ -409,10 +411,20 @@ func (b *scratchBound) check(t *testing.T, s *Session, what string) {
 	sc := &s.sc
 	w, n := sc.w.cells(), sc.w.cells()*sc.w.slots
 	b.cells, b.nodes = max(b.cells, w), max(b.nodes, n)
-	if len(sc.hopGen) < w || len(sc.seen) < n {
-		t.Fatalf("%s: scratch (%d cells, %d nodes) smaller than its window (%d cells, %d nodes)", what, len(sc.hopGen), len(sc.seen), w, n)
+	if len(sc.hopGen) < w || len(sc.stamp) < n {
+		t.Fatalf("%s: scratch (%d cells, %d nodes) smaller than its window (%d cells, %d nodes)", what, len(sc.hopGen), len(sc.stamp), w, n)
 	}
-	if len(sc.hopGen) > 2*b.cells || len(sc.seen) > 2*b.nodes {
-		t.Fatalf("%s: scratch (%d cells, %d nodes) beyond twice the largest window (%d cells, %d nodes)", what, len(sc.hopGen), len(sc.seen), b.cells, b.nodes)
+	if len(sc.hopGen) > 2*b.cells || len(sc.stamp) > 2*b.nodes {
+		t.Fatalf("%s: scratch (%d cells, %d nodes) beyond twice the largest window (%d cells, %d nodes)", what, len(sc.hopGen), len(sc.stamp), b.cells, b.nodes)
+	}
+	for i, word := range sc.stamp {
+		if word>>flagBits > sc.gen {
+			t.Fatalf("%s: node %d stamped by generation %d, after the current %d", what, i, word>>flagBits, sc.gen)
+		}
+	}
+	for i, g := range sc.hopGen {
+		if g > sc.gen {
+			t.Fatalf("%s: cell %d stamped by generation %d, after the current %d", what, i, g, sc.gen)
+		}
 	}
 }

@@ -18,10 +18,10 @@ func slotPrice(s *Session, n mrrg.Node) float64 {
 
 // TestSlotTablePricesOracleFormula holds the table NewSession fills to
 // the oracle's first-principles price (oracle_test.go) on every
-// bandwidth class, for every node class under random occupancy and
-// history: a capacity or base cost filled from the wrong class, or an RF
-// port count the bandwidth class should have narrowed, prices some node
-// differently.
+// bandwidth class, for every node class under random occupancy — with no
+// history storage, then under random history: a capacity or base cost
+// filled from the wrong class, or an RF port count the bandwidth class
+// should have narrowed, prices some node differently.
 func TestSlotTablePricesOracleFormula(t *testing.T) {
 	const ii = 6
 	rng := lcg(7)
@@ -33,10 +33,12 @@ func TestSlotTablePricesOracleFormula(t *testing.T) {
 			n := randomNode(g, &rng, rng.next(ii), rng.next(f.Rows), rng.next(f.Cols))
 			key := g.DenseKey(n)
 			s.occ[key] = int32(rng.next(6))
-			s.hist[key] = float64(rng.next(10)) * s.HistBump
+			if trial >= 500 {
+				s.history()[key] = float64(rng.next(10)) * s.HistBump
+			}
 			if got, want := slotPrice(s, n), oraclePrice(s, n); got != want {
 				t.Fatalf("%s trial %d %v occ=%d hist=%v: slot table prices %v, the formula %v",
-					bw, trial, n, s.occ[key], s.hist[key], got, want)
+					bw, trial, n, s.occ[key], s.Hist(n), got, want)
 			}
 			if over := s.OversubscribedIn([]*Net{{Paths: []Path{{n}}}}); (len(over) == 1) != (int(s.occ[key]) > g.Capacity(n.Class)) {
 				t.Fatalf("%s trial %d %v occ=%d: OversubscribedIn = %v, capacity %d",

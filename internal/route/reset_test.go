@@ -2,8 +2,8 @@ package route
 
 import (
 	"fmt"
-	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -120,8 +120,9 @@ func (tr resetTrial) run(t *testing.T, s *Session, bound *scratchBound, what str
 // owner calls between attempts, leaves and IIs, so a field it forgets to
 // restore, or scratch it keeps from a graph of another shape, shows here
 // first. The scratch must also stay within twice the largest window the
-// session has opened, and Reset must rewind the path arena the previous
-// trial left dirty.
+// session has opened, Reset must rewind the path arena the previous
+// trial left dirty and empty its history, and a history buffer kept from
+// an earlier trial must come back zeroed when congestion appears.
 func TestSessionResetEqualsFresh(t *testing.T) {
 	topos := []arch.Topology{arch.TopoMesh, arch.TopoTorus, arch.TopoMeshDiag}
 	bws := []arch.BandwidthClass{arch.BWUnit, arch.BWDouble, arch.BWBus, arch.BWNarrowRF}
@@ -129,7 +130,7 @@ func TestSessionResetEqualsFresh(t *testing.T) {
 	s := new(Session)
 	var bound scratchBound
 	slots := map[int]bool{}
-	acyclic, narrowed, routed, failed, congested, dirty := 0, 0, 0, 0, 0, 0
+	acyclic, narrowed, routed, failed, congested, dirty, rezeroed := 0, 0, 0, 0, 0, 0, 0
 	for step := 0; step < 120; step++ {
 		f := arch.Fabric{CGRA: arch.Default(1+rng.next(8), 2+rng.next(7)),
 			Topology: topos[rng.next(len(topos))], Bandwidth: bws[rng.next(len(bws))]}
@@ -148,16 +149,20 @@ func TestSessionResetEqualsFresh(t *testing.T) {
 		what := fmt.Sprintf("step %d (%s %s %dx%d, %d regs, II %d, wrap %v)",
 			step, f.Topology, f.Bandwidth, f.Rows, f.Cols, f.NumRegs, ii, g.Wrap)
 		if step == 60 {
-			// Both generation counters wrap during this trial.
-			s.markGen, s.sc.gen = math.MaxUint32-1, math.MaxUint32-1
+			// The generation of the stamp word wraps during this trial.
+			s.sc.gen = genLimit - 2
 		}
 		if len(s.arena) > 0 {
 			dirty++
 		}
-		if s.Reset(g); len(s.arena) != 0 {
-			t.Fatalf("%s: Reset left %d path nodes in the arena", what, len(s.arena))
+		kept := cap(s.hist) >= g.NumDenseKeys()
+		if s.Reset(g); len(s.arena) != 0 || len(s.hist) != 0 {
+			t.Fatalf("%s: Reset left %d path nodes in the arena, %d history entries", what, len(s.arena), len(s.hist))
 		}
 		got := tr.run(t, s, &bound, what)
+		if kept && len(s.hist) > 0 {
+			rezeroed++
+		}
 		fresh := NewSession(g)
 		want := tr.run(t, fresh, &scratchBound{}, what)
 		for i := range want { // both logs have one entry per search and round
@@ -165,11 +170,12 @@ func TestSessionResetEqualsFresh(t *testing.T) {
 				t.Fatalf("%s: reset session diverged from a fresh one:\n got %s\nwant %s", what, got[i], want[i])
 			}
 		}
-		if !reflect.DeepEqual(s.occ, fresh.occ) || !reflect.DeepEqual(s.hist, fresh.hist) {
+		if !reflect.DeepEqual(s.occ, fresh.occ) || len(s.hist) != len(fresh.hist) ||
+			len(s.hist) > 0 && !reflect.DeepEqual(s.hist, fresh.hist) {
 			t.Fatalf("%s: occupancy or history of the reset session differs from a fresh one's", what)
 		}
-		if step == 60 && (s.markGen > 100 || s.sc.gen > 100) {
-			t.Fatalf("%s: generations %d and %d did not wrap", what, s.markGen, s.sc.gen)
+		if step == 60 && s.sc.gen > 100 {
+			t.Fatalf("%s: generation %d did not wrap", what, s.sc.gen)
 		}
 		for _, e := range got {
 			switch {
@@ -182,10 +188,11 @@ func TestSessionResetEqualsFresh(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d routed, %d failed, %d rounds ending oversubscribed, %d resets of a dirty arena", routed, failed, congested, dirty)
-	if len(slots) < 6 || acyclic < 15 || narrowed < 20 || routed < 300 || failed < 100 || congested < 30 || dirty < 60 {
-		t.Errorf("%d slot counts, %d acyclic graphs, %d narrowed envelopes, %d routed, %d failed, %d oversubscribed, %d dirty resets: the sequence no longer covers these",
-			len(slots), acyclic, narrowed, routed, failed, congested, dirty)
+	t.Logf("%d routed, %d failed, %d rounds ending oversubscribed, %d resets of a dirty arena, %d kept history buffers re-zeroed",
+		routed, failed, congested, dirty, rezeroed)
+	if len(slots) < 6 || acyclic < 15 || narrowed < 20 || routed < 300 || failed < 100 || congested < 30 || dirty < 60 || rezeroed < 10 {
+		t.Errorf("%d slot counts, %d acyclic graphs, %d narrowed envelopes, %d routed, %d failed, %d oversubscribed, %d dirty resets, %d re-zeroed history buffers: the sequence no longer covers these",
+			len(slots), acyclic, narrowed, routed, failed, congested, dirty, rezeroed)
 	}
 }
 
@@ -211,9 +218,9 @@ func TestResetAcrossSlotCounts(t *testing.T) {
 		g := graphs[step%2]
 		src := fu(rng.next(8), 2+rng.next(4), 2+rng.next(4))
 		tr, tc := min(src.R+dt/2, 7), max(src.C-(dt-dt/2)+1, 0)
-		grown := [2]int{len(s.sc.hopGen), len(s.sc.seen)}
+		grown := [2]int{len(s.sc.hopGen), len(s.sc.stamp)}
 		routeReusedAndFresh(t, s, g, &bound, src, tr, tc, dt, fmt.Sprintf("step %d (%d slots)", step, g.SlotsPerPE()))
-		if len(s.sc.hopGen) != grown[0] && len(s.sc.seen) == grown[1] {
+		if len(s.sc.hopGen) != grown[0] && len(s.sc.stamp) == grown[1] {
 			cellsOnly++
 		}
 	}
@@ -222,39 +229,41 @@ func TestResetAcrossSlotCounts(t *testing.T) {
 	}
 }
 
-// TestResetMarkWrapClearsWholeCapacity: Reset re-slices the mark array
-// of OversubscribedIn within its capacity, so when markGen wraps on a
-// small graph the purge must reach the stamps beyond the small graph's
-// keys too — a larger graph re-slices them back into view, and one equal
-// to the restarted generation would hide an oversubscribed node.
-func TestResetMarkWrapClearsWholeCapacity(t *testing.T) {
-	big := mrrg.New(arch.DefaultFabric(8, 8), 8)
-	// One net from (5,5) to its east neighbour, through an output
-	// register something else already holds: that register is
-	// oversubscribed, and its dense key lies far beyond a 1×2 graph's.
-	problem := func(s *Session) []*Net {
-		src := fu(5, 5, 5)
+// TestRetargetKeepsOversubscribedReport re-targets a session that found
+// congestion on an 8×8 graph to a 1×2 graph, congests that too, and
+// re-targets it back: the dedup and history storage the session kept
+// across the two graphs must neither hide the oversubscribed node nor
+// carry history into the next graph — the node is reported as a fresh
+// session reports it, once, and holds one bump.
+func TestRetargetKeepsOversubscribedReport(t *testing.T) {
+	big, small := mrrg.New(arch.DefaultFabric(8, 8), 8), mrrg.New(arch.DefaultFabric(1, 2), 1)
+	// One net from PE (r, c) at cycle t to its east neighbour, through an
+	// output register something else already holds: that register is
+	// oversubscribed. On the big graph its dense key lies far beyond the
+	// small graph's.
+	problem := func(s *Session, t0, r, c int) []*Net {
+		src := fu(t0, r, c)
 		s.Reserve(src)
-		s.Reserve(mrrg.Node{T: 5, R: 5, C: 5, Class: mrrg.ClassOut, Idx: uint8(arch.East)})
+		s.Reserve(mrrg.Node{T: t0, R: r, C: c, Class: mrrg.ClassOut, Idx: uint8(arch.East)})
 		net := s.NewNet(src)
-		if _, _, err := s.RouteSink(net, big.OperandTargets(6, 5, 6)); err != nil {
+		if _, _, err := s.RouteSink(net, s.G.OperandTargets(t0+1, r, c+1)); err != nil {
 			t.Fatal(err)
 		}
-		return []*Net{net}
+		return []*Net{net, net} // a net listed twice reports its nodes once
 	}
 	fresh := NewSession(big)
-	want := fresh.OversubscribedIn(problem(fresh))
-	if len(want) == 0 {
-		t.Fatal("the problem oversubscribes nothing")
+	want := slices.Clone(fresh.BumpHistory(problem(fresh, 5, 5, 5)))
+	if len(want) != 1 {
+		t.Fatalf("the problem oversubscribes %v, want one output register", want)
 	}
 	s := NewSession(big)
-	nets := problem(s)
-	s.OversubscribedIn(nets)
-	s.OversubscribedIn(nets) // the net's keys now hold stamp 2
-	s.Reset(mrrg.New(arch.DefaultFabric(1, 2), 1))
-	s.markGen = math.MaxUint32
-	s.OversubscribedIn(nil) // wraps: the next call stamps 2 again
-	if got := s.Reset(big).OversubscribedIn(problem(s)); !reflect.DeepEqual(got, want) {
-		t.Fatalf("after a wrap on a smaller graph: oversubscribed %v, fresh session %v", got, want)
+	s.BumpHistory(problem(s, 5, 5, 5))
+	if over := s.Reset(small).BumpHistory(problem(s, 0, 0, 0)); len(over) != 1 {
+		t.Fatalf("the small problem oversubscribes %v, want one output register", over)
+	}
+	got := s.Reset(big).BumpHistory(problem(s, 5, 5, 5))
+	if !reflect.DeepEqual(got, want) || s.Hist(want[0]) != s.HistBump {
+		t.Fatalf("after a smaller graph: oversubscribed %v with history %v, fresh session %v with %v",
+			got, s.Hist(want[0]), want, s.HistBump)
 	}
 }

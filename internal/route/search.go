@@ -37,22 +37,19 @@ func (w *window) holds(r, c int) bool {
 }
 
 // scratch is one search working set: flat arrays over the dense real-
-// node index space of one search window, invalidated between searches by
-// a generation stamp (an entry is live only when its stamp equals the
-// current generation). The arrays grow monotonically and are cleared
-// only when the generation wraps, so steady-state searches allocate
-// nothing. The zero value is ready to use.
+// node index space of one search window, 20 bytes a node, invalidated
+// between searches by a generation stamp. A node's stamp word holds the
+// generation that last wrote it above flagBits flags; a word from an
+// earlier generation reads as all flags clear. The arrays grow
+// monotonically and are cleared only when the generation wraps, so
+// steady-state searches allocate nothing. The zero value is ready to use.
 type scratch struct {
-	w      window // of the search in progress
-	gen    uint32
-	seen   []uint32  // dist/hval/parent valid when seen[i] == gen
+	w      window    // of the search in progress
+	gen    uint32    // below genLimit
+	stamp  []uint32  // gen<<flagBits | flags of node i
 	dist   []float64 // tentative cost g; -Inf once the lookahead pruned the node
-	hval   []float64 // lookahead cost-to-go h
-	key    []uint64  // cached RealKey of node i
+	hval   []int32   // lookahead cost-to-go h, in deci units
 	parent []int32   // dense index of the predecessor; -1 for seeds
-	closed []uint32  // node finalized when closed[i] == gen
-	tgt    []uint32  // node is a search target when tgt[i] == gen
-	owned  []uint32  // node already belongs to the net when owned[i] == gen
 	rdelta []int     // per window row: DenseKey - search index delta
 	hits   []int32   // targets popped while draining the goal bucket
 	bq     bucketQueue
@@ -69,6 +66,32 @@ type scratch struct {
 	gCur   float64
 	iCur   int32
 	curKey uint64
+}
+
+// The flags of a stamp word. dist, hval and parent are valid only under
+// flagSeen.
+const (
+	flagSeen   = 1 << iota // reached by this search
+	flagClosed             // finalized
+	flagTgt                // a target of this search
+	flagOwned              // already belongs to the net: a seed at cost 0
+	flagBits   = 4
+	genLimit   = 1 << (32 - flagBits) // begin purges the stamps on reaching it
+)
+
+// has reports whether node i carries flag f in the search in progress.
+func (sc *scratch) has(i int32, f uint32) bool {
+	w := sc.stamp[i]
+	return w>>flagBits == sc.gen && w&f != 0
+}
+
+// set gives node i flag f in the search in progress.
+func (sc *scratch) set(i int32, f uint32) {
+	if w := sc.stamp[i]; w>>flagBits == sc.gen {
+		sc.stamp[i] = w | f
+	} else {
+		sc.stamp[i] = sc.gen<<flagBits | f
+	}
 }
 
 // target is one search target as the lookahead reads it.
@@ -99,23 +122,16 @@ func (sc *scratch) begin(w window) {
 	if len(sc.hopGen) < cells {
 		sc.hopGen = make([]uint32, max(cells, 2*len(sc.hopGen)))
 	}
-	if n := cells * w.slots; len(sc.seen) < n {
-		n = max(n, 2*len(sc.seen))
-		sc.seen = make([]uint32, n)
+	if n := cells * w.slots; len(sc.stamp) < n {
+		n = max(n, 2*len(sc.stamp))
+		sc.stamp = make([]uint32, n)
 		sc.dist = make([]float64, n)
-		sc.hval = make([]float64, n)
-		sc.key = make([]uint64, n)
+		sc.hval = make([]int32, n)
 		sc.parent = make([]int32, n)
-		sc.closed = make([]uint32, n)
-		sc.tgt = make([]uint32, n)
-		sc.owned = make([]uint32, n)
 	}
 	sc.gen++
-	if sc.gen == 0 { // generation counter wrapped: purge stale stamps
-		clear(sc.seen)
-		clear(sc.closed)
-		clear(sc.tgt)
-		clear(sc.owned)
+	if sc.gen == genLimit { // generation counter wrapped: purge stale stamps
+		clear(sc.stamp)
 		clear(sc.hopGen)
 		sc.gen = 1
 	}
@@ -140,6 +156,17 @@ func (s *Session) nodeAt(i int32) mrrg.Node {
 	rest /= w.cols
 	cl, idx := s.G.SlotResource(slot)
 	return mrrg.Node{T: rest/w.rows + w.tBase, R: rest%w.rows + w.r0, C: c + w.c0, Class: cl, Idx: idx}
+}
+
+// keyAt returns the RealKey of the node at a dense scratch index, decoded
+// as nodeAt decodes it. A frontier entry carries its own node's key; the
+// tie-breaks that compare another node's decode it here.
+func (s *Session) keyAt(i int32) uint64 {
+	w := &s.sc.w
+	ci := int(i) / w.slots
+	row := ci / w.cols
+	return keyOrigin + uint64(row/w.rows+w.tBase)*keyPerCycle + uint64(row%w.rows+w.r0)*keyPerRow +
+		uint64(ci%w.cols+w.c0)*keyPerCol + s.slotTab[int(i)%w.slots].key
 }
 
 // RealKey is linear in (cycle, row, column): the search derives a
@@ -218,13 +245,14 @@ func (s *Session) hopsOf(r, c int) []int16 {
 }
 
 // costToGo is the A* bound of the node at slot of cell c: the least
-// uncongested cost from it to any target, read from the lookahead table
-// (lookahead.go), or -1 when no target is reachable in time — such a
-// node is pruned outright. An output register's kind depends on the
+// uncongested cost from it to any target in deci units, read from the
+// lookahead table (lookahead.go), or -1 when no target is reachable in
+// time — such a node is pruned outright. Its readers divide by 10 where
+// they add it to a cost. An output register's kind depends on the
 // target: its link leads one hop closer to some targets and away from
 // others, so the far end's distance is looked up per target too — also
 // when the far end lies outside the search window.
-func (s *Session) costToGo(c *cell, slot int) float64 {
+func (s *Session) costToGo(c *cell, slot int) int32 {
 	sc := &s.sc
 	si := &s.slotTab[slot]
 	hops := s.hopsOf(c.r, c.c)
@@ -254,7 +282,7 @@ func (s *Session) costToGo(c *cell, slot int) float64 {
 	if best == laInf {
 		return -1
 	}
-	return float64(best) / 10
+	return best
 }
 
 // searchWindow returns the index space of extending net to targets.
@@ -264,7 +292,9 @@ func (s *Session) costToGo(c *cell, slot int) float64 {
 // box of the seeds grown by H hops and clipped to the array: every link
 // crossing takes a cycle, so nothing outside it is reachable in time. A
 // wrap-around axis keeps its whole extent (a box that crosses the seam
-// is not an interval).
+// is not an interval). That box is clipped again to the bounding box of
+// the envelope and the seeds: the search enters no PE outside the
+// envelope, and a seed out there stays a seed.
 func (s *Session) searchWindow(net *Net, targets []mrrg.Node) window {
 	w := window{tBase: net.Src.T, maxT: targets[0].T, slots: s.G.SlotsPerPE()}
 	r0, r1, c0, c1 := net.Src.R, net.Src.R, net.Src.C, net.Src.C
@@ -279,14 +309,13 @@ func (s *Session) searchWindow(net *Net, targets []mrrg.Node) window {
 			c0, c1 = min(c0, n.C), max(c1, n.C)
 		}
 	}
-	f := &s.G.Fab
+	f, e := &s.G.Fab, &s.Envelope
+	h := w.maxT - w.tBase
 	if f.Topology.Wraps() {
-		r0, r1, c0, c1 = 0, f.Rows-1, 0, f.Cols-1
-	} else {
-		h := w.maxT - w.tBase
-		r0, r1 = max(r0-h, 0), min(r1+h, f.Rows-1)
-		c0, c1 = max(c0-h, 0), min(c1+h, f.Cols-1)
+		h = f.Rows + f.Cols // the whole array
 	}
+	r0, r1 = max(r0-h, 0, min(e.R0, r0)), min(r1+h, f.Rows-1, max(e.R1, r1))
+	c0, c1 = max(c0-h, 0, min(e.C0, c0)), min(c1+h, f.Cols-1, max(e.C1, c1))
 	w.r0, w.rows, w.c0, w.cols = r0, r1-r0+1, c0, c1-c0+1
 	return w
 }
@@ -308,14 +337,13 @@ func (s *Session) RouteSink(net *Net, targets []mrrg.Node) (Path, float64, error
 	}
 	sc.begin(s.searchWindow(net, targets))
 	w := &sc.w
-	gen := sc.gen
 
 	// A target outside the window cannot be reached in time and gets no
 	// stamp; the lookahead still reads every target, and finds this one
 	// out of reach of every node the search can touch.
 	for _, t := range targets {
 		if w.holds(t.R, t.C) {
-			sc.tgt[s.idxOf(t)] = gen
+			sc.set(s.idxOf(t), flagTgt)
 		}
 	}
 	s.openLookahead(targets)
@@ -324,8 +352,7 @@ func (s *Session) RouteSink(net *Net, targets []mrrg.Node) (Path, float64, error
 			return
 		}
 		i := s.idxOf(n)
-		sc.owned[i] = gen
-		sc.seen[i] = gen
+		sc.set(i, flagOwned|flagSeen)
 		sc.dist[i] = 0
 		sc.parent[i] = -1
 		c := s.cellAt(n.T, n.R, n.C)
@@ -335,8 +362,7 @@ func (s *Session) RouteSink(net *Net, targets []mrrg.Node) (Path, float64, error
 			return // no target reachable from this seed in time
 		}
 		sc.hval[i] = h
-		sc.key[i] = c.key + s.slotTab[slot].key
-		sc.bq.push(heapItem{cost: h, key: sc.key[i], idx: i})
+		sc.bq.push(heapItem{cost: float64(h) / 10, key: c.key + s.slotTab[slot].key, idx: i})
 	}
 	seed(net.Src)
 	for _, p := range net.Paths {
@@ -388,7 +414,7 @@ func (s *Session) searchAStar(net *Net, targets []mrrg.Node) (int32, float64, er
 	sc := &s.sc
 	w := &sc.w
 	g := s.G
-	gen, maxT := sc.gen, w.maxT
+	maxT := w.maxT
 	cols := g.Fab.Cols
 	lay := &s.lay
 	stride := int32(w.rows * w.cols * w.slots) // index distance of one cycle
@@ -404,13 +430,13 @@ func (s *Session) searchAStar(net *Net, targets []mrrg.Node) (int32, float64, er
 		}
 		it := sc.bq.pop()
 		i := it.idx
-		if sc.closed[i] == gen {
+		if sc.has(i, flagClosed) {
 			continue
 		}
-		if it.cost > sc.dist[i]+sc.hval[i] {
+		if it.cost > sc.dist[i]+float64(sc.hval[i])/10 {
 			continue // superseded by a cheaper later push
 		}
-		sc.closed[i] = gen
+		sc.set(i, flagClosed)
 		s.closedNodes++
 		if goalBucket < 0 {
 			visits++
@@ -418,7 +444,7 @@ func (s *Session) searchAStar(net *Net, targets []mrrg.Node) (int32, float64, er
 				return 0, 0, fmt.Errorf("route: %w (limit %d)", ErrSearchLimit, s.MaxVisits)
 			}
 		}
-		if sc.tgt[i] == gen {
+		if sc.has(i, flagTgt) {
 			// Targets are hits, not relay points: collect and keep
 			// draining the bucket so every same-cost target (and every
 			// same-cost parent claim on the winning path) is seen.
@@ -428,7 +454,7 @@ func (s *Session) searchAStar(net *Net, targets []mrrg.Node) (int32, float64, er
 			sc.hits = append(sc.hits, i)
 			continue
 		}
-		sc.gCur, sc.iCur, sc.curKey = sc.dist[i], i, sc.key[i]
+		sc.gCur, sc.iCur, sc.curKey = sc.dist[i], i, it.key
 
 		// Decode the index once: slot, window column, (cycle, PE row).
 		ci := int(i) / w.slots
@@ -488,7 +514,7 @@ func (s *Session) searchAStar(net *Net, targets []mrrg.Node) (int32, float64, er
 	goal := sc.hits[0]
 	for _, hi := range sc.hits[1:] {
 		if sc.dist[hi] < sc.dist[goal] ||
-			(sc.dist[hi] == sc.dist[goal] && sc.key[hi] < sc.key[goal]) {
+			(sc.dist[hi] == sc.dist[goal] && s.keyAt(hi) < s.keyAt(goal)) {
 			goal = hi
 		}
 	}
@@ -520,17 +546,16 @@ func (s *Session) fanOut(c *cell, rfw bool) {
 // being expanded (sc.gCur, sc.iCur, sc.curKey).
 func (s *Session) relax(c *cell, slot int) {
 	sc := &s.sc
-	gen := sc.gen
 	mi := c.base + int32(slot)
 	si := &s.slotTab[slot]
-	if sc.owned[mi] == gen {
+	if sc.has(mi, flagOwned) {
 		// The net's own nodes are seeds at cost 0 with no parent: no
 		// offer can improve or re-parent one.
 		return
 	}
 	nd := sc.gCur + s.price(si.base, si.cap, int(c.base)+int(si.occ)+c.kd)
-	if sc.seen[mi] != gen {
-		sc.seen[mi] = gen
+	if !sc.has(mi, flagSeen) {
+		sc.set(mi, flagSeen)
 		h := s.costToGo(c, slot)
 		if h < 0 {
 			// No target reachable in time: prune. -Inf makes every later
@@ -539,26 +564,23 @@ func (s *Session) relax(c *cell, slot int) {
 			return
 		}
 		sc.hval[mi] = h
-		sc.key[mi] = c.key + si.key
 		sc.dist[mi] = nd
 		sc.parent[mi] = sc.iCur
-		sc.bq.push(heapItem{cost: nd + h, key: sc.key[mi], idx: mi})
+		sc.bq.push(heapItem{cost: nd + float64(h)/10, key: c.key + si.key, idx: mi})
 		return
 	}
 	if nd < sc.dist[mi] {
 		sc.dist[mi] = nd
 		sc.parent[mi] = sc.iCur
-		if sc.closed[mi] == gen {
-			sc.closed[mi] = 0 // reopen (ulp-scale improvement)
-		}
-		sc.bq.push(heapItem{cost: nd + sc.hval[mi], key: sc.key[mi], idx: mi})
+		sc.stamp[mi] &^= flagClosed // reopen (ulp-scale improvement)
+		sc.bq.push(heapItem{cost: nd + float64(sc.hval[mi])/10, key: c.key + si.key, idx: mi})
 		return
 	}
 	if nd == sc.dist[mi] {
 		// Deterministic, pop-order-independent parent tie-break: of the
 		// predecessors offering the same cost, the one with the smaller
 		// RealKey keeps the slot.
-		if sc.curKey < sc.key[sc.parent[mi]] {
+		if sc.curKey < s.keyAt(sc.parent[mi]) {
 			sc.parent[mi] = sc.iCur
 		}
 	}

@@ -44,19 +44,22 @@
 //     depend on which consistent bound ordered the pops.
 //
 // Memory discipline: the search inner loop is allocation-free in steady
-// state. All per-search state (dist, parent, closed, bound, target and
-// ownership marks, hop distances) lives in flat generation-stamped
-// scratch arrays indexed by dense packed node keys of the search window; a search
-// invalidates the previous search's entries by bumping a generation
-// counter instead of clearing or reallocating, and the arrays grow only
-// when a window is larger than any before it in the session. The bucket
-// queue's per-bucket heaps are value items (no container/heap interface
-// boxing) and are themselves generation-stamped. Occupancy and history
-// costs are flat arrays over the modulo key space, so pricing a relaxed
-// edge is two array loads. Returned paths are carved from a session-
-// owned arena that Reset and ResetKeepHistory rewind.
+// state, and a session allocates only what its searches read. A search
+// node is 20 bytes of flat scratch arrays over the dense index space of
+// the search window — a stamp word (the generation above seen, closed,
+// target and owned flags), the tentative cost, the bound in deci units
+// and the parent; its RealKey is decoded from the index where a
+// tie-break needs it. A search invalidates the previous one's entries by
+// bumping the generation, and the arrays grow only when a window
+// outgrows them; windows are clipped to the envelope and the seeds, so
+// canonical routing's scratch follows the envelope, not the array. The
+// bucket queue's per-bucket heaps are value items (no container/heap
+// interface boxing) and are themselves generation-stamped. Occupancy is
+// a flat array over the modulo key space; history joins it at the first
+// BumpHistory that finds congestion. Returned paths are carved from a
+// session-owned arena that Reset and ResetKeepHistory rewind.
 //
-// A session lives for one compile: its owner (a HiMap wave slot, one
+// A session lives for one compile: its owner (a window worker, one
 // sub-mapping computation, an exact or conventional compile) re-targets
 // it with Reset for every attempt, leaf and II, so the scratch, the
 // bucket heaps, the path arena and the net freelist warmed by one routing
@@ -66,6 +69,8 @@ package route
 
 import (
 	"errors"
+	"math"
+	"slices"
 
 	"himap/internal/mrrg"
 )
@@ -142,21 +147,18 @@ type Session struct {
 	// whole array. HiMap's canonical routing narrows it to the
 	// spatial envelope that exists for every replica of the route (a
 	// class member near the array edge must be able to reuse the
-	// translated path). Seeds outside it stay seeds.
+	// translated path). Seeds outside it stay seeds. A search's window is
+	// clipped to it and the seeds, so narrowing it shrinks the scratch.
 	Envelope Box
 
 	// occ and hist are dense arrays over the modulo occupancy key space
-	// (mrrg.Graph.DenseKey) — the negotiated-congestion state.
+	// (mrrg.Graph.DenseKey) — the negotiated-congestion state. hist is
+	// empty, and prices nothing, until the first BumpHistory that finds
+	// congestion gives it storage (history); Reset empties it again and
+	// keeps the buffer.
 	occ    []int32
 	hist   []float64
 	netSeq int
-
-	// mark/markGen is generation-stamped dedup scratch for
-	// OversubscribedIn (avoids a per-call hash map). Reset keeps the
-	// generation running, so stamps written for an earlier graph stay
-	// stale.
-	mark    []uint32
-	markGen uint32
 
 	// netFree recycles Net storage from discarded routing rounds (see
 	// FreeNet); a congested attempt re-routes the same net set every
@@ -165,9 +167,11 @@ type Session struct {
 	netFree []*Net
 	// arena holds the nodes of every Path RouteSink returned since the
 	// last Reset or ResetKeepHistory, which rewind it (carvePath); over
-	// is OversubscribedIn's result, valid until its next call.
-	arena []mrrg.Node
-	over  []mrrg.Node
+	// is OversubscribedIn's result, valid until its next call, and
+	// overKeys its dedup buffer.
+	arena    []mrrg.Node
+	over     []mrrg.Node
+	overKeys []uint64
 
 	// capTab is mrrg.Graph.Capacity per class, what OversubscribedIn
 	// holds occupancy against.
@@ -236,11 +240,12 @@ func NewSession(g *mrrg.Graph) *Session { return new(Session).Reset(g) }
 // the closed-node count at zero, and the default PresFac, HistBump,
 // MaxVisits and Envelope for g. The graph's view (slot table, layout,
 // capacities, link table) is rebuilt. Everything else is kept for reuse:
-// occupancy, history and mark storage is cleared in place when its
-// capacity covers g's key space, the path arena is rewound (every Path
-// it returned before is invalid), and the search scratch, the bucket
-// heaps, the net freelist and the lookahead table carry over — a reset
-// session routes exactly as a fresh one, without re-growing them.
+// occupancy storage is cleared in place when its capacity covers g's key
+// space, history storage is emptied (the first bump that finds
+// congestion re-zeroes it), the path arena is rewound (every Path it
+// returned before is invalid), and the search scratch, the bucket heaps,
+// the net freelist and the lookahead table carry over — a reset session
+// routes exactly as a fresh one, without re-growing them.
 func (s *Session) Reset(g *mrrg.Graph) *Session {
 	n := g.NumDenseKeys()
 	s.G = g
@@ -250,12 +255,7 @@ func (s *Session) Reset(g *mrrg.Graph) *Session {
 	s.netSeq, s.closedNodes = 0, 0
 	s.arena = s.arena[:0]
 	s.occ = zeroed(s.occ, n)
-	s.hist = zeroed(s.hist, n)
-	if cap(s.mark) < n {
-		s.mark = make([]uint32, n) // zero never equals a running markGen
-	} else {
-		s.mark = s.mark[:n] // stale stamps are all below markGen
-	}
+	s.hist = s.hist[:0]
 
 	s.links = g.LinkTable()
 	s.lay.nd = g.NumDirs()
@@ -342,13 +342,16 @@ func baseCost(c mrrg.Class) float64 {
 // price is the cost of entering a resource of the given base cost and
 // capacity at dense occupancy key: the base, scaled by the present-
 // sharing penalty once the entry would oversubscribe it, plus the
-// history cost. relax calls it with the slot's table entry and a key
-// derived from the search index.
+// history cost, if any. relax calls it with the slot's table entry and a
+// key derived from the search index.
 func (s *Session) price(base float64, capa int32, key int) float64 {
 	over := int(s.occ[key]) + 1 - int(capa)
 	pen := 1.0
 	if over > 0 {
 		pen = 1.0 + float64(over)*s.PresFac
+	}
+	if len(s.hist) == 0 {
+		return base * pen
 	}
 	return base*pen + s.hist[key]
 }
@@ -369,8 +372,23 @@ func (s *Session) Unreserve(n mrrg.Node) {
 // Occ returns the current occupancy of a node (modulo II).
 func (s *Session) Occ(n mrrg.Node) int { return int(s.occ[s.G.DenseKey(n)]) }
 
-// Hist returns the accumulated history cost of a node (for tests).
-func (s *Session) Hist(n mrrg.Node) float64 { return s.hist[s.G.DenseKey(n)] }
+// Hist returns the accumulated history cost of a node (for tests): 0
+// until a BumpHistory has found congestion.
+func (s *Session) Hist(n mrrg.Node) float64 {
+	if len(s.hist) == 0 {
+		return 0
+	}
+	return s.hist[s.G.DenseKey(n)]
+}
+
+// history returns the history array, allocating it — or re-zeroing the
+// buffer Reset emptied — on first use.
+func (s *Session) history() []float64 {
+	if len(s.hist) == 0 {
+		s.hist = zeroed(s.hist, s.G.NumDenseKeys())
+	}
+	return s.hist
+}
 
 // NewNet starts a net at the producer's placement node. The source node's
 // occupancy is the producer's own (via Reserve); the net reuses it freely.
@@ -467,41 +485,54 @@ func (s *Session) ChargeShifted(net *Net, dt, dr, dc int) {
 }
 
 // OversubscribedIn returns the nodes of the given nets whose occupancy
-// exceeds capacity, in a buffer the session owns: the result stays
-// valid until the next OversubscribedIn or BumpHistory call.
+// exceeds capacity, one per dense key, in the order the nets' paths
+// first reach them. It collects only the nodes over capacity and drops
+// repeats from that short list by sorting (key, position) pairs, so it
+// needs no storage over the key space. The result is in a buffer the
+// session owns, valid until the next OversubscribedIn or BumpHistory
+// call.
 func (s *Session) OversubscribedIn(nets []*Net) []mrrg.Node {
-	s.markGen++
-	if s.markGen == 0 {
-		clear(s.mark[:cap(s.mark)]) // Reset may re-slice over stamps beyond len
-		s.markGen = 1
-	}
-	out := s.over[:0]
+	out, kp := s.over[:0], s.overKeys[:0]
 	for _, net := range nets {
 		for _, p := range net.Paths {
 			for _, n := range p {
-				k := s.G.DenseKey(n)
-				if s.mark[k] == s.markGen {
-					continue
-				}
-				s.mark[k] = s.markGen
-				if int(s.occ[k]) > int(s.capTab[n.Class]) {
+				if k := s.G.DenseKey(n); int(s.occ[k]) > int(s.capTab[n.Class]) {
+					kp = append(kp, uint64(k)<<32|uint64(len(out)))
 					out = append(out, n)
 				}
 			}
 		}
 	}
-	s.over = out
-	return out
+	// Each key's first position, then those positions in order.
+	slices.Sort(kp)
+	first, prev := kp[:0], uint64(math.MaxUint64)
+	for _, e := range kp {
+		if e>>32 != prev {
+			prev = e >> 32
+			first = append(first, e&math.MaxUint32)
+		}
+	}
+	slices.Sort(first)
+	for i, pos := range first {
+		out[i] = out[pos]
+	}
+	s.over, s.overKeys = out[:len(first)], kp
+	return s.over
 }
 
 // BumpHistory raises the history cost of every oversubscribed node among
 // the given nets and returns those nodes, in OversubscribedIn's buffer:
 // valid until the next call of either. An empty return means the
-// routing is congestion-free (§V's success condition).
+// routing is congestion-free (§V's success condition); the first
+// non-empty one gives the session its history storage.
 func (s *Session) BumpHistory(nets []*Net) []mrrg.Node {
 	over := s.OversubscribedIn(nets)
+	if len(over) == 0 {
+		return over
+	}
+	hist := s.history()
 	for _, n := range over {
-		s.hist[s.G.DenseKey(n)] += s.HistBump
+		hist[s.G.DenseKey(n)] += s.HistBump
 	}
 	return over
 }
