@@ -4,9 +4,14 @@
 //	experiments -table2                 # Table II: unique iterations
 //	experiments -fig7 -sizes 4,8,16,32  # Fig 7: U / MOPS / MOPS/mW vs BHC
 //	experiments -fig8 -bs 2,4,8,16,32   # Fig 8: compile time vs block size
-//	experiments -all
+//	experiments -envelope               # all kernels on a 64x64 array
+//	experiments -explore                # design-space sweep over fabric candidates
+//	experiments -gap                    # HiMap and SA II against exact's proved minimum
+//	experiments -all                    # -table1 -table2 -fig7 -fig8
 //
-// Measured-vs-paper values are recorded in EXPERIMENTS.md.
+// Measured-vs-paper values are recorded in EXPERIMENTS.md; results/
+// holds the outputs, and scripts/check.sh diffs the deterministic ones
+// (-table1 -table2, -explore, -gap) against a fresh run.
 package main
 
 import (

@@ -179,9 +179,9 @@ var (
 	ErrProvedInfeasible = diag.ErrProvedInfeasible
 	// ErrCanceled: the compile's context was canceled or its deadline
 	// expired before a mapping was committed. Both mappers check their
-	// context at stage boundaries (HiMap additionally between speculative
-	// waves, the conventional mapper between II attempts and every 4096
-	// annealing moves); the original context error stays in the cause
+	// context at stage boundaries (HiMap additionally before each attempt
+	// is claimed, the conventional mapper between II attempts and every
+	// 4096 annealing moves); the original context error stays in the cause
 	// chain, so errors.Is(err, context.Canceled) and
 	// errors.Is(err, context.DeadlineExceeded) also hold.
 	ErrCanceled = diag.ErrCanceled

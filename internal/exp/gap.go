@@ -20,18 +20,17 @@ import (
 // flow on the same fabric (HiMap derives its own block, so its row
 // carries that block and the exact lower bound recomputed for it).
 type ExactGapPoint struct {
-	Kernel      string  `json:"kernel"`
-	Size        int     `json:"size"`
-	Block       []int   `json:"block"`
-	ExactII     int     `json:"exact_ii"`
-	Proved      bool    `json:"proved_minimal"`
-	Certificate string  `json:"certificate,omitempty"`
-	LowerBound  int     `json:"ii_lower_bound"`
-	ExactMS     float64 `json:"exact_ms"`
-	SAII        int     `json:"sa_ii"`
-	HiMapII     int     `json:"himap_ii"`
-	HiMapBlock  []int   `json:"himap_block"`
-	HiMapLB     int     `json:"himap_ii_lower_bound"`
+	Kernel      string `json:"kernel"`
+	Size        int    `json:"size"`
+	Block       []int  `json:"block"`
+	ExactII     int    `json:"exact_ii"`
+	Proved      bool   `json:"proved_minimal"`
+	Certificate string `json:"certificate,omitempty"`
+	LowerBound  int    `json:"ii_lower_bound"`
+	SAII        int    `json:"sa_ii"`
+	HiMapII     int    `json:"himap_ii"`
+	HiMapBlock  []int  `json:"himap_block"`
+	HiMapLB     int    `json:"himap_ii_lower_bound"`
 }
 
 // ExactGap maps every evaluation kernel at block size blockSize on a
@@ -69,7 +68,6 @@ func ExactGap(size, blockSize int, budget time.Duration) ([]ExactGapPoint, error
 			Proved:      eres.Optimality.ProvedMinimal,
 			Certificate: string(eres.Optimality.Certificate),
 			LowerBound:  eres.Optimality.IILowerBound,
-			ExactMS:     float64(eres.Time.Microseconds()) / 1000,
 			SAII:        bres.II,
 			HiMapII:     hres.IIB,
 			HiMapBlock:  hres.Block,
@@ -83,15 +81,15 @@ func ExactGap(size, blockSize int, budget time.Duration) ([]ExactGapPoint, error
 // `experiments -gap`.
 func WriteGapTable(w io.Writer, rows []ExactGapPoint) {
 	fmt.Fprintf(w, "Quality gap vs exact solver (SA and exact share the block; HiMap derives its own)\n")
-	fmt.Fprintf(w, "%-8s %-8s %9s %-11s %4s %9s %6s %9s %-8s %8s\n",
-		"kernel", "block", "exact II", "cert", "lb", "exact ms", "SA II", "himap II", "block", "himap lb")
+	fmt.Fprintf(w, "%-8s %-8s %9s %-11s %4s %6s %9s %-8s %8s\n",
+		"kernel", "block", "exact II", "cert", "lb", "SA II", "himap II", "block", "himap lb")
 	for _, r := range rows {
 		cert := r.Certificate
 		if !r.Proved {
 			cert = "unproven"
 		}
-		fmt.Fprintf(w, "%-8s %-8s %9d %-11s %4d %9.1f %6d %9d %-8s %8d\n",
-			r.Kernel, blockStr(r.Block), r.ExactII, cert, r.LowerBound, r.ExactMS,
+		fmt.Fprintf(w, "%-8s %-8s %9d %-11s %4d %6d %9d %-8s %8d\n",
+			r.Kernel, blockStr(r.Block), r.ExactII, cert, r.LowerBound,
 			r.SAII, r.HiMapII, blockStr(r.HiMapBlock), r.HiMapLB)
 	}
 }

@@ -301,7 +301,7 @@ func TestForwardingTransform(t *testing.T) {
 		t.Error("no relay nodes inserted")
 	}
 	// After forwarding every dependence must be local.
-	for _, dv := range g2.DistanceVectors() {
+	for _, dv := range g2.DistanceVectors {
 		if m.Classify(dv) != systolic.DepLocal {
 			t.Errorf("dependence %v still non-local after forwarding", dv)
 		}
@@ -318,6 +318,16 @@ func TestForwardingTransform(t *testing.T) {
 	}
 	if err := kernel.CompareOutputs(want, got); err != nil {
 		t.Error(err)
+	}
+
+	// A dependence the mapping cannot carry (here (0,2) arrives in the
+	// cycle it leaves) is ErrSchemeInfeasible, not a DFG left as it was.
+	same := systolic.Scheme{SpaceDims: []int{1}, TimePerm: []int{0}, Skew: []int{0}}.Realize([]int{4, 6})
+	if same.Classify(ir.IterVec{0, 2}) != systolic.DepInvalid {
+		t.Fatalf("expected DepInvalid for (0,2) under %v", same)
+	}
+	if _, _, err := ApplyForwarding(d, g, same); !errors.Is(err, diag.ErrSchemeInfeasible) {
+		t.Errorf("forwarding under a mapping that breaks (0,2): err = %v, want ErrSchemeInfeasible", err)
 	}
 
 	// A DFG whose iterations leave the block it states (here: a block

@@ -2,8 +2,8 @@ package himap
 
 import (
 	"fmt"
-	"himap/internal/diag"
 
+	"himap/internal/diag"
 	"himap/internal/ir"
 	"himap/internal/systolic"
 )
@@ -26,7 +26,7 @@ const fwdBodyOpBase = 3000
 // outside the block.
 func ApplyForwarding(d *ir.DFG, g *ir.ISDG, m *systolic.Mapping) (*ir.DFG, *ir.ISDG, error) {
 	needs := false
-	for _, dv := range g.DistanceVectors() {
+	for _, dv := range g.DistanceVectors {
 		switch m.Classify(dv) {
 		case systolic.DepForward:
 			needs = true

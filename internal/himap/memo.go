@@ -59,9 +59,9 @@ type memoKey struct {
 }
 
 // memoBudget is the weight a Memo holds before it resets. An unrolled
-// node or edge keeps about 135 bytes live (GEMM 134, FW 133, MVT 128,
-// ADI 116; 160 before the DFG's node slab and CSR adjacency and the
-// ISDG's dense tables), so this is roughly 140 MB:
+// node or edge keeps about 110 bytes live (GEMM 111, FW 110, MVT 113,
+// ADI 109 at 16 per dimension: the DFG's node slab and CSR adjacency and
+// the ISDG's clusters and dense tables), so this is roughly 115 MB:
 // seven times what the serve_mix workload of BENCHMARK.json leaves in
 // the shared memo (about 150k) and six times the heaviest single
 // compile any workload runs (GEMM 64×64, 169k), so a reset only ever

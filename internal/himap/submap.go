@@ -257,8 +257,7 @@ func tryPlaceIDFG(ses *route.Session, f *ir.IDFG, fab arch.Fabric, s1, s2, depth
 			netOf[e.From] = net
 			nets = append(nets, net)
 		}
-		path, _, err := ses.RouteSink(net, g.OperandTargets(cn.T, cn.R, cn.C))
-		_ = path
+		_, _, err := ses.RouteSink(net, g.OperandTargets(cn.T, cn.R, cn.C))
 		return err
 	}
 
@@ -338,7 +337,6 @@ func tryPlaceIDFG(ses *route.Session, f *ir.IDFG, fab arch.Fabric, s1, s2, depth
 			ses.Reserve(c.node)
 			place[id] = c.node
 			ok := true
-			var added []ir.Edge
 			for _, e := range parents[id] {
 				if !d.Nodes[e.From].Kind.IsCompute() {
 					continue
@@ -350,24 +348,15 @@ func tryPlaceIDFG(ses *route.Session, f *ir.IDFG, fab arch.Fabric, s1, s2, depth
 					ok = false
 					break
 				}
-				added = append(added, e)
 			}
 			if ok {
 				placed = true
 				break
 			}
-			// Back out: release this node's incoming nets entirely and retry.
-			_ = added
-			for _, e := range parents[id] {
-				if net := netOf[e.From]; net != nil {
-					ses.Release(net)
-					// Re-route the net's previously committed sinks.
-					// Simplest correct approach: rebuild below.
-				}
-			}
+			// Back out this slot and rebuild all routing from scratch
+			// (graphs are tiny); rerouteAll releases every net first.
 			ses.Unreserve(c.node)
 			delete(place, id)
-			// Rebuild all routing from scratch (graphs are tiny).
 			if err := rerouteAll(ses, g, d, place, parents, netOf, &nets, order); err != nil {
 				return nil, err
 			}

@@ -39,9 +39,8 @@ func PlaceClusters(g *ir.ISDG, m *systolic.Mapping) *ClusterPlace {
 // "Two IDFGs are the same if the relative placements of all input and
 // output nodes of the IDFGs are the same").
 type UniqueClass struct {
-	Sig     string // hex of the 128-bit content hash (diagnostics only)
-	Rep     int    // representative cluster ID (lowest)
-	Members []int  // all cluster IDs, ascending
+	Rep     int   // representative cluster ID (lowest)
+	Members []int // all cluster IDs, ascending
 }
 
 // IdentifyUnique computes the unique iteration classes of the placed ISDG
@@ -65,7 +64,7 @@ func IdentifyUnique(g *ir.ISDG, cp *ClusterPlace) (classes []*UniqueClass, byClu
 		sig := clusterSignature(g, cp, c.ID, &sc)
 		cl, ok := bySig[sig]
 		if !ok {
-			cl = &UniqueClass{Sig: fmt.Sprintf("%016x%016x", sig[0], sig[1]), Rep: c.ID}
+			cl = &UniqueClass{Rep: c.ID}
 			bySig[sig] = cl
 			classes = append(classes, cl)
 		}

@@ -108,34 +108,20 @@ func (d *DFG) AddEdge(from, to, port int) {
 	d.indexed = false
 }
 
-// index rebuilds the CSR adjacency. Edges with an endpoint out of range
-// (only a hand-edited Edges slice has them; Validate reports them) are
-// left out.
+// index rebuilds the CSR adjacency. It counts each node's degrees,
+// prefix-sums the counts into offsets, then drops every edge into its
+// slot — a stable counting sort, three allocations whatever the size.
+// Edges with an endpoint out of range (only a hand-edited Edges slice has
+// them; Validate reports them) are left out.
 func (d *DFG) index() {
 	n := len(d.Nodes)
-	d.outOff, d.inOff, d.adj = csr(n, len(d.Edges), func(ei int) (int, int) {
-		e := d.Edges[ei]
-		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
-			return -1, -1
-		}
-		return e.From, e.To
-	})
-	d.indexed = true
-}
-
-// csr indexes m edges over n vertices: adj[outOff[v]:outOff[v+1]] lists
-// the edges leaving v and adj[inOff[v]:inOff[v+1]] those entering it,
-// both in edge order. It counts each vertex's degrees, prefix-sums the
-// counts into offsets, then drops every edge into its slot — a stable
-// counting sort, three allocations whatever n and m are. ends names the
-// endpoints of edge ei; a negative from skips the edge.
-func csr(n, m int, ends func(ei int) (from, to int)) (outOff, inOff []int32, adj []int) {
+	inRange := func(e Edge) bool { return e.From >= 0 && e.From < n && e.To >= 0 && e.To < n }
 	off := make([]int32, 2*(n+1))
-	outOff, inOff = off[:n+1], off[n+1:]
-	for ei := 0; ei < m; ei++ {
-		if from, to := ends(ei); from >= 0 {
-			outOff[from]++
-			inOff[to]++
+	outOff, inOff := off[:n+1], off[n+1:]
+	for _, e := range d.Edges {
+		if inRange(e) {
+			outOff[e.From]++
+			inOff[e.To]++
 		}
 	}
 	// Counts to start offsets; every in-list follows the out-lists.
@@ -144,19 +130,20 @@ func csr(n, m int, ends func(ei int) (from, to int)) (outOff, inOff []int32, adj
 		off[i] = sum
 		sum += c
 	}
-	adj = make([]int, sum)
-	for ei := 0; ei < m; ei++ {
-		if from, to := ends(ei); from >= 0 {
-			adj[outOff[from]] = ei
-			outOff[from]++
-			adj[inOff[to]] = ei
-			inOff[to]++
+	adj := make([]int, sum)
+	for ei, e := range d.Edges {
+		if inRange(e) {
+			adj[outOff[e.From]] = ei
+			outOff[e.From]++
+			adj[inOff[e.To]] = ei
+			inOff[e.To]++
 		}
 	}
-	// Filling advanced each start to the next vertex's start: shift back.
+	// Filling advanced each start to the next node's start: shift back.
 	copy(off[1:], off[:len(off)-1])
 	off[0] = 0
-	return outOff, inOff, adj
+	d.outOff, d.inOff, d.adj = outOff, inOff, adj
+	d.indexed = true
 }
 
 // OutEdges returns the indices (into d.Edges) of edges leaving node id.

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -44,17 +45,32 @@ func build2DDFG(t *testing.T, bx, by int) *DFG {
 	return d
 }
 
+// TestBuildISDGClusters: every node lies in exactly one cluster, the one
+// ClusterOf names, and ClusterAt finds each cluster at its own iteration
+// on a block that is not square.
 func TestBuildISDGClusters(t *testing.T) {
-	d := build2DDFG(t, 4, 4)
+	d := build2DDFG(t, 3, 5)
 	g, err := BuildISDG(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
+	if len(g.Clusters) != 15 {
+		t.Fatalf("clusters = %d, want 15", len(g.Clusters))
 	}
-	if len(g.Clusters) != 16 {
-		t.Fatalf("clusters = %d, want 16", len(g.Clusters))
+	covered := 0
+	for _, c := range g.Clusters {
+		covered += len(c.Nodes)
+		for _, id := range c.Nodes {
+			if g.ClusterOf(id) != c.ID || !d.Nodes[id].Iter.Equal(c.Iter) {
+				t.Errorf("node %v in cluster %d at %v; ClusterOf says %d", d.Nodes[id], c.ID, c.Iter, g.ClusterOf(id))
+			}
+		}
+		if got := g.ClusterAt(c.Iter); got != c {
+			t.Errorf("ClusterAt(%v) = %+v, want cluster %d", c.Iter, got, c.ID)
+		}
+	}
+	if covered != len(d.Nodes) {
+		t.Errorf("clusters hold %d of %d nodes", covered, len(d.Nodes))
 	}
 	c := g.ClusterAt(IterVec{1, 1})
 	if c == nil {
@@ -64,49 +80,10 @@ func TestBuildISDGClusters(t *testing.T) {
 	if len(c.Nodes) != 4 {
 		t.Errorf("interior cluster has %d nodes, want 4", len(c.Nodes))
 	}
-	for _, id := range c.Nodes {
-		if g.ClusterOf(id) != c.ID {
-			t.Errorf("ClusterOf(%d) = %d, want %d", id, g.ClusterOf(id), c.ID)
+	for _, iv := range []IterVec{{3, 0}, {0, 5}, {-1, 0}, {0}, {0, 0, 0}} {
+		if c := g.ClusterAt(iv); c != nil {
+			t.Errorf("ClusterAt(%v) = cluster %d, want nil", iv, c.ID)
 		}
-	}
-}
-
-func TestISDGDistanceVectors(t *testing.T) {
-	d := build2DDFG(t, 4, 4)
-	g, err := BuildISDG(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dists := g.DistanceVectors()
-	if len(dists) != 2 {
-		t.Fatalf("distance vectors = %v, want 2 of them", dists)
-	}
-	want := map[string]bool{"1,0": true, "0,1": true}
-	for _, dv := range dists {
-		if !want[dv.Key()] {
-			t.Errorf("unexpected distance vector %v", dv)
-		}
-	}
-}
-
-func TestISDGEdgesDeduplicated(t *testing.T) {
-	d := build2DDFG(t, 3, 3)
-	g, err := BuildISDG(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type ends struct{ f, to int }
-	seen := map[ends]bool{}
-	for _, e := range g.Edges {
-		p := ends{e.From, e.To}
-		if seen[p] {
-			t.Errorf("duplicate cluster edge %d->%d", e.From, e.To)
-		}
-		seen[p] = true
-	}
-	// 3x3 grid with unit deps in both dims: 2*3*2 = 12 edges.
-	if len(g.Edges) != 12 {
-		t.Errorf("cluster edges = %d, want 12", len(g.Edges))
 	}
 }
 
@@ -195,55 +172,31 @@ func chainDFG(block []int, iters ...IterVec) *DFG {
 	return d
 }
 
-// TestBuildISDGWithoutBlock: a hand-built DFG that never states its
-// block is indexed over the bounding box of its iterations — negative
-// coordinates included — and ClusterAt answers nil everywhere else.
-func TestBuildISDGWithoutBlock(t *testing.T) {
-	d := chainDFG(nil, IterVec{-1, 2}, IterVec{0, 2}, IterVec{0, 4}, IterVec{1, 3})
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	g, err := BuildISDG(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(g.Clusters) != 4 || len(g.Edges) != 3 {
-		t.Fatalf("%d clusters, %d edges; want 4 and 3", len(g.Clusters), len(g.Edges))
-	}
-	if c := g.ClusterAt(IterVec{-1, 2}); c == nil || c.ID != 0 || len(c.Nodes) != 2 {
-		t.Errorf("ClusterAt(-1,2) = %+v, want cluster 0 with the load and the first route", c)
-	}
-	if c := g.ClusterAt(IterVec{1, 3}); c == nil || c.ID != 3 {
-		t.Errorf("ClusterAt(1,3) = %+v, want cluster 3", c)
-	}
-	for _, iv := range []IterVec{{0, 3}, {-2, 2}, {2, 3}, {0, 5}, {0}, {0, 2, 0}} {
-		if c := g.ClusterAt(iv); c != nil {
-			t.Errorf("ClusterAt(%v) = cluster %d, want nil", iv, c.ID)
-		}
-	}
-	if got := g.Edges[2].Dist; !got.Equal(IterVec{1, -1}) {
-		t.Errorf("edge (0,4)->(1,3) has distance %v", got)
-	}
-}
-
-// TestBuildISDGRejectsStrayIteration: an iteration outside a stated
-// block, one of the wrong dimensionality, and — with no block — one so
-// far from the rest that the bounding box is no iteration space, are
-// returned errors, not index panics or tables sized by the stray point.
+// TestBuildISDGRejectsStrayIteration: an iteration outside the block, one
+// of the wrong dimensionality, a node with no iteration and a DFG that
+// states no block are returned errors, not index panics or tables sized
+// by a stray point.
 func TestBuildISDGRejectsStrayIteration(t *testing.T) {
-	for name, d := range map[string]*DFG{
-		"past the block":    chainDFG([]int{2, 2}, IterVec{0, 0}, IterVec{1, 2}),
-		"before the block":  chainDFG([]int{2, 2}, IterVec{0, 0}, IterVec{-1, 0}),
-		"wrong dimension":   chainDFG([]int{2, 2}, IterVec{0, 0}, IterVec{1}),
-		"no block, far off": chainDFG(nil, IterVec{0, 0}, IterVec{1 << 40, 1 << 40}),
-		"no block, ragged":  chainDFG(nil, IterVec{0, 0}, IterVec{1}),
+	noIter := chainDFG([]int{2, 2}, IterVec{0, 0}, IterVec{1, 0})
+	noIter.Nodes[2].Iter = nil
+	for name, tc := range map[string]struct {
+		d    *DFG
+		want string
+	}{
+		"past the block":      {chainDFG([]int{2, 2}, IterVec{0, 0}, IterVec{1, 2}), "outside block"},
+		"before the block":    {chainDFG([]int{2, 2}, IterVec{0, 0}, IterVec{-1, 0}), "outside block"},
+		"wrong dimension":     {chainDFG([]int{2, 2}, IterVec{0, 0}, IterVec{1}), "outside block"},
+		"no iteration vector": {noIter, "no iteration vector"},
+		"no block":            {chainDFG(nil, IterVec{0, 0}, IterVec{0, 1}, IterVec{1, 1}), "no block"},
 	} {
-		g, err := BuildISDG(d)
+		if err := tc.d.Validate(); err != nil {
+			t.Fatalf("%s: the DFG itself is malformed: %v", name, err)
+		}
+		g, err := BuildISDG(tc.d)
 		if err == nil {
 			t.Errorf("%s: BuildISDG accepted it (%d clusters)", name, len(g.Clusters))
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not say %q", name, err, tc.want)
 		}
 	}
 }

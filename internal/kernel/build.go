@@ -210,9 +210,6 @@ func (k *Kernel) BuildISDG(block []int) (*ir.DFG, *ir.ISDG, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := g.Validate(); err != nil {
-		return nil, nil, err
-	}
 	return d, g, nil
 }
 

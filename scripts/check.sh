@@ -32,6 +32,8 @@ go test -run '^$' -bench ScaleCompile -benchtime 1x .
 go run ./cmd/experiments -table1 -table2 | diff - results/tables.txt
 # The design-space sweep is deterministic at every -workers (~1.5 s): its committed ranking is what the code prints now.
 go run ./cmd/experiments -explore -explore-size 8 | diff - results/explore8.txt
+# The quality gap against the exact solver is deterministic (~1 s; the exact search stops at its leaf cap, not its time budget): HiMap and SA II beside exact's proved minimum.
+go run ./cmd/experiments -gap | diff - results/gap4.txt
 # bench/ is its own module (replace himap => ../): nothing above compiles it.
 (cd bench && go vet ./... && go test ./...)
 # The harness end to end: exits 1 unless its correctness gate holds and no compile failed.
