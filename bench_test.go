@@ -1,7 +1,7 @@
 // Paper-artifact benchmarks: one testing.B benchmark per table and
 // figure of the paper's evaluation (regenerating the underlying
-// measurement), the design-choice ablations, and the router hot path
-// with its alloc-ceiling test. Run with
+// measurement), and the router hot path with its alloc-ceiling test.
+// Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -183,52 +183,6 @@ func BenchmarkFig8Wall(b *testing.B) {
 		if err == nil {
 			b.Fatal("expected the node wall")
 		}
-	}
-}
-
-// ---------------------------------------------------------------- ablations
-
-// BenchmarkAblationNegotiation quantifies the SPR-style cost escalation
-// (DESIGN.md design choice): utilization with and without negotiation
-// rounds, reported as a custom metric.
-func BenchmarkAblationNegotiation(b *testing.B) {
-	for _, rounds := range []int{1, 8} {
-		b.Run(fmt.Sprintf("rounds%d", rounds), func(b *testing.B) {
-			b.ReportAllocs()
-			var res *core.Result
-			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = core.CompileRequest(context.Background(), kernel.FW(), arch.DefaultFabric(4, 4), core.Options{MaxRouteRounds: rounds, Memo: core.NewMemo()})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.Utilization*100, "util%")
-		})
-	}
-}
-
-// BenchmarkAblationRelayPolicy compares crossbar/memory relay pins
-// against register-only relays.
-func BenchmarkAblationRelayPolicy(b *testing.B) {
-	for _, pol := range []core.RelayPolicy{core.RelayAuto, core.RelayRegistersOnly} {
-		name := "auto"
-		if pol == core.RelayRegistersOnly {
-			name = "registers-only"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var res *core.Result
-			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = core.CompileRequest(context.Background(), kernel.GEMM(), arch.DefaultFabric(4, 4), core.Options{RelayPolicy: pol, Memo: core.NewMemo()})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.Utilization*100, "util%")
-			b.ReportMetric(power.MeasureActivity(res.Config).RF, "RFactivity")
-		})
 	}
 }
 
@@ -520,20 +474,5 @@ func TestFlatExactAllocBudget(t *testing.T) {
 	}
 	if bytes > flatExactByteCeiling {
 		t.Errorf("GEMM 4x4 exact compile allocated %d bytes, ceiling is %d", bytes, flatExactByteCeiling)
-	}
-}
-
-// BenchmarkAblationDepthSlack measures the value of MAP's fallback depth
-// exploration.
-func BenchmarkAblationDepthSlack(b *testing.B) {
-	for _, slack := range []int{1, 3} {
-		b.Run(fmt.Sprintf("slack%d", slack), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.CompileRequest(context.Background(), kernel.FW(), arch.DefaultFabric(4, 4), core.Options{DepthSlack: slack, Memo: core.NewMemo()}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -11,7 +11,7 @@
 //
 // Measured-vs-paper values are recorded in EXPERIMENTS.md; results/
 // holds the outputs, and scripts/check.sh diffs the deterministic ones
-// (-table1 -table2, -explore, -gap) against a fresh run.
+// (-table1 -table2, -envelope, -explore, -gap) against a fresh run.
 package main
 
 import (
@@ -81,31 +81,27 @@ func main() {
 		}
 		fmt.Println(exp.FormatTableII(rows))
 	}
+	// progress names the figure on each row it writes to stderr.
+	progress := func(fig string) func(string) {
+		return func(row string) { fmt.Fprintf(os.Stderr, "%s point done: %s\n", fig, row) }
+	}
 	if *fig7 {
-		progress := func(p exp.Fig7Point) {
-			fmt.Fprintf(os.Stderr, "fig7 point done: %s %dx%d (himap U %.1f%%, bhc U %.1f%% %s)\n",
-				p.Kernel, p.Size, p.Size, p.HiMapU*100, p.BHCU*100, p.BHCNote)
-		}
-		pts, err := exp.Fig7(exp.Config{Sizes: parseInts(*sizes), BaselineBudget: *budget, Workers: *workers, Progress: progress})
+		pts, err := exp.Fig7(exp.Config{Sizes: parseInts(*sizes), BaselineBudget: *budget, Workers: *workers, Progress: progress("fig7")})
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Println(exp.FormatFig7(pts))
 	}
 	if *fig8 {
-		progress := func(p exp.Fig8Point) {
-			fmt.Fprintf(os.Stderr, "fig8 point done: %s b=%d (himap %v ok=%v, bhc %v ok=%v %s)\n",
-				p.Kernel, p.B, p.HiMapTime.Round(time.Millisecond), p.HiMapOK,
-				p.BHCTime.Round(time.Millisecond), p.BHCOK, p.BHCNote)
-		}
-		pts, err := exp.Fig8(exp.Fig8Config{Bs: parseInts(*bs), BaselineBudget: *budget, Workers: *workers, Progress: progress})
+		pts, err := exp.Fig8(exp.Config{Sizes: parseInts(*bs), BaselineBudget: *budget, Workers: *workers, Progress: progress("fig8")})
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Println(exp.FormatFig8(pts))
 	}
 	if *env {
-		pts, err := exp.Envelope([]int{64}, exp.Fig8Config{Workers: *workers})
+		// Compile times go to the progress lines: stdout is deterministic.
+		pts, err := exp.Envelope(exp.Config{Workers: *workers, Progress: progress("envelope")})
 		if err != nil {
 			fatal(err)
 		}

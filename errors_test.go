@@ -97,17 +97,14 @@ func TestErrSchemeInfeasible(t *testing.T) {
 	}
 }
 
-// TestErrRouteCongested: restricting the negotiation to a single round on
-// FW's broadcast-heavy traffic leaves oversubscribed routing resources.
+// TestErrRouteCongested: GEMM on an 8x8 mesh whose memory ports sit on
+// the two boundary columns admits only full-width sub-CGRAs, and every
+// one of its attempts congests: the compile fails with the route class,
+// led by attempt 1's route stage, after every attempt ran.
 func TestErrRouteCongested(t *testing.T) {
-	opts := freshOpts()
-	opts.MaxRouteRounds = 1
-	opts.MaxSubMaps = 1
-	opts.MaxSchemes = 1
-	_, err := compile(himap.KernelFW(), himap.DefaultCGRA(8, 8), opts)
-	if err == nil {
-		t.Skip("FW routed in one round; congestion construction no longer applies")
-	}
+	fab := himap.DefaultFabric(8, 8)
+	fab.Mem = himap.MemBoundary
+	_, err := compileFabric(himap.KernelGEMM(), fab, freshOpts())
 	if !errors.Is(err, himap.ErrRouteCongested) {
 		t.Fatalf("want ErrRouteCongested, got %v", err)
 	}
@@ -115,8 +112,14 @@ func TestErrRouteCongested(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("errors.As must recover *CompileError from %v", err)
 	}
-	if ce.Attempts != 1 {
-		t.Errorf("single-candidate search must report 1 attempt, got %d", ce.Attempts)
+	if ce.Primary == nil || ce.Primary.Stage != "route" || ce.Primary.Attempt != 1 {
+		t.Errorf("primary failure %+v, want stage route at attempt 1", ce.Primary)
+	}
+	if len(ce.Stages) != 1 {
+		t.Errorf("failures in %d stages, want route alone: %v", len(ce.Stages), ce.Stages)
+	}
+	if ce.Attempts != 24 {
+		t.Errorf("%d attempts, want all 24", ce.Attempts)
 	}
 }
 

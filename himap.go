@@ -64,8 +64,6 @@ type (
 	CostClass = arch.CostClass
 	// PECaps is the capability class of one PE.
 	PECaps = arch.PECaps
-	// Link is one typed directed link of a fabric.
-	Link = arch.Link
 	// Config is a complete CGRA mapping: per-PE repeating instruction
 	// streams plus memory-access correlation metadata.
 	Config = arch.Config
@@ -134,8 +132,9 @@ type (
 // wraps the class that caused it, so callers dispatch with errors.Is
 // regardless of stage, mapper, or Workers value:
 //
-//	_, err := himap.CompileRequest(ctx, himap.Request{Kernel: k, Fabric: fab,
-//		Options: himap.Options{MaxRouteRounds: 1}})
+//	fab := himap.DefaultFabric(8, 8)
+//	fab.Mem = himap.MemBoundary // GEMM congests in every attempt here
+//	_, err := himap.CompileRequest(ctx, himap.Request{Kernel: himap.KernelGEMM(), Fabric: fab})
 //	if errors.Is(err, himap.ErrRouteCongested) { ... }
 var (
 	// ErrNoSubMapping: step 1 found no valid IDFG → sub-CGRA mapping.

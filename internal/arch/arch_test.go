@@ -174,20 +174,3 @@ func TestIsNop(t *testing.T) {
 		t.Error("routing instruction is not a nop")
 	}
 }
-
-func TestCheckDataMemory(t *testing.T) {
-	cfg := NewConfig(DefaultFabric(1, 1), 4)
-	// 4 loads and 4 stores, no phase skew: 16 words needed, 64 available.
-	for s := 0; s < 4; s++ {
-		cfg.Loads = append(cfg.Loads, IOSpec{R: 0, C: 0, Slot: s, Tensor: "A", Index: []int{s}})
-		cfg.Stores = append(cfg.Stores, IOSpec{R: 0, C: 0, Slot: s, Tensor: "O", Index: []int{s}})
-	}
-	if err := cfg.CheckDataMemory(); err != nil {
-		t.Errorf("16 words should fit: %v", err)
-	}
-	// Huge prologue skew on one load blows the budget.
-	cfg.Loads = append(cfg.Loads, IOSpec{R: 0, C: 0, Slot: 0, Phase: -60, Tensor: "A", Index: []int{9}})
-	if err := cfg.CheckDataMemory(); err == nil {
-		t.Error("62-word access on top of 16 must exceed 64")
-	}
-}

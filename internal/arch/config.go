@@ -132,61 +132,6 @@ func (cfg *Config) MaxUniqueInstrs() int {
 	return max
 }
 
-// DataMemoryDemand returns the peak per-PE data-memory footprint of the
-// mapping: every configured memory access needs a double-buffered word,
-// and accesses whose schedule phase leads or trails the block window
-// (software-pipelining prologue/epilogue) need one extra word per phase
-// of skew.
-func (cfg *Config) DataMemoryDemand() int {
-	max := 0
-	cfg.eachDataMemNeed(func(_, _ int, need int) {
-		if need > max {
-			max = need
-		}
-	})
-	return max
-}
-
-// CheckDataMemory reports whether the mapping's streams fit entirely in
-// the per-PE data memories (the paper adds them "to eliminate memory
-// access bottlenecks in some kernels"). Exceeding the capacity is not a
-// correctness failure — the surplus simply streams from the shared
-// on-chip memory banks of Figure 1 instead of the PE-local memory — so
-// this is a diagnostic, not part of Validate.
-func (cfg *Config) CheckDataMemory() error {
-	var err error
-	cfg.eachDataMemNeed(func(r, c, need int) {
-		if err == nil && need > cfg.Fabric.DataMemWords {
-			err = fmt.Errorf("PE(%d,%d): steady-state streaming needs %d data-memory words, have %d: %w",
-				r, c, need, cfg.Fabric.DataMemWords, diag.ErrConfigInvalid)
-		}
-	})
-	return err
-}
-
-func (cfg *Config) eachDataMemNeed(fn func(r, c, need int)) {
-	need := make([][]int, cfg.Fabric.Rows)
-	for r := range need {
-		need[r] = make([]int, cfg.Fabric.Cols)
-	}
-	account := func(specs []IOSpec) {
-		for _, s := range specs {
-			skew := s.Phase
-			if skew < 0 {
-				skew = -skew
-			}
-			need[s.R][s.C] += 2 + skew
-		}
-	}
-	account(cfg.Loads)
-	account(cfg.Stores)
-	for r := range need {
-		for c := range need[r] {
-			fn(r, c, need[r][c])
-		}
-	}
-}
-
 // BusyFUs counts the FU-active slots of the configuration — the
 // numerator of achieved utilization as seen by the hardware.
 func (cfg *Config) BusyFUs() int {

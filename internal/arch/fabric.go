@@ -219,16 +219,6 @@ const (
 	CapMemory
 )
 
-// Has reports whether all capabilities in want are present.
-func (c PECaps) Has(want PECaps) bool { return c&want == want }
-
-// Link is one typed directed link of a fabric.
-type Link struct {
-	R, C     int // source PE
-	Dir      Dir // direction label (determines the output register used)
-	ToR, ToC int // destination PE
-}
-
 // Fabric is the full architecture model: the PE array parameters (CGRA)
 // plus the interconnect topology, the per-PE capability layout, the link
 // bandwidth class, and the PE cost class. The zero values of all four
@@ -381,23 +371,6 @@ func (f Fabric) LinkNeighbor(r, c int, d Dir) (nr, nc int, ok bool) {
 		return nr, nc, false // wrap in a size-1 dimension is a self-link
 	}
 	return nr, nc, true
-}
-
-// Links enumerates every typed directed link of the fabric in
-// deterministic (row, col, dir) order.
-func (f Fabric) Links() []Link {
-	var out []Link
-	nd := f.NumLinkDirs()
-	for r := 0; r < f.Rows; r++ {
-		for c := 0; c < f.Cols; c++ {
-			for d := 0; d < nd; d++ {
-				if nr, nc, ok := f.LinkNeighbor(r, c, Dir(d)); ok {
-					out = append(out, Link{R: r, C: c, Dir: Dir(d), ToR: nr, ToC: nc})
-				}
-			}
-		}
-	}
-	return out
 }
 
 // MaxSide bounds Rows and Cols: the routing graph's node keys

@@ -31,11 +31,9 @@ import (
 // Options tunes the baseline mapper.
 type Options struct {
 	MaxNodes   int           // hard DFG size wall (default 400)
-	MaxII      int           // II escalation bound (default 32, the config depth)
 	Seed       int64         // SA seed
 	SAMoves    int           // SA moves per II attempt; 0 = auto (scales with DFG²)
 	TimeBudget time.Duration // overall wall-clock budget; 0 = unlimited
-	RouteRound int           // negotiated congestion rounds (default 6)
 	// Workers is the number of independently seeded simulated-annealing
 	// chains raced per II attempt; the feasible placement with the lowest
 	// cost wins, ties broken deterministically toward the lowest chain
@@ -50,15 +48,14 @@ type Options struct {
 	Tracer diag.Tracer
 }
 
+const (
+	maxII      = 32 // II escalation bound: the configuration depth
+	routeRound = 6  // negotiated congestion rounds per II
+)
+
 func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 400
-	}
-	if o.MaxII == 0 {
-		o.MaxII = 32
-	}
-	if o.RouteRound == 0 {
-		o.RouteRound = 6
 	}
 	if o.Workers < 1 {
 		o.Workers = 1
@@ -175,7 +172,7 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, cg arch.Fabric, block
 	totalMoves := 0
 	var lastErr error
 	ses := new(route.Session) // routes the winning placement of every II
-	for ii := mii; ii <= opts.MaxII; ii++ {
+	for ii := mii; ii <= maxII; ii++ {
 		if err := ctx.Err(); err != nil {
 			return nil, diag.Fail(diag.ErrCanceled, err).Stamp("place", k.Name, cg.String(), ii)
 		}
@@ -229,7 +226,7 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, cg arch.Fabric, block
 		opts.Tracer.Emit(placeSpan)
 		pl := outs[best].pl
 		routeStart := time.Now() //lint:ignore determinism wall-clock span timing only; does not influence mapping
-		cfg, err := route.RouteDFG(ctx, ses.Reset(mrrg.New(cg, ii)), d, pl, opts.RouteRound)
+		cfg, err := route.RouteDFG(ctx, ses.Reset(mrrg.New(cg, ii)), d, pl, routeRound)
 		routeSpan := diag.Span{Stage: "route", Attempt: ii, Wall: time.Since(routeStart)}
 		if err != nil {
 			se := diag.Classify(err, diag.ErrRouteCongested).Stamp("route", k.Name, cg.String(), ii)
@@ -251,10 +248,10 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, cg arch.Fabric, block
 		return nil, ErrTimeout{Budget: opts.TimeBudget}
 	}
 	if lastErr == nil {
-		lastErr = diag.Failf(diag.ErrPlacementInfeasible, "minimum II %d exceeds MaxII %d", mii, opts.MaxII).
+		lastErr = diag.Failf(diag.ErrPlacementInfeasible, "minimum II %d exceeds the II bound %d", mii, maxII).
 			Stamp("place", k.Name, cg.String(), mii)
 	}
-	return nil, fmt.Errorf("baseline: no valid mapping up to II %d for %s on %s: %w", opts.MaxII, k.Name, cg, lastErr)
+	return nil, fmt.Errorf("baseline: no valid mapping up to II %d for %s on %s: %w", maxII, k.Name, cg, lastErr)
 }
 
 // slotOf indexes a capacity-1 placement slot — FU / mem-read / mem-write

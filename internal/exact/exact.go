@@ -29,15 +29,16 @@
 //   - memory ports: loads and stores sit only on memory-capable PEs.
 //
 // Exhausting the relaxation at II = k therefore soundly proves that no
-// mapping at II = k exists within the scheduling horizon (see Options.
-// Horizon; the certificate is horizon-relative, as in SAT-based modulo
-// schedulers). A complete placement, conversely, proves nothing until
-// the real detailed router (route.RouteDFG — shared with the baseline)
-// turns it into a validated configuration, which is the upper-bound side
-// of every certificate. If placements exist at II = k but none routes,
-// the mapper does NOT claim k infeasible — the router is not complete —
-// and optimality degrades to a lower bound only. One more necessary
-// condition is tested on complete placements only, before the router:
+// mapping at II = k exists within the scheduling horizon (2·II+2 cycles
+// past the ASAP span; the certificate is horizon-relative, as in
+// SAT-based modulo schedulers). A complete placement, conversely, proves
+// nothing until the real detailed router (route.RouteDFG — shared with
+// the baseline) turns it into a validated configuration, which is the
+// upper-bound side of every certificate. If placements exist at II = k
+// but none routes, the mapper does NOT claim k infeasible — the router is
+// not complete — and optimality degrades to a lower bound only. One more
+// necessary condition is tested on complete placements only, before the
+// router:
 //
 //   - link exclusivity (the leaf screen, screen.go): a cross-PE edge
 //     whose consumer fires exactly hop cycles after its producer has no
@@ -97,24 +98,23 @@ type Options struct {
 	// promptly as a diag.ErrExactTimeout StageError carrying the
 	// strongest lower bound proved so far.
 	TimeBudget time.Duration
-	// Horizon is the number of extra cycles beyond the DFG's ASAP span
-	// that placements may use (the scheduling horizon; default 2·II+2,
-	// matching the baseline SA's move window). Infeasibility
-	// certificates are relative to this horizon.
-	Horizon int
-	// RouteRounds bounds the PathFinder rounds spent verifying each
-	// complete placement (default 8).
-	RouteRounds int
-	// MaxRoutedLeaves caps how many complete placements are handed to
-	// the detailed router per II before the search gives up on that II
-	// without a verdict (default 256). The cap never affects refutation
-	// certificates: a refuted II has, by definition, no leaves.
-	MaxRoutedLeaves int
 	// Tracer receives one span per II attempt (stage "search", Attempt =
 	// II) plus the dfg-build span, on the same contract as the other
 	// backends. nil means no tracing.
 	Tracer diag.Tracer
 }
+
+// The search settings every product path uses.
+const (
+	// routeRounds bounds the PathFinder rounds spent verifying each
+	// complete placement.
+	routeRounds = 8
+	// maxRoutedLeaves caps how many complete placements are handed to the
+	// detailed router per II before the search gives up on that II
+	// without a verdict. The cap never affects refutation certificates: a
+	// refuted II has, by definition, no leaves.
+	maxRoutedLeaves = 256
+)
 
 func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
@@ -122,12 +122,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxII == 0 {
 		o.MaxII = 16
-	}
-	if o.RouteRounds == 0 {
-		o.RouteRounds = 8
-	}
-	if o.MaxRoutedLeaves == 0 {
-		o.MaxRoutedLeaves = 256
 	}
 	if o.Tracer == nil {
 		o.Tracer = diag.Nop()
@@ -338,7 +332,7 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, fab arch.Fabric, bloc
 		if err := ctx.Err(); err != nil {
 			return nil, diag.Fail(diag.ErrCanceled, err).Stamp("search", k.Name, fab.String(), ii)
 		}
-		s := newSearcher(d, fab, ii, opts, ses)
+		s := newSearcher(d, fab, ii, ses)
 		horizonUsed = s.horizon
 		searchStart := time.Now() //lint:ignore determinism wall-clock span timing only; does not influence mapping
 		st, cfg := s.run(ctx, deadline)

@@ -161,7 +161,7 @@ func TestScreenNeverRefutesRoutable(t *testing.T) {
 				}
 			}
 			for ii := mii; ii <= mii+1; ii++ {
-				s := newSearcher(d, fab, ii, Options{}.withDefaults(), ses)
+				s := newSearcher(d, fab, ii, ses)
 				for n := 0; n < leafCap && s.descend(ctx, time.Time{}) == statusLeaf; n++ {
 					routed := judge(s, "search leaf", true)
 					shake(s, "search leaf")
@@ -169,7 +169,7 @@ func TestScreenNeverRefutesRoutable(t *testing.T) {
 						break
 					}
 				}
-				s = newSearcher(d, fab, ii, Options{}.withDefaults(), ses)
+				s = newSearcher(d, fab, ii, ses)
 				for n := 0; n < lists; n++ {
 					if listPlace(s, rng) {
 						judge(s, "list placement", false)

@@ -77,10 +77,9 @@ const (
 // are (real cycle, PE) slots enumerated cycle-ascending with PEs ordered
 // by hop distance from the first predecessor's placement.
 type searcher struct {
-	d    *ir.DFG
-	fab  arch.Fabric
-	ii   int
-	opts Options
+	d   *ir.DFG
+	fab arch.Fabric
+	ii  int
 
 	order   []int // decision order (topological)
 	depthOf []int // node id → depth
@@ -126,10 +125,10 @@ const maxNogoods = 1 << 15
 // newSearcher prepares the search at one II. ses is the compile's routing
 // session: it is re-targeted to the II's MRRG, which every leaf of the
 // II is routed on.
-func newSearcher(d *ir.DFG, fab arch.Fabric, ii int, opts Options, ses *route.Session) *searcher {
+func newSearcher(d *ir.DFG, fab arch.Fabric, ii int, ses *route.Session) *searcher {
 	n := len(d.Nodes)
 	s := &searcher{
-		d: d, fab: fab, ii: ii, opts: opts,
+		d: d, fab: fab, ii: ii,
 		pes: fab.NumPEs(), cols: fab.Cols,
 		nogood: make(map[uint64]struct{}),
 	}
@@ -178,10 +177,8 @@ func newSearcher(d *ir.DFG, fab arch.Fabric, ii int, opts Options, ses *route.Se
 			span = l
 		}
 	}
-	s.horizon = opts.Horizon
-	if s.horizon == 0 {
-		s.horizon = 2*ii + 2
-	}
+	// The scheduling horizon matches the baseline SA's move window.
+	s.horizon = 2*ii + 2
 	maxT := span + s.horizon
 	tail := make([]int, n)
 	s.hi = make([]int, n)
@@ -568,7 +565,7 @@ func (s *searcher) routeLeaf(ctx context.Context) (*arch.Config, error) {
 	for id := range pl {
 		pl[id] = route.Placement{T: s.at[id], R: s.ape[id] / s.cols, C: s.ape[id] % s.cols}
 	}
-	return route.RouteDFG(ctx, s.ses, s.d, pl, s.opts.RouteRounds)
+	return route.RouteDFG(ctx, s.ses, s.d, pl, routeRounds)
 }
 
 // run drives the conflict-directed backjumping search to one of the five
@@ -689,7 +686,7 @@ func (s *searcher) descend(ctx context.Context, deadline time.Time) searchStatus
 func (s *searcher) failLeaf() bool {
 	s.leaves++
 	s.sawLeaf = true
-	if s.leaves >= s.opts.MaxRoutedLeaves {
+	if s.leaves >= maxRoutedLeaves {
 		return false
 	}
 	n := len(s.order)

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -23,29 +24,49 @@ import (
 	"himap/internal/power"
 )
 
-// Config tunes the experiment harness.
+// Config tunes the experiment harness. A zero field takes the default of
+// the figure it is passed to.
 type Config struct {
-	Sizes            []int // CGRA sizes (c for c×c); default 4, 8, 16, 32
-	Kernels          []*kernel.Kernel
-	BaselineBudget   time.Duration // wall-clock budget per baseline point
-	BaselineMaxNodes int           // the baseline's DFG scalability wall
-	InnerBlock       int           // HiMap's b3.. extent (0: per-kernel default)
-	Seed             int64
+	// Sizes are the CGRA sizes c (c×c). Fig. 8 and the envelope compile
+	// at block b = c. Defaults: 4, 8, 16, 32 (Fig. 7), 2 to 64 (Fig. 8),
+	// 64 (envelope).
+	Sizes []int
+	// Kernels default to the eight evaluation kernels (Fig. 8: MVT, GEMM,
+	// TTM).
+	Kernels []*kernel.Kernel
+	// BaselineBudget is the wall-clock budget per baseline point
+	// (default 20 s).
+	BaselineBudget time.Duration
 	// Workers bounds how many (kernel, size) points are measured
 	// concurrently. Results are always collected in the sequential point
 	// order regardless of the worker count; each point's compile runs
 	// single-threaded so points — not compiles — are the unit of
 	// parallelism. 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// Progress, when set, receives each Fig-7 point as it is measured.
-	// With Workers > 1 points may arrive out of order; calls are
+	// Progress, when set, receives each point's row text as soon as it is
+	// measured. With Workers > 1 rows may arrive out of order; calls are
 	// serialized.
-	Progress func(Fig7Point)
+	Progress func(string)
 }
 
-func (c Config) withDefaults() Config {
+// baselineMaxNodes is the conventional mapper's DFG scalability wall.
+const baselineMaxNodes = 400
+
+// The pure-time block extents (b3..bl) of 3-D and 4-D kernels in the
+// Fig. 8 and envelope sweeps are capped: II_B — and with it the
+// materialized configuration and the unrolled DFG — grows with their
+// product, and the paper's own 32-entry configuration memory cannot hold
+// IIs beyond 32/t anyway. See EXPERIMENTS.md.
+const (
+	maxInner3D = 16
+	maxInner4D = 8
+)
+
+// withDefaults fills the zero fields, with sizes as the figure's default
+// Sizes, and serializes Progress (a no-op when unset).
+func (c Config) withDefaults(sizes ...int) Config {
 	if len(c.Sizes) == 0 {
-		c.Sizes = []int{4, 8, 16, 32}
+		c.Sizes = sizes
 	}
 	if len(c.Kernels) == 0 {
 		c.Kernels = kernel.Evaluation()
@@ -53,8 +74,13 @@ func (c Config) withDefaults() Config {
 	if c.BaselineBudget == 0 {
 		c.BaselineBudget = 20 * time.Second
 	}
-	if c.BaselineMaxNodes == 0 {
-		c.BaselineMaxNodes = 400
+	report, mu := c.Progress, new(sync.Mutex)
+	c.Progress = func(row string) {
+		if report != nil {
+			mu.Lock()
+			defer mu.Unlock()
+			report(row)
+		}
 	}
 	return c
 }
@@ -138,7 +164,7 @@ type TableIIRow struct {
 func TableII(size int, cfg Config) ([]TableIIRow, error) {
 	cfg = cfg.withDefaults()
 	return sweep(cfg.Workers, cfg.Kernels, []int{size}, func(k *kernel.Kernel, size int) (TableIIRow, error) {
-		res, err := himap.CompileRequest(context.TODO(), k, arch.DefaultFabric(size, size), himap.Options{InnerBlock: cfg.InnerBlock, Workers: 1})
+		res, err := himap.CompileRequest(context.TODO(), k, arch.DefaultFabric(size, size), himap.Options{Workers: 1})
 		if err != nil {
 			return TableIIRow{}, fmt.Errorf("exp: TableII %s: %v", k.Name, err)
 		}
@@ -185,12 +211,11 @@ type Fig7Point struct {
 // Points are measured Workers at a time but reported in sequential
 // (kernel-major, size-minor) order.
 func Fig7(cfg Config) ([]Fig7Point, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.withDefaults(4, 8, 16, 32)
 	model := power.Default40nm()
-	var progressMu sync.Mutex
 	return sweep(cfg.Workers, cfg.Kernels, cfg.Sizes, func(k *kernel.Kernel, size int) (Fig7Point, error) {
 		p := Fig7Point{Kernel: k.Name, Size: size}
-		res, err := himap.CompileRequest(context.TODO(), k, arch.DefaultFabric(size, size), himap.Options{InnerBlock: cfg.InnerBlock, Workers: 1})
+		res, err := himap.CompileRequest(context.TODO(), k, arch.DefaultFabric(size, size), himap.Options{Workers: 1})
 		if err != nil {
 			return p, fmt.Errorf("exp: Fig7 HiMap %s %dx%d: %v", k.Name, size, size, err)
 		}
@@ -209,11 +234,7 @@ func Fig7(cfg Config) ([]Fig7Point, error) {
 			p.BHCBlock = bres.Block
 			p.BHCTime = bres.Time
 		}
-		if cfg.Progress != nil {
-			progressMu.Lock()
-			cfg.Progress(p)
-			progressMu.Unlock()
-		}
+		cfg.Progress(fig7Row(p))
 		return p, nil
 	})
 }
@@ -222,7 +243,7 @@ func Fig7(cfg Config) ([]Fig7Point, error) {
 // describes users driving BHC: the largest block whose DFG fits under the
 // node wall, shrinking when the time budget cannot close a mapping.
 func runBaselineBestEffort(k *kernel.Kernel, size int, cfg Config) (*baseline.Result, string) {
-	b := baseline.LargestFeasibleBlock(k, cfg.BaselineMaxNodes, size)
+	b := baseline.LargestFeasibleBlock(k, baselineMaxNodes, size)
 	note := ""
 	if b < size {
 		note = "block capped by node wall"
@@ -234,11 +255,7 @@ func runBaselineBestEffort(k *kernel.Kernel, size int, cfg Config) (*baseline.Re
 			break
 		}
 		res, err := baseline.CompileRequest(context.TODO(), k, arch.DefaultFabric(size, size), k.UniformBlock(b),
-			baseline.Options{
-				MaxNodes:   cfg.BaselineMaxNodes,
-				Seed:       cfg.Seed,
-				TimeBudget: remaining,
-			})
+			baseline.Options{MaxNodes: baselineMaxNodes, TimeBudget: remaining})
 		if err == nil {
 			return res, note
 		}
@@ -258,11 +275,7 @@ func FormatFig7(points []Fig7Point) string {
 	fmt.Fprintf(&b, "%-8s %-7s | %7s %7s | %12s %12s | %9s %9s | %s\n",
 		"Kernel", "CGRA", "U(BHC)", "U(HiM)", "MOPS(BHC)", "MOPS(HiM)", "Eff(BHC)", "Eff(HiM)", "note")
 	for _, p := range points {
-		fmt.Fprintf(&b, "%-8s %-7s | %6.1f%% %6.1f%% | %12.0f %12.0f | %9.1f %9.1f | %s\n",
-			p.Kernel, fmt.Sprintf("%dx%d", p.Size, p.Size),
-			p.BHCU*100, p.HiMapU*100,
-			p.BHCMOPS, p.HiMapMOPS,
-			p.BHCEff, p.HiMapEff, p.BHCNote)
+		b.WriteString(fig7Row(p) + "\n")
 	}
 	// Aggregates quoted in the paper: 2.8x utilization, 17.3x performance,
 	// 5x power efficiency.
@@ -284,6 +297,15 @@ func FormatFig7(points []Fig7Point) string {
 	return b.String()
 }
 
+// fig7Row renders one point of Figure 7's table.
+func fig7Row(p Fig7Point) string {
+	return fmt.Sprintf("%-8s %-7s | %6.1f%% %6.1f%% | %12.0f %12.0f | %9.1f %9.1f | %s",
+		p.Kernel, fmt.Sprintf("%dx%d", p.Size, p.Size),
+		p.BHCU*100, p.HiMapU*100,
+		p.BHCMOPS, p.HiMapMOPS,
+		p.BHCEff, p.HiMapEff, p.BHCNote)
+}
+
 // ----------------------------------------------------------------- Fig 8
 
 // Fig8Point is one compilation-time measurement at block size B (with the
@@ -298,87 +320,39 @@ type Fig8Point struct {
 	BHCNote   string
 }
 
-// Fig8Config tunes the compilation-time sweep.
-type Fig8Config struct {
-	Kernels []*kernel.Kernel // default MVT, GEMM, TTM
-	Bs      []int            // default 2..64 as in the paper
-	// Progress, when set, receives each point as soon as it is measured.
-	Progress       func(Fig8Point)
-	BaselineBudget time.Duration // default 30s (stands in for the 3-day timeout)
-	// MaxInner caps the pure-time block dimensions (b3..bl) of 3-D and
-	// 4-D kernels in the sweep: II_B — and with it the materialized
-	// configuration and the unrolled DFG — grows with their product, and
-	// the paper's own 32-entry configuration memory cannot hold IIs beyond
-	// 32/t anyway. Defaults: 16 for 3-D kernels, 8 for 4-D. See
-	// EXPERIMENTS.md.
-	MaxInner3D int
-	MaxInner4D int
-	Seed       int64
-	// Workers bounds how many sweep points run concurrently (results keep
-	// the sequential order). 0 means runtime.GOMAXPROCS(0).
-	Workers int
-}
-
-func (c Fig8Config) withDefaults() Fig8Config {
-	if len(c.Kernels) == 0 {
-		c.Kernels = []*kernel.Kernel{kernel.MVT(), kernel.GEMM(), kernel.TTM()}
-	}
-	if len(c.Bs) == 0 {
-		c.Bs = []int{2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 32, 64}
-	}
-	if c.BaselineBudget == 0 {
-		c.BaselineBudget = 30 * time.Second
-	}
-	if c.MaxInner3D == 0 {
-		c.MaxInner3D = 16
-	}
-	if c.MaxInner4D == 0 {
-		c.MaxInner4D = 8
-	}
-	return c
-}
-
 // innerBlock is the pure-time block extent of kernel k on a size×size
-// sweep point: size itself, capped by MaxInner3D / MaxInner4D.
-func (c Fig8Config) innerBlock(k *kernel.Kernel, size int) int {
+// sweep point: size itself, capped by maxInner3D / maxInner4D.
+func innerBlock(k *kernel.Kernel, size int) int {
 	switch {
 	case k.Dim == 3:
-		return min(size, c.MaxInner3D)
+		return min(size, maxInner3D)
 	case k.Dim >= 4:
-		return min(size, c.MaxInner4D)
+		return min(size, maxInner4D)
 	}
 	return size
 }
 
 // Fig8 measures compilation time vs block size (b = c) for both mappers.
 // Points run Workers at a time; the returned slice keeps the sequential
-// (kernel-major, block-minor) order.
-func Fig8(cfg Fig8Config) ([]Fig8Point, error) {
-	cfg = cfg.withDefaults()
-	type job struct {
-		k *kernel.Kernel
-		b int
+// (kernel-major, block-minor) order, without the blocks below a kernel's
+// MinBlock.
+func Fig8(cfg Config) ([]Fig8Point, error) {
+	if len(cfg.Kernels) == 0 {
+		cfg.Kernels = []*kernel.Kernel{kernel.MVT(), kernel.GEMM(), kernel.TTM()}
 	}
-	var jobs []job
-	for _, k := range cfg.Kernels {
-		for _, b := range cfg.Bs {
-			if b < k.MinBlock {
-				continue
-			}
-			jobs = append(jobs, job{k: k, b: b})
+	cfg = cfg.withDefaults(2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 32, 64)
+	pts, err := sweep(cfg.Workers, cfg.Kernels, cfg.Sizes, func(k *kernel.Kernel, b int) (Fig8Point, error) {
+		if b < k.MinBlock {
+			return Fig8Point{}, nil
 		}
-	}
-	var progressMu sync.Mutex
-	out := par.Map(par.Workers(cfg.Workers), len(jobs), func(i int) Fig8Point {
-		k, b := jobs[i].k, jobs[i].b
 		p := Fig8Point{Kernel: k.Name, B: b}
-		res, err := himap.CompileRequest(context.TODO(), k, arch.DefaultFabric(b, b), himap.Options{InnerBlock: cfg.innerBlock(k, b), Workers: 1})
+		res, err := himap.CompileRequest(context.TODO(), k, arch.DefaultFabric(b, b), himap.Options{InnerBlock: innerBlock(k, b), Workers: 1})
 		if err == nil {
 			p.HiMapOK = true
 			p.HiMapTime = res.Stats.Total
 		}
 		bres, err := baseline.CompileRequest(context.TODO(), k, arch.DefaultFabric(b, b), k.UniformBlock(b),
-			baseline.Options{Seed: cfg.Seed, TimeBudget: cfg.BaselineBudget})
+			baseline.Options{TimeBudget: cfg.BaselineBudget})
 		switch {
 		case err == nil:
 			p.BHCOK = true
@@ -394,14 +368,10 @@ func Fig8(cfg Fig8Config) ([]Fig8Point, error) {
 				p.BHCNote = "failed"
 			}
 		}
-		if cfg.Progress != nil {
-			progressMu.Lock()
-			cfg.Progress(p)
-			progressMu.Unlock()
-		}
-		return p
+		cfg.Progress(fig8Row(p))
+		return p, nil
 	})
-	return out, nil
+	return slices.DeleteFunc(pts, func(p Fig8Point) bool { return p.Kernel == "" }), err
 }
 
 // FormatFig8 renders the compilation-time sweep.
@@ -410,17 +380,22 @@ func FormatFig8(points []Fig8Point) string {
 	b.WriteString("Figure 8: compilation time vs block size (c = b)\n")
 	fmt.Fprintf(&b, "%-8s %4s | %12s | %12s %s\n", "Kernel", "b", "HiMap", "BHC", "note")
 	for _, p := range points {
-		hm := "fail"
-		if p.HiMapOK {
-			hm = p.HiMapTime.Round(time.Millisecond).String()
-		}
-		bhc := "fail"
-		if p.BHCOK {
-			bhc = p.BHCTime.Round(time.Millisecond).String()
-		}
-		fmt.Fprintf(&b, "%-8s %4d | %12s | %12s %s\n", p.Kernel, p.B, hm, bhc, p.BHCNote)
+		b.WriteString(fig8Row(p) + "\n")
 	}
 	return b.String()
+}
+
+// fig8Row renders one point of Figure 8's table.
+func fig8Row(p Fig8Point) string {
+	hm := "fail"
+	if p.HiMapOK {
+		hm = p.HiMapTime.Round(time.Millisecond).String()
+	}
+	bhc := "fail"
+	if p.BHCOK {
+		bhc = p.BHCTime.Round(time.Millisecond).String()
+	}
+	return fmt.Sprintf("%-8s %4d | %12s | %12s %s", p.Kernel, p.B, hm, bhc, p.BHCNote)
 }
 
 // ------------------------------------------------------- 64x64 envelope
@@ -435,32 +410,30 @@ type EnvelopePoint struct {
 	UniqueIters int
 	IIB         int
 	MOPS        float64
-	CompileTime time.Duration
 }
 
 // Envelope compiles every kernel on large arrays (default 64x64) with
-// HiMap and reports utilization and compile time. Inner (pure-time)
-// dimensions use the kernel-appropriate caps of Fig8Config.
-func Envelope(sizes []int, cfg Fig8Config) ([]EnvelopePoint, error) {
-	cfg = cfg.withDefaults()
-	if len(sizes) == 0 {
-		sizes = []int{64}
-	}
+// HiMap and reports utilization. Inner (pure-time) dimensions take the
+// caps of Fig. 8. Compile times reach Progress only, so the table itself
+// is deterministic.
+func Envelope(cfg Config) ([]EnvelopePoint, error) {
+	cfg = cfg.withDefaults(64)
 	model := power.Default40nm()
-	return sweep(cfg.Workers, kernel.Evaluation(), sizes, func(k *kernel.Kernel, size int) (EnvelopePoint, error) {
-		res, err := himap.CompileRequest(context.TODO(), k, arch.DefaultFabric(size, size), himap.Options{InnerBlock: cfg.innerBlock(k, size), Workers: 1})
+	return sweep(cfg.Workers, cfg.Kernels, cfg.Sizes, func(k *kernel.Kernel, size int) (EnvelopePoint, error) {
+		res, err := himap.CompileRequest(context.TODO(), k, arch.DefaultFabric(size, size), himap.Options{InnerBlock: innerBlock(k, size), Workers: 1})
 		if err != nil {
 			return EnvelopePoint{}, fmt.Errorf("exp: envelope %s %dx%d: %v", k.Name, size, size, err)
 		}
-		return EnvelopePoint{
+		p := EnvelopePoint{
 			Kernel:      k.Name,
 			Size:        size,
 			Utilization: res.Utilization,
 			UniqueIters: res.UniqueIters,
 			IIB:         res.IIB,
 			MOPS:        model.PerformanceMOPS(res.Config),
-			CompileTime: res.Stats.Total,
-		}, nil
+		}
+		cfg.Progress(fmt.Sprintf("%s %12v", envelopeRow(p), res.Stats.Total.Round(time.Millisecond)))
+		return p, nil
 	})
 }
 
@@ -468,12 +441,16 @@ func Envelope(sizes []int, cfg Fig8Config) ([]EnvelopePoint, error) {
 func FormatEnvelope(points []EnvelopePoint) string {
 	var b strings.Builder
 	b.WriteString("Large-array envelope (paper: <15 min for near-optimal 64x64 mappings)\n")
-	fmt.Fprintf(&b, "%-8s %-8s %7s %7s %6s %12s %12s\n", "Kernel", "CGRA", "U", "unique", "II_B", "MOPS", "compile")
+	fmt.Fprintf(&b, "%-8s %-8s %7s %7s %6s %12s\n", "Kernel", "CGRA", "U", "unique", "II_B", "MOPS")
 	for _, p := range points {
-		fmt.Fprintf(&b, "%-8s %-8s %6.1f%% %7d %6d %12.0f %12v\n",
-			p.Kernel, fmt.Sprintf("%dx%d", p.Size, p.Size),
-			p.Utilization*100, p.UniqueIters, p.IIB, p.MOPS,
-			p.CompileTime.Round(time.Millisecond))
+		b.WriteString(envelopeRow(p) + "\n")
 	}
 	return b.String()
+}
+
+// envelopeRow renders one point of the envelope table.
+func envelopeRow(p EnvelopePoint) string {
+	return fmt.Sprintf("%-8s %-8s %6.1f%% %7d %6d %12.0f",
+		p.Kernel, fmt.Sprintf("%dx%d", p.Size, p.Size),
+		p.Utilization*100, p.UniqueIters, p.IIB, p.MOPS)
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -85,9 +86,9 @@ func TestFig7SmallSweep(t *testing.T) {
 }
 
 func TestFig8SmallSweep(t *testing.T) {
-	pts, err := Fig8(Fig8Config{
+	pts, err := Fig8(Config{
 		Kernels:        []*kernel.Kernel{kernel.MVT()},
-		Bs:             []int{2, 4, 8},
+		Sizes:          []int{2, 4, 8},
 		BaselineBudget: 10 * time.Second,
 	})
 	if err != nil {
@@ -118,18 +119,27 @@ func TestFig8SmallSweep(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if len(c.Sizes) == 0 || len(c.Kernels) != 8 || c.BaselineMaxNodes != 400 {
+	c := Config{}.withDefaults(4, 8)
+	if !slices.Equal(c.Sizes, []int{4, 8}) || len(c.Kernels) != 8 || c.BaselineBudget != 20*time.Second {
 		t.Errorf("defaults: %+v", c)
 	}
-	f := Fig8Config{}.withDefaults()
-	if len(f.Kernels) != 3 || len(f.Bs) == 0 || f.MaxInner4D != 8 || f.MaxInner3D != 16 {
-		t.Errorf("fig8 defaults: %+v", f)
+	c.Progress("an unset Progress takes rows too")
+	if c = (Config{Sizes: []int{3}}).withDefaults(4); !slices.Equal(c.Sizes, []int{3}) {
+		t.Errorf("Sizes %v replaced by the figure's default", c.Sizes)
+	}
+	for _, tc := range []struct {
+		k          *kernel.Kernel
+		size, want int
+	}{{kernel.MVT(), 64, 64}, {kernel.GEMM(), 64, 16}, {kernel.GEMM(), 8, 8}, {kernel.TTM(), 64, 8}} {
+		if got := innerBlock(tc.k, tc.size); got != tc.want {
+			t.Errorf("%s at %d: inner block %d, want %d", tc.k.Name, tc.size, got, tc.want)
+		}
 	}
 }
 
 func TestEnvelopeSmall(t *testing.T) {
-	pts, err := Envelope([]int{4}, Fig8Config{})
+	var rows []string
+	pts, err := Envelope(Config{Sizes: []int{4}, Workers: 2, Progress: func(row string) { rows = append(rows, row) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +151,11 @@ func TestEnvelopeSmall(t *testing.T) {
 			t.Errorf("%s: U = %v", p.Kernel, p.Utilization)
 		}
 	}
-	if s := FormatEnvelope(pts); !strings.Contains(s, "GEMM") {
-		t.Error("format broken")
+	if s := FormatEnvelope(pts); !strings.Contains(s, "GEMM") || strings.Contains(s, "compile") {
+		t.Errorf("format broken (or carries compile times):\n%s", s)
+	}
+	if len(rows) != 8 {
+		t.Errorf("%d progress rows, want one per kernel", len(rows))
 	}
 }
 

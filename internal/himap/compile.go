@@ -26,29 +26,9 @@ type Options struct {
 	// time (b3..bl of §V, "a user input to the HiMap algorithm").
 	// Default 4.
 	InnerBlock int
-	// DepthSlack is how many extra sub-CGRA time depths MAP explores
-	// beyond the resource minimum (fallbacks with more routing slack).
-	// Default 2.
-	DepthSlack int
-	// MaxSubMaps bounds how many sub-CGRA mappings step 2/3 iterate over.
-	// Default 8.
-	MaxSubMaps int
-	// MaxSchemes bounds how many systolic schemes are tried per sub-CGRA
-	// mapping. Default 6.
-	MaxSchemes int
-	// MaxRouteRounds bounds the negotiated-congestion rounds of step 3.
-	// Default 8.
-	MaxRouteRounds int
 	// ForceScheme pins the space-time mapping (H,S is an input in
 	// Algorithm 1; by default it is found by the heuristic search).
 	ForceScheme *systolic.Scheme
-	// RelayPolicy selects how route pseudo-ops are anchored to resources
-	// (see internal/himap/layout.go). The default RelayAuto uses
-	// crossbar output registers for cross-PE relays and the memory read
-	// port for load-fed relays; RelayRegistersOnly forces every relay
-	// through the register file — the ablation showing why the crossbar
-	// relays matter for reaching 100% utilization.
-	RelayPolicy RelayPolicy
 	// Workers bounds the compilation pipeline's parallelism: the systolic
 	// (H,S) scheme search is sharded across Workers goroutines, and
 	// (sub-mapping, scheme) attempts run speculatively in a rank-ordered
@@ -68,32 +48,24 @@ type Options struct {
 	Memo *Memo
 }
 
-// RelayPolicy selects the relay-pin strategy (ablation knob).
-type RelayPolicy uint8
-
+// The settings of Algorithm 1 beyond its two inputs (the space-time
+// mapping and the inner block), fixed for every compile.
 const (
-	// RelayAuto: crossbar output-register pins for cross-PE relays,
-	// memory-port pins for load-fed relays, registers otherwise.
-	RelayAuto RelayPolicy = iota
-	// RelayRegistersOnly: every relay pinned to an RF register.
-	RelayRegistersOnly
+	// depthSlack is how many extra sub-CGRA time depths MAP explores
+	// beyond the resource minimum (fallbacks with more routing slack).
+	depthSlack = 2
+	// maxSubMaps bounds how many sub-CGRA mappings step 2/3 iterate over.
+	maxSubMaps = 8
+	// maxSchemes bounds how many systolic schemes are tried per sub-CGRA
+	// mapping.
+	maxSchemes = 6
+	// maxRouteRounds bounds the negotiated-congestion rounds of step 3.
+	maxRouteRounds = 8
 )
 
 func (o Options) withDefaults() Options {
 	if o.InnerBlock == 0 {
 		o.InnerBlock = 4
-	}
-	if o.DepthSlack == 0 {
-		o.DepthSlack = 2
-	}
-	if o.MaxSubMaps == 0 {
-		o.MaxSubMaps = 8
-	}
-	if o.MaxSchemes == 0 {
-		o.MaxSchemes = 6
-	}
-	if o.MaxRouteRounds == 0 {
-		o.MaxRouteRounds = 8
 	}
 	if o.Tracer == nil {
 		o.Tracer = diag.Nop()
@@ -333,7 +305,7 @@ func candidateSchemes(k *kernel.Kernel, deps []ir.IterVec, vx, vy int, opts Opti
 	cands := systolic.SearchN(deps, probe, want, opts.Workers)
 	var out []systolic.Scheme
 	for _, c := range cands {
-		if len(out) >= opts.MaxSchemes {
+		if len(out) >= maxSchemes {
 			break
 		}
 		out = append(out, c.Scheme)

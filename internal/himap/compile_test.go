@@ -339,50 +339,6 @@ func TestForwardingTransform(t *testing.T) {
 	}
 }
 
-func TestRelayPolicyAblation(t *testing.T) {
-	// Relay-pin ablation: with the default architecture the negotiated
-	// router compensates for register-only relays (utilization may tie but
-	// never beat the crossbar policy); both variants must produce valid,
-	// equal-or-worse mappings.
-	auto, err := CompileRequest(context.Background(), kernel.GEMM(), arch.DefaultFabric(4, 4), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	regOnly, err := CompileRequest(context.Background(), kernel.GEMM(), arch.DefaultFabric(4, 4), Options{RelayPolicy: RelayRegistersOnly})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auto.Utilization < 1.0-1e-9 {
-		t.Errorf("auto relay policy U = %v, want 100%%", auto.Utilization)
-	}
-	if regOnly.Utilization > auto.Utilization+1e-9 {
-		t.Errorf("register-only relays must not beat crossbar relays: %v vs %v",
-			regOnly.Utilization, auto.Utilization)
-	}
-	if err := regOnly.Config.Validate(); err != nil {
-		t.Errorf("register-only config invalid: %v", err)
-	}
-}
-
-func TestNegotiatedCongestionAblation(t *testing.T) {
-	// SPR-style cost escalation is load-bearing (§V): with a single
-	// routing round, FW's congested minimal depth cannot be resolved and
-	// the mapper falls back to a deeper, lower-utilization sub-CGRA
-	// mapping.
-	full, err := CompileRequest(context.Background(), kernel.FW(), arch.DefaultFabric(4, 4), Options{MaxRouteRounds: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := CompileRequest(context.Background(), kernel.FW(), arch.DefaultFabric(4, 4), Options{MaxRouteRounds: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one.Utilization >= full.Utilization {
-		t.Errorf("disabling negotiation should cost utilization: %v vs %v",
-			one.Utilization, full.Utilization)
-	}
-}
-
 func TestIterationMapRendersAllClasses(t *testing.T) {
 	res, err := CompileRequest(context.Background(), kernel.BICG(), arch.DefaultFabric(4, 4), Options{})
 	if err != nil {

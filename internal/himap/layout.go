@@ -27,8 +27,6 @@ type layout struct {
 	// loadRel[classIdx][bodyOp] holds the chosen memory-read slots of
 	// boundary loads (loads absent from the generic IDFG).
 	loadRel []map[int]RelPlace
-	// policy is the relay-pin ablation knob (see Options.RelayPolicy).
-	policy RelayPolicy
 	// tgtBuf is the sink target set under construction, reused across
 	// every sink of the attempt.
 	tgtBuf []mrrg.Node
@@ -174,9 +172,6 @@ func (l *layout) computePins() {
 // dataflow); otherwise a register of the anchor PE.
 func (l *layout) choosePin(rep *ir.Cluster, id int, anchor RelPlace, reg uint8) RelPlaceReg {
 	regPin := RelPlaceReg{T: anchor.T, R: anchor.R, C: anchor.C, Reg: reg}
-	if l.policy == RelayRegistersOnly {
-		return regPin
-	}
 	ins := l.g.DFG.InEdges(id)
 	if len(ins) == 0 {
 		return regPin

@@ -15,9 +15,8 @@ import (
 // expensive pure derivations of the pipeline:
 //
 //   - the generic IDFG of a kernel (idfg-map stage),
-//   - the sub-CGRA mapping list per (kernel, fabric, depth slack),
-//   - the ranked systolic scheme candidates per (kernel, VSA extents,
-//     candidate limit), and
+//   - the sub-CGRA mapping list per (kernel, fabric),
+//   - the ranked systolic scheme candidates per (kernel, VSA extents), and
 //   - the unrolled DFG/ISDG per (kernel, block vector), shared both
 //     across the speculative attempts of one compile (attempts trying
 //     different schemes over the same block) and across repeated
@@ -154,10 +153,10 @@ func (m *Memo) IDFG(k *kernel.Kernel) (*ir.IDFG, error) {
 }
 
 // SubMappings returns the full MapIDFG result for the kernel on the
-// fabric with the given depth slack. Callers must not mutate the
-// returned slice or its entries; Compile copies the prefix it truncates.
-func (m *Memo) SubMappings(k *kernel.Kernel, f *ir.IDFG, fab arch.Fabric, depthSlack int) ([]*SubMapping, error) {
-	key := memoKey{kind: 'm', text: fmt.Sprintf("%s|slack%d", kernelKey(k), depthSlack), fab: fab}
+// fabric. Callers must not mutate the returned slice or its entries;
+// Compile copies the prefix it truncates.
+func (m *Memo) SubMappings(k *kernel.Kernel, f *ir.IDFG, fab arch.Fabric) ([]*SubMapping, error) {
+	key := memoKey{kind: 'm', text: kernelKey(k), fab: fab}
 	v, err := m.load(key, nil, func() (any, error) {
 		subs, err := MapIDFG(f, fab, depthSlack)
 		if err != nil {
@@ -173,8 +172,7 @@ func (m *Memo) SubMappings(k *kernel.Kernel, f *ir.IDFG, fab arch.Fabric, depthS
 
 // Schemes returns the ranked systolic scheme candidates for the kernel on
 // a VSA of vx × vy sub-CGRA clusters. The search result is a pure function
-// of the kernel's dependence structure, the VSA extents, and the candidate
-// limit — Workers only shards the search, never changes its merged output
+// of the kernel's dependence structure and the VSA extents — Workers only shards the search, never changes its merged output
 // (pinned by TestWorkersDeterminism) — so it is safe to key without it. A
 // forced scheme bypasses the cache entirely: it is already free to
 // "search" and may vary per call site.
@@ -182,7 +180,7 @@ func (m *Memo) Schemes(k *kernel.Kernel, deps []ir.IterVec, vx, vy int, opts Opt
 	if opts.ForceScheme != nil {
 		return candidateSchemes(k, deps, vx, vy, opts), nil
 	}
-	key := memoKey{kind: 's', text: fmt.Sprintf("%s|vsa%dx%d|n%d", kernelKey(k), vx, vy, opts.MaxSchemes)}
+	key := memoKey{kind: 's', text: fmt.Sprintf("%s|vsa%dx%d", kernelKey(k), vx, vy)}
 	v, err := m.load(key, nil, func() (any, error) {
 		return candidateSchemes(k, deps, vx, vy, opts), nil
 	})

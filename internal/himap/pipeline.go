@@ -234,15 +234,15 @@ func runIDFGMap(c *CompileContext) error {
 		return err
 	}
 	c.IDFG = f
-	subs, err := c.Memo.SubMappings(c.Kernel, f, c.Fab, c.Opts.DepthSlack)
+	subs, err := c.Memo.SubMappings(c.Kernel, f, c.Fab)
 	if err != nil {
 		return err
 	}
 	if len(subs) == 0 {
 		return diag.Fail(diag.ErrNoSubMapping, nil)
 	}
-	if len(subs) > c.Opts.MaxSubMaps {
-		subs = subs[:c.Opts.MaxSubMaps]
+	if len(subs) > maxSubMaps {
+		subs = subs[:maxSubMaps]
 	}
 	c.Subs = subs
 	c.Count("submaps", int64(len(subs)))
@@ -379,9 +379,8 @@ func runRoute(c *CompileContext) error {
 	c.lay = &layout{
 		cg: c.Fab, g: c.ISDG, cp: c.CP, sub: c.Sub, iib: c.IIB,
 		classes: c.Classes, byClust: c.ByCluster,
-		policy: c.Opts.RelayPolicy,
 	}
-	plans, rstats, err := c.lay.routeCanonical(c.Ctx, c.ses, c.Opts.MaxRouteRounds)
+	plans, rstats, err := c.lay.routeCanonical(c.Ctx, c.ses, maxRouteRounds)
 	c.RStats = rstats
 	c.Count("rounds", int64(rstats.Rounds))
 	c.Count("nets", int64(rstats.CanonicalNets))

@@ -70,8 +70,8 @@ func divisors(n int) []int {
 // negotiated-congestion heuristic, and returns every successful mapping
 // sorted by utilization (line 4).
 //
-// depthSlack is the number of extra time depths tried beyond the resource
-// minimum; the lower-utilization mappings it produces are the fallbacks
+// slack is the number of extra time depths tried beyond the resource
+// minimum (depthSlack in a compile); the lower-utilization mappings it produces are the fallbacks
 // step 3 reaches for when routing the highest-utilization mapping
 // congests (§VI's ADI/BiCG/FW discussion).
 //
@@ -82,7 +82,7 @@ func divisors(n int) []int {
 // slots for the iteration's loads. When every candidate shape fails for
 // one of these reasons the returned error wraps
 // diag.ErrMemPortInfeasible.
-func MapIDFG(f *ir.IDFG, fab arch.Fabric, depthSlack int) ([]*SubMapping, error) {
+func MapIDFG(f *ir.IDFG, fab arch.Fabric, slack int) ([]*SubMapping, error) {
 	ncomp := f.NumCompute()
 	if ncomp == 0 {
 		return nil, nil
@@ -111,7 +111,7 @@ func MapIDFG(f *ir.IDFG, fab arch.Fabric, depthSlack int) ([]*SubMapping, error)
 			}
 			sub := subFabric(fab, s1, s2)
 			t0 := (ncomp + s1*s2 - 1) / (s1 * s2)
-			for t := t0; t <= t0+depthSlack; t++ {
+			for t := t0; t <= t0+slack; t++ {
 				if t > fab.ConfigDepth {
 					break
 				}

@@ -297,6 +297,10 @@ var strictDecodeCases = []rejectCase{
 	{"unknown kernel", kernelRequest("NOPE", 4, 4), 404, "unknown_kernel"},
 	{"fabric too small", kernelRequest("GEMM", 1, 4), 400, "bad_request"},
 	{"fabric too large", kernelRequest("GEMM", 4, 4096), 400, "bad_request"},
+	{"rows past the bound", kernelRequest("GEMM", 65, 4), 400, "bad_request"},
+	{"cols past the bound", kernelRequest("GEMM", 4, 65), 400, "bad_request"},
+	{"inner_block past the bound", `{"kernel":"GEMM","fabric":{"rows":4,"cols":4},"options":{"inner_block":65}}`, 400, "bad_request"},
+	{"block extent past the bound", `{"kernel":"GEMM","fabric":{"rows":4,"cols":4},"options":{"mapper":"conventional","block":[2,65,2]}}`, 400, "bad_request"},
 	{"bad fabric enumeration", `{"kernel":"GEMM","fabric":{"rows":4,"cols":4,"bandwidth":"quad"}}`, 400, "bad_request"},
 	{"bad mapper", `{"kernel":"GEMM","fabric":{"rows":4,"cols":4},"options":{"mapper":"magic"}}`, 400, "bad_request"},
 	{"block on himap", `{"kernel":"GEMM","fabric":{"rows":4,"cols":4},"options":{"block":[4,4,4]}}`, 400, "bad_request"},
@@ -336,6 +340,37 @@ func TestStrictDecodeAndValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound || s.Metrics().Snapshot().Compiles != 0 {
 		t.Errorf("retired sweep route answered %d after %d compiles, want 404 and none", resp.StatusCode, s.Metrics().Snapshot().Compiles)
+	}
+}
+
+// TestWireBoundsAtTheirEdges: each wire bound admits its own value — the
+// 65s of strictDecodeCases answer 400 — and a timeout past the ceiling
+// resolves to the ceiling.
+func TestWireBoundsAtTheirEdges(t *testing.T) {
+	for _, body := range []string{
+		kernelRequest("GEMM", 64, 4),
+		kernelRequest("GEMM", 4, 64),
+		`{"kernel":"GEMM","fabric":{"rows":4,"cols":4},"options":{"inner_block":64}}`,
+		`{"kernel":"GEMM","fabric":{"rows":4,"cols":4},"options":{"mapper":"conventional","block":[2,64,2]}}`,
+	} {
+		var w CompileRequestWire
+		if err := json.Unmarshal([]byte(body), &w); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := BuildRequest(&w, Config{}); err != nil {
+			t.Errorf("%s: %v", body, err)
+		}
+	}
+	s := MustNew(Config{})
+	for ms, want := range map[int]time.Duration{
+		600_000:   10 * time.Minute,
+		600_001:   10 * time.Minute,
+		3_600_000: 10 * time.Minute,
+		599_999:   599_999 * time.Millisecond,
+	} {
+		if got := s.timeout(ms); got != want {
+			t.Errorf("timeout_ms %d resolves to %v, want %v", ms, got, want)
+		}
 	}
 }
 

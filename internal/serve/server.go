@@ -54,13 +54,6 @@ type Config struct {
 	// DefaultTimeout bounds compiles whose request carries no
 	// timeout_ms. Default 2 minutes.
 	DefaultTimeout time.Duration
-	// MaxTimeout clamps request-supplied timeouts. Default 10 minutes.
-	MaxTimeout time.Duration
-	// MaxArraySide bounds fabric rows/cols accepted over the wire.
-	// Default 64.
-	MaxArraySide int
-	// MaxBlock bounds each requested block extent. Default 64.
-	MaxBlock int
 	// MaxExactCells bounds the unrolled DFG node count the exact mapper
 	// accepts over the wire (branch-and-bound is exponential; this guard
 	// keeps one request from monopolizing a worker slot). Default 128.
@@ -69,6 +62,13 @@ type Config struct {
 	// request. Default 64.
 	MaxBatchItems int
 }
+
+// The wire's fixed bounds.
+const (
+	maxTimeout   = 10 * time.Minute // clamps request-supplied timeouts
+	maxArraySide = 64               // bounds fabric rows and cols
+	maxBlock     = 64               // bounds inner_block and each block extent
+)
 
 func (c Config) withDefaults() Config {
 	if c.MaxInFlight <= 0 {
@@ -85,15 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 2 * time.Minute
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 10 * time.Minute
-	}
-	if c.MaxArraySide <= 0 {
-		c.MaxArraySide = 64
-	}
-	if c.MaxBlock <= 0 {
-		c.MaxBlock = 64
 	}
 	if c.MaxExactCells <= 0 {
 		c.MaxExactCells = 128
@@ -229,7 +220,7 @@ func BuildRequest(w *CompileRequestWire, cfg Config) (himap.Request, error) {
 		return req, fmt.Errorf("%w: one of kernel or spec is required", ErrBadRequest)
 	}
 
-	fab, err := BuildFabric(w.Fabric, cfg)
+	fab, err := BuildFabric(w.Fabric)
 	if err != nil {
 		return req, err
 	}
@@ -265,15 +256,15 @@ func BuildRequest(w *CompileRequestWire, cfg Config) (himap.Request, error) {
 	default:
 		return req, fmt.Errorf("%w: unknown mapper %q (want %s)", ErrBadRequest, o.Mapper, himap.BackendNames())
 	}
-	if o.InnerBlock < 0 || o.InnerBlock > cfg.MaxBlock {
-		return req, fmt.Errorf("%w: inner_block %d outside [0,%d]", ErrBadRequest, o.InnerBlock, cfg.MaxBlock)
+	if o.InnerBlock < 0 || o.InnerBlock > maxBlock {
+		return req, fmt.Errorf("%w: inner_block %d outside [0,%d]", ErrBadRequest, o.InnerBlock, maxBlock)
 	}
 	if len(o.Block) != 0 && len(o.Block) != req.Kernel.Dim {
 		return req, fmt.Errorf("%w: block has %d dims, kernel %q has %d", ErrBadRequest, len(o.Block), req.Kernel.Name, req.Kernel.Dim)
 	}
 	for _, b := range o.Block {
-		if b < 1 || b > cfg.MaxBlock {
-			return req, fmt.Errorf("%w: block extent %d outside [1,%d]", ErrBadRequest, b, cfg.MaxBlock)
+		if b < 1 || b > maxBlock {
+			return req, fmt.Errorf("%w: block extent %d outside [1,%d]", ErrBadRequest, b, maxBlock)
 		}
 	}
 	if o.TimeoutMS < 0 {
@@ -289,11 +280,10 @@ func BuildRequest(w *CompileRequestWire, cfg Config) (himap.Request, error) {
 // BuildFabric converts a wire fabric specification into the fabric the
 // server compiles, applying the array-size bound and strict enumeration
 // parsing.
-func BuildFabric(f FabricSpec, cfg Config) (himap.Fabric, error) {
-	cfg = cfg.withDefaults()
+func BuildFabric(f FabricSpec) (himap.Fabric, error) {
 	var fab himap.Fabric
-	if f.Rows < 2 || f.Cols < 2 || f.Rows > cfg.MaxArraySide || f.Cols > cfg.MaxArraySide {
-		return fab, fmt.Errorf("%w: fabric %dx%d outside [2,%d]", ErrBadRequest, f.Rows, f.Cols, cfg.MaxArraySide)
+	if f.Rows < 2 || f.Cols < 2 || f.Rows > maxArraySide || f.Cols > maxArraySide {
+		return fab, fmt.Errorf("%w: fabric %dx%d outside [2,%d]", ErrBadRequest, f.Rows, f.Cols, maxArraySide)
 	}
 	topo, err := himap.ParseTopology(f.Topology)
 	if err != nil {
@@ -320,14 +310,14 @@ func BuildFabric(f FabricSpec, cfg Config) (himap.Fabric, error) {
 }
 
 // timeout resolves a request's timeout_ms (a compile's or a batch's) into
-// its deadline: the default when omitted, clamped to MaxTimeout.
+// its deadline: the default when omitted, clamped to maxTimeout.
 func (s *Server) timeout(timeoutMS int) time.Duration {
 	d := s.cfg.DefaultTimeout
 	if timeoutMS > 0 {
 		d = time.Duration(timeoutMS) * time.Millisecond
 	}
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
+	if d > maxTimeout {
+		d = maxTimeout
 	}
 	return d
 }

@@ -119,7 +119,7 @@ func (m *Mapping) Classify(d ir.IterVec) DepClass {
 // an error when d does not decompose (the "impossible to find such
 // systolic mapping" case of §V).
 func (m *Mapping) ForwardStep(d ir.IterVec) (e ir.IterVec, g int, err error) {
-	tr, xr, yr := m.DepOffset(d)
+	_, xr, yr := m.DepOffset(d)
 	hops := abs(xr) + abs(yr)
 	if hops <= 1 {
 		return nil, 0, fmt.Errorf("systolic: %v is not a multi-hop dependence: %w", d, ErrInfeasible)
@@ -137,7 +137,6 @@ func (m *Mapping) ForwardStep(d ir.IterVec) (e ir.IterVec, g int, err error) {
 		return nil, 0, fmt.Errorf("systolic: step %v of dependence %v is not single-hop (offset %d,%d,%d): %w",
 			e, d, etr, exr, eyr, ErrInfeasible)
 	}
-	_ = tr
 	return e, g, nil
 }
 

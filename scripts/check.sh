@@ -32,6 +32,8 @@ go test -run '^$' -bench ScaleCompile -benchtime 1x .
 go run ./cmd/experiments -table1 -table2 | diff - results/tables.txt
 # The design-space sweep is deterministic at every -workers (~1.5 s): its committed ranking is what the code prints now.
 go run ./cmd/experiments -explore -explore-size 8 | diff - results/explore8.txt
+# The 64x64 envelope is deterministic (~3 s; compile times go to the stderr progress lines): U, unique iterations, II_B and MOPS of the eight kernels.
+go run ./cmd/experiments -envelope | diff - results/envelope64.txt
 # The quality gap against the exact solver is deterministic (~1 s; the exact search stops at its leaf cap, not its time budget): HiMap and SA II beside exact's proved minimum.
 go run ./cmd/experiments -gap | diff - results/gap4.txt
 # bench/ is its own module (replace himap => ../): nothing above compiles it.
