@@ -29,7 +29,11 @@ func BackendNames() string {
 
 // compileHiMap runs the hierarchical flow (internal/himap).
 func compileHiMap(ctx context.Context, req Request) (*Result, error) {
-	return core.CompileRequest(ctx, req.Kernel, req.Fabric, req.Options)
+	res, err := core.CompileRequest(ctx, req.Kernel, req.Fabric, req.Options)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Result: *res}, nil
 }
 
 // compileConventional runs the flat SA + PathFinder baseline
@@ -44,11 +48,8 @@ func compileConventional(ctx context.Context, req Request) (*Result, error) {
 		return nil, err
 	}
 	return &Result{
-		Kernel:       res.Kernel,
-		Fabric:       req.Fabric,
-		Block:        res.Block,
-		Config:       res.Config,
-		Utilization:  res.Utilization,
+		Result: core.Result{Kernel: res.Kernel, Fabric: req.Fabric, Block: res.Block,
+			Config: res.Config, Utilization: res.Utilization},
 		Conventional: res,
 	}, nil
 }
@@ -68,12 +69,9 @@ func compileExact(ctx context.Context, req Request) (*Result, error) {
 		return nil, err
 	}
 	return &Result{
-		Kernel:      res.Kernel,
-		Fabric:      req.Fabric,
-		Block:       res.Block,
-		Config:      res.Config,
-		Utilization: res.Utilization,
-		Optimality:  &res.Optimality,
-		Exact:       res,
+		Result: core.Result{Kernel: res.Kernel, Fabric: req.Fabric, Block: res.Block,
+			Config: res.Config, Utilization: res.Utilization},
+		Optimality: &res.Optimality,
+		Exact:      res,
 	}, nil
 }

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
 	"himap/internal/arch"
 	"himap/internal/baseline"
@@ -111,7 +110,7 @@ func BenchmarkFig7Baseline(b *testing.B) {
 			var err error
 			for i := 0; i < b.N; i++ {
 				res, err = baseline.CompileRequest(context.Background(), c.k, arch.DefaultFabric(c.size, c.size),
-					c.k.UniformBlock(c.block), baseline.Options{Seed: 1, TimeBudget: 30 * time.Second})
+					c.k.UniformBlock(c.block), baseline.Options{Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -164,7 +163,7 @@ func BenchmarkFig8BaselineCompileTime(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := baseline.CompileRequest(context.Background(), c.k, arch.DefaultFabric(c.b, c.b),
-					c.k.UniformBlock(c.b), baseline.Options{Seed: 1, TimeBudget: 60 * time.Second}); err != nil {
+					c.k.UniformBlock(c.b), baseline.Options{Seed: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -84,13 +84,19 @@ func main() {
 		Mapper:   himap.Mapper(*mapper),
 		Options:  himap.Options{InnerBlock: *inner, Workers: *workers, Tracer: tracer},
 		Baseline: himap.BaselineOptions{Seed: *seed, Workers: 1, Tracer: tracer}, // one SA chain: the chain count changes the mapping, -workers must not
-		Exact:    himap.ExactOptions{TimeBudget: *budget, Tracer: tracer},
+		Exact:    himap.ExactOptions{Tracer: tracer},
 	}
 	if *block > 0 {
 		req.Block = k.UniformBlock(*block)
 	}
 
-	res, err := himap.CompileRequest(context.Background(), req)
+	ctx := context.Background()
+	if req.Mapper == himap.MapperExact && *budget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *budget)
+		defer cancel()
+	}
+	res, err := himap.CompileRequest(ctx, req)
 	if err != nil {
 		fatal(err)
 	}

@@ -226,31 +226,42 @@ func TestErrConfigInvalidFromValidate(t *testing.T) {
 	}
 }
 
-// TestBaselineTypedErrors: the conventional mapper's failure modes are
-// recoverable through the public aliases — the scalability wall and the
-// wall-clock budget each surface as a typed struct via errors.As.
+// TestBaselineTypedErrors: the conventional mapper fails its node wall
+// with ErrTooLarge at the dfg-build stage and ends a compile whose
+// context deadline has passed with ErrCanceled wrapping
+// context.DeadlineExceeded — the context is its only time bound.
 func TestBaselineTypedErrors(t *testing.T) {
-	k := himap.KernelGEMM()
-	cg := himap.DefaultCGRA(4, 4)
-	block := []int{2, 2, 2}
+	checkFlatBackendErrors(t, himap.MapperConventional)
+}
 
-	_, err := compileBaseline(k, cg, block, himap.BaselineOptions{MaxNodes: 1})
-	var tooLarge himap.BaselineTooLargeError
-	if !errors.As(err, &tooLarge) {
-		t.Fatalf("want BaselineTooLargeError, got %v", err)
+// TestExactTypedErrors: the exact mapper reports the same two classes,
+// and its deadline error also names the II lower bound it proved.
+func TestExactTypedErrors(t *testing.T) {
+	if err := checkFlatBackendErrors(t, himap.MapperExact); err == nil || !strings.Contains(err.Error(), "proved II ≥ ") {
+		t.Errorf("exact deadline error does not name the proved lower bound: %v", err)
 	}
-	if tooLarge.Max != 1 {
-		t.Errorf("wall not carried: %+v", tooLarge)
-	}
+}
 
-	_, err = compileBaseline(k, cg, block, himap.BaselineOptions{TimeBudget: time.Nanosecond})
-	var timeout himap.BaselineTimeoutError
-	if !errors.As(err, &timeout) {
-		t.Fatalf("want BaselineTimeoutError, got %v", err)
+// checkFlatBackendErrors compiles GEMM 2x2x2 on 4x4 with mapper m past a
+// 1-node wall and then under an expired deadline, checks both failure
+// classes, and returns the deadline error.
+func checkFlatBackendErrors(t *testing.T, m himap.Mapper) error {
+	t.Helper()
+	req := himap.Request{Kernel: himap.KernelGEMM(), Fabric: himap.DefaultFabric(4, 4), Mapper: m, Block: []int{2, 2, 2},
+		Baseline: himap.BaselineOptions{MaxNodes: 1}, Exact: himap.ExactOptions{MaxNodes: 1}}
+	_, err := himap.CompileRequest(context.Background(), req)
+	var se *himap.StageError
+	if !errors.Is(err, himap.ErrTooLarge) || !errors.As(err, &se) || se.Stage != "dfg-build" {
+		t.Errorf("%s past its wall: %v, want a dfg-build ErrTooLarge", m, err)
 	}
-	if timeout.Budget != time.Nanosecond {
-		t.Errorf("budget not carried: %+v", timeout)
+	expired, cancel := context.WithTimeout(context.Background(), -time.Second)
+	defer cancel()
+	req.Baseline, req.Exact = himap.BaselineOptions{}, himap.ExactOptions{}
+	_, err = himap.CompileRequest(expired, req)
+	if !errors.Is(err, himap.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("%s under an expired deadline: %v, want ErrCanceled wrapping DeadlineExceeded", m, err)
 	}
+	return err
 }
 
 // TestCompileErrorUnwrapExposesStages: the aggregate exposes each stage's

@@ -3,7 +3,6 @@ package himap_test
 import (
 	"context"
 	"testing"
-	"time"
 
 	"himap"
 )
@@ -44,7 +43,6 @@ func TestConventionalRespectsProvedMinimum(t *testing.T) {
 
 	eres, err := himap.CompileRequest(context.Background(), himap.Request{
 		Kernel: k, Fabric: fab, Mapper: himap.MapperExact, Block: block,
-		Exact: himap.ExactOptions{TimeBudget: 60 * time.Second},
 	})
 	if err != nil {
 		t.Fatalf("CompileRequest(exact): %v", err)

@@ -72,18 +72,10 @@ type (
 	Kernel = kernel.Kernel
 	// Options tunes the HiMap compilation flow.
 	Options = core.Options
-	// Result is a completed HiMap mapping with statistics.
-	Result = core.Result
 	// BaselineOptions tunes the conventional mapper.
 	BaselineOptions = baseline.Options
 	// BaselineResult is a completed conventional mapping.
 	BaselineResult = baseline.Result
-	// BaselineTooLargeError reports a DFG past the conventional mapper's
-	// scalability wall (BaselineOptions.MaxNodes); match with errors.As.
-	BaselineTooLargeError = baseline.ErrTooLarge
-	// BaselineTimeoutError reports an exhausted
-	// BaselineOptions.TimeBudget; match with errors.As.
-	BaselineTimeoutError = baseline.ErrTimeout
 	// ExactOptions tunes the exact branch-and-bound mapper.
 	ExactOptions = exact.Options
 	// ExactResult is a completed exact mapping with its certificate.
@@ -94,10 +86,6 @@ type (
 	Optimality = exact.Optimality
 	// Certificate names the kind of optimality proof.
 	Certificate = exact.Certificate
-	// ExactTooLargeError reports a DFG past ExactOptions.MaxNodes — the
-	// exact mapper refuses rather than search hopelessly; match with
-	// errors.As.
-	ExactTooLargeError = exact.ErrTooLarge
 	// PowerModel converts configurations to MOPS and mW.
 	PowerModel = power.Model
 	// Scheme is a block-size-independent systolic space-time template.
@@ -105,7 +93,7 @@ type (
 )
 
 // Diagnostics: the typed failure taxonomy and tracing contract shared by
-// the HiMap pipeline and the conventional baseline (see internal/diag).
+// every backend (see internal/diag).
 type (
 	// CompileError is the structured failure of a whole compilation: the
 	// deterministic lowest-ranked attempt's error plus the best-ranked
@@ -168,20 +156,22 @@ var (
 	// attempted (nil kernel, invalid fabric) — a caller bug, not a
 	// mapping failure.
 	ErrInvalidRequest = diag.ErrInvalidRequest
-	// ErrExactTimeout: the exact mapper's ExactOptions.TimeBudget expired
-	// before it could either map or refute; the best lower bound reached
-	// is reported in the error message.
-	ErrExactTimeout = diag.ErrExactTimeout
+	// ErrTooLarge: a flat backend refused a block whose DFG is past its
+	// node wall (BaselineOptions.MaxNodes, ExactOptions.MaxNodes).
+	ErrTooLarge = diag.ErrTooLarge
 	// ErrProvedInfeasible: the exact mapper exhaustively refuted every II
 	// in its search range within the schedule horizon — the instance
 	// (kernel × block × fabric) needs a bigger fabric or a smaller block.
 	ErrProvedInfeasible = diag.ErrProvedInfeasible
 	// ErrCanceled: the compile's context was canceled or its deadline
-	// expired before a mapping was committed. Both mappers check their
-	// context at stage boundaries (HiMap additionally before each attempt
-	// is claimed, the conventional mapper between II attempts and every
-	// 4096 annealing moves); the original context error stays in the cause
-	// chain, so errors.Is(err, context.Canceled) and
+	// expired before a mapping was committed. The context is every
+	// backend's only time bound: pass context.WithTimeout for a budget.
+	// The mappers check it at stage boundaries (HiMap additionally before
+	// each attempt is claimed, the conventional mapper between II
+	// attempts and every 4096 annealing moves, the exact mapper inside
+	// its search, whose error also names the proved II lower bound); the
+	// original context error stays in the cause chain, so
+	// errors.Is(err, context.Canceled) and
 	// errors.Is(err, context.DeadlineExceeded) also hold.
 	ErrCanceled = diag.ErrCanceled
 )

@@ -131,14 +131,6 @@ func (c CGRA) InBounds(r, cc int) bool {
 	return r >= 0 && r < c.Rows && cc >= 0 && cc < c.Cols
 }
 
-// Neighbor returns the PE coordinate in direction d from (r, cc) and
-// whether it exists.
-func (c CGRA) Neighbor(r, cc int, d Dir) (nr, nc int, ok bool) {
-	dr, dc := d.Delta()
-	nr, nc = r+dr, cc+dc
-	return nr, nc, c.InBounds(nr, nc)
-}
-
 // Validate checks the architecture parameters.
 func (c CGRA) Validate() error {
 	switch {

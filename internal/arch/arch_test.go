@@ -20,15 +20,17 @@ func TestDirDeltaOpposite(t *testing.T) {
 	}
 }
 
+// TestCGRANeighbor: on the default 4x4 mesh a link leaves the array
+// nowhere and reaches the adjacent PE in the link's direction.
 func TestCGRANeighbor(t *testing.T) {
-	c := Default(4, 4)
-	if _, _, ok := c.Neighbor(0, 0, North); ok {
+	f := DefaultFabric(4, 4)
+	if _, _, ok := f.LinkNeighbor(0, 0, North); ok {
 		t.Error("north of (0,0) should not exist")
 	}
-	if r, cc, ok := c.Neighbor(0, 0, South); !ok || r != 1 || cc != 0 {
+	if r, cc, ok := f.LinkNeighbor(0, 0, South); !ok || r != 1 || cc != 0 {
 		t.Errorf("south of (0,0) = (%d,%d,%v)", r, cc, ok)
 	}
-	if r, cc, ok := c.Neighbor(2, 2, East); !ok || r != 2 || cc != 3 {
+	if r, cc, ok := f.LinkNeighbor(2, 2, East); !ok || r != 2 || cc != 3 {
 		t.Errorf("east of (2,2) = (%d,%d,%v)", r, cc, ok)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
 	"himap/internal/arch"
 	"himap/internal/diag"
@@ -240,7 +239,7 @@ func TestAnnealDenseMatchesMap(t *testing.T) {
 				rngM := rand.New(rand.NewSource(seed + int64(len(d.Nodes))))
 				for _, ii := range iis {
 					attempts++
-					plD, okD, costD := anneal(context.Background(), d, c.fab, ii, moves, rngD, time.Time{})
+					plD, okD, costD := anneal(context.Background(), d, c.fab, ii, moves, rngD)
 					plM, okM, costM := annealMapRef(d, c.fab, ii, moves, rngM)
 					if okD != okM || costD != costM || !reflect.DeepEqual(plD, plM) {
 						t.Fatalf("%s on %s seed %d II %d: dense (%v, %v) and map (%v, %v) occupancy disagree\ndense %v\nmap   %v",

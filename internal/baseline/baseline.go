@@ -9,7 +9,8 @@
 // compile time degrade rapidly beyond a few hundred DFG nodes (§VI:
 // "BHC fails to find a solution when the number of DFG nodes is higher
 // than 400 due to scalability issues"). MaxNodes models that wall
-// explicitly; TimeBudget models the paper's 3-day timeout.
+// explicitly (a diag.ErrTooLarge failure); the paper's 3-day timeout is
+// the caller's context deadline, as for every backend.
 package baseline
 
 import (
@@ -30,10 +31,9 @@ import (
 
 // Options tunes the baseline mapper.
 type Options struct {
-	MaxNodes   int           // hard DFG size wall (default 400)
-	Seed       int64         // SA seed
-	SAMoves    int           // SA moves per II attempt; 0 = auto (scales with DFG²)
-	TimeBudget time.Duration // overall wall-clock budget; 0 = unlimited
+	MaxNodes int   // hard DFG size wall (default 400)
+	Seed     int64 // SA seed
+	SAMoves  int   // SA moves per II attempt; 0 = auto (scales with DFG²)
 	// Workers is the number of independently seeded simulated-annealing
 	// chains raced per II attempt; the feasible placement with the lowest
 	// cost wins, ties broken deterministically toward the lowest chain
@@ -84,32 +84,19 @@ func (r *Result) Summary() string {
 		r.Kernel.Name, r.Fabric, r.Block, r.II, r.Utilization*100)
 }
 
-// ErrTooLarge is returned when the DFG exceeds the scalability wall.
-type ErrTooLarge struct{ Nodes, Max int }
-
-func (e ErrTooLarge) Error() string {
-	return fmt.Sprintf("baseline: DFG with %d nodes exceeds the mapper's %d-node scalability wall", e.Nodes, e.Max)
-}
-
-// ErrTimeout is returned when the time budget expires.
-type ErrTimeout struct{ Budget time.Duration }
-
-func (e ErrTimeout) Error() string {
-	return fmt.Sprintf("baseline: time budget %v exhausted without a valid mapping", e.Budget)
-}
-
 // place aliases the shared routing layer's slot type so SA chains hand
 // their winning placement straight to route.RouteDFG.
 type place = route.Placement
 
 // CompileRequest maps the kernel's block DFG onto the fabric: SA
 // placement (loads and stores restricted to memory-capable PEs) plus
-// negotiated routing over the fabric's link set. The context is
-// checked before each II attempt, between the placement and routing
-// phases, and every 4096 SA moves inside each annealing chain, so a
-// cancellation or deadline aborts the mapper promptly with a
-// diag.ErrCanceled StageError (the original context error stays in the
-// cause chain).
+// negotiated routing over the fabric's link set. A DFG past
+// Options.MaxNodes fails with diag.ErrTooLarge. The context is the only
+// time bound: it is checked before each II attempt, between the
+// placement and routing phases, and every 4096 SA moves inside each
+// annealing chain, so a cancellation or deadline aborts the mapper
+// promptly with a diag.ErrCanceled StageError (the original context
+// error stays in the cause chain).
 func CompileRequest(ctx context.Context, k *kernel.Kernel, cg arch.Fabric, block []int, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -119,26 +106,9 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, cg arch.Fabric, block
 		return nil, err
 	}
 	start := time.Now() //lint:ignore determinism wall-clock span timing only; does not influence mapping
-	deadline := time.Time{}
-	if opts.TimeBudget > 0 {
-		deadline = start.Add(opts.TimeBudget)
-	}
-	// Reject oversized blocks before materializing the DFG: the body-op
-	// count per iteration is a lower bound on nodes, and huge blocks
-	// (e.g. TTM at b=64: 16.7M iterations) would otherwise allocate tens
-	// of gigabytes only to be refused.
-	if lower := ir.BoxSize(block) * len(k.Body); lower > opts.MaxNodes {
-		return nil, ErrTooLarge{Nodes: lower, Max: opts.MaxNodes}
-	}
-	buildStart := time.Now() //lint:ignore determinism wall-clock span timing only; does not influence mapping
-	d, err := k.BuildDFG(block)
+	d, err := route.BuildDFG(k, cg, block, opts.MaxNodes, opts.Tracer)
 	if err != nil {
 		return nil, err
-	}
-	opts.Tracer.Emit(diag.Span{Stage: "dfg-build", Wall: time.Since(buildStart),
-		Counters: map[string]int64{"nodes": int64(len(d.Nodes))}})
-	if len(d.Nodes) > opts.MaxNodes {
-		return nil, ErrTooLarge{Nodes: len(d.Nodes), Max: opts.MaxNodes}
 	}
 	ncomp := d.NumCompute()
 	nfu := ncomp // routes occupy FUs as moves in a conventional mapping
@@ -176,9 +146,6 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, cg arch.Fabric, block
 		if err := ctx.Err(); err != nil {
 			return nil, diag.Fail(diag.ErrCanceled, err).Stamp("place", k.Name, cg.String(), ii)
 		}
-		if !deadline.IsZero() && time.Now().After(deadline) { //lint:ignore determinism opt-in TimeBudget deadline; documented nondeterminism when set
-			return nil, ErrTimeout{Budget: opts.TimeBudget}
-		}
 		moves := opts.SAMoves
 		if moves == 0 {
 			// SA effort grows quadratically with problem size — the
@@ -198,7 +165,7 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, cg arch.Fabric, block
 				r = rand.New(rand.NewSource(opts.Seed + int64(len(d.Nodes)) +
 					int64(ci)*1_000_003 + int64(ii)*8191))
 			}
-			pl, ok, cost := anneal(ctx, d, cg, ii, moves, r, deadline)
+			pl, ok, cost := anneal(ctx, d, cg, ii, moves, r)
 			outs[ci] = chainOut{pl: pl, ok: ok, cost: cost}
 		})
 		totalMoves += moves * opts.Workers
@@ -244,9 +211,6 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, cg arch.Fabric, block
 			SAMoves:     totalMoves,
 		}, nil
 	}
-	if !deadline.IsZero() && time.Now().After(deadline) { //lint:ignore determinism opt-in TimeBudget deadline; documented nondeterminism when set
-		return nil, ErrTimeout{Budget: opts.TimeBudget}
-	}
 	if lastErr == nil {
 		lastErr = diag.Failf(diag.ErrPlacementInfeasible, "minimum II %d exceeds the II bound %d", mii, maxII).
 			Stamp("place", k.Name, cg.String(), mii)
@@ -272,9 +236,9 @@ func slotOf(n *ir.Node, p place, ii, rows, cols int) int {
 // anneal performs simulated annealing over joint (time, PE) placements.
 // It returns a placement with zero hard violations (plus its total cost,
 // for best-of-N chain selection), or ok=false. The context is polled
-// every 4096 moves (alongside the opt-in wall-clock deadline); a canceled
-// chain returns ok=false and the caller re-checks ctx to classify.
-func anneal(ctx context.Context, d *ir.DFG, cg arch.Fabric, ii, moves int, rng *rand.Rand, deadline time.Time) ([]place, bool, float64) {
+// every 4096 moves; a canceled chain returns ok=false and the caller
+// re-checks ctx to classify.
+func anneal(ctx context.Context, d *ir.DFG, cg arch.Fabric, ii, moves int, rng *rand.Rand) ([]place, bool, float64) {
 	order, err := d.TopoOrder()
 	if err != nil {
 		return nil, false, 0
@@ -415,13 +379,8 @@ func anneal(ctx context.Context, d *ir.DFG, cg arch.Fabric, ii, moves int, rng *
 	temp := 60.0
 	decay := math.Pow(0.02/temp, 1/float64(moves+1))
 	for mv := 0; mv < moves; mv++ {
-		if mv%4096 == 0 {
-			if ctx.Err() != nil {
-				return nil, false, 0
-			}
-			if !deadline.IsZero() && time.Now().After(deadline) { //lint:ignore determinism opt-in TimeBudget deadline; documented nondeterminism when set
-				return nil, false, 0
-			}
+		if mv%4096 == 0 && ctx.Err() != nil {
+			return nil, false, 0
 		}
 		id := rng.Intn(len(d.Nodes))
 		n := d.Nodes[id]

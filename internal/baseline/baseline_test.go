@@ -3,10 +3,12 @@ package baseline
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"himap/internal/arch"
+	"himap/internal/diag"
 	"himap/internal/kernel"
 	"himap/internal/sim"
 )
@@ -43,21 +45,28 @@ func TestBaselineNodeWall(t *testing.T) {
 	// GEMM at b=8 has 8^3 iterations × 4 ops ≈ 2k nodes: over the wall.
 	k := kernel.GEMM()
 	_, err := CompileRequest(context.Background(), k, arch.DefaultFabric(8, 8), []int{8, 8, 8}, Options{Seed: 1})
-	var tooLarge ErrTooLarge
-	if !errors.As(err, &tooLarge) {
-		t.Fatalf("expected ErrTooLarge, got %v", err)
+	var se *diag.StageError
+	if !errors.Is(err, diag.ErrTooLarge) || !errors.As(err, &se) || se.Stage != "dfg-build" {
+		t.Fatalf("expected a dfg-build ErrTooLarge, got %v", err)
 	}
-	if tooLarge.Nodes <= tooLarge.Max {
-		t.Errorf("wall error inconsistent: %+v", tooLarge)
+	if !strings.Contains(err.Error(), "400-node wall") {
+		t.Errorf("wall error does not name the default 400-node wall: %v", err)
 	}
 }
 
+// TestBaselineTimeout: the caller's context deadline is the mapper's
+// only time bound. One already past stops the compile before the first
+// II attempt, one that expires mid-anneal at the next poll; both end
+// with ErrCanceled and context.DeadlineExceeded in the chain.
 func TestBaselineTimeout(t *testing.T) {
 	k := kernel.MVT()
-	_, err := CompileRequest(context.Background(), k, arch.DefaultFabric(4, 4), []int{6, 6}, Options{Seed: 1, TimeBudget: 1 * time.Millisecond})
-	var timeout ErrTimeout
-	if !errors.As(err, &timeout) {
-		t.Fatalf("expected ErrTimeout, got %v", err)
+	for _, d := range []time.Duration{-time.Second, time.Millisecond} {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		_, err := CompileRequest(ctx, k, arch.DefaultFabric(4, 4), []int{6, 6}, Options{Seed: 1})
+		cancel()
+		if !errors.Is(err, diag.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("deadline %v: %v, want ErrCanceled wrapping context.DeadlineExceeded", d, err)
+		}
 	}
 }
 

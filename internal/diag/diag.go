@@ -4,11 +4,12 @@
 // and the Tracer contract (per-stage spans with wall time, attempt/wave
 // identifiers, and counters).
 //
-// Both mappers — the hierarchical HiMap pipeline (internal/himap) and the
-// conventional baseline (internal/baseline) — report failures through the
-// same classes and emit spans through the same interface, so a harness
-// comparing the two (internal/exp, a future compilation service) can
-// aggregate failure modes and stage costs uniformly. The package is a
+// Every backend — the hierarchical HiMap pipeline (internal/himap), the
+// conventional baseline (internal/baseline) and the exact mapper
+// (internal/exact) — reports failures through the same classes and emits
+// spans through the same interface, so a harness comparing them
+// (internal/exp, the compile service) can aggregate failure modes and
+// stage costs uniformly. The package is a
 // leaf: it imports only the standard library, so every layer (kernel
 // front end, routers, mappers, CLIs) can depend on it without cycles.
 package diag
@@ -66,24 +67,25 @@ var (
 	// combination no backend accepts. Every backend reports this class
 	// (never a panic) so callers can dispatch uniformly.
 	ErrInvalidRequest = errors.New("invalid compile request")
-	// ErrExactTimeout: the exact mapper's search budget (TimeBudget or
-	// context deadline polled inside the branch-and-bound loop) expired
-	// before the iterative deepening either found a mapping or refuted
-	// every candidate II. The cause records the strongest II lower bound
-	// proved before the budget ran out.
-	ErrExactTimeout = errors.New("exact search budget exhausted")
+	// ErrTooLarge: the unrolled block DFG is past a flat backend's node
+	// wall (the conventional mapper's scalability wall, the exact
+	// mapper's branch-and-bound wall), so the backend refuses it before
+	// placing anything.
+	ErrTooLarge = errors.New("DFG past the mapper's node wall")
 	// ErrProvedInfeasible: the exact mapper exhausted the search space at
 	// every II up to its bound without finding a feasible placement — a
 	// certificate (relative to the scheduling horizon) that no mapping
 	// exists, as opposed to a heuristic giving up.
 	ErrProvedInfeasible = errors.New("mapping proved infeasible")
 	// ErrCanceled: the compile's context.Context was canceled or its
-	// deadline expired before a mapping was committed. The pipelines check
-	// the context between stages (and the baseline between SA chain
-	// iterations), so cancellation aborts promptly without leaving partial
-	// state; the cause chain keeps the original context error, so
-	// errors.Is(err, context.Canceled) and context.DeadlineExceeded work
-	// through it as well.
+	// deadline expired before a mapping was committed. The context is the
+	// only time bound of every backend: a caller that wants a budget
+	// passes context.WithTimeout. The pipelines check the context between
+	// stages (the baseline also inside its SA chains, the exact mapper
+	// inside its branch-and-bound loop), so cancellation aborts promptly
+	// without leaving partial state; the cause chain keeps the original
+	// context error, so errors.Is(err, context.Canceled) and
+	// context.DeadlineExceeded work through it as well.
 	ErrCanceled = errors.New("compilation canceled")
 )
 
@@ -164,7 +166,7 @@ var classes = []error{
 	ErrNoSubMapping, ErrSchemeInfeasible, ErrRouteCongested,
 	ErrBlockPinConflict, ErrBlockTooSmall, ErrPlacementInfeasible,
 	ErrReplicaConflict, ErrConfigInvalid, ErrMemPortInfeasible,
-	ErrBandwidthInfeasible, ErrInvalidRequest, ErrExactTimeout,
+	ErrBandwidthInfeasible, ErrInvalidRequest, ErrTooLarge,
 	ErrProvedInfeasible, ErrCanceled,
 }
 

@@ -93,11 +93,6 @@ type Options struct {
 	MaxNodes int
 	// MaxII bounds the iterative deepening (default 16).
 	MaxII int
-	// TimeBudget bounds the whole search; 0 = unlimited. The budget is
-	// polled inside the branch-and-bound loop, so expiry surfaces
-	// promptly as a diag.ErrExactTimeout StageError carrying the
-	// strongest lower bound proved so far.
-	TimeBudget time.Duration
 	// Tracer receives one span per II attempt (stage "search", Attempt =
 	// II) plus the dfg-build span, on the same contract as the other
 	// backends. nil means no tracing.
@@ -189,14 +184,6 @@ func (r *Result) Summary() string {
 		r.Kernel.Name, r.Fabric, r.Block, r.II, proof, r.Utilization*100)
 }
 
-// ErrTooLarge is returned when the DFG exceeds the exact mapper's
-// branch-and-bound size wall.
-type ErrTooLarge struct{ Nodes, Max int }
-
-func (e ErrTooLarge) Error() string {
-	return fmt.Sprintf("exact: DFG with %d nodes exceeds the %d-node exact-search wall", e.Nodes, e.Max)
-}
-
 // LowerBound returns the static resource lower bound on the II of ANY
 // mapping of the kernel's block DFG onto the fabric, without running the
 // search: compute ops against the PE count (every compute op needs an FU
@@ -271,11 +258,13 @@ func resourceMII(d *ir.DFG, fab arch.Fabric, routesOnFU bool) (int, error) {
 // every complete placement, and an Optimality certificate on success.
 // Failure classes:
 //
+//   - diag.ErrTooLarge: the DFG is past Options.MaxNodes;
 //   - diag.ErrProvedInfeasible: every II up to MaxII was exhaustively
 //     refuted (within the horizon) — no mapping exists;
-//   - diag.ErrExactTimeout: TimeBudget expired first; the error text
-//     carries the strongest lower bound proved;
-//   - diag.ErrCanceled: the context was canceled;
+//   - diag.ErrCanceled: the context was canceled or its deadline (the
+//     only time bound) expired, polled inside the branch-and-bound loop;
+//     the error text carries the II, the decisions explored and the
+//     strongest lower bound proved;
 //   - diag.ErrPlacementInfeasible: the deepening ran out of IIs without
 //     either a mapping or a complete refutation (router incompleteness
 //     or the leaf cap) — no infeasibility is claimed.
@@ -291,27 +280,12 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, fab arch.Fabric, bloc
 		return nil, err
 	}
 	start := time.Now() //lint:ignore determinism wall-clock span timing only; does not influence mapping
-	deadline := time.Time{}
-	if opts.TimeBudget > 0 {
-		deadline = start.Add(opts.TimeBudget)
-	}
 	if block == nil {
 		block = k.UniformBlock(2)
 	}
-	// Reject oversized blocks before materializing the DFG (the body-op
-	// count per iteration is a lower bound on DFG nodes).
-	if lower := ir.BoxSize(block) * len(k.Body); lower > opts.MaxNodes {
-		return nil, ErrTooLarge{Nodes: lower, Max: opts.MaxNodes}
-	}
-	buildStart := time.Now() //lint:ignore determinism wall-clock span timing only; does not influence mapping
-	d, err := k.BuildDFG(block)
+	d, err := route.BuildDFG(k, fab, block, opts.MaxNodes, opts.Tracer)
 	if err != nil {
 		return nil, err
-	}
-	opts.Tracer.Emit(diag.Span{Stage: "dfg-build", Wall: time.Since(buildStart),
-		Counters: map[string]int64{"nodes": int64(len(d.Nodes))}})
-	if len(d.Nodes) > opts.MaxNodes {
-		return nil, ErrTooLarge{Nodes: len(d.Nodes), Max: opts.MaxNodes}
 	}
 	mii, err := staticMII(d, fab)
 	if err != nil {
@@ -327,15 +301,22 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, fab arch.Fabric, bloc
 	refutedBelow := true // every II in [mii, current) exhaustively refuted
 	horizonUsed := 0     // horizon of the last search (for the certificate)
 
+	// canceled keeps what the search had established when the context
+	// ended it: the II, the decisions explored and the proved bound.
+	canceled := func(ii int) error {
+		return diag.Fail(diag.ErrCanceled,
+			fmt.Errorf("at II %d after %d decisions; proved II ≥ %d: %w", ii, explored, lb, ctx.Err())).
+			Stamp("search", k.Name, fab.String(), ii)
+	}
 	ses := new(route.Session) // routes every leaf of every II
 	for ii := mii; ii <= opts.MaxII; ii++ {
-		if err := ctx.Err(); err != nil {
-			return nil, diag.Fail(diag.ErrCanceled, err).Stamp("search", k.Name, fab.String(), ii)
+		if ctx.Err() != nil {
+			return nil, canceled(ii)
 		}
 		s := newSearcher(d, fab, ii, ses)
 		horizonUsed = s.horizon
 		searchStart := time.Now() //lint:ignore determinism wall-clock span timing only; does not influence mapping
-		st, cfg := s.run(ctx, deadline)
+		st, cfg := s.run(ctx)
 		explored += s.explored
 		leaves += s.leaves
 		screened += s.screened
@@ -370,12 +351,7 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, fab arch.Fabric, bloc
 			span.Err = fmt.Sprintf("II %d inconclusive: placements found but none routed", ii)
 			opts.Tracer.Emit(span)
 		case statusCanceled:
-			return nil, diag.Fail(diag.ErrCanceled, ctx.Err()).Stamp("search", k.Name, fab.String(), ii)
-		case statusBudget:
-			return nil, diag.Failf(diag.ErrExactTimeout,
-				"budget %v expired at II %d after %d decisions; proved II ≥ %d",
-				opts.TimeBudget, ii, explored, lb).
-				Stamp("search", k.Name, fab.String(), ii)
+			return nil, canceled(ii)
 		}
 	}
 	if refutedBelow {

@@ -3,6 +3,7 @@ package exact
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,15 +17,13 @@ import (
 // acceptance instances: small enough for the search to close, large
 // enough to exercise memory ports, RF turnaround, and egress pinning.
 const (
-	accSize   = 4
-	accBlock  = 2
-	accBudget = 60 * time.Second
+	accSize  = 4
+	accBlock = 2
 )
 
 // TestProvedMinimalSmallKernels is the headline acceptance criterion:
 // the exact backend proves the minimal II — with a certificate — on at
-// least 3 of the 8 evaluation kernels at 4x4/block-2 within the budget,
-// and every emitted mapping is functionally correct on the
+// least 3 of the 8 evaluation kernels at 4x4/block-2, and every emitted mapping is functionally correct on the
 // cycle-accurate simulator. The four kernels below close in
 // milliseconds; their IIs and certificates are pinned.
 func TestProvedMinimalSmallKernels(t *testing.T) {
@@ -38,7 +37,7 @@ func TestProvedMinimalSmallKernels(t *testing.T) {
 				t.Fatal(err)
 			}
 			res, err := CompileRequest(context.Background(), k, arch.DefaultFabric(accSize, accSize), k.UniformBlock(accBlock),
-				Options{TimeBudget: accBudget})
+				Options{})
 			if err != nil {
 				t.Fatalf("Compile: %v", err)
 			}
@@ -77,7 +76,7 @@ func TestExactIsUpperBoundedBySA(t *testing.T) {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
 			block := k.UniformBlock(accBlock)
-			eres, err := CompileRequest(context.Background(), k, arch.DefaultFabric(accSize, accSize), block, Options{TimeBudget: accBudget})
+			eres, err := CompileRequest(context.Background(), k, arch.DefaultFabric(accSize, accSize), block, Options{})
 			if err != nil {
 				t.Fatalf("exact: %v", err)
 			}
@@ -112,7 +111,7 @@ func TestLowerBoundStatic(t *testing.T) {
 	}
 	// A proved-minimal exact II can never undercut the universal bound.
 	res, err := CompileRequest(context.Background(), k, arch.DefaultFabric(accSize, accSize), k.UniformBlock(accBlock),
-		Options{TimeBudget: accBudget})
+		Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,25 +124,56 @@ func TestLowerBoundStatic(t *testing.T) {
 }
 
 // TestTooLargeRefused: the node wall refuses hopeless instances with a
-// typed error, before and after DFG materialization.
+// dfg-build ErrTooLarge StageError naming the default 96-node wall.
 func TestTooLargeRefused(t *testing.T) {
 	k, err := kernel.ByName("GEMM")
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = CompileRequest(context.Background(), k, arch.DefaultFabric(accSize, accSize), k.UniformBlock(8), Options{})
-	var tooLarge ErrTooLarge
-	if !errors.As(err, &tooLarge) {
-		t.Fatalf("oversized block: %v, want ErrTooLarge", err)
+	var se *diag.StageError
+	if !errors.Is(err, diag.ErrTooLarge) || !errors.As(err, &se) || se.Stage != "dfg-build" {
+		t.Fatalf("oversized block: %v, want a dfg-build ErrTooLarge", err)
 	}
-	if tooLarge.Nodes <= tooLarge.Max {
-		t.Errorf("ErrTooLarge reports %d nodes under the %d wall", tooLarge.Nodes, tooLarge.Max)
+	if !strings.Contains(err.Error(), "96-node wall") {
+		t.Errorf("wall error does not name the default 96-node wall: %v", err)
+	}
+}
+
+// TestExactDeadline: the caller's context deadline is the search's only
+// time bound, and its ErrCanceled keeps what the search established: the
+// II, the decisions explored and the proved lower bound, with
+// context.DeadlineExceeded in the chain. A deadline already past stops
+// before the first II with nothing explored; GEMM's II 2 search takes
+// far longer than 10 ms (6,149 decisions), so that deadline expires
+// inside it and the branch-and-bound poll ends the compile there.
+func TestExactDeadline(t *testing.T) {
+	k, err := kernel.ByName("GEMM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		d         time.Duration
+		want, not string
+	}{
+		{-time.Second, "at II 2 after 0 decisions; proved II ≥ 2", ""},
+		{10 * time.Millisecond, " decisions; proved II ≥ 2", "after 0 decisions"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), c.d)
+		_, err := CompileRequest(ctx, k, arch.DefaultFabric(accSize, accSize), k.UniformBlock(accBlock), Options{})
+		cancel()
+		if !errors.Is(err, diag.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("deadline %v: %v, want ErrCanceled wrapping context.DeadlineExceeded", c.d, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "at II 2 after ") || !strings.Contains(msg, c.want) || c.not != "" && strings.Contains(msg, c.not) {
+			t.Errorf("deadline %v: %q, want it to name II 2 and %q, not %q", c.d, msg, c.want, c.not)
+		}
 	}
 }
 
 // TestDeterministicResults: two independent searches of the same
 // instance return identical placements (the search has no hidden
-// randomness or wall-clock dependence when TimeBudget is unset).
+// randomness or wall-clock dependence).
 func TestDeterministicResults(t *testing.T) {
 	k, err := kernel.ByName("BICG")
 	if err != nil {

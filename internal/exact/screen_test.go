@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"himap/internal/arch"
 	"himap/internal/kernel"
@@ -162,7 +161,7 @@ func TestScreenNeverRefutesRoutable(t *testing.T) {
 			}
 			for ii := mii; ii <= mii+1; ii++ {
 				s := newSearcher(d, fab, ii, ses)
-				for n := 0; n < leafCap && s.descend(ctx, time.Time{}) == statusLeaf; n++ {
+				for n := 0; n < leafCap && s.descend(ctx) == statusLeaf; n++ {
 					routed := judge(s, "search leaf", true)
 					shake(s, "search leaf")
 					if routed || !s.failLeaf() {

@@ -2,7 +2,6 @@ package exact
 
 import (
 	"context"
-	"time"
 
 	"himap/internal/arch"
 	"himap/internal/ir"
@@ -16,7 +15,6 @@ const (
 	statusRouted   searchStatus = iota // found and detail-routed a mapping
 	statusRefuted                      // search space exhausted, no complete placement: II infeasible (within horizon)
 	statusUnproven                     // placements exist but none routed (or leaf cap hit): no verdict
-	statusBudget                       // time budget expired
 	statusCanceled                     // context canceled
 	statusLeaf                         // descend only: every node assigned, the placement awaits its verdict
 )
@@ -568,14 +566,14 @@ func (s *searcher) routeLeaf(ctx context.Context) (*arch.Config, error) {
 	return route.RouteDFG(ctx, s.ses, s.d, pl, routeRounds)
 }
 
-// run drives the conflict-directed backjumping search to one of the five
+// run drives the conflict-directed backjumping search to one of the four
 // terminal statuses. Exhaustion without ever completing a placement is a
 // sound refutation of this II within the horizon; exhaustion after
 // unrouted complete placements is not (the detailed router is not
 // complete), so it reports statusUnproven instead.
-func (s *searcher) run(ctx context.Context, deadline time.Time) (searchStatus, *arch.Config) {
+func (s *searcher) run(ctx context.Context) (searchStatus, *arch.Config) {
 	for {
-		if st := s.descend(ctx, deadline); st != statusLeaf {
+		if st := s.descend(ctx); st != statusLeaf {
 			return st, nil
 		}
 		// A leaf the screen refutes has no legal routing, so it fails
@@ -594,7 +592,7 @@ func (s *searcher) run(ctx context.Context, deadline time.Time) (searchStatus, *
 // descend searches on from depth s.depth until every node is assigned
 // (statusLeaf: the caller judges the placement and calls failLeaf to go
 // on) or the search ends.
-func (s *searcher) descend(ctx context.Context, deadline time.Time) searchStatus {
+func (s *searcher) descend(ctx context.Context) searchStatus {
 	n := len(s.order)
 	if n == 0 {
 		return statusRefuted
@@ -602,13 +600,8 @@ func (s *searcher) descend(ctx context.Context, deadline time.Time) searchStatus
 	i := s.depth
 	for {
 		s.steps++
-		if s.steps&255 == 0 {
-			if ctx.Err() != nil {
-				return statusCanceled
-			}
-			if !deadline.IsZero() && time.Now().After(deadline) { //lint:ignore determinism opt-in TimeBudget deadline; documented nondeterminism when set
-				return statusBudget
-			}
+		if s.steps&255 == 0 && ctx.Err() != nil {
+			return statusCanceled
 		}
 		v := s.order[i]
 		lo, hiT := s.asap[v], s.hi[v]

@@ -18,6 +18,7 @@ import (
 
 	"himap/internal/arch"
 	"himap/internal/baseline"
+	"himap/internal/diag"
 	"himap/internal/himap"
 	"himap/internal/kernel"
 	"himap/internal/par"
@@ -35,7 +36,8 @@ type Config struct {
 	// TTM).
 	Kernels []*kernel.Kernel
 	// BaselineBudget is the wall-clock budget per baseline point
-	// (default 20 s).
+	// (default 20 s), passed to the conventional mapper as its context's
+	// deadline.
 	BaselineBudget time.Duration
 	// Workers bounds how many (kernel, size) points are measured
 	// concurrently. Results are always collected in the sequential point
@@ -248,22 +250,17 @@ func runBaselineBestEffort(k *kernel.Kernel, size int, cfg Config) (*baseline.Re
 	if b < size {
 		note = "block capped by node wall"
 	}
-	deadline := time.Now().Add(cfg.BaselineBudget)
-	for ; b >= k.MinBlock; b-- {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			break
-		}
-		res, err := baseline.CompileRequest(context.TODO(), k, arch.DefaultFabric(size, size), k.UniformBlock(b),
-			baseline.Options{MaxNodes: baselineMaxNodes, TimeBudget: remaining})
+	ctx, cancel := context.WithTimeout(context.Background(), cfg.BaselineBudget)
+	defer cancel()
+	for ; b >= k.MinBlock && ctx.Err() == nil; b-- {
+		res, err := baseline.CompileRequest(ctx, k, arch.DefaultFabric(size, size), k.UniformBlock(b),
+			baseline.Options{MaxNodes: baselineMaxNodes})
 		if err == nil {
 			return res, note
 		}
-		var tooLarge baseline.ErrTooLarge
-		if errors.As(err, &tooLarge) {
-			continue
+		if !errors.Is(err, diag.ErrTooLarge) {
+			note = "timeout/shrunk"
 		}
-		note = "timeout/shrunk"
 	}
 	return nil, "failed"
 }
@@ -351,22 +348,20 @@ func Fig8(cfg Config) ([]Fig8Point, error) {
 			p.HiMapOK = true
 			p.HiMapTime = res.Stats.Total
 		}
-		bres, err := baseline.CompileRequest(context.TODO(), k, arch.DefaultFabric(b, b), k.UniformBlock(b),
-			baseline.Options{TimeBudget: cfg.BaselineBudget})
+		ctx, cancel := context.WithTimeout(context.Background(), cfg.BaselineBudget)
+		bres, err := baseline.CompileRequest(ctx, k, arch.DefaultFabric(b, b), k.UniformBlock(b), baseline.Options{})
+		cancel()
+		var se *diag.StageError
 		switch {
 		case err == nil:
 			p.BHCOK = true
 			p.BHCTime = bres.Time
+		case errors.Is(err, diag.ErrTooLarge) && errors.As(err, &se):
+			p.BHCNote = "node wall: " + se.Err.Error()
+		case errors.Is(err, context.DeadlineExceeded):
+			p.BHCNote = "timeout"
 		default:
-			var tooLarge baseline.ErrTooLarge
-			var timeout baseline.ErrTimeout
-			if errors.As(err, &tooLarge) {
-				p.BHCNote = tooLarge.Error()
-			} else if errors.As(err, &timeout) {
-				p.BHCNote = "timeout"
-			} else {
-				p.BHCNote = "failed"
-			}
+			p.BHCNote = "failed"
 		}
 		cfg.Progress(fig8Row(p))
 		return p, nil

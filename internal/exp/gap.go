@@ -34,17 +34,22 @@ type ExactGapPoint struct {
 }
 
 // ExactGap maps every evaluation kernel at block size blockSize on a
-// size×size fabric with the exact solver (bounded by budget per
-// kernel) and the SA baseline, and compiles the HiMap flow on the same
-// fabric for reference. The exact column is the quality oracle: SAII
-// and (when blocks match) HiMapII can never beat a proved-minimal
-// ExactII.
+// size×size fabric with the exact solver (bounded by a context deadline
+// of budget per kernel; 0 = unbounded) and the SA baseline, and compiles
+// the HiMap flow on the same fabric for reference. The exact column is
+// the quality oracle: SAII and (when blocks match) HiMapII can never beat
+// a proved-minimal ExactII.
 func ExactGap(size, blockSize int, budget time.Duration) ([]ExactGapPoint, error) {
 	fab := arch.DefaultFabric(size, size)
 	var rows []ExactGapPoint
 	for _, k := range kernel.Evaluation() {
 		block := k.UniformBlock(blockSize)
-		eres, err := exact.CompileRequest(context.TODO(), k, arch.DefaultFabric(size, size), block, exact.Options{TimeBudget: budget})
+		ctx, cancel := context.Background(), context.CancelFunc(func() {})
+		if budget > 0 {
+			ctx, cancel = context.WithTimeout(ctx, budget)
+		}
+		eres, err := exact.CompileRequest(ctx, k, arch.DefaultFabric(size, size), block, exact.Options{})
+		cancel()
 		if err != nil {
 			return nil, fmt.Errorf("exp: exact gap %s: %v", k.Name, err)
 		}

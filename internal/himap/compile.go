@@ -10,9 +10,7 @@ import (
 	"time"
 
 	"himap/internal/arch"
-	"himap/internal/baseline"
 	"himap/internal/diag"
-	"himap/internal/exact"
 	"himap/internal/ir"
 	"himap/internal/kernel"
 	"himap/internal/par"
@@ -103,30 +101,6 @@ type Result struct {
 	Utilization float64
 
 	Stats Stats
-
-	// Backend names the registered backend that produced this result
-	// ("himap", "conventional", "exact"). The unified request dispatcher
-	// stamps it; internal/himap's own CompileRequest leaves it empty.
-	Backend string
-
-	// Optimality carries the II bound certificate when the producing
-	// backend can prove one (the exact backend always sets it; the
-	// heuristic backends leave it nil).
-	Optimality *exact.Optimality
-
-	// Conventional is set when the compile was dispatched to the
-	// conventional (baseline) mapper through the unified request API; the
-	// hierarchical-flow fields (Sub, Scheme, Mapping, DFG, ISDG, CP,
-	// Classes, ...) are nil/zero in that case, while the shared fields
-	// (Kernel, Fabric, Block, Config, Utilization) are filled from
-	// the baseline result.
-	Conventional *baseline.Result
-
-	// Exact is set when the compile was dispatched to the exact
-	// branch-and-bound mapper, mirroring Conventional: shared fields are
-	// filled from the exact result, hierarchical-only fields stay
-	// nil/zero.
-	Exact *exact.Result
 }
 
 // Stats records compilation effort. Per-stage wall times are not
@@ -353,12 +327,6 @@ func blockForScheme(k *kernel.Kernel, sch systolic.Scheme, vx, vy int, opts Opti
 
 // Summary renders a one-line result description.
 func (r *Result) Summary() string {
-	if r.Conventional != nil {
-		return r.Conventional.Summary()
-	}
-	if r.Exact != nil {
-		return r.Exact.Summary()
-	}
 	return fmt.Sprintf("%s on %s: block %v, sub-CGRA (%d,%d,%d), II_B %d, %d unique iters, U = %.1f%%",
 		r.Kernel.Name, r.Fabric, r.Block, r.Sub.S1, r.Sub.S2, r.Sub.Depth, r.IIB,
 		r.UniqueIters, r.Utilization*100)

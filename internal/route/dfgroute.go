@@ -3,12 +3,42 @@ package route
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"himap/internal/arch"
 	"himap/internal/diag"
 	"himap/internal/ir"
+	"himap/internal/kernel"
 	"himap/internal/mrrg"
 )
+
+// BuildDFG unrolls the kernel's block DFG for a flat placement backend
+// and enforces the backend's node wall, emitting the dfg-build span on
+// tr. A block past maxNodes fails with a diag.ErrTooLarge StageError
+// stamped with the dfg-build stage, before the DFG is materialized when
+// the body-op count per iteration (a lower bound on nodes) already
+// exceeds the wall: huge blocks (TTM at b=64: 16.7M iterations) would
+// otherwise allocate tens of gigabytes only to be refused.
+func BuildDFG(k *kernel.Kernel, fab arch.Fabric, block []int, maxNodes int, tr diag.Tracer) (*ir.DFG, error) {
+	tooLarge := func(nodes int) error {
+		return diag.Failf(diag.ErrTooLarge, "%d nodes exceed the %d-node wall", nodes, maxNodes).
+			Stamp("dfg-build", k.Name, fab.String(), 0)
+	}
+	if lower := ir.BoxSize(block) * len(k.Body); lower > maxNodes {
+		return nil, tooLarge(lower)
+	}
+	start := time.Now() //lint:ignore determinism wall-clock span timing only; does not influence mapping
+	d, err := k.BuildDFG(block)
+	if err != nil {
+		return nil, err
+	}
+	tr.Emit(diag.Span{Stage: "dfg-build", Wall: time.Since(start),
+		Counters: map[string]int64{"nodes": int64(len(d.Nodes))}})
+	if len(d.Nodes) > maxNodes {
+		return nil, tooLarge(len(d.Nodes))
+	}
+	return d, nil
+}
 
 // Placement assigns one DFG node a slot in the time-extended fabric: real
 // (unwrapped) cycle T and PE coordinates (R, C). Placement backends — the

@@ -1,9 +1,13 @@
 package route
 
 import (
+	"errors"
 	"testing"
 
 	"himap/internal/arch"
+	"himap/internal/diag"
+	"himap/internal/ir"
+	"himap/internal/kernel"
 	"himap/internal/mrrg"
 )
 
@@ -296,5 +300,50 @@ func TestNetOutRegisterHoldPath(t *testing.T) {
 	}
 	if storage < 2 {
 		t.Errorf("path %v should use storage for the slack", path)
+	}
+}
+
+// TestBuildDFGNodeWall: the flat backends' node wall refuses a block past
+// maxNodes with a diag.ErrTooLarge StageError stamped dfg-build — before
+// materializing the DFG when the per-iteration body ops already exceed
+// the wall (no dfg-build span), after it otherwise (one span) — and
+// passes a DFG of exactly maxNodes nodes.
+func TestBuildDFGNodeWall(t *testing.T) {
+	k, block, fab := kernel.GEMM(), []int{2, 2, 2}, arch.DefaultFabric(4, 4)
+	d, err := k.BuildDFG(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lower, nodes := ir.BoxSize(block)*len(k.Body), len(d.Nodes)
+	if lower >= nodes {
+		t.Fatalf("GEMM %v: body-op bound %d not below %d nodes; the two refusals coincide", block, lower, nodes)
+	}
+	for _, c := range []struct {
+		name     string
+		maxNodes int
+		spans    int
+		refused  bool
+	}{
+		{"before-build", lower - 1, 0, true},
+		{"after-build", nodes - 1, 1, true},
+		{"at-wall", nodes, 1, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			col := diag.NewCollector()
+			got, err := BuildDFG(k, fab, block, c.maxNodes, col)
+			if n := len(col.Spans()); n != c.spans {
+				t.Errorf("%d dfg-build spans, want %d", n, c.spans)
+			}
+			if !c.refused {
+				if err != nil || len(got.Nodes) != nodes {
+					t.Fatalf("BuildDFG at the wall: %v", err)
+				}
+				return
+			}
+			var se *diag.StageError
+			if !errors.As(err, &se) || !errors.Is(err, diag.ErrTooLarge) || se.Stage != "dfg-build" || se.Kernel != k.Name {
+				t.Fatalf("BuildDFG past the wall: %v, want a dfg-build ErrTooLarge StageError", err)
+			}
+		})
 	}
 }

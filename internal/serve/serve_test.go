@@ -570,22 +570,28 @@ func TestExactMapperWire(t *testing.T) {
 	}
 }
 
-// TestExactCellGuard pins the -max-exact-cells admission wall: an
-// instance past the configured cell budget is refused as infeasible
-// without searching.
+// TestExactCellGuard pins the -max-exact-cells admission wall and the
+// conventional mapper's 400-node wall: an instance past either is refused
+// without searching, as a 422 with the too_large error code and class.
 func TestExactCellGuard(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxExactCells: 4})
-	body := `{"kernel":"MVT","fabric":{"rows":4,"cols":4},"options":{"mapper":"exact","block":[2,2]}}`
-	resp, b := postCompile(t, ts.URL, body)
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("status %d, want 422: %s", resp.StatusCode, b)
-	}
-	var er ErrorResponse
-	if err := json.Unmarshal(b, &er); err != nil {
-		t.Fatal(err)
-	}
-	if er.Error.Code != "infeasible" || !strings.Contains(er.Error.Message, "exact-search wall") {
-		t.Errorf("error %+v, want infeasible citing the exact-search wall", er.Error)
+	for _, c := range []struct{ body, wall string }{
+		{`{"kernel":"MVT","fabric":{"rows":4,"cols":4},"options":{"mapper":"exact","block":[2,2]}}`, "4-node wall"},
+		// GEMM 8x8x8 unrolls to 2,048 nodes, past the conventional mapper's 400.
+		{`{"kernel":"GEMM","fabric":{"rows":4,"cols":4},"options":{"mapper":"conventional","block":[8,8,8]}}`, "400-node wall"},
+	} {
+		resp, b := postCompile(t, ts.URL, c.body)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("status %d, want 422: %s", resp.StatusCode, b)
+		}
+		var er ErrorResponse
+		if err := json.Unmarshal(b, &er); err != nil {
+			t.Fatal(err)
+		}
+		if e := er.Error; e.Code != "infeasible" || e.ErrorCode != "too_large" || e.Class != diag.ErrTooLarge.Error() ||
+			!strings.Contains(e.Message, c.wall) {
+			t.Errorf("error %+v, want infeasible, too_large and its class citing the %s", e, c.wall)
+		}
 	}
 }
 

@@ -251,7 +251,7 @@ func BuildRequest(w *CompileRequestWire, cfg Config) (himap.Request, error) {
 		}
 		// Bound the search: branch-and-bound is exponential, so the wire
 		// refuses instances past the configured cell budget (the mapper
-		// reports the excess as an infeasible-class error).
+		// reports the excess as diag.ErrTooLarge, wire code too_large).
 		req.Exact.MaxNodes = cfg.MaxExactCells
 	default:
 		return req, fmt.Errorf("%w: unknown mapper %q (want %s)", ErrBadRequest, o.Mapper, himap.BackendNames())
@@ -509,7 +509,9 @@ func (s *Server) execute(ctx context.Context, hreq himap.Request, tracer diag.Tr
 
 // EncodeResponse renders a compile result into the canonical response
 // bytes. Exported so the smoke harness can render a direct
-// himap.CompileRequest result and byte-compare it with the served body.
+// himap.CompileRequest result and byte-compare it with the served body;
+// the result must come from himap.CompileRequest, which stamps its
+// Backend (the response's mapper).
 //
 // Every byte is written once. encoding/json renders the head fields from
 // a CompileResponse whose two large members are left nil, which fixes
@@ -534,17 +536,6 @@ func EncodeResponse(res *himap.Result) ([]byte, error) {
 		UniqueIters:   res.UniqueIters,
 		Attempts:      res.Stats.Attempts,
 		Utilization:   res.Utilization,
-	}
-	if resp.Mapper == "" {
-		// Results built outside himap.CompileRequest (tests, direct
-		// backend calls) carry no Backend stamp; infer from the payload.
-		resp.Mapper = string(himap.MapperHiMap)
-		if res.Conventional != nil {
-			resp.Mapper = string(himap.MapperConventional)
-		}
-		if res.Exact != nil {
-			resp.Mapper = string(himap.MapperExact)
-		}
 	}
 	if res.Optimality != nil {
 		resp.Optimality = &OptimalityWire{

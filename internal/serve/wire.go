@@ -73,7 +73,7 @@ var diagErrorCodes = map[error]string{
 	diag.ErrMemPortInfeasible:   "mem_port_infeasible",
 	diag.ErrBandwidthInfeasible: "bandwidth_infeasible",
 	diag.ErrInvalidRequest:      "invalid_request",
-	diag.ErrExactTimeout:        "exact_timeout",
+	diag.ErrTooLarge:            "too_large",
 	diag.ErrProvedInfeasible:    "proved_infeasible",
 	diag.ErrCanceled:            "canceled",
 }
@@ -96,9 +96,6 @@ func classify(err error) (status int, eb ErrorBody) {
 	// belong to the canceled class.
 	canceled := errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 	var se *diag.StageError
-	var tooLarge himap.BaselineTooLargeError
-	var timedOut himap.BaselineTimeoutError
-	var exactTooLarge himap.ExactTooLargeError
 	switch {
 	case errors.Is(err, ErrOverloaded):
 		status, eb.Code, eb.ErrorCode = http.StatusTooManyRequests, CodeOverloaded, CodeOverloaded
@@ -114,8 +111,6 @@ func classify(err error) (status int, eb ErrorBody) {
 		status, eb.Code, eb.Class = http.StatusBadRequest, CodeBadRequest, diag.ErrInvalidRequest.Error()
 	case errors.As(err, &se):
 		status, eb.Code, eb.Class = http.StatusUnprocessableEntity, "infeasible", se.Class.Error()
-	case errors.As(err, &tooLarge), errors.As(err, &timedOut), errors.As(err, &exactTooLarge):
-		status, eb.Code = http.StatusUnprocessableEntity, "infeasible"
 	default:
 		status, eb.Code = http.StatusInternalServerError, CodeInternal
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"himap/internal/diag"
+	core "himap/internal/himap"
 )
 
 // Mapper selects which compilation flow a Request runs; Backends lists
@@ -50,6 +51,38 @@ type Request struct {
 	Baseline BaselineOptions
 	// Exact tunes the exact flow (ignored by the other mappers).
 	Exact ExactOptions
+}
+
+// Result is a completed compile of any backend. It embeds the HiMap
+// mapping, so the shared fields (Kernel, Fabric, Block, Config,
+// Utilization) read the same for every mapper; the hierarchical-only
+// fields (Sub, Scheme, Mapping, DFG, ISDG, CP, Classes, ...) stay
+// nil/zero when a flat backend ran.
+type Result struct {
+	core.Result
+	// Backend names the mapper that produced the result; CompileRequest
+	// stamps it.
+	Backend string
+	// Optimality carries the exact mapper's II certificate (nil for the
+	// heuristic backends).
+	Optimality *Optimality
+	// Conventional holds the full conventional mapping when
+	// MapperConventional ran.
+	Conventional *BaselineResult
+	// Exact holds the full exact mapping when MapperExact ran.
+	Exact *ExactResult
+}
+
+// Summary renders a one-line description in the words of the backend
+// that produced the mapping.
+func (r *Result) Summary() string {
+	switch {
+	case r.Conventional != nil:
+		return r.Conventional.Summary()
+	case r.Exact != nil:
+		return r.Exact.Summary()
+	}
+	return r.Result.Summary()
 }
 
 // CompileRequest is the canonical compilation entry point: it dispatches

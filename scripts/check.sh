@@ -34,8 +34,15 @@ go run ./cmd/experiments -table1 -table2 | diff - results/tables.txt
 go run ./cmd/experiments -explore -explore-size 8 | diff - results/explore8.txt
 # The 64x64 envelope is deterministic (~3 s; compile times go to the stderr progress lines): U, unique iterations, II_B and MOPS of the eight kernels.
 go run ./cmd/experiments -envelope | diff - results/envelope64.txt
-# The quality gap against the exact solver is deterministic (~1 s; the exact search stops at its leaf cap, not its time budget): HiMap and SA II beside exact's proved minimum.
+# The quality gap against the exact solver is deterministic (~1 s; the exact search stops at its leaf cap, not its context deadline): HiMap and SA II beside exact's proved minimum.
 go run ./cmd/experiments -gap | diff - results/gap4.txt
+# Figure 7 at 4x4 is deterministic (~7 s; every baseline point closes well inside its 20 s context deadline): BHC and HiMap U, MOPS and MOPS/mW of the eight kernels.
+go run ./cmd/experiments -fig7 -sizes 4 | diff - results/fig7_4x4.txt
+# The HiMap flow knows nothing of the other backends: only the root package dispatches to them.
+if go list -deps ./internal/himap | grep -E '^himap/internal/(baseline|exact)$'; then
+	echo "internal/himap imports a flat backend" >&2
+	exit 1
+fi
 # bench/ is its own module (replace himap => ../): nothing above compiles it.
 (cd bench && go vet ./... && go test ./...)
 # The harness end to end: exits 1 unless its correctness gate holds and no compile failed.
