@@ -70,19 +70,19 @@ func TestInstrValidatePortLimits(t *testing.T) {
 	c := Default(2, 2)
 	in := Instr{Op: ir.OpAdd, SrcA: FromReg(0), SrcB: FromReg(1)}
 	in.OutSel[East] = FromReg(2) // third distinct register read
-	if err := in.Validate(c); err == nil {
+	if err := in.Validate(&c); err == nil {
 		t.Error("3 register reads must exceed 2 read ports")
 	}
 	in.OutSel[East] = FromReg(0) // re-reading r0 is one port
-	if err := in.Validate(c); err != nil {
+	if err := in.Validate(&c); err != nil {
 		t.Errorf("2 distinct reads should pass: %v", err)
 	}
 	in.RegWr = []RegWrite{{0, FromALU()}, {1, FromALU()}, {2, FromALU()}}
-	if err := in.Validate(c); err == nil {
+	if err := in.Validate(&c); err == nil {
 		t.Error("3 register writes must exceed 2 write ports")
 	}
 	in.RegWr = []RegWrite{{0, FromALU()}, {0, FromALU()}}
-	if err := in.Validate(c); err == nil {
+	if err := in.Validate(&c); err == nil {
 		t.Error("double write to one register must fail")
 	}
 }
@@ -91,20 +91,20 @@ func TestInstrValidateALUAndMemCoupling(t *testing.T) {
 	c := Default(2, 2)
 	in := Instr{}
 	in.OutSel[North] = FromALU()
-	if err := in.Validate(c); err == nil {
+	if err := in.Validate(&c); err == nil {
 		t.Error("ALU tap without compute op must fail")
 	}
 	in = Instr{}
 	in.OutSel[North] = FromMem()
-	if err := in.Validate(c); err == nil {
+	if err := in.Validate(&c); err == nil {
 		t.Error("mem tap without memory read must fail")
 	}
 	in.MemRead = MemOp{Active: true, Tag: "A@0"}
-	if err := in.Validate(c); err != nil {
+	if err := in.Validate(&c); err != nil {
 		t.Errorf("mem tap with read should pass: %v", err)
 	}
 	in = Instr{Op: ir.OpAdd, SrcA: FromIn(North)}
-	if err := in.Validate(c); err == nil {
+	if err := in.Validate(&c); err == nil {
 		t.Error("compute with missing B operand must fail")
 	}
 }

@@ -75,7 +75,7 @@ func (cfg *Config) Validate() error {
 		for c := 0; c < cfg.Fabric.Cols; c++ {
 			for t := 0; t < cfg.II; t++ {
 				in := &cfg.Slots[r][c][t]
-				if err := in.Validate(eff); err != nil {
+				if err := in.Validate(&eff); err != nil {
 					return fmt.Errorf("PE(%d,%d) slot %d: %v: %w", r, c, t, err, diag.ErrConfigInvalid)
 				}
 				for d := ndirs; d < int(MaxDirs); d++ {

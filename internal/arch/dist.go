@@ -14,7 +14,7 @@ package arch
 //
 // Coordinates are folded onto the array first on wrap-around topologies,
 // so callers may pass unwrapped coordinates.
-func (f Fabric) HopDist(r1, c1, r2, c2 int) int {
+func (f *Fabric) HopDist(r1, c1, r2, c2 int) int {
 	r1, c1 = f.WrapCoord(r1, c1)
 	r2, c2 = f.WrapCoord(r2, c2)
 	dr, dc := r1-r2, c1-c2

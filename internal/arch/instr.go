@@ -103,7 +103,7 @@ func (in *Instr) IsNop() bool {
 	if in.Op != ir.OpNop || len(in.RegWr) != 0 || in.MemRead.Active || in.MemWrite.Active {
 		return false
 	}
-	for _, o := range in.OutSel {
+	for _, o := range in.OutSel[:] {
 		if o.Kind != OpdNone {
 			return false
 		}
@@ -137,7 +137,7 @@ func (s *regSet) len() int {
 
 // Validate checks the instruction against the architecture's port limits:
 // RF read/write ports, register indices, and single mem read/write.
-func (in *Instr) Validate(c CGRA) error {
+func (in *Instr) Validate(c *CGRA) error {
 	nregs := min(c.NumRegs, maxRegs)
 	var reads regSet
 	badRead, hasBad := 0, false
@@ -154,7 +154,7 @@ func (in *Instr) Validate(c CGRA) error {
 	}
 	note(in.SrcA)
 	note(in.SrcB)
-	for _, o := range in.OutSel {
+	for _, o := range in.OutSel[:] {
 		note(o)
 	}
 	for _, w := range in.RegWr {
@@ -197,7 +197,7 @@ func (in *Instr) Validate(c CGRA) error {
 		if usesALU(in.SrcA) || usesALU(in.SrcB) {
 			return fmt.Errorf("arch: non-compute instruction with ALU source operand: %w", diag.ErrConfigInvalid)
 		}
-		for _, o := range in.OutSel {
+		for _, o := range in.OutSel[:] {
 			if usesALU(o) {
 				return fmt.Errorf("arch: OutSel taps ALU but no compute op this cycle: %w", diag.ErrConfigInvalid)
 			}
@@ -213,7 +213,7 @@ func (in *Instr) Validate(c CGRA) error {
 	}
 	usesMem := func(o Operand) bool { return o.Kind == OpdMem }
 	memUsed := usesMem(in.SrcA) || usesMem(in.SrcB)
-	for _, o := range in.OutSel {
+	for _, o := range in.OutSel[:] {
 		memUsed = memUsed || usesMem(o)
 	}
 	for _, w := range in.RegWr {

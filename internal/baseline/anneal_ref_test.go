@@ -141,9 +141,9 @@ func annealMapRef(d *ir.DFG, cg arch.Fabric, ii, moves int, rng *rand.Rand) ([]p
 		return c
 	}
 
-	// feasible reports whether the placement has zero hard violations —
-	// the SA's early-exit condition (burning the full move budget after
-	// feasibility would only polish wirelength).
+	// feasible reports whether the placement has zero hard violations. It
+	// is no early exit: the anneal runs every move and asks once, after
+	// the loop; an infeasible chain takes no part in choosing the II's.
 	feasible := func() bool {
 		for _, id := range order {
 			n := d.Nodes[id]

@@ -42,7 +42,7 @@ func ApplyForwarding(d *ir.DFG, g *ir.ISDG, m *systolic.Mapping) (*ir.DFG, *ir.I
 	nd.Grow(len(d.Nodes), len(d.Edges))
 	idMap := make([]int, len(d.Nodes))
 	for _, n := range d.Nodes {
-		nn := nd.AddNode(ir.Node{
+		nn := nd.AddNode(&ir.Node{
 			Kind: n.Kind, Name: n.Name, BodyOp: n.BodyOp, Iter: n.Iter,
 			Tensor: n.Tensor, Index: n.Index, Const: n.Const, HasConst: n.HasConst,
 		})
@@ -88,7 +88,7 @@ func ApplyForwarding(d *ir.DFG, g *ir.ISDG, m *systolic.Mapping) (*ir.DFG, *ir.I
 				for r := 0; r < s; r++ {
 					iter = iter.Add(e)
 				}
-				rn := nd.AddNode(ir.Node{
+				rn := nd.AddNode(&ir.Node{
 					Kind:   ir.OpRoute,
 					Name:   fmt.Sprintf("fwd.%s", from.Name),
 					BodyOp: role,

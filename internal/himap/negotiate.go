@@ -63,12 +63,7 @@ func (l *layout) routeCanonical(ctx context.Context, ses *route.Session, maxRoun
 		l.freeNets(ses)
 		roundErr = nil
 
-		// Reserve every cluster's fixed placements (FUs and generic loads).
-		for _, n := range l.g.DFG.Nodes {
-			if abs, ok := l.nodeAbs(n.ID); ok {
-				ses.Reserve(abs)
-			}
-		}
+		l.reserveFixed(ses)
 
 		routed := 0 // l.nets[:routed] are the nets of the classes routed whole
 		for classIdx, cl := range l.classes {
@@ -125,6 +120,26 @@ func (l *layout) routeCanonical(ctx context.Context, ses *route.Session, maxRoun
 		stats.CanonicalNets += len(nets)
 	}
 	return plans, stats, nil
+}
+
+// reserveFixed reserves every cluster's fixed placements (FUs and generic
+// loads) by translating its representative's: a member has the
+// representative's body ops (the signature hashes them), so this is the
+// occupancy of reserving nodeAbs of every DFG node, without walking them.
+func (l *layout) reserveFixed(ses *route.Session) {
+	for _, cl := range l.classes {
+		bt, br, bc := l.regionBase(cl.Rep)
+		for _, id := range l.g.Clusters[cl.Rep].Nodes {
+			abs, ok := l.nodeAbs(id)
+			if !ok {
+				continue
+			}
+			for _, m := range cl.Members {
+				mt, mr, mc := l.regionBase(m)
+				ses.Reserve(abs.Shifted(mt-bt, mr-br, mc-bc))
+			}
+		}
+	}
 }
 
 // freeNets returns every net the layout has created since the last call

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"himap/internal/arch"
 	"himap/internal/diag"
+	"himap/internal/kernel"
 	"himap/internal/mrrg"
 	"himap/internal/route"
 )
@@ -155,5 +157,80 @@ func TestFailedRoutesLeaveSessionReusable(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestReserveFixedMatchesNodeWalk: reserving each class representative's
+// fixed placements, translated to every member, leaves the occupancy of
+// reserving nodeAbs for every DFG node — on every dense key, on every
+// attempt that reaches the route stage of the congested workload's
+// fourteen inputs and of the scale64 workload's ten.
+func TestReserveFixedMatchesNodeWalk(t *testing.T) {
+	type input struct {
+		kernel string
+		fab    arch.Fabric
+	}
+	var inputs []input
+	variant := func(mod func(*arch.Fabric), names ...string) {
+		for _, n := range names {
+			f := arch.DefaultFabric(8, 8)
+			mod(&f)
+			inputs = append(inputs, input{n, f})
+		}
+	}
+	variant(func(f *arch.Fabric) { f.Topology = arch.TopoMeshDiag }, "ATAX", "BICG")
+	variant(func(f *arch.Fabric) { f.Bandwidth = arch.BWNarrowRF }, "ATAX", "BICG", "MVT", "GEMM", "SYRK", "FW", "TTM")
+	variant(func(f *arch.Fabric) { f.Bandwidth = arch.BWBus }, "MVT", "GEMM", "SYRK", "TTM")
+	variant(func(f *arch.Fabric) { f.Mem = arch.MemBoundary }, "FW")
+	for _, n := range []string{"ADI", "ATAX", "BICG", "MVT", "GEMM"} {
+		inputs = append(inputs, input{n, arch.DefaultFabric(32, 32)}, input{n, arch.DefaultFabric(64, 64)})
+	}
+	routeAt := slices.IndexFunc(attemptStages, func(st Stage) bool { return st.Name == StageRoute })
+	attempts, reserved := 0, 0
+	for _, in := range inputs {
+		k, err := kernel.ByName(in.kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		front := newContext(context.Background(), k, in.fab, Options{Workers: 1, Memo: NewMemo()}.withDefaults())
+		if err := frontStages.Run(front); err != nil {
+			t.Fatalf("%s/%s: %v", in.kernel, in.fab, err)
+		}
+		for i, a := range front.Attempts {
+			c := front.forAttempt(a, i+1, &attemptCtx{Context: context.Background(), idx: i, gen: 1}, nil)
+			if attemptStages[:routeAt].Run(c) != nil {
+				continue
+			}
+			l := &layout{cg: c.Fab, g: c.ISDG, cp: c.CP, sub: c.Sub, iib: c.IIB, classes: c.Classes, byClust: c.ByCluster}
+			g := mrrg.New(l.cg, l.iib)
+			walk, byClass := new(route.Session).Reset(g), new(route.Session).Reset(g)
+			for _, n := range l.g.DFG.Nodes {
+				if abs, ok := l.nodeAbs(n.ID); ok {
+					walk.Reserve(abs)
+					reserved++
+				}
+			}
+			l.reserveFixed(byClass)
+			attempts++
+			diffs := 0
+			for tt := 0; tt < g.II; tt++ {
+				for r := 0; r < l.cg.Rows; r++ {
+					for col := 0; col < l.cg.Cols; col++ {
+						for slot := 0; slot < g.SlotsPerPE(); slot++ {
+							cl, idx := g.SlotResource(slot)
+							n := mrrg.Node{T: tt, R: r, C: col, Class: cl, Idx: idx}
+							if walk.Occ(n) != byClass.Occ(n) && diffs < 3 {
+								diffs++
+								t.Errorf("%s/%s attempt %d: %v occupied %d by the node walk, %d by class", in.kernel, in.fab, i+1, n, walk.Occ(n), byClass.Occ(n))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d attempts, %d fixed placements", attempts, reserved)
+	if attempts < 100 {
+		t.Errorf("only %d attempts reached the route stage", attempts)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"himap/internal/diag"
 	"himap/internal/ir"
@@ -53,28 +52,37 @@ type UniqueClass struct {
 // structure, constants, tensors, and the relative space-time and
 // iteration offsets of cross-cluster edges) — two clusters land in one
 // class iff their sorted part-hash multisets are equal, which matches
-// string-signature grouping up to a ~2^-128 hash collision. The hash is
-// computed into reused flat scratch, so the stage does no per-cluster
-// string formatting.
+// string-signature grouping up to a ~2^-128 hash collision.
+//
+// Only the first cluster of each ir.ISDG.ShapeKey is hashed. The key fixes
+// the signature: a point's nodes and in-edges follow from its own guard
+// shape, its out-edges from its consumers' shapes at Iter+v, and each
+// placement difference is Place(v), Place being linear. Keys whose
+// signatures coincide share a class, so the partition is the full hash's.
 func IdentifyUnique(g *ir.ISDG, cp *ClusterPlace) (classes []*UniqueClass, byCluster []int) {
-	bySig := map[sigHash]*UniqueClass{}
+	bySig := map[sigHash]int{}
 	byCluster = make([]int, len(g.Clusters))
+	byKey := make([]int32, g.NumShapeKeys) // 1 + class index; 0 before the key's first cluster
 	var sc sigScratch
 	for _, c := range g.Clusters {
-		sig := clusterSignature(g, cp, c.ID, &sc)
-		cl, ok := bySig[sig]
-		if !ok {
-			cl = &UniqueClass{Rep: c.ID}
-			bySig[sig] = cl
-			classes = append(classes, cl)
+		idx := -1
+		if g.ShapeKey != nil {
+			idx = int(byKey[g.ShapeKey[c.ID]]) - 1
 		}
-		cl.Members = append(cl.Members, c.ID)
-	}
-	sort.SliceStable(classes, func(i, j int) bool { return classes[i].Rep < classes[j].Rep })
-	for idx, cl := range classes {
-		for _, m := range cl.Members {
-			byCluster[m] = idx
+		if idx < 0 {
+			sig := clusterSignature(g, cp, c.ID, &sc)
+			var ok bool
+			if idx, ok = bySig[sig]; !ok {
+				idx = len(classes)
+				bySig[sig] = idx
+				classes = append(classes, &UniqueClass{Rep: c.ID})
+			}
+			if g.ShapeKey != nil {
+				byKey[g.ShapeKey[c.ID]] = int32(idx) + 1
+			}
 		}
+		classes[idx].Members = append(classes[idx].Members, c.ID)
+		byCluster[c.ID] = idx
 	}
 	return classes, byCluster
 }
@@ -279,7 +287,7 @@ func (nt *nodeTable) resolve(dst []int32, refs []nodeRef, iter ir.IterVec) ([]in
 	pi := ir.PointIndex(iter, nt.block)
 	for _, rf := range refs {
 		id := int32(0)
-		if rf.inBox(iter, nt.block) {
+		if iter.InBoxAt(rf.dIter, nt.block) {
 			id = nt.at[rf.base+pi]
 		}
 		if id == 0 {
@@ -289,13 +297,4 @@ func (nt *nodeTable) resolve(dst []int32, refs []nodeRef, iter ir.IterVec) ([]in
 		dst = append(dst, id-1)
 	}
 	return dst, nil
-}
-
-func (rf *nodeRef) inBox(iter ir.IterVec, block []int) bool {
-	for k, dv := range rf.dIter {
-		if v := iter[k] + dv; v < 0 || v >= block[k] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,9 +1,14 @@
 package himap
 
 import (
+	"context"
 	"errors"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
+	"himap/internal/arch"
 	"himap/internal/diag"
 	"himap/internal/ir"
 	"himap/internal/kernel"
@@ -112,5 +117,115 @@ func TestNodeTableResolvesEveryNode(t *testing.T) {
 	last := g.DFG.Nodes[len(g.DFG.Nodes)-1]
 	if _, err := nt.resolve(nil, []nodeRef{nt.ref(last, origin)}, last.Iter); !errors.Is(err, diag.ErrReplicaConflict) {
 		t.Errorf("out-of-block ref: err = %v, want ErrReplicaConflict", err)
+	}
+}
+
+// identifyUniqueFullHash is IdentifyUnique without guard shapes: every
+// cluster is hashed and grouped by its signature. It is the definition
+// the shape key is held to.
+func identifyUniqueFullHash(g *ir.ISDG, cp *ClusterPlace) (classes []*UniqueClass, byCluster []int) {
+	bySig := map[sigHash]*UniqueClass{}
+	byCluster = make([]int, len(g.Clusters))
+	var sc sigScratch
+	for _, c := range g.Clusters {
+		sig := clusterSignature(g, cp, c.ID, &sc)
+		cl, ok := bySig[sig]
+		if !ok {
+			cl = &UniqueClass{Rep: c.ID}
+			bySig[sig] = cl
+			classes = append(classes, cl)
+		}
+		cl.Members = append(cl.Members, c.ID)
+	}
+	sort.SliceStable(classes, func(i, j int) bool { return classes[i].Rep < classes[j].Rep })
+	for idx, cl := range classes {
+		for _, m := range cl.Members {
+			byCluster[m] = idx
+		}
+	}
+	return classes, byCluster
+}
+
+// stripeKernel accumulates along j and stores row 1 twice: its rows 1
+// and 2 differ only in a store rule that fires, a shape no neighbor's
+// shape implies (every catalog store fires on a block face, which the
+// shape key already sees as a neighbor outside the block).
+func stripeKernel() *kernel.Kernel {
+	ij := kernel.AM(2, []int{1, 0, 0}, []int{0, 1, 0})
+	out := func(b []int) []int { return []int{b[0], b[1]} }
+	return &kernel.Kernel{
+		Name: "STRIPE", Desc: "a store guarded inside the block", Suite: "custom",
+		Dim: 2, MinBlock: 3,
+		Tensors: []kernel.TensorSpec{{Name: "A", Dims: out}, {Name: "O", Out: true, Dims: out}, {Name: "S", Out: true, Dims: out}},
+		Body: []kernel.BodyOp{{Name: "acc", Kind: ir.OpAdd,
+			A: kernel.Fixed(kernel.Mem("A", ij)),
+			B: kernel.In(
+				kernel.Case{When: kernel.First(1), Src: kernel.Const(0)},
+				kernel.Case{When: kernel.Always(), Src: kernel.Dep(0, 0, 1)}),
+			Stores: []kernel.StoreRule{
+				{When: kernel.Always(), Tensor: "O", Map: ij},
+				{When: kernel.AtIndex(0, 1), Tensor: "S", Map: ij}}}},
+	}
+}
+
+// TestIdentifyUniqueMatchesFullHash holds the shape-keyed IdentifyUnique
+// to the full hash — the same classes, representatives, member order and
+// byCluster — on every attempt that reaches the unique stage for the
+// evaluation and extension kernels and STRIPE on 4x4, 8x8 mesh and torus
+// and 16x16 fabrics, on BICG's skewed scheme at four blocks, and on HOP2
+// forwarded at three blocks. No catalog kernel forwards (FW's distances
+// are unit vectors); a forwarded DFG records no shapes, so both sides
+// hash every cluster.
+func TestIdentifyUniqueMatchesFullHash(t *testing.T) {
+	shaped, forwarded := 0, 0
+	check := func(name string, g *ir.ISDG, cp *ClusterPlace) {
+		t.Helper()
+		got, gotBy := IdentifyUnique(g, cp)
+		want, wantBy := identifyUniqueFullHash(g, cp)
+		if !reflect.DeepEqual(got, want) || !slices.Equal(gotBy, wantBy) {
+			t.Errorf("%s: %d shape-keyed classes differ from the %d of the full hash", name, len(got), len(want))
+		}
+		if g.ShapeKey == nil {
+			forwarded++
+		} else {
+			shaped++
+		}
+	}
+	torus := arch.DefaultFabric(8, 8)
+	torus.Topology = arch.TopoTorus
+	unique := slices.IndexFunc(attemptStages, func(st Stage) bool { return st.Name == StageUnique })
+	for _, fab := range []arch.Fabric{arch.DefaultFabric(4, 4), arch.DefaultFabric(8, 8), torus, arch.DefaultFabric(16, 16)} {
+		for _, k := range append(kernel.Evaluation(), append(kernel.Extensions(), stripeKernel())...) {
+			front := newContext(context.Background(), k, fab, Options{Workers: 1, Memo: NewMemo()}.withDefaults())
+			if frontStages.Run(front) != nil {
+				continue
+			}
+			for i, a := range front.Attempts {
+				c := front.forAttempt(a, i+1, &attemptCtx{Context: context.Background(), idx: i, gen: 1}, nil)
+				if attemptStages[:unique+1].Run(c) == nil {
+					check(k.Name+"/"+fab.String(), c.ISDG, c.CP)
+				}
+			}
+		}
+	}
+	for _, b := range []int{3, 4, 6, 8} {
+		g, cp := placeBICG(t, b)
+		check("BICG skewed", g, cp)
+	}
+	for _, block := range [][]int{{4, 6}, {4, 8}, {8, 8}} {
+		d, g, err := multiHopKernel().BuildISDG(block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := systolic.Scheme{SpaceDims: []int{0, 1}, Skew: []int{0, 1}}.Realize(block)
+		fd, fg, err := ApplyForwarding(d, g, m)
+		if err != nil || fd == d || fg.ShapeKey != nil {
+			t.Fatalf("HOP2 %v: err %v, rebuilt %v, shape keys %v (a forwarded DFG records no shapes)", block, err, fd != d, fg.ShapeKey)
+		}
+		check("HOP2 forwarded", fg, PlaceClusters(fg, m))
+	}
+	t.Logf("%d shape-keyed and %d forwarded partitions", shaped, forwarded)
+	if shaped < 1000 || forwarded < 3 {
+		t.Errorf("%d shape-keyed and %d forwarded partitions: the inputs no longer exercise both paths", shaped, forwarded)
 	}
 }

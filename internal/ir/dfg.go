@@ -56,6 +56,12 @@ type DFG struct {
 
 	Block []int // block sizes (b1, ..., bl) the DFG was unrolled for
 
+	// Shapes[PointIndex(iter, Block)] interns iteration iter's guard
+	// shape: the case each input port selected and the store rules that
+	// fired, which fix its nodes, constants, tensors and in-edges. Only
+	// kernel.BuildDFG records them.
+	Shapes []int32
+
 	slab []Node // AddNode's backing store; a full slab is replaced, never grown
 
 	// adj[outOff[id]:outOff[id+1]] are the indices into Edges of the
@@ -83,17 +89,17 @@ func (d *DFG) Grow(nodes, edges int) {
 	d.Edges = slices.Grow(d.Edges, edges)
 }
 
-// AddNode appends a node, assigning its ID, and returns it.
-func (d *DFG) AddNode(n Node) *Node {
-	n.ID = len(d.Nodes)
+// AddNode appends a copy of n, assigning its ID, and returns the copy.
+func (d *DFG) AddNode(n *Node) *Node {
 	if len(d.slab) == cap(d.slab) {
 		// Earlier nodes keep pointing into the old slab. A quarter of
 		// the nodes so far keeps the slab count logarithmic without
 		// doubling a Grow-sized graph for its last few nodes.
 		d.slab = make([]Node, 0, max(16, len(d.Nodes)/4))
 	}
-	d.slab = append(d.slab, n)
+	d.slab = append(d.slab, *n)
 	p := &d.slab[len(d.slab)-1]
+	p.ID = len(d.Nodes)
 	d.Nodes = append(d.Nodes, p)
 	d.indexed = false
 	return p
@@ -209,6 +215,9 @@ func (d *DFG) TopoOrder() ([]int, error) {
 // Validate checks structural invariants: edge endpoints in range, every
 // consumer port within the node's arity, each input port driven at most
 // once, non-constant compute ports driven exactly once, and acyclicity.
+// Acyclicity needs no topological sort when every edge with From >= To
+// leaves a node without in-edges (a cycle takes some such edge, and such
+// a node is on no cycle); kernel.BuildDFG's graphs pass.
 func (d *DFG) Validate() error {
 	driven := make([]uint8, len(d.Nodes)) // bit p set: input port p has a driver
 	for _, e := range d.Edges {
@@ -237,8 +246,14 @@ func (d *DFG) Validate() error {
 			}
 		}
 	}
-	if _, err := d.TopoOrder(); err != nil {
-		return err
+	if !d.indexed {
+		d.index() // a validated DFG is published indexed (see DFG)
+	}
+	for _, e := range d.Edges {
+		if e.From >= e.To && driven[e.From] != 0 {
+			_, err := d.TopoOrder()
+			return err
+		}
 	}
 	return nil
 }

@@ -17,13 +17,13 @@ func buildChainDFG(t *testing.T) *DFG {
 	var prevAdd int
 	for i := 0; i < 2; i++ {
 		iter := IterVec{i}
-		ld := d.AddNode(Node{Kind: OpLoad, Name: "ldA", BodyOp: 0, Iter: iter, Tensor: "A", Index: IterVec{i}})
-		mul := d.AddNode(Node{Kind: OpMul, Name: "mul", BodyOp: 1, Iter: iter, HasConst: true, Const: 3})
-		add := d.AddNode(Node{Kind: OpAdd, Name: "add", BodyOp: 2, Iter: iter})
+		ld := d.AddNode(&Node{Kind: OpLoad, Name: "ldA", BodyOp: 0, Iter: iter, Tensor: "A", Index: IterVec{i}})
+		mul := d.AddNode(&Node{Kind: OpMul, Name: "mul", BodyOp: 1, Iter: iter, HasConst: true, Const: 3})
+		add := d.AddNode(&Node{Kind: OpAdd, Name: "add", BodyOp: 2, Iter: iter})
 		d.AddEdge(ld.ID, mul.ID, 0)
 		d.AddEdge(mul.ID, add.ID, 0)
 		if i == 0 {
-			st := d.AddNode(Node{Kind: OpLoad, Name: "init", BodyOp: -1, Iter: iter, Tensor: "S0", Index: IterVec{0}})
+			st := d.AddNode(&Node{Kind: OpLoad, Name: "init", BodyOp: -1, Iter: iter, Tensor: "S0", Index: IterVec{0}})
 			d.AddEdge(st.ID, add.ID, 1)
 		} else {
 			d.AddEdge(prevAdd, add.ID, 1)
@@ -60,16 +60,20 @@ func TestDFGTopoOrderRespectsEdges(t *testing.T) {
 	}
 }
 
+// TestDFGValidateDetectsCycle: the cycle a -> b -> a closes through a
+// backward edge (b -> a) whose source has an in-edge, so Validate's
+// linear certificate must fall back to the topological sort; the loads'
+// backward edges leave nodes without in-edges and would not.
 func TestDFGValidateDetectsCycle(t *testing.T) {
 	d := NewDFG([]int{1})
-	a := d.AddNode(Node{Kind: OpAdd, Iter: IterVec{0}})
-	b := d.AddNode(Node{Kind: OpAdd, Iter: IterVec{0}})
+	a := d.AddNode(&Node{Kind: OpAdd, Iter: IterVec{0}})
+	b := d.AddNode(&Node{Kind: OpAdd, Iter: IterVec{0}})
 	d.AddEdge(a.ID, b.ID, 0)
 	d.AddEdge(b.ID, a.ID, 0)
 	// Fill remaining ports so the port checks pass and the cycle check is hit.
-	c1 := d.AddNode(Node{Kind: OpLoad, Iter: IterVec{0}, BodyOp: -1, Tensor: "X", Index: IterVec{0}})
+	c1 := d.AddNode(&Node{Kind: OpLoad, Iter: IterVec{0}, BodyOp: -1, Tensor: "X", Index: IterVec{0}})
 	d.AddEdge(c1.ID, a.ID, 1)
-	c2 := d.AddNode(Node{Kind: OpLoad, Iter: IterVec{0}, BodyOp: -1, Tensor: "X", Index: IterVec{1}})
+	c2 := d.AddNode(&Node{Kind: OpLoad, Iter: IterVec{0}, BodyOp: -1, Tensor: "X", Index: IterVec{1}})
 	d.AddEdge(c2.ID, b.ID, 1)
 	if err := d.Validate(); err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Errorf("expected cycle error, got %v", err)
@@ -78,9 +82,9 @@ func TestDFGValidateDetectsCycle(t *testing.T) {
 
 func TestDFGValidateDetectsDoubleDrive(t *testing.T) {
 	d := NewDFG([]int{1})
-	l1 := d.AddNode(Node{Kind: OpLoad, Iter: IterVec{0}, Tensor: "A", Index: IterVec{0}})
-	l2 := d.AddNode(Node{Kind: OpLoad, Iter: IterVec{0}, Tensor: "A", Index: IterVec{1}})
-	r := d.AddNode(Node{Kind: OpRoute, Iter: IterVec{0}})
+	l1 := d.AddNode(&Node{Kind: OpLoad, Iter: IterVec{0}, Tensor: "A", Index: IterVec{0}})
+	l2 := d.AddNode(&Node{Kind: OpLoad, Iter: IterVec{0}, Tensor: "A", Index: IterVec{1}})
+	r := d.AddNode(&Node{Kind: OpRoute, Iter: IterVec{0}})
 	d.AddEdge(l1.ID, r.ID, 0)
 	d.AddEdge(l2.ID, r.ID, 0)
 	if err := d.Validate(); err == nil || !strings.Contains(err.Error(), "driven twice") {
@@ -90,7 +94,7 @@ func TestDFGValidateDetectsDoubleDrive(t *testing.T) {
 
 func TestDFGValidateDetectsUndrivenPort(t *testing.T) {
 	d := NewDFG([]int{1})
-	d.AddNode(Node{Kind: OpAdd, Iter: IterVec{0}})
+	d.AddNode(&Node{Kind: OpAdd, Iter: IterVec{0}})
 	if err := d.Validate(); err == nil || !strings.Contains(err.Error(), "undriven") {
 		t.Errorf("expected undriven error, got %v", err)
 	}
@@ -98,8 +102,8 @@ func TestDFGValidateDetectsUndrivenPort(t *testing.T) {
 
 func TestDFGValidateDetectsBadPort(t *testing.T) {
 	d := NewDFG([]int{1})
-	l := d.AddNode(Node{Kind: OpLoad, Iter: IterVec{0}, Tensor: "A", Index: IterVec{0}})
-	r := d.AddNode(Node{Kind: OpRoute, Iter: IterVec{0}})
+	l := d.AddNode(&Node{Kind: OpLoad, Iter: IterVec{0}, Tensor: "A", Index: IterVec{0}})
+	r := d.AddNode(&Node{Kind: OpRoute, Iter: IterVec{0}})
 	d.AddEdge(l.ID, r.ID, 1) // route has arity 1: only port 0 valid
 	if err := d.Validate(); err == nil || !strings.Contains(err.Error(), "arity") {
 		t.Errorf("expected arity error, got %v", err)

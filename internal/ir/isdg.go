@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -29,6 +30,13 @@ type ISDG struct {
 	// distances To.Iter - From.Iter, sorted by Key. They drive the
 	// systolic space-time mapping search.
 	DistanceVectors []IterVec
+
+	// ShapeKey[c] < NumShapeKeys numbers cluster c's DFG.Shapes entry and
+	// the entries at Iter+v for every distance vector v (outside the
+	// block has a value of its own); clusters of one key have one
+	// unique-iteration signature. Nil when the DFG records no shapes.
+	ShapeKey     []int32
+	NumShapeKeys int
 
 	at      []int32 // PointIndex in DFG.Block -> 1 + cluster ID; 0 where none
 	cluster []int   // DFG node ID -> cluster ID
@@ -105,7 +113,37 @@ func BuildISDG(d *DFG) (*ISDG, error) {
 		}
 	}
 	sort.Slice(g.DistanceVectors, func(i, j int) bool { return g.DistanceVectors[i].Key() < g.DistanceVectors[j].Key() })
+	if d.Shapes != nil {
+		g.numberShapeKeys()
+	}
 	return g, nil
+}
+
+// numberShapeKeys fills ShapeKey, interning each key tuple once.
+func (g *ISDG) numberShapeKeys() {
+	block, shapes := g.DFG.Block, g.DFG.Shapes
+	ids := map[string]int32{}
+	var key []byte
+	g.ShapeKey = make([]int32, len(g.Clusters))
+	for _, c := range g.Clusters {
+		pi := PointIndex(c.Iter, block)
+		key = binary.AppendUvarint(key[:0], uint64(shapes[pi])+1)
+		for _, v := range g.DistanceVectors {
+			at := uint64(0) // outside the block
+			if c.Iter.InBoxAt(v, block) {
+				// PointIndex is linear, so an offset's index is the index offset.
+				at = uint64(shapes[pi+PointIndex(v, block)]) + 1
+			}
+			key = binary.AppendUvarint(key, at)
+		}
+		id, ok := ids[string(key)]
+		if !ok {
+			id = int32(len(ids))
+			ids[string(key)] = id
+		}
+		g.ShapeKey[c.ID] = id
+	}
+	g.NumShapeKeys = len(ids)
 }
 
 // ClusterOf returns the cluster ID owning DFG node id.

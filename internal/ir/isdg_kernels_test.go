@@ -117,9 +117,9 @@ func TestISDGDistanceVectors(t *testing.T) {
 	// A chain that meets (1,0) before (0,1), and (1,0) twice: the list is
 	// in Key order, not in the order the edges meet the distances.
 	d := ir.NewDFG([]int{3, 2})
-	prev := d.AddNode(ir.Node{Kind: ir.OpLoad, Name: "ld", BodyOp: -1, Iter: ir.IterVec{0, 0}, Tensor: "A", Index: ir.IterVec{0}}).ID
+	prev := d.AddNode(&ir.Node{Kind: ir.OpLoad, Name: "ld", BodyOp: -1, Iter: ir.IterVec{0, 0}, Tensor: "A", Index: ir.IterVec{0}}).ID
 	for _, it := range []ir.IterVec{{0, 0}, {1, 0}, {1, 1}, {2, 1}} {
-		n := d.AddNode(ir.Node{Kind: ir.OpRoute, Name: "r", BodyOp: 0, Iter: it})
+		n := d.AddNode(&ir.Node{Kind: ir.OpRoute, Name: "r", BodyOp: 0, Iter: it})
 		d.AddEdge(prev, n.ID, 0)
 		prev = n.ID
 	}

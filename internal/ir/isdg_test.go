@@ -17,22 +17,22 @@ func build2DDFG(t *testing.T, bx, by int) *DFG {
 	ForEachPoint([]int{bx, by}, func(v IterVec) {
 		i, j := v[0], v[1]
 		iter := v.Clone()
-		ld := d.AddNode(Node{Kind: OpLoad, Name: "ldA", BodyOp: 0, Iter: iter, Tensor: "A", Index: iter})
-		rt := d.AddNode(Node{Kind: OpRoute, Name: "r", BodyOp: 1, Iter: iter})
+		ld := d.AddNode(&Node{Kind: OpLoad, Name: "ldA", BodyOp: 0, Iter: iter, Tensor: "A", Index: iter})
+		rt := d.AddNode(&Node{Kind: OpRoute, Name: "r", BodyOp: 1, Iter: iter})
 		if j == 0 {
-			src := d.AddNode(Node{Kind: OpLoad, Name: "ldR", BodyOp: -1, Iter: iter, Tensor: "R", Index: IterVec{i}})
+			src := d.AddNode(&Node{Kind: OpLoad, Name: "ldR", BodyOp: -1, Iter: iter, Tensor: "R", Index: IterVec{i}})
 			d.AddEdge(src.ID, rt.ID, 0)
 		} else {
 			d.AddEdge(routes[key{i, j - 1}], rt.ID, 0)
 		}
 		routes[key{i, j}] = rt.ID
-		mul := d.AddNode(Node{Kind: OpMul, Name: "mul", BodyOp: 2, Iter: iter})
+		mul := d.AddNode(&Node{Kind: OpMul, Name: "mul", BodyOp: 2, Iter: iter})
 		d.AddEdge(ld.ID, mul.ID, 0)
 		d.AddEdge(rt.ID, mul.ID, 1)
-		add := d.AddNode(Node{Kind: OpAdd, Name: "add", BodyOp: 3, Iter: iter})
+		add := d.AddNode(&Node{Kind: OpAdd, Name: "add", BodyOp: 3, Iter: iter})
 		d.AddEdge(mul.ID, add.ID, 0)
 		if i == 0 {
-			init := d.AddNode(Node{Kind: OpLoad, Name: "init", BodyOp: -1, Iter: iter, Tensor: "S0", Index: IterVec{j}})
+			init := d.AddNode(&Node{Kind: OpLoad, Name: "init", BodyOp: -1, Iter: iter, Tensor: "S0", Index: IterVec{j}})
 			d.AddEdge(init.ID, add.ID, 1)
 		} else {
 			d.AddEdge(adds[key{i - 1, j}], add.ID, 1)
@@ -162,10 +162,10 @@ func TestStructuralSignatureDistinguishesBoundary(t *testing.T) {
 // chained in order, for the given block (nil: Block left unset).
 func chainDFG(block []int, iters ...IterVec) *DFG {
 	d := NewDFG(block)
-	ld := d.AddNode(Node{Kind: OpLoad, Name: "ld", BodyOp: -1, Iter: iters[0], Tensor: "A", Index: IterVec{0}})
+	ld := d.AddNode(&Node{Kind: OpLoad, Name: "ld", BodyOp: -1, Iter: iters[0], Tensor: "A", Index: IterVec{0}})
 	prev := ld.ID
 	for _, it := range iters {
-		n := d.AddNode(Node{Kind: OpRoute, Name: "r", BodyOp: 0, Iter: it})
+		n := d.AddNode(&Node{Kind: OpRoute, Name: "r", BodyOp: 0, Iter: it})
 		d.AddEdge(prev, n.ID, 0)
 		prev = n.ID
 	}

@@ -122,6 +122,16 @@ func (v IterVec) LexLess(d IterVec) bool {
 	return len(v) < len(d)
 }
 
+// InBoxAt reports whether v+off lies in box, without building the sum.
+func (v IterVec) InBoxAt(off IterVec, box []int) bool {
+	for i, d := range off {
+		if x := v[i] + d; x < 0 || x >= box[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // InBox reports whether 0 <= v[i] < box[i] for every coordinate.
 func (v IterVec) InBox(box []int) bool {
 	if len(v) != len(box) {

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"himap/internal/ir"
@@ -13,14 +14,15 @@ import (
 func loadBodyOp(op, port int) int  { return -(1 + op*2 + port) }
 func storeBodyOp(op, rule int) int { return -(1000 + op*8 + rule) }
 
-// selectCase returns the first source whose guard holds at iter.
-func selectCase(in Input, iter ir.IterVec, block []int) (Source, error) {
-	for _, c := range in {
-		if c.When.Eval(iter, block) {
-			return c.Src, nil
+// selectCase returns the index of the first case whose guard holds at
+// iter.
+func selectCase(in Input, iter ir.IterVec, block []int) (int, error) {
+	for i := range in {
+		if in[i].When.Eval(iter, block) {
+			return i, nil
 		}
 	}
-	return Source{}, fmt.Errorf("kernel: no case matches at iteration %v", iter)
+	return 0, fmt.Errorf("kernel: no case matches at iteration %v", iter)
 }
 
 // BuildDFG fully unrolls the kernel over the block and returns the DFG of
@@ -56,7 +58,8 @@ func (k *Kernel) BuildDFG(block []int) (*ir.DFG, error) {
 	// consumer's point index — PointIndex is linear.
 	npts := ir.BoxSize(block)
 	b := dfgBuilder{k: k, block: block, d: ir.NewDFG(block), npts: npts,
-		nodeOf: make([]int32, len(k.Body)*npts), names: map[string]string{}}
+		nodeOf: make([]int32, len(k.Body)*npts), names: map[string]string{}, shapes: map[string]int32{}}
+	b.d.Shapes = make([]int32, npts)
 	ports := 0 // edges per interior point: one per input port and store rule
 	for _, op := range k.Body {
 		ports += op.Kind.Arity() + len(op.Stores)
@@ -90,6 +93,8 @@ type dfgBuilder struct {
 	npts   int
 	nodeOf []int32           // body op*npts + point index -> 1 + node ID; 0 before creation
 	names  map[string]string // "ld."/"st." + tensor, built once per tensor
+	shapes map[string]int32  // guard shape -> its ID in d.Shapes
+	shape  []byte            // the guard shape of the point being built
 	err    error
 }
 
@@ -105,12 +110,15 @@ func (b *dfgBuilder) name(prefix, tensor string) string {
 	return s
 }
 
-// point creates the nodes of iteration iter, whose point index is pi.
+// point creates the nodes of iteration iter, whose point index is pi,
+// and records its guard shape: the case each input port selected and the
+// store rules that fired, in body order.
 func (b *dfgBuilder) point(iter ir.IterVec, pi int) {
 	k, d := b.k, b.d
+	b.shape = b.shape[:0]
 	for opIdx := range k.Body {
 		op := &k.Body[opIdx]
-		n := d.AddNode(ir.Node{
+		n := d.AddNode(&ir.Node{
 			Kind:   op.Kind,
 			Name:   op.Name,
 			BodyOp: opIdx,
@@ -127,11 +135,14 @@ func (b *dfgBuilder) point(iter ir.IterVec, pi int) {
 		if b.err != nil {
 			return
 		}
-		for ri, st := range op.Stores {
+		for ri := range op.Stores {
+			st := &op.Stores[ri]
 			if !st.When.Eval(iter, b.block) {
+				b.shape = append(b.shape, 0)
 				continue
 			}
-			sn := d.AddNode(ir.Node{
+			b.shape = append(b.shape, 1)
+			sn := d.AddNode(&ir.Node{
 				Kind:   ir.OpStore,
 				Name:   b.name("st.", st.Tensor),
 				BodyOp: storeBodyOp(opIdx, ri),
@@ -142,6 +153,12 @@ func (b *dfgBuilder) point(iter ir.IterVec, pi int) {
 			d.AddEdge(n.ID, sn.ID, 0)
 		}
 	}
+	id, ok := b.shapes[string(b.shape)]
+	if !ok {
+		id = int32(len(b.shapes))
+		b.shapes[string(b.shape)] = id
+	}
+	d.Shapes[pi] = id
 }
 
 // wire connects input port of node n (body op op, at point index pi) to
@@ -151,11 +168,13 @@ func (b *dfgBuilder) wire(n *ir.Node, op *BodyOp, in Input, port, pi int) {
 		return
 	}
 	k, d, iter := b.k, b.d, n.Iter
-	src, err := selectCase(in, iter, b.block)
+	ci, err := selectCase(in, iter, b.block)
 	if err != nil {
 		b.err = fmt.Errorf("kernel %s op %s port %d: %v", k.Name, op.Name, port, err)
 		return
 	}
+	b.shape = binary.AppendUvarint(b.shape, uint64(ci))
+	src := &in[ci].Src
 	switch src.Kind {
 	case SrcDep:
 		ppi := pi
@@ -181,7 +200,7 @@ func (b *dfgBuilder) wire(n *ir.Node, op *BodyOp, in Input, port, pi int) {
 		}
 		d.AddEdge(pid, n.ID, port)
 	case SrcMem:
-		ld := d.AddNode(ir.Node{
+		ld := d.AddNode(&ir.Node{
 			Kind:   ir.OpLoad,
 			Name:   b.name("ld.", src.Tensor),
 			BodyOp: loadBodyOp(n.BodyOp, port),

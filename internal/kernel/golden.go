@@ -29,11 +29,12 @@ func (k *Kernel) Golden(block []int, inputs map[string]*Tensor) (map[string]*Ten
 		pi := ir.PointIndex(iter, block)
 		for opIdx, op := range k.Body {
 			read := func(in Input) int64 {
-				src, err := selectCase(in, iter, block)
+				ci, err := selectCase(in, iter, block)
 				if err != nil {
 					execErr = err
 					return 0
 				}
+				src := &in[ci].Src
 				switch src.Kind {
 				case SrcDep:
 					prodIter := iter

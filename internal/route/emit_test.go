@@ -222,8 +222,8 @@ func TestEmitterRegisterPath(t *testing.T) {
 // cycle belongs to the previous period.
 func TestEmitterMemoryStamps(t *testing.T) {
 	d := ir.NewDFG([]int{2, 2})
-	ld := d.AddNode(ir.Node{Kind: ir.OpLoad, Tensor: "A", Index: ir.IterVec{1, -2}})
-	st := d.AddNode(ir.Node{Kind: ir.OpStore, Tensor: "out", Index: ir.IterVec{7}})
+	ld := d.AddNode(&ir.Node{Kind: ir.OpLoad, Tensor: "A", Index: ir.IterVec{1, -2}})
+	st := d.AddNode(&ir.Node{Kind: ir.OpStore, Tensor: "out", Index: ir.IterVec{7}})
 	cfg := arch.NewConfig(arch.DefaultFabric(1, 1), 8)
 	e := NewEmitter(cfg, d)
 	tm := e.NewTemplate()

@@ -54,5 +54,5 @@ go run ./cmd/himapload -cluster 2 -duration 3s -concurrency 4 -require-hits >/de
 # Exact backend: a tiny instance closes with a proved-minimal certificate.
 exact_out=$(go run ./cmd/himap -mapper exact -kernel MVT -rows 4 -cols 4 -block 2 -exact-budget 30s)
 echo "$exact_out" | grep -q "proved minimal"
-# The two line counts ROADMAP item 3 tracks, in every CI log.
+# The two line counts ROADMAP item 5 tracks, in every CI log.
 scripts/loc.sh
