@@ -153,8 +153,9 @@ func (m *Memo) IDFG(k *kernel.Kernel) (*ir.IDFG, error) {
 }
 
 // SubMappings returns the full MapIDFG result for the kernel on the
-// fabric. Callers must not mutate the returned slice or its entries;
-// Compile copies the prefix it truncates.
+// fabric. Every compile of the kernel on the fabric shares it, so callers
+// must not mutate the returned slice or its entries: runIDFGMap keeps a
+// re-sliced prefix, not a copy.
 func (m *Memo) SubMappings(k *kernel.Kernel, f *ir.IDFG, fab arch.Fabric) ([]*SubMapping, error) {
 	key := memoKey{kind: 'm', text: kernelKey(k), fab: fab}
 	v, err := m.load(key, nil, func() (any, error) {

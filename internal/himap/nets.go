@@ -2,6 +2,7 @@ package himap
 
 import (
 	"fmt"
+	"math"
 
 	"himap/internal/arch"
 	"himap/internal/diag"
@@ -92,8 +93,9 @@ func (l *layout) appendStoreTargets(dst []mrrg.Node, g *mrrg.Graph, id int, from
 }
 
 // chooseBoundaryLoad picks a memory-read slot for a load that has no
-// generic relative placement: on its first consumer's PE, at the latest
-// free cycle not after the consumer.
+// generic relative placement, by MAP()'s slot search (claimMemRead): its
+// first consumer's own port, or else the nearest memory-capable PE of the
+// cluster's region, at the latest free cycle that reaches the consumer.
 func (l *layout) chooseBoundaryLoad(ses *route.Session, classIdx, id int) error {
 	d := l.g.DFG
 	n := d.Nodes[id]
@@ -114,8 +116,7 @@ func (l *layout) chooseBoundaryLoad(ses *route.Session, classIdx, id int) error 
 			if ok && pinRel.Mem {
 				// Transparent pin: the load itself is the relay; schedule it
 				// at the route's anchor so the ALU can consume FromMem.
-				bt2, br2, bc2 := l.regionBase(ci)
-				consT, consR, consC = bt2+pinRel.T, br2+pinRel.R, bc2+pinRel.C
+				consT, consR, consC = bt+pinRel.T, br+pinRel.R, bc+pinRel.C
 				break
 			}
 			if pin, ok2 := l.pinAbs(to); ok2 {
@@ -127,42 +128,14 @@ func (l *layout) chooseBoundaryLoad(ses *route.Session, classIdx, id int) error 
 	}
 	// Negative real cycles wrap into the previous schedule period — in
 	// steady state the load simply issues during the preceding block's
-	// window (classic software pipelining).
-	if l.cg.MemCapable(consR, consC) {
-		for back := slack; back < 3*l.sub.Depth; back++ {
-			t := consT - back
-			mr := mrrg.Node{T: t, R: consR, C: consC, Class: mrrg.ClassMemRead}
-			if ses.Occ(mr) > 0 {
-				continue
-			}
-			ses.Reserve(mr)
-			l.loadRel[classIdx][n.BodyOp] = RelPlace{T: t - bt, R: consR - br, C: consC - bc, Kind: PlaceMemRead}
-			return nil
-		}
-		return fmt.Errorf("himap: no memory-read slot for boundary load %v: %w: %w", n, diag.ErrMemPortInfeasible, diag.ErrRouteCongested)
+	// window (classic software pipelining) — so no floor applies.
+	region := route.Box{R0: br, R1: br + l.sub.S1 - 1, C0: bc, C1: bc + l.sub.S2 - 1}
+	if mr, ok := claimMemRead(ses, l.cg, consT, consR, consC, slack, 3*l.sub.Depth, math.MinInt, region); ok {
+		l.loadRel[classIdx][n.BodyOp] = RelPlace{T: mr.T - bt, R: mr.R - br, C: mr.C - bc, Kind: PlaceMemRead}
+		return nil
 	}
-	// The consumer sits on a compute-only PE: issue the load on the
-	// nearest memory-capable PE of the cluster's region, early enough for
-	// the value to cover the Manhattan distance to the consumer.
-	for _, pe := range memPEsByDist(l.cg, consR, consC) {
-		r, c := pe[0], pe[1]
-		if r < br || r >= br+l.sub.S1 || c < bc || c >= bc+l.sub.S2 {
-			continue
-		}
-		lo := absInt(r-consR) + absInt(c-consC)
-		if slack > lo {
-			lo = slack
-		}
-		for back := lo; back < 3*l.sub.Depth; back++ {
-			t := consT - back
-			mr := mrrg.Node{T: t, R: r, C: c, Class: mrrg.ClassMemRead}
-			if ses.Occ(mr) > 0 {
-				continue
-			}
-			ses.Reserve(mr)
-			l.loadRel[classIdx][n.BodyOp] = RelPlace{T: t - bt, R: r - br, C: c - bc, Kind: PlaceMemRead}
-			return nil
-		}
+	if l.cg.MemCapable(consR, consC) {
+		return fmt.Errorf("himap: no memory-read slot for boundary load %v: %w: %w", n, diag.ErrMemPortInfeasible, diag.ErrRouteCongested)
 	}
 	return diag.Failf(diag.ErrMemPortInfeasible,
 		"himap: no memory-read slot for boundary load %v on the %s fabric", n, l.cg)

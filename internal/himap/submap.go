@@ -14,8 +14,10 @@
 package himap
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"himap/internal/arch"
@@ -92,6 +94,7 @@ func MapIDFG(f *ir.IDFG, fab arch.Fabric, slack int) ([]*SubMapping, error) {
 	var out []*SubMapping
 	memRejects := 0
 	ses := new(route.Session) // re-targeted by every shape and depth tried
+	st := newMapState(f)      // cleared by every shape and depth tried
 	for _, s1 := range divisors(fab.Rows) {
 		if s1 > ncomp {
 			continue
@@ -119,7 +122,7 @@ func MapIDFG(f *ir.IDFG, fab arch.Fabric, slack int) ([]*SubMapping, error) {
 					memRejects++
 					continue
 				}
-				m, err := tryPlaceIDFG(ses, f, fab, s1, s2, t)
+				m, err := st.tryPlaceIDFG(ses, fab, s1, s2, t)
 				if err != nil {
 					if errors.Is(err, diag.ErrMemPortInfeasible) {
 						memRejects++
@@ -213,241 +216,241 @@ func subFabric(fab arch.Fabric, s1, s2 int) arch.Fabric {
 	return sub
 }
 
-// tryPlaceIDFG attempts the heuristic placement-and-routing of the IDFG
-// on one time-extended sub-CGRA (lines 33-45): compute ops on FU slots by
+// mapState is MAP()'s working state for one IDFG, its tables indexed by
+// DFG node ID. MapIDFG builds it once; tryPlaceIDFG clears it for every
+// shape and depth it tries.
+type mapState struct {
+	d     *ir.DFG
+	ncomp int
+	order []int // the cluster's nodes in topological order of the inner edges
+	// parents[id] are the inner edges into id from compute and load
+	// nodes (route-node inputs come from outside the iteration and are
+	// handled by step 3's inter-iteration routing).
+	parents [][]ir.Edge
+	place   []mrrg.Node  // placement per node; T < 0 while unplaced
+	netOf   []*route.Net // net per placed producer
+	nets    []*route.Net // netOf's nets, in creation order
+	cands   []fuCand     // one compute node's candidate FU slots
+	tgt     []mrrg.Node  // one sink's operand targets
+}
+
+// fuCand is a free FU slot and its estimated routing cost from the
+// node's placed parents.
+type fuCand struct {
+	node mrrg.Node
+	est  float64
+}
+
+func newMapState(f *ir.IDFG) *mapState {
+	d := f.DFG
+	n := len(d.Nodes)
+	st := &mapState{d: d, ncomp: f.NumCompute(),
+		parents: make([][]ir.Edge, n), place: make([]mrrg.Node, n), netOf: make([]*route.Net, n)}
+	indeg := make([]int32, n)
+	for id := range st.place {
+		st.place[id] = mrrg.Node{T: -1}
+	}
+	for _, e := range f.Inner {
+		indeg[e.To]++
+		if k := d.Nodes[e.From].Kind; k.IsCompute() || k == ir.OpLoad {
+			st.parents[e.To] = append(st.parents[e.To], e)
+		}
+	}
+	// Kahn's algorithm; order is its own queue, and each newly ready set
+	// joins it sorted by ID. A consumer outside the cluster starts at 0
+	// and goes negative, so it never joins.
+	for _, id := range f.Comp {
+		if indeg[id] == 0 {
+			st.order = append(st.order, id)
+		}
+	}
+	sort.Ints(st.order)
+	for head := 0; head < len(st.order); head++ {
+		ready := len(st.order)
+		for _, ei := range d.OutEdges(st.order[head]) {
+			to := d.Edges[ei].To
+			if indeg[to]--; indeg[to] == 0 {
+				st.order = append(st.order, to)
+			}
+		}
+		sort.Ints(st.order[ready:])
+	}
+	return st
+}
+
+func (st *mapState) placed(id int) bool { return st.place[id].T >= 0 }
+
+// routeEdge routes the placed edge e on its producer's net, starting the
+// net on first use.
+func (st *mapState) routeEdge(ses *route.Session, e ir.Edge) error {
+	net := st.netOf[e.From]
+	if net == nil {
+		net = ses.NewNet(st.place[e.From])
+		st.netOf[e.From] = net
+		st.nets = append(st.nets, net)
+	}
+	cn := st.place[e.To]
+	st.tgt = ses.G.AppendOperandTargets(st.tgt[:0], cn.T, cn.R, cn.C)
+	_, _, err := ses.RouteSink(net, st.tgt)
+	return err
+}
+
+// ripUp releases every net and returns it to the session freelist.
+func (st *mapState) ripUp(ses *route.Session) {
+	for _, net := range st.nets {
+		ses.Release(net)
+		ses.FreeNet(net)
+	}
+	st.nets = st.nets[:0]
+	clear(st.netOf)
+}
+
+// rerouteAll rips up every net and re-routes every parent → child edge
+// between placed nodes, in topological order of the child.
+func (st *mapState) rerouteAll(ses *route.Session) error {
+	st.ripUp(ses)
+	for _, id := range st.order {
+		for _, e := range st.parents[id] {
+			if st.placed(e.From) && st.placed(e.To) {
+				if err := st.routeEdge(ses, e); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// tryPlaceIDFG attempts the heuristic placement-and-routing of the IDFG on
+// one time-extended sub-CGRA (lines 33-45): compute ops on FU slots by
 // least accumulated routing cost from their placed parents, loads on
 // memory read ports adjacent to their consumers, with SPR-style cost
 // escalation rounds until no resource is oversubscribed. ses is
 // re-targeted to the shape's time-extended graph.
-func tryPlaceIDFG(ses *route.Session, f *ir.IDFG, fab arch.Fabric, s1, s2, depth int) (*SubMapping, error) {
+func (st *mapState) tryPlaceIDFG(ses *route.Session, fab arch.Fabric, s1, s2, depth int) (*SubMapping, error) {
 	sub := subFabric(fab, s1, s2)
 	g := mrrg.NewAcyclic(sub, depth)
 	ses.Reset(g).MaxVisits = 20000
-
-	d := f.DFG
-	inside := map[int]bool{}
-	for _, id := range f.Comp {
-		inside[id] = true
+	for _, id := range st.order {
+		st.place[id] = mrrg.Node{T: -1}
 	}
-	// Intra-iteration parents per node, restricted to compute/load parents
-	// (route-node inputs come from outside the iteration and are handled
-	// by step 3's inter-iteration routing).
-	parents := map[int][]ir.Edge{}
-	for _, e := range f.Inner {
-		if d.Nodes[e.From].Kind.IsCompute() || d.Nodes[e.From].Kind == ir.OpLoad {
-			parents[e.To] = append(parents[e.To], e)
-		}
-	}
-	// Topological order of the compute nodes within the cluster.
-	order := topoInside(f)
-
-	place := map[int]mrrg.Node{} // DFG node -> placement
-	var nets []*route.Net
-	netOf := map[int]*route.Net{}
-
-	routeEdge := func(e ir.Edge) error {
-		pn, ok := place[e.From]
-		if !ok {
-			return fmt.Errorf("himap: parent %d unplaced: %w", e.From, diag.ErrPlacementInfeasible)
-		}
-		cn := place[e.To]
-		net := netOf[e.From]
-		if net == nil {
-			net = ses.NewNet(pn)
-			netOf[e.From] = net
-			nets = append(nets, net)
-		}
-		_, _, err := ses.RouteSink(net, g.OperandTargets(cn.T, cn.R, cn.C))
-		return err
-	}
+	defer st.ripUp(ses)
+	d := st.d
 
 	// Place compute nodes greedily by estimated cost, verify with real
 	// routing, backtracking over candidate slots.
-	for _, id := range order {
+	for _, id := range st.order {
 		n := d.Nodes[id]
 		if !n.Kind.IsCompute() {
 			continue
-		}
-		type cand struct {
-			node mrrg.Node
-			est  float64
 		}
 		// Each memory-operand load needs its own memory-read cycle at or
 		// before the consumer; a node with m loads cannot sit earlier than
 		// cycle m-1.
 		memParents := 0
-		for _, e := range parents[id] {
+		for _, e := range st.parents[id] {
 			if d.Nodes[e.From].Kind == ir.OpLoad {
 				memParents++
 			}
 		}
-		minT := memParents - 1
-		if minT < 0 {
-			minT = 0
-		}
-		var cands []cand
-		for tt := minT; tt < depth; tt++ {
+		st.cands = st.cands[:0]
+		for tt := max(memParents-1, 0); tt < depth; tt++ {
 			for r := 0; r < s1; r++ {
+			slot:
 				for c := 0; c < s2; c++ {
 					fu := g.FUNode(tt, r, c)
 					if ses.Occ(fu) > 0 {
 						continue
 					}
 					est := float64(tt) * 0.05
-					feasible := true
-					for _, e := range parents[id] {
-						p := d.Nodes[e.From]
-						if !p.Kind.IsCompute() {
-							continue // loads placed later, adjacent
-						}
-						pp, ok := place[e.From]
-						if !ok {
+					for _, e := range st.parents[id] {
+						// Loads are placed later, next to their consumers.
+						if !d.Nodes[e.From].Kind.IsCompute() || !st.placed(e.From) {
 							continue
 						}
+						pp := st.place[e.From]
 						dist := absInt(pp.R-r) + absInt(pp.C-c)
 						lat := tt - pp.T
-						need := dist
-						if need == 0 {
-							need = 1 // same PE: must pass through the RF
-						}
+						need := max(dist, 1) // same PE: must pass through the RF
 						if lat < need {
-							feasible = false
-							break
+							continue slot
 						}
 						est += float64(dist) + float64(lat-need)*0.3
 					}
-					if !feasible {
-						continue
-					}
-					cands = append(cands, cand{fu, est})
+					st.cands = append(st.cands, fuCand{fu, est})
 				}
 			}
 		}
-		if len(cands) == 0 {
+		if len(st.cands) == 0 {
 			return nil, fmt.Errorf("himap: no feasible FU slot for %v on (%d,%d,%d): %w", n, s1, s2, depth, diag.ErrPlacementInfeasible)
 		}
-		sort.SliceStable(cands, func(i, j int) bool {
-			if cands[i].est != cands[j].est {
-				return cands[i].est < cands[j].est
+		slices.SortStableFunc(st.cands, func(a, b fuCand) int {
+			if a.est != b.est {
+				return cmp.Compare(a.est, b.est)
 			}
-			return g.Key(cands[i].node) < g.Key(cands[j].node)
+			return cmp.Compare(g.Key(a.node), g.Key(b.node))
 		})
-		placed := false
-		for _, c := range cands {
+		routed := false
+		for _, c := range st.cands {
 			ses.Reserve(c.node)
-			place[id] = c.node
-			ok := true
-			for _, e := range parents[id] {
-				if !d.Nodes[e.From].Kind.IsCompute() {
-					continue
-				}
-				if _, isPlaced := place[e.From]; !isPlaced {
-					continue
-				}
-				if err := routeEdge(e); err != nil {
-					ok = false
-					break
+			st.place[id] = c.node
+			routed = true
+			for _, e := range st.parents[id] {
+				if d.Nodes[e.From].Kind.IsCompute() && st.placed(e.From) {
+					if err := st.routeEdge(ses, e); err != nil {
+						routed = false
+						break
+					}
 				}
 			}
-			if ok {
-				placed = true
+			if routed {
 				break
 			}
 			// Back out this slot and rebuild all routing from scratch
-			// (graphs are tiny); rerouteAll releases every net first.
+			// (graphs are tiny).
 			ses.Unreserve(c.node)
-			delete(place, id)
-			if err := rerouteAll(ses, g, d, place, parents, netOf, &nets, order); err != nil {
+			st.place[id] = mrrg.Node{T: -1}
+			if err := st.rerouteAll(ses); err != nil {
 				return nil, err
 			}
 		}
-		if !placed {
+		if !routed {
 			return nil, fmt.Errorf("himap: cannot place %v on (%d,%d,%d): %w", n, s1, s2, depth, diag.ErrPlacementInfeasible)
 		}
 	}
 
-	// Place loads next to their consumers.
-	for _, id := range order {
-		n := d.Nodes[id]
-		if n.Kind != ir.OpLoad {
+	// Place loads next to their first placed consumer; a load feeding
+	// only route nodes or outside consumers anchors at slot (0, 0, 0).
+	whole := route.Box{R0: 0, R1: s1 - 1, C0: 0, C1: s2 - 1}
+	for _, id := range st.order {
+		if d.Nodes[id].Kind != ir.OpLoad {
 			continue
 		}
-		// Find the first consumer inside the cluster.
-		var cons mrrg.Node
-		found := false
+		cons := g.FUNode(0, 0, 0)
 		for _, ei := range d.OutEdges(id) {
-			to := d.Edges[ei].To
-			if p, ok := place[to]; ok && inside[to] {
-				cons = p
-				found = true
+			if to := d.Edges[ei].To; st.placed(to) {
+				cons = st.place[to]
 				break
 			}
 		}
-		if !found {
-			// Load feeding only route nodes / outside consumers: anchor at
-			// slot (0, 0, 0)'s memory port, first free cycle.
-			cons = g.FUNode(0, 0, 0)
-		}
-		placedLoad := false
-		if sub.MemCapable(cons.R, cons.C) {
-			// Consumer's own memory port, backing off in time — the
-			// homogeneous-fabric fast path (kept verbatim: it decides
-			// the bit-exact placements of the default fabric).
-			for back := 0; back < depth; back++ {
-				tt := cons.T - back
-				if tt < 0 {
-					break
-				}
-				mr := g.MemReadNode(tt, cons.R, cons.C)
-				if ses.Occ(mr) > 0 {
-					continue
-				}
-				ses.Reserve(mr)
-				place[id] = mr
-				placedLoad = true
-				break
-			}
-		} else {
-			// Compute-only consumer: pick the nearest memory-capable PE
-			// (deterministic distance → row → col order) at a cycle early
-			// enough for the value to hop over.
-			for _, pe := range memPEsByDist(sub, cons.R, cons.C) {
-				dist := absInt(pe[0]-cons.R) + absInt(pe[1]-cons.C)
-				for back := dist; back < depth; back++ {
-					tt := cons.T - back
-					if tt < 0 {
-						break
-					}
-					mr := g.MemReadNode(tt, pe[0], pe[1])
-					if ses.Occ(mr) > 0 {
-						continue
-					}
-					ses.Reserve(mr)
-					place[id] = mr
-					placedLoad = true
-					break
-				}
-				if placedLoad {
-					break
-				}
-			}
-		}
-		if !placedLoad {
+		mr, ok := claimMemRead(ses, sub, cons.T, cons.R, cons.C, 0, depth, 0, whole)
+		if !ok {
 			return nil, diag.Failf(diag.ErrMemPortInfeasible,
-				"himap: no memory read slot for %v on (%d,%d,%d) of the %s fabric", n, s1, s2, depth, fab)
+				"himap: no memory read slot for %v on (%d,%d,%d) of the %s fabric", d.Nodes[id], s1, s2, depth, fab)
 		}
+		st.place[id] = mr
 	}
 	// Route load → consumer edges.
-	for _, id := range order {
+	for _, id := range st.order {
 		if d.Nodes[id].Kind != ir.OpLoad {
 			continue
 		}
 		for _, ei := range d.OutEdges(id) {
 			e := d.Edges[ei]
-			if !inside[e.To] || !d.Nodes[e.To].Kind.IsCompute() {
+			if !st.placed(e.To) || !d.Nodes[e.To].Kind.IsCompute() {
 				continue
 			}
-			if err := routeEdge(e); err != nil {
+			if err := st.routeEdge(ses, e); err != nil {
 				return nil, fmt.Errorf("himap: load routing failed on (%d,%d,%d): %w", s1, s2, depth, err)
 			}
 		}
@@ -456,125 +459,63 @@ func tryPlaceIDFG(ses *route.Session, f *ir.IDFG, fab arch.Fabric, s1, s2, depth
 	// Negotiated congestion: re-route with escalating history costs until
 	// clean or the round budget is exhausted (lines 35-45).
 	for round := 0; round < 10; round++ {
-		if len(ses.BumpHistory(nets)) == 0 {
-			rel := map[int]RelPlace{}
-			for id, pn := range place {
+		if len(ses.BumpHistory(st.nets)) == 0 {
+			rel := make(map[int]RelPlace, len(st.order))
+			for _, id := range st.order {
+				pn := st.place[id]
+				if pn.T < 0 {
+					continue
+				}
 				kind := PlaceFU
 				if pn.Class == mrrg.ClassMemRead {
 					kind = PlaceMemRead
 				}
 				rel[d.Nodes[id].BodyOp] = RelPlace{T: pn.T, R: pn.R, C: pn.C, Kind: kind}
 			}
-			ncomp := f.NumCompute()
 			return &SubMapping{
 				S1: s1, S2: s2, Depth: depth,
 				Rel:  rel,
-				Util: float64(ncomp) / float64(s1*s2*depth),
+				Util: float64(st.ncomp) / float64(s1*s2*depth),
 			}, nil
 		}
-		if err := rerouteAll(ses, g, d, place, parents, netOf, &nets, order); err != nil {
+		if err := st.rerouteAll(ses); err != nil {
 			return nil, err
 		}
 	}
 	return nil, fmt.Errorf("himap: congestion unresolved on (%d,%d,%d): %w", s1, s2, depth, diag.ErrRouteCongested)
 }
 
-// rerouteAll rips up every net and re-routes all intra-iteration edges
-// between placed nodes, in deterministic order.
-func rerouteAll(ses *route.Session, g *mrrg.Graph, d *ir.DFG,
-	place map[int]mrrg.Node, parents map[int][]ir.Edge,
-	netOf map[int]*route.Net, nets *[]*route.Net, order []int) error {
-	for _, net := range *nets {
-		ses.Release(net)
+// claimMemRead reserves a memory-read slot for a load whose consumer sits
+// at (t, r, c) and returns it, trying cycles from minBack to maxBack-1
+// before t, latest first, and none before floor. When the consumer's PE
+// has a memory port, that port is the only one tried (the homogeneous
+// fast path: it decides the bit-exact placements of the default fabric).
+// Otherwise the memory-capable PEs inside in are tried nearest first
+// (ties by row, then column), each at least its hop distance back so the
+// value can reach the consumer.
+func claimMemRead(ses *route.Session, fab arch.Fabric, t, r, c, minBack, maxBack, floor int, in route.Box) (mrrg.Node, bool) {
+	pes := [][2]int{{r, c}}
+	own := fab.MemCapable(r, c)
+	if !own {
+		pes = fab.MemPEs()
+		slices.SortStableFunc(pes, func(a, b [2]int) int {
+			return cmp.Or(cmp.Compare(absInt(a[0]-r)+absInt(a[1]-c), absInt(b[0]-r)+absInt(b[1]-c)),
+				cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+		})
 	}
-	*nets = (*nets)[:0]
-	for k := range netOf {
-		delete(netOf, k)
-	}
-	for _, id := range order {
-		for _, e := range parents[id] {
-			if _, ok := place[e.From]; !ok {
-				continue
-			}
-			if _, ok := place[e.To]; !ok {
-				continue
-			}
-			pn := place[e.From]
-			cn := place[e.To]
-			net := netOf[e.From]
-			if net == nil {
-				net = ses.NewNet(pn)
-				netOf[e.From] = net
-				*nets = append(*nets, net)
-			}
-			if _, _, err := ses.RouteSink(net, g.OperandTargets(cn.T, cn.R, cn.C)); err != nil {
-				return err
+	for _, pe := range pes {
+		if !own && !in.Holds(pe[0], pe[1]) {
+			continue
+		}
+		for back := max(minBack, absInt(pe[0]-r)+absInt(pe[1]-c)); back < maxBack && t-back >= floor; back++ {
+			mr := mrrg.Node{T: t - back, R: pe[0], C: pe[1], Class: mrrg.ClassMemRead}
+			if ses.Occ(mr) == 0 {
+				ses.Reserve(mr)
+				return mr, true
 			}
 		}
 	}
-	return nil
-}
-
-// topoInside returns the cluster's node IDs in topological order of the
-// inner edges.
-func topoInside(f *ir.IDFG) []int {
-	d := f.DFG
-	inside := map[int]bool{}
-	for _, id := range f.Comp {
-		inside[id] = true
-	}
-	indeg := map[int]int{}
-	for _, id := range f.Comp {
-		indeg[id] = 0
-	}
-	for _, e := range f.Inner {
-		indeg[e.To]++
-	}
-	var queue []int
-	for _, id := range f.Comp {
-		if indeg[id] == 0 {
-			queue = append(queue, id)
-		}
-	}
-	sort.Ints(queue)
-	var order []int
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		var next []int
-		for _, ei := range d.OutEdges(id) {
-			to := d.Edges[ei].To
-			if !inside[to] {
-				continue
-			}
-			indeg[to]--
-			if indeg[to] == 0 {
-				next = append(next, to)
-			}
-		}
-		sort.Ints(next)
-		queue = append(queue, next...)
-	}
-	return order
-}
-
-// memPEsByDist lists the fabric's memory-capable PEs sorted by Manhattan
-// distance from (r, c), ties broken by row then column.
-func memPEsByDist(fab arch.Fabric, r, c int) [][2]int {
-	pes := fab.MemPEs()
-	sort.SliceStable(pes, func(i, j int) bool {
-		di := absInt(pes[i][0]-r) + absInt(pes[i][1]-c)
-		dj := absInt(pes[j][0]-r) + absInt(pes[j][1]-c)
-		if di != dj {
-			return di < dj
-		}
-		if pes[i][0] != pes[j][0] {
-			return pes[i][0] < pes[j][0]
-		}
-		return pes[i][1] < pes[j][1]
-	})
-	return pes
+	return mrrg.Node{}, false
 }
 
 func absInt(x int) int {

@@ -24,10 +24,11 @@ go test -race -shuffle=on ./...
 go test -race -count=3 -run 'TestWorkersDeterminism$|TestSpeculationWindowSpans|TestSpeculationAllocBudget|TestCancellationLatencyMidRun|TestPathArenaContract|TestFailedRoutesLeaveSessionReusable' . ./internal/route ./internal/himap
 # The configuration encoder against encoding/json on ten seconds of new fuzz inputs (the committed seeds ran above).
 go test -run '^$' -fuzz FuzzConfigAppendJSON -fuzztime 10s ./internal/arch
-# The flat_backends, congested and scale64 profile commands, once each, so they cannot rot.
+# The flat_backends, congested and scale64 profile commands and MAP()'s benchmark, once each, so they cannot rot.
 go test -run '^$' -bench FlatBackends -benchtime 1x .
 go test -run '^$' -bench CongestedCompile -benchtime 1x .
 go test -run '^$' -bench ScaleCompile -benchtime 1x .
+go test -run '^$' -bench MapIDFG -benchtime 1x ./internal/himap
 # Tables I and II are deterministic: the committed results file is what the code prints now.
 go run ./cmd/experiments -table1 -table2 | diff - results/tables.txt
 # The design-space sweep is deterministic at every -workers (~1.5 s): its committed ranking is what the code prints now.
