@@ -39,47 +39,46 @@ func ApplyForwarding(d *ir.DFG, g *ir.ISDG, m *systolic.Mapping) (*ir.DFG, *ir.I
 	}
 
 	nd := ir.NewDFG(d.Block)
-	nd.Grow(len(d.Nodes), len(d.Edges))
-	idMap := make([]int, len(d.Nodes))
+	// Nodes are copied in order, so each keeps its ID; node-table rows
+	// come as their body ops do.
+	nd.Grow(len(d.Nodes), len(d.Edges), 0)
 	for _, n := range d.Nodes {
-		nn := nd.AddNode(&ir.Node{
+		nd.AddNode(&ir.Node{
 			Kind: n.Kind, Name: n.Name, BodyOp: n.BodyOp, Iter: n.Iter,
 			Tensor: n.Tensor, Index: n.Index, Const: n.Const, HasConst: n.HasConst,
 		})
-		idMap[n.ID] = nn.ID
 	}
 
 	// Stable chain-role identifiers: (producer body op, unit step) → id.
 	roleIDs := map[string]int{}
-	roleOf := func(prodBodyOp int, e ir.IterVec) int {
-		key := fmt.Sprintf("%d|%s", prodBodyOp, e.Key())
-		id, ok := roleIDs[key]
-		if !ok {
-			id = -(fwdBodyOpBase + len(roleIDs))
-			roleIDs[key] = id
-		}
-		return id
-	}
 	// Relay nodes already created: (producer node, step) → new node ID.
 	relays := map[string]int{}
 
 	for _, edge := range d.Edges {
 		from, to := d.Nodes[edge.From], d.Nodes[edge.To]
 		cf, ct := g.ClusterOf(edge.From), g.ClusterOf(edge.To)
-		var dist ir.IterVec
-		if cf != ct {
-			dist = to.Iter.Sub(from.Iter)
+		if cf == ct {
+			nd.AddEdge(edge.From, edge.To, edge.ToPort)
+			continue
 		}
-		if cf == ct || m.Classify(dist) != systolic.DepForward {
-			nd.AddEdge(idMap[edge.From], idMap[edge.To], edge.ToPort)
+		dist := to.Iter.Sub(from.Iter)
+		if m.Classify(dist) != systolic.DepForward {
+			nd.AddDistance(dist)
+			nd.AddEdge(edge.From, edge.To, edge.ToPort)
 			continue
 		}
 		e, steps, err := m.ForwardStep(dist)
 		if err != nil {
 			return nil, nil, err
 		}
-		role := roleOf(from.BodyOp, e)
-		prev := idMap[edge.From]
+		nd.AddDistance(e) // every hop of the chain
+		roleKey := fmt.Sprintf("%d|%s", from.BodyOp, e.Key())
+		role, ok := roleIDs[roleKey]
+		if !ok {
+			role = -(fwdBodyOpBase + len(roleIDs))
+			roleIDs[roleKey] = role
+		}
+		prev := edge.From
 		for s := 1; s < steps; s++ {
 			key := fmt.Sprintf("%d|%s|%d", edge.From, e.Key(), s)
 			relay, ok := relays[key]
@@ -88,24 +87,18 @@ func ApplyForwarding(d *ir.DFG, g *ir.ISDG, m *systolic.Mapping) (*ir.DFG, *ir.I
 				for r := 0; r < s; r++ {
 					iter = iter.Add(e)
 				}
-				rn := nd.AddNode(&ir.Node{
-					Kind:   ir.OpRoute,
-					Name:   fmt.Sprintf("fwd.%s", from.Name),
-					BodyOp: role,
-					Iter:   iter,
-				})
-				relay = rn.ID
+				relay = nd.AddNode(&ir.Node{Kind: ir.OpRoute, Name: "fwd." + from.Name, BodyOp: role, Iter: iter}).ID
 				relays[key] = relay
 				nd.AddEdge(prev, relay, 0)
 			}
 			prev = relay
 		}
-		nd.AddEdge(prev, idMap[edge.To], edge.ToPort)
+		nd.AddEdge(prev, edge.To, edge.ToPort)
 	}
 	err := nd.Validate()
 	var ng *ir.ISDG
 	if err == nil {
-		ng, err = ir.BuildISDG(nd)
+		ng, err = ir.NewISDG(nd)
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("himap: forwarding transform produced invalid DFG: %v: %w", err, diag.ErrSchemeInfeasible)

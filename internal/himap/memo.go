@@ -58,14 +58,14 @@ type memoKey struct {
 }
 
 // memoBudget is the weight a Memo holds before it resets. An unrolled
-// node or edge keeps about 110 bytes live (GEMM 111, FW 110, MVT 113,
-// ADI 109 at 16 per dimension: the DFG's node slab and CSR adjacency and
-// the ISDG's clusters and dense tables), so this is roughly 115 MB:
-// seven times what the serve_mix workload of BENCHMARK.json leaves in
-// the shared memo (about 150k) and six times the heaviest single
-// compile any workload runs (GEMM 64×64, 169k), so a reset only ever
-// answers unbounded key churn — a client varying an inline spec per
-// request.
+// node or edge keeps about 113 bytes live (GEMM 113, FW 113, MVT 116,
+// ADI 111 at 16 per dimension: the DFG's node slab, CSR adjacency and
+// node table, 4 bytes per point and row, 180 KB of GEMM's 4.7 MB; the
+// ISDG's clusters), so this is roughly 118 MB: seven times what the
+// serve_mix workload of BENCHMARK.json leaves in the shared memo (about
+// 150k) and six times the heaviest single compile any workload runs
+// (GEMM 64×64, 169k), so a reset only ever answers unbounded key churn —
+// a client varying an inline spec per request.
 const memoBudget = 1 << 20
 
 type isdgArtifact struct {

@@ -16,6 +16,7 @@ import (
 type classTemplate struct {
 	place, wire         *route.Template
 	placeRefs, wireRefs []nodeRef
+	loads, stores       int // the memory stamps each member adds
 }
 
 // replicate stamps every class's canonical placements and routes onto all
@@ -26,15 +27,21 @@ type classTemplate struct {
 // (Config.Validate), not replicate's job.
 func (l *layout) replicate(plans [][]canonNet) (*arch.Config, error) {
 	cfg := arch.NewConfig(l.cg, l.iib)
-	em := route.NewEmitter(cfg, l.g.DFG)
-	nt := buildNodeTable(l.g)
+	d := l.g.DFG
+	em := route.NewEmitter(cfg, d)
 	tmpls := make([]classTemplate, len(l.classes))
-	for classIdx := range l.classes {
+	loads, stores := 0, 0
+	for classIdx, cl := range l.classes {
 		var err error
-		if tmpls[classIdx], err = l.recordClass(em, nt, classIdx, plans[classIdx]); err != nil {
+		if tmpls[classIdx], err = l.recordClass(em, classIdx, plans[classIdx]); err != nil {
 			return nil, err
 		}
+		loads += tmpls[classIdx].loads * len(cl.Members)
+		stores += tmpls[classIdx].stores * len(cl.Members)
 	}
+	// Every member stamps its memory accesses afresh: size the lists once.
+	cfg.Loads = make([]arch.IOSpec, 0, loads)
+	cfg.Stores = make([]arch.IOSpec, 0, stores)
 
 	// Ops and loads, cluster by cluster: clusters are numbered in DFG node
 	// order, which is the order cfg.Loads lists the memory reads in.
@@ -43,7 +50,7 @@ func (l *layout) replicate(plans [][]canonNet) (*arch.Config, error) {
 		classIdx := l.byClust[mc.ID]
 		ct := &tmpls[classIdx]
 		var err error
-		if ids, err = nt.resolve(ids[:0], ct.placeRefs, mc.Iter); err != nil {
+		if ids, err = resolve(d, ids[:0], ct.placeRefs, mc.Iter); err != nil {
 			return nil, err
 		}
 		dt, dr, dc := l.shift(l.classes[classIdx].Rep, mc.ID)
@@ -58,7 +65,7 @@ func (l *layout) replicate(plans [][]canonNet) (*arch.Config, error) {
 		for _, m := range cl.Members {
 			mc := l.g.Clusters[m]
 			var err error
-			if ids, err = nt.resolve(ids[:0], ct.wireRefs, mc.Iter); err != nil {
+			if ids, err = resolve(d, ids[:0], ct.wireRefs, mc.Iter); err != nil {
 				return nil, err
 			}
 			dt, dr, dc := l.shift(cl.Rep, m)
@@ -85,7 +92,7 @@ func (l *layout) shift(rep, m int) (dt, dr, dc int) {
 // — so a member looks nothing up beyond its refs: the net sources, and
 // every sink's consumer (which labels a store, and must exist for any
 // sink).
-func (l *layout) recordClass(em *route.Emitter, nt *nodeTable, classIdx int, nets []canonNet) (classTemplate, error) {
+func (l *layout) recordClass(em *route.Emitter, classIdx int, nets []canonNet) (classTemplate, error) {
 	d := l.g.DFG
 	rep := l.g.Clusters[l.classes[classIdx].Rep]
 	ct := classTemplate{place: em.NewTemplate(), wire: em.NewTemplate()}
@@ -111,22 +118,25 @@ func (l *layout) recordClass(em *route.Emitter, nt *nodeTable, classIdx int, net
 			if err := ct.place.PlaceLoad(abs, ref); err != nil {
 				return ct, err
 			}
+			ct.loads++
 		default:
 			continue
 		}
-		ct.placeRefs = append(ct.placeRefs, nt.ref(n, rep.Iter))
+		ct.placeRefs = append(ct.placeRefs, refOf(d, n, rep.Iter))
 	}
 	for _, cn := range nets {
 		src := len(ct.wireRefs)
-		ct.wireRefs = append(ct.wireRefs, nt.ref(d.Nodes[cn.SrcID], rep.Iter))
+		ct.wireRefs = append(ct.wireRefs, refOf(d, d.Nodes[cn.SrcID], rep.Iter))
 		for _, sink := range cn.Sinks {
 			to := d.Nodes[sink.ConsumerID]
 			cons := len(ct.wireRefs)
-			ct.wireRefs = append(ct.wireRefs, nt.ref(to, rep.Iter))
+			ct.wireRefs = append(ct.wireRefs, refOf(d, to, rep.Iter))
 			if err := ct.wire.EmitPath(sink.Path, src, cons); err != nil {
 				return ct, fmt.Errorf("himap: replication conflict (class %d): %w", classIdx, err)
 			}
-			if to.Kind.IsCompute() {
+			if to.Kind == ir.OpStore {
+				ct.stores++
+			} else if to.Kind.IsCompute() {
 				abs, _ := l.nodeAbs(sink.ConsumerID)
 				if err := ct.wire.SetOperand(abs, sink.Port, sink.Path, src); err != nil {
 					return ct, fmt.Errorf("himap: operand conflict (class %d): %w", classIdx, err)

@@ -11,9 +11,10 @@ import (
 
 // replicateValidateAllocCeiling is the measured allocation count of one
 // replicate + validate run of ADI 32x32: the configuration (3), the
-// claim and node tables, two templates per class with their refs, and
-// the chunks the per-word pieces are carved from — nothing per cluster.
-const replicateValidateAllocCeiling = 165
+// claim table, the load and store lists sized once, two templates per
+// class with their refs, and the chunks the per-word pieces are carved
+// from — nothing per cluster, and no node table (the DFG carries it).
+const replicateValidateAllocCeiling = 139
 
 // replicateValidateIter isolates Algorithm 1 line 29 and the final
 // check: ADI on 32x32 is compiled once through the route stage, and the
@@ -59,5 +60,28 @@ func BenchmarkReplicateValidate(b *testing.B) {
 func TestReplicateValidateAllocCeiling(t *testing.T) {
 	if allocs := testing.AllocsPerRun(5, replicateValidateIter(t)); allocs > replicateValidateAllocCeiling {
 		t.Fatalf("replicate+validate regressed: %.0f allocs per run, ceiling is %d", allocs, replicateValidateAllocCeiling)
+	}
+}
+
+// TestReplicateSizesIOOnce: replicate sizes Loads and Stores from its
+// class templates before it stamps, so neither list grows: on a mesh and
+// a torus, every evaluation kernel's lists have their length as their
+// capacity.
+func TestReplicateSizesIOOnce(t *testing.T) {
+	torus := arch.DefaultFabric(8, 8)
+	torus.Topology = arch.TopoTorus
+	for _, fab := range []arch.Fabric{arch.DefaultFabric(8, 8), torus} {
+		for _, k := range kernel.Evaluation() {
+			res, err := CompileRequest(context.Background(), k, fab, Options{Workers: 1})
+			if err != nil {
+				t.Fatalf("%s on %v: %v", k.Name, fab, err)
+			}
+			cfg := res.Config
+			if len(cfg.Loads) == 0 || len(cfg.Stores) == 0 ||
+				cap(cfg.Loads) != len(cfg.Loads) || cap(cfg.Stores) != len(cfg.Stores) {
+				t.Errorf("%s on %v: %d of %d loads, %d of %d stores", k.Name, fab,
+					len(cfg.Loads), cap(cfg.Loads), len(cfg.Stores), cap(cfg.Stores))
+			}
+		}
 	}
 }

@@ -224,77 +224,41 @@ func clusterSignature(g *ir.ISDG, cp *ClusterPlace, ci int, sc *sigScratch) sigH
 	return sig
 }
 
-// nodeTable locates nodes by (body op, iteration point) in a dense
-// table, supporting the translation of a class representative's nodes
-// onto class members: the member's counterpart of a node sits in the same
-// row at the member's point index, so replication resolves it with one
-// add and one load.
-type nodeTable struct {
-	block []int
-	npts  int
-	lo    int     // smallest body op (forwarding roles are negative)
-	row   []int32 // body op - lo → 1 + row of at; 0 for an op without nodes
-	at    []int32 // row*npts + point index → 1 + node ID; 0 where absent
-}
-
-func buildNodeTable(g *ir.ISDG) *nodeTable {
-	d := g.DFG
-	lo, hi := d.Nodes[0].BodyOp, d.Nodes[0].BodyOp
-	for _, n := range d.Nodes {
-		lo, hi = min(lo, n.BodyOp), max(hi, n.BodyOp)
-	}
-	nt := &nodeTable{block: d.Block, npts: ir.BoxSize(d.Block), lo: lo, row: make([]int32, hi-lo+1)}
-	rows := int32(0)
-	for _, n := range d.Nodes {
-		if nt.row[n.BodyOp-lo] == 0 {
-			rows++
-			nt.row[n.BodyOp-lo] = rows
-		}
-	}
-	nt.at = make([]int32, int(rows)*nt.npts)
-	for _, n := range d.Nodes {
-		nt.at[nt.rowBase(n.BodyOp)+ir.PointIndex(n.Iter, nt.block)] = int32(n.ID) + 1
-	}
-	return nt
-}
-
-// rowBase returns the offset in at of a body op's row.
-func (nt *nodeTable) rowBase(bodyOp int) int { return int(nt.row[bodyOp-nt.lo]-1) * nt.npts }
-
-// nodeRef names a node relative to a cluster: its body op's row and its
-// iteration offset from the cluster.
+// nodeRef names a node relative to a cluster through the DFG's node
+// table: a member's counterpart of a representative's node sits in the
+// same row at the member's point index, one add and one load away.
 type nodeRef struct {
-	base  int        // row offset in at, plus the point-index offset of dIter
+	base  int        // the body op's row offset, plus the point-index offset of dIter
 	body  int        // body op, for error text
 	dIter ir.IterVec // offset from the cluster's iteration; nil inside it
 }
 
-// ref describes node n relative to the cluster at iteration from.
-func (nt *nodeTable) ref(n *ir.Node, from ir.IterVec) nodeRef {
-	rf := nodeRef{base: nt.rowBase(n.BodyOp), body: n.BodyOp}
+// refOf describes node n of d relative to the cluster at iteration from.
+func refOf(d *ir.DFG, n *ir.Node, from ir.IterVec) nodeRef {
+	rf := nodeRef{base: d.NodeRow(n.BodyOp), body: n.BodyOp}
 	if !n.Iter.Equal(from) {
 		rf.dIter = n.Iter.Sub(from)
 		// PointIndex is linear, so an offset's index is the index offset.
-		rf.base += ir.PointIndex(rf.dIter, nt.block)
+		rf.base += ir.PointIndex(rf.dIter, d.Block)
 	}
 	return rf
 }
 
-// resolve appends to dst the node each ref names relative to the cluster
-// at iteration iter; a ref that leaves the block or names no node there
-// is an ErrReplicaConflict.
-func (nt *nodeTable) resolve(dst []int32, refs []nodeRef, iter ir.IterVec) ([]int32, error) {
-	pi := ir.PointIndex(iter, nt.block)
+// resolve appends to dst the node of d each ref names relative to the
+// cluster at iteration iter; a ref that leaves the block or names no node
+// there is an ErrReplicaConflict.
+func resolve(d *ir.DFG, dst []int32, refs []nodeRef, iter ir.IterVec) ([]int32, error) {
+	pi := ir.PointIndex(iter, d.Block)
 	for _, rf := range refs {
-		id := int32(0)
-		if iter.InBoxAt(rf.dIter, nt.block) {
-			id = nt.at[rf.base+pi]
+		id := -1
+		if iter.InBoxAt(rf.dIter, d.Block) {
+			id = d.NodeAt(rf.base + pi)
 		}
-		if id == 0 {
+		if id < 0 {
 			return dst, fmt.Errorf("himap: replication cannot find body op %d at offset %v of member %v: %w",
 				rf.body, rf.dIter, iter, diag.ErrReplicaConflict)
 		}
-		dst = append(dst, id-1)
+		dst = append(dst, int32(id))
 	}
 	return dst, nil
 }

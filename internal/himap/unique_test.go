@@ -102,20 +102,20 @@ func TestUniqueCountSaturatesWithBlock(t *testing.T) {
 
 func TestNodeTableResolvesEveryNode(t *testing.T) {
 	g, _ := placeBICG(t, 4)
-	nt := buildNodeTable(g)
+	d := g.DFG
 	origin := ir.IterVec{0, 0}
-	for _, n := range g.DFG.Nodes {
+	for _, n := range d.Nodes {
 		// Seen from the origin cluster and from its own.
 		for _, from := range []ir.IterVec{origin, n.Iter} {
-			ids, err := nt.resolve(nil, []nodeRef{nt.ref(n, from)}, from)
+			ids, err := resolve(d, nil, []nodeRef{refOf(d, n, from)}, from)
 			if err != nil || int(ids[0]) != n.ID {
 				t.Fatalf("resolve(%v from %v) = %v, %v; want %d", n, from, ids, err, n.ID)
 			}
 		}
 	}
 	// The same offset from the far corner leaves the block.
-	last := g.DFG.Nodes[len(g.DFG.Nodes)-1]
-	if _, err := nt.resolve(nil, []nodeRef{nt.ref(last, origin)}, last.Iter); !errors.Is(err, diag.ErrReplicaConflict) {
+	last := d.Nodes[len(d.Nodes)-1]
+	if _, err := resolve(d, nil, []nodeRef{refOf(d, last, origin)}, last.Iter); !errors.Is(err, diag.ErrReplicaConflict) {
 		t.Errorf("out-of-block ref: err = %v, want ErrReplicaConflict", err)
 	}
 }

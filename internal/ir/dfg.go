@@ -56,13 +56,22 @@ type DFG struct {
 
 	Block []int // block sizes (b1, ..., bl) the DFG was unrolled for
 
-	// Shapes[PointIndex(iter, Block)] interns iteration iter's guard
-	// shape: the case each input port selected and the store rules that
-	// fired, which fix its nodes, constants, tensors and in-edges. Only
-	// kernel.BuildDFG records them.
+	// Shapes[PointIndex(iter, Block)] numbers iteration iter's guard
+	// shape in order of first appearance: the case each input port
+	// selected and the store rules that fired, which fix its nodes,
+	// constants, tensors and in-edges. Only kernel.BuildDFG records them.
 	Shapes []int32
 
 	slab []Node // AddNode's backing store; a full slab is replaced, never grown
+
+	// What the constructor records, so no reader walks Nodes or Edges
+	// again: point[id] is node id's PointIndex in Block (-1 outside); the
+	// node table at[r*BoxSize(Block)+p] is 1 + the ID of body op rows[r]'s
+	// node at point p (0: none); dists are those AddDistance was given.
+	point []int32
+	rows  []int
+	at    []int32
+	dists []IterVec
 
 	// adj[outOff[id]:outOff[id+1]] are the indices into Edges of the
 	// edges leaving id, in insertion order; inOff likewise. Valid while
@@ -79,14 +88,18 @@ func NewDFG(block []int) *DFG {
 	return &DFG{Block: b}
 }
 
-// Grow reserves room for nodes more nodes and edges more edges, so a
-// constructor that knows its size up front pays one allocation each.
-func (d *DFG) Grow(nodes, edges int) {
+// Grow reserves room for nodes more nodes, edges more edges and rows more
+// node-table rows, so a constructor that knows its size pays one
+// allocation each.
+func (d *DFG) Grow(nodes, edges, rows int) {
 	if cap(d.slab)-len(d.slab) < nodes {
 		d.slab = make([]Node, 0, nodes)
 	}
 	d.Nodes = slices.Grow(d.Nodes, nodes)
+	d.point = slices.Grow(d.point, nodes)
 	d.Edges = slices.Grow(d.Edges, edges)
+	d.rows = slices.Grow(d.rows, rows)
+	d.at = slices.Grow(d.at, rows*BoxSize(d.Block))
 }
 
 // AddNode appends a copy of n, assigning its ID, and returns the copy.
@@ -101,9 +114,34 @@ func (d *DFG) AddNode(n *Node) *Node {
 	p := &d.slab[len(d.slab)-1]
 	p.ID = len(d.Nodes)
 	d.Nodes = append(d.Nodes, p)
+	pi := -1
+	if p.Iter.InBox(d.Block) {
+		pi = PointIndex(p.Iter, d.Block)
+		row := d.NodeRow(p.BodyOp)
+		if row < 0 {
+			row = len(d.at)
+			d.rows = append(d.rows, p.BodyOp)
+			d.at = append(d.at, make([]int32, BoxSize(d.Block))...)
+		}
+		d.at[row+pi] = int32(p.ID) + 1
+	}
+	d.point = append(d.point, int32(pi))
 	d.indexed = false
 	return p
 }
+
+// NodeRow returns the offset of body op bodyOp's row in the node table
+// (-1: no node has that body op), and NodeAt(row+pi) the ID of its node
+// at point index pi of Block (-1: none).
+func (d *DFG) NodeRow(bodyOp int) int {
+	if r := slices.Index(d.rows, bodyOp); r >= 0 {
+		return r * BoxSize(d.Block)
+	}
+	return -1
+}
+
+// NodeAt: see NodeRow.
+func (d *DFG) NodeAt(i int) int { return int(d.at[i]) - 1 }
 
 // AddEdge appends a dependence edge from -> to at the given consumer port.
 func (d *DFG) AddEdge(from, to, port int) {
@@ -112,6 +150,14 @@ func (d *DFG) AddEdge(from, to, port int) {
 	}
 	d.Edges = append(d.Edges, Edge{From: from, To: to, ToPort: port})
 	d.indexed = false
+}
+
+// AddDistance records v, once, as the To.Iter - From.Iter of an edge the
+// constructor wires between points. The DFG keeps v itself, read-only.
+func (d *DFG) AddDistance(v IterVec) {
+	if !slices.ContainsFunc(d.dists, v.Equal) { // a kernel has a handful
+		d.dists = append(d.dists, v)
+	}
 }
 
 // index rebuilds the CSR adjacency. It counts each node's degrees,

@@ -1,7 +1,6 @@
 package ir
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -20,8 +19,8 @@ type Cluster struct {
 // dependence edges E are the DFG edges between clusters, and what the
 // mapper needs of them is their distinct distance vectors.
 //
-// The iteration space is DFG.Block, a box, so every lookup is a dense
-// table over PointIndex: no hashing, no per-node key strings.
+// The iteration space is DFG.Block, a box; cluster c is its point of
+// PointIndex c, so every lookup is an index: no hashing, no key strings.
 type ISDG struct {
 	DFG      *DFG
 	Clusters []*Cluster
@@ -37,123 +36,103 @@ type ISDG struct {
 	// unique-iteration signature. Nil when the DFG records no shapes.
 	ShapeKey     []int32
 	NumShapeKeys int
-
-	at      []int32 // PointIndex in DFG.Block -> 1 + cluster ID; 0 where none
-	cluster []int   // DFG node ID -> cluster ID
 }
 
-// pointOf returns the index of iter in the cluster table, or -1 when it
-// lies outside the block.
-func (g *ISDG) pointOf(iter IterVec) int {
-	if !iter.InBox(g.DFG.Block) {
-		return -1
-	}
-	return PointIndex(iter, g.DFG.Block)
-}
-
-// BuildISDG clusters the DFG by iteration vector. The DFG must state its
-// Block, and every node must carry an Iter inside it.
-func BuildISDG(d *DFG) (*ISDG, error) {
+// NewISDG clusters d from the points AddNode recorded and the distances its
+// constructor stated, walking neither Nodes nor Edges; every node must lie in Block.
+func NewISDG(d *DFG) (*ISDG, error) {
 	if len(d.Block) == 0 {
 		return nil, fmt.Errorf("ir: DFG of %d nodes states no block", len(d.Nodes))
 	}
-	g := &ISDG{DFG: d, at: make([]int32, BoxSize(d.Block)), cluster: make([]int, len(d.Nodes))}
-	// Cluster IDs in order of each iteration's first node; sizes counted
-	// so the clusters and their node lists are carved from three slabs.
-	var sizes []int32
-	for _, n := range d.Nodes {
-		if n.Iter == nil {
-			return nil, fmt.Errorf("ir: node %v has no iteration vector", n)
+	npts, dim := BoxSize(d.Block), len(d.Block)
+	// Counting sort by point: end[p] counts, starts, then ends cluster p.
+	end := make([]int32, npts)
+	for id, p := range d.point {
+		if p < 0 {
+			return nil, fmt.Errorf("ir: node %v lies outside block %v", d.Nodes[id], d.Block)
 		}
-		pi := g.pointOf(n.Iter)
-		if pi < 0 {
-			return nil, fmt.Errorf("ir: node %v lies outside block %v", n, d.Block)
-		}
-		if g.at[pi] == 0 {
-			sizes = append(sizes, 0)
-			g.at[pi] = int32(len(sizes))
-		}
-		ci := int(g.at[pi]) - 1
-		sizes[ci]++
-		g.cluster[n.ID] = ci
+		end[p]++
 	}
-	dim := len(d.Block)
-	clusters := make([]Cluster, len(sizes))
-	g.Clusters = make([]*Cluster, len(sizes))
-	nodes := make([]int, len(d.Nodes))
-	iters := make([]int, len(sizes)*dim)
-	for ci, sz := range sizes {
-		clusters[ci] = Cluster{ID: ci, Iter: iters[ci*dim : (ci+1)*dim : (ci+1)*dim], Nodes: nodes[:0:sz]}
-		g.Clusters[ci] = &clusters[ci]
-		nodes = nodes[sz:]
+	sum := int32(0)
+	for p, c := range end {
+		end[p] = sum
+		sum += c
 	}
-	for _, n := range d.Nodes {
-		c := g.Clusters[g.cluster[n.ID]]
-		if len(c.Nodes) == 0 {
-			copy(c.Iter, n.Iter)
-		}
-		c.Nodes = append(c.Nodes, n.ID)
+	nodes := make([]int, len(d.point))
+	for id, p := range d.point {
+		nodes[end[p]] = id
+		end[p]++
 	}
-
-	// A kernel has a handful of distinct distances, so membership is a
-	// scan of those found so far; each edge's distance is computed into
-	// one scratch vector and cloned only when it is new.
-	dist := make(IterVec, dim)
-	for _, e := range d.Edges {
-		cf, ct := g.cluster[e.From], g.cluster[e.To]
-		if cf == ct {
-			continue
-		}
-		from, to := g.Clusters[cf].Iter, g.Clusters[ct].Iter
-		for i := range dist {
-			dist[i] = to[i] - from[i]
-		}
-		if !slices.ContainsFunc(g.DistanceVectors, dist.Equal) {
-			g.DistanceVectors = append(g.DistanceVectors, dist.Clone())
-		}
-	}
+	g := &ISDG{DFG: d, Clusters: make([]*Cluster, npts), DistanceVectors: slices.Clone(d.dists)}
 	sort.Slice(g.DistanceVectors, func(i, j int) bool { return g.DistanceVectors[i].Key() < g.DistanceVectors[j].Key() })
+	clusters, iters := make([]Cluster, npts), make([]int, 0, npts*dim)
+	p, lo := 0, int32(0)
+	ForEachPoint(d.Block, func(v IterVec) {
+		iters = append(iters, v...)
+		clusters[p] = Cluster{ID: p, Iter: iters[p*dim:][:dim:dim], Nodes: nodes[lo:end[p]:end[p]]}
+		g.Clusters[p], lo = &clusters[p], end[p]
+		p++
+	})
 	if d.Shapes != nil {
 		g.numberShapeKeys()
 	}
 	return g, nil
 }
 
-// numberShapeKeys fills ShapeKey, interning each key tuple once.
+// BuildISDG is NewISDG for a DFG whose constructor did not state its
+// distances, or edited nodes after adding them: it checks that every
+// node still has an iteration and records the distance of every edge
+// between points first.
+func BuildISDG(d *DFG) (*ISDG, error) {
+	for _, n := range d.Nodes {
+		if n.Iter == nil {
+			return nil, fmt.Errorf("ir: node %v has no iteration vector", n)
+		}
+	}
+	for _, e := range d.Edges {
+		if pf, pt := d.point[e.From], d.point[e.To]; pf != pt && pf >= 0 && pt >= 0 {
+			d.AddDistance(d.Nodes[e.To].Iter.Sub(d.Nodes[e.From].Iter))
+		}
+	}
+	return NewISDG(d)
+}
+
+// numberShapeKeys fills ShapeKey: a cluster's key is its shape, then the
+// digit shape+1 at Iter+v for each distance v (0 outside the block),
+// numbered in order of first appearance one digit at a time, through a
+// (prefix number, digit) table, so no key is rendered or hashed.
 func (g *ISDG) numberShapeKeys() {
 	block, shapes := g.DFG.Block, g.DFG.Shapes
-	ids := map[string]int32{}
-	var key []byte
-	g.ShapeKey = make([]int32, len(g.Clusters))
-	for _, c := range g.Clusters {
-		pi := PointIndex(c.Iter, block)
-		key = binary.AppendUvarint(key[:0], uint64(shapes[pi])+1)
-		for _, v := range g.DistanceVectors {
-			at := uint64(0) // outside the block
+	key, n := slices.Clone(shapes), slices.Max(shapes)+1
+	radix := n + 1
+	for _, v := range g.DistanceVectors {
+		next := make([]int32, n*radix) // 1 + number of prefix*radix+digit; 0 unseen
+		n = 0
+		off := PointIndex(v, block) // PointIndex is linear: an offset's index is the index offset
+		for p, c := range g.Clusters {
+			digit := int32(0) // outside the block
 			if c.Iter.InBoxAt(v, block) {
-				// PointIndex is linear, so an offset's index is the index offset.
-				at = uint64(shapes[pi+PointIndex(v, block)]) + 1
+				digit = shapes[p+off] + 1
 			}
-			key = binary.AppendUvarint(key, at)
+			slot := &next[key[p]*radix+digit]
+			if *slot == 0 {
+				n++
+				*slot = n
+			}
+			key[p] = *slot - 1
 		}
-		id, ok := ids[string(key)]
-		if !ok {
-			id = int32(len(ids))
-			ids[string(key)] = id
-		}
-		g.ShapeKey[c.ID] = id
 	}
-	g.NumShapeKeys = len(ids)
+	g.ShapeKey, g.NumShapeKeys = key, int(n)
 }
 
 // ClusterOf returns the cluster ID owning DFG node id.
-func (g *ISDG) ClusterOf(id int) int { return g.cluster[id] }
+func (g *ISDG) ClusterOf(id int) int { return int(g.DFG.point[id]) }
 
-// ClusterAt returns the cluster for an iteration vector, or nil.
+// ClusterAt returns the cluster for an iteration vector, or nil outside
+// the block.
 func (g *ISDG) ClusterAt(iter IterVec) *Cluster {
-	pi := g.pointOf(iter)
-	if pi < 0 || g.at[pi] == 0 {
+	if !iter.InBox(g.DFG.Block) {
 		return nil
 	}
-	return g.Clusters[g.at[pi]-1]
+	return g.Clusters[PointIndex(iter, g.DFG.Block)]
 }

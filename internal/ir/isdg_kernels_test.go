@@ -1,11 +1,13 @@
 package ir_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
 	"testing"
 
+	"himap/internal/arch"
 	"himap/internal/himap"
 	"himap/internal/ir"
 	"himap/internal/kernel"
@@ -60,13 +62,12 @@ func checkDistances(t *testing.T, name string, g *ir.ISDG) {
 	}
 }
 
-// forwardedISDG returns the ISDG ApplyForwarding builds for a kernel
-// whose (0,2) dependence crosses two PEs when both dimensions map to
-// space, so every such edge becomes a chain of two (0,1) steps.
-func forwardedISDG(t *testing.T) *ir.ISDG {
-	t.Helper()
+// hop2Kernel's (0,2) dependence crosses two PEs when both dimensions map
+// to space, so every such edge is forwarded as a chain of two (0,1)
+// steps.
+func hop2Kernel() *kernel.Kernel {
 	ij := kernel.AM(2, []int{1, 0, 0}, []int{0, 1, 0})
-	k := &kernel.Kernel{
+	return &kernel.Kernel{
 		Name: "HOP2", Desc: "synthetic distance-2 dependence", Suite: "custom",
 		Dim: 2, MinBlock: 4,
 		Tensors: []kernel.TensorSpec{
@@ -80,8 +81,47 @@ func forwardedISDG(t *testing.T) *ir.ISDG {
 				kernel.Case{When: kernel.Always(), Src: kernel.Dep(0, 0, 2)}),
 			Stores: []kernel.StoreRule{{When: kernel.Always(), Tensor: "O", Map: ij}}}},
 	}
-	block := []int{4, 6}
-	d, g, err := k.BuildISDG(block)
+}
+
+// stripeKernel stores row 1 a second time, under a guard inside the
+// block, and wires its (0,1) dependence only where a guard lets it.
+func stripeKernel() *kernel.Kernel {
+	ij := kernel.AM(2, []int{1, 0, 0}, []int{0, 1, 0})
+	out := func(b []int) []int { return []int{b[0], b[1]} }
+	return &kernel.Kernel{
+		Name: "STRIPE", Desc: "a store guarded inside the block", Suite: "custom",
+		Dim: 2, MinBlock: 3,
+		Tensors: []kernel.TensorSpec{{Name: "A", Dims: out}, {Name: "O", Out: true, Dims: out}, {Name: "S", Out: true, Dims: out}},
+		Body: []kernel.BodyOp{{Name: "acc", Kind: ir.OpAdd,
+			A: kernel.Fixed(kernel.Mem("A", ij)),
+			B: kernel.In(
+				kernel.Case{When: kernel.First(1), Src: kernel.Const(0)},
+				kernel.Case{When: kernel.Always(), Src: kernel.Dep(0, 0, 1)}),
+			Stores: []kernel.StoreRule{
+				{When: kernel.Always(), Tensor: "O", Map: ij},
+				{When: kernel.AtIndex(0, 1), Tensor: "S", Map: ij}}}},
+	}
+}
+
+// lagKernel is HOP2 with a guard looser than its dependence: B is the
+// constant for j < 3 although the (0,2) source is inside from j = 2. So
+// the origin's shape recurs at a dependence's far end, and on a block 4
+// wide in j one cluster (j = 2) has that end outside the block where
+// another (j = 0) has it at the origin's shape.
+func lagKernel() *kernel.Kernel {
+	k := hop2Kernel()
+	k.Name = "LAG3"
+	k.Body[0].B = kernel.In(
+		kernel.Case{When: kernel.Before(1, 3), Src: kernel.Const(0)},
+		kernel.Case{When: kernel.Always(), Src: kernel.Dep(0, 0, 2)})
+	return k
+}
+
+// forwardedISDG returns the ISDG ApplyForwarding builds for HOP2 on a
+// block, under the scheme that maps both dimensions to space.
+func forwardedISDG(t *testing.T, block []int) *ir.ISDG {
+	t.Helper()
+	d, g, err := hop2Kernel().BuildISDG(block)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,9 +133,60 @@ func forwardedISDG(t *testing.T) *ir.ISDG {
 	return fg
 }
 
+// TestISDGMatchesWalk holds the ISDG built from what the unroll and
+// ApplyForwarding record — clusters, ClusterOf, distances, shape keys —
+// and the DFG's node table to the walks over the finished DFG
+// (ir.MatchesWalk): every evaluation and extension kernel and STRIPE at
+// uniform blocks 2, 3, 4 and 8 (raised to the kernel's minimum), the ten
+// (kernel, block) pairs of the scale64 workload, LAG3, HOP2 forwarded at
+// three blocks, and the DFG and ISDG of HOP2 compiles on an 8x8 mesh and
+// torus.
+func TestISDGMatchesWalk(t *testing.T) {
+	check := func(name string, g *ir.ISDG) {
+		t.Helper()
+		if err := ir.MatchesWalk(g); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	build := func(k *kernel.Kernel, block []int) {
+		t.Helper()
+		_, g, err := k.BuildISDG(block)
+		if err != nil {
+			t.Fatalf("%s %v: %v", k.Name, block, err)
+		}
+		check(fmt.Sprintf("%s %v", k.Name, block), g)
+	}
+	for _, k := range append(kernel.Evaluation(), append(kernel.Extensions(), stripeKernel(), lagKernel())...) {
+		for _, b := range []int{2, 3, 4, 8} {
+			build(k, k.UniformBlock(max(b, k.MinBlock)))
+		}
+	}
+	for _, k := range []*kernel.Kernel{kernel.ADI(), kernel.ATAX(), kernel.BICG(), kernel.MVT()} {
+		build(k, []int{32, 32})
+		build(k, []int{64, 64})
+	}
+	build(kernel.GEMM(), []int{32, 32, 4})
+	build(kernel.GEMM(), []int{64, 64, 4})
+	for _, block := range [][]int{{4, 6}, {4, 8}, {8, 8}} {
+		check(fmt.Sprintf("HOP2 %v forwarded", block), forwardedISDG(t, block))
+	}
+	torus := arch.DefaultFabric(8, 8)
+	torus.Topology = arch.TopoTorus
+	for _, fab := range []arch.Fabric{arch.DefaultFabric(8, 8), torus} {
+		res, err := himap.CompileRequest(context.Background(), hop2Kernel(), fab, himap.Options{Workers: 1})
+		if err != nil {
+			t.Fatalf("HOP2 on %v: %v", fab, err)
+		}
+		if res.ISDG.ShapeKey != nil {
+			t.Errorf("HOP2 on %v: the compile did not forward (a forwarded DFG records no shapes)", fab)
+		}
+		check(fmt.Sprintf("HOP2 compiled on %v", fab), res.ISDG)
+	}
+}
+
 // TestISDGDistanceVectors: on every evaluation and extension kernel at
-// two blocks, and on a forwarded DFG, the distances BuildISDG collects in
-// its one pass equal a map restatement over the DFG's edges.
+// two blocks, and on a forwarded DFG, the distances the constructors
+// state with AddDistance equal a map restatement over the DFG's edges.
 func TestISDGDistanceVectors(t *testing.T) {
 	kernels := append(kernel.Evaluation(), kernel.Extensions()...)
 	for _, k := range kernels {
@@ -112,7 +203,7 @@ func TestISDGDistanceVectors(t *testing.T) {
 			checkDistances(t, name, g)
 		}
 	}
-	checkDistances(t, "HOP2 [4 6] forwarded", forwardedISDG(t))
+	checkDistances(t, "HOP2 [4 6] forwarded", forwardedISDG(t, []int{4, 6}))
 
 	// A chain that meets (1,0) before (0,1), and (1,0) twice: the list is
 	// in Key order, not in the order the edges meet the distances.
@@ -133,23 +224,23 @@ func TestISDGDistanceVectors(t *testing.T) {
 	}
 }
 
-// isdgFootprintCeiling bounds what ir.BuildISDG allocates for GEMM
-// 64×64×4 (16,384 iterations, 70,144 nodes): the cluster slabs, the
-// point and node tables, and the distances. It measured 2.9 MB; a list
-// of cluster edges with their adjacency took 6.9 MB.
-const isdgFootprintCeiling = 3_500_000
+// isdgFootprintCeiling bounds what ir.NewISDG allocates to cluster GEMM
+// 64×64×4 (16,384 iterations, 70,144 nodes) from the unroll's records:
+// the cluster slabs, the node lists, the shape-key tables and the
+// distances. The walk it replaced allocated 2.98 MB, with its point and
+// node tables; a list of cluster edges with their adjacency took 6.9 MB.
+const isdgFootprintCeiling = 2_500_000
 
 // TestBuildISDGFootprint holds one large clustering under its byte
 // ceiling, measured on a second call so process-wide first-use costs
 // are not counted.
 func TestBuildISDGFootprint(t *testing.T) {
-	d, err := kernel.GEMM().BuildDFG([]int{64, 64, 4})
+	d, g, err := kernel.GEMM().BuildISDG([]int{64, 64, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var g *ir.ISDG
 	build := func() {
-		if g, err = ir.BuildISDG(d); err != nil {
+		if g, err = ir.NewISDG(d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,6 +252,6 @@ func TestBuildISDGFootprint(t *testing.T) {
 	bytes := after.TotalAlloc - before.TotalAlloc
 	t.Logf("GEMM 64x64x4: %d nodes, %d clusters, %d bytes", len(d.Nodes), len(g.Clusters), bytes)
 	if bytes > isdgFootprintCeiling {
-		t.Errorf("BuildISDG allocated %d bytes, ceiling is %d", bytes, isdgFootprintCeiling)
+		t.Errorf("NewISDG allocated %d bytes, ceiling is %d", bytes, isdgFootprintCeiling)
 	}
 }

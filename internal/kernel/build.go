@@ -54,17 +54,17 @@ func (k *Kernel) BuildDFG(block []int) (*ir.DFG, error) {
 	// The iteration space is a box, so everything per point is a row of
 	// a dense table: nodes come from one slab sized for the body ops
 	// (boundary loads and stores spill into a second), iteration vectors
-	// from one flat array, and a producer is found by offsetting the
-	// consumer's point index — PointIndex is linear.
+	// from one flat array, and a producer is found in the DFG's node
+	// table by offsetting the consumer's point index — PointIndex is
+	// linear.
 	npts := ir.BoxSize(block)
-	b := dfgBuilder{k: k, block: block, d: ir.NewDFG(block), npts: npts,
-		nodeOf: make([]int32, len(k.Body)*npts), names: map[string]string{}, shapes: map[string]int32{}}
+	b := dfgBuilder{k: k, block: block, d: ir.NewDFG(block), names: map[string]string{}, shapes: map[string]int32{}}
 	b.d.Shapes = make([]int32, npts)
-	ports := 0 // edges per interior point: one per input port and store rule
+	ports := 0 // one edge per point, and at most one node-table row, per input port and store rule
 	for _, op := range k.Body {
 		ports += op.Kind.Arity() + len(op.Stores)
 	}
-	b.d.Grow(len(k.Body)*npts, ports*npts)
+	b.d.Grow(len(k.Body)*npts, ports*npts, len(k.Body)+ports)
 	iters := make([]int, npts*k.Dim)
 	pi := 0
 	ir.ForEachPoint(block, func(pt ir.IterVec) {
@@ -90,8 +90,6 @@ type dfgBuilder struct {
 	k      *Kernel
 	block  []int
 	d      *ir.DFG
-	npts   int
-	nodeOf []int32           // body op*npts + point index -> 1 + node ID; 0 before creation
 	names  map[string]string // "ld."/"st." + tensor, built once per tensor
 	shapes map[string]int32  // guard shape -> its ID in d.Shapes
 	shape  []byte            // the guard shape of the point being built
@@ -124,7 +122,6 @@ func (b *dfgBuilder) point(iter ir.IterVec, pi int) {
 			BodyOp: opIdx,
 			Iter:   iter,
 		})
-		b.nodeOf[opIdx*b.npts+pi] = int32(n.ID) + 1
 		ar := op.Kind.Arity()
 		if ar >= 1 {
 			b.wire(n, op, op.A, 0, pi)
@@ -178,7 +175,8 @@ func (b *dfgBuilder) wire(n *ir.Node, op *BodyOp, in Input, port, pi int) {
 	switch src.Kind {
 	case SrcDep:
 		ppi := pi
-		if len(src.Dist) > 0 {
+		if !src.Dist.IsZero() {
+			d.AddDistance(src.Dist)
 			for i, dv := range src.Dist {
 				if v := iter[i] - dv; v < 0 || v >= b.block[i] {
 					b.err = fmt.Errorf("kernel %s op %s at %v: dependence source %v outside block %v (missing boundary guard)",
@@ -188,7 +186,10 @@ func (b *dfgBuilder) wire(n *ir.Node, op *BodyOp, in Input, port, pi int) {
 			}
 			ppi -= ir.PointIndex(src.Dist, b.block)
 		}
-		pid := int(b.nodeOf[src.Op*b.npts+ppi]) - 1
+		pid := -1
+		if row := d.NodeRow(src.Op); row >= 0 {
+			pid = d.NodeAt(row + ppi)
+		}
 		if pid < 0 {
 			prodIter := iter
 			if len(src.Dist) > 0 {
@@ -219,17 +220,15 @@ func (b *dfgBuilder) wire(n *ir.Node, op *BodyOp, in Input, port, pi int) {
 	}
 }
 
-// BuildISDG unrolls the kernel and clusters the DFG by iteration.
+// BuildISDG unrolls the kernel and clusters the DFG by iteration, from
+// what the unroll recorded as it wrote the DFG.
 func (k *Kernel) BuildISDG(block []int) (*ir.DFG, *ir.ISDG, error) {
 	d, err := k.BuildDFG(block)
 	if err != nil {
 		return nil, nil, err
 	}
-	g, err := ir.BuildISDG(d)
-	if err != nil {
-		return nil, nil, err
-	}
-	return d, g, nil
+	g, err := ir.NewISDG(d) // every node of an unrolled block lies in it
+	return d, g, err
 }
 
 // GenericIDFG returns the IDFG of an interior iteration: the per-iteration

@@ -514,3 +514,18 @@ func TestGEMMBoundaryAccessCounts(t *testing.T) {
 		t.Errorf("loadsA=%d loadsB=%d stores=%d, want 15/20/12", loadsA, loadsB, stores)
 	}
 }
+
+// BenchmarkBuildISDG is the isdg-build stage of one cold GEMM 64x64
+// compile: the unroll of its 64x64x4 block and the clustering built from
+// what the unroll records. It is the stage's one-command profile:
+//
+//	go test -run '^$' -bench BuildISDG -benchtime 20x -cpuprofile cpu.out ./internal/kernel
+func BenchmarkBuildISDG(b *testing.B) {
+	k, block := GEMM(), []int{64, 64, 4}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := k.BuildISDG(block); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

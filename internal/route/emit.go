@@ -114,8 +114,9 @@ type stamp struct {
 // handed to Replay — so one template serves every translate of the
 // recorded structure.
 type Template struct {
-	e      *Emitter
-	stamps []stamp
+	e              *Emitter
+	stamps         []stamp
+	r0, r1, c0, c1 int32 // the box of the stamps' PEs (empty: r0 > r1), which Replay checks once
 	// tree lists (node, predecessor) for every path node of the net being
 	// recorded. Fan-out paths may start anywhere in the already-routed
 	// tree; the context before their first node (e.g. which register feeds
@@ -127,11 +128,15 @@ type Template struct {
 type treeEdge struct{ node, pred mrrg.Node }
 
 // NewTemplate starts an empty recording against the emitter's fabric.
-func (e *Emitter) NewTemplate() *Template { return &Template{e: e, treeRef: -1} }
+func (e *Emitter) NewTemplate() *Template {
+	return &Template{e: e, treeRef: -1, r0: 1 << 30, c0: 1 << 30, r1: -1, c1: -1}
+}
 
 func (t *Template) add(n mrrg.Node, lane, ref, suf, aux int, src arch.Operand) {
+	r, c := int32(n.R), int32(n.C)
+	t.r0, t.r1, t.c0, t.c1 = min(t.r0, r), max(t.r1, r), min(t.c0, c), max(t.c1, c)
 	t.stamps = append(t.stamps, stamp{
-		t: int32(n.T), r: int32(n.R), c: int32(n.C),
+		t: int32(n.T), r: r, c: c,
 		lane: int32(lane), ref: int32(ref), suf: int32(suf), aux: int32(aux), src: src,
 	})
 }
@@ -311,14 +316,18 @@ func (t *Template) SetOperand(fu mrrg.Node, port int, p Path, ref int) error {
 func (e *Emitter) Replay(t *Template, dt, dr, dc int, ids []int32) error {
 	cfg := e.Cfg
 	f, ii, lanes := cfg.Fabric, cfg.II, e.lanes()
+	// A translate whose box stays on the array folds and checks no stamp.
+	inside := f.InBounds(int(t.r0)+dr, int(t.c0)+dc) && f.InBounds(int(t.r1)+dr, int(t.c1)+dc)
 	for i := range t.stamps {
 		s := &t.stamps[i]
-		// On a torus the translate of an edge-crossing path re-enters the
-		// array; fold it onto the real PEs.
-		r, c := f.WrapCoord(int(s.r)+dr, int(s.c)+dc)
-		if !f.InBounds(r, c) {
-			return fmt.Errorf("route: %s stamp of %s translated to (%d,%d) leaves the %s array: %w",
-				e.laneName(int(s.lane)), valueName(ids[s.ref]<<2|s.suf), r, c, f.CGRA, diag.ErrReplicaConflict)
+		r, c := int(s.r)+dr, int(s.c)+dc
+		if !inside {
+			// On a torus the translate of an edge-crossing path re-enters
+			// the array; fold it onto the real PEs.
+			if r, c = f.WrapCoord(r, c); !f.InBounds(r, c) {
+				return fmt.Errorf("route: %s stamp of %s translated to (%d,%d) leaves the %s array: %w",
+					e.laneName(int(s.lane)), valueName(ids[s.ref]<<2|s.suf), r, c, f.CGRA, diag.ErrReplicaConflict)
+			}
 		}
 		// Real cycles fold into the configuration period, so replicas of
 		// a value at t and t+II collide on the same physical slot.

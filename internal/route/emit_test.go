@@ -250,3 +250,43 @@ func TestEmitterMemoryStamps(t *testing.T) {
 		t.Errorf("Stores = %+v", cfg.Stores)
 	}
 }
+
+// TestReplayTranslateBox: Replay checks a translate's bounding box once,
+// and a stamp outside the array is still folded on a torus and refused
+// on a mesh with the text it always had, even when the rest of the
+// template's box stays on the array.
+func TestReplayTranslateBox(t *testing.T) {
+	mesh := arch.DefaultFabric(2, 4)
+	torus := mesh
+	torus.Topology = arch.TopoTorus
+	for _, fab := range []arch.Fabric{mesh, torus} {
+		cfg := arch.NewConfig(fab, 2)
+		e := NewEmitter(cfg, nil)
+		tm := e.NewTemplate()
+		if err := tm.PlaceOp(fu(0, 0, 0), ir.OpMul, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := tm.PlaceOp(fu(1, 1, 2), ir.OpAdd, 1); err != nil {
+			t.Fatal(err)
+		}
+		// The box (0,0)-(1,2) shifted one column stays on the array.
+		if err := e.Replay(tm, 0, 0, 1, ids(2)); err != nil {
+			t.Fatalf("%v: in-array translate: %v", fab, err)
+		}
+		if cfg.At(0, 1, 0).Op != ir.OpMul || cfg.At(1, 3, 1).Op != ir.OpAdd {
+			t.Errorf("%v: in-array translate stamped %v and %v", fab, cfg.At(0, 1, 0), cfg.At(1, 3, 1))
+		}
+		// Two columns on, only the add leaves the array, at (1,4).
+		err := e.Replay(tm, 0, 0, 2, ids(2))
+		if fab.Topology.Wraps() {
+			if err != nil || cfg.At(0, 2, 0).Op != ir.OpMul || cfg.At(1, 0, 1).Op != ir.OpAdd {
+				t.Errorf("%v: edge-crossing translate: err %v, stamped %v and %v", fab, err, cfg.At(0, 2, 0), cfg.At(1, 0, 1))
+			}
+			continue
+		}
+		want := "route: FU stamp of n1 translated to (1,4) leaves the 2x4 array"
+		if !errors.Is(err, diag.ErrReplicaConflict) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%v: off-array stamp: err = %v, want %q", fab, err, want)
+		}
+	}
+}

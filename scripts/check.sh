@@ -24,11 +24,12 @@ go test -race -shuffle=on ./...
 go test -race -count=3 -run 'TestWorkersDeterminism$|TestSpeculationWindowSpans|TestSpeculationAllocBudget|TestCancellationLatencyMidRun|TestPathArenaContract|TestFailedRoutesLeaveSessionReusable' . ./internal/route ./internal/himap
 # The configuration encoder against encoding/json on ten seconds of new fuzz inputs (the committed seeds ran above).
 go test -run '^$' -fuzz FuzzConfigAppendJSON -fuzztime 10s ./internal/arch
-# The flat_backends, congested and scale64 profile commands and MAP()'s benchmark, once each, so they cannot rot.
+# The flat_backends, congested and scale64 profile commands, and the per-stage ones (MAP(), replicate + validate, isdg-build), once each, so they cannot rot.
 go test -run '^$' -bench FlatBackends -benchtime 1x .
 go test -run '^$' -bench CongestedCompile -benchtime 1x .
 go test -run '^$' -bench ScaleCompile -benchtime 1x .
-go test -run '^$' -bench MapIDFG -benchtime 1x ./internal/himap
+go test -run '^$' -bench 'MapIDFG|ReplicateValidate' -benchtime 1x ./internal/himap
+go test -run '^$' -bench BuildISDG -benchtime 1x ./internal/kernel
 # Tables I and II are deterministic: the committed results file is what the code prints now.
 go run ./cmd/experiments -table1 -table2 | diff - results/tables.txt
 # The design-space sweep is deterministic at every -workers (~1.5 s): its committed ranking is what the code prints now.
@@ -55,5 +56,5 @@ go run ./cmd/himapload -cluster 2 -duration 3s -concurrency 4 -require-hits >/de
 # Exact backend: a tiny instance closes with a proved-minimal certificate.
 exact_out=$(go run ./cmd/himap -mapper exact -kernel MVT -rows 4 -cols 4 -block 2 -exact-budget 30s)
 echo "$exact_out" | grep -q "proved minimal"
-# The two line counts ROADMAP item 5 tracks, in every CI log.
+# The two line counts ROADMAP item 14 tracks, in every CI log.
 scripts/loc.sh
