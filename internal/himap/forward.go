@@ -98,7 +98,7 @@ func ApplyForwarding(d *ir.DFG, g *ir.ISDG, m *systolic.Mapping) (*ir.DFG, *ir.I
 	err := nd.Validate()
 	var ng *ir.ISDG
 	if err == nil {
-		ng, err = ir.NewISDG(nd)
+		ng, err = ir.BuildISDG(nd)
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("himap: forwarding transform produced invalid DFG: %v: %w", err, diag.ErrSchemeInfeasible)

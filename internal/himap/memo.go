@@ -58,10 +58,10 @@ type memoKey struct {
 }
 
 // memoBudget is the weight a Memo holds before it resets. An unrolled
-// node or edge keeps about 113 bytes live (GEMM 113, FW 113, MVT 116,
-// ADI 111 at 16 per dimension: the DFG's node slab, CSR adjacency and
-// node table, 4 bytes per point and row, 180 KB of GEMM's 4.7 MB; the
-// ISDG's clusters), so this is roughly 118 MB: seven times what the
+// node or edge keeps about 112 bytes live (GEMM 112, FW 112, MVT 114,
+// ADI 110 at 16 per dimension: the DFG's node slab, CSR adjacency and
+// node table, 4 bytes per point and row, 115 KB of GEMM's 4.7 MB; the
+// ISDG's clusters), so this is roughly 117 MB: seven times what the
 // serve_mix workload of BENCHMARK.json leaves in the shared memo (about
 // 150k) and six times the heaviest single compile any workload runs
 // (GEMM 64×64, 169k), so a reset only ever answers unbounded key churn —

@@ -66,12 +66,15 @@ type DFG struct {
 
 	// What the constructor records, so no reader walks Nodes or Edges
 	// again: point[id] is node id's PointIndex in Block (-1 outside); the
-	// node table at[r*BoxSize(Block)+p] is 1 + the ID of body op rows[r]'s
-	// node at point p (0: none); dists are those AddDistance was given.
-	point []int32
-	rows  []int
-	at    []int32
-	dists []IterVec
+	// node table at[r*npts+p] is 1 + the ID of body op rowOps[r]'s node at
+	// point p (0: none), and rowOf[b] is 1 + body op b's row (0: none) for
+	// b >= 0; dists are those AddDistance was given.
+	npts   int // BoxSize(Block)
+	point  []int32
+	rowOps []int
+	rowOf  []int32
+	at     []int32
+	dists  []IterVec
 
 	// adj[outOff[id]:outOff[id+1]] are the indices into Edges of the
 	// edges leaving id, in insertion order; inOff likewise. Valid while
@@ -85,7 +88,7 @@ type DFG struct {
 func NewDFG(block []int) *DFG {
 	b := make([]int, len(block))
 	copy(b, block)
-	return &DFG{Block: b}
+	return &DFG{Block: b, npts: BoxSize(b)}
 }
 
 // Grow reserves room for nodes more nodes, edges more edges and rows more
@@ -98,8 +101,9 @@ func (d *DFG) Grow(nodes, edges, rows int) {
 	d.Nodes = slices.Grow(d.Nodes, nodes)
 	d.point = slices.Grow(d.point, nodes)
 	d.Edges = slices.Grow(d.Edges, edges)
-	d.rows = slices.Grow(d.rows, rows)
-	d.at = slices.Grow(d.at, rows*BoxSize(d.Block))
+	if cap(d.at)-len(d.at) < rows*d.npts { // exactly: the table stays with a memoised DFG
+		d.at = append(make([]int32, 0, len(d.at)+rows*d.npts), d.at...)
+	}
 }
 
 // AddNode appends a copy of n, assigning its ID, and returns the copy.
@@ -119,9 +123,13 @@ func (d *DFG) AddNode(n *Node) *Node {
 		pi = PointIndex(p.Iter, d.Block)
 		row := d.NodeRow(p.BodyOp)
 		if row < 0 {
+			if p.BodyOp >= 0 {
+				d.rowOf = append(d.rowOf, make([]int32, max(0, p.BodyOp+1-len(d.rowOf)))...)
+				d.rowOf[p.BodyOp] = int32(len(d.rowOps)) + 1
+			}
 			row = len(d.at)
-			d.rows = append(d.rows, p.BodyOp)
-			d.at = append(d.at, make([]int32, BoxSize(d.Block))...)
+			d.rowOps = append(d.rowOps, p.BodyOp)
+			d.at = append(d.at, make([]int32, d.npts)...)
 		}
 		d.at[row+pi] = int32(p.ID) + 1
 	}
@@ -134,10 +142,13 @@ func (d *DFG) AddNode(n *Node) *Node {
 // (-1: no node has that body op), and NodeAt(row+pi) the ID of its node
 // at point index pi of Block (-1: none).
 func (d *DFG) NodeRow(bodyOp int) int {
-	if r := slices.Index(d.rows, bodyOp); r >= 0 {
-		return r * BoxSize(d.Block)
+	r := -1
+	if bodyOp < 0 { // synthesized: a handful of ids spread over thousands
+		r = slices.Index(d.rowOps, bodyOp)
+	} else if bodyOp < len(d.rowOf) {
+		r = int(d.rowOf[bodyOp]) - 1
 	}
-	return -1
+	return max(r*d.npts, -1)
 }
 
 // NodeAt: see NodeRow.

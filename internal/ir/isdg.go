@@ -38,9 +38,13 @@ type ISDG struct {
 	NumShapeKeys int
 }
 
-// NewISDG clusters d from the points AddNode recorded and the distances its
-// constructor stated, walking neither Nodes nor Edges; every node must lie in Block.
-func NewISDG(d *DFG) (*ISDG, error) {
+// BuildISDG clusters d from what its constructor recorded: the point
+// AddNode found for each node and the distances stated with AddDistance.
+// It walks neither Nodes nor Edges and writes nothing to d, so a
+// constructor states the distance of every edge it wires between points,
+// and an Iter edited after AddNode is not seen. Every node must lie in
+// Block.
+func BuildISDG(d *DFG) (*ISDG, error) {
 	if len(d.Block) == 0 {
 		return nil, fmt.Errorf("ir: DFG of %d nodes states no block", len(d.Nodes))
 	}
@@ -77,24 +81,6 @@ func NewISDG(d *DFG) (*ISDG, error) {
 		g.numberShapeKeys()
 	}
 	return g, nil
-}
-
-// BuildISDG is NewISDG for a DFG whose constructor did not state its
-// distances, or edited nodes after adding them: it checks that every
-// node still has an iteration and records the distance of every edge
-// between points first.
-func BuildISDG(d *DFG) (*ISDG, error) {
-	for _, n := range d.Nodes {
-		if n.Iter == nil {
-			return nil, fmt.Errorf("ir: node %v has no iteration vector", n)
-		}
-	}
-	for _, e := range d.Edges {
-		if pf, pt := d.point[e.From], d.point[e.To]; pf != pt && pf >= 0 && pt >= 0 {
-			d.AddDistance(d.Nodes[e.To].Iter.Sub(d.Nodes[e.From].Iter))
-		}
-	}
-	return NewISDG(d)
 }
 
 // numberShapeKeys fills ShapeKey: a cluster's key is its shape, then the

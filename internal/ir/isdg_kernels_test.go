@@ -136,11 +136,12 @@ func forwardedISDG(t *testing.T, block []int) *ir.ISDG {
 // TestISDGMatchesWalk holds the ISDG built from what the unroll and
 // ApplyForwarding record — clusters, ClusterOf, distances, shape keys —
 // and the DFG's node table to the walks over the finished DFG
-// (ir.MatchesWalk): every evaluation and extension kernel and STRIPE at
-// uniform blocks 2, 3, 4 and 8 (raised to the kernel's minimum), the ten
-// (kernel, block) pairs of the scale64 workload, LAG3, HOP2 forwarded at
-// three blocks, and the DFG and ISDG of HOP2 compiles on an 8x8 mesh and
-// torus.
+// (ir.MatchesWalk), and the unroll's table to a reservation short of one
+// row past what it uses: every evaluation and extension kernel and
+// STRIPE at uniform blocks 2, 3, 4 and 8 (raised to the kernel's
+// minimum), the ten (kernel, block) pairs of the scale64 workload, BICG
+// at 6, LAG3, HOP2 forwarded at three blocks, and the DFG and ISDG of
+// HOP2 compiles on an 8x8 mesh and torus.
 func TestISDGMatchesWalk(t *testing.T) {
 	check := func(name string, g *ir.ISDG) {
 		t.Helper()
@@ -150,11 +151,15 @@ func TestISDGMatchesWalk(t *testing.T) {
 	}
 	build := func(k *kernel.Kernel, block []int) {
 		t.Helper()
-		_, g, err := k.BuildISDG(block)
+		d, g, err := k.BuildISDG(block)
 		if err != nil {
 			t.Fatalf("%s %v: %v", k.Name, block, err)
 		}
-		check(fmt.Sprintf("%s %v", k.Name, block), g)
+		name := fmt.Sprintf("%s %v", k.Name, block)
+		check(name, g)
+		if slack := ir.NodeTableSlack(d); slack >= ir.BoxSize(block) {
+			t.Errorf("%s: the node table reserves %d entries past its rows", name, slack)
+		}
 	}
 	for _, k := range append(kernel.Evaluation(), append(kernel.Extensions(), stripeKernel(), lagKernel())...) {
 		for _, b := range []int{2, 3, 4, 8} {
@@ -167,6 +172,7 @@ func TestISDGMatchesWalk(t *testing.T) {
 	}
 	build(kernel.GEMM(), []int{32, 32, 4})
 	build(kernel.GEMM(), []int{64, 64, 4})
+	build(kernel.BICG(), []int{6, 6}) // with 3, 4 and 8 above: the blocks BICG's skewed placement is tested at
 	for _, block := range [][]int{{4, 6}, {4, 8}, {8, 8}} {
 		check(fmt.Sprintf("HOP2 %v forwarded", block), forwardedISDG(t, block))
 	}
@@ -209,8 +215,11 @@ func TestISDGDistanceVectors(t *testing.T) {
 	// in Key order, not in the order the edges meet the distances.
 	d := ir.NewDFG([]int{3, 2})
 	prev := d.AddNode(&ir.Node{Kind: ir.OpLoad, Name: "ld", BodyOp: -1, Iter: ir.IterVec{0, 0}, Tensor: "A", Index: ir.IterVec{0}}).ID
-	for _, it := range []ir.IterVec{{0, 0}, {1, 0}, {1, 1}, {2, 1}} {
+	for i, it := range []ir.IterVec{{0, 0}, {1, 0}, {1, 1}, {2, 1}} {
 		n := d.AddNode(&ir.Node{Kind: ir.OpRoute, Name: "r", BodyOp: 0, Iter: it})
+		if i > 0 {
+			d.AddDistance(it.Sub(d.Nodes[prev].Iter))
+		}
 		d.AddEdge(prev, n.ID, 0)
 		prev = n.ID
 	}
@@ -224,7 +233,7 @@ func TestISDGDistanceVectors(t *testing.T) {
 	}
 }
 
-// isdgFootprintCeiling bounds what ir.NewISDG allocates to cluster GEMM
+// isdgFootprintCeiling bounds what ir.BuildISDG allocates to cluster GEMM
 // 64×64×4 (16,384 iterations, 70,144 nodes) from the unroll's records:
 // the cluster slabs, the node lists, the shape-key tables and the
 // distances. The walk it replaced allocated 2.98 MB, with its point and
@@ -240,7 +249,7 @@ func TestBuildISDGFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	build := func() {
-		if g, err = ir.NewISDG(d); err != nil {
+		if g, err = ir.BuildISDG(d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -252,6 +261,6 @@ func TestBuildISDGFootprint(t *testing.T) {
 	bytes := after.TotalAlloc - before.TotalAlloc
 	t.Logf("GEMM 64x64x4: %d nodes, %d clusters, %d bytes", len(d.Nodes), len(g.Clusters), bytes)
 	if bytes > isdgFootprintCeiling {
-		t.Errorf("NewISDG allocated %d bytes, ceiling is %d", bytes, isdgFootprintCeiling)
+		t.Errorf("BuildISDG allocated %d bytes, ceiling is %d", bytes, isdgFootprintCeiling)
 	}
 }

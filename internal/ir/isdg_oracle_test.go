@@ -11,7 +11,7 @@ import (
 // This file holds the ISDG and the node table as a walk over a finished
 // DFG derives them: every node for its cluster and its table entry, every
 // edge for its distance. The unroll records the same facts as it writes
-// the DFG, and MatchesWalk holds what NewISDG builds from those records
+// the DFG, and MatchesWalk holds what BuildISDG builds from those records
 // to this definition.
 
 // WalkISDG is the clustering of a DFG by iteration vector, in the order
@@ -164,10 +164,10 @@ func MatchesWalk(g *ISDG) error {
 		}
 	}
 	nt := nodeTableByWalk(d)
-	if len(d.rows)*nt.npts != len(nt.at) {
-		return fmt.Errorf("node table of %d rows, walk %d", len(d.rows), len(nt.at)/nt.npts)
+	if len(d.at) != len(nt.at) {
+		return fmt.Errorf("node table of %d rows, walk %d", len(d.at)/nt.npts, len(nt.at)/nt.npts)
 	}
-	for _, op := range d.rows {
+	for _, op := range d.rowOps {
 		if op < nt.lo || op-nt.lo >= len(nt.row) || nt.row[op-nt.lo] == 0 {
 			return fmt.Errorf("node table has a row for body op %d, the walk has none", op)
 		}
@@ -178,3 +178,7 @@ func MatchesWalk(g *ISDG) error {
 	}
 	return nil
 }
+
+// NodeTableSlack returns how many node-table entries d reserved beyond
+// those its rows use.
+func NodeTableSlack(d *DFG) int { return cap(d.at) - len(d.at) }

@@ -23,6 +23,7 @@ func build2DDFG(t *testing.T, bx, by int) *DFG {
 			src := d.AddNode(&Node{Kind: OpLoad, Name: "ldR", BodyOp: -1, Iter: iter, Tensor: "R", Index: IterVec{i}})
 			d.AddEdge(src.ID, rt.ID, 0)
 		} else {
+			d.AddDistance(IterVec{0, 1})
 			d.AddEdge(routes[key{i, j - 1}], rt.ID, 0)
 		}
 		routes[key{i, j}] = rt.ID
@@ -35,6 +36,7 @@ func build2DDFG(t *testing.T, bx, by int) *DFG {
 			init := d.AddNode(&Node{Kind: OpLoad, Name: "init", BodyOp: -1, Iter: iter, Tensor: "S0", Index: IterVec{j}})
 			d.AddEdge(init.ID, add.ID, 1)
 		} else {
+			d.AddDistance(IterVec{1, 0})
 			d.AddEdge(adds[key{i - 1, j}], add.ID, 1)
 		}
 		adds[key{i, j}] = add.ID
@@ -164,8 +166,11 @@ func chainDFG(block []int, iters ...IterVec) *DFG {
 	d := NewDFG(block)
 	ld := d.AddNode(&Node{Kind: OpLoad, Name: "ld", BodyOp: -1, Iter: iters[0], Tensor: "A", Index: IterVec{0}})
 	prev := ld.ID
-	for _, it := range iters {
+	for i, it := range iters {
 		n := d.AddNode(&Node{Kind: OpRoute, Name: "r", BodyOp: 0, Iter: it})
+		if i > 0 && len(it) == len(iters[i-1]) && !it.Equal(iters[i-1]) {
+			d.AddDistance(it.Sub(iters[i-1]))
+		}
 		d.AddEdge(prev, n.ID, 0)
 		prev = n.ID
 	}
@@ -173,12 +178,10 @@ func chainDFG(block []int, iters ...IterVec) *DFG {
 }
 
 // TestBuildISDGRejectsStrayIteration: an iteration outside the block, one
-// of the wrong dimensionality, a node with no iteration and a DFG that
-// states no block are returned errors, not index panics or tables sized
-// by a stray point.
+// of the wrong dimensionality, a node added with no iteration and a DFG
+// that states no block are returned errors, not index panics or tables
+// sized by a stray point.
 func TestBuildISDGRejectsStrayIteration(t *testing.T) {
-	noIter := chainDFG([]int{2, 2}, IterVec{0, 0}, IterVec{1, 0})
-	noIter.Nodes[2].Iter = nil
 	for name, tc := range map[string]struct {
 		d    *DFG
 		want string
@@ -186,7 +189,7 @@ func TestBuildISDGRejectsStrayIteration(t *testing.T) {
 		"past the block":      {chainDFG([]int{2, 2}, IterVec{0, 0}, IterVec{1, 2}), "outside block"},
 		"before the block":    {chainDFG([]int{2, 2}, IterVec{0, 0}, IterVec{-1, 0}), "outside block"},
 		"wrong dimension":     {chainDFG([]int{2, 2}, IterVec{0, 0}, IterVec{1}), "outside block"},
-		"no iteration vector": {noIter, "no iteration vector"},
+		"no iteration vector": {chainDFG([]int{2, 2}, IterVec{0, 0}, nil), "outside block"},
 		"no block":            {chainDFG(nil, IterVec{0, 0}, IterVec{0, 1}, IterVec{1, 1}), "no block"},
 	} {
 		if err := tc.d.Validate(); err != nil {

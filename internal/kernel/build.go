@@ -3,6 +3,7 @@ package kernel
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"himap/internal/ir"
 )
@@ -43,12 +44,8 @@ func (k *Kernel) BuildDFG(block []int) (*ir.DFG, error) {
 			}
 			continue
 		}
-		min := k.MinBlock
-		if min == 0 {
-			min = 1
-		}
-		if b < min {
-			return nil, fmt.Errorf("kernel %s: block dim %d is %d, min %d", k.Name, d, b, min)
+		if b < max(k.MinBlock, 1) {
+			return nil, fmt.Errorf("kernel %s: block dim %d is %d, min %d", k.Name, d, b, max(k.MinBlock, 1))
 		}
 	}
 	// The iteration space is a box, so everything per point is a row of
@@ -60,11 +57,19 @@ func (k *Kernel) BuildDFG(block []int) (*ir.DFG, error) {
 	npts := ir.BoxSize(block)
 	b := dfgBuilder{k: k, block: block, d: ir.NewDFG(block), names: map[string]string{}, shapes: map[string]int32{}}
 	b.d.Shapes = make([]int32, npts)
-	ports := 0 // one edge per point, and at most one node-table row, per input port and store rule
+	// One edge per point per input port and store rule; one node-table
+	// row per body op, per store rule and per port that can load.
+	ports, rows := 0, len(k.Body)
 	for _, op := range k.Body {
 		ports += op.Kind.Arity() + len(op.Stores)
+		rows += len(op.Stores)
+		for _, in := range []Input{op.A, op.B}[:op.Kind.Arity()] {
+			if slices.ContainsFunc(in, func(c Case) bool { return c.Src.Kind == SrcMem }) {
+				rows++
+			}
+		}
 	}
-	b.d.Grow(len(k.Body)*npts, ports*npts, len(k.Body)+ports)
+	b.d.Grow(len(k.Body)*npts, ports*npts, rows)
 	iters := make([]int, npts*k.Dim)
 	pi := 0
 	ir.ForEachPoint(block, func(pt ir.IterVec) {
@@ -227,7 +232,7 @@ func (k *Kernel) BuildISDG(block []int) (*ir.DFG, *ir.ISDG, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	g, err := ir.NewISDG(d) // every node of an unrolled block lies in it
+	g, err := ir.BuildISDG(d) // every node of an unrolled block lies in it
 	return d, g, err
 }
 
@@ -237,12 +242,7 @@ func (k *Kernel) BuildISDG(block []int) (*ir.DFG, *ir.ISDG, error) {
 // mapping step. The interior point of a small (3 per dimension, clamped to
 // MinBlock) unrolled block is used.
 func (k *Kernel) GenericIDFG() (*ir.IDFG, error) {
-	b := 3
-	if k.MinBlock > b {
-		b = k.MinBlock
-	}
-	block := k.UniformBlock(b)
-	_, g, err := k.BuildISDG(block)
+	_, g, err := k.BuildISDG(k.UniformBlock(max(3, k.MinBlock)))
 	if err != nil {
 		return nil, err
 	}
