@@ -7,6 +7,7 @@ import (
 	"himap/internal/baseline"
 	"himap/internal/exact"
 	core "himap/internal/himap"
+	"himap/internal/route"
 )
 
 // Backends returns the mapper names CompileRequest dispatches on, in
@@ -47,11 +48,7 @@ func compileConventional(ctx context.Context, req Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Result: core.Result{Kernel: res.Kernel, Fabric: req.Fabric, Block: res.Block,
-			Config: res.Config, Utilization: res.Utilization},
-		Conventional: res,
-	}, nil
+	return &Result{Result: flatMapping(&res.FlatResult), Conventional: res}, nil
 }
 
 // compileExact runs the branch-and-bound mapper with optimality
@@ -68,10 +65,11 @@ func compileExact(ctx context.Context, req Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Result: core.Result{Kernel: res.Kernel, Fabric: req.Fabric, Block: res.Block,
-			Config: res.Config, Utilization: res.Utilization},
-		Optimality: &res.Optimality,
-		Exact:      res,
-	}, nil
+	return &Result{Result: flatMapping(&res.FlatResult), Optimality: &res.Optimality, Exact: res}, nil
+}
+
+// flatMapping lifts the fields both flat backends share into the HiMap
+// result the unified Result embeds.
+func flatMapping(f *route.FlatResult) core.Result {
+	return core.Result{Kernel: f.Kernel, Fabric: f.Fabric, Block: f.Block, Config: f.Config, Utilization: f.Utilization}
 }

@@ -209,3 +209,25 @@ func fwNarrow(workers int) func(himap.Tracer) himap.Request {
 		}
 	}
 }
+
+// TestConventionalCanceledDuringRoute cancels the conventional mapper
+// between its placement and its route, so the first poll that sees the
+// cancellation is a routing round's: the compile must still carry the
+// context's own error in its chain, as every canceled compile does.
+func TestConventionalCanceledDuringRoute(t *testing.T) {
+	ctx := &flipCtx{stopAt: func(s himap.TraceSpan) bool { return s.Stage == "place" && s.Err == "" }}
+	_, err := himap.CompileRequest(ctx, himap.Request{
+		Kernel: himap.KernelMVT(), Mapper: himap.MapperConventional,
+		Fabric: himap.DefaultFabric(4, 4), Block: []int{2, 2},
+		Baseline: himap.BaselineOptions{Tracer: ctx},
+	})
+	if ctx.ref == nil {
+		t.Fatal("no placement reached the router")
+	}
+	if !errors.Is(err, himap.ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled in the route: %v, want ErrCanceled wrapping context.Canceled", err)
+	}
+	if last := ctx.spans[len(ctx.spans)-1]; last.Stage != "route" || last.Attempt != ctx.ref.Attempt {
+		t.Errorf("last span %s at II %d, want the route of II %d", last.Stage, last.Attempt, ctx.ref.Attempt)
+	}
+}

@@ -3,11 +3,14 @@ package himap_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"himap"
+	"himap/internal/baseline"
+	"himap/internal/exact"
 )
 
 // These tests pin the error taxonomy of the staged pipeline through the
@@ -234,17 +237,22 @@ func TestBaselineTypedErrors(t *testing.T) {
 	checkFlatBackendErrors(t, himap.MapperConventional)
 }
 
-// TestExactTypedErrors: the exact mapper reports the same two classes,
-// and its deadline error also names the II lower bound it proved.
+// TestExactTypedErrors: the exact mapper reports the same classes, and
+// its deadline error also names the II lower bound it proved — with no
+// II searched, the static bound it stopped at.
 func TestExactTypedErrors(t *testing.T) {
-	if err := checkFlatBackendErrors(t, himap.MapperExact); err == nil || !strings.Contains(err.Error(), "proved II ≥ ") {
+	err := checkFlatBackendErrors(t, himap.MapperExact)
+	var se *himap.StageError
+	if !errors.As(err, &se) || se.Attempt < 1 ||
+		!strings.Contains(err.Error(), fmt.Sprintf("at II %d after 0 decisions; proved II ≥ %d", se.Attempt, se.Attempt)) {
 		t.Errorf("exact deadline error does not name the proved lower bound: %v", err)
 	}
 }
 
 // checkFlatBackendErrors compiles GEMM 2x2x2 on 4x4 with mapper m past a
-// 1-node wall and then under an expired deadline, checks both failure
-// classes, and returns the deadline error.
+// 1-node wall, on a fabric with no memory PE and then under an expired
+// deadline, checks the three failure classes, and returns the deadline
+// error.
 func checkFlatBackendErrors(t *testing.T, m himap.Mapper) error {
 	t.Helper()
 	req := himap.Request{Kernel: himap.KernelGEMM(), Fabric: himap.DefaultFabric(4, 4), Mapper: m, Block: []int{2, 2, 2},
@@ -253,6 +261,14 @@ func checkFlatBackendErrors(t *testing.T, m himap.Mapper) error {
 	var se *himap.StageError
 	if !errors.Is(err, himap.ErrTooLarge) || !errors.As(err, &se) || se.Stage != "dfg-build" {
 		t.Errorf("%s past its wall: %v, want a dfg-build ErrTooLarge", m, err)
+	}
+	// The resource bound refuses the loads before any placement move.
+	none := req
+	none.Baseline, none.Exact = himap.BaselineOptions{}, himap.ExactOptions{}
+	none.Fabric.Mem = himap.MemNone
+	_, err = himap.CompileRequest(context.Background(), none)
+	if !errors.Is(err, himap.ErrMemPortInfeasible) || !errors.As(err, &se) || se.Kernel != "GEMM" {
+		t.Errorf("%s on a fabric with no memory PE: %v, want ErrMemPortInfeasible naming GEMM", m, err)
 	}
 	expired, cancel := context.WithTimeout(context.Background(), -time.Second)
 	defer cancel()
@@ -310,5 +326,28 @@ func TestNilKernelTypedError(t *testing.T) {
 				t.Errorf("stage %q, want %q", se.Stage, "request")
 			}
 		})
+	}
+}
+
+// TestFlatEntryPointsNilKernel: called directly, past the dispatcher's
+// guard, both flat backends refuse a nil kernel with the same typed
+// error — the guard is the skeleton's, not each backend's.
+func TestFlatEntryPointsNilKernel(t *testing.T) {
+	fab := himap.DefaultFabric(4, 4)
+	entries := map[string]func() error{
+		"baseline": func() error {
+			_, err := baseline.CompileRequest(context.Background(), nil, fab, []int{2, 2}, baseline.Options{})
+			return err
+		},
+		"exact": func() error {
+			_, err := exact.CompileRequest(context.Background(), nil, fab, []int{2, 2}, exact.Options{})
+			return err
+		},
+	}
+	for name, call := range entries {
+		var se *himap.StageError
+		if err := call(); !errors.Is(err, himap.ErrInvalidRequest) || !errors.As(err, &se) || se.Stage != "request" {
+			t.Errorf("%s.CompileRequest(nil kernel) = %v, want a request-stage ErrInvalidRequest", name, err)
+		}
 	}
 }

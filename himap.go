@@ -207,9 +207,9 @@ const (
 	CertExhaustive = exact.CertExhaustive
 )
 
-// ExactLowerBound returns the static II lower bound (max of resource
-// MII and recurrence MII) the exact mapper deepens from — usable on its
-// own to sanity-check any mapper's II without running a search.
+// ExactLowerBound returns the static II lower bound every mapper's II
+// meets: the flat backends' resource bound with route ops left off the
+// FUs — usable on its own to sanity-check any II without a search.
 func ExactLowerBound(k *Kernel, fab Fabric, block []int) (int, error) {
 	return exact.LowerBound(k, fab, block)
 }

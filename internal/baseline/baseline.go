@@ -24,7 +24,6 @@ import (
 	"himap/internal/diag"
 	"himap/internal/ir"
 	"himap/internal/kernel"
-	"himap/internal/mrrg"
 	"himap/internal/par"
 	"himap/internal/route"
 )
@@ -68,14 +67,8 @@ func (o Options) withDefaults() Options {
 
 // Result is a completed baseline mapping.
 type Result struct {
-	Kernel      *kernel.Kernel
-	Fabric      arch.Fabric
-	Block       []int
-	II          int
-	Config      *arch.Config
-	Utilization float64
-	Time        time.Duration
-	SAMoves     int
+	route.FlatResult
+	SAMoves int // SA moves made, all chains and IIs
 }
 
 // Summary renders a one-line description.
@@ -88,63 +81,23 @@ func (r *Result) Summary() string {
 // their winning placement straight to route.RouteDFG.
 type place = route.Placement
 
-// CompileRequest maps the kernel's block DFG onto the fabric: SA
-// placement (loads and stores restricted to memory-capable PEs) plus
-// negotiated routing over the fabric's link set. A DFG past
-// Options.MaxNodes fails with diag.ErrTooLarge. The context is the only
-// time bound: it is checked before each II attempt, between the
-// placement and routing phases, and every 4096 SA moves inside each
-// annealing chain, so a cancellation or deadline aborts the mapper
-// promptly with a diag.ErrCanceled StageError (the original context
-// error stays in the cause chain).
+// CompileRequest maps the kernel's block DFG onto the fabric under
+// route.Deepen: at each II, SA placement (loads and stores on
+// memory-capable PEs) plus negotiated routing over the fabric's links.
+// The context, the only time bound, is also polled between placement
+// and routing and every 4096 SA moves inside each annealing chain.
 func CompileRequest(ctx context.Context, k *kernel.Kernel, cg arch.Fabric, block []int, opts Options) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	opts = opts.withDefaults()
-	if err := cg.Validate(); err != nil {
-		return nil, err
-	}
-	start := time.Now() //lint:ignore determinism wall-clock span timing only; does not influence mapping
-	d, err := route.BuildDFG(k, cg, block, opts.MaxNodes, opts.Tracer)
-	if err != nil {
-		return nil, err
-	}
-	ncomp := d.NumCompute()
-	nfu := ncomp // routes occupy FUs as moves in a conventional mapping
-	nload, nstore := 0, 0
-	for _, n := range d.Nodes {
-		switch n.Kind {
-		case ir.OpLoad:
-			nload++
-		case ir.OpStore:
-			nstore++
-		case ir.OpRoute:
-			nfu++
-		}
-	}
-	pes := cg.NumPEs()
-	mii := (nfu + pes - 1) / pes
-	if m2 := (nload + pes - 1) / pes; m2 > mii {
-		mii = m2
-	}
-	if m3 := (nstore + pes - 1) / pes; m3 > mii {
-		mii = m3
-	}
-	if mii < 1 {
-		mii = 1
-	}
-
-	// Chain 0 keeps the historical shared rng across II attempts, so a
-	// single-chain run is bit-identical to the pre-parallel mapper; extra
-	// chains get fresh deterministic seeds per (II, chain).
-	rng := rand.New(rand.NewSource(opts.Seed + int64(len(d.Nodes))))
+	var rng *rand.Rand // chain 0's, shared across IIs
 	totalMoves := 0
-	var lastErr error
-	ses := new(route.Session) // routes the winning placement of every II
-	for ii := mii; ii <= maxII; ii++ {
-		if err := ctx.Err(); err != nil {
-			return nil, diag.Fail(diag.ErrCanceled, err).Stamp("place", k.Name, cg.String(), ii)
+	// mapII anneals the chains at ii and routes the best feasible
+	// placement. Chain 0 keeps the historical shared rng across II
+	// attempts, so a single-chain run is bit-identical to the
+	// pre-parallel mapper; extra chains get fresh deterministic seeds per
+	// (II, chain).
+	mapII := func(ctx context.Context, d *ir.DFG, ii int, ses *route.Session) (*arch.Config, error) {
+		if rng == nil {
+			rng = rand.New(rand.NewSource(opts.Seed + int64(len(d.Nodes))))
 		}
 		moves := opts.SAMoves
 		if moves == 0 {
@@ -172,7 +125,7 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, cg arch.Fabric, block
 		// A chain aborted by cancellation reports ok=false; distinguish
 		// that from a genuine infeasible placement before classifying.
 		if err := ctx.Err(); err != nil {
-			return nil, diag.Fail(diag.ErrCanceled, err).Stamp("place", k.Name, cg.String(), ii)
+			return nil, diag.Fail(diag.ErrCanceled, err)
 		}
 		best := -1
 		for ci := range outs {
@@ -185,37 +138,27 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, cg arch.Fabric, block
 		if best < 0 {
 			se := diag.Failf(diag.ErrPlacementInfeasible, "no zero-violation placement at II %d", ii).
 				Stamp("place", k.Name, cg.String(), ii)
-			lastErr = se
 			placeSpan.Err = se.Error()
 			opts.Tracer.Emit(placeSpan)
-			continue
+			return nil, se
 		}
 		opts.Tracer.Emit(placeSpan)
-		pl := outs[best].pl
 		routeStart := time.Now() //lint:ignore determinism wall-clock span timing only; does not influence mapping
-		cfg, err := route.RouteDFG(ctx, ses.Reset(mrrg.New(cg, ii)), d, pl, routeRound)
+		cfg, err := route.RouteDFG(ctx, ses, d, outs[best].pl, routeRound)
 		routeSpan := diag.Span{Stage: "route", Attempt: ii, Wall: time.Since(routeStart)}
 		if err != nil {
 			se := diag.Classify(err, diag.ErrRouteCongested).Stamp("route", k.Name, cg.String(), ii)
-			lastErr = se
-			routeSpan.Err = se.Error()
-			opts.Tracer.Emit(routeSpan)
-			continue
+			routeSpan.Err, err = se.Error(), se
 		}
 		opts.Tracer.Emit(routeSpan)
-		return &Result{
-			Kernel: k, Fabric: cg, Block: block, II: ii,
-			Config:      cfg,
-			Utilization: float64(ncomp) / float64(pes*ii),
-			Time:        time.Since(start),
-			SAMoves:     totalMoves,
-		}, nil
+		return cfg, err
 	}
-	if lastErr == nil {
-		lastErr = diag.Failf(diag.ErrPlacementInfeasible, "minimum II %d exceeds the II bound %d", mii, maxII).
-			Stamp("place", k.Name, cg.String(), mii)
+	fr, err := route.Deepen(ctx, k, cg, block, route.Flat{MaxNodes: opts.MaxNodes, MaxII: maxII, Stage: "place",
+		PastMaxII: diag.ErrPlacementInfeasible, Tracer: opts.Tracer}, mapII)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("baseline: no valid mapping up to II %d for %s on %s: %w", maxII, k.Name, cg, lastErr)
+	return &Result{FlatResult: *fr, SAMoves: totalMoves}, nil
 }
 
 // slotOf indexes a capacity-1 placement slot — FU / mem-read / mem-write
@@ -315,34 +258,10 @@ func anneal(ctx context.Context, d *ir.DFG, cg arch.Fabric, ii, moves int, rng *
 			c += 1000 * float64(occ[k]-1)
 		}
 		for _, ei := range d.InEdges(id) {
-			e := d.Edges[ei]
-			pp := pl[e.From]
-			dist := absInt(pp.R-p.R) + absInt(pp.C-p.C)
-			need := dist
-			if need == 0 {
-				need = 1
-			}
-			dt := p.T - pp.T
-			if dt < need {
-				c += 1000 * float64(need-dt)
-			} else {
-				c += float64(dist) + 0.2*float64(dt-need)
-			}
+			c += edgeCost(pl[d.Edges[ei].From], p)
 		}
 		for _, ei := range d.OutEdges(id) {
-			e := d.Edges[ei]
-			cp := pl[e.To]
-			dist := absInt(cp.R-p.R) + absInt(cp.C-p.C)
-			need := dist
-			if need == 0 {
-				need = 1
-			}
-			dt := cp.T - p.T
-			if dt < need {
-				c += 1000 * float64(need-dt)
-			} else {
-				c += float64(dist) + 0.2*float64(dt-need)
-			}
+			c += edgeCost(p, pl[d.Edges[ei].To])
 		}
 		return c
 	}
@@ -361,14 +280,7 @@ func anneal(ctx context.Context, d *ir.DFG, cg arch.Fabric, ii, moves int, rng *
 				return false
 			}
 			for _, ei := range d.InEdges(id) {
-				e := d.Edges[ei]
-				pp := pl[e.From]
-				dist := absInt(pp.R-p.R) + absInt(pp.C-p.C)
-				need := dist
-				if need == 0 {
-					need = 1
-				}
-				if p.T-pp.T < need {
+				if _, need, dt := edge(pl[d.Edges[ei].From], p); dt < need {
 					return false
 				}
 			}
@@ -410,6 +322,24 @@ func anneal(ctx context.Context, d *ir.DFG, cg arch.Fabric, ii, moves int, rng *
 		total += cost(id)
 	}
 	return pl, true, total
+}
+
+// edge measures one dependence from a producer at pp to a consumer at
+// cp: its hop distance, the cycles it needs (at least one) and the
+// cycles it has.
+func edge(pp, cp place) (dist, need, dt int) {
+	dist = absInt(pp.R-cp.R) + absInt(pp.C-cp.C)
+	return dist, max(dist, 1), cp.T - pp.T
+}
+
+// edgeCost prices one dependence for the anneal: a hard penalty per
+// missing cycle, else its distance plus a little per cycle of slack.
+func edgeCost(pp, cp place) float64 {
+	dist, need, dt := edge(pp, cp)
+	if dt < need {
+		return 1000 * float64(need-dt)
+	}
+	return float64(dist) + 0.2*float64(dt-need)
 }
 
 // LargestFeasibleBlock returns the biggest uniform block size whose DFG

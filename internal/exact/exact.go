@@ -75,6 +75,7 @@ package exact
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -161,16 +162,9 @@ type Optimality struct {
 
 // Result is a completed exact mapping.
 type Result struct {
-	Kernel       *kernel.Kernel
-	Fabric       arch.Fabric
-	Block        []int
-	II           int
-	Config       *arch.Config
-	Utilization  float64
-	Optimality   Optimality
-	Time         time.Duration
-	RoutedLeaves int // complete placements that did not route: screened, or failed in the detailed router
-
+	route.FlatResult
+	Optimality     Optimality
+	RoutedLeaves   int // complete placements that did not route: screened, or failed in the detailed router
 	ScreenedLeaves int // of RoutedLeaves, those the leaf screen refuted without a router call
 }
 
@@ -186,13 +180,11 @@ func (r *Result) Summary() string {
 
 // LowerBound returns the static resource lower bound on the II of ANY
 // mapping of the kernel's block DFG onto the fabric, without running the
-// search: compute ops against the PE count (every compute op needs an FU
-// issue slot) and loads/stores against the memory-capable PE count
-// (every access needs a memory port cycle). Route pseudo-ops are
-// excluded — HiMap realizes them on routing resources without an FU
-// slot, so counting them would overclaim against the hierarchical flow.
-// It is the bound HiMap and baseline IIs can be regression-tested
-// against even at block sizes the exact search cannot reach.
+// search: route.ResourceMII with route pseudo-ops excluded from the FU
+// term — HiMap realizes them on routing resources without an FU slot,
+// so counting them would overclaim against the hierarchical flow. It is
+// the bound HiMap and baseline IIs can be regression-tested against even
+// at block sizes the exact search cannot reach.
 func LowerBound(k *kernel.Kernel, fab arch.Fabric, block []int) (int, error) {
 	if k == nil {
 		return 0, diag.Failf(diag.ErrInvalidRequest, "nil kernel").Stamp("request", "", fab.String(), 0)
@@ -201,66 +193,21 @@ func LowerBound(k *kernel.Kernel, fab arch.Fabric, block []int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return resourceMII(d, fab, false)
-}
-
-// staticMII computes the resource-constrained minimum II of the flat
-// mapping space the exact solver (and the SA baseline) searches, where
-// route pseudo-ops occupy FU slots as moves. The block DFG is acyclic,
-// so the recurrence-constrained bound is 1. Optimality certificates are
-// relative to this space — see the package comment.
-func staticMII(d *ir.DFG, fab arch.Fabric) (int, error) {
-	return resourceMII(d, fab, true)
-}
-
-// resourceMII is the shared bound: FU ops (compute, plus routes when the
-// encoding places them on FUs) against the PE count, and loads/stores
-// against the memory-capable PE count.
-func resourceMII(d *ir.DFG, fab arch.Fabric, routesOnFU bool) (int, error) {
-	nfu, nload, nstore := d.NumCompute(), 0, 0
-	for _, n := range d.Nodes {
-		switch n.Kind {
-		case ir.OpLoad:
-			nload++
-		case ir.OpStore:
-			nstore++
-		case ir.OpRoute:
-			if routesOnFU {
-				nfu++
-			}
-		}
-	}
-	pes := fab.NumPEs()
-	mem := fab.NumMemPEs()
-	if mem == 0 && nload+nstore > 0 {
-		return 0, diag.Failf(diag.ErrMemPortInfeasible,
-			"%d loads and %d stores on a fabric with no memory-capable PE", nload, nstore).
-			Stamp("search", "", fab.String(), 0)
-	}
-	mii := (nfu + pes - 1) / pes
-	if mem > 0 {
-		if m := (nload + mem - 1) / mem; m > mii {
-			mii = m
-		}
-		if m := (nstore + mem - 1) / mem; m > mii {
-			mii = m
-		}
-	}
-	if mii < 1 {
-		mii = 1
+	mii, err := route.ResourceMII(d, fab, false)
+	if err != nil {
+		return 0, diag.Classify(err, diag.ErrMemPortInfeasible).Stamp("search", k.Name, fab.String(), 0)
 	}
 	return mii, nil
 }
 
-// CompileRequest maps the kernel's block DFG exactly onto the fabric:
-// iterative deepening on II from the static lower bound,
-// branch-and-bound at each II, detailed routing (route.RouteDFG) of
-// every complete placement, and an Optimality certificate on success.
-// Failure classes:
+// CompileRequest maps the kernel's block DFG exactly onto the fabric
+// under route.Deepen: branch-and-bound at each II, detailed routing
+// (route.RouteDFG) of every complete placement, and an Optimality
+// certificate on success. Besides route.Deepen's refusals it fails with:
 //
-//   - diag.ErrTooLarge: the DFG is past Options.MaxNodes;
-//   - diag.ErrProvedInfeasible: every II up to MaxII was exhaustively
-//     refuted (within the horizon) — no mapping exists;
+//   - diag.ErrProvedInfeasible: the resource bound exceeds MaxII, or
+//     every II up to MaxII was exhaustively refuted (within the
+//     horizon) — no mapping exists;
 //   - diag.ErrCanceled: the context was canceled or its deadline (the
 //     only time bound) expired, polled inside the branch-and-bound loop;
 //     the error text carries the II, the decisions explored and the
@@ -269,52 +216,19 @@ func resourceMII(d *ir.DFG, fab arch.Fabric, routesOnFU bool) (int, error) {
 //     either a mapping or a complete refutation (router incompleteness
 //     or the leaf cap) — no infeasibility is claimed.
 func CompileRequest(ctx context.Context, k *kernel.Kernel, fab arch.Fabric, block []int, opts Options) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if k == nil {
-		return nil, diag.Failf(diag.ErrInvalidRequest, "nil kernel").Stamp("request", "", fab.String(), 0)
-	}
 	opts = opts.withDefaults()
-	if err := fab.Validate(); err != nil {
-		return nil, err
-	}
-	start := time.Now() //lint:ignore determinism wall-clock span timing only; does not influence mapping
-	if block == nil {
-		block = k.UniformBlock(2)
-	}
-	d, err := route.BuildDFG(k, fab, block, opts.MaxNodes, opts.Tracer)
-	if err != nil {
-		return nil, err
-	}
-	mii, err := staticMII(d, fab)
-	if err != nil {
-		if se, ok := err.(*diag.StageError); ok {
-			se.Kernel = k.Name
-		}
-		return nil, err
-	}
-
 	var explored int64
+	var opt Optimality
 	leaves, screened := 0, 0
-	lb := mii            // strongest proved lower bound
+	mii, lb := 0, 0      // the first II searched (the static bound), the strongest proved bound
 	refutedBelow := true // every II in [mii, current) exhaustively refuted
-	horizonUsed := 0     // horizon of the last search (for the certificate)
-
-	// canceled keeps what the search had established when the context
-	// ended it: the II, the decisions explored and the proved bound.
-	canceled := func(ii int) error {
-		return diag.Fail(diag.ErrCanceled,
-			fmt.Errorf("at II %d after %d decisions; proved II ≥ %d: %w", ii, explored, lb, ctx.Err())).
-			Stamp("search", k.Name, fab.String(), ii)
-	}
-	ses := new(route.Session) // routes every leaf of every II
-	for ii := mii; ii <= opts.MaxII; ii++ {
-		if ctx.Err() != nil {
-			return nil, canceled(ii)
+	// mapII searches ii to a verdict. A failed II returns the verdict the
+	// deepening ends with if ii is its last.
+	mapII := func(ctx context.Context, d *ir.DFG, ii int, ses *route.Session) (*arch.Config, error) {
+		if mii == 0 {
+			mii, lb = ii, ii
 		}
-		s := newSearcher(d, fab, ii, ses)
-		horizonUsed = s.horizon
+		s := newSearcher(d, ses)
 		searchStart := time.Now() //lint:ignore determinism wall-clock span timing only; does not influence mapping
 		st, cfg := s.run(ctx)
 		explored += s.explored
@@ -325,42 +239,46 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, fab arch.Fabric, bloc
 		switch st {
 		case statusRouted:
 			opts.Tracer.Emit(span)
-			opt := Optimality{IILowerBound: lb, Explored: explored, Horizon: s.horizon}
+			opt = Optimality{IILowerBound: lb, Explored: explored, Horizon: s.horizon}
 			switch {
 			case ii == mii:
 				opt.ProvedMinimal, opt.Certificate, opt.IILowerBound = true, CertResMII, ii
 			case refutedBelow:
 				opt.ProvedMinimal, opt.Certificate, opt.IILowerBound = true, CertExhaustive, ii
 			}
-			return &Result{
-				Kernel: k, Fabric: fab, Block: block, II: ii,
-				Config:       cfg,
-				Utilization:  float64(d.NumCompute()) / float64(fab.NumPEs()*ii),
-				Optimality:   opt,
-				Time:         time.Since(start),
-				RoutedLeaves: leaves, ScreenedLeaves: screened,
-			}, nil
+			return cfg, nil
 		case statusRefuted:
 			if refutedBelow {
 				lb = ii + 1
 			}
 			span.Err = fmt.Sprintf("II %d refuted (%d decisions)", ii, s.explored)
-			opts.Tracer.Emit(span)
 		case statusUnproven:
 			refutedBelow = false
 			span.Err = fmt.Sprintf("II %d inconclusive: placements found but none routed", ii)
-			opts.Tracer.Emit(span)
 		case statusCanceled:
-			return nil, canceled(ii)
+			return nil, diag.Fail(diag.ErrCanceled, ctx.Err())
 		}
+		opts.Tracer.Emit(span)
+		if refutedBelow {
+			return nil, diag.Failf(diag.ErrProvedInfeasible,
+				"every II in [%d, %d] exhaustively refuted within horizon %d", mii, ii, s.horizon)
+		}
+		return nil, diag.Failf(diag.ErrPlacementInfeasible,
+			"no routable placement up to II %d (proved II ≥ %d; some IIs had unrouted placements)", ii, lb)
 	}
-	if refutedBelow {
-		return nil, diag.Failf(diag.ErrProvedInfeasible,
-			"every II in [%d, %d] exhaustively refuted within horizon %d", mii, opts.MaxII, horizonUsed).
-			Stamp("search", k.Name, fab.String(), opts.MaxII)
+	fr, err := route.Deepen(ctx, k, fab, block, route.Flat{MaxNodes: opts.MaxNodes, MaxII: opts.MaxII, Stage: "search",
+		PastMaxII: diag.ErrProvedInfeasible, Tracer: opts.Tracer}, mapII)
+	if se := (*diag.StageError)(nil); errors.As(err, &se) && se.Class == diag.ErrCanceled {
+		// Keep what the search had established when the context ended
+		// it: the II, the decisions explored and the proved bound (the
+		// static one if no II ran).
+		if lb == 0 {
+			lb = se.Attempt
+		}
+		se.Err = fmt.Errorf("at II %d after %d decisions; proved II ≥ %d: %w", se.Attempt, explored, lb, se.Err)
 	}
-	return nil, diag.Failf(diag.ErrPlacementInfeasible,
-		"no routable placement up to II %d (proved II ≥ %d; some IIs had unrouted placements)",
-		opts.MaxII, lb).
-		Stamp("search", k.Name, fab.String(), opts.MaxII)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{FlatResult: *fr, Optimality: opt, RoutedLeaves: leaves, ScreenedLeaves: screened}, nil
 }

@@ -217,21 +217,21 @@ func TestCanceledContext(t *testing.T) {
 }
 
 // TestProvedInfeasibleTinyFabric: a 1x1 fabric cannot hold a multi-op
-// kernel block within MaxII; the mapper must either prove infeasibility
-// or report honest unprovenness — never claim success.
+// kernel block within MaxII, and the resource bound proves it: the
+// mapper must report proved infeasibility, never success.
 func TestProvedInfeasibleTinyFabric(t *testing.T) {
 	k, err := kernel.ByName("MVT")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Block 2 MVT needs more memory ports per II than one PE provides at
-	// MaxII 3, so every candidate II is refuted by the port propagators.
+	// MaxII 3, so the resource bound alone exceeds MaxII.
 	_, err = CompileRequest(context.Background(), k, arch.DefaultFabric(1, 1), k.UniformBlock(accBlock),
 		Options{MaxII: 3})
 	if err == nil {
 		t.Fatal("MVT block 2 mapped onto a 1x1 fabric at II <= 3")
 	}
-	if !errors.Is(err, diag.ErrProvedInfeasible) && !errors.Is(err, diag.ErrPlacementInfeasible) {
-		t.Errorf("tiny-fabric failure %v, want proved or placement infeasibility", err)
+	if !errors.Is(err, diag.ErrProvedInfeasible) {
+		t.Errorf("tiny-fabric failure %v, want proved infeasibility", err)
 	}
 }

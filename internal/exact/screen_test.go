@@ -9,6 +9,7 @@ import (
 
 	"himap/internal/arch"
 	"himap/internal/kernel"
+	"himap/internal/mrrg"
 	"himap/internal/route"
 )
 
@@ -114,7 +115,7 @@ func TestScreenNeverRefutesRoutable(t *testing.T) {
 		perturbs = 3 // perturbations chained off each of the above
 	)
 	ctx := context.Background()
-	ses := new(route.Session) // re-targeted per searcher, as in CompileRequest
+	ses := new(route.Session) // re-targeted per searcher, as in route.Deepen
 	placements, refuted := 0, 0
 	for _, nf := range screenFabrics() {
 		fname, fab := nf.name, nf.fab
@@ -123,7 +124,7 @@ func TestScreenNeverRefutesRoutable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mii, err := staticMII(d, fab)
+			mii, err := route.ResourceMII(d, fab, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,7 +161,7 @@ func TestScreenNeverRefutesRoutable(t *testing.T) {
 				}
 			}
 			for ii := mii; ii <= mii+1; ii++ {
-				s := newSearcher(d, fab, ii, ses)
+				s := newSearcher(d, ses.Reset(mrrg.New(fab, ii)))
 				for n := 0; n < leafCap && s.descend(ctx) == statusLeaf; n++ {
 					routed := judge(s, "search leaf", true)
 					shake(s, "search leaf")
@@ -168,7 +169,7 @@ func TestScreenNeverRefutesRoutable(t *testing.T) {
 						break
 					}
 				}
-				s = newSearcher(d, fab, ii, ses)
+				s = newSearcher(d, ses.Reset(mrrg.New(fab, ii)))
 				for n := 0; n < lists; n++ {
 					if listPlace(s, rng) {
 						judge(s, "list placement", false)

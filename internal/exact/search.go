@@ -120,13 +120,14 @@ type searcher struct {
 
 const maxNogoods = 1 << 15
 
-// newSearcher prepares the search at one II. ses is the compile's routing
-// session: it is re-targeted to the II's MRRG, which every leaf of the
-// II is routed on.
-func newSearcher(d *ir.DFG, fab arch.Fabric, ii int, ses *route.Session) *searcher {
-	n := len(d.Nodes)
+// newSearcher prepares the search at one II: ses is the compile's routing
+// session, re-targeted to the II's MRRG, which the capacities come from
+// and every leaf of the II is routed on.
+func newSearcher(d *ir.DFG, ses *route.Session) *searcher {
+	g := ses.G
+	fab, ii, n := g.Fab, g.II, len(d.Nodes)
 	s := &searcher{
-		d: d, fab: fab, ii: ii,
+		d: d, fab: fab, ii: ii, ses: ses,
 		pes: fab.NumPEs(), cols: fab.Cols,
 		nogood: make(map[uint64]struct{}),
 	}
@@ -194,7 +195,6 @@ func newSearcher(d *ir.DFG, fab arch.Fabric, ii int, ses *route.Session) *search
 	// Capacities are the ones the PathFinder router negotiates against,
 	// so relaxation and detailed routing agree on what the fabric
 	// provides.
-	g := mrrg.New(fab, ii)
 	s.capFU = g.Capacity(mrrg.ClassFU)
 	s.capMRD = g.Capacity(mrrg.ClassMemRead)
 	s.capMWR = g.Capacity(mrrg.ClassMemWrite)
@@ -205,7 +205,6 @@ func newSearcher(d *ir.DFG, fab arch.Fabric, ii int, ses *route.Session) *search
 	s.capRFR = g.Capacity(mrrg.ClassRFRead)
 	s.capRFW = g.Capacity(mrrg.ClassRFWrite)
 	s.screen = leafScreen{g: g, cap: g.Capacity(mrrg.ClassOut)}
-	s.ses = ses.Reset(g)
 
 	s.slotCnt = make([]int32, 3*ii*s.pes)
 	s.at = make([]int, n)

@@ -126,7 +126,7 @@ func RouteDFG(ctx context.Context, ses *Session, d *ir.DFG, pl []Placement, roun
 	ok := false
 	for round := 0; round < rounds; round++ {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("route: %w: %v", diag.ErrCanceled, err)
+			return nil, fmt.Errorf("route: %w: %w", diag.ErrCanceled, err)
 		}
 		for _, net := range nets {
 			ses.Release(net)

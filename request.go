@@ -87,17 +87,16 @@ func (r *Result) Summary() string {
 
 // CompileRequest is the canonical compilation entry point: it dispatches
 // the request to the requested mapper and stamps the mapper's name into
-// Result.Backend. It honors ctx for
-// cancellation and deadlines (a canceled compile fails with an error
-// wrapping ErrCanceled). A nil ctx is treated as context.Background().
+// Result.Backend. It honors ctx for cancellation and deadlines (a
+// canceled compile fails with an error wrapping ErrCanceled). A nil ctx
+// is treated as context.Background().
 //
 // For MapperHiMap the Result is the familiar hierarchical mapping. For
-// MapperConventional the shared fields (Kernel, Fabric, Block,
-// Config, Utilization) are filled from the conventional mapping and
-// Result.Conventional holds the full *BaselineResult. For MapperExact
-// the shared fields are filled from the exact mapping, Result.Exact
-// holds the full *ExactResult, and Result.Optimality carries the
-// certificate. Unset fields of other flows stay nil/zero.
+// the flat mappers the shared fields (Kernel, Fabric, Block, Config,
+// Utilization) are lifted from their common result fields, and
+// Result.Conventional or Result.Exact holds the full mapping; for
+// MapperExact, Result.Optimality carries the certificate. Unset fields
+// of other flows stay nil/zero.
 func CompileRequest(ctx context.Context, req Request) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -56,5 +56,13 @@ go run ./cmd/himapload -cluster 2 -duration 3s -concurrency 4 -require-hits >/de
 # Exact backend: a tiny instance closes with a proved-minimal certificate.
 exact_out=$(go run ./cmd/himap -mapper exact -kernel MVT -rows 4 -cols 4 -block 2 -exact-budget 30s)
 echo "$exact_out" | grep -q "proved minimal"
+# Conventional backend: a tiny instance maps, and a memory kernel on a fabric with no memory PE is refused by the resource bound before any SA move.
+conv_out=$(go run ./cmd/himap -mapper conventional -kernel MVT -rows 4 -cols 4 -block 2)
+echo "$conv_out" | grep -q "(baseline)"
+if conv_err=$(go run ./cmd/himap -mapper conventional -kernel MVT -rows 4 -cols 4 -block 2 -mem-pes none 2>&1); then
+	echo "the conventional mapper mapped MVT on a fabric with no memory PE" >&2
+	exit 1
+fi
+echo "$conv_err" | grep -q "memory-port demand infeasible"
 # The two line counts ROADMAP item 14 tracks, in every CI log.
 scripts/loc.sh
