@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -222,7 +223,12 @@ func soak(urls []string, duration time.Duration, concurrency int, seed int64) re
 				body := requestMix[rng.Intn(len(requestMix))]
 				url := urls[rng.Intn(len(urls))]
 				resp, err := client.Post(url+"/v1/compile", "application/json", strings.NewReader(body))
-				elapsed := time.Since(now)
+				var payload []byte
+				if err == nil {
+					payload, _ = io.ReadAll(resp.Body) // a cut body still counts; decoded only for an error code
+					resp.Body.Close()
+				}
+				elapsed := time.Since(now) // the whole response, not just its headers
 				mu.Lock()
 				rep.Requests++
 				if err != nil {
@@ -252,16 +258,10 @@ func soak(urls []string, duration time.Duration, concurrency int, seed int64) re
 				if resp.Header.Get("X-Himap-Peer") != "" {
 					rep.Forwarded++
 				}
-				mu.Unlock()
-
-				payload, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
 				if resp.StatusCode != http.StatusOK {
-					code := errorCode(payload)
-					mu.Lock()
-					rep.Errors[code]++
-					mu.Unlock()
+					rep.Errors[errorCode(payload)]++
 				}
+				mu.Unlock()
 			}
 		}(w)
 	}
@@ -293,15 +293,12 @@ func errorCode(body []byte) string {
 	return er.Error.Code
 }
 
-// percentile reads the p-quantile from an ascending sample (nearest
-// rank).
+// percentile reads the p-quantile from an ascending sample by nearest
+// rank: the ceil(p·n)-th smallest sample.
 func percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(p * float64(len(sorted)))
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
+	return sorted[min(max(idx, 0), len(sorted)-1)]
 }

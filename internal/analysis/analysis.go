@@ -1,7 +1,7 @@
 // Package analysis is the repo's custom static-analysis layer: a small
 // stdlib-only (go/parser + go/ast + go/types, no x/tools) driver and
 // three project-specific analyzers, each owning a defect no other gate
-// sees (DESIGN.md, "Static analysis", has the mutation audit):
+// sees (DESIGN.md, "Static analysis", cites the mutation audit):
 //
 //   - determinism: the mapping a compile emits must be a pure function of
 //     (kernel, fabric, options minus Workers). Wall-clock reads, globally

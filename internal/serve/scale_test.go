@@ -506,6 +506,7 @@ func TestBatchRejections(t *testing.T) {
 		body string
 	}{
 		{"empty items", `{"items":[],"options":{}}`},
+		{"negative timeout", `{"items":[{"kernel":"MVT","fabric":{"rows":4,"cols":4},"options":{}}],"options":{"timeout_ms":-1}}`},
 		{"item pins version", `{"items":[{"schema_version":2,"kernel":"MVT","fabric":{"rows":4,"cols":4},"options":{}}],"options":{}}`},
 		{"too many items", `{"items":[
 			{"kernel":"MVT","fabric":{"rows":4,"cols":4},"options":{}},

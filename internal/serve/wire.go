@@ -416,6 +416,9 @@ func DecodeBatchRequest(r io.Reader) (*BatchRequestWire, error) {
 	if len(req.Items) == 0 {
 		return nil, fmt.Errorf("%w: batch has no items", ErrBadRequest)
 	}
+	if req.Options.TimeoutMS < 0 {
+		return nil, fmt.Errorf("%w: timeout_ms must be non-negative", ErrBadRequest)
+	}
 	for i := range req.Items {
 		if req.Items[i].SchemaVersion != 0 {
 			return nil, fmt.Errorf("%w: items[%d] pins schema_version %d; the batch envelope's version governs every item",

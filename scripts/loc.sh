@@ -1,7 +1,10 @@
 #!/bin/sh
-# Go line counts as ROADMAP reports them: product code outside bench/ and
-# testdata/, and test code outside bench/.
+# The sizes ROADMAP item 14 tracks: Go line counts (product code outside
+# bench/ and testdata/, test code outside bench/), DESIGN.md lines and
+# CHANGES.md words.
 cd "$(dirname "$0")/.."
 prod=$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs cat | wc -l)
 tests=$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)
-echo "non-test Go $prod / test Go $tests"
+design=$(wc -l <DESIGN.md)
+changes=$(wc -w <CHANGES.md)
+echo "non-test Go $prod / test Go $tests / DESIGN.md lines $design / CHANGES.md words $changes"
