@@ -26,14 +26,15 @@ import (
 )
 
 func main() {
+	topoNames, memNames, bwNames, costNames := himap.FabricNames()
 	var (
 		name     = flag.String("kernel", "GEMM", "kernel name (ADI, ATAX, BICG, MVT, GEMM, SYRK, FW, TTM, CONV2D, CONV3D, NW, DOITGEN, DOTPROD, RELU)")
 		rows     = flag.Int("rows", 8, "CGRA rows")
 		cols     = flag.Int("cols", 8, "CGRA columns")
-		fabric   = flag.String("fabric", "mesh", "interconnect topology: "+himap.TopologyNames())
-		memPEs   = flag.String("mem-pes", "all", "memory-capable PEs: "+himap.MemPolicyNames()+" (boundary = edge columns only)")
-		bwClass  = flag.String("bandwidth", "unit", "link bandwidth class: "+himap.BandwidthNames())
-		cost     = flag.String("cost", "balanced", "silicon cost corner for the power model: "+himap.CostClassNames())
+		fabric   = flag.String("fabric", "mesh", "interconnect topology: "+topoNames)
+		memPEs   = flag.String("mem-pes", "all", "memory-capable PEs: "+memNames+" (boundary = edge columns only)")
+		bwClass  = flag.String("bandwidth", "unit", "link bandwidth class: "+bwNames)
+		cost     = flag.String("cost", "balanced", "silicon cost corner for the power model: "+costNames)
 		inner    = flag.Int("inner", 0, "inner block size b3.. for time-sequenced dimensions (0 = default; himap mapper only)")
 		validate = flag.Bool("validate", false, "run cycle-accurate functional validation (3 pipelined blocks)")
 		render   = flag.Bool("render", false, "render the space-time schedule")
@@ -59,23 +60,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	topo, err := himap.ParseTopology(*fabric)
+	fab, err := himap.ParseFabric(himap.DefaultCGRA(*rows, *cols), *fabric, *memPEs, *bwClass, *cost)
 	if err != nil {
 		fatal(err)
 	}
-	mem, err := himap.ParseMemPolicy(*memPEs)
-	if err != nil {
-		fatal(err)
-	}
-	bw, err := himap.ParseBandwidth(*bwClass)
-	if err != nil {
-		fatal(err)
-	}
-	cc, err := himap.ParseCostClass(*cost)
-	if err != nil {
-		fatal(err)
-	}
-	fab := himap.Fabric{CGRA: himap.DefaultCGRA(*rows, *cols), Topology: topo, Mem: mem, Bandwidth: bw, Cost: cc}
 	model := himap.PowerModelFor(fab)
 
 	req := himap.Request{

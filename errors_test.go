@@ -205,14 +205,19 @@ func TestErrConfigInvalidFromLoadConfig(t *testing.T) {
 	}
 }
 
-// TestErrConfigInvalidFromParsers: the string parsers reject unknown
-// names with the same class as the decoder.
+// TestErrConfigInvalidFromParsers: the fabric parse rejects an unknown
+// name in any class with the same class as the decoder.
 func TestErrConfigInvalidFromParsers(t *testing.T) {
-	if _, err := himap.ParseTopology("hypercube"); !errors.Is(err, himap.ErrConfigInvalid) {
-		t.Errorf("ParseTopology: want ErrConfigInvalid, got %v", err)
-	}
-	if _, err := himap.ParseMemPolicy("everywhere-but-corners"); !errors.Is(err, himap.ErrConfigInvalid) {
-		t.Errorf("ParseMemPolicy: want ErrConfigInvalid, got %v", err)
+	cg := himap.DefaultCGRA(4, 4)
+	for _, names := range [][4]string{
+		{"hypercube", "", "", ""},
+		{"", "everywhere-but-corners", "", ""},
+		{"", "", "quad", ""},
+		{"", "", "", "military"},
+	} {
+		if _, err := himap.ParseFabric(cg, names[0], names[1], names[2], names[3]); !errors.Is(err, himap.ErrConfigInvalid) {
+			t.Errorf("ParseFabric%q: want ErrConfigInvalid, got %v", names, err)
+		}
 	}
 }
 

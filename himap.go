@@ -214,31 +214,18 @@ func ExactLowerBound(k *Kernel, fab Fabric, block []int) (int, error) {
 	return exact.LowerBound(k, fab, block)
 }
 
-// ParseTopology maps a CLI name (mesh|torus|diag) to a Topology.
-func ParseTopology(s string) (Topology, error) { return arch.ParseTopology(s) }
+// ParseFabric builds the fabric on array cg from the names of its four
+// classes (topology, memory-port layout, bandwidth class, cost class),
+// as the CLI flags, the wire and the configuration file spell them:
+// any letter case, "" for a class's default. An unknown name fails with
+// ErrConfigInvalid and lists the class's names.
+func ParseFabric(cg CGRA, topology, mem, bandwidth, cost string) (Fabric, error) {
+	return arch.ParseFabric(cg, topology, mem, bandwidth, cost)
+}
 
-// ParseMemPolicy maps a CLI name (all|boundary|none) to a MemPolicy.
-func ParseMemPolicy(s string) (MemPolicy, error) { return arch.ParseMemPolicy(s) }
-
-// ParseBandwidth maps a CLI name (unit|double|bus|narrow-rf) to a
-// BandwidthClass; the empty string selects BWUnit.
-func ParseBandwidth(s string) (BandwidthClass, error) { return arch.ParseBandwidth(s) }
-
-// ParseCostClass maps a CLI name (balanced|low-power|high-perf) to a
-// CostClass; the empty string selects CostBalanced.
-func ParseCostClass(s string) (CostClass, error) { return arch.ParseCostClass(s) }
-
-// TopologyNames returns the accepted -topology CLI names, "|"-joined.
-func TopologyNames() string { return arch.TopologyNames() }
-
-// MemPolicyNames returns the accepted -mem-pes CLI names, "|"-joined.
-func MemPolicyNames() string { return arch.MemPolicyNames() }
-
-// BandwidthNames returns the accepted -bandwidth CLI names, "|"-joined.
-func BandwidthNames() string { return arch.BandwidthNames() }
-
-// CostClassNames returns the accepted -cost CLI names, "|"-joined.
-func CostClassNames() string { return arch.CostClassNames() }
+// FabricNames returns each class's accepted names, "|"-joined, for help
+// text.
+func FabricNames() (topology, mem, bandwidth, cost string) { return arch.FabricNames() }
 
 // ExploreFabrics returns the deterministic design-space candidate set a
 // rows×cols array spans: the default fabric plus topology, memory,

@@ -1,9 +1,12 @@
 package arch
 
 import (
+	"cmp"
 	"fmt"
-	"himap/internal/diag"
+	"slices"
 	"strings"
+
+	"himap/internal/diag"
 )
 
 // Topology selects the link provider of a fabric: which typed directed
@@ -24,34 +27,6 @@ const (
 	// style richer interconnect); no wrap-around.
 	TopoMeshDiag
 )
-
-var topoNames = [...]string{"mesh", "torus", "diag"}
-
-// String returns the CLI name of the topology.
-func (t Topology) String() string {
-	if int(t) < len(topoNames) {
-		return topoNames[t]
-	}
-	return fmt.Sprintf("Topology(%d)", uint8(t))
-}
-
-// ParseTopology maps a CLI name to a Topology.
-func ParseTopology(s string) (Topology, error) {
-	switch strings.ToLower(s) {
-	case "mesh", "":
-		return TopoMesh, nil
-	case "torus":
-		return TopoTorus, nil
-	case "diag", "mesh+diag", "meshdiag":
-		return TopoMeshDiag, nil
-	}
-	return TopoMesh, fmt.Errorf("arch: unknown topology %q (want %s): %w", s, TopologyNames(), diag.ErrConfigInvalid)
-}
-
-// TopologyNames enumerates the accepted -fabric / "topology" values,
-// pipe-separated. CLI help text and parse errors both render this, so
-// the accepted set cannot drift from the parser.
-func TopologyNames() string { return strings.Join(topoNames[:], "|") }
 
 // NumDirs returns how many link directions the topology uses per PE.
 func (t Topology) NumDirs() int {
@@ -81,33 +56,6 @@ const (
 	MemNone
 )
 
-var memNames = [...]string{"all", "boundary", "none"}
-
-// String returns the CLI name of the policy.
-func (p MemPolicy) String() string {
-	if int(p) < len(memNames) {
-		return memNames[p]
-	}
-	return fmt.Sprintf("MemPolicy(%d)", uint8(p))
-}
-
-// ParseMemPolicy maps a CLI name to a MemPolicy.
-func ParseMemPolicy(s string) (MemPolicy, error) {
-	switch strings.ToLower(s) {
-	case "all", "":
-		return MemAll, nil
-	case "boundary":
-		return MemBoundary, nil
-	case "none":
-		return MemNone, nil
-	}
-	return MemAll, fmt.Errorf("arch: unknown memory policy %q (want %s): %w", s, MemPolicyNames(), diag.ErrConfigInvalid)
-}
-
-// MemPolicyNames enumerates the accepted -mem-pes / "mem_pes" values,
-// pipe-separated, from the same table the parser and String use.
-func MemPolicyNames() string { return strings.Join(memNames[:], "|") }
-
 // BandwidthClass selects the link bandwidth model of a fabric: how many
 // simultaneous values each inter-PE link (and each register-file port)
 // carries per cycle. It generalizes the implicit "one value per link per
@@ -135,35 +83,6 @@ const (
 	BWNarrowRF
 )
 
-var bwNames = [...]string{"unit", "double", "bus", "narrow-rf"}
-
-// String returns the CLI name of the bandwidth class.
-func (b BandwidthClass) String() string {
-	if int(b) < len(bwNames) {
-		return bwNames[b]
-	}
-	return fmt.Sprintf("BandwidthClass(%d)", uint8(b))
-}
-
-// ParseBandwidth maps a CLI name to a BandwidthClass.
-func ParseBandwidth(s string) (BandwidthClass, error) {
-	switch strings.ToLower(s) {
-	case "unit", "":
-		return BWUnit, nil
-	case "double":
-		return BWDouble, nil
-	case "bus":
-		return BWBus, nil
-	case "narrow-rf", "narrowrf":
-		return BWNarrowRF, nil
-	}
-	return BWUnit, fmt.Errorf("arch: unknown bandwidth class %q (want %s): %w", s, BandwidthNames(), diag.ErrConfigInvalid)
-}
-
-// BandwidthNames enumerates the accepted -bandwidth / "bandwidth"
-// values, pipe-separated.
-func BandwidthNames() string { return strings.Join(bwNames[:], "|") }
-
 // CostClass selects the per-PE cost model of a fabric: the silicon
 // corner the array is implemented in. It scales the power model (clock,
 // static and per-activity dynamic power) without changing routing. The
@@ -182,32 +101,95 @@ const (
 	CostHighPerf
 )
 
-var costNames = [...]string{"balanced", "low-power", "high-perf"}
+// classNames is the vocabulary of one fabric class. names[v] renders
+// value v and names[0] is the default that the empty string selects;
+// aliases are further spellings the parser accepts, and every spelling
+// matches in any letter case. The one table per class serves String,
+// parsing, the "|"-joined list that help text and parse errors show,
+// and Fabric.Validate's range check, so none of them can drift from the
+// others.
+type classNames[T ~uint8] struct {
+	kind    string // the Go type, for String's out-of-range form
+	noun    string // the class, as errors name it
+	names   []string
+	aliases map[string]T
+}
+
+var (
+	topoNames = classNames[Topology]{"Topology", "topology", []string{"mesh", "torus", "diag"},
+		map[string]Topology{"mesh+diag": TopoMeshDiag, "meshdiag": TopoMeshDiag}}
+	memNames = classNames[MemPolicy]{"MemPolicy", "memory policy", []string{"all", "boundary", "none"}, nil}
+	bwNames  = classNames[BandwidthClass]{"BandwidthClass", "bandwidth class", []string{"unit", "double", "bus", "narrow-rf"},
+		map[string]BandwidthClass{"narrowrf": BWNarrowRF}}
+	costNames = classNames[CostClass]{"CostClass", "cost class", []string{"balanced", "low-power", "high-perf"},
+		map[string]CostClass{"lowpower": CostLowPower, "highperf": CostHighPerf}}
+)
+
+func (c *classNames[T]) str(v T) string {
+	if int(v) < len(c.names) {
+		return c.names[v]
+	}
+	return fmt.Sprintf("%s(%d)", c.kind, uint8(v))
+}
+
+func (c *classNames[T]) list() string { return strings.Join(c.names, "|") }
+
+func (c *classNames[T]) parse(s string) (T, error) {
+	l := strings.ToLower(s)
+	if l == "" {
+		return 0, nil
+	}
+	if i := slices.Index(c.names, l); i >= 0 {
+		return T(i), nil
+	}
+	if v, ok := c.aliases[l]; ok {
+		return v, nil
+	}
+	return 0, fmt.Errorf("arch: unknown %s %q (want %s): %w", c.noun, s, c.list(), diag.ErrConfigInvalid)
+}
+
+func (c *classNames[T]) check(v T) error {
+	if int(v) < len(c.names) {
+		return nil
+	}
+	return fmt.Errorf("arch: bad %s %d: %w", c.noun, v, diag.ErrConfigInvalid)
+}
+
+// String returns the CLI name of the topology.
+func (t Topology) String() string { return topoNames.str(t) }
+
+// String returns the CLI name of the policy.
+func (p MemPolicy) String() string { return memNames.str(p) }
+
+// String returns the CLI name of the bandwidth class.
+func (b BandwidthClass) String() string { return bwNames.str(b) }
 
 // String returns the CLI name of the cost class.
-func (cc CostClass) String() string {
-	if int(cc) < len(costNames) {
-		return costNames[cc]
+func (cc CostClass) String() string { return costNames.str(cc) }
+
+// ParseFabric builds the fabric on array cg from the names of its four
+// classes: the one parse behind the CLI's flags, the wire's fabric
+// object and the configuration file. An unknown name fails with
+// ErrConfigInvalid, checked in the argument order. The array itself is
+// not validated.
+func ParseFabric(cg CGRA, topology, mem, bandwidth, cost string) (Fabric, error) {
+	f := Fabric{CGRA: cg}
+	var errs [4]error
+	f.Topology, errs[0] = topoNames.parse(topology)
+	f.Mem, errs[1] = memNames.parse(mem)
+	f.Bandwidth, errs[2] = bwNames.parse(bandwidth)
+	f.Cost, errs[3] = costNames.parse(cost)
+	if err := cmp.Or(errs[:]...); err != nil {
+		return Fabric{}, err
 	}
-	return fmt.Sprintf("CostClass(%d)", uint8(cc))
+	return f, nil
 }
 
-// ParseCostClass maps a CLI name to a CostClass.
-func ParseCostClass(s string) (CostClass, error) {
-	switch strings.ToLower(s) {
-	case "balanced", "":
-		return CostBalanced, nil
-	case "low-power", "lowpower":
-		return CostLowPower, nil
-	case "high-perf", "highperf":
-		return CostHighPerf, nil
-	}
-	return CostBalanced, fmt.Errorf("arch: unknown cost class %q (want %s): %w", s, CostClassNames(), diag.ErrConfigInvalid)
+// FabricNames returns each class's accepted names, "|"-joined, for help
+// text; a parse error lists the same.
+func FabricNames() (topology, mem, bandwidth, cost string) {
+	return topoNames.list(), memNames.list(), bwNames.list(), costNames.list()
 }
-
-// CostClassNames enumerates the accepted -cost / "cost_class" values,
-// pipe-separated.
-func CostClassNames() string { return strings.Join(costNames[:], "|") }
 
 // PECaps is the capability class of one PE.
 type PECaps uint8
@@ -389,19 +371,7 @@ func (f Fabric) Validate() error {
 	if f.NumRegs > maxRegs {
 		return fmt.Errorf("arch: %d registers exceed the routable bound of %d: %w", f.NumRegs, maxRegs, diag.ErrConfigInvalid)
 	}
-	if int(f.Topology) >= len(topoNames) {
-		return fmt.Errorf("arch: bad topology %d: %w", f.Topology, diag.ErrConfigInvalid)
-	}
-	if int(f.Mem) >= len(memNames) {
-		return fmt.Errorf("arch: bad memory policy %d: %w", f.Mem, diag.ErrConfigInvalid)
-	}
-	if int(f.Bandwidth) >= len(bwNames) {
-		return fmt.Errorf("arch: bad bandwidth class %d: %w", f.Bandwidth, diag.ErrConfigInvalid)
-	}
-	if int(f.Cost) >= len(costNames) {
-		return fmt.Errorf("arch: bad cost class %d: %w", f.Cost, diag.ErrConfigInvalid)
-	}
-	return nil
+	return cmp.Or(topoNames.check(f.Topology), memNames.check(f.Mem), bwNames.check(f.Bandwidth), costNames.check(f.Cost))
 }
 
 // String renders the fabric. The default mesh/all-mem/unit-bandwidth/

@@ -269,23 +269,10 @@ func ReadJSON(r io.Reader) (*Config, error) {
 	if cj.II > maxConfigDim {
 		return nil, fmt.Errorf("arch: II = %d exceeds the %d decode bound: %w", cj.II, maxConfigDim, diag.ErrConfigInvalid)
 	}
-	topo, err := ParseTopology(cj.Topology)
+	fab, err := ParseFabric(cj.CGRA, cj.Topology, cj.MemPEs, cj.Bandwidth, cj.CostClass)
 	if err != nil {
 		return nil, err
 	}
-	mem, err := ParseMemPolicy(cj.MemPEs)
-	if err != nil {
-		return nil, err
-	}
-	bw, err := ParseBandwidth(cj.Bandwidth)
-	if err != nil {
-		return nil, err
-	}
-	cost, err := ParseCostClass(cj.CostClass)
-	if err != nil {
-		return nil, err
-	}
-	fab := Fabric{CGRA: cj.CGRA, Topology: topo, Mem: mem, Bandwidth: bw, Cost: cost}
 	if err := fab.Validate(); err != nil {
 		return nil, err
 	}
@@ -297,7 +284,7 @@ func ReadJSON(r io.Reader) (*Config, error) {
 		for r := range want {
 			if cj.Caps[r] != want[r] {
 				return nil, fmt.Errorf("arch: caps row %d is %q, inconsistent with mem_pes=%s (%q): %w",
-					r, cj.Caps[r], mem, want[r], diag.ErrConfigInvalid)
+					r, cj.Caps[r], fab.Mem, want[r], diag.ErrConfigInvalid)
 			}
 		}
 	}

@@ -281,31 +281,13 @@ func BuildRequest(w *CompileRequestWire, cfg Config) (himap.Request, error) {
 // server compiles, applying the array-size bound and strict enumeration
 // parsing.
 func BuildFabric(f FabricSpec) (himap.Fabric, error) {
-	var fab himap.Fabric
 	if f.Rows < 2 || f.Cols < 2 || f.Rows > maxArraySide || f.Cols > maxArraySide {
-		return fab, fmt.Errorf("%w: fabric %dx%d outside [2,%d]", ErrBadRequest, f.Rows, f.Cols, maxArraySide)
+		return himap.Fabric{}, fmt.Errorf("%w: fabric %dx%d outside [2,%d]", ErrBadRequest, f.Rows, f.Cols, maxArraySide)
 	}
-	topo, err := himap.ParseTopology(f.Topology)
+	fab, err := himap.ParseFabric(himap.DefaultCGRA(f.Rows, f.Cols), f.Topology, f.MemPEs, f.Bandwidth, f.CostClass)
 	if err != nil {
 		return fab, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	mem, err := himap.ParseMemPolicy(f.MemPEs)
-	if err != nil {
-		return fab, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	bw, err := himap.ParseBandwidth(f.Bandwidth)
-	if err != nil {
-		return fab, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	cost, err := himap.ParseCostClass(f.CostClass)
-	if err != nil {
-		return fab, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	fab = himap.DefaultFabric(f.Rows, f.Cols)
-	fab.Topology = topo
-	fab.Mem = mem
-	fab.Bandwidth = bw
-	fab.Cost = cost
 	return fab, nil
 }
 
