@@ -33,7 +33,7 @@ func congestDense(s *Session, rng *lcg, ii int) {
 		hist[s.G.DenseKey(mrrg.Node{
 			T: rng.next(ii), R: rng.next(f.Rows), C: rng.next(f.Cols),
 			Class: mrrg.ClassReg, Idx: uint8(rng.next(f.NumRegs)),
-		})] += s.HistBump
+		})] += histBump
 	}
 }
 

@@ -98,7 +98,7 @@ func TestSessionFootprint(t *testing.T) {
 	if s.hist != nil {
 		t.Errorf("%d history entries before any bump found congestion", len(s.hist))
 	}
-	if over := s.BumpHistory(routed); len(over) != 1 || len(s.hist) != g.NumDenseKeys() || s.Hist(hot) != s.HistBump {
+	if over := s.BumpHistory(routed); len(over) != 1 || len(s.hist) != g.NumDenseKeys() || s.Hist(hot) != histBump {
 		t.Fatalf("congested round: oversubscribed %v, %d history entries (want 1 and %d), history of %v %v",
 			over, len(s.hist), g.NumDenseKeys(), hot, s.Hist(hot))
 	}

@@ -38,7 +38,7 @@ func oraclePrice(s *Session, n mrrg.Node) float64 {
 	key := s.G.DenseKey(n)
 	cost := oracleBase[n.Class]
 	if over := int(s.occ[key]) + 1 - s.G.Capacity(n.Class); over > 0 {
-		cost *= 1 + float64(over)*s.PresFac
+		cost *= 1 + float64(over)*presFac
 	}
 	return cost + s.Hist(n)
 }
@@ -164,9 +164,9 @@ func congest(s *Session, rng *lcg, ii, r, c, reach, dr, dc int) {
 	hist := s.history()
 	for i := 0; i < 3*reach*reach; i++ {
 		t, pr, pc := pick()
-		hist[s.G.DenseKey(mrrg.Node{T: t, R: pr, C: pc, Class: mrrg.ClassReg, Idx: uint8(rng.next(f.NumRegs))})] += s.HistBump
+		hist[s.G.DenseKey(mrrg.Node{T: t, R: pr, C: pc, Class: mrrg.ClassReg, Idx: uint8(rng.next(f.NumRegs))})] += histBump
 		t, pr, pc = pick()
-		hist[s.G.DenseKey(mrrg.Node{T: t, R: pr, C: pc, Class: mrrg.ClassOut, Idx: uint8(rng.next(f.NumLinkDirs()))})] += s.HistBump
+		hist[s.G.DenseKey(mrrg.Node{T: t, R: pr, C: pc, Class: mrrg.ClassOut, Idx: uint8(rng.next(f.NumLinkDirs()))})] += histBump
 	}
 }
 

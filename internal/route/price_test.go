@@ -34,7 +34,7 @@ func TestSlotTablePricesOracleFormula(t *testing.T) {
 			key := g.DenseKey(n)
 			s.occ[key] = int32(rng.next(6))
 			if trial >= 500 {
-				s.history()[key] = float64(rng.next(10)) * s.HistBump
+				s.history()[key] = float64(rng.next(10)) * histBump
 			}
 			if got, want := slotPrice(s, n), oraclePrice(s, n); got != want {
 				t.Fatalf("%s trial %d %v occ=%d hist=%v: slot table prices %v, the formula %v",
@@ -71,7 +71,8 @@ func TestDoublePumpedRFPricing(t *testing.T) {
 		t.Errorf("fourth occupant priced %v on a double-pumped 2-port RF, want congestion-free 0.3", got)
 	}
 	s.occ[key] = 4
-	want := 0.3 * (1 + 1*s.PresFac)
+	base, over := 0.3, 1.0 // variables: price multiplies in float64, not in exact constant arithmetic
+	want := base * (1 + over*presFac)
 	if got := slotPrice(s, n); got != want {
 		t.Errorf("fifth occupant priced %v, want %v", got, want)
 	}
@@ -79,7 +80,7 @@ func TestDoublePumpedRFPricing(t *testing.T) {
 	out := mrrg.Node{T: 0, R: 1, C: 1, Class: mrrg.ClassOut, Idx: 0}
 	okey := g.DenseKey(out)
 	s.occ[okey] = 1
-	if got, want := slotPrice(s, out), 1.0*(1+1*s.PresFac); got != want {
+	if got, want := slotPrice(s, out), 1.0*(1+1*presFac); got != want {
 		t.Errorf("second link occupant priced %v, want congested %v (links are single-lane in every class)", got, want)
 	}
 }

@@ -22,9 +22,8 @@ type resetTrial struct {
 	sinks      [][][3]int // per net: (cycle, row, column) of each consumer
 	envelope   *Box
 	rounds     int
-	// tuned overrides the cost parameters and the visit budget as a
-	// caller may (integral multiples keep costs on the deci grid); a
-	// budget this small cuts some searches off.
+	// tuned overrides the visit budget as a caller may; a budget this
+	// small cuts some searches off.
 	tuned     bool
 	maxVisits int
 }
@@ -72,13 +71,13 @@ func (tr resetTrial) run(t *testing.T, s *Session, bound *scratchBound, what str
 	t.Helper()
 	var out []string
 	logf := func(format string, a ...any) { out = append(out, fmt.Sprintf(format, a...)) }
-	logf("G %p PresFac %v HistBump %v MaxVisits %d Envelope %v netSeq %d closed %d",
-		s.G, s.PresFac, s.HistBump, s.MaxVisits, s.Envelope, s.netSeq, s.closedNodes)
+	logf("G %p MaxVisits %d Envelope %v netSeq %d closed %d",
+		s.G, s.MaxVisits, s.Envelope, s.netSeq, s.closedNodes)
 	if tr.envelope != nil {
 		s.Envelope = *tr.envelope
 	}
 	if tr.tuned {
-		s.PresFac, s.HistBump, s.MaxVisits = 4, 1, tr.maxVisits
+		s.MaxVisits = tr.maxVisits
 	}
 	var nets []*Net
 	for round := 0; round < tr.rounds; round++ {
@@ -262,8 +261,8 @@ func TestRetargetKeepsOversubscribedReport(t *testing.T) {
 		t.Fatalf("the small problem oversubscribes %v, want one output register", over)
 	}
 	got := s.Reset(big).BumpHistory(problem(s, 5, 5, 5))
-	if !reflect.DeepEqual(got, want) || s.Hist(want[0]) != s.HistBump {
+	if !reflect.DeepEqual(got, want) || s.Hist(want[0]) != histBump {
 		t.Fatalf("after a smaller graph: oversubscribed %v with history %v, fresh session %v with %v",
-			got, s.Hist(want[0]), want, s.HistBump)
+			got, s.Hist(want[0]), want, histBump)
 	}
 }

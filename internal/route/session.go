@@ -133,10 +133,6 @@ func (n *Net) Nodes() map[uint64]bool {
 type Session struct {
 	G *mrrg.Graph
 
-	// PresFac scales the penalty for entering an oversubscribed node;
-	// HistBump is added to a node's history cost each escalation round.
-	PresFac  float64
-	HistBump float64
 	// MaxVisits bounds each search. Reset derives the default from the
 	// fabric's dense key space (16× NumDenseKeys, floor 4096) so
 	// large-fabric searches are not cut off spuriously while small-fabric
@@ -237,8 +233,8 @@ func NewSession(g *mrrg.Graph) *Session { return new(Session).Reset(g) }
 
 // Reset re-targets the session to g and returns it to the state a fresh
 // session over g starts in: no occupancy, no history, net numbering and
-// the closed-node count at zero, and the default PresFac, HistBump,
-// MaxVisits and Envelope for g. The graph's view (slot table, layout,
+// the closed-node count at zero, and the default MaxVisits and Envelope
+// for g. The graph's view (slot table, layout,
 // capacities, link table) is rebuilt. Everything else is kept for reuse:
 // occupancy storage is cleared in place when its capacity covers g's key
 // space, history storage is emptied (the first bump that finds
@@ -249,7 +245,6 @@ func NewSession(g *mrrg.Graph) *Session { return new(Session).Reset(g) }
 func (s *Session) Reset(g *mrrg.Graph) *Session {
 	n := g.NumDenseKeys()
 	s.G = g
-	s.PresFac, s.HistBump = 2.0, 3.0
 	s.MaxVisits = defaultMaxVisits(n)
 	s.Envelope = Box{R0: 0, R1: g.Fab.Rows - 1, C0: 0, C1: g.Fab.Cols - 1}
 	s.netSeq, s.closedNodes = 0, 0
@@ -319,11 +314,15 @@ func (s *Session) carvePath(n int) Path {
 	return Path(s.arena[k : k+n : k+n])
 }
 
+// presFac scales the penalty for entering an oversubscribed node;
+// histBump is added to a node's history cost each escalation round.
+const presFac, histBump = 2.0, 3.0
+
 // baseCost is the intrinsic cost of occupying one resource node. Every
-// value is an exact multiple of 0.1 — together with integral PresFac and
-// HistBump multiples this keeps all accumulated costs on the deci-unit
-// grid the bucket queue quantizes into, and the lookahead table
-// (lookahead.go) holds them as integers.
+// value is an exact multiple of 0.1 — together with the integral presFac
+// and histBump multiples this keeps all accumulated costs on the
+// deci-unit grid the bucket queue quantizes into, and the lookahead
+// table (lookahead.go) holds them as integers.
 func baseCost(c mrrg.Class) float64 {
 	switch c {
 	case mrrg.ClassOut:
@@ -348,7 +347,7 @@ func (s *Session) price(base float64, capa int32, key int) float64 {
 	over := int(s.occ[key]) + 1 - int(capa)
 	pen := 1.0
 	if over > 0 {
-		pen = 1.0 + float64(over)*s.PresFac
+		pen = 1.0 + float64(over)*presFac
 	}
 	if len(s.hist) == 0 {
 		return base * pen
@@ -532,7 +531,7 @@ func (s *Session) BumpHistory(nets []*Net) []mrrg.Node {
 	}
 	hist := s.history()
 	for _, n := range over {
-		hist[s.G.DenseKey(n)] += s.HistBump
+		hist[s.G.DenseKey(n)] += histBump
 	}
 	return over
 }

@@ -205,7 +205,9 @@ func twoReplicaCluster(t *testing.T) (a, b *Server, tsA, tsB *httptest.Server) {
 	}
 	tag := func(name string) func(context.Context, himap.Request) (*himap.Result, error) {
 		return func(ctx context.Context, req himap.Request) (*himap.Result, error) {
-			return nil, diag.Failf(diag.ErrRouteCongested, "executed by %s", name)
+			// Padded past net/http's pre-chunking buffer, so a relay
+			// that drops the length goes out chunked.
+			return nil, diag.Failf(diag.ErrRouteCongested, "executed by %s%s", name, strings.Repeat(".", 4096))
 		}
 	}
 	a.SetCompileFunc(tag("replica-a"))
@@ -252,6 +254,9 @@ func TestShardForwarding(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "executed by replica-b") {
 		t.Errorf("body %s, want execution on replica-b", body)
+	}
+	if len(body) <= 4096 || resp.ContentLength != int64(len(body)) {
+		t.Errorf("relayed %d-byte body has Content-Length %d, want it over 4 KB and its length", len(body), resp.ContentLength)
 	}
 	if got := resp.Header.Get(peerHeader); got != "http://"+tsB.Listener.Addr().String() {
 		t.Errorf("peer header %q, want owner URL", got)

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -154,6 +155,9 @@ func (s *Server) forward(w http.ResponseWriter, r *http.Request, wire *CompileRe
 		w.Header().Set("X-Himap-Cache", cs)
 	}
 	w.Header().Set(peerHeader, owner)
+	if resp.ContentLength >= 0 { // as writeBody sets it on a local answer
+		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
+	}
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
 	return true
