@@ -47,10 +47,10 @@ import (
 type (
 	// CGRA describes a target array (size, register file, ports, memories).
 	CGRA = arch.CGRA
-	// Fabric is the full architecture model: the PE array (CGRA) plus the
-	// interconnect topology and the per-PE capability layout. The zero
-	// Topology/Mem values reproduce the classic model (mesh links, every
-	// PE memory-capable), so Fabric{CGRA: cg} is a drop-in upgrade.
+	// Fabric is the full architecture model: the PE array (CGRA) plus four
+	// classes (topology, memory ports, bandwidth, cost corner) whose zero
+	// values reproduce the classic model, so Fabric{CGRA: cg} is a drop-in
+	// upgrade. ParseFabric builds one from the classes' names.
 	Fabric = arch.Fabric
 	// Topology selects the fabric's link provider (mesh, torus, mesh+diag).
 	Topology = arch.Topology
@@ -62,8 +62,6 @@ type (
 	// CostClass selects the silicon cost corner priced by the power
 	// model; it never changes routing.
 	CostClass = arch.CostClass
-	// PECaps is the capability class of one PE.
-	PECaps = arch.PECaps
 	// Config is a complete CGRA mapping: per-PE repeating instruction
 	// streams plus memory-access correlation metadata.
 	Config = arch.Config
@@ -156,8 +154,9 @@ var (
 	// attempted (nil kernel, invalid fabric) — a caller bug, not a
 	// mapping failure.
 	ErrInvalidRequest = diag.ErrInvalidRequest
-	// ErrTooLarge: a flat backend refused a block whose DFG is past its
-	// node wall (BaselineOptions.MaxNodes, ExactOptions.MaxNodes).
+	// ErrTooLarge: a block's DFG is past a flat backend's node wall
+	// (BaselineOptions.MaxNodes, ExactOptions.MaxNodes) or the unroll
+	// wall every mapper meets, HiMap included (2^20 body-op instances).
 	ErrTooLarge = diag.ErrTooLarge
 	// ErrProvedInfeasible: the exact mapper exhaustively refuted every II
 	// in its search range within the schedule horizon — the instance

@@ -136,13 +136,10 @@ func (c *classNames[T]) list() string { return strings.Join(c.names, "|") }
 
 func (c *classNames[T]) parse(s string) (T, error) {
 	l := strings.ToLower(s)
-	if l == "" {
-		return 0, nil
-	}
 	if i := slices.Index(c.names, l); i >= 0 {
 		return T(i), nil
 	}
-	if v, ok := c.aliases[l]; ok {
+	if v, ok := c.aliases[l]; ok || l == "" { // "" misses the map: v is 0, the default
 		return v, nil
 	}
 	return 0, fmt.Errorf("arch: unknown %s %q (want %s): %w", c.noun, s, c.list(), diag.ErrConfigInvalid)
@@ -191,16 +188,6 @@ func FabricNames() (topology, mem, bandwidth, cost string) {
 	return topoNames.list(), memNames.list(), bwNames.list(), costNames.list()
 }
 
-// PECaps is the capability class of one PE.
-type PECaps uint8
-
-const (
-	// CapCompute marks an ALU-capable PE (every PE computes).
-	CapCompute PECaps = 1 << iota
-	// CapMemory marks a PE with a data-memory port (loads and stores).
-	CapMemory
-)
-
 // Fabric is the full architecture model: the PE array parameters (CGRA)
 // plus the interconnect topology, the per-PE capability layout, the link
 // bandwidth class, and the PE cost class. The zero values of all four
@@ -244,35 +231,20 @@ func (f Fabric) SharedOutBus() bool { return f.Bandwidth == BWBus }
 
 // RFReadCap returns the effective register-file read port count under
 // this fabric's bandwidth class.
-func (f Fabric) RFReadCap() int {
-	switch f.Bandwidth {
-	case BWDouble:
-		return 2 * f.RFReadPorts
-	case BWNarrowRF:
-		return 1
-	}
-	return f.RFReadPorts
-}
+func (f Fabric) RFReadCap() int { return f.rfCap(f.RFReadPorts) }
 
 // RFWriteCap returns the effective register-file write port count under
 // this fabric's bandwidth class.
-func (f Fabric) RFWriteCap() int {
+func (f Fabric) RFWriteCap() int { return f.rfCap(f.RFWritePorts) }
+
+func (f Fabric) rfCap(ports int) int {
 	switch f.Bandwidth {
 	case BWDouble:
-		return 2 * f.RFWritePorts
+		return 2 * ports
 	case BWNarrowRF:
 		return 1
 	}
-	return f.RFWritePorts
-}
-
-// Caps returns the capability class of PE (r, c).
-func (f Fabric) Caps(r, c int) PECaps {
-	caps := CapCompute
-	if f.MemCapable(r, c) {
-		caps |= CapMemory
-	}
-	return caps
+	return ports
 }
 
 // MemCapable reports whether PE (r, c) has a memory port.
@@ -399,23 +371,18 @@ func (f Fabric) String() string {
 // that may be infeasible for some kernels — an explore sweep reports
 // those as typed failures rather than omitting them.
 func ExploreFabrics(rows, cols int) []Fabric {
-	base := DefaultFabric(rows, cols)
-	out := make([]Fabric, 0, 9)
-	add := func(mut func(*Fabric)) {
-		f := base
-		mut(&f)
-		out = append(out, f)
+	cg := Default(rows, cols)
+	return []Fabric{
+		{CGRA: cg},
+		{CGRA: cg, Topology: TopoTorus},
+		{CGRA: cg, Topology: TopoMeshDiag},
+		{CGRA: cg, Mem: MemBoundary},
+		{CGRA: cg, Bandwidth: BWDouble},
+		{CGRA: cg, Bandwidth: BWBus},
+		{CGRA: cg, Bandwidth: BWNarrowRF},
+		{CGRA: cg, Cost: CostLowPower},
+		{CGRA: cg, Topology: TopoTorus, Cost: CostHighPerf},
 	}
-	add(func(*Fabric) {})
-	add(func(f *Fabric) { f.Topology = TopoTorus })
-	add(func(f *Fabric) { f.Topology = TopoMeshDiag })
-	add(func(f *Fabric) { f.Mem = MemBoundary })
-	add(func(f *Fabric) { f.Bandwidth = BWDouble })
-	add(func(f *Fabric) { f.Bandwidth = BWBus })
-	add(func(f *Fabric) { f.Bandwidth = BWNarrowRF })
-	add(func(f *Fabric) { f.Cost = CostLowPower })
-	add(func(f *Fabric) { f.Topology = TopoTorus; f.Cost = CostHighPerf })
-	return out
 }
 
 func mod(a, n int) int {

@@ -67,10 +67,10 @@ var (
 	// combination no backend accepts. Every backend reports this class
 	// (never a panic) so callers can dispatch uniformly.
 	ErrInvalidRequest = errors.New("invalid compile request")
-	// ErrTooLarge: the unrolled block DFG is past a flat backend's node
-	// wall (the conventional mapper's scalability wall, the exact
-	// mapper's branch-and-bound wall), so the backend refuses it before
-	// placing anything.
+	// ErrTooLarge: the block is past a wall on its unrolled DFG, a flat
+	// backend's node wall (the conventional mapper's scalability wall,
+	// the exact mapper's branch-and-bound wall) or the unroll wall every
+	// mapper meets (kernel.CheckUnroll), so it is refused unbuilt.
 	ErrTooLarge = errors.New("DFG past the mapper's node wall")
 	// ErrProvedInfeasible: the exact mapper exhausted the search space at
 	// every II up to its bound without finding a feasible placement — a

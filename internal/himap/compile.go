@@ -290,7 +290,9 @@ func candidateSchemes(k *kernel.Kernel, deps []ir.IterVec, vx, vy int, opts Opti
 // blockForScheme derives the block sizes: space dimensions take the VSA
 // extents (line 6: b1 = c/s1, b2 = c/s2); remaining dimensions take the
 // user's inner block, and pinned dimensions keep their pins (a pin below
-// MinBlock is rejected by Kernel.Validate before compilation starts).
+// MinBlock is rejected by Kernel.Validate before compilation starts). A
+// block past the unroll wall is refused here, before the scheme checks
+// that walk it.
 func blockForScheme(k *kernel.Kernel, sch systolic.Scheme, vx, vy int, opts Options) ([]int, error) {
 	block := make([]int, k.Dim)
 	for d := 0; d < k.Dim; d++ {
@@ -321,6 +323,9 @@ func blockForScheme(k *kernel.Kernel, sch systolic.Scheme, vx, vy int, opts Opti
 		}
 		return nil, diag.Failf(diag.ErrBlockTooSmall,
 			"block dim %d = %d below minimum %d", d, b, min)
+	}
+	if err := k.CheckUnroll(block); err != nil {
+		return nil, err
 	}
 	return block, nil
 }

@@ -3,10 +3,43 @@ package kernel
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 
+	"himap/internal/diag"
 	"himap/internal/ir"
 )
+
+// maxUnroll is the unroll wall, in body-op instances (block points times
+// body ops). The largest unroll any committed experiment, test or bench
+// workload reaches is the 64x64 envelope's TTM block, 64·8·64·8 × 4 = 2^20.
+const maxUnroll = 1 << 20
+
+// UnrollOps returns the body-op instances an unroll of the block creates,
+// its points times the body ops, saturating at math.MaxInt instead of
+// overflowing.
+func (k *Kernel) UnrollOps(block []int) int {
+	n := len(k.Body)
+	for _, b := range block {
+		if b > 0 && n > math.MaxInt/b {
+			return math.MaxInt
+		}
+		n *= b
+	}
+	return n
+}
+
+// CheckUnroll refuses a block past the unroll wall with diag.ErrTooLarge.
+// BuildDFG, which every unroll goes through, checks it before allocating,
+// so no request can make an unroll allocate without limit; HiMap's block
+// derivation checks it before the scheme checks walk the block.
+func (k *Kernel) CheckUnroll(block []int) error {
+	if n := k.UnrollOps(block); n > maxUnroll {
+		return diag.Failf(diag.ErrTooLarge, "kernel %s: block %v unrolls %d body ops, past the %d-op unroll wall",
+			k.Name, block, n, maxUnroll)
+	}
+	return nil
+}
 
 // Body-op encodings for synthesized memory nodes. Load nodes feeding body
 // op i's port p get BodyOp = -(1 + i*2 + p); store nodes for op i's rule r
@@ -47,6 +80,9 @@ func (k *Kernel) BuildDFG(block []int) (*ir.DFG, error) {
 		if b < max(k.MinBlock, 1) {
 			return nil, fmt.Errorf("kernel %s: block dim %d is %d, min %d", k.Name, d, b, max(k.MinBlock, 1))
 		}
+	}
+	if err := k.CheckUnroll(block); err != nil {
+		return nil, err
 	}
 	// The iteration space is a box, so everything per point is a row of
 	// a dense table: nodes come from one slab sized for the body ops

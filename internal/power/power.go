@@ -61,19 +61,9 @@ func ModelFor(f arch.Fabric) Model {
 	m := Default40nm()
 	switch f.Cost {
 	case arch.CostLowPower:
-		m.ClockMHz = 408
-		m.StaticMW = 1.50
-		m.FUMW = 1.05
-		m.RouteMW = 0.14
-		m.RFMW = 0.28
-		m.MemMW = 0.56
+		m = Model{ClockMHz: 408, StaticMW: 1.50, FUMW: 1.05, RouteMW: 0.14, RFMW: 0.28, MemMW: 0.56}
 	case arch.CostHighPerf:
-		m.ClockMHz = 637.5
-		m.StaticMW = 2.80
-		m.FUMW = 2.40
-		m.RouteMW = 0.32
-		m.RFMW = 0.64
-		m.MemMW = 1.28
+		m = Model{ClockMHz: 637.5, StaticMW: 2.80, FUMW: 2.40, RouteMW: 0.32, RFMW: 0.64, MemMW: 1.28}
 	}
 	switch f.Bandwidth {
 	case arch.BWDouble:

@@ -24,7 +24,7 @@ func BuildDFG(k *kernel.Kernel, fab arch.Fabric, block []int, maxNodes int, tr d
 		return diag.Failf(diag.ErrTooLarge, "%d nodes exceed the %d-node wall", nodes, maxNodes).
 			Stamp("dfg-build", k.Name, fab.String(), 0)
 	}
-	if lower := ir.BoxSize(block) * len(k.Body); lower > maxNodes {
+	if lower := k.UnrollOps(block); lower > maxNodes {
 		return nil, tooLarge(lower)
 	}
 	start := time.Now() //lint:ignore determinism wall-clock span timing only; does not influence mapping

@@ -302,6 +302,8 @@ var strictDecodeCases = []rejectCase{
 	{"inner_block past the bound", `{"kernel":"GEMM","fabric":{"rows":4,"cols":4},"options":{"inner_block":65}}`, 400, "bad_request"},
 	{"block extent past the bound", `{"kernel":"GEMM","fabric":{"rows":4,"cols":4},"options":{"mapper":"conventional","block":[2,65,2]}}`, 400, "bad_request"},
 	{"bad fabric enumeration", `{"kernel":"GEMM","fabric":{"rows":4,"cols":4,"bandwidth":"quad"}}`, 400, "bad_request"},
+	{"spec fixed_block past the bound", strings.Replace(inlineSpecRequest, `"min_block": 2,`, `"fixed_block": [65],`, 1), 400, "bad_request"},
+	{"spec min_block past the bound", strings.Replace(inlineSpecRequest, `"min_block": 2,`, `"min_block": 65,`, 1), 400, "bad_request"},
 	{"bad mapper", `{"kernel":"GEMM","fabric":{"rows":4,"cols":4},"options":{"mapper":"magic"}}`, 400, "bad_request"},
 	{"block on himap", `{"kernel":"GEMM","fabric":{"rows":4,"cols":4},"options":{"block":[4,4,4]}}`, 400, "bad_request"},
 	{"future schema", `{"schema_version":3,"kernel":"GEMM","fabric":{"rows":4,"cols":4}}`, 400, "bad_request"},
@@ -352,6 +354,8 @@ func TestWireBoundsAtTheirEdges(t *testing.T) {
 		kernelRequest("GEMM", 4, 64),
 		`{"kernel":"GEMM","fabric":{"rows":4,"cols":4},"options":{"inner_block":64}}`,
 		`{"kernel":"GEMM","fabric":{"rows":4,"cols":4},"options":{"mapper":"conventional","block":[2,64,2]}}`,
+		wideSpecRequest,
+		strings.Replace(inlineSpecRequest, `"min_block": 2,`, `"fixed_block": [64],`, 1),
 	} {
 		var w CompileRequestWire
 		if err := json.Unmarshal([]byte(body), &w); err != nil {
@@ -393,6 +397,25 @@ const inlineSpecRequest = `{
 		},
 		"fabric": {"rows": 4, "cols": 4},
 		"options": {"mapper": "conventional", "block": [4], "seed": 1}
+	}`
+
+// wideSpecRequest asks HiMap to compile an inline 8-dimensional kernel
+// whose blocks are at least 64 in every dimension.
+var wideSpecRequest = `{
+		"spec": {
+			"name": "WIDE8", "dim": 8, "min_block": 64,
+			"tensors": [
+				{"name": "A", "dims": [{"coef": [1, 0, 0, 0, 0, 0, 0, 0]}]},
+				{"name": "C", "out": true, "dims": [{"coef": [1, 0, 0, 0, 0, 0, 0, 0]}]}
+			],
+			"body": [{
+				"op": "mul",
+				"a": [{"src": {"kind": "mem", "tensor": "A", "map": [{"coef": [1, 0, 0, 0, 0, 0, 0, 0]}]}}],
+				"b": [{"src": {"kind": "mem", "tensor": "A", "map": [{"coef": [1, 0, 0, 0, 0, 0, 0, 0]}]}}],
+				"stores": [{"tensor": "C", "map": [{"coef": [1, 0, 0, 0, 0, 0, 0, 0]}]}]
+			}]
+		},
+		"fabric": {"rows": 4, "cols": 4}
 	}`
 
 // TestInlineSpecConventional compiles an inline wire-specified kernel
@@ -570,15 +593,20 @@ func TestExactMapperWire(t *testing.T) {
 	}
 }
 
-// TestExactCellGuard pins the -max-exact-cells admission wall and the
-// conventional mapper's 400-node wall: an instance past either is refused
-// without searching, as a 422 with the too_large error code and class.
+// TestExactCellGuard pins the -max-exact-cells admission wall, the
+// conventional mapper's 400-node wall and the unroll wall every mapper's
+// unroll meets: an instance past any of them is refused without
+// searching, as a 422 with the too_large error code and class.
 func TestExactCellGuard(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxExactCells: 4})
 	for _, c := range []struct{ body, wall string }{
 		{`{"kernel":"MVT","fabric":{"rows":4,"cols":4},"options":{"mapper":"exact","block":[2,2]}}`, "4-node wall"},
 		// GEMM 8x8x8 unrolls to 2,048 nodes, past the conventional mapper's 400.
 		{`{"kernel":"GEMM","fabric":{"rows":4,"cols":4},"options":{"mapper":"conventional","block":[8,8,8]}}`, "400-node wall"},
+		// HiMap's generic IDFG would unroll 64^8 points.
+		{wideSpecRequest, "unroll wall"},
+		// Every block HiMap derives for this request is past the wall.
+		{`{"kernel":"TTM","fabric":{"rows":64,"cols":64},"options":{"inner_block":64}}`, "unroll wall"},
 	} {
 		resp, b := postCompile(t, ts.URL, c.body)
 		if resp.StatusCode != http.StatusUnprocessableEntity {

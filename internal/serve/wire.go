@@ -476,6 +476,11 @@ func (ks *KernelSpec) Build() (*kernel.Kernel, error) {
 	if ks.Dim < 1 || ks.Dim > 8 {
 		return nil, fmt.Errorf("%w: spec.dim %d out of range [1,8]", ErrBadRequest, ks.Dim)
 	}
+	for _, b := range append([]int{ks.MinBlock}, ks.FixedBlock...) {
+		if b < 0 || b > maxBlock {
+			return nil, fmt.Errorf("%w: spec min_block or fixed_block entry %d outside [0,%d]", ErrBadRequest, b, maxBlock)
+		}
+	}
 	k := &kernel.Kernel{
 		Name:       ks.Name,
 		Desc:       "inline wire specification",
