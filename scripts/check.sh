@@ -64,5 +64,8 @@ if conv_err=$(go run ./cmd/himap -mapper conventional -kernel MVT -rows 4 -cols 
 	exit 1
 fi
 echo "$conv_err" | grep -q "memory-port demand infeasible"
+# The CLI's four fabric class flags reach the fabric it compiles for: the summary names every class.
+fabric_out=$(go run ./cmd/himap -kernel ADI -rows 8 -cols 8 -fabric torus -mem-pes all -bandwidth double -cost high-perf)
+echo "$fabric_out" | grep -q "ADI on 8x8/torus/mem-all/bw-double/cost-high-perf:"
 # The sizes ROADMAP item 14 tracks (Go lines, DESIGN.md lines, CHANGES.md words), in every CI log.
 scripts/loc.sh
