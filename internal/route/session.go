@@ -234,14 +234,14 @@ func NewSession(g *mrrg.Graph) *Session { return new(Session).Reset(g) }
 // Reset re-targets the session to g and returns it to the state a fresh
 // session over g starts in: no occupancy, no history, net numbering and
 // the closed-node count at zero, and the default MaxVisits and Envelope
-// for g. The graph's view (slot table, layout,
-// capacities, link table) is rebuilt. Everything else is kept for reuse:
-// occupancy storage is cleared in place when its capacity covers g's key
-// space, history storage is emptied (the first bump that finds
-// congestion re-zeroes it), the path arena is rewound (every Path it
-// returned before is invalid), and the search scratch, the bucket heaps,
-// the net freelist and the lookahead table carry over — a reset session
-// routes exactly as a fresh one, without re-growing them.
+// for g. The graph's view (slot table, layout, capacities, link table)
+// is rebuilt. Everything else is kept for reuse: occupancy storage is
+// cleared in place when its capacity covers g's key space, history
+// storage is emptied (the first bump that finds congestion re-zeroes
+// it), the path arena is rewound (every Path it returned before is
+// invalid), and the search scratch, the bucket heaps, the net freelist
+// and the lookahead table carry over — a reset session routes exactly as
+// a fresh one, without re-growing them.
 func (s *Session) Reset(g *mrrg.Graph) *Session {
 	n := g.NumDenseKeys()
 	s.G = g
