@@ -605,8 +605,9 @@ func TestExactCellGuard(t *testing.T) {
 		{`{"kernel":"GEMM","fabric":{"rows":4,"cols":4},"options":{"mapper":"conventional","block":[8,8,8]}}`, "400-node wall"},
 		// HiMap's generic IDFG would unroll 64^8 points.
 		{wideSpecRequest, "unroll wall"},
-		// Every block HiMap derives for this request is past the wall.
-		{`{"kernel":"TTM","fabric":{"rows":64,"cols":64},"options":{"inner_block":64}}`, "unroll wall"},
+		// Every block HiMap derives for this request is past the unroll
+		// wall, refused as it is derived, before the scheme checks walk it.
+		{`{"kernel":"TTM","fabric":{"rows":64,"cols":64},"options":{"inner_block":64}}`, "stage block-derive"},
 	} {
 		resp, b := postCompile(t, ts.URL, c.body)
 		if resp.StatusCode != http.StatusUnprocessableEntity {
