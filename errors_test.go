@@ -219,6 +219,11 @@ func TestErrConfigInvalidFromParsers(t *testing.T) {
 			t.Errorf("ParseFabric%q: want ErrConfigInvalid, got %v", names, err)
 		}
 	}
+	// Of two unknown names, the first in argument order is reported, as
+	// when each entry point parsed the classes one by one.
+	if _, err := himap.ParseFabric(cg, "", "corners", "quad", ""); err == nil || !strings.Contains(err.Error(), `"corners"`) {
+		t.Errorf(`ParseFabric with two unknown names: %v, want the memory policy "corners" reported`, err)
+	}
 }
 
 // TestErrConfigInvalidFromValidate: the simulator's precondition checks
