@@ -112,6 +112,25 @@ func TestBackendsDispatchTotal(t *testing.T) {
 	}
 }
 
+// TestIterationMapFlatBackends: a flat backend's result has no sub-CGRA
+// mapping, so its iteration map is empty rather than a nil dereference.
+func TestIterationMapFlatBackends(t *testing.T) {
+	for _, m := range []himap.Mapper{himap.MapperConventional, himap.MapperExact} {
+		res, err := himap.CompileRequest(context.Background(), himap.Request{
+			Kernel: himap.KernelMVT(),
+			Fabric: himap.DefaultFabric(4, 4),
+			Mapper: m,
+			Block:  []int{2, 2},
+		})
+		if err != nil {
+			t.Fatalf("mapper %q: %v", m, err)
+		}
+		if s := res.IterationMap(); s != "" {
+			t.Errorf("mapper %q: IterationMap() = %q, want \"\"", m, s)
+		}
+	}
+}
+
 // TestUnknownMapperEnumeratesBackends pins the unknown-mapper error to
 // the sorted mapper list, so the message stays truthful as backends come
 // and go.

@@ -126,7 +126,7 @@ func main() {
 	if *program {
 		fmt.Print(himap.RenderPEProgram(res.Config, 0, 0))
 	}
-	if *itermap && res.Conventional == nil && res.Exact == nil {
+	if *itermap {
 		fmt.Print(res.IterationMap())
 	}
 	if *bits {

@@ -10,7 +10,12 @@ import (
 // iteration class whose cluster region occupies that space-time slot.
 // Identical numbers mark iterations whose computation AND routing are
 // replicas of each other — the few the compiler actually mapped in detail.
+// A result without a sub-CGRA mapping (a flat backend's) has no iteration
+// classes and renders as "".
 func (r *Result) IterationMap() string {
+	if r.Sub == nil {
+		return ""
+	}
 	depth, s1, s2 := r.Sub.Depth, r.Sub.S1, r.Sub.S2
 	// classAt[t][row][col] for one II_B window.
 	classAt := make([][][]int, r.IIB)

@@ -6,7 +6,6 @@ import (
 	"himap/internal/arch"
 	"himap/internal/ir"
 	"himap/internal/mrrg"
-	"himap/internal/route"
 )
 
 // layout bundles everything step 3 needs: the placed ISDG, the sub-CGRA
@@ -30,9 +29,6 @@ type layout struct {
 	// tgtBuf is the sink target set under construction, reused across
 	// every sink of the attempt.
 	tgtBuf []mrrg.Node
-	// nets records, in creation order, every net routeClass started
-	// since freeNets last returned them to the session.
-	nets []*route.Net
 }
 
 // RelPlaceReg is a region-relative relay resource for route pins: either
@@ -56,6 +52,15 @@ type RelPlaceReg struct {
 // Algorithm 1 line 13 (the modulo-II_B wrap is applied at stamping).
 func (l *layout) regionBase(ci int) (t, r, c int) {
 	return l.cp.T[ci] * l.sub.Depth, l.cp.X[ci] * l.sub.S1, l.cp.Y[ci] * l.sub.S2
+}
+
+// shift returns the space-time displacement of cluster m's region from
+// cluster rep's: what translates a class representative's resources to
+// a member's.
+func (l *layout) shift(rep, m int) (dt, dr, dc int) {
+	bt, br, bc := l.regionBase(rep)
+	mt, mr, mc := l.regionBase(m)
+	return mt - bt, mr - br, mc - bc
 }
 
 // nodeAbs returns the absolute placement of a node whose body op was
@@ -221,23 +226,11 @@ func (l *layout) classEnvelope(cl *UniqueClass) (rMin, rMax, cMin, cMax int) {
 		// canonical route replicates verbatim from anywhere on the array.
 		return 0, l.cg.Rows - 1, 0, l.cg.Cols - 1
 	}
-	_, br, bc := l.regionBase(cl.Rep)
 	drMin, drMax, dcMin, dcMax := 0, 0, 0, 0
 	for _, m := range cl.Members {
-		_, mr, mc := l.regionBase(m)
-		dr, dc := mr-br, mc-bc
-		if dr < drMin {
-			drMin = dr
-		}
-		if dr > drMax {
-			drMax = dr
-		}
-		if dc < dcMin {
-			dcMin = dc
-		}
-		if dc > dcMax {
-			dcMax = dc
-		}
+		_, dr, dc := l.shift(cl.Rep, m)
+		drMin, drMax = min(drMin, dr), max(drMax, dr)
+		dcMin, dcMax = min(dcMin, dc), max(dcMax, dc)
 	}
 	return -drMin, l.cg.Rows - 1 - drMax, -dcMin, l.cg.Cols - 1 - dcMax
 }

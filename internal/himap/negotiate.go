@@ -27,8 +27,8 @@ type RouteStats struct {
 // polled once per negotiation round: a canceled ctx aborts with an error
 // wrapping diag.ErrCanceled within one round's latency.
 // A round re-routes in the plan buffers, nets and path arena of the
-// round it replaces; every exit but success frees the nets, so the next
-// attempt on ses reuses them too. The plans' paths live until ses resets.
+// round it replaces, which ses recycles. The plans' nets and paths live
+// until ses resets.
 func (l *layout) routeCanonical(ctx context.Context, ses *route.Session, maxRounds int) ([][]canonNet, RouteStats, error) {
 	g := mrrg.New(l.cg, l.iib)
 	ses.Reset(g)
@@ -57,15 +57,11 @@ func (l *layout) routeCanonical(ctx context.Context, ses *route.Session, maxRoun
 		for i := range l.loadRel {
 			clear(l.loadRel[i]) // nothing keeps a dropped round's slots
 		}
-		// Nothing references a dropped round's nets once its history is
-		// bumped — recycle their storage so later rounds re-route
-		// allocation-free.
-		l.freeNets(ses)
 		roundErr = nil
 
 		l.reserveFixed(ses)
 
-		routed := 0 // l.nets[:routed] are the nets of the classes routed whole
+		routed := 0 // ses.Nets()[:routed] are the nets of the classes routed whole
 		for classIdx, cl := range l.classes {
 			rep := cl.Rep
 			bt, br, bc := l.regionBase(rep)
@@ -75,20 +71,19 @@ func (l *layout) routeCanonical(ctx context.Context, ses *route.Session, maxRoun
 				roundErr = fmt.Errorf("class %d (rep %v): %w", classIdx, l.g.Clusters[cl.Rep].Iter, err)
 				break
 			}
-			routed = len(l.nets)
+			routed = len(ses.Nets())
 			// Charge the replicas of this class (routes and boundary-load
 			// slots) so later classes see the real congestion.
 			for _, m := range cl.Members {
 				if m == rep {
 					continue
 				}
-				mt, mr, mc := l.regionBase(m)
-				dt, dr, dc := mt-bt, mr-br, mc-bc
+				dt, dr, dc := l.shift(rep, m)
 				for i := range nets {
 					ses.ChargeShifted(nets[i].net, dt, dr, dc)
 				}
 				for _, lr := range l.loadRel[classIdx] {
-					ses.Reserve(mrrg.Node{T: mt + lr.T, R: mr + lr.R, C: mc + lr.C, Class: mrrg.ClassMemRead})
+					ses.Reserve(mrrg.Node{T: bt + lr.T, R: br + lr.R, C: bc + lr.C, Class: mrrg.ClassMemRead}.Shifted(dt, dr, dc))
 				}
 			}
 		}
@@ -97,12 +92,12 @@ func (l *layout) routeCanonical(ctx context.Context, ses *route.Session, maxRoun
 			// once costs move; no path, no memory-read slot and missing
 			// pins are facts of the placement and repeat in every round
 			// (DESIGN.md, "Negotiation").
-			if !errors.Is(roundErr, route.ErrSearchLimit) || len(ses.BumpHistory(l.nets[:routed])) == 0 {
+			if !errors.Is(roundErr, route.ErrSearchLimit) || len(ses.BumpHistory(ses.Nets()[:routed])) == 0 {
 				break
 			}
 			continue
 		}
-		if over := ses.BumpHistory(l.nets); len(over) > 0 {
+		if over := ses.BumpHistory(ses.Nets()); len(over) > 0 {
 			show := over
 			if len(show) > 4 {
 				show = show[:4]
@@ -113,7 +108,6 @@ func (l *layout) routeCanonical(ctx context.Context, ses *route.Session, maxRoun
 		break
 	}
 	if roundErr != nil {
-		l.freeNets(ses)
 		return nil, stats, roundErr
 	}
 	for _, nets := range plans {
@@ -128,27 +122,16 @@ func (l *layout) routeCanonical(ctx context.Context, ses *route.Session, maxRoun
 // occupancy of reserving nodeAbs of every DFG node, without walking them.
 func (l *layout) reserveFixed(ses *route.Session) {
 	for _, cl := range l.classes {
-		bt, br, bc := l.regionBase(cl.Rep)
 		for _, id := range l.g.Clusters[cl.Rep].Nodes {
 			abs, ok := l.nodeAbs(id)
 			if !ok {
 				continue
 			}
 			for _, m := range cl.Members {
-				mt, mr, mc := l.regionBase(m)
-				ses.Reserve(abs.Shifted(mt-bt, mr-br, mc-bc))
+				ses.Reserve(abs.Shifted(l.shift(cl.Rep, m)))
 			}
 		}
 	}
-}
-
-// freeNets returns every net the layout has created since the last call
-// — a failed class's partial nets included — to ses's freelist, once.
-func (l *layout) freeNets(ses *route.Session) {
-	for _, net := range l.nets {
-		ses.FreeNet(net)
-	}
-	l.nets = l.nets[:0]
 }
 
 // routeClass routes the canonical nets of one class representative into
@@ -211,7 +194,6 @@ func (l *layout) routeClass(ses *route.Session, g *mrrg.Graph, classIdx int, cl 
 		nets = nets[:len(nets)+1]
 		cn := &nets[len(nets)-1]
 		*cn = canonNet{SrcID: id, net: ses.NewNet(src), Sinks: slices.Grow(cn.Sinks[:0], len(outs))}
-		l.nets = append(l.nets, cn.net)
 		for _, ei := range outs {
 			e := d.Edges[ei]
 			to := d.Nodes[e.To]

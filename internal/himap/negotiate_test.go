@@ -90,13 +90,13 @@ func (c *cancelAfter) Err() error {
 // worker's attempts do, a layout whose negotiation runs out of rounds, a
 // layout that fails inside a class (leaving that class's partial nets),
 // and one canceled after a round: each must fail as it did when every
-// round allocated afresh, and return every net it made to the freelist.
-// Then a layout routes on the session: its plans must equal those of a
-// fresh session, its record must hold exactly the plan's nets, every plan
-// net must be its own, and each must still hold every node of its sinks'
-// paths. A net freed twice on a failing exit would reach two live nets
-// through the freelist; a winner's net freed on success would lose its
-// nodes.
+// round allocated afresh, and leave each net it made live in the session
+// once, for the next reset to recycle. Then a layout routes on the
+// session: its plans must equal those of a fresh session, the session's
+// live nets must be exactly the plan's, in plan order, every plan net
+// must be its own, and each must still hold every node of its sinks'
+// paths. A net recycled twice would reach two live nets through the
+// freelist; a winner's net recycled on success would lose its nodes.
 func TestFailedRoutesLeaveSessionReusable(t *testing.T) {
 	ses := new(route.Session)
 	broken := narrowBICGLayout(t)
@@ -118,8 +118,12 @@ func TestFailedRoutesLeaveSessionReusable(t *testing.T) {
 		if _, _, err := f.l.routeCanonical(f.ctx, ses, f.rounds); err == nil || err.Error() != f.want {
 			t.Fatalf("%s: err = %v, want %s", f.what, err, f.want)
 		}
-		if len(f.l.nets) != 0 {
-			t.Fatalf("%s: %d nets kept out of the session's freelist", f.what, len(f.l.nets))
+		live := map[*route.Net]bool{}
+		for _, net := range ses.Nets() {
+			if live[net] {
+				t.Fatalf("%s: net %d is live twice in the session", f.what, net.ID)
+			}
+			live[net] = true
 		}
 	}
 
@@ -128,8 +132,14 @@ func TestFailedRoutesLeaveSessionReusable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(l.nets) != st.CanonicalNets {
-		t.Fatalf("the routed layout records %d nets for a plan of %d", len(l.nets), st.CanonicalNets)
+	var planNets []*route.Net
+	for _, nets := range got {
+		for _, cn := range nets {
+			planNets = append(planNets, cn.net)
+		}
+	}
+	if len(planNets) != st.CanonicalNets || !slices.Equal(ses.Nets(), planNets) {
+		t.Fatalf("the session holds %d live nets for a plan of %d, or not the plan's in plan order", len(ses.Nets()), st.CanonicalNets)
 	}
 	want, _, err := bicgLayout(t).routeCanonical(context.Background(), new(route.Session), 8)
 	if err != nil {

@@ -77,14 +77,6 @@ func (l *layout) replicate(plans [][]canonNet) (*arch.Config, error) {
 	return cfg, nil
 }
 
-// shift returns the space-time displacement of cluster m's region from
-// cluster rep's.
-func (l *layout) shift(rep, m int) (dt, dr, dc int) {
-	bt, br, bc := l.regionBase(rep)
-	mt, mr, mc := l.regionBase(m)
-	return mt - bt, mr - br, mc - bc
-}
-
 // recordClass runs the emission rules over one class representative: its
 // compute ops and loads at their placed slots, and every canonical net's
 // paths and consumer ports. A consumer's slot is the representative's —

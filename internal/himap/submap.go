@@ -229,7 +229,6 @@ type mapState struct {
 	parents [][]ir.Edge
 	place   []mrrg.Node  // placement per node; T < 0 while unplaced
 	netOf   []*route.Net // net per placed producer
-	nets    []*route.Net // netOf's nets, in creation order
 	cands   []fuCand     // one compute node's candidate FU slots
 	tgt     []mrrg.Node  // one sink's operand targets
 }
@@ -287,7 +286,6 @@ func (st *mapState) routeEdge(ses *route.Session, e ir.Edge) error {
 	if net == nil {
 		net = ses.NewNet(st.place[e.From])
 		st.netOf[e.From] = net
-		st.nets = append(st.nets, net)
 	}
 	cn := st.place[e.To]
 	st.tgt = ses.G.AppendOperandTargets(st.tgt[:0], cn.T, cn.R, cn.C)
@@ -295,20 +293,11 @@ func (st *mapState) routeEdge(ses *route.Session, e ir.Edge) error {
 	return err
 }
 
-// ripUp releases every net and returns it to the session freelist.
-func (st *mapState) ripUp(ses *route.Session) {
-	for _, net := range st.nets {
-		ses.Release(net)
-		ses.FreeNet(net)
-	}
-	st.nets = st.nets[:0]
-	clear(st.netOf)
-}
-
 // rerouteAll rips up every net and re-routes every parent → child edge
 // between placed nodes, in topological order of the child.
 func (st *mapState) rerouteAll(ses *route.Session) error {
-	st.ripUp(ses)
+	ses.RipUp()
+	clear(st.netOf)
 	for _, id := range st.order {
 		for _, e := range st.parents[id] {
 			if st.placed(e.From) && st.placed(e.To) {
@@ -334,7 +323,7 @@ func (st *mapState) tryPlaceIDFG(ses *route.Session, fab arch.Fabric, s1, s2, de
 	for _, id := range st.order {
 		st.place[id] = mrrg.Node{T: -1}
 	}
-	defer st.ripUp(ses)
+	clear(st.netOf) // the nets of the last shape went with the reset
 	d := st.d
 
 	// Place compute nodes greedily by estimated cost, verify with real
@@ -459,7 +448,7 @@ func (st *mapState) tryPlaceIDFG(ses *route.Session, fab arch.Fabric, s1, s2, de
 	// Negotiated congestion: re-route with escalating history costs until
 	// clean or the round budget is exhausted (lines 35-45).
 	for round := 0; round < 10; round++ {
-		if len(ses.BumpHistory(st.nets)) == 0 {
+		if len(ses.BumpHistory(ses.Nets())) == 0 {
 			rel := make(map[int]RelPlace, len(st.order))
 			for _, id := range st.order {
 				pn := st.place[id]

@@ -56,6 +56,17 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("op(%d)", uint8(k))
 }
 
+// ParseOpKind returns the kind whose mnemonic is name, exactly as String
+// renders it.
+func ParseOpKind(name string) (OpKind, bool) {
+	for k, n := range opNames {
+		if n == name {
+			return OpKind(k), true
+		}
+	}
+	return 0, false
+}
+
 // IsCompute reports whether the kind occupies an FU slot. Only compute
 // nodes count toward the CGRA resource utilization U = |V_D| / |V_H^F|
 // of the paper's problem formulation.

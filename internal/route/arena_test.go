@@ -21,7 +21,8 @@ var grown Path
 //   - every returned Path's capacity is its length, and appending to the
 //     previous path leaves the one just carved after it unchanged;
 //   - a round's paths keep their nodes until ResetKeepHistory rewinds
-//     the arena, however many searches ran after them;
+//     the arena and recycles the round's nets, however many searches ran
+//     after them;
 //   - the arena stays within twice the path nodes of the largest round.
 func TestPathArenaContract(t *testing.T) {
 	g := mrrg.New(arch.DefaultFabric(8, 8), 8)
@@ -29,20 +30,14 @@ func TestPathArenaContract(t *testing.T) {
 	rng := lcg(5)
 	junk := mrrg.Node{T: -1, R: -1, C: -1}
 	largest, regrown, shrank := 0, 0, 0
-	var nets []*Net
 	for round := 0; round < 50; round++ {
 		s.ResetKeepHistory()
-		for _, net := range nets {
-			s.FreeNet(net)
-		}
-		nets = nets[:0]
 		var paths, copies []Path
 		nodes, before := 0, cap(s.arena)
 		for n := 1 + rng.next(1+round%17); n > 0; n-- {
 			src := fu(rng.next(8), rng.next(8), rng.next(8))
 			s.Reserve(src)
 			net := s.NewNet(src)
-			nets = append(nets, net)
 			for k := 1 + rng.next(3); k > 0; k-- {
 				p, _, err := s.RouteSink(net, g.OperandTargets(src.T+1+rng.next(6), rng.next(8), rng.next(8)))
 				if err != nil {

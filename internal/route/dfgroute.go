@@ -52,14 +52,14 @@ type Placement struct {
 // over ses.G — the fabric's MRRG at the mapping's II, both taken from it —
 // and emits the validated configuration. It resets ses to ses.G first, so
 // the caller's session, re-targeted once per II with Session.Reset,
-// serves every placement routed at that II; the nets go back to the
-// session's freelist between rounds and on return. pl[i] is the slot of
-// d.Nodes[i]: loads claim the PE's memory read port, stores its write
-// port, everything else the FU. rounds bounds the PathFinder
-// negotiated-congestion iterations; on unresolved congestion the error
-// wraps diag.ErrRouteCongested. Cancellation is polled once per
-// negotiation round: a canceled ctx fails the route with an error
-// wrapping diag.ErrCanceled within one round's latency.
+// serves every placement routed at that II; each round rips up the last
+// one's nets (Session.RipUp). pl[i] is the slot of d.Nodes[i]: loads
+// claim the PE's memory read port, stores its write port, everything
+// else the FU. rounds bounds the PathFinder negotiated-congestion
+// iterations; on unresolved congestion the error wraps
+// diag.ErrRouteCongested. Cancellation is polled once per negotiation
+// round: a canceled ctx fails the route with an error wrapping
+// diag.ErrCanceled within one round's latency.
 //
 // The routed net order (topological producer order, sinks in out-edge
 // order) and the op comments ("n<id>") are part of the deterministic
@@ -68,12 +68,6 @@ func RouteDFG(ctx context.Context, ses *Session, d *ir.DFG, pl []Placement, roun
 	g := ses.G
 	cg, ii := g.Fab, g.II
 	ses.Reset(g)
-	var nets []*Net // of the round in progress
-	defer func() {
-		for _, net := range nets {
-			ses.FreeNet(net)
-		}
-	}()
 	placeNode := func(id int) mrrg.Node {
 		n := d.Nodes[id]
 		p := pl[id]
@@ -98,7 +92,6 @@ func RouteDFG(ctx context.Context, ses *Session, d *ir.DFG, pl []Placement, roun
 			}
 			net := ses.NewNet(placeNode(id))
 			netOf[id] = net
-			nets = append(nets, net)
 			for _, ei := range d.OutEdges(id) {
 				e := d.Edges[ei]
 				to := d.Nodes[e.To]
@@ -128,15 +121,11 @@ func RouteDFG(ctx context.Context, ses *Session, d *ir.DFG, pl []Placement, roun
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("route: %w: %w", diag.ErrCanceled, err)
 		}
-		for _, net := range nets {
-			ses.Release(net)
-			ses.FreeNet(net)
-		}
-		nets = nets[:0]
+		ses.RipUp()
 		if err := routeAll(); err != nil {
 			return nil, err
 		}
-		if len(ses.BumpHistory(nets)) == 0 {
+		if len(ses.BumpHistory(ses.Nets())) == 0 {
 			ok = true
 			break
 		}

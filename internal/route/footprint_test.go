@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"himap/internal/arch"
@@ -54,9 +55,6 @@ func TestSessionFootprint(t *testing.T) {
 	maxNodes, outside := 0, 0
 	round := func(congest bool) {
 		s.ResetKeepHistory()
-		for _, net := range routed {
-			s.FreeNet(net)
-		}
 		routed = routed[:0]
 		for _, n := range nets {
 			s.Reserve(n.src)
@@ -84,6 +82,9 @@ func TestSessionFootprint(t *testing.T) {
 			if _, _, err := s.RouteSink(net, g.OperandTargets(hot.T+1, hot.R, hot.C+1)); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if !slices.Equal(s.Nets(), routed) {
+			t.Fatalf("the session's live nets %v are not the %d the round started", s.Nets(), len(routed))
 		}
 	}
 	round(false)

@@ -83,9 +83,6 @@ func (tr resetTrial) run(t *testing.T, s *Session, bound *scratchBound, what str
 	for round := 0; round < tr.rounds; round++ {
 		if round > 0 {
 			s.ResetKeepHistory()
-			for _, net := range nets {
-				s.FreeNet(net)
-			}
 			nets = nets[:0]
 		}
 		for _, n := range tr.congestion {
@@ -103,9 +100,12 @@ func (tr resetTrial) run(t *testing.T, s *Session, bound *scratchBound, what str
 				bound.check(t, s, what)
 			}
 		}
-		logf("round %d over %v", round, s.BumpHistory(nets))
+		if !slices.Equal(s.Nets(), nets) {
+			t.Fatalf("%s: round %d: the session's live nets %v are not the %d it started", what, round, s.Nets(), len(nets))
+		}
+		logf("round %d over %v", round, s.BumpHistory(s.Nets()))
 	}
-	logf("over %v closed %d", s.OversubscribedIn(nets), s.closedNodes)
+	logf("over %v closed %d", s.OversubscribedIn(s.Nets()), s.closedNodes)
 	return out
 }
 

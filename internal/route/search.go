@@ -324,8 +324,8 @@ func (s *Session) searchWindow(net *Net, targets []mrrg.Node) window {
 // already owns to any node of targets. Newly entered nodes are charged to
 // the session occupancy (modulo II). The found path starts at an owned
 // node and ends at the reached target; it is carved from the session's
-// path arena and stays valid until the next Reset or ResetKeepHistory.
-// targets is not retained.
+// path arena and stays valid until the next Reset, ResetKeepHistory or
+// RipUp. targets is not retained.
 //
 // The search runs entirely in the session's generation-stamped scratch
 // arrays and the path comes from the arena: a call allocates only when

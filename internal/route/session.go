@@ -57,7 +57,9 @@
 // interface boxing) and are themselves generation-stamped. Occupancy is
 // a flat array over the modulo key space; history joins it at the first
 // BumpHistory that finds congestion. Returned paths are carved from a
-// session-owned arena that Reset and ResetKeepHistory rewind.
+// session-owned arena, and nets from session-owned storage: a Net and its
+// Paths live until the next Reset, ResetKeepHistory or RipUp, which
+// rewind the arena and recycle every net the session handed out.
 //
 // A session lives for one compile: its owner (a window worker, one
 // sub-mapping computation, an exact or conventional compile) re-targets
@@ -90,14 +92,16 @@ var (
 // Path is a resource node sequence from a producer to one sink; node 0 is
 // the producer's own placement node (FU or memory read port). Times are
 // real (unwrapped). A Path RouteSink returns lives in its session's path
-// arena: it stays valid until that session's next Reset or
-// ResetKeepHistory, and its capacity equals its length, so appending to
-// it copies instead of overwriting the next path.
+// arena: it stays valid until that session's next Reset,
+// ResetKeepHistory or RipUp, and its capacity equals its length, so
+// appending to it copies instead of overwriting the next path.
 type Path []mrrg.Node
 
 // Net is one routed signal: a producer node and a tree of paths to its
 // sinks. Paths share resource nodes freely (a net may reuse its own
-// nodes at no cost — fanout taps an existing wire).
+// nodes at no cost — fanout taps an existing wire). The session that
+// started a net owns it: it stays valid until that session's next Reset,
+// ResetKeepHistory or RipUp, which recycle its storage for later nets.
 type Net struct {
 	ID     int
 	Src    mrrg.Node
@@ -156,14 +160,16 @@ type Session struct {
 	hist   []float64
 	netSeq int
 
-	// netFree recycles Net storage from discarded routing rounds (see
-	// FreeNet); a congested attempt re-routes the same net set every
+	// nets are the live nets, in creation order (NewNet, Nets); netFree
+	// holds the storage of the nets Reset, ResetKeepHistory and RipUp
+	// recycled. A congested attempt re-routes the same net set every
 	// round, so the freelist makes rounds after the first allocation-free
 	// on the net side.
+	nets    []*Net
 	netFree []*Net
 	// arena holds the nodes of every Path RouteSink returned since the
-	// last Reset or ResetKeepHistory, which rewind it (carvePath); over
-	// is OversubscribedIn's result, valid until its next call, and
+	// last Reset, ResetKeepHistory or RipUp, which rewind it (carvePath);
+	// over is OversubscribedIn's result, valid until its next call, and
 	// overKeys its dedup buffer.
 	arena    []mrrg.Node
 	over     []mrrg.Node
@@ -238,17 +244,17 @@ func NewSession(g *mrrg.Graph) *Session { return new(Session).Reset(g) }
 // is rebuilt. Everything else is kept for reuse: occupancy storage is
 // cleared in place when its capacity covers g's key space, history
 // storage is emptied (the first bump that finds congestion re-zeroes
-// it), the path arena is rewound (every Path it returned before is
-// invalid), and the search scratch, the bucket heaps, the net freelist
-// and the lookahead table carry over — a reset session routes exactly as
-// a fresh one, without re-growing them.
+// it), the path arena is rewound and every live net recycled (every Net
+// and Path handed out before is invalid), and the search scratch, the
+// bucket heaps, the net freelist and the lookahead table carry over — a
+// reset session routes exactly as a fresh one, without re-growing them.
 func (s *Session) Reset(g *mrrg.Graph) *Session {
 	n := g.NumDenseKeys()
 	s.G = g
 	s.MaxVisits = defaultMaxVisits(n)
 	s.Envelope = Box{R0: 0, R1: g.Fab.Rows - 1, C0: 0, C1: g.Fab.Cols - 1}
 	s.netSeq, s.closedNodes = 0, 0
-	s.arena = s.arena[:0]
+	s.recycle()
 	s.occ = zeroed(s.occ, n)
 	s.hist = s.hist[:0]
 
@@ -294,13 +300,46 @@ func zeroed[T int32 | float64](buf []T, n int) []T {
 // ResetKeepHistory clears all occupancy and nets but keeps the
 // accumulated history costs — the state carried between negotiated
 // congestion rounds when a mapping attempt is rebuilt from scratch.
-// The occupancy storage is zeroed in place and the path arena rewound:
-// the dropped round's paths are invalid.
+// The occupancy storage is zeroed in place, the path arena rewound and
+// every live net recycled: the dropped round's nets and paths are
+// invalid.
 func (s *Session) ResetKeepHistory() {
 	clear(s.occ)
 	s.netSeq = 0
+	s.recycle()
+}
+
+// RipUp releases every live net's occupancy and recycles the nets, as
+// ResetKeepHistory does, but keeps what Reserve charged — the placements
+// stay while every wire is re-routed — and the net numbering, so the
+// next net's ID follows the last one's. The nets and paths handed out
+// before are invalid.
+func (s *Session) RipUp() {
+	for _, net := range s.nets {
+		s.Release(net)
+	}
+	s.recycle()
+}
+
+// recycle returns every live net to the freelist and rewinds the path
+// arena. A net's lists and Paths header are kept for reuse; its path
+// nodes belong to the arena.
+func (s *Session) recycle() {
+	for _, net := range s.nets {
+		net.keys = net.keys[:0]
+		net.list = net.list[:0]
+		net.Paths = net.Paths[:0]
+	}
+	s.netFree = append(s.netFree, s.nets...)
+	s.nets = s.nets[:0]
 	s.arena = s.arena[:0]
 }
+
+// Nets returns the live nets — every net NewNet started since the last
+// Reset, ResetKeepHistory or RipUp — in creation order: what BumpHistory
+// and OversubscribedIn check after a round. The slice is the session's;
+// it is valid until the next NewNet, Reset, ResetKeepHistory or RipUp.
+func (s *Session) Nets() []*Net { return s.nets }
 
 // carvePath cuts a Path of n nodes, capacity n, from the arena. A full
 // arena is replaced by one twice its size (the old one lives on in its
@@ -389,36 +428,22 @@ func (s *Session) history() []float64 {
 	return s.hist
 }
 
-// NewNet starts a net at the producer's placement node. The source node's
-// occupancy is the producer's own (via Reserve); the net reuses it freely.
-// Storage comes from the FreeNet freelist when available.
+// NewNet starts a net at the producer's placement node and registers it
+// among the live nets. The source node's occupancy is the producer's own
+// (via Reserve); the net reuses it freely. Storage comes from the
+// freelist when available.
 func (s *Session) NewNet(src mrrg.Node) *Net {
 	s.netSeq++
+	var net *Net
 	if k := len(s.netFree); k > 0 {
-		net := s.netFree[k-1]
+		net = s.netFree[k-1]
 		s.netFree = s.netFree[:k-1]
-		net.ID, net.Src, net.srcKey = s.netSeq, src, mrrg.RealKey(src)
-		return net
+	} else {
+		net = new(Net)
 	}
-	return &Net{
-		ID:     s.netSeq,
-		Src:    src,
-		srcKey: mrrg.RealKey(src),
-	}
-}
-
-// FreeNet returns a net whose plan has been discarded (a failed
-// congestion round or attempt) to the session freelist for NewNet to
-// reuse. The caller must free it once and hold no references to it
-// afterwards, and its occupancy charges must be gone before the session
-// routes again (FreeNet does not release them; Reset and
-// ResetKeepHistory clear them). Its lists and Paths headers are reused;
-// its path nodes belong to the arena, which those two calls rewind.
-func (s *Session) FreeNet(net *Net) {
-	net.keys = net.keys[:0]
-	net.list = net.list[:0]
-	net.Paths = net.Paths[:0]
-	s.netFree = append(s.netFree, net)
+	net.ID, net.Src, net.srcKey = s.netSeq, src, mrrg.RealKey(src)
+	s.nets = append(s.nets, net)
+	return net
 }
 
 // commit charges newly used path nodes to occupancy and records them in

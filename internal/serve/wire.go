@@ -449,14 +449,6 @@ func CacheKey(req *CompileRequestWire) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// opKinds maps wire mnemonics to ir kinds (compute kinds plus route).
-var opKinds = map[string]ir.OpKind{
-	"add": ir.OpAdd, "sub": ir.OpSub, "mul": ir.OpMul, "div": ir.OpDiv,
-	"min": ir.OpMin, "max": ir.OpMax, "and": ir.OpAnd, "or": ir.OpOr,
-	"xor": ir.OpXor, "shl": ir.OpShl, "shr": ir.OpShr, "sel": ir.OpSel,
-	"route": ir.OpRoute,
-}
-
 // condKinds maps wire guard names to DSL kinds.
 var condKinds = map[string]kernel.CondKind{
 	"first": kernel.CondFirst, "last": kernel.CondLast,
@@ -513,8 +505,9 @@ func (ks *KernelSpec) Build() (*kernel.Kernel, error) {
 		})
 	}
 	for i, bw := range ks.Body {
-		kind, ok := opKinds[bw.Op]
-		if !ok {
+		// A body op is a compute kind or route, named as ir renders it.
+		kind, ok := ir.ParseOpKind(bw.Op)
+		if !ok || !kind.IsCompute() && kind != ir.OpRoute {
 			return nil, fmt.Errorf("%w: body op %d has unknown op kind %q", ErrBadRequest, i, bw.Op)
 		}
 		op := kernel.BodyOp{Name: bw.Name, Kind: kind}

@@ -235,3 +235,35 @@ func TestConcurrentPutGet(t *testing.T) {
 		t.Errorf("concurrent use produced %d corrupt reads", st.Corrupt)
 	}
 }
+
+// FuzzStoreDecode: any bytes looked up under any key either decode to a
+// payload whose entry re-encodes to exactly those bytes, or fail with an
+// error wrapping ErrCorrupt — never a panic, never a payload the bytes
+// do not vouch for. The seeds are a valid entry, a truncated header, a
+// key length past the end of the entry and a flipped digest byte.
+func FuzzStoreDecode(f *testing.F) {
+	const key = "MVT|4x4|himap"
+	payload := []byte(`{"schema_version":2,"kernel":"MVT"}`)
+	valid := append(appendHeader(nil, key, payload), payload...)
+	f.Add(key, valid)
+	f.Add(key, valid[:headerFixed-1])
+	longKey := bytes.Clone(valid)
+	binary.LittleEndian.PutUint32(longKey[8:12], uint32(len(valid)))
+	f.Add(key, longKey)
+	flipped := bytes.Clone(valid)
+	flipped[20] ^= 0x01
+	f.Add(key, flipped)
+
+	f.Fuzz(func(t *testing.T, key string, data []byte) {
+		got, err := decode(key, data)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("decode error %v does not wrap ErrCorrupt", err)
+			}
+			return
+		}
+		if again := append(appendHeader(nil, key, got), got...); !bytes.Equal(again, data) {
+			t.Fatalf("decoded payload %q re-encodes to\n %x\nnot the entry\n %x", got, again, data)
+		}
+	})
+}

@@ -21,9 +21,11 @@ go run ./cmd/himaplint ./...
 # Every test under the race detector, shuffled: a fixed order hides coupling through process-wide state (the shared memo, the lookahead table).
 go test -race -shuffle=on ./...
 # The speculative window's schedule is timing-dependent, and nets and path storage persist across the attempts of a worker's session, so these tests run three more times under the race detector.
-go test -race -count=3 -run 'TestWorkersDeterminism$|TestSpeculationWindowSpans|TestSpeculationAllocBudget|TestCancellationLatencyMidRun|TestPathArenaContract|TestFailedRoutesLeaveSessionReusable' . ./internal/route ./internal/himap
+go test -race -count=3 -run 'TestWorkersDeterminism$|TestSpeculationWindowSpans|TestSpeculationAllocBudget|TestCancellationLatencyMidRun|TestPathArenaContract|TestSessionOwnsNets|TestFailedRoutesLeaveSessionReusable' . ./internal/route ./internal/himap
 # The configuration encoder against encoding/json on ten seconds of new fuzz inputs (the committed seeds ran above).
 go test -run '^$' -fuzz FuzzConfigAppendJSON -fuzztime 10s ./internal/arch
+# The store's entry decoder reads bytes from disk that another process may have written or truncated: ten seconds of new fuzz inputs.
+go test -run '^$' -fuzz FuzzStoreDecode -fuzztime 10s ./internal/store
 # The flat_backends, congested and scale64 profile commands, and the per-stage ones (MAP(), replicate + validate, isdg-build), once each, so they cannot rot.
 go test -run '^$' -bench FlatBackends -benchtime 1x .
 go test -run '^$' -bench CongestedCompile -benchtime 1x .
