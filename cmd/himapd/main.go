@@ -5,14 +5,13 @@
 // artifact memo), GET /v1/kernels, GET /healthz, and GET /metrics.
 // Results are cached content-addressed in memory and — with -store — on
 // disk across restarts (identical requests return byte-identical bodies,
-// coalesced onto one compile when concurrent), admission is bounded
-// (overflow answers 429), and -peers shards cache ownership across
-// replicas by consistent hashing with single-hop forwarding. The wire
-// contract has exactly one version: a request body omits schema_version
-// or pins the current value, and any other pin answers a typed 400. The
-// design-space sweep (one kernel ranked across fabric candidates by
-// MOPS/mW) is not served; it is `experiments -explore`. See DESIGN.md,
-// "Compile service" and "Serving at scale".
+// coalesced onto one compile when concurrent), and admission is bounded
+// (overflow answers 429). The wire contract has exactly one version: a
+// request body omits schema_version or pins the current value, and any
+// other pin answers a typed 400. The design-space sweep (one kernel
+// ranked across fabric candidates by MOPS/mW) is not served; it is
+// `experiments -explore`. See DESIGN.md, "Compile service" and "Serving
+// at scale".
 package main
 
 import (
@@ -24,7 +23,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -38,8 +36,6 @@ func main() {
 	maxQueue := flag.Int("max-queue", 16, "requests allowed to wait beyond -max-inflight (negative: none)")
 	cacheMB := flag.Int64("cache-mb", 64, "result cache budget in MiB (negative: disable)")
 	storeDir := flag.String("store", "", "disk result-store directory (empty: memory cache only)")
-	peers := flag.String("peers", "", "comma-separated base URLs of every cluster replica, this one included (empty: unsharded)")
-	self := flag.String("self", "", "this replica's base URL; required with -peers and must appear in the list")
 	timeout := flag.Duration("timeout", 2*time.Minute, "default per-request compile deadline")
 	maxExactCells := flag.Int("max-exact-cells", 128, "DFG cell budget accepted by the exact mapper per request")
 	maxBatch := flag.Int("max-batch", 64, "items allowed per /v1/compile-batch request")
@@ -51,17 +47,9 @@ func main() {
 		MaxQueue:       *maxQueue,
 		CacheBytes:     *cacheMB << 20,
 		StoreDir:       *storeDir,
-		Self:           *self,
 		DefaultTimeout: *timeout,
 		MaxExactCells:  *maxExactCells,
 		MaxBatchItems:  *maxBatch,
-	}
-	if *peers != "" {
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				cfg.Peers = append(cfg.Peers, p)
-			}
-		}
 	}
 	if err := run(cfg, *addr); err != nil {
 		fmt.Fprintf(os.Stderr, "himapd: %v\n", err)

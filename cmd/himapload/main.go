@@ -1,13 +1,13 @@
 // Command himapload is the himapd load generator and soak harness: it
-// drives a cluster of replicas (self-hosted in-process with -cluster,
-// or external with -addrs) with a seeded kernel mix for a fixed
-// duration and prints a JSON report (stdout, or -out FILE; the one-line
-// summary goes to stderr) — request counts, error-code breakdown, cache
-// hit rate, forwarding counts, and latency percentiles
-// (p50/p90/p99/max). The harness exits nonzero on any 5xx
-// response, and with -require-hits also when the run produced zero
-// cache hits, so CI can assert the serving layer's two core promises
-// (never fail, reuse work) under sustained concurrent load.
+// drives one server (an external himapd at -addr, or else one replica
+// self-hosted in process) with a seeded kernel mix for a fixed duration
+// and prints a JSON report (stdout, or -out FILE; the one-line summary
+// goes to stderr) — request counts, error-code breakdown, cache hit
+// rate, and latency percentiles (p50/p90/p99/max). The harness exits
+// nonzero on any 5xx response, and with -require-hits also when the run
+// produced zero cache hits, so CI can assert the serving layer's two
+// core promises (never fail, reuse work) under sustained concurrent
+// load.
 //
 // The workload is deterministic in shape: a fixed kernel/fabric mix
 // visited by seeded PRNG, so two runs at the same seed issue the same
@@ -49,7 +49,6 @@ var requestMix = []string{
 
 // report is the soak summary himapload prints.
 type report struct {
-	Replicas    int     `json:"replicas"`
 	Concurrency int     `json:"concurrency"`
 	DurationS   float64 `json:"duration_s"`
 	Seed        int64   `json:"seed"`
@@ -66,7 +65,6 @@ type report struct {
 		Coalesced int64   `json:"coalesced"`
 		HitRate   float64 `json:"hit_rate"`
 	} `json:"cache"`
-	Forwarded int64 `json:"forwarded"` // responses served by a relay peer
 
 	LatencyMS struct {
 		P50 float64 `json:"p50"`
@@ -77,49 +75,37 @@ type report struct {
 }
 
 func main() {
-	cluster := flag.Int("cluster", 0, "self-host N in-process replicas (mutually exclusive with -addrs)")
-	addrs := flag.String("addrs", "", "comma-separated base URLs of an external cluster")
+	addr := flag.String("addr", "", "base URL of an external himapd (empty: self-host one in-process replica)")
 	duration := flag.Duration("duration", 5*time.Second, "soak duration")
 	concurrency := flag.Int("concurrency", 4, "concurrent client workers")
 	seed := flag.Int64("seed", 1, "workload PRNG seed")
 	out := flag.String("out", "-", "report path (- for stdout)")
 	requireHits := flag.Bool("require-hits", false, "exit nonzero when the run produced zero cache hits")
-	storeDir := flag.String("store", "", "disk store directory for self-hosted replicas (empty: memory only)")
+	storeDir := flag.String("store", "", "disk store directory for the self-hosted replica (empty: memory only)")
 	flag.Parse()
 
-	if err := run(*cluster, *addrs, *duration, *concurrency, *seed, *out, *requireHits, *storeDir); err != nil {
+	if err := run(*addr, *duration, *concurrency, *seed, *out, *requireHits, *storeDir); err != nil {
 		fmt.Fprintf(os.Stderr, "himapload: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(cluster int, addrs string, duration time.Duration, concurrency int, seed int64, out string, requireHits bool, storeDir string) error {
-	var urls []string
-	if cluster > 0 && addrs != "" {
-		return fmt.Errorf("-cluster and -addrs are mutually exclusive")
-	}
-	switch {
-	case cluster > 0:
-		hosted, shutdown, err := selfHost(cluster, storeDir)
+func run(addr string, duration time.Duration, concurrency int, seed int64, out string, requireHits bool, storeDir string) error {
+	if addr == "" {
+		hosted, shutdown, err := selfHost(storeDir)
 		if err != nil {
 			return err
 		}
 		defer shutdown()
-		urls = hosted
-	case addrs != "":
-		for _, a := range strings.Split(addrs, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				urls = append(urls, a)
-			}
-		}
-	default:
-		return fmt.Errorf("one of -cluster or -addrs is required")
+		addr = hosted
+	} else if storeDir != "" {
+		return fmt.Errorf("-store applies to the self-hosted replica only, not to -addr")
 	}
 	if concurrency < 1 {
 		concurrency = 1
 	}
 
-	rep := soak(urls, duration, concurrency, seed)
+	rep := soak(addr, duration, concurrency, seed)
 
 	body, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -134,8 +120,8 @@ func run(cluster int, addrs string, duration time.Duration, concurrency int, see
 		}
 		fmt.Fprintf(os.Stderr, "himapload: wrote %s\n", out)
 	}
-	fmt.Fprintf(os.Stderr, "himapload: %d requests, %d ok, %d 5xx, hit rate %.2f, %d forwarded, p99 %.1fms\n",
-		rep.Requests, rep.OK, rep.Status5xx, rep.Cache.HitRate, rep.Forwarded, rep.LatencyMS.P99)
+	fmt.Fprintf(os.Stderr, "himapload: %d requests, %d ok, %d 5xx, hit rate %.2f, p99 %.1fms\n",
+		rep.Requests, rep.OK, rep.Status5xx, rep.Cache.HitRate, rep.LatencyMS.P99)
 
 	if rep.Status5xx > 0 {
 		return fmt.Errorf("%d responses were 5xx", rep.Status5xx)
@@ -146,62 +132,31 @@ func run(cluster int, addrs string, duration time.Duration, concurrency int, see
 	return nil
 }
 
-// selfHost starts n serve.Server replicas on loopback listeners that
-// know each other as shard peers, and returns their base URLs plus a
-// shutdown function. Listeners are allocated first so every replica's
-// config can carry the full peer list.
-func selfHost(n int, storeDir string) ([]string, func(), error) {
-	listeners := make([]net.Listener, n)
-	urls := make([]string, n)
-	for i := range listeners {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, nil, err
-		}
-		listeners[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
+// selfHost starts one serve.Server on a loopback listener and returns
+// its base URL plus a shutdown function.
+func selfHost(storeDir string) (string, func(), error) {
+	core, err := serve.New(serve.Config{MaxInFlight: 4, StoreDir: storeDir})
+	if err != nil {
+		return "", nil, err
 	}
-	peers := urls
-	if n == 1 {
-		peers = nil // a single replica runs unsharded
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", nil, err
 	}
-	servers := make([]*http.Server, n)
-	for i, ln := range listeners {
-		cfg := serve.Config{
-			MaxInFlight: 4,
-			Peers:       peers,
-		}
-		if peers != nil {
-			cfg.Self = urls[i]
-		}
-		if storeDir != "" {
-			cfg.StoreDir = fmt.Sprintf("%s/replica-%d", storeDir, i)
-		}
-		core, err := serve.New(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		servers[i] = &http.Server{Handler: core.Handler()}
-		go servers[i].Serve(ln)
-	}
-	shutdown := func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}
-	return urls, shutdown, nil
+	srv := &http.Server{Handler: core.Handler()}
+	go srv.Serve(ln)
+	return "http://" + ln.Addr().String(), func() { srv.Close() }, nil
 }
 
-// soak drives the cluster for the configured duration and aggregates
-// the report. Each worker owns a PRNG derived from the seed, so the
-// request sequence per worker is reproducible.
-func soak(urls []string, duration time.Duration, concurrency int, seed int64) report {
+// soak drives the server at url for the configured duration and
+// aggregates the report. Each worker owns a PRNG derived from the seed,
+// so the request sequence per worker is reproducible.
+func soak(url string, duration time.Duration, concurrency int, seed int64) report {
 	var (
 		mu        sync.Mutex
 		latencies []float64
 		rep       report
 	)
-	rep.Replicas = len(urls)
 	rep.Concurrency = concurrency
 	rep.DurationS = duration.Seconds()
 	rep.Seed = seed
@@ -221,7 +176,6 @@ func soak(urls []string, duration time.Duration, concurrency int, seed int64) re
 					return
 				}
 				body := requestMix[rng.Intn(len(requestMix))]
-				url := urls[rng.Intn(len(urls))]
 				resp, err := client.Post(url+"/v1/compile", "application/json", strings.NewReader(body))
 				var payload []byte
 				if err == nil {
@@ -254,9 +208,6 @@ func soak(urls []string, duration time.Duration, concurrency int, seed int64) re
 					rep.Cache.Coalesced++
 				case "miss":
 					rep.Cache.Misses++
-				}
-				if resp.Header.Get("X-Himap-Peer") != "" {
-					rep.Forwarded++
 				}
 				if resp.StatusCode != http.StatusOK {
 					rep.Errors[errorCode(payload)]++

@@ -26,14 +26,18 @@ func narrowBICGLayout(t *testing.T) *layout {
 // breakLastClass schedules a consumer cluster of the last class of l
 // that has one a period before its producer — the value would have to
 // arrive before it exists — and returns that class.
-func breakLastClass(t *testing.T, l *layout) int {
+func breakLastClass(t *testing.T, l *layout) int { return moveLastConsumer(t, l, -1) }
+
+// moveLastConsumer schedules a consumer cluster of the last class of l
+// that has one dt periods after its producer, and returns that class.
+func moveLastConsumer(t *testing.T, l *layout, dt int) int {
 	t.Helper()
 	for k := len(l.classes) - 1; k >= 1; k-- {
 		rep := l.classes[k].Rep
 		for _, id := range l.g.Clusters[rep].Nodes {
 			for _, ei := range l.g.DFG.OutEdges(id) {
 				if to := l.g.ClusterOf(l.g.DFG.Edges[ei].To); to != rep {
-					l.cp.T[to] = l.cp.T[rep] - 1
+					l.cp.T[to] = l.cp.T[rep] + dt
 					return k
 				}
 			}
@@ -68,6 +72,24 @@ func TestRoundInvariantFailureEndsNegotiation(t *testing.T) {
 	}
 	if st.Rounds != 1 {
 		t.Errorf("negotiation ran %d rounds on a failure no round can change, want 1", st.Rounds)
+	}
+}
+
+// TestSearchLimitRetriesRound: a search that runs out of visits can end
+// differently once history moves costs, so the round that meets it is
+// not the last while earlier classes of that round left nodes
+// oversubscribed. A consumer scheduled 64 periods after its producer
+// gives the last class a search window of over 256 cycles, past the 16×
+// key-space budget Reset sets; negotiation must spend every round on it.
+func TestSearchLimitRetriesRound(t *testing.T) {
+	l := narrowBICGLayout(t)
+	moveLastConsumer(t, l, 64)
+	_, st, err := l.routeCanonical(context.Background(), new(route.Session), 8)
+	if !errors.Is(err, route.ErrSearchLimit) {
+		t.Fatalf("err = %v, want route.ErrSearchLimit", err)
+	}
+	if st.Rounds != 8 {
+		t.Errorf("negotiation ran %d rounds after a search ran out of visits, want all 8", st.Rounds)
 	}
 }
 

@@ -21,11 +21,7 @@ import (
 // instead of redoing it per compile. Items run sequentially: intra-item
 // parallelism (Options.Workers) already saturates the worker budget,
 // and sequential order makes the memo reuse deterministic.
-//
-// Batches are never forwarded to shard peers — their items generally
-// hash to different owners, and the memo sharing that justifies the
-// endpoint only exists locally. Item results still populate this
-// replica's cache levels.
+// Item results populate the cache levels as standalone compiles do.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requests.Add(1)
 	breq, err := DecodeBatchRequest(r.Body)

@@ -29,8 +29,8 @@ func stubDeadline(ctx context.Context, req himap.Request) (*himap.Result, error)
 	return nil, diag.Fail(diag.ErrCanceled, ctx.Err())
 }
 
-// goldenCases are the wire bytes deployed clients, disk stores and
-// shard rings depend on. Each case posts body to path on a fresh
+// goldenCases are the wire bytes deployed clients and disk stores
+// depend on. Each case posts body to path on a fresh
 // server and compares the response with testdata/golden/<name>. A
 // refactor must leave the files byte-unchanged; run with -update only
 // for a deliberate contract change that bumps SchemaVersion.
@@ -87,7 +87,7 @@ func TestGoldenWireBytes(t *testing.T) {
 }
 
 // TestGoldenCacheKey pins the content address itself: disk-store file
-// names and shard ownership are functions of these hex digits. An
+// names are functions of these hex digits. An
 // omitted schema_version and an explicit pin of the current one share
 // the key.
 func TestGoldenCacheKey(t *testing.T) {

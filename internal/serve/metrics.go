@@ -58,12 +58,9 @@ type Metrics struct {
 	failures    atomic.Int64 // compiles that returned an error
 	badRequests atomic.Int64 // 4xx request rejections (not admission)
 
-	forwarded        atomic.Int64 // requests relayed to their shard owner
-	forwardFallbacks atomic.Int64 // forwards that degraded to local compute
-	forwardedServed  atomic.Int64 // requests served on behalf of a peer
-	batches          atomic.Int64 // POST /v1/compile-batch envelopes accepted
-	batchItems       atomic.Int64 // batch items processed
-	streams          atomic.Int64 // SSE stage-event streams started
+	batches    atomic.Int64 // POST /v1/compile-batch envelopes accepted
+	batchItems atomic.Int64 // batch items processed
+	streams    atomic.Int64 // SSE stage-event streams started
 
 	inFlight atomic.Int64 // compiles currently executing
 	queued   atomic.Int64 // requests admitted but waiting for a worker slot
@@ -124,12 +121,9 @@ type Snapshot struct {
 	Failures    int64 `json:"failures"`
 	BadRequests int64 `json:"bad_requests"`
 
-	Forwarded        int64 `json:"forwarded"`
-	ForwardFallbacks int64 `json:"forward_fallbacks"`
-	ForwardedServed  int64 `json:"forwarded_served"`
-	Batches          int64 `json:"batches"`
-	BatchItems       int64 `json:"batch_items"`
-	Streams          int64 `json:"streams"`
+	Batches    int64 `json:"batches"`
+	BatchItems int64 `json:"batch_items"`
+	Streams    int64 `json:"streams"`
 
 	InFlight int64 `json:"in_flight"`
 	Queued   int64 `json:"queued"`
@@ -160,12 +154,9 @@ func (m *Metrics) Snapshot() Snapshot {
 		Failures:      m.failures.Load(),
 		BadRequests:   m.badRequests.Load(),
 
-		Forwarded:        m.forwarded.Load(),
-		ForwardFallbacks: m.forwardFallbacks.Load(),
-		ForwardedServed:  m.forwardedServed.Load(),
-		Batches:          m.batches.Load(),
-		BatchItems:       m.batchItems.Load(),
-		Streams:          m.streams.Load(),
+		Batches:    m.batches.Load(),
+		BatchItems: m.batchItems.Load(),
+		Streams:    m.streams.Load(),
 
 		InFlight: m.inFlight.Load(),
 		Queued:   m.queued.Load(),
@@ -203,9 +194,6 @@ func (s Snapshot) WriteText(w io.Writer) {
 		fmt.Sprintf("himapd_rejected_total %d", s.Rejected),
 		fmt.Sprintf("himapd_failures_total %d", s.Failures),
 		fmt.Sprintf("himapd_bad_requests_total %d", s.BadRequests),
-		fmt.Sprintf("himapd_forwarded_total %d", s.Forwarded),
-		fmt.Sprintf("himapd_forward_fallbacks_total %d", s.ForwardFallbacks),
-		fmt.Sprintf("himapd_forwarded_served_total %d", s.ForwardedServed),
 		fmt.Sprintf("himapd_batches_total %d", s.Batches),
 		fmt.Sprintf("himapd_batch_items_total %d", s.BatchItems),
 		fmt.Sprintf("himapd_streams_total %d", s.Streams),

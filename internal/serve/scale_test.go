@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -181,122 +180,6 @@ func TestStoreRestartReplay(t *testing.T) {
 	}
 	if st := s3.Store().Stats(); st.Corrupt != 1 {
 		t.Errorf("store corrupt counter = %d, want 1", st.Corrupt)
-	}
-}
-
-// --- consistent-hash sharding ----------------------------------------
-
-// twoReplicaCluster starts two servers that know each other as peers.
-// Compile funcs are stubbed to tag which replica executed, so tests can
-// observe routing without parsing mappings.
-func twoReplicaCluster(t *testing.T) (a, b *Server, tsA, tsB *httptest.Server) {
-	t.Helper()
-	tsA = httptest.NewUnstartedServer(nil)
-	tsB = httptest.NewUnstartedServer(nil)
-	urlA := "http://" + tsA.Listener.Addr().String()
-	urlB := "http://" + tsB.Listener.Addr().String()
-	peers := []string{urlA, urlB}
-	var err error
-	if a, err = New(Config{Peers: peers, Self: urlA}); err != nil {
-		t.Fatal(err)
-	}
-	if b, err = New(Config{Peers: peers, Self: urlB}); err != nil {
-		t.Fatal(err)
-	}
-	tag := func(name string) func(context.Context, himap.Request) (*himap.Result, error) {
-		return func(ctx context.Context, req himap.Request) (*himap.Result, error) {
-			// Padded past net/http's pre-chunking buffer, so a relay
-			// that drops the length goes out chunked.
-			return nil, diag.Failf(diag.ErrRouteCongested, "executed by %s%s", name, strings.Repeat(".", 4096))
-		}
-	}
-	a.SetCompileFunc(tag("replica-a"))
-	b.SetCompileFunc(tag("replica-b"))
-	tsA.Config.Handler = a.Handler()
-	tsB.Config.Handler = b.Handler()
-	tsA.Start()
-	tsB.Start()
-	t.Cleanup(tsA.Close)
-	t.Cleanup(tsB.Close)
-	return a, b, tsA, tsB
-}
-
-// keyOwnedBy finds a compile request whose cache key the given peer
-// owns, by scanning fabric sizes. Both replicas compute identical rings,
-// so ownership is a pure function of the request.
-func keyOwnedBy(t *testing.T, s *Server, owner string) string {
-	t.Helper()
-	for side := 4; side <= 16; side++ {
-		req := kernelRequest("GEMM", side, side)
-		var wire CompileRequestWire
-		if err := json.Unmarshal([]byte(req), &wire); err != nil {
-			t.Fatal(err)
-		}
-		if s.Owner(CacheKey(&wire)) == owner {
-			return req
-		}
-	}
-	t.Fatalf("no probe request hashed to %s", owner)
-	return ""
-}
-
-// TestShardForwarding: a request landing on the non-owner replica is
-// relayed to its owner exactly once, and the response names the peer
-// that served it.
-func TestShardForwarding(t *testing.T) {
-	a, b, tsA, tsB := twoReplicaCluster(t)
-	req := keyOwnedBy(t, a, "http://"+tsB.Listener.Addr().String())
-
-	// Send to A; B owns the key, so A must relay.
-	resp, body := postCompile(t, tsA.URL, req)
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("status %d, want 422 (stub): %s", resp.StatusCode, body)
-	}
-	if !strings.Contains(string(body), "executed by replica-b") {
-		t.Errorf("body %s, want execution on replica-b", body)
-	}
-	if len(body) <= 4096 || resp.ContentLength != int64(len(body)) {
-		t.Errorf("relayed %d-byte body has Content-Length %d, want it over 4 KB and its length", len(body), resp.ContentLength)
-	}
-	if got := resp.Header.Get(peerHeader); got != "http://"+tsB.Listener.Addr().String() {
-		t.Errorf("peer header %q, want owner URL", got)
-	}
-	if n := a.Metrics().Snapshot().Forwarded; n != 1 {
-		t.Errorf("A forwarded = %d, want 1", n)
-	}
-	if n := b.Metrics().Snapshot().ForwardedServed; n != 1 {
-		t.Errorf("B forwarded_served = %d, want 1", n)
-	}
-	// Sending the same request straight to its owner B involves no relay.
-	resp, body = postCompile(t, tsB.URL, req)
-	if resp.Header.Get(peerHeader) != "" || !strings.Contains(string(body), "executed by replica-b") {
-		t.Errorf("owner-direct request relayed: peer=%q body=%s", resp.Header.Get(peerHeader), body)
-	}
-	if n := a.Metrics().Snapshot().Forwarded; n != 1 {
-		t.Errorf("A forwarded grew to %d on owner-direct traffic", n)
-	}
-}
-
-// TestShardPeerDownDegrades: with the owner replica dead, the non-owner
-// serves the request locally — degrade, never fail.
-func TestShardPeerDownDegrades(t *testing.T) {
-	a, _, tsA, tsB := twoReplicaCluster(t)
-	req := keyOwnedBy(t, a, "http://"+tsB.Listener.Addr().String())
-	tsB.Close() // owner gone
-
-	resp, body := postCompile(t, tsA.URL, req)
-	if resp.StatusCode >= 500 {
-		t.Fatalf("request failed with %d when the peer died: %s", resp.StatusCode, body)
-	}
-	if !strings.Contains(string(body), "executed by replica-a") {
-		t.Errorf("body %s, want local fallback on replica-a", body)
-	}
-	snap := a.Metrics().Snapshot()
-	if snap.ForwardFallbacks != 1 {
-		t.Errorf("forward_fallbacks = %d, want 1", snap.ForwardFallbacks)
-	}
-	if snap.Forwarded != 0 {
-		t.Errorf("forwarded = %d, want 0 (the relay never succeeded)", snap.Forwarded)
 	}
 }
 

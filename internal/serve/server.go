@@ -41,16 +41,6 @@ type Config struct {
 	// evicted when corrupt, and survive restarts with byte-identical
 	// replay. Empty disables the disk store.
 	StoreDir string
-	// Peers lists the base URLs of every replica in the cluster
-	// (http://host:port, no trailing slash), this server included; Self
-	// names this replica's entry. Cache keys are owned by exactly one
-	// peer (consistent hashing); /v1/compile requests whose key another
-	// peer owns are forwarded once, with local fallback when the owner
-	// is unreachable. Empty Peers disables sharding.
-	Peers []string
-	// Self is this replica's own base URL; required when Peers is set
-	// and must appear in Peers.
-	Self string
 	// DefaultTimeout bounds compiles whose request carries no
 	// timeout_ms. Default 2 minutes.
 	DefaultTimeout time.Duration
@@ -95,14 +85,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the himapd service core: decode → shard → cache → coalesce
-// → admit → compile → respond, every layer observable through Metrics.
+// Server is the himapd service core: decode → cache → coalesce → admit
+// → compile → respond, every layer observable through Metrics.
 type Server struct {
 	cfg     Config
 	cache   *cache
 	disk    *store.Store // nil when Config.StoreDir is empty
-	ring    *ring        // nil when Config.Peers is empty
-	client  *http.Client // peer-forwarding transport
 	metrics *Metrics
 	sem     chan struct{}
 	pending atomic.Int64 // admitted requests, waiting or running
@@ -124,8 +112,7 @@ type flightCall struct {
 }
 
 // New returns a Server with the production compile function. It fails
-// when the disk store cannot be opened or the shard configuration is
-// inconsistent (Self missing from Peers).
+// when the disk store cannot be opened.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -134,7 +121,6 @@ func New(cfg Config) (*Server, error) {
 		metrics: NewMetrics(),
 		sem:     make(chan struct{}, cfg.MaxInFlight),
 		flight:  map[string]*flightCall{},
-		client:  &http.Client{},
 		compile: himap.CompileRequest,
 	}
 	if cfg.StoreDir != "" {
@@ -144,18 +130,11 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.disk = disk
 	}
-	if len(cfg.Peers) > 0 {
-		r, err := newRing(cfg.Peers, cfg.Self)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		s.ring = r
-	}
 	return s, nil
 }
 
-// MustNew is New for configurations that cannot fail (no store, no
-// peers) — the constructor tests and tools use.
+// MustNew is New for configurations that cannot fail (no store) — the
+// constructor tests and tools use.
 func MustNew(cfg Config) *Server {
 	s, err := New(cfg)
 	if err != nil {
@@ -377,31 +356,11 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Shard ownership: a request whose key another replica owns is
-	// forwarded exactly once (forwarded requests are pinned local by the
-	// X-Himap-Forwarded header). A hot key already in the local memory
-	// cache is served directly — forwarding would only re-fetch bytes we
-	// hold. When the owner is unreachable the request degrades to local
-	// compute; it never fails on account of a peer.
-	if s.ring != nil && !s.ring.ownsLocally(key, r) {
-		if body, status, ok := s.cacheGet(key); ok {
-			s.metrics.cacheHits.Add(1)
-			writeBody(w, http.StatusOK, body, status)
-			return
-		}
-		if s.forward(w, r, wire, key) {
-			return
-		}
-	}
-	if r.Header.Get(forwardedHeader) != "" {
-		s.metrics.forwardedServed.Add(1)
-	}
-
 	status, body, cacheStatus := s.respond(r.Context(), wire, hreq, key)
 	writeBody(w, status, body, cacheStatus)
 }
 
-// respond resolves one compile request locally: cache levels, then
+// respond resolves one compile request: cache levels, then
 // singleflight coalescing, then a deadline-bounded compile. It returns
 // the HTTP status, body bytes, and X-Himap-Cache value.
 func (s *Server) respond(ctx context.Context, wire *CompileRequestWire, hreq himap.Request, key string) (int, []byte, string) {

@@ -1,9 +1,8 @@
 // Package serve is the himapd compilation service: an HTTP/JSON layer
 // over the unified himap.CompileRequest API with a two-level
 // content-addressed result cache (in-memory LRU over an optional
-// disk-backed, integrity-checked store), singleflight coalescing,
-// consistent-hash peer sharding with request forwarding, a bounded
-// admission queue, and an atomic-counter metrics registry. The wire
+// disk-backed, integrity-checked store), singleflight coalescing, a
+// bounded admission queue, and an atomic-counter metrics registry. The wire
 // contract is versioned (SchemaVersion) and strict: requests with
 // unknown fields are rejected, responses always carry schema_version,
 // and a served compile is byte-identical to a direct CompileRequest of
@@ -432,9 +431,7 @@ func DecodeBatchRequest(r io.Reader) (*BatchRequestWire, error) {
 // canonical JSON with TimeoutMS zeroed (the timeout bounds the compile,
 // it cannot change the mapping) and SchemaVersion always written out,
 // so an omitted version shares keys with an explicit pin. Two requests
-// with equal keys receive byte-identical responses. The key also drives
-// shard ownership: every replica of a cluster computes the same key for
-// the same request.
+// with equal keys receive byte-identical responses.
 func CacheKey(req *CompileRequestWire) string {
 	norm := *req
 	norm.Options.TimeoutMS = 0

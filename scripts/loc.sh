@@ -1,7 +1,7 @@
 #!/bin/sh
-# The sizes ROADMAP item 14 tracks: Go line counts (product code outside
-# bench/ and testdata/, test code outside bench/), DESIGN.md lines and
-# CHANGES.md words.
+# The sizes every change reports before and after (ROADMAP's discipline):
+# Go line counts (product code outside bench/ and testdata/, test code
+# outside bench/), DESIGN.md lines and CHANGES.md words.
 cd "$(dirname "$0")/.."
 prod=$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs cat | wc -l)
 tests=$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)
