@@ -137,14 +137,17 @@ func TestCancellationLatencyMidRun(t *testing.T) {
 				Exact:  himap.ExactOptions{Tracer: tr},
 			}
 		}, false},
-		// SAMoves is set so the anneal's 256 polls outnumber the seeding
-		// pass's (about 150, one per placement try) that share its span.
-		{"conventional", "place", "moves", 4096, 256 * 4096, 2, func(tr himap.Tracer) himap.Request {
+		// The first placement: the anneal's moves (1500·N + 2·N² for the
+		// N-node DFG) take fewer polls than the seeding pass that shares
+		// its span (one per placement try), so the stride bound here is
+		// loose; TestAnnealPollsEveryStride (internal/baseline) pins the
+		// anneal's own polls. The flip still lands inside the anneal.
+		{"conventional", "place", "moves", 4096, 1, 2, func(tr himap.Tracer) himap.Request {
 			return himap.Request{
 				Kernel: himap.KernelFW(), Mapper: himap.MapperConventional,
 				Fabric:   himap.DefaultFabric(4, 4),
 				Block:    []int{2, 2, 2},
-				Baseline: himap.BaselineOptions{Tracer: tr, SAMoves: 256 * 4096},
+				Baseline: himap.BaselineOptions{Tracer: tr},
 			}
 		}, false},
 		// 34 of 36 attempts fail; the first to negotiate all 8 rounds is used.

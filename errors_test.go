@@ -9,8 +9,6 @@ import (
 	"time"
 
 	"himap"
-	"himap/internal/baseline"
-	"himap/internal/exact"
 )
 
 // These tests pin the error taxonomy of the staged pipeline through the
@@ -339,25 +337,24 @@ func TestNilKernelTypedError(t *testing.T) {
 	}
 }
 
-// TestFlatEntryPointsNilKernel: called directly, past the dispatcher's
-// guard, both flat backends refuse a nil kernel with the same typed
-// error — the guard is the skeleton's, not each backend's.
-func TestFlatEntryPointsNilKernel(t *testing.T) {
-	fab := himap.DefaultFabric(4, 4)
-	entries := map[string]func() error{
-		"baseline": func() error {
-			_, err := baseline.CompileRequest(context.Background(), nil, fab, []int{2, 2}, baseline.Options{})
-			return err
-		},
-		"exact": func() error {
-			_, err := exact.CompileRequest(context.Background(), nil, fab, []int{2, 2}, exact.Options{})
-			return err
-		},
+// TestInvalidRequestsRefusedByEveryMapper: a fabric whose array is
+// invalid fails every mapper with ErrConfigInvalid before any mapping
+// work, and a block of the wrong rank fails each flat mapper at its
+// unroll.
+func TestInvalidRequestsRefusedByEveryMapper(t *testing.T) {
+	bad := himap.DefaultFabric(4, 4)
+	bad.NumRegs = 0
+	for _, m := range himap.Backends() {
+		_, err := himap.CompileRequest(context.Background(), himap.Request{Kernel: himap.KernelMVT(), Mapper: m, Fabric: bad})
+		if !errors.Is(err, himap.ErrConfigInvalid) || !strings.Contains(err.Error(), "0 registers") {
+			t.Errorf("%s on a fabric without registers: %v, want ErrConfigInvalid", m, err)
+		}
 	}
-	for name, call := range entries {
-		var se *himap.StageError
-		if err := call(); !errors.Is(err, himap.ErrInvalidRequest) || !errors.As(err, &se) || se.Stage != "request" {
-			t.Errorf("%s.CompileRequest(nil kernel) = %v, want a request-stage ErrInvalidRequest", name, err)
+	for _, m := range []himap.Mapper{himap.MapperConventional, himap.MapperExact} {
+		_, err := himap.CompileRequest(context.Background(), himap.Request{
+			Kernel: himap.KernelMVT(), Mapper: m, Fabric: himap.DefaultFabric(4, 4), Block: []int{2}})
+		if err == nil || !strings.Contains(err.Error(), "block [2] has 1 dims, want 2") {
+			t.Errorf("%s with a 1-dim block for MVT: %v", m, err)
 		}
 	}
 }

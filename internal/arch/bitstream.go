@@ -28,10 +28,6 @@ import (
 // walks the block iteration space — and are carried alongside the words,
 // not inside them.
 const (
-	// WordBytes is the configuration word size of 4-direction fabrics
-	// (mesh and torus); richer interconnects use WordSize.
-	WordBytes = 12
-
 	selNone  = 0
 	selIn    = 1
 	selALU   = 2
@@ -258,15 +254,11 @@ func Encode(cfg *Config) (*Bitstream, error) {
 // Decode reconstructs a configuration from the image (without the
 // simulation-only memory tags and provenance comments).
 func (bs *Bitstream) Decode(f Fabric) (*Config, error) {
-	ndirs := bs.NDirs
-	if ndirs == 0 {
-		ndirs = f.NumLinkDirs()
-	}
 	cfg := NewConfig(f, bs.II)
 	for r := 0; r < f.Rows; r++ {
 		for c := 0; c < f.Cols; c++ {
 			for t := 0; t < bs.II; t++ {
-				in, err := DecodeInstr(bs.Words[r][c][bs.Schedule[r][c][t]], ndirs)
+				in, err := DecodeInstr(bs.Words[r][c][bs.Schedule[r][c][t]], bs.NDirs)
 				if err != nil {
 					return nil, err
 				}
@@ -283,11 +275,7 @@ func (bs *Bitstream) TotalBytes() int {
 	total := 0
 	for r := range bs.Words {
 		for c := range bs.Words[r] {
-			wb := WordBytes
-			if bs.NDirs != 0 {
-				wb = WordSize(bs.NDirs)
-			}
-			total += len(bs.Words[r][c]) * wb
+			total += len(bs.Words[r][c]) * WordSize(bs.NDirs)
 			bits := 1
 			for 1<<bits < len(bs.Words[r][c]) {
 				bits++

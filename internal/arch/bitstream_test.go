@@ -40,7 +40,7 @@ func TestEncodeDecodeInstrRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(w) != WordBytes {
+	if len(w) != 12 {
 		t.Fatalf("word length %d", len(w))
 	}
 	out, err := DecodeInstr(w, int(NumDirs))
@@ -111,7 +111,7 @@ func TestEncodeConfigDedupAndSize(t *testing.T) {
 		t.Errorf("unique words per PE = %d, want 2", got)
 	}
 	// 4 PEs × (2 words × 12 B + ceil(4 slots × 1 bit / 8) = 1 B).
-	if got := bs.TotalBytes(); got != 4*(2*WordBytes+1) {
+	if got := bs.TotalBytes(); got != 4*(2*12+1) {
 		t.Errorf("TotalBytes = %d", got)
 	}
 	dec, err := bs.Decode(cfg.Fabric)

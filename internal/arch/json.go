@@ -81,8 +81,8 @@ func (cfg *Config) AppendJSON(dst []byte) ([]byte, error) {
 	dst = appendInt(append(dst, `,"ConfigDepth":`...), f.ConfigDepth)
 	dst = appendInt(append(dst, `,"DataMemWords":`...), f.DataMemWords)
 	dst = append(append(append(dst, `,"ClockMHz":`...), clock...), '}')
-	dst = appendOptString(dst, `,"topology":`, f.Topology.String())
-	dst = appendOptString(dst, `,"mem_pes":`, f.Mem.String())
+	dst = appendString(append(dst, `,"topology":`...), f.Topology.String())
+	dst = appendString(append(dst, `,"mem_pes":`...), f.Mem.String())
 	if caps := capsGrid(f); len(caps) > 0 {
 		dst = append(dst, `,"caps":`...)
 		for i, row := range caps {
@@ -90,8 +90,8 @@ func (cfg *Config) AppendJSON(dst []byte) ([]byte, error) {
 		}
 		dst = append(dst, ']')
 	}
-	dst = appendOptString(dst, `,"bandwidth":`, f.Bandwidth.String())
-	dst = appendOptString(dst, `,"cost_class":`, f.Cost.String())
+	dst = appendString(append(dst, `,"bandwidth":`...), f.Bandwidth.String())
+	dst = appendString(append(dst, `,"cost_class":`...), f.Cost.String())
 	dst = appendInt(append(dst, `,"ii":`...), cfg.II)
 
 	dst = append(dst, `,"slots":`...)
@@ -151,14 +151,6 @@ func appendString(dst []byte, s string) []byte {
 		}
 	}
 	return append(append(append(dst, '"'), s...), '"')
-}
-
-// appendOptString renders an omitempty string member, key included.
-func appendOptString(dst []byte, key, s string) []byte {
-	if s == "" {
-		return dst
-	}
-	return appendString(append(dst, key...), s)
 }
 
 func appendOperand(dst []byte, o *Operand) []byte {

@@ -32,7 +32,6 @@ import (
 type Options struct {
 	MaxNodes int   // hard DFG size wall (default 400)
 	Seed     int64 // SA seed
-	SAMoves  int   // SA moves per II attempt; 0 = auto (scales with DFG²)
 	// Workers is the number of independently seeded simulated-annealing
 	// chains raced per II attempt; the feasible placement with the lowest
 	// cost wins, ties broken deterministically toward the lowest chain
@@ -99,12 +98,9 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, cg arch.Fabric, block
 		if rng == nil {
 			rng = rand.New(rand.NewSource(opts.Seed + int64(len(d.Nodes))))
 		}
-		moves := opts.SAMoves
-		if moves == 0 {
-			// SA effort grows quadratically with problem size — the
-			// super-linear compile-time behaviour of Fig. 8.
-			moves = 1500*len(d.Nodes) + 2*len(d.Nodes)*len(d.Nodes)
-		}
+		// SA effort grows quadratically with problem size — the
+		// super-linear compile-time behaviour of Fig. 8.
+		moves := 1500*len(d.Nodes) + 2*len(d.Nodes)*len(d.Nodes)
 		type chainOut struct {
 			pl   []place
 			ok   bool
@@ -275,10 +271,9 @@ func anneal(ctx context.Context, d *ir.DFG, cg arch.Fabric, ii, moves int, rng *
 			if occ[slotOf(n, pl[id], ii, cg.Rows, cg.Cols)] > 1 {
 				return false
 			}
+			// Loads and stores sit on memory-capable PEs already: every
+			// seed and every move snaps them there.
 			p := pl[id]
-			if (n.Kind == ir.OpLoad || n.Kind == ir.OpStore) && !cg.MemCapable(p.R, p.C) {
-				return false
-			}
 			for _, ei := range d.InEdges(id) {
 				if _, need, dt := edge(pl[d.Edges[ei].From], p); dt < need {
 					return false
@@ -348,11 +343,9 @@ func edgeCost(pp, cp place) float64 {
 func LargestFeasibleBlock(k *kernel.Kernel, maxNodes, cap int) int {
 	best := 0
 	for b := k.MinBlock; b <= cap; b++ {
+		// A block past the unroll wall fails, and so does every larger one.
 		d, err := k.BuildDFG(k.UniformBlock(b))
-		if err != nil {
-			continue
-		}
-		if len(d.Nodes) > maxNodes {
+		if err != nil || len(d.Nodes) > maxNodes {
 			break
 		}
 		best = b

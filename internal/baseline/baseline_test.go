@@ -3,13 +3,16 @@ package baseline
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
 	"himap/internal/arch"
 	"himap/internal/diag"
+	"himap/internal/ir"
 	"himap/internal/kernel"
+	"himap/internal/route"
 	"himap/internal/sim"
 )
 
@@ -134,5 +137,82 @@ func TestBaselineIIAtLeastResourceMinimum(t *testing.T) {
 	minII := (nfu + 3) / 4
 	if res.II < minII {
 		t.Errorf("II %d below resource minimum %d", res.II, minII)
+	}
+}
+
+// pollCtx counts Err polls and reports context.Canceled from its flipAt-th
+// poll on (0 = never).
+type pollCtx struct {
+	context.Context
+	polls, flipAt int
+}
+
+func (c *pollCtx) Err() error {
+	c.polls++
+	if c.flipAt > 0 && c.polls >= c.flipAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestAnnealPollsEveryStride pins the anneal's cancellation polls: one
+// per 4096 moves beyond the seeding pass's (one per placement try), a
+// flip between two of them stops the chain at that poll, and a flip in
+// the seeding pass stops it before its first move.
+func TestAnnealPollsEveryStride(t *testing.T) {
+	k, err := kernel.ByName("MVT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := k.BuildDFG(k.UniformBlock(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab := arch.DefaultFabric(4, 4)
+	run := func(moves, flipAt int) (int, bool) {
+		ctx := &pollCtx{Context: context.Background(), flipAt: flipAt}
+		_, ok, _ := anneal(ctx, d, fab, 2, moves, rand.New(rand.NewSource(1)))
+		return ctx.polls, ok
+	}
+	seeding, _ := run(0, 0)
+	const strides = 16
+	if polls, _ := run(strides*4096, 0); polls != seeding+strides {
+		t.Fatalf("%d moves polled %d times after the seeding pass's %d, want %d", strides*4096, polls-seeding, seeding, strides)
+	}
+	if polls, ok := run(strides*4096, seeding+strides/2); ok || polls != seeding+strides/2 {
+		t.Errorf("flip at anneal poll %d: ok=%v after %d polls, want a canceled chain that stops at the flip", strides/2, ok, polls)
+	}
+	if polls, ok := run(strides*4096, 1); ok || polls != len(d.Nodes)+1 {
+		t.Errorf("flip at the first seeding poll: ok=%v after %d polls, want a canceled chain after one poll per node and one anneal poll (%d)", ok, polls, len(d.Nodes)+1)
+	}
+}
+
+// TestLargestFeasibleBlockFloor: when even the smallest block exceeds
+// the node wall, the answer is the kernel's minimum block.
+func TestLargestFeasibleBlockFloor(t *testing.T) {
+	k := kernel.GEMM()
+	if b := LargestFeasibleBlock(k, 1, 8); b != k.MinBlock {
+		t.Errorf("LargestFeasibleBlock under a 1-node wall = %d, want the minimum block %d", b, k.MinBlock)
+	}
+}
+
+// TestAnnealRefusesCycle: a DFG with a dependence cycle has no schedule,
+// so the anneal reports no placement instead of annealing one.
+func TestAnnealRefusesCycle(t *testing.T) {
+	d := ir.NewDFG(nil)
+	a, b := d.AddNode(&ir.Node{Kind: ir.OpRoute}), d.AddNode(&ir.Node{Kind: ir.OpRoute})
+	d.AddEdge(a.ID, b.ID, 0)
+	d.AddEdge(b.ID, a.ID, 0)
+	if pl, ok, _ := anneal(context.Background(), d, arch.DefaultFabric(2, 2), 2, 4096, rand.New(rand.NewSource(1))); ok || pl != nil {
+		t.Errorf("anneal of a cyclic DFG = %v, %v, want no placement", pl, ok)
+	}
+}
+
+// TestSummaryNamesTheBackend: the one-line summary of a conventional
+// mapping says which mapper made it.
+func TestSummaryNamesTheBackend(t *testing.T) {
+	r := &Result{FlatResult: route.FlatResult{Kernel: kernel.MVT(), Fabric: arch.DefaultFabric(4, 4), Block: []int{4, 4}, II: 5, Utilization: 0.25}}
+	if got, want := r.Summary(), "MVT on 4x4 (baseline): block [4 4], II 5, U = 25.0%"; got != want {
+		t.Errorf("Summary() = %q, want %q", got, want)
 	}
 }

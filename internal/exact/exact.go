@@ -92,8 +92,6 @@ type Options struct {
 	// cost grows exponentially with the DFG, so the wall is far lower
 	// than the baseline's 400-node heuristic wall.
 	MaxNodes int
-	// MaxII bounds the iterative deepening (default 16).
-	MaxII int
 	// Tracer receives one span per II attempt (stage "search", Attempt =
 	// II) plus the dfg-build span, on the same contract as the other
 	// backends. nil means no tracing.
@@ -110,14 +108,13 @@ const (
 	// without a verdict. The cap never affects refutation certificates: a
 	// refuted II has, by definition, no leaves.
 	maxRoutedLeaves = 256
+	// maxII bounds the iterative deepening.
+	maxII = 16
 )
 
 func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 96
-	}
-	if o.MaxII == 0 {
-		o.MaxII = 16
 	}
 	if o.Tracer == nil {
 		o.Tracer = diag.Nop()
@@ -205,8 +202,8 @@ func LowerBound(k *kernel.Kernel, fab arch.Fabric, block []int) (int, error) {
 // (route.RouteDFG) of every complete placement, and an Optimality
 // certificate on success. Besides route.Deepen's refusals it fails with:
 //
-//   - diag.ErrProvedInfeasible: the resource bound exceeds MaxII, or
-//     every II up to MaxII was exhaustively refuted (within the
+//   - diag.ErrProvedInfeasible: the resource bound exceeds maxII, or
+//     every II up to maxII was exhaustively refuted (within the
 //     horizon) — no mapping exists;
 //   - diag.ErrCanceled: the context was canceled or its deadline (the
 //     only time bound) expired, polled inside the branch-and-bound loop;
@@ -266,7 +263,7 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, fab arch.Fabric, bloc
 		return nil, diag.Failf(diag.ErrPlacementInfeasible,
 			"no routable placement up to II %d (proved II ≥ %d; some IIs had unrouted placements)", ii, lb)
 	}
-	fr, err := route.Deepen(ctx, k, fab, block, route.Flat{MaxNodes: opts.MaxNodes, MaxII: opts.MaxII, Stage: "search",
+	fr, err := route.Deepen(ctx, k, fab, block, route.Flat{MaxNodes: opts.MaxNodes, MaxII: maxII, Stage: "search",
 		PastMaxII: diag.ErrProvedInfeasible, Tracer: opts.Tracer}, mapII)
 	if se := (*diag.StageError)(nil); errors.As(err, &se) && se.Class == diag.ErrCanceled {
 		// Keep what the search had established when the context ended

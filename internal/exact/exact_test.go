@@ -11,6 +11,7 @@ import (
 	"himap/internal/baseline"
 	"himap/internal/diag"
 	"himap/internal/kernel"
+	"himap/internal/route"
 	"himap/internal/sim"
 )
 
@@ -217,21 +218,62 @@ func TestCanceledContext(t *testing.T) {
 }
 
 // TestProvedInfeasibleTinyFabric: a 1x1 fabric cannot hold a multi-op
-// kernel block within MaxII, and the resource bound proves it: the
+// kernel block within maxII, and the resource bound proves it: the
 // mapper must report proved infeasibility, never success.
 func TestProvedInfeasibleTinyFabric(t *testing.T) {
 	k, err := kernel.ByName("MVT")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Block 2 MVT needs more memory ports per II than one PE provides at
-	// MaxII 3, so the resource bound alone exceeds MaxII.
-	_, err = CompileRequest(context.Background(), k, arch.DefaultFabric(1, 1), k.UniformBlock(accBlock),
-		Options{MaxII: 3})
+	// Block 3 MVT has more ops and memory accesses than one PE issues in
+	// maxII cycles, so the resource bound alone exceeds maxII.
+	fab, block := arch.DefaultFabric(1, 1), k.UniformBlock(3)
+	d, err := k.BuildDFG(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mii, err := route.ResourceMII(d, fab, true); err != nil || mii <= maxII || len(d.Nodes) > 96 {
+		t.Fatalf("MVT block 3 on 1x1: bound %d (%v) on %d nodes, want a bound above %d within the 96-node wall", mii, err, len(d.Nodes), maxII)
+	}
+	_, err = CompileRequest(context.Background(), k, fab, block, Options{})
 	if err == nil {
-		t.Fatal("MVT block 2 mapped onto a 1x1 fabric at II <= 3")
+		t.Fatalf("MVT block 3 mapped onto a 1x1 fabric at II <= %d", maxII)
 	}
 	if !errors.Is(err, diag.ErrProvedInfeasible) {
 		t.Errorf("tiny-fabric failure %v, want proved infeasibility", err)
+	}
+}
+
+// TestSummaryNamesTheCertificate: the one-line summary says whether the
+// II is proved minimal, and by which certificate.
+func TestSummaryNamesTheCertificate(t *testing.T) {
+	k, err := kernel.ByName("MVT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Result{FlatResult: route.FlatResult{Kernel: k, Fabric: arch.DefaultFabric(4, 4), Block: []int{2, 2}, II: 3, Utilization: 0.5}}
+	if got, want := r.Summary(), "MVT on 4x4 (exact): block [2 2], II 3 (upper bound), U = 50.0%"; got != want {
+		t.Errorf("Summary() = %q, want %q", got, want)
+	}
+	r.Optimality = Optimality{ProvedMinimal: true, Certificate: CertExhaustive}
+	if got, want := r.Summary(), "MVT on 4x4 (exact): block [2 2], II 3 (proved minimal, certificate exhaustive), U = 50.0%"; got != want {
+		t.Errorf("Summary() = %q, want %q", got, want)
+	}
+}
+
+// TestLowerBoundRefusals: a block the kernel cannot unroll, and memory
+// operations on a fabric without a memory port, have no bound.
+func TestLowerBoundRefusals(t *testing.T) {
+	k, err := kernel.ByName("MVT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LowerBound(k, arch.DefaultFabric(4, 4), []int{2}); err == nil || !strings.Contains(err.Error(), "block [2] has 1 dims, want 2") {
+		t.Errorf("LowerBound of a 1-dim block: %v", err)
+	}
+	none := arch.DefaultFabric(4, 4)
+	none.Mem = arch.MemNone
+	if _, err := LowerBound(k, none, k.UniformBlock(2)); !errors.Is(err, diag.ErrMemPortInfeasible) {
+		t.Errorf("LowerBound on a fabric without memory: %v, want ErrMemPortInfeasible", err)
 	}
 }

@@ -46,14 +46,6 @@ import (
 // under-counts demand, so a reported infeasibility is a proof, not a
 // heuristic.
 
-// bwEdge is one placed producer→consumer dependence of a crafted
-// schedule (checkEdgeBandwidth); net groups the edges of one producer
-// instance (its drives in one direction are shared).
-type bwEdge struct {
-	net      int32
-	src, dst mrrg.Node
-}
-
 // bwDemand is one forced departure: at key (wrapped PE × II + wrapped
 // cycle), net must drive some direction of mask.
 type bwDemand struct {
@@ -92,18 +84,6 @@ func (l *layout) checkBandwidth() error {
 		}
 	}
 	return checkDemands(l.cg, l.iib, dem)
-}
-
-// checkEdgeBandwidth is the pre-check over an explicit edge list, so
-// crafted schedules can exercise it directly in tests.
-func checkEdgeBandwidth(f arch.Fabric, ii int, edges []bwEdge) error {
-	var dem []bwDemand
-	for _, e := range edges {
-		if dm, ok := forcedDemand(f, ii, e.net, e.src, e.dst); ok {
-			dem = append(dem, dm)
-		}
-	}
-	return checkDemands(f, ii, dem)
 }
 
 // forcedDemand returns the departure that producer net's value, placed

@@ -307,3 +307,23 @@ func TestCheckBandwidthMatchesEdgeList(t *testing.T) {
 		t.Errorf("%d feasible and %d infeasible checks: the inputs no longer exercise both outcomes", feasible, infeasible)
 	}
 }
+
+// bwEdge is one placed producer→consumer dependence of a crafted
+// schedule (checkEdgeBandwidth); net groups the edges of one producer
+// instance (its drives in one direction are shared).
+type bwEdge struct {
+	net      int32
+	src, dst mrrg.Node
+}
+
+// checkEdgeBandwidth is the pre-check over an explicit edge list: crafted
+// schedules exercise it directly.
+func checkEdgeBandwidth(f arch.Fabric, ii int, edges []bwEdge) error {
+	var dem []bwDemand
+	for _, e := range edges {
+		if dm, ok := forcedDemand(f, ii, e.net, e.src, e.dst); ok {
+			dem = append(dem, dm)
+		}
+	}
+	return checkDemands(f, ii, dem)
+}

@@ -133,9 +133,6 @@ type Stats struct {
 // compile mid-pipeline with a *CompileError wrapping diag.ErrCanceled —
 // the original context error stays in the cause chain for errors.Is.
 func CompileRequest(ctx context.Context, k *kernel.Kernel, fab arch.Fabric, opts Options) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	opts = opts.withDefaults()
 	if err := fab.Validate(); err != nil {
 		return nil, err
@@ -289,8 +286,7 @@ func candidateSchemes(k *kernel.Kernel, deps []ir.IterVec, vx, vy int, opts Opti
 
 // blockForScheme derives the block sizes: space dimensions take the VSA
 // extents (line 6: b1 = c/s1, b2 = c/s2); remaining dimensions take the
-// user's inner block, and pinned dimensions keep their pins (a pin below
-// MinBlock is rejected by Kernel.Validate before compilation starts). A
+// user's inner block, and pinned dimensions keep their pins. A
 // block past the unroll wall is refused here, before the scheme checks
 // that walk it.
 func blockForScheme(k *kernel.Kernel, sch systolic.Scheme, vx, vy int, opts Options) ([]int, error) {
@@ -309,20 +305,14 @@ func blockForScheme(k *kernel.Kernel, sch systolic.Scheme, vx, vy int, opts Opti
 		}
 		block[d] = ext[i]
 	}
-	min := k.MinBlock
-	if min == 0 {
-		min = 1
-	}
+	// A pinned dimension is at least MinBlock (Kernel.Validate), so only
+	// a free one can fall short.
+	min := max(k.MinBlock, 1)
 	for d, b := range block {
-		if b >= min {
-			continue
+		if b < min {
+			return nil, diag.Failf(diag.ErrBlockTooSmall,
+				"block dim %d = %d below minimum %d", d, b, min)
 		}
-		if d < len(k.FixedBlock) && k.FixedBlock[d] > 0 {
-			return nil, diag.Failf(diag.ErrBlockPinConflict,
-				"pinned block dim %d = %d below minimum %d", d, b, min)
-		}
-		return nil, diag.Failf(diag.ErrBlockTooSmall,
-			"block dim %d = %d below minimum %d", d, b, min)
 	}
 	if err := k.CheckUnroll(block); err != nil {
 		return nil, err

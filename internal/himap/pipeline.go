@@ -284,7 +284,7 @@ func runSchemeSearch(c *CompileContext) error {
 
 // runBlockDerive derives the block vector from the scheme and VSA extents
 // (line 6: b1 = c/s1, b2 = c/s2), realizes the space-time mapping, and
-// checks feasibility against the dependences and the VSA shape.
+// checks feasibility against the dependences.
 func runBlockDerive(c *CompileContext) error {
 	if err := checkSchemeShape(c.Kernel.Dim, c.Scheme); err != nil {
 		return err
@@ -298,10 +298,8 @@ func runBlockDerive(c *CompileContext) error {
 	if err := m.Validate(c.Deps); err != nil {
 		return diag.Fail(diag.ErrSchemeInfeasible, err)
 	}
-	gx, gy := m.VSAShape()
-	if gx > c.VX || gy > c.VY {
-		return diag.Failf(diag.ErrSchemeInfeasible, "scheme needs VSA %dx%d, have %dx%d", gx, gy, c.VX, c.VY)
-	}
+	// The space dimensions take the VSA extents as their block sizes, so
+	// the realized array is VX×VY (VX×1 with one space dimension).
 	c.Mapping = m
 	return nil
 }

@@ -109,7 +109,7 @@ func TestExtractIDFGInterior(t *testing.T) {
 		if p.Dist.ManhattanNorm() != 1 {
 			t.Errorf("input dist %v not unit", p.Dist)
 		}
-		if !p.Dist.Neg().LexNonNegative() {
+		if !neg(p.Dist).LexNonNegative() {
 			t.Errorf("input dist %v should point to an earlier iteration", p.Dist)
 		}
 	}

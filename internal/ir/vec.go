@@ -49,15 +49,6 @@ func (v IterVec) Sub(d IterVec) IterVec {
 	return w
 }
 
-// Neg returns -v.
-func (v IterVec) Neg() IterVec {
-	w := make(IterVec, len(v))
-	for i := range v {
-		w[i] = -v[i]
-	}
-	return w
-}
-
 // Dot returns the inner product of v and d.
 func (v IterVec) Dot(d IterVec) int {
 	if len(v) != len(d) {
@@ -106,20 +97,6 @@ func (v IterVec) LexNonNegative() bool {
 		}
 	}
 	return true
-}
-
-// LexLess reports whether v precedes d in lexicographic order.
-func (v IterVec) LexLess(d IterVec) bool {
-	n := len(v)
-	if len(d) < n {
-		n = len(d)
-	}
-	for i := 0; i < n; i++ {
-		if v[i] != d[i] {
-			return v[i] < d[i]
-		}
-	}
-	return len(v) < len(d)
 }
 
 // InBoxAt reports whether v+off lies in box, without building the sum.

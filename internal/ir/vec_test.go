@@ -16,9 +16,6 @@ func TestIterVecAddSub(t *testing.T) {
 	if got := a.Sub(b); !got.Equal(IterVec{-3, 3, 3}) {
 		t.Errorf("Sub = %v", got)
 	}
-	if got := b.Neg(); !got.Equal(IterVec{-4, 1, 0}) {
-		t.Errorf("Neg = %v", got)
-	}
 }
 
 func TestIterVecAddLengthMismatchPanics(t *testing.T) {
@@ -51,12 +48,6 @@ func TestIterVecLex(t *testing.T) {
 		if got := c.v.LexNonNegative(); got != c.want {
 			t.Errorf("LexNonNegative(%v) = %v, want %v", c.v, got, c.want)
 		}
-	}
-	if !(IterVec{0, 1}).LexLess(IterVec{1, 0}) {
-		t.Error("LexLess(01,10) should be true")
-	}
-	if (IterVec{1, 0}).LexLess(IterVec{1, 0}) {
-		t.Error("LexLess of equal vectors should be false")
 	}
 }
 
@@ -166,12 +157,21 @@ func TestLexNonNegativeNegationProperty(t *testing.T) {
 			}
 		}
 		if zero {
-			return v.LexNonNegative() && v.Neg().LexNonNegative()
+			return v.LexNonNegative() && neg(v).LexNonNegative()
 		}
 		// Exactly one of v, -v is lexicographically non-negative.
-		return v.LexNonNegative() != v.Neg().LexNonNegative()
+		return v.LexNonNegative() != neg(v).LexNonNegative()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+}
+
+// neg returns -v.
+func neg(v IterVec) IterVec {
+	w := make(IterVec, len(v))
+	for i := range v {
+		w[i] = -v[i]
+	}
+	return w
 }

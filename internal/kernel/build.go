@@ -227,20 +227,10 @@ func (b *dfgBuilder) wire(n *ir.Node, op *BodyOp, in Input, port, pi int) {
 			}
 			ppi -= ir.PointIndex(src.Dist, b.block)
 		}
-		pid := -1
-		if row := d.NodeRow(src.Op); row >= 0 {
-			pid = d.NodeAt(row + ppi)
-		}
-		if pid < 0 {
-			prodIter := iter
-			if len(src.Dist) > 0 {
-				prodIter = iter.Sub(src.Dist)
-			}
-			b.err = fmt.Errorf("kernel %s op %s at %v: producer op %d at %v not yet created (non-causal order)",
-				k.Name, op.Name, iter, src.Op, prodIter)
-			return
-		}
-		d.AddEdge(pid, n.ID, port)
+		// Validate admits only a producer at a lexicographically earlier
+		// point or an earlier body op of this point, and the unroll
+		// creates points and body ops in that order: the producer exists.
+		d.AddEdge(d.NodeAt(d.NodeRow(src.Op)+ppi), n.ID, port)
 	case SrcMem:
 		ld := d.AddNode(&ir.Node{
 			Kind:   ir.OpLoad,
@@ -286,9 +276,10 @@ func (k *Kernel) GenericIDFG() (*ir.IDFG, error) {
 	for i := range center {
 		center[i] = 1
 	}
+	// A dimension pinned to 1 has no interior point.
 	c := g.ClusterAt(center)
 	if c == nil {
-		return nil, fmt.Errorf("kernel %s: no interior cluster at %v", k.Name, center)
+		return nil, fmt.Errorf("kernel %s: %w: no interior cluster at %v", k.Name, diag.ErrBlockPinConflict, center)
 	}
 	return ir.ExtractIDFG(g, c.ID), nil
 }

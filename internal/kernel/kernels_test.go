@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"himap/internal/ir"
@@ -382,12 +383,39 @@ func TestPredEval(t *testing.T) {
 		{NotFirst(0), ir.IterVec{1, 0}, true},
 		{EqDims(0, 1), ir.IterVec{2, 2}, true},
 		{EqDims(0, 1), ir.IterVec{2, 1}, false},
+		{Pred{{Kind: CondNotLast, Dim: 1}}, ir.IterVec{0, 2}, true},
+		{Pred{{Kind: CondNotLast, Dim: 1}}, ir.IterVec{0, 3}, false},
+		{Pred{{Kind: CondNeDims, Dim: 0, Dim2: 1}}, ir.IterVec{2, 1}, true},
+		{Pred{{Kind: CondNeDims, Dim: 0, Dim2: 1}}, ir.IterVec{2, 2}, false},
 		{And(First(0), Last(1)), ir.IterVec{0, 3}, true},
 		{And(First(0), Last(1)), ir.IterVec{0, 0}, false},
 	}
 	for i, c := range cases {
 		if got := c.p.Eval(c.iter, block); got != c.want {
 			t.Errorf("case %d: Eval(%v) = %v, want %v", i, c.iter, got, c.want)
+		}
+	}
+}
+
+// TestInputsHaveDeclaredDims: every input tensor DefaultInputs makes —
+// by a kernel's Prepare hook or by default — has the extents its
+// TensorSpec declares, on a non-uniform block.
+func TestInputsHaveDeclaredDims(t *testing.T) {
+	for _, k := range append(Evaluation(), Extensions()...) {
+		block := k.UniformBlock(k.MinBlock)
+		for d := range block {
+			if d >= len(k.FixedBlock) || k.FixedBlock[d] == 0 {
+				block[d] += d
+			}
+		}
+		in := k.DefaultInputs(block, 1)
+		for _, ts := range k.Tensors {
+			if ts.Out {
+				continue
+			}
+			if want := ts.Dims(block); !slices.Equal(in[ts.Name].Dims, want) {
+				t.Errorf("%s block %v: input %s has dims %v, declared %v", k.Name, block, ts.Name, in[ts.Name].Dims, want)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package mrrg
 
 import (
+	"strings"
 	"testing"
 
 	"himap/internal/arch"
@@ -359,5 +360,17 @@ func TestSuccessorsStayInBoundsAndMonotone(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestClassString: every class has its mnemonic and a value past the
+// last renders as a number.
+func TestClassString(t *testing.T) {
+	var got []string
+	for c := Class(0); c <= numClasses; c++ {
+		got = append(got, c.String())
+	}
+	if s := strings.Join(got, " "); s != "FU OUT REG RFR RFW MRD MWR Class(7)" {
+		t.Errorf("class names %q", s)
 	}
 }

@@ -69,20 +69,14 @@ type Flat struct {
 // it validates the request, unrolls the block DFG under the node wall,
 // and calls step from ResourceMII (routes on FUs) up to f.MaxII,
 // polling ctx before each II and re-targeting one Session to each II's
-// MRRG; the first routed II wins. A nil ctx means context.Background();
-// a nil kernel fails with diag.ErrInvalidRequest. Failures are stamped
+// MRRG; the first routed II wins. ctx and k must be non-nil (the root
+// CompileRequest is the one nil-tolerant entry). Failures are stamped
 // with the kernel, the fabric and, unless the step stamped its own,
 // f.Stage and the II: a cancellation before an II is diag.ErrCanceled
 // at that II, with the context's error as its cause; a bound past
 // f.MaxII is f.PastMaxII at the bound; out of IIs, the last II's
 // failure is returned.
 func Deepen(ctx context.Context, k *kernel.Kernel, fab arch.Fabric, block []int, f Flat, step Step) (*FlatResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if k == nil {
-		return nil, diag.Failf(diag.ErrInvalidRequest, "nil kernel").Stamp("request", "", fab.String(), 0)
-	}
 	if err := fab.Validate(); err != nil {
 		return nil, err
 	}

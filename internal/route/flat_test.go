@@ -177,7 +177,7 @@ func TestDeepenContract(t *testing.T) {
 	}
 
 	t.Run("success", func(t *testing.T) {
-		m, res, err := run(nil, func(ii int) error {
+		m, res, err := run(context.Background(), func(ii int) error {
 			if ii < mii+2 {
 				return diag.Failf(diag.ErrRouteCongested, "fake congestion")
 			}
@@ -259,9 +259,6 @@ func TestDeepenContract(t *testing.T) {
 
 	t.Run("refusals", func(t *testing.T) {
 		m := &fakeMapper{fail: func(int) error { return nil }}
-		if _, err := Deepen(context.Background(), nil, fab, nil, flat, m.step); !errors.Is(err, diag.ErrInvalidRequest) {
-			t.Errorf("nil kernel: %v, want ErrInvalidRequest", err)
-		}
 		none := arch.DefaultFabric(4, 4)
 		none.Mem = arch.MemNone
 		_, err := Deepen(context.Background(), k, none, block, flat, m.step)

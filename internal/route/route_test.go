@@ -347,3 +347,12 @@ func TestBuildDFGNodeWall(t *testing.T) {
 		})
 	}
 }
+
+// Hist returns the accumulated history cost of a node: 0
+// until a BumpHistory has found congestion.
+func (s *Session) Hist(n mrrg.Node) float64 {
+	if len(s.hist) == 0 {
+		return 0
+	}
+	return s.hist[s.G.DenseKey(n)]
+}

@@ -410,15 +410,6 @@ func (s *Session) Unreserve(n mrrg.Node) {
 // Occ returns the current occupancy of a node (modulo II).
 func (s *Session) Occ(n mrrg.Node) int { return int(s.occ[s.G.DenseKey(n)]) }
 
-// Hist returns the accumulated history cost of a node (for tests): 0
-// until a BumpHistory has found congestion.
-func (s *Session) Hist(n mrrg.Node) float64 {
-	if len(s.hist) == 0 {
-		return 0
-	}
-	return s.hist[s.G.DenseKey(n)]
-}
-
 // history returns the history array, allocating it — or re-zeroing the
 // buffer Reset emptied — on first use.
 func (s *Session) history() []float64 {

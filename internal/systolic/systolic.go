@@ -65,22 +65,6 @@ func (m *Mapping) Place(iter ir.IterVec) (t, x, y int) {
 	return t, x, y
 }
 
-// VSAShape returns the spatial extents the mapping needs: the maximum
-// (x+1, y+1) over the block.
-func (m *Mapping) VSAShape() (vx, vy int) {
-	vx, vy = 1, 1
-	ir.ForEachPoint(m.Block, func(iter ir.IterVec) {
-		_, x, y := m.Place(iter)
-		if x+1 > vx {
-			vx = x + 1
-		}
-		if y+1 > vy {
-			vy = y + 1
-		}
-	})
-	return vx, vy
-}
-
 // DepOffset returns the space-time offset (tr, xr, yr) of a dependence
 // distance vector — the CP difference between consumer and producer.
 func (m *Mapping) DepOffset(d ir.IterVec) (tr, xr, yr int) { return m.Place(d) }

@@ -249,3 +249,19 @@ func TestCheckTile(t *testing.T) {
 		}
 	}
 }
+
+// VSAShape returns the spatial extents the mapping needs: the maximum
+// (x+1, y+1) over the block.
+func (m *Mapping) VSAShape() (vx, vy int) {
+	vx, vy = 1, 1
+	ir.ForEachPoint(m.Block, func(iter ir.IterVec) {
+		_, x, y := m.Place(iter)
+		if x+1 > vx {
+			vx = x + 1
+		}
+		if y+1 > vy {
+			vy = y + 1
+		}
+	})
+	return vx, vy
+}

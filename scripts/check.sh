@@ -22,6 +22,8 @@ go run ./cmd/himaplint ./...
 go test -race -shuffle=on ./...
 # The speculative window's schedule is timing-dependent, and nets and path storage persist across the attempts of a worker's session, so these tests run three more times under the race detector.
 go test -race -count=3 -run 'TestWorkersDeterminism$|TestSpeculationWindowSpans|TestSpeculationAllocBudget|TestCancellationLatencyMidRun|TestPathArenaContract|TestSessionOwnsNets|TestFailedRoutesLeaveSessionReusable' . ./internal/route ./internal/himap
+# The coverage ledger: per function of the ten mapping packages, the statements no test runs (~60 s). Code that no test reaches cannot come back unnoticed, and code a change stops running shows as a new row.
+go run ./scripts/coverage_core | diff - results/coverage_core.txt
 # The configuration encoder against encoding/json on ten seconds of new fuzz inputs (the committed seeds ran above).
 go test -run '^$' -fuzz FuzzConfigAppendJSON -fuzztime 10s ./internal/arch
 # The store's entry decoder reads bytes from disk that another process may have written or truncated: ten seconds of new fuzz inputs.
