@@ -234,3 +234,25 @@ func TestConventionalCanceledDuringRoute(t *testing.T) {
 		t.Errorf("last span %s at II %d, want the route of II %d", last.Stage, last.Attempt, ctx.ref.Attempt)
 	}
 }
+
+// TestNoClaimAfterTheWinner: at Workers=1 the compile ends with its
+// winner. MVT on 16x16 wins at attempt 2 of several, and no rank above it
+// is claimed, so the caller's context is not polled after the winner's
+// last span.
+func TestNoClaimAfterTheWinner(t *testing.T) {
+	ctx := &flipCtx{}
+	res, err := himap.CompileRequest(ctx, himap.Request{
+		Kernel: himap.KernelMVT(), Fabric: himap.DefaultFabric(16, 16),
+		Options: himap.Options{Workers: 1, Memo: himap.NewMemo(), Tracer: ctx},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := ctx.spans[len(ctx.spans)-1]
+	if last.Attempt != res.Stats.Attempts || last.Stage != "validate" {
+		t.Fatalf("the last span is attempt %d's %s, want the winner %d's validate", last.Attempt, last.Stage, res.Stats.Attempts)
+	}
+	if ctx.polls != last.to {
+		t.Errorf("%d polls after the winner's last span, want none", ctx.polls-last.to)
+	}
+}

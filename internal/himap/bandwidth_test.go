@@ -280,7 +280,7 @@ func TestCheckBandwidthMatchesEdgeList(t *testing.T) {
 				t.Fatalf("%s/%s: %v", k.Name, bw, err)
 			}
 			for i, a := range front.Attempts {
-				c := front.forAttempt(a, i+1, &attemptCtx{Context: context.Background(), idx: i, gen: 1}, nil)
+				c := front.forAttempt(a, context.Background(), i+1, 1, nil)
 				if attemptStages[:route].Run(c) != nil {
 					continue
 				}

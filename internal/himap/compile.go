@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -28,12 +26,12 @@ type Options struct {
 	// Algorithm 1; by default it is found by the heuristic search).
 	ForceScheme *systolic.Scheme
 	// Workers bounds the compilation pipeline's parallelism: the systolic
-	// (H,S) scheme search is sharded across Workers goroutines, and
-	// (sub-mapping, scheme) attempts run speculatively in a rank-ordered
-	// window of up to Workers, opened only after attempt 1 has failed,
-	// always committing to the first attempt (in the sequential ranking
-	// order) that succeeds. The emitted mapping is therefore bit-identical
-	// for every Workers value; only wall-clock changes.
+	// (H,S) scheme search is sharded across Workers goroutines, and once
+	// attempt 1 has failed the remaining (sub-mapping, scheme) attempts
+	// run speculatively on up to Workers goroutines, claimed in rank
+	// order; the compile commits the lowest-ranked attempt that succeeds.
+	// The emitted mapping is therefore bit-identical for every Workers
+	// value; only wall-clock changes.
 	// 0 means runtime.GOMAXPROCS(0); 1 executes exactly the historical
 	// sequential flow.
 	Workers int
@@ -120,13 +118,14 @@ type Stats struct {
 //
 // The flow is a staged pass pipeline (see pipeline.go): the front stages
 // run once, then (sub-mapping, scheme) attempts execute the per-attempt
-// stages: attempt 1 alone, then, once it has failed, up to Workers at a
-// time in rank order with no barrier between them. A success stops every
-// higher-ranked attempt at its next poll, and the compile commits the
-// lowest-ranked success once every attempt below it has failed. On
-// failure it returns a *CompileError aggregating the lowest-ranked
-// attempt's failure and the best-ranked failure per stage, deterministic
-// for every Workers value.
+// stages: attempt 1 alone on the caller's goroutine, then, once it has
+// failed, the rest on up to Workers goroutines (par.ForEach), claimed in
+// rank order with no barrier between them. A success stops every
+// higher-ranked attempt at its next poll, and once every attempt has
+// stopped the compile commits the lowest-ranked success. On failure it
+// returns a *CompileError aggregating the lowest-ranked attempt's failure
+// and the best-ranked failure per stage, deterministic for every Workers
+// value. A panic in an attempt reaches the caller once the others stop.
 //
 // The context is checked at every pipeline stage boundary and before
 // each attempt is claimed, so cancellation (or a deadline) aborts a
@@ -147,119 +146,110 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, fab arch.Fabric, opts
 		return nil, newCompileError(k.Name, fab.String(), 0, []error{err})
 	}
 	atts := front.Attempts
+	n := len(atts)
 
-	// Each worker of the window routes on one session, created on first
-	// use and re-targeted by every attempt it runs, never shared across
-	// compiles; an attempt that routed drops it (runRoute), since it is
+	// Routing sessions come from a free list, never shared across
+	// compiles: each attempt re-targets one and hands it back, except an
+	// attempt that routed, which drops its own (runRoute) since it is
 	// about to win and its session would otherwise stay live through
-	// replicate.
-	var (
-		mu       sync.Mutex
-		turn     = sync.NewCond(&mu) // broadcast whenever an attempt finishes
-		next     int                 // rank index of the next attempt to claim
-		finished int                 // attempts finished, for the launch generation
-		best     = len(atts)         // rank index of the lowest success so far
-		won      *Result
-		cerr     error // the caller's cancellation, once a claim saw it
-		running  = make([]*attemptCtx, len(atts))
-		errs     = make([]error, len(atts))
-	)
-	// await holds rank i until every attempt below it has finished or one
-	// of them has won, so only an attempt about to win stamps a mapping.
-	await := func(i int) {
-		mu.Lock()
-		defer mu.Unlock()
-		for best > i && slices.ContainsFunc(running[:i], func(a *attemptCtx) bool { return a != nil }) {
-			turn.Wait()
+	// replicate. At most Workers attempts hold a session at once, so
+	// handing one back never blocks.
+	w := &window{ctx: ctx}
+	w.best.Store(int64(n))
+	sessions := make(chan *route.Session, opts.Workers)
+	errs := make([]error, n)
+	wins := make([]*Result, n)
+	run := func(i int) {
+		if int64(i) > w.best.Load() || w.poll() != nil {
+			return
 		}
-	}
-	claim := func() *attemptCtx {
-		mu.Lock()
-		defer mu.Unlock()
-		for next == 1 && finished == 0 { // width 1 until attempt 1 has failed
-			turn.Wait()
-		}
-		if next >= best || cerr != nil {
-			return nil
-		}
-		if cerr = ctx.Err(); cerr != nil {
-			return nil
-		}
-		i := next
-		next++
-		running[i] = &attemptCtx{Context: ctx, idx: i, gen: finished + 1, await: func() { await(i) }}
-		return running[i]
-	}
-	run := func(a *attemptCtx, ses *route.Session) *route.Session {
-		if ses == nil {
+		var ses *route.Session
+		select {
+		case ses = <-sessions:
+		default:
 			ses = new(route.Session)
 		}
-		i := a.idx
-		c := front.forAttempt(atts[i], i+1, a, ses)
-		err := attemptStages.Run(c)
-		mu.Lock()
-		defer mu.Unlock()
-		defer turn.Broadcast()
-		finished++
-		running[i] = nil
-		if err != nil {
-			errs[i] = err
-		} else if i < best {
-			best, won = i, c.buildResult()
-			for _, a := range running[i+1 : next] {
-				if a != nil {
-					a.superseded.Store(true)
-				}
-			}
+		// Read after par.ForEach's claim, so it may count a rank above i
+		// that finished in between; at the claim at most i had finished.
+		wave := min(int(w.finished.Load())+1, i+1)
+		c := front.forAttempt(atts[i], &attemptCtx{Context: ctx, w: w, idx: i}, i+1, wave, ses)
+		if errs[i] = attemptStages.Run(c); errs[i] == nil {
+			wins[i] = c.buildResult()
+			w.lower(int64(i))
 		}
-		return c.ses // nil once it routed: the worker's next attempt starts anew
+		w.finished.Add(1)
+		if c.ses != nil {
+			sessions <- c.ses
+		}
 	}
-	w := min(opts.Workers, len(atts))
-	par.ForEach(w, w, func(int) {
-		var ses *route.Session
-		for a := claim(); a != nil; a = claim() {
-			ses = run(a, ses)
-		}
-	})
-	// Every attempt below the lowest success failed on its own: the winner
-	// polled the caller's context after awaiting them (Stage.Ordered).
-	if won != nil {
-		won.Stats.Attempts = best + 1
+	if run(0); wins[0] == nil {
+		par.ForEach(opts.Workers, n-1, func(j int) { run(j + 1) })
+	}
+	// A cancellation mid-search masquerades as "every attempt failed", or
+	// as a success above an attempt it stopped; surface it as such so
+	// callers dispatch on ErrCanceled, not on whichever attempt happened
+	// to fail first.
+	if cerr := w.canceled.Load(); cerr != nil {
+		return nil, canceledCompileError(k.Name, fab.String(), n, *cerr)
+	}
+	if b := w.best.Load(); b < int64(n) {
+		won := wins[b]
+		won.Stats.Attempts = int(b) + 1
 		won.Stats.Total = time.Since(start)
 		return won, nil
 	}
-	// A cancellation mid-search masquerades as "every attempt failed";
-	// surface it as such so callers dispatch on ErrCanceled, not on
-	// whichever attempt happened to fail first.
-	if cerr == nil {
-		cerr = ctx.Err()
+	return nil, newCompileError(k.Name, fab.String(), n, errs)
+}
+
+// window is what the attempts of one compile share: the lowest success
+// so far, the finished count, and the caller's cancellation once any
+// poll or claim has seen it.
+type window struct {
+	ctx      context.Context
+	best     atomic.Int64 // rank index of the lowest success so far; the attempt count while none
+	finished atomic.Int64 // attempts finished, for the launch generation
+	canceled atomic.Pointer[error]
+}
+
+// poll reports the caller's cancellation, polling its context only until
+// some poll has seen it.
+func (w *window) poll() error {
+	if p := w.canceled.Load(); p != nil {
+		return *p
 	}
-	if cerr != nil {
-		return nil, canceledCompileError(k.Name, fab.String(), len(atts), cerr)
+	err := w.ctx.Err()
+	if err != nil {
+		w.canceled.CompareAndSwap(nil, &err)
 	}
-	return nil, newCompileError(k.Name, fab.String(), len(atts), errs)
+	return err
+}
+
+// lower records a success at rank index i.
+func (w *window) lower(i int64) {
+	for b := w.best.Load(); i < b && !w.best.CompareAndSwap(b, i); b = w.best.Load() {
+	}
 }
 
 // attemptCtx is one attempt's view of the compile's context. Err reports
-// errSuperseded once a lower-ranked attempt has won and otherwise
-// delegates, so every poll still reaches the caller's context.
+// errSuperseded once a lower-ranked attempt has won and otherwise the
+// caller's cancellation.
 type attemptCtx struct {
 	context.Context
-	idx        int    // rank index, 0-based
-	gen        int    // launch generation: 1 + the attempts finished when it was claimed
-	await      func() // blocks until the attempt may run an Ordered stage
-	superseded atomic.Bool
+	w   *window
+	idx int // rank index, 0-based
 }
 
 // errSuperseded stops an attempt that a lower-ranked success has made
 // moot. It is no failure: the pipeline emits no span for it.
 var errSuperseded = errors.New("himap: attempt superseded by a lower-ranked success")
 
+func (c *attemptCtx) superseded() bool { return c.w.best.Load() < int64(c.idx) }
+
 func (c *attemptCtx) Err() error {
-	if c.superseded.Load() {
+	if c.superseded() {
 		return errSuperseded
 	}
-	return c.Context.Err()
+	return c.w.poll()
 }
 
 // candidateSchemes enumerates systolic schemes compatible with the VSA

@@ -355,3 +355,78 @@ func TestIterationMapRendersAllClasses(t *testing.T) {
 		}
 	}
 }
+
+// pollCtx counts its Err polls and reports err on every one.
+type pollCtx struct {
+	context.Context
+	polls int
+	err   error
+}
+
+func (c *pollCtx) Err() error {
+	c.polls++
+	return c.err
+}
+
+// TestWindowPolls pins how an attempt's polls reach the caller's context.
+// A superseded attempt stops at its next stage boundary without a span
+// and without polling it; a failed stage is told from supersession
+// without a poll; the first poll to see a cancellation records it for
+// every later poll of the compile; and the lowest success is a minimum,
+// whatever order successes arrive in.
+func TestWindowPolls(t *testing.T) {
+	fail := errors.New("stage failed")
+	run := func(idx int, best int64, supersedeInStage bool) (error, []diag.Span, int) {
+		parent := &pollCtx{Context: context.Background()}
+		w := &window{ctx: parent}
+		w.best.Store(best)
+		tr := diag.NewCollector()
+		c := &CompileContext{
+			Ctx:    &attemptCtx{Context: parent, w: w, idx: idx},
+			Kernel: kernel.MVT(), Fab: arch.DefaultFabric(4, 4), Tracer: tr, Attempt: idx + 1,
+		}
+		err := Pipeline{{Name: StageRoute, Fallback: diag.ErrRouteCongested, Run: func(*CompileContext) error {
+			if supersedeInStage {
+				w.lower(0)
+			}
+			return fail
+		}}}.Run(c)
+		return err, tr.Spans(), parent.polls
+	}
+	for _, tc := range []struct {
+		name        string
+		idx         int
+		best        int64
+		inStage     bool
+		want        error
+		spans, poll int
+	}{
+		{"superseded at the boundary", 2, 1, false, errSuperseded, 0, 0},
+		{"superseded inside the stage", 2, 9, true, errSuperseded, 0, 1},
+		{"failed", 2, 9, false, diag.ErrRouteCongested, 1, 1},
+	} {
+		err, spans, polls := run(tc.idx, tc.best, tc.inStage)
+		if !errors.Is(err, tc.want) || len(spans) != tc.spans || polls != tc.poll {
+			t.Errorf("%s: err %v, %d spans, %d polls; want %v, %d, %d", tc.name, err, len(spans), polls, tc.want, tc.spans, tc.poll)
+		}
+	}
+
+	parent := &pollCtx{Context: context.Background(), err: context.Canceled}
+	w := &window{ctx: parent}
+	w.best.Store(9)
+	for i := 0; i < 3; i++ {
+		if err := (&attemptCtx{Context: parent, w: w, idx: i}).Err(); err != context.Canceled {
+			t.Errorf("attempt %d polled %v, want context.Canceled", i+1, err)
+		}
+	}
+	if err := w.poll(); err != context.Canceled || parent.polls != 1 {
+		t.Errorf("claim polled %v; the caller's context was polled %d times, want once", err, parent.polls)
+	}
+
+	for _, i := range []int64{7, 3, 5, 8} {
+		w.lower(i)
+	}
+	if got := w.best.Load(); got != 3 {
+		t.Errorf("successes at rank indices 7, 3, 5, 8 left the lowest success at %d, want 3", got)
+	}
+}

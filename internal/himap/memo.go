@@ -177,18 +177,15 @@ func (m *Memo) SubMappings(k *kernel.Kernel, f *ir.IDFG, fab arch.Fabric) ([]*Su
 // (pinned by TestWorkersDeterminism) — so it is safe to key without it. A
 // forced scheme bypasses the cache entirely: it is already free to
 // "search" and may vary per call site.
-func (m *Memo) Schemes(k *kernel.Kernel, deps []ir.IterVec, vx, vy int, opts Options) ([]systolic.Scheme, error) {
+func (m *Memo) Schemes(k *kernel.Kernel, deps []ir.IterVec, vx, vy int, opts Options) []systolic.Scheme {
 	if opts.ForceScheme != nil {
-		return candidateSchemes(k, deps, vx, vy, opts), nil
+		return candidateSchemes(k, deps, vx, vy, opts)
 	}
 	key := memoKey{kind: 's', text: fmt.Sprintf("%s|vsa%dx%d", kernelKey(k), vx, vy)}
-	v, err := m.load(key, nil, func() (any, error) {
+	v, _ := m.load(key, nil, func() (any, error) {
 		return candidateSchemes(k, deps, vx, vy, opts), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]systolic.Scheme), nil
+	return v.([]systolic.Scheme)
 }
 
 // ISDG returns (building at most once) the kernel's unrolled DFG and

@@ -229,7 +229,7 @@ func TestReserveFixedMatchesNodeWalk(t *testing.T) {
 			t.Fatalf("%s/%s: %v", in.kernel, in.fab, err)
 		}
 		for i, a := range front.Attempts {
-			c := front.forAttempt(a, i+1, &attemptCtx{Context: context.Background(), idx: i, gen: 1}, nil)
+			c := front.forAttempt(a, context.Background(), i+1, 1, nil)
 			if attemptStages[:routeAt].Run(c) != nil {
 				continue
 			}

@@ -47,10 +47,6 @@ type Stage struct {
 	// a known sentinel in their chain.
 	Fallback error
 	Run      func(*CompileContext) error
-	// Ordered holds a speculative attempt at this stage until every
-	// lower-ranked attempt has finished: the boundary poll then stops it
-	// if one of them won, so only the winner runs the stage.
-	Ordered bool
 }
 
 // Pipeline is an ordered stage list sharing one CompileContext.
@@ -82,9 +78,6 @@ type Pipeline []Stage
 func (p Pipeline) Run(ctx *CompileContext) error {
 	a, _ := ctx.Ctx.(*attemptCtx) // nil outside the attempt window
 	for _, st := range p {
-		if st.Ordered && a != nil {
-			a.await()
-		}
 		runtime.Gosched()
 		if cerr := ctx.Ctx.Err(); cerr != nil {
 			if cerr == errSuperseded {
@@ -106,7 +99,7 @@ func (p Pipeline) Run(ctx *CompileContext) error {
 			Wall: wall, Counters: ctx.counters,
 		}
 		if err != nil {
-			if a != nil && a.superseded.Load() {
+			if a != nil && a.superseded() { // not Err(), which would poll the caller's context
 				return errSuperseded
 			}
 			se := diag.Classify(err, st.Fallback)
@@ -173,7 +166,7 @@ type CompileContext struct {
 	Config    *arch.Config
 
 	lay      *layout
-	ses      *route.Session // the worker's session, until the attempt routes
+	ses      *route.Session // from the window's free list, until the attempt routes
 	counters map[string]int64
 }
 
@@ -186,15 +179,15 @@ func newContext(ctx context.Context, k *kernel.Kernel, fab arch.Fabric, opts Opt
 }
 
 // forAttempt derives a private context for one speculative attempt,
-// sharing the read-only front artifacts; the attempt polls actx and
+// sharing the read-only front artifacts; the attempt polls ctx and
 // routes on ses.
-func (c *CompileContext) forAttempt(a attempt, rank int, actx *attemptCtx, ses *route.Session) *CompileContext {
+func (c *CompileContext) forAttempt(a attempt, ctx context.Context, rank, wave int, ses *route.Session) *CompileContext {
 	return &CompileContext{
-		Ctx:    actx,
+		Ctx:    ctx,
 		Kernel: c.Kernel, Fab: c.Fab, Opts: c.Opts,
 		Memo: c.Memo, Tracer: c.Tracer,
 		IDFG: c.IDFG, Subs: c.Subs, Deps: c.Deps,
-		Attempt: rank, Wave: actx.gen,
+		Attempt: rank, Wave: wave,
 		Sub: a.sub, Scheme: a.sch, VX: a.vx, VY: a.vy,
 		ses: ses,
 	}
@@ -222,7 +215,7 @@ var attemptStages = Pipeline{
 	{Name: StagePlace, Fallback: diag.ErrPlacementInfeasible, Run: runPlace},
 	{Name: StageUnique, Fallback: diag.ErrPlacementInfeasible, Run: runUnique},
 	{Name: StageRoute, Fallback: diag.ErrRouteCongested, Run: runRoute},
-	{Name: StageReplicate, Fallback: diag.ErrReplicaConflict, Run: runReplicate, Ordered: true},
+	{Name: StageReplicate, Fallback: diag.ErrReplicaConflict, Run: runReplicate},
 	{Name: StageValidate, Fallback: diag.ErrConfigInvalid, Run: runValidate},
 }
 
@@ -253,30 +246,16 @@ func runIDFGMap(c *CompileContext) error {
 // and materializes the deterministic attempt ranking.
 func runSchemeSearch(c *CompileContext) error {
 	c.Deps = c.Kernel.DistanceVectors()
-	var tileErr error
 	for _, sub := range c.Subs {
-		// A sub-CGRA block must tile the fabric evenly; anything else
-		// would cluster the VSA out of bounds (non-square arrays with
-		// square c×c blocks were silently mis-clustered before this
-		// check existed).
-		if err := systolic.CheckTile(c.Fab.Rows, c.Fab.Cols, sub.S1, sub.S2); err != nil {
-			tileErr = diag.Fail(diag.ErrSchemeInfeasible, err)
-			continue
-		}
+		// MapIDFG builds every sub-CGRA from divisors of the fabric's
+		// sides, so its blocks tile the fabric evenly.
 		vx, vy := c.Fab.Rows/sub.S1, c.Fab.Cols/sub.S2
-		schemes, err := c.Memo.Schemes(c.Kernel, c.Deps, vx, vy, c.Opts)
-		if err != nil {
-			return err
-		}
-		for _, sch := range schemes {
+		for _, sch := range c.Memo.Schemes(c.Kernel, c.Deps, vx, vy, c.Opts) {
 			c.Attempts = append(c.Attempts, attempt{sub: sub, sch: sch, vx: vx, vy: vy})
 		}
 	}
 	c.Count("attempts", int64(len(c.Attempts)))
 	if len(c.Attempts) == 0 {
-		if tileErr != nil {
-			return tileErr
-		}
 		return diag.Failf(diag.ErrSchemeInfeasible, "no valid systolic scheme")
 	}
 	return nil

@@ -31,7 +31,7 @@ func replicateValidateIter(tb testing.TB) func() {
 	upToRoute, stamp := attemptStages[:len(attemptStages)-2], attemptStages[len(attemptStages)-2:]
 	ses := new(route.Session)
 	for i, a := range front.Attempts {
-		if c := front.forAttempt(a, i+1, &attemptCtx{Context: front.Ctx, gen: 1, await: func() {}}, ses); upToRoute.Run(c) == nil {
+		if c := front.forAttempt(a, front.Ctx, i+1, 1, ses); upToRoute.Run(c) == nil {
 			return func() {
 				if err := stamp.Run(c); err != nil {
 					tb.Fatal(err)

@@ -201,7 +201,7 @@ func TestIdentifyUniqueMatchesFullHash(t *testing.T) {
 				continue
 			}
 			for i, a := range front.Attempts {
-				c := front.forAttempt(a, i+1, &attemptCtx{Context: context.Background(), idx: i, gen: 1}, nil)
+				c := front.forAttempt(a, context.Background(), i+1, 1, nil)
 				if attemptStages[:unique+1].Run(c) == nil {
 					check(k.Name+"/"+fab.String(), c.ISDG, c.CP)
 				}

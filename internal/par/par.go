@@ -1,8 +1,8 @@
 // Package par is the pipeline's coarse-grained parallelism substrate: a
 // bounded worker pool over index spaces, used to run independent
 // simulated-annealing chains (internal/baseline), shard the systolic
-// (H,S) scheme search (internal/systolic), run the workers of HiMap's
-// rank-ordered attempt window (internal/himap), and fan out kernel×size
+// (H,S) scheme search (internal/systolic), run HiMap's speculative
+// attempts in rank order (internal/himap), and fan out kernel×size
 // experiment sweeps (internal/exp).
 //
 // Determinism contract: ForEach hands out indices but imposes no

@@ -61,7 +61,7 @@
 // Paths live until the next Reset, ResetKeepHistory or RipUp, which
 // rewind the arena and recycle every net the session handed out.
 //
-// A session lives for one compile: its owner (a window worker, one
+// A session lives for one compile: its owner (the attempt window, one
 // sub-mapping computation, an exact or conventional compile) re-targets
 // it with Reset for every attempt, leaf and II, so the scratch, the
 // bucket heaps, the path arena and the net freelist warmed by one routing

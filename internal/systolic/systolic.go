@@ -29,20 +29,6 @@ import (
 // with errors.Is without parsing messages.
 var ErrInfeasible = errors.New("systolic: mapping infeasible")
 
-// CheckTile validates that an s1×s2 sub-CGRA block clusters a rows×cols
-// fabric evenly — the precondition for the VSA to cover the physical
-// array without out-of-bounds clusters. Violations wrap ErrInfeasible so
-// callers dispatch with errors.Is.
-func CheckTile(rows, cols, s1, s2 int) error {
-	if s1 < 1 || s2 < 1 {
-		return fmt.Errorf("%w: bad sub-CGRA block %dx%d", ErrInfeasible, s1, s2)
-	}
-	if rows%s1 != 0 || cols%s2 != 0 {
-		return fmt.Errorf("%w: %dx%d block does not tile the %dx%d fabric", ErrInfeasible, s1, s2, rows, cols)
-	}
-	return nil
-}
-
 // Mapping is a realized space-time transformation for a concrete block.
 type Mapping struct {
 	Dim   int

@@ -1,7 +1,6 @@
 package systolic
 
 import (
-	"errors"
 	"testing"
 
 	"himap/internal/ir"
@@ -223,30 +222,6 @@ func TestTTMSchemeAvoidsLongHolds(t *testing.T) {
 	}
 	if maxTR > 1 {
 		t.Errorf("best TTM scheme %v has max time distance %d, want 1", cands[0].Scheme, maxTR)
-	}
-}
-
-// TestCheckTile pins the clustering legality rule: a sub-CGRA block must
-// tile the (possibly non-square) fabric exactly in both dimensions —
-// previously the clustering silently assumed square c×c blocks, which
-// mis-partitions non-square arrays.
-func TestCheckTile(t *testing.T) {
-	ok := [][4]int{{8, 8, 2, 4}, {4, 6, 2, 3}, {4, 6, 4, 6}, {8, 8, 1, 8}}
-	for _, c := range ok {
-		if err := CheckTile(c[0], c[1], c[2], c[3]); err != nil {
-			t.Errorf("CheckTile(%v) = %v, want nil", c, err)
-		}
-	}
-	bad := [][4]int{{4, 6, 3, 4}, {4, 6, 2, 4}, {8, 8, 3, 3}, {8, 8, 0, 2}, {8, 8, 2, -1}}
-	for _, c := range bad {
-		err := CheckTile(c[0], c[1], c[2], c[3])
-		if err == nil {
-			t.Errorf("CheckTile(%v) = nil, want error", c)
-			continue
-		}
-		if !errors.Is(err, ErrInfeasible) {
-			t.Errorf("CheckTile(%v) error %v does not wrap ErrInfeasible", c, err)
-		}
 	}
 }
 

@@ -20,8 +20,8 @@ go build ./...
 go run ./cmd/himaplint ./...
 # Every test under the race detector, shuffled: a fixed order hides coupling through process-wide state (the shared memo, the lookahead table).
 go test -race -shuffle=on ./...
-# The speculative window's schedule is timing-dependent, and nets and path storage persist across the attempts of a worker's session, so these tests run three more times under the race detector.
-go test -race -count=3 -run 'TestWorkersDeterminism$|TestSpeculationWindowSpans|TestSpeculationAllocBudget|TestCancellationLatencyMidRun|TestPathArenaContract|TestSessionOwnsNets|TestFailedRoutesLeaveSessionReusable' . ./internal/route ./internal/himap
+# The speculative window's schedule is timing-dependent, a panic in one of its attempts must reach the caller whichever goroutine runs it, and nets and path storage persist across the attempts that re-target a session from the window's free list, so these tests run three more times under the race detector.
+go test -race -count=3 -run 'TestWorkersDeterminism$|TestSpeculationWindowSpans|TestAttemptPanicPropagates|TestSpeculationAllocBudget|TestCancellationLatencyMidRun|TestPathArenaContract|TestSessionOwnsNets|TestFailedRoutesLeaveSessionReusable' . ./internal/route ./internal/himap
 # The coverage ledger: per function of the ten mapping packages, the statements no test runs (~60 s). Code that no test reaches cannot come back unnoticed, and code a change stops running shows as a new row.
 go run ./scripts/coverage_core | diff - results/coverage_core.txt
 # The configuration encoder against encoding/json on ten seconds of new fuzz inputs (the committed seeds ran above).

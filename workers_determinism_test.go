@@ -2,11 +2,15 @@ package himap_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"himap"
 )
@@ -123,16 +127,14 @@ func TestWorkersDeterminism(t *testing.T) {
 // TestSpeculationWindowSpans pins the speculative window's schedule on
 // three compiles that win past attempt 1 (MVT 16x16 at attempt 2; FW and
 // GEMM on the 8x8 narrow-rf fabric at attempts 35 and 19), at Workers=4.
-// GEMM's attempt 21 also maps, in about half the time of attempt 19,
-// so it reaches replicate first unless replicate waits for lower ranks. The window runs
+// GEMM's attempt 21 also maps, in about half the time of attempt 19, so
+// a success above the winner occurs and must not commit. The window runs
 // attempt 1 alone, so it is the only attempt of launch generation 1,
 // and then up to four at once, so some attempt launches in a generation
-// below its rank;
-// every attempt below the winner runs to completion, so it emits the
-// spans it emits at Workers=1, Wall and Wave left out; and an attempt
-// ranked above the winner is stopped before it stamps a mapping, so none
-// emits a replicate span, and stopped without failing, so none emits a
-// cancellation error span.
+// below its rank; every attempt below the winner runs to completion, so
+// it emits the spans it emits at Workers=1, Wall and Wave left out; and
+// an attempt ranked above the winner is stopped without failing, so
+// none emits a cancellation error span.
 func TestSpeculationWindowSpans(t *testing.T) {
 	narrow := himap.DefaultFabric(8, 8)
 	narrow.Bandwidth = himap.BWNarrowRF
@@ -164,8 +166,8 @@ func TestSpeculationWindowSpans(t *testing.T) {
 			if win1 < 2 {
 				t.Fatalf("won at attempt %d: the window never widens", win1)
 			}
-			// Whether an attempt above the winner reaches replicate first is
-			// a matter of timing, so the window runs three times.
+			// Which attempts above the winner run, and how far, is a matter
+			// of timing, so the window runs three times.
 			for run := 0; run < 3; run++ {
 				win, got, spans := below(4)
 				if win != win1 {
@@ -176,9 +178,6 @@ func TestSpeculationWindowSpans(t *testing.T) {
 				}
 				wide := false // some attempt launched beside an unfinished one
 				for _, s := range spans {
-					if s.Attempt > win && s.Stage == "replicate" {
-						t.Errorf("attempt %d, ranked above the winner %d, emitted a replicate span", s.Attempt, win)
-					}
 					if strings.Contains(s.Err, himap.ErrCanceled.Error()) {
 						t.Errorf("attempt %d: a stopped attempt emitted the error span %q", s.Attempt, s.Err)
 					}
@@ -194,6 +193,85 @@ func TestSpeculationWindowSpans(t *testing.T) {
 		})
 	}
 }
+
+// TestAttemptPanicPropagates: a panic inside an attempt, here from the
+// caller's Tracer on the attempt's isdg-build span, reaches the caller
+// of CompileRequest, for attempt 1 (run alone on the caller's goroutine)
+// and for attempt 2 (run in the window beside attempt 3). MVT 16x16
+// wins at attempt 2, so both attempts reach isdg-build. A window whose
+// workers wait on one another hangs instead, holding its goroutines and,
+// in himapd, the request's admission slot.
+func TestAttemptPanicPropagates(t *testing.T) {
+	for _, rank := range []int{1, 2} {
+		t.Run(fmt.Sprintf("attempt%d", rank), func(t *testing.T) {
+			boom := fmt.Sprintf("tracer panic at attempt %d", rank)
+			tr := tracerFunc(func(s himap.TraceSpan) {
+				if s.Attempt == rank && s.Stage == "isdg-build" {
+					panic(boom)
+				}
+			})
+			done := make(chan any, 1)
+			go func() {
+				defer func() { done <- recover() }()
+				_, err := compileFabric(himap.KernelMVT(), himap.DefaultFabric(16, 16),
+					himap.Options{Workers: 2, Memo: himap.NewMemo(), Tracer: tr})
+				t.Errorf("the compile returned (err %v) instead of panicking", err)
+			}()
+			select {
+			case r := <-done:
+				if r != boom {
+					t.Fatalf("recovered %v, want %q", r, boom)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the compile hung after an attempt panicked")
+			}
+		})
+	}
+}
+
+// TestCancellationBelowASuccess: GEMM on the 8x8 narrow-rf fabric wins
+// at attempt 19, and attempt 21 also maps. At Workers=4 attempt 19 is
+// held at its first span until an attempt above it has passed validate,
+// and the caller's context is canceled there, so attempt 19 stops
+// canceled below a success. The compile must fail with ErrCanceled:
+// committing the success above it would return a mapping that Workers=1
+// never emits.
+func TestCancellationBelowASuccess(t *testing.T) {
+	narrow := himap.DefaultFabric(8, 8)
+	narrow.Bandwidth = himap.BWNarrowRF
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	above := make(chan struct{})
+	var once sync.Once
+	tr := tracerFunc(func(s himap.TraceSpan) {
+		switch {
+		case s.Attempt == 19 && s.Stage == "block-derive":
+			select {
+			case <-above:
+			case <-time.After(10 * time.Second):
+			}
+		case s.Attempt > 19 && s.Stage == "validate" && s.Err == "":
+			once.Do(func() { cancel(); close(above) })
+		}
+	})
+	res, err := himap.CompileRequest(ctx, himap.Request{Kernel: himap.KernelGEMM(), Fabric: narrow,
+		Options: himap.Options{Workers: 4, Memo: himap.NewMemo(), Tracer: tr}})
+	select {
+	case <-above:
+	default:
+		t.Fatal("no attempt above 19 passed validate while attempt 19 was held")
+	}
+	if err == nil {
+		t.Fatalf("a canceled compile committed attempt %d", res.Stats.Attempts)
+	}
+	if !errors.Is(err, himap.ErrCanceled) {
+		t.Fatalf("errors.Is(err, ErrCanceled) = false: %v", err)
+	}
+}
+
+type tracerFunc func(himap.TraceSpan)
+
+func (f tracerFunc) Emit(s himap.TraceSpan) { f(s) }
 
 func configJSON(t *testing.T, r *himap.Result) []byte {
 	t.Helper()
