@@ -257,22 +257,22 @@ func TestExactTypedErrors(t *testing.T) {
 	}
 }
 
-// checkFlatBackendErrors compiles GEMM 2x2x2 on 4x4 with mapper m past a
-// 1-node wall, on a fabric with no memory PE and then under an expired
+// checkFlatBackendErrors compiles GEMM on 4x4 with mapper m at block
+// 8x8x8, whose 2048 body-op instances pass both flat backends' node
+// walls, then at 2x2x2 on a fabric with no memory PE and under an expired
 // deadline, checks the three failure classes, and returns the deadline
 // error.
 func checkFlatBackendErrors(t *testing.T, m himap.Mapper) error {
 	t.Helper()
-	req := himap.Request{Kernel: himap.KernelGEMM(), Fabric: himap.DefaultFabric(4, 4), Mapper: m, Block: []int{2, 2, 2},
-		Baseline: himap.BaselineOptions{MaxNodes: 1}, Exact: himap.ExactOptions{MaxNodes: 1}}
+	req := himap.Request{Kernel: himap.KernelGEMM(), Fabric: himap.DefaultFabric(4, 4), Mapper: m, Block: []int{8, 8, 8}}
 	_, err := himap.CompileRequest(context.Background(), req)
 	var se *himap.StageError
 	if !errors.Is(err, himap.ErrTooLarge) || !errors.As(err, &se) || se.Stage != "dfg-build" {
 		t.Errorf("%s past its wall: %v, want a dfg-build ErrTooLarge", m, err)
 	}
+	req.Block = []int{2, 2, 2}
 	// The resource bound refuses the loads before any placement move.
 	none := req
-	none.Baseline, none.Exact = himap.BaselineOptions{}, himap.ExactOptions{}
 	none.Fabric.Mem = himap.MemNone
 	_, err = himap.CompileRequest(context.Background(), none)
 	if !errors.Is(err, himap.ErrMemPortInfeasible) || !errors.As(err, &se) || se.Kernel != "GEMM" {
@@ -280,7 +280,6 @@ func checkFlatBackendErrors(t *testing.T, m himap.Mapper) error {
 	}
 	expired, cancel := context.WithTimeout(context.Background(), -time.Second)
 	defer cancel()
-	req.Baseline, req.Exact = himap.BaselineOptions{}, himap.ExactOptions{}
 	_, err = himap.CompileRequest(expired, req)
 	if !errors.Is(err, himap.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("%s under an expired deadline: %v, want ErrCanceled wrapping DeadlineExceeded", m, err)

@@ -107,7 +107,8 @@ type (
 	// launch generation, wall time, counters, and the failure (if any).
 	TraceSpan = diag.Span
 	// Memo is the compilation artifact cache (generic IDFG, sub-mapping
-	// lists, unrolled DFG/ISDG), content-keyed by kernel specification.
+	// lists, scheme rankings, unrolled DFG/ISDG), content-keyed by kernel
+	// specification.
 	// Compiles share a process-wide cache unless Options.Memo injects one.
 	// A Memo is bounded: past a fixed weight of cached artifacts it drops
 	// them all and rebuilds on demand, which never changes a mapping.
@@ -154,9 +155,10 @@ var (
 	// attempted (nil kernel, invalid fabric) — a caller bug, not a
 	// mapping failure.
 	ErrInvalidRequest = diag.ErrInvalidRequest
-	// ErrTooLarge: a block's DFG is past a flat backend's node wall
-	// (BaselineOptions.MaxNodes, ExactOptions.MaxNodes) or the unroll
-	// wall every mapper meets, HiMap included (2^20 body-op instances).
+	// ErrTooLarge: a block's DFG is past a flat backend's node wall (400
+	// nodes for the conventional mapper, ExactOptions.MaxNodes for the
+	// exact one) or the unroll wall every mapper meets, HiMap included
+	// (2^20 body-op instances).
 	ErrTooLarge = diag.ErrTooLarge
 	// ErrProvedInfeasible: the exact mapper exhaustively refuted every II
 	// in its search range within the schedule horizon — the instance

@@ -28,10 +28,12 @@ import (
 	"himap/internal/route"
 )
 
+// MaxNodes is the conventional mapper's hard DFG size wall.
+const MaxNodes = 400
+
 // Options tunes the baseline mapper.
 type Options struct {
-	MaxNodes int   // hard DFG size wall (default 400)
-	Seed     int64 // SA seed
+	Seed int64 // SA seed
 	// Workers is the number of independently seeded simulated-annealing
 	// chains raced per II attempt; the feasible placement with the lowest
 	// cost wins, ties broken deterministically toward the lowest chain
@@ -52,9 +54,6 @@ const (
 )
 
 func (o Options) withDefaults() Options {
-	if o.MaxNodes == 0 {
-		o.MaxNodes = 400
-	}
 	if o.Workers < 1 {
 		o.Workers = 1
 	}
@@ -149,7 +148,7 @@ func CompileRequest(ctx context.Context, k *kernel.Kernel, cg arch.Fabric, block
 		opts.Tracer.Emit(routeSpan)
 		return cfg, err
 	}
-	fr, err := route.Deepen(ctx, k, cg, block, route.Flat{MaxNodes: opts.MaxNodes, MaxII: maxII, Stage: "place",
+	fr, err := route.Deepen(ctx, k, cg, block, route.Flat{MaxNodes: MaxNodes, MaxII: maxII, Stage: "place",
 		PastMaxII: diag.ErrPlacementInfeasible, Tracer: opts.Tracer}, mapII)
 	if err != nil {
 		return nil, err

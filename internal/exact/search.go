@@ -24,8 +24,7 @@ type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
-func (b bitset) set(i int)      { b[i>>6] |= 1 << uint(i&63) }
-func (b bitset) has(i int) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }
+func (b bitset) set(i int) { b[i>>6] |= 1 << uint(i&63) }
 
 func (b bitset) clear() {
 	for i := range b {

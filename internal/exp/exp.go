@@ -51,9 +51,6 @@ type Config struct {
 	Progress func(string)
 }
 
-// baselineMaxNodes is the conventional mapper's DFG scalability wall.
-const baselineMaxNodes = 400
-
 // The pure-time block extents (b3..bl) of 3-D and 4-D kernels in the
 // Fig. 8 and envelope sweeps are capped: II_B — and with it the
 // materialized configuration and the unrolled DFG — grows with their
@@ -245,7 +242,7 @@ func Fig7(cfg Config) ([]Fig7Point, error) {
 // describes users driving BHC: the largest block whose DFG fits under the
 // node wall, shrinking when the time budget cannot close a mapping.
 func runBaselineBestEffort(k *kernel.Kernel, size int, cfg Config) (*baseline.Result, string) {
-	b := baseline.LargestFeasibleBlock(k, baselineMaxNodes, size)
+	b := baseline.LargestFeasibleBlock(k, baseline.MaxNodes, size)
 	note := ""
 	if b < size {
 		note = "block capped by node wall"
@@ -253,8 +250,7 @@ func runBaselineBestEffort(k *kernel.Kernel, size int, cfg Config) (*baseline.Re
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.BaselineBudget)
 	defer cancel()
 	for ; b >= k.MinBlock && ctx.Err() == nil; b-- {
-		res, err := baseline.CompileRequest(ctx, k, arch.DefaultFabric(size, size), k.UniformBlock(b),
-			baseline.Options{MaxNodes: baselineMaxNodes})
+		res, err := baseline.CompileRequest(ctx, k, arch.DefaultFabric(size, size), k.UniformBlock(b), baseline.Options{})
 		if err == nil {
 			return res, note
 		}

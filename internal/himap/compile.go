@@ -252,18 +252,10 @@ func (c *attemptCtx) Err() error {
 	return c.w.poll()
 }
 
-// candidateSchemes enumerates systolic schemes compatible with the VSA
-// shape, ranked by the systolic search.
-func candidateSchemes(k *kernel.Kernel, deps []ir.IterVec, vx, vy int, opts Options) []systolic.Scheme {
-	if opts.ForceScheme != nil {
-		return []systolic.Scheme{*opts.ForceScheme}
-	}
-	want := 2
-	if vy == 1 || k.Dim == 1 {
-		want = 1
-	}
-	probe := k.UniformBlock(3)
-	cands := systolic.SearchN(deps, probe, want, opts.Workers)
+// candidateSchemes ranks the systolic schemes with axes space dimensions
+// by the systolic search over a probe block, keeping the best maxSchemes.
+func candidateSchemes(k *kernel.Kernel, deps []ir.IterVec, axes, workers int) []systolic.Scheme {
+	cands := systolic.SearchN(deps, k.UniformBlock(3), axes, workers)
 	var out []systolic.Scheme
 	for _, c := range cands {
 		if len(out) >= maxSchemes {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -192,14 +193,25 @@ func TestCompileDeterministic(t *testing.T) {
 	}
 }
 
+// TestCompileForceScheme: a forced scheme is every sub-mapping's one
+// candidate and never a memo entry, so a later search on the same memo
+// ranks schemes as it would on a fresh one.
 func TestCompileForceScheme(t *testing.T) {
 	sch := systolic.Scheme{SpaceDims: []int{0, 1}, TimePerm: []int{2}, Skew: []int{1, 1}}
-	res, err := CompileRequest(context.Background(), kernel.GEMM(), arch.DefaultFabric(4, 4), Options{ForceScheme: &sch})
+	fab, m := arch.DefaultFabric(4, 4), NewMemo()
+	res, err := CompileRequest(context.Background(), kernel.GEMM(), fab, Options{ForceScheme: &sch, Memo: m})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Scheme.String() != sch.String() {
 		t.Errorf("scheme = %v, want forced %v", res.Scheme, sch)
+	}
+	if n := schemeEntries(m); n != 0 {
+		t.Errorf("a forced compile left %d scheme rankings in the memo, want 0", n)
+	}
+	if got, want := outcomeOn(t, kernel.GEMM(), fab, m), outcomeOn(t, kernel.GEMM(), fab, NewMemo()); !reflect.DeepEqual(got, want) {
+		t.Errorf("search after a forced compile: attempts %d failed %v; on a fresh memo attempts %d failed %v",
+			got.attempts, got.failed, want.attempts, want.failed)
 	}
 }
 

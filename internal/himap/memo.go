@@ -16,7 +16,7 @@ import (
 //
 //   - the generic IDFG of a kernel (idfg-map stage),
 //   - the sub-CGRA mapping list per (kernel, fabric),
-//   - the ranked systolic scheme candidates per (kernel, VSA extents), and
+//   - the ranked systolic scheme candidates per (kernel, VSA axis count), and
 //   - the unrolled DFG/ISDG per (kernel, block vector), shared both
 //     across the speculative attempts of one compile (attempts trying
 //     different schemes over the same block) and across repeated
@@ -172,18 +172,14 @@ func (m *Memo) SubMappings(k *kernel.Kernel, f *ir.IDFG, fab arch.Fabric) ([]*Su
 }
 
 // Schemes returns the ranked systolic scheme candidates for the kernel on
-// a VSA of vx × vy sub-CGRA clusters. The search result is a pure function
-// of the kernel's dependence structure and the VSA extents — Workers only shards the search, never changes its merged output
-// (pinned by TestWorkersDeterminism) — so it is safe to key without it. A
-// forced scheme bypasses the cache entirely: it is already free to
-// "search" and may vary per call site.
-func (m *Memo) Schemes(k *kernel.Kernel, deps []ir.IterVec, vx, vy int, opts Options) []systolic.Scheme {
-	if opts.ForceScheme != nil {
-		return candidateSchemes(k, deps, vx, vy, opts)
-	}
-	key := memoKey{kind: 's', text: fmt.Sprintf("%s|vsa%dx%d", kernelKey(k), vx, vy)}
+// a VSA with axes space axes (1 or 2). The ranking reads only the
+// kernel's dependences and the axis count — Workers only shards the
+// search, never changes its merged output (pinned by
+// TestWorkersDeterminism) — so the key is the kernel and the axis count.
+func (m *Memo) Schemes(k *kernel.Kernel, deps []ir.IterVec, axes, workers int) []systolic.Scheme {
+	key := memoKey{kind: 's', text: fmt.Sprintf("%s|a%d", kernelKey(k), axes)}
 	v, _ := m.load(key, nil, func() (any, error) {
-		return candidateSchemes(k, deps, vx, vy, opts), nil
+		return candidateSchemes(k, deps, axes, workers), nil
 	})
 	return v.([]systolic.Scheme)
 }

@@ -211,3 +211,89 @@ func TestMemoArtifactOverBudget(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// schemeEntries counts the (H,S) rankings the memo holds.
+func schemeEntries(m *Memo) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := 0
+	for key := range m.entries {
+		if key.kind == 's' {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSchemeRankingPerAxisCount: a ranking reads only the kernel and the
+// VSA's axis count, so a cold compile computes one ranking per distinct
+// axis count among its sub-mappings, the scheme search asks the memo once
+// per count, and every attempt takes a scheme with its VSA's axis count.
+// On the default 8x8 and 16x16 fabrics every evaluation kernel's
+// sub-mappings span three or four VSA extents but one axis count; ADI on
+// 4x4 and GEMM on 4x2 have sub-mappings of both counts.
+func TestSchemeRankingPerAxisCount(t *testing.T) {
+	type input struct {
+		k      *kernel.Kernel
+		fab    arch.Fabric
+		counts int
+	}
+	var inputs []input
+	for _, n := range []int{8, 16} {
+		for _, k := range kernel.Evaluation() {
+			inputs = append(inputs, input{k, arch.DefaultFabric(n, n), 1})
+		}
+	}
+	inputs = append(inputs, input{kernel.ADI(), arch.DefaultFabric(4, 4), 2}, input{kernel.GEMM(), arch.DefaultFabric(4, 2), 2})
+	for _, in := range inputs {
+		name := fmt.Sprintf("%s %dx%d", in.k.Name, in.fab.Rows, in.fab.Cols)
+		m := NewMemo()
+		front := newContext(context.Background(), in.k, in.fab, Options{Workers: 1, Memo: m}.withDefaults())
+		if err := frontStages.Run(front); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		axes := map[int]bool{}
+		for _, a := range front.Attempts {
+			want := 1
+			if a.vy > 1 && in.k.Dim > 1 {
+				want = 2
+			}
+			if len(a.sch.SpaceDims) != want {
+				t.Errorf("%s: a %dx%d VSA got scheme %v, want %d space dims", name, a.vx, a.vy, a.sch, want)
+			}
+			axes[want] = true
+		}
+		if len(axes) != in.counts {
+			t.Errorf("%s: sub-mappings of %d axis counts, want %d", name, len(axes), in.counts)
+		}
+		// IDFG, sub-mappings and one ranking per count: all misses.
+		if hits, misses := m.Stats(); hits != 0 || misses != int64(2+len(axes)) {
+			t.Errorf("%s: front stages made %d memo hits and %d misses, want 0 and %d", name, hits, misses, 2+len(axes))
+		}
+		if _, err := CompileRequest(context.Background(), in.k, in.fab, Options{Workers: 1, Memo: m}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := schemeEntries(m); got != len(axes) {
+			t.Errorf("%s: %d scheme rankings after the compile, want one per axis count (%d)", name, got, len(axes))
+		}
+	}
+}
+
+// TestSchemeKeyHoldsAxisCount: BICG has a two-axis VSA on the default
+// 8x8 fabric and a one-axis VSA on an 8x1 array (the motivating example),
+// so a shared memo whose ranking key dropped the axis count would hand
+// one fabric the other's schemes. In either order every compile must end
+// as it does on a fresh memo.
+func TestSchemeKeyHoldsAxisCount(t *testing.T) {
+	fabs := []arch.Fabric{arch.DefaultFabric(8, 8), arch.DefaultFabric(8, 1)}
+	cold := []memoOutcome{outcomeOn(t, kernel.BICG(), fabs[0], NewMemo()), outcomeOn(t, kernel.BICG(), fabs[1], NewMemo())}
+	for _, order := range [][]int{{0, 1}, {1, 0}} {
+		m := NewMemo()
+		for _, i := range order {
+			if got := outcomeOn(t, kernel.BICG(), fabs[i], m); !reflect.DeepEqual(got, cold[i]) {
+				t.Errorf("order %v, %dx%d: attempts %d failed %v; on a fresh memo attempts %d failed %v",
+					order, fabs[i].Rows, fabs[i].Cols, got.attempts, got.failed, cold[i].attempts, cold[i].failed)
+			}
+		}
+	}
+}

@@ -242,15 +242,31 @@ func runIDFGMap(c *CompileContext) error {
 	return nil
 }
 
-// runSchemeSearch enumerates systolic scheme candidates per sub-mapping
-// and materializes the deterministic attempt ranking.
+// runSchemeSearch ranks the schemes each sub-mapping's VSA can take and
+// materializes the deterministic attempt ranking. A ranking reads only
+// the kernel and the VSA's axis count (1 when the VSA is one cluster
+// wide or the kernel is 1-D, else 2), so each count's ranking is asked
+// for once. Options.ForceScheme is read here and nowhere else: it is
+// every sub-mapping's one candidate, and the memo never sees it.
 func runSchemeSearch(c *CompileContext) error {
 	c.Deps = c.Kernel.DistanceVectors()
+	var ranked [2][]systolic.Scheme // by axis count − 1
+	var asked [2]bool
+	if f := c.Opts.ForceScheme; f != nil {
+		ranked, asked = [2][]systolic.Scheme{{*f}, {*f}}, [2]bool{true, true}
+	}
 	for _, sub := range c.Subs {
 		// MapIDFG builds every sub-CGRA from divisors of the fabric's
 		// sides, so its blocks tile the fabric evenly.
 		vx, vy := c.Fab.Rows/sub.S1, c.Fab.Cols/sub.S2
-		for _, sch := range c.Memo.Schemes(c.Kernel, c.Deps, vx, vy, c.Opts) {
+		a := 1
+		if vy > 1 && c.Kernel.Dim > 1 {
+			a = 2
+		}
+		if !asked[a-1] {
+			ranked[a-1], asked[a-1] = c.Memo.Schemes(c.Kernel, c.Deps, a, c.Opts.Workers), true
+		}
+		for _, sch := range ranked[a-1] {
 			c.Attempts = append(c.Attempts, attempt{sub: sub, sch: sch, vx: vx, vy: vy})
 		}
 	}

@@ -23,10 +23,6 @@ type Node struct {
 	HasConst bool
 }
 
-// IsBoundaryIO reports whether the node is a memory access synthesized at
-// the block boundary (as opposed to a body-op memory access).
-func (n *Node) IsBoundaryIO() bool { return n.Kind.IsMemory() && n.BodyOp < 0 }
-
 func (n *Node) String() string {
 	return fmt.Sprintf("n%d[%s %s@%s]", n.ID, n.Kind, n.Name, n.Iter)
 }

@@ -89,7 +89,7 @@ func (f *IDFG) StructuralSignature() string {
 	for _, id := range f.Comp {
 		n := f.DFG.Nodes[id]
 		tag := fmt.Sprintf("N:%d:%s", n.BodyOp, n.Kind)
-		if n.IsBoundaryIO() {
+		if n.Kind.IsMemory() && n.BodyOp < 0 { // synthesized at the block boundary
 			tag += ":" + n.Tensor
 		}
 		parts = append(parts, tag)

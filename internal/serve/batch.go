@@ -5,8 +5,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-
-	"himap"
 )
 
 // handleBatch answers POST /v1/compile-batch: every item compiled under
@@ -15,12 +13,12 @@ import (
 // per-item errors, exactly the body the item would have answered
 // standalone.
 //
-// All items share one artifact memo, so a batch sweeping one kernel
-// across fabrics (or blocks) deduplicates the kernel-level work — IDFG
-// construction, sub-mapping enumeration, DFG unrolling — across items
-// instead of redoing it per compile. Items run sequentially: intra-item
-// parallelism (Options.Workers) already saturates the worker budget,
-// and sequential order makes the memo reuse deterministic.
+// Items compile on the process-wide artifact memo, as standalone
+// compiles do, so a batch sweeping one kernel across fabrics (or blocks)
+// reuses the kernel-level work — IDFG construction, sub-mapping
+// enumeration, DFG unrolling — across items and across requests. Items
+// run sequentially: intra-item parallelism (Options.Workers) already
+// saturates the worker budget.
 // Item results populate the cache levels as standalone compiles do.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requests.Add(1)
@@ -41,7 +39,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Each item goes into the envelope as its standalone answer, unscanned:
 	// the success body or the error body's "error" member, minus newline.
-	memo := himap.NewMemo()
 	out := fmt.Appendf(nil, `{"schema_version":%d,"items":[`, SchemaVersion)
 	errHead := fmt.Appendf(nil, `{"schema_version":%d,"error":`, SchemaVersion)
 	var hits, misses int
@@ -54,7 +51,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			s.metrics.badRequests.Add(1)
 			status, body = renderError(err)
 		} else {
-			hreq.Options.Memo = memo
 			var cacheStatus string
 			status, body, cacheStatus = s.respond(ctx, item, hreq, CacheKey(item))
 			if cacheStatus == "hit" || cacheStatus == "store" {

@@ -385,6 +385,33 @@ func TestBatchCompile(t *testing.T) {
 	}
 }
 
+// TestBatchItemsCompileOnSharedMemo: a batch item reaches the compiler
+// with no private artifact memo, as a standalone request does, so every
+// item compiles on the process-wide memo.
+func TestBatchItemsCompileOnSharedMemo(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	var memos []*himap.Memo
+	s.SetCompileFunc(func(ctx context.Context, req himap.Request) (*himap.Result, error) {
+		memos = append(memos, req.Options.Memo)
+		return nil, diag.Failf(diag.ErrRouteCongested, "stubbed congestion")
+	})
+	postCompile(t, ts.URL, kernelRequest("GEMM", 4, 4))
+	batch := `{"items":[` + kernelRequest("MVT", 4, 4) + `,` + kernelRequest("ATAX", 4, 4) + `]}`
+	resp, err := http.Post(ts.URL+"/v1/compile-batch", "application/json", strings.NewReader(batch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if len(memos) != 3 {
+		t.Fatalf("%d compiles, want 3", len(memos))
+	}
+	for i, m := range memos {
+		if m != nil {
+			t.Errorf("compile %d ran on a private memo, want the process-wide one", i)
+		}
+	}
+}
+
 // TestBatchRejections: a malformed envelope answers 400, and items may
 // not pin their own version.
 func TestBatchRejections(t *testing.T) {

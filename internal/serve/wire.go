@@ -295,9 +295,8 @@ type ErrorBody struct {
 }
 
 // BatchRequestWire is the POST /v1/compile-batch request body: a list
-// of compile requests answered per-item under one
-// deadline, with shared artifacts (IDFG, sub-mapping lists, unrolled
-// DFG/ISDG) deduplicated across the batch through one Memo. Items must
+// of compile requests answered per-item under one deadline, compiled on
+// the process-wide artifact memo like standalone requests. Items must
 // not pin their own schema_version — the batch envelope's version is
 // the contract for every item.
 type BatchRequestWire struct {
