@@ -231,8 +231,8 @@ func TestDiagnosticsBitIdentical(t *testing.T) {
 // which net congests and which resource the error names, so a rewrite of
 // the routing loop must reproduce both rows.
 var goldenAttemptSpans = map[string]string{
-	"FW/narrow-rf": "87d23a516ff0e8833d7e7671062ed5a476ba7b1b1f70d5ccf281141e3751938f",
-	"ATAX/diag":    "e1687fa30a76662673dbe2163818deefce98e2f06ed78a0e376ce32ebcee2805",
+	"FW/narrow-rf": "58b38bd58c48213ab62a195c96e3d4dfe5da1bd94314d414b38947a4324a8e1d",
+	"ATAX/diag":    "8a12e362e6e5f1a966f5b7f5cadf1342f73958fb52a3c05131df809381827b45",
 }
 
 func TestAttemptSpansGolden(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"himap/internal/arch"
 	"himap/internal/ir"
 	"himap/internal/mrrg"
+	"himap/internal/route"
 )
 
 // layout bundles everything step 3 needs: the placed ISDG, the sub-CGRA
@@ -29,6 +30,15 @@ type layout struct {
 	// tgtBuf is the sink target set under construction, reused across
 	// every sink of the attempt.
 	tgtBuf []mrrg.Node
+
+	// env[k] is class k's envelope (classEnvelope), live[k] its box of
+	// the attempt's live region and members[k] the members whose
+	// replicas can reach the region (class order, the representative
+	// included); live and members are nil while the attempt routes on the
+	// whole array (setLive).
+	env     []route.Box
+	live    []route.Box
+	members [][]int
 }
 
 // RelPlaceReg is a region-relative relay resource for route pins: either

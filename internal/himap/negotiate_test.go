@@ -196,7 +196,9 @@ func TestFailedRoutesLeaveSessionReusable(t *testing.T) {
 // fixed placements, translated to every member, leaves the occupancy of
 // reserving nodeAbs for every DFG node — on every dense key, on every
 // attempt that reaches the route stage of the congested workload's
-// fourteen inputs and of the scale64 workload's ten.
+// fourteen inputs and of the scale64 workload's ten. With the attempt's
+// live region set, the members it keeps leave that occupancy on every
+// live PE.
 func TestReserveFixedMatchesNodeWalk(t *testing.T) {
 	type input struct {
 		kernel string
@@ -218,7 +220,7 @@ func TestReserveFixedMatchesNodeWalk(t *testing.T) {
 		inputs = append(inputs, input{n, arch.DefaultFabric(32, 32)}, input{n, arch.DefaultFabric(64, 64)})
 	}
 	routeAt := slices.IndexFunc(attemptStages, func(st Stage) bool { return st.Name == StageRoute })
-	attempts, reserved := 0, 0
+	attempts, reserved, liveAttempts := 0, 0, 0
 	for _, in := range inputs {
 		k, err := kernel.ByName(in.kernel)
 		if err != nil {
@@ -243,11 +245,15 @@ func TestReserveFixedMatchesNodeWalk(t *testing.T) {
 				}
 			}
 			l.reserveFixed(byClass)
+			live := new(route.Session)
+			l.setLive(live, g)
+			l.reserveFixed(live)
 			attempts++
 			diffs := 0
 			for tt := 0; tt < g.II; tt++ {
 				for r := 0; r < l.cg.Rows; r++ {
 					for col := 0; col < l.cg.Cols; col++ {
+						inLive := slices.ContainsFunc(l.live, func(b route.Box) bool { return b.Holds(r, col) })
 						for slot := 0; slot < g.SlotsPerPE(); slot++ {
 							cl, idx := g.SlotResource(slot)
 							n := mrrg.Node{T: tt, R: r, C: col, Class: cl, Idx: idx}
@@ -255,14 +261,21 @@ func TestReserveFixedMatchesNodeWalk(t *testing.T) {
 								diffs++
 								t.Errorf("%s/%s attempt %d: %v occupied %d by the node walk, %d by class", in.kernel, in.fab, i+1, n, walk.Occ(n), byClass.Occ(n))
 							}
+							if inLive && walk.Occ(n) != live.Occ(n) && diffs < 3 {
+								diffs++
+								t.Errorf("%s/%s attempt %d: live %v occupied %d by the node walk, %d in the live region", in.kernel, in.fab, i+1, n, walk.Occ(n), live.Occ(n))
+							}
 						}
 					}
 				}
 			}
+			if l.live != nil {
+				liveAttempts++
+			}
 		}
 	}
-	t.Logf("%d attempts, %d fixed placements", attempts, reserved)
-	if attempts < 100 {
-		t.Errorf("only %d attempts reached the route stage", attempts)
+	t.Logf("%d attempts, %d with a live region, %d fixed placements", attempts, liveAttempts, reserved)
+	if attempts < 100 || liveAttempts < 10 {
+		t.Errorf("only %d attempts reached the route stage, %d with a live region", attempts, liveAttempts)
 	}
 }

@@ -130,6 +130,13 @@ func (l *layout) chooseBoundaryLoad(ses *route.Session, classIdx, id int) error 
 	// steady state the load simply issues during the preceding block's
 	// window (classic software pipelining) — so no floor applies.
 	region := route.Box{R0: br, R1: br + l.sub.S1 - 1, C0: bc, C1: bc + l.sub.S2 - 1}
+	scan := region // the PEs claimMemRead reads: the consumer's own port, else the region's
+	if l.cg.MemCapable(consR, consC) {
+		scan = route.Box{R0: consR, R1: consR, C0: consC, C1: consC}
+	}
+	if err := ses.CheckLive(scan); err != nil {
+		return err
+	}
 	if mr, ok := claimMemRead(ses, l.cg, consT, consR, consC, slack, 3*l.sub.Depth, math.MinInt, region); ok {
 		l.loadRel[classIdx][n.BodyOp] = RelPlace{T: mr.T - bt, R: mr.R - br, C: mr.C - bc, Kind: PlaceMemRead}
 		return nil

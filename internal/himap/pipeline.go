@@ -377,6 +377,10 @@ func runRoute(c *CompileContext) error {
 	c.RStats = rstats
 	c.Count("rounds", int64(rstats.Rounds))
 	c.Count("nets", int64(rstats.CanonicalNets))
+	c.Count("reserved", int64(rstats.Reserved))
+	c.Count("charged", int64(rstats.Charged))
+	c.Count("live_pes", int64(rstats.LivePEs))
+	c.Count("fallbacks", int64(rstats.Fallbacks))
 	if err != nil {
 		return err
 	}

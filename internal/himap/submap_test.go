@@ -307,4 +307,13 @@ func TestChooseBoundaryLoad(t *testing.T) {
 	if got, want := l.loadRel[0][1], (RelPlace{T: 1, R: 0, C: 0, Kind: PlaceMemRead}); got != want {
 		t.Fatalf("register pin: load at %+v, want %+v", got, want)
 	}
+
+	// With a live region set, the region's ports are read only while they
+	// lie in Live: one column short, and the load claims nothing.
+	l, ses = oneCluster(ir.OpAdd, RelPlace{T: 2, R: 0, C: 2})
+	ses.ResetLive(ses.G, []route.Box{{R0: 1, R1: 2, C0: 0, C1: 3}})
+	ses.Live = route.Box{R0: 1, R1: 2, C0: 0, C1: 2}
+	if err := l.chooseBoundaryLoad(ses, 0, 0); !errors.Is(err, route.ErrOutsideLive) || len(l.loadRel[0]) != 0 {
+		t.Fatalf("region outside Live: got %v (slots %v), want ErrOutsideLive and no slot", err, l.loadRel[0])
+	}
 }

@@ -335,7 +335,11 @@ func (s *Session) RouteSink(net *Net, targets []mrrg.Node) (Path, float64, error
 	if len(targets) == 0 {
 		return nil, 0, fmt.Errorf("route: %w: no targets", ErrNoPath)
 	}
-	sc.begin(s.searchWindow(net, targets))
+	win := s.searchWindow(net, targets)
+	if err := s.CheckLive(Box{R0: win.r0, R1: win.r0 + win.rows - 1, C0: win.c0, C1: win.c0 + win.cols - 1}); err != nil {
+		return nil, 0, err
+	}
+	sc.begin(win)
 	w := &sc.w
 
 	// A target outside the window cannot be reached in time and gets no

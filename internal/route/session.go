@@ -71,6 +71,7 @@ package route
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 
@@ -87,6 +88,10 @@ var (
 	// ErrSearchLimit: the search visited more nodes than Session.MaxVisits
 	// allows — congestion so severe the search was cut off.
 	ErrSearchLimit = errors.New("search limit exceeded")
+	// ErrOutsideLive: a search window, or a box a caller is about to read
+	// (CheckLive), leaves Session.Live while a live region is set. Nothing
+	// was read; the caller re-runs the round on the whole array.
+	ErrOutsideLive = errors.New("read outside the live region")
 )
 
 // Path is a resource node sequence from a producer to one sink; node 0 is
@@ -151,6 +156,14 @@ type Session struct {
 	// clipped to it and the seeds, so narrowing it shrinks the scratch.
 	Envelope Box
 
+	// Live bounds every search window while a live region is set
+	// (ResetLive), and must lie inside that region: a window that leaves
+	// it fails RouteSink with ErrOutsideLive before the search reads
+	// anything. HiMap's canonical routing sets it per class to the
+	// class's own box of the region, which also bounds where the class's
+	// replicas land. ResetLive and DropLive set the whole array.
+	Live Box
+
 	// occ and hist are dense arrays over the modulo occupancy key space
 	// (mrrg.Graph.DenseKey) — the negotiated-congestion state. hist is
 	// empty, and prices nothing, until the first BumpHistory that finds
@@ -174,6 +187,12 @@ type Session struct {
 	arena    []mrrg.Node
 	over     []mrrg.Node
 	overKeys []uint64
+
+	// live marks the PEs of the live region ResetLive set, one per PE,
+	// and liveBoxes are the boxes it was set from; live is empty while
+	// the whole array is live.
+	live      []bool
+	liveBoxes []Box
 
 	// capTab is mrrg.Graph.Capacity per class, what OversubscribedIn
 	// holds occupancy against.
@@ -200,6 +219,12 @@ type Box struct{ R0, R1, C0, C1 int }
 
 // Holds reports whether PE (r, c) lies in the box.
 func (b Box) Holds(r, c int) bool { return r >= b.R0 && r <= b.R1 && c >= b.C0 && c <= b.C1 }
+
+// Covers reports whether every PE of o lies in the box.
+func (b Box) Covers(o Box) bool { return o.R0 >= b.R0 && o.R1 <= b.R1 && o.C0 >= b.C0 && o.C1 <= b.C1 }
+
+// Meets reports whether the two boxes share a PE.
+func (b Box) Meets(o Box) bool { return o.R0 <= b.R1 && o.R1 >= b.R0 && o.C0 <= b.C1 && o.C1 >= b.C0 }
 
 // slotInfo is what the search needs of one resource slot of a PE (the
 // dense slot space of mrrg.Graph.SlotIndex), so that relaxing an edge
@@ -249,13 +274,33 @@ func NewSession(g *mrrg.Graph) *Session { return new(Session).Reset(g) }
 // bucket heaps, the net freelist and the lookahead table carry over — a
 // reset session routes exactly as a fresh one, without re-growing them.
 func (s *Session) Reset(g *mrrg.Graph) *Session {
+	s.ResetLive(g, nil)
+	return s
+}
+
+// ResetLive re-targets the session to g as Reset does, with the PEs of
+// boxes as its live region, and returns the live PE count. Only the
+// region's occupancy is cleared; elsewhere it goes stale, and stays so:
+// ResetKeepHistory clears, and ChargeShifted and ReserveLive charge, only
+// nodes on live PEs, and history storage is zeroed only on them, so the
+// occupancy and history of a live PE are what they would be with the
+// whole array kept. Live starts as the whole array. Where boxes is empty
+// or covers the array there is no region, and this is Reset.
+func (s *Session) ResetLive(g *mrrg.Graph, boxes []Box) int {
 	n := g.NumDenseKeys()
 	s.G = g
 	s.MaxVisits = defaultMaxVisits(n)
 	s.Envelope = Box{R0: 0, R1: g.Fab.Rows - 1, C0: 0, C1: g.Fab.Cols - 1}
+	s.Live = s.Envelope
 	s.netSeq, s.closedNodes = 0, 0
 	s.recycle()
-	s.occ = zeroed(s.occ, n)
+	pes := s.markLive(boxes)
+	if len(s.live) == 0 {
+		s.occ = zeroed(s.occ, n)
+	} else {
+		s.occ = resized(s.occ, n)
+		clearLive(s, s.occ)
+	}
 	s.hist = s.hist[:0]
 
 	s.links = g.LinkTable()
@@ -283,12 +328,94 @@ func (s *Session) Reset(g *mrrg.Graph) *Session {
 			key: mrrg.RealKey(mrrg.Node{Class: cl, Idx: idx}) - keyOrigin,
 		})
 	}
-	return s
+	return pes
+}
+
+// markLive makes the PEs of boxes the live region and returns its PE
+// count; no boxes, or boxes that cover the array, leave none.
+func (s *Session) markLive(boxes []Box) int {
+	f := &s.G.Fab
+	s.live = s.live[:0]
+	if len(boxes) == 0 {
+		return f.NumPEs()
+	}
+	s.live = zeroed(s.live, f.NumPEs())
+	s.liveBoxes = append(s.liveBoxes[:0], boxes...)
+	n := 0
+	for _, b := range boxes {
+		for r := b.R0; r <= b.R1; r++ {
+			for c := b.C0; c <= b.C1; c++ {
+				if pe := r*f.Cols + c; !s.live[pe] {
+					s.live[pe] = true
+					n++
+				}
+			}
+		}
+	}
+	if n == f.NumPEs() {
+		s.live = s.live[:0]
+	}
+	return n
+}
+
+// DropLive ends the live region: the whole array's history is exact at
+// once, and its occupancy from the next ResetKeepHistory on. Live becomes
+// the whole array.
+func (s *Session) DropLive() {
+	if len(s.live) == 0 {
+		return
+	}
+	if len(s.hist) > 0 { // zeroed on the live PEs alone (history)
+		slots := s.G.SlotsPerPE()
+		for t := 0; t < s.G.II; t++ {
+			tb := s.G.TimeBase(t)
+			for pe, on := range s.live {
+				if !on {
+					clear(s.hist[tb+pe*slots : tb+(pe+1)*slots])
+				}
+			}
+		}
+	}
+	s.live = s.live[:0]
+	s.Live = Box{R0: 0, R1: s.G.Fab.Rows - 1, C0: 0, C1: s.G.Fab.Cols - 1}
+}
+
+// CheckLive returns ErrOutsideLive when a live region is set and b
+// leaves Live: what a caller must check before it reads the occupancy of
+// b's PEs.
+func (s *Session) CheckLive(b Box) error {
+	if len(s.live) > 0 && !s.Live.Covers(b) {
+		return fmt.Errorf("route: rows %d-%d, columns %d-%d: %w", b.R0, b.R1, b.C0, b.C1, ErrOutsideLive)
+	}
+	return nil
+}
+
+// clearLive zeroes buf, an array over the dense key space, on the live
+// region's PEs.
+func clearLive[T int32 | float64](s *Session, buf []T) {
+	cols, slots := s.G.Fab.Cols, s.G.SlotsPerPE()
+	for t := 0; t < s.G.II; t++ {
+		tb := s.G.TimeBase(t)
+		for _, b := range s.liveBoxes {
+			for r := b.R0; r <= b.R1; r++ {
+				clear(buf[tb+(r*cols+b.C0)*slots : tb+(r*cols+b.C1+1)*slots])
+			}
+		}
+	}
+}
+
+// resized returns a slice of length n, reusing buf's storage, contents
+// and all, when its capacity suffices.
+func resized[T int32 | float64](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // zeroed returns a cleared slice of length n, reusing buf's storage when
 // its capacity suffices.
-func zeroed[T int32 | float64](buf []T, n int) []T {
+func zeroed[T bool | int32 | float64](buf []T, n int) []T {
 	if cap(buf) < n {
 		return make([]T, n)
 	}
@@ -300,11 +427,15 @@ func zeroed[T int32 | float64](buf []T, n int) []T {
 // ResetKeepHistory clears all occupancy and nets but keeps the
 // accumulated history costs — the state carried between negotiated
 // congestion rounds when a mapping attempt is rebuilt from scratch.
-// The occupancy storage is zeroed in place, the path arena rewound and
-// every live net recycled: the dropped round's nets and paths are
-// invalid.
+// The occupancy storage is zeroed in place, the live region's alone while
+// one is set, the path arena rewound and every live net recycled: the
+// dropped round's nets and paths are invalid.
 func (s *Session) ResetKeepHistory() {
-	clear(s.occ)
+	if len(s.live) == 0 {
+		clear(s.occ)
+	} else {
+		clearLive(s, s.occ)
+	}
 	s.netSeq = 0
 	s.recycle()
 }
@@ -402,6 +533,15 @@ func (s *Session) Reserve(n mrrg.Node) int {
 	return int(s.occ[k])
 }
 
+// ReserveLive reserves n if its PE is live, and reports whether it did.
+func (s *Session) ReserveLive(n mrrg.Node) bool {
+	if len(s.live) > 0 && !s.live[n.R*s.G.Fab.Cols+n.C] {
+		return false
+	}
+	s.Reserve(n)
+	return true
+}
+
 // Unreserve releases a Reserve.
 func (s *Session) Unreserve(n mrrg.Node) {
 	s.occ[s.G.DenseKey(n)]--
@@ -411,10 +551,17 @@ func (s *Session) Unreserve(n mrrg.Node) {
 func (s *Session) Occ(n mrrg.Node) int { return int(s.occ[s.G.DenseKey(n)]) }
 
 // history returns the history array, allocating it — or re-zeroing the
-// buffer Reset emptied — on first use.
+// buffer Reset emptied, on the live region alone while one is set — on
+// first use.
 func (s *Session) history() []float64 {
-	if len(s.hist) == 0 {
-		s.hist = zeroed(s.hist, s.G.NumDenseKeys())
+	if len(s.hist) > 0 {
+		return s.hist
+	}
+	if n := s.G.NumDenseKeys(); len(s.live) == 0 {
+		s.hist = zeroed(s.hist, n)
+	} else {
+		s.hist = resized(s.hist, n)
+		clearLive(s, s.hist)
 	}
 	return s.hist
 }
@@ -481,22 +628,33 @@ func (s *Session) Release(net *Net) {
 // sits a fixed offset from the node's own spatial key in the shifted
 // cycle's block: one WrapTime per node, not a DenseKey. On a wrap-around
 // topology a shifted coordinate may cross the seam, so the PE is taken
-// back out of the spatial key and folded.
-func (s *Session) ChargeShifted(net *Net, dt, dr, dc int) {
+// back out of the spatial key and folded. While a live region is set,
+// only the nodes that land on live PEs are charged. It returns the
+// number of nodes charged.
+func (s *Session) ChargeShifted(net *Net, dt, dr, dc int) int {
 	f := &s.G.Fab
 	slots := s.G.SlotsPerPE()
 	if !f.Topology.Wraps() {
 		shift := (dr*f.Cols + dc) * slots
+		n := 0
 		for _, ch := range net.list {
-			s.occ[s.G.TimeBase(int(ch.t)+dt)+int(ch.spat)+shift]++
+			if k := int(ch.spat) + shift; len(s.live) == 0 || s.live[k/slots] {
+				s.occ[s.G.TimeBase(int(ch.t)+dt)+k]++
+				n++
+			}
 		}
-		return
+		return n
 	}
+	n := 0
 	for _, ch := range net.list {
 		pe, slot := int(ch.spat)/slots, int(ch.spat)%slots
 		r, c := f.WrapCoord(pe/f.Cols+dr, pe%f.Cols+dc)
-		s.occ[s.G.TimeBase(int(ch.t)+dt)+(r*f.Cols+c)*slots+slot]++
+		if pe = r*f.Cols + c; len(s.live) == 0 || s.live[pe] {
+			s.occ[s.G.TimeBase(int(ch.t)+dt)+pe*slots+slot]++
+			n++
+		}
 	}
+	return n
 }
 
 // OversubscribedIn returns the nodes of the given nets whose occupancy

@@ -20,8 +20,8 @@ go build ./...
 go run ./cmd/himaplint ./...
 # Every test under the race detector, shuffled: a fixed order hides coupling through process-wide state (the shared memo, the lookahead table).
 go test -race -shuffle=on ./...
-# The speculative window's schedule is timing-dependent, a panic in one of its attempts must reach the caller whichever goroutine runs it, and nets and path storage persist across the attempts that re-target a session from the window's free list, so these tests run three more times under the race detector.
-go test -race -count=3 -run 'TestWorkersDeterminism$|TestSpeculationWindowSpans|TestAttemptPanicPropagates|TestSpeculationAllocBudget|TestCancellationLatencyMidRun|TestPathArenaContract|TestSessionOwnsNets|TestFailedRoutesLeaveSessionReusable' . ./internal/route ./internal/himap
+# The speculative window's schedule is timing-dependent, a panic in one of its attempts must reach the caller whichever goroutine runs it, and nets, path storage and a live region's stale occupancy persist across the attempts that re-target a session from the window's free list, so these tests run three more times under the race detector.
+go test -race -count=3 -run 'TestWorkersDeterminism$|TestSpeculationWindowSpans|TestAttemptPanicPropagates|TestSpeculationAllocBudget|TestCancellationLatencyMidRun|TestPathArenaContract|TestSessionOwnsNets|TestFailedRoutesLeaveSessionReusable|TestLiveRegion|TestRouteWorkFlat|TestRoutedAttemptDropsSession' . ./internal/route ./internal/himap
 # The coverage ledger: per function of the ten mapping packages, the statements no test runs (~60 s). Code that no test reaches cannot come back unnoticed, and code a change stops running shows as a new row.
 go run ./scripts/coverage_core | diff - results/coverage_core.txt
 # The configuration encoder against encoding/json on ten seconds of new fuzz inputs (the committed seeds ran above).
@@ -68,6 +68,13 @@ if conv_err=$(go run ./cmd/himap -mapper conventional -kernel MVT -rows 4 -cols 
 	exit 1
 fi
 echo "$conv_err" | grep -q "memory-port demand infeasible"
+# The live region at a size no bench workload runs: GEMM 128x128 routes with no guard trip (a route span reporting fallbacks above 0 fails).
+gemm128=$(go run ./cmd/himap -kernel GEMM -rows 128 -cols 128 -workers 1 -trace 2>&1)
+echo "$gemm128" | grep 'trace: route' | grep -q 'fallbacks=0 '
+if echo "$gemm128" | grep 'trace: route' | grep -q 'fallbacks=[1-9]'; then
+	echo "a GEMM 128x128 route span fell back to the whole array" >&2
+	exit 1
+fi
 # The CLI's four fabric class flags reach the fabric it compiles for: the summary names every class.
 fabric_out=$(go run ./cmd/himap -kernel ADI -rows 8 -cols 8 -fabric torus -mem-pes all -bandwidth double -cost high-perf)
 echo "$fabric_out" | grep -q "ADI on 8x8/torus/mem-all/bw-double/cost-high-perf:"
