@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"himap"
@@ -74,7 +75,10 @@ func main() {
 		Baseline: himap.BaselineOptions{Seed: *seed, Workers: 1, Tracer: tracer}, // one SA chain: the chain count changes the mapping, -workers must not
 		Exact:    himap.ExactOptions{Tracer: tracer},
 	}
-	if *block > 0 {
+	switch {
+	case *block < 0:
+		fatal(fmt.Errorf("-block %d is negative", *block))
+	case *block > 0:
 		req.Block = k.UniformBlock(*block)
 	}
 
@@ -150,7 +154,9 @@ func main() {
 	}
 }
 
+// fatal prints err under one "himap: " prefix (a CompileError carries
+// its own) and exits 1.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "himap:", err)
+	fmt.Fprintln(os.Stderr, "himap: "+strings.TrimPrefix(err.Error(), "himap: "))
 	os.Exit(1)
 }

@@ -51,6 +51,32 @@ func TestWorkersFlagKeepsConventionalMapping(t *testing.T) {
 	}
 }
 
+// TestRefusalsPrintOnce: a request the command refuses exits 1 with one
+// line on stderr under a single "himap: " prefix, whether the CLI, the
+// root CompileRequest or the compile refuses it, and a negative -block
+// or -inner is refused rather than replaced by the default.
+func TestRefusalsPrintOnce(t *testing.T) {
+	bin := buildCLI(t)
+	for _, r := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-mapper", "conventional", "-kernel", "MVT", "-rows", "4", "-cols", "4", "-block", "-2"}, "himap: -block -2 is negative"},
+		{[]string{"-kernel", "GEMM", "-inner", "-1"}, "invalid compile request: inner block -1 is negative"},
+		{[]string{"-mapper", "foo"}, `invalid compile request: unknown mapper "foo"`},
+		{[]string{"-kernel", "NW", "-inner", "1"}, "himap: compilation of NW on 8x8 failed after 0 attempts"},
+	} {
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, r.args...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		out := stderr.String()
+		if err == nil || !strings.Contains(out, r.want) || strings.Count(out, "himap: ") != 1 || strings.Count(out, "\n") != 1 {
+			t.Errorf("himap %s: %v, stderr %q; want exit 1 and one line with one prefix containing %q", strings.Join(r.args, " "), err, out, r.want)
+		}
+	}
+}
+
 // TestFabricSpellings runs every spelling a fabric class accepts (its
 // names, "" for the default, the aliases and an upper-case variant) and
 // one it refuses through the three places a fabric is named: a

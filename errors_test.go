@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"himap"
+	"himap/internal/diag"
 )
 
 // These tests pin the error taxonomy of the staged pipeline through the
@@ -333,6 +334,41 @@ func TestNilKernelTypedError(t *testing.T) {
 				t.Errorf("stage %q, want %q", se.Stage, "request")
 			}
 		})
+	}
+}
+
+// TestRequestRefusals: the root CompileRequest refuses, before any
+// stage runs, a negative inner block for every mapper and a mapper it
+// does not know, each with a *StageError of stage "request" wrapping
+// ErrInvalidRequest.
+func TestRequestRefusals(t *testing.T) {
+	type row struct {
+		name string
+		req  himap.Request
+		want string
+	}
+	var rows []row
+	for _, m := range append([]himap.Mapper{""}, himap.Backends()...) {
+		req := himap.Request{Kernel: himap.KernelMVT(), Mapper: m, Fabric: himap.DefaultFabric(4, 4), Options: himap.Options{InnerBlock: -1}}
+		if m == himap.MapperConventional || m == himap.MapperExact {
+			req.Block = []int{2, 2} // small enough that a flat mapper ignoring the option returns at once
+		}
+		rows = append(rows, row{"inner -1/" + string(m), req, "inner block -1 is negative"})
+	}
+	rows = append(rows, row{"unknown mapper", himap.Request{Kernel: himap.KernelGEMM(), Mapper: "magic",
+		Fabric: himap.DefaultFabric(8, 8)}, `unknown mapper "magic"`})
+	for _, r := range rows {
+		var spans int
+		tracer := diag.TracerFunc(func(himap.TraceSpan) { spans++ })
+		r.req.Options.Tracer, r.req.Baseline.Tracer, r.req.Exact.Tracer = tracer, tracer, tracer
+		_, err := himap.CompileRequest(context.Background(), r.req)
+		var se *himap.StageError
+		if !errors.Is(err, himap.ErrInvalidRequest) || !errors.As(err, &se) || se.Stage != "request" || !strings.Contains(err.Error(), r.want) {
+			t.Errorf("%s: %v, want a request-stage ErrInvalidRequest containing %q", r.name, err, r.want)
+		}
+		if spans != 0 {
+			t.Errorf("%s: %d stage spans before the refusal, want none", r.name, spans)
+		}
 	}
 }
 

@@ -60,12 +60,13 @@ func main() {
 	if err := k.Validate(); err != nil {
 		log.Fatalf("spec: %v", err)
 	}
-	res, err := himap.CompileRequest(context.Background(),
-		himap.Request{Kernel: k, Fabric: himap.Fabric{CGRA: himap.DefaultCGRA(4, 4)}})
+	// CompileAuto applies Table I's triage: a multi-dimensional kernel
+	// with inter-iteration dependences takes the HiMap flow.
+	res, err := himap.CompileAuto(k, himap.DefaultCGRA(4, 4), himap.Options{})
 	if err != nil {
 		log.Fatalf("compile: %v", err)
 	}
-	fmt.Println(res.Summary())
+	fmt.Printf("%s (backend %s)\n", res.Summary(), res.Backend)
 	if err := himap.Validate(res, 3, 99); err != nil {
 		log.Fatalf("validate: %v", err)
 	}
@@ -81,6 +82,18 @@ func main() {
 	fmt.Println(cres.Summary())
 	if err := himap.Validate(cres, 2, 5); err != nil {
 		log.Fatalf("conv2d validate: %v", err)
+	}
+	fmt.Println("cycle-accurate validation: PASS")
+
+	fmt.Println("\n== Table I triage: a 1-D kernel ==")
+	dot := himap.KernelDOTPROD()
+	dres, err := himap.CompileAuto(dot, himap.DefaultCGRA(4, 4), himap.Options{})
+	if err != nil {
+		log.Fatalf("dotprod compile: %v", err)
+	}
+	fmt.Printf("%s: backend %s, block %v, II %d\n", dot.Name, dres.Backend, dres.Block, dres.Config.II)
+	if err := himap.Validate(dres, 2, 5); err != nil {
+		log.Fatalf("dotprod validate: %v", err)
 	}
 	fmt.Println("cycle-accurate validation: PASS")
 }

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"log"
@@ -39,6 +40,22 @@ func main() {
 		log.Fatalf("validation: %v", err)
 	}
 	fmt.Println("cycle-accurate validation: PASS")
+
+	// The mapping saves as a JSON configuration file, loads back
+	// validated, and the loaded file executes like the compiled mapping.
+	var file bytes.Buffer
+	if err := himap.SaveConfig(res.Config, &file); err != nil {
+		log.Fatalf("save: %v", err)
+	}
+	size := file.Len()
+	loaded, err := himap.LoadConfig(&file)
+	if err != nil {
+		log.Fatalf("load: %v", err)
+	}
+	if err := himap.ValidateConfig(loaded, k, res.Block, 3, 2024); err != nil {
+		log.Fatalf("validation of the loaded file: %v", err)
+	}
+	fmt.Printf("saved configuration: %d bytes; the loaded file validates too\n", size)
 
 	fmt.Println("\nPer-PE utilization:")
 	fmt.Print(himap.RenderUtilization(res.Config))

@@ -342,7 +342,6 @@ var (
 	ConstSrc = kernel.Const
 	First    = kernel.First
 	Last     = kernel.Last
-	NotFirst = kernel.NotFirst
 	EqDims   = kernel.EqDims
 	And      = kernel.And
 	Always   = kernel.Always

@@ -139,9 +139,6 @@ func TestConfigUtilizationAndUnique(t *testing.T) {
 	if got := cfg.BusyFUs(); got != 2 {
 		t.Errorf("BusyFUs = %d", got)
 	}
-	if got := cfg.Utilization(); got != 0.25 {
-		t.Errorf("Utilization = %v, want 0.25", got)
-	}
 	// Identical instructions compress to one configuration entry.
 	if got := cfg.UniqueInstrs(0, 0); got != 1 {
 		t.Errorf("UniqueInstrs = %d, want 1 (dedup)", got)

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"himap/internal/diag"
-
-	"himap/internal/ir"
 )
 
 // Bitstream encoding of configurations: the binary image a PE's
@@ -41,13 +39,6 @@ const (
 // link directions per PE.
 func WordSize(ndirs int) int { return 8 + ndirs }
 
-// ErrImmediate reports an immediate that does not fit the 16-bit field.
-type ErrImmediate struct{ V int64 }
-
-func (e ErrImmediate) Error() string {
-	return fmt.Sprintf("arch: immediate %d exceeds the 16-bit configuration field", e.V)
-}
-
 func encodeSel(o Operand) (byte, *int64, error) {
 	switch o.Kind {
 	case OpdNone:
@@ -60,7 +51,7 @@ func encodeSel(o Operand) (byte, *int64, error) {
 		return selReg<<5 | byte(o.Reg), nil, nil
 	case OpdConst:
 		if o.Const < -(1<<15) || o.Const >= 1<<15 {
-			return 0, nil, ErrImmediate{o.Const}
+			return 0, nil, fmt.Errorf("arch: immediate %d exceeds the 16-bit configuration field: %w", o.Const, diag.ErrConfigInvalid)
 		}
 		v := o.Const
 		return selConst << 5, &v, nil
@@ -70,24 +61,6 @@ func encodeSel(o Operand) (byte, *int64, error) {
 		return selHold << 5, nil, nil
 	}
 	return 0, nil, fmt.Errorf("arch: unencodable operand %v: %w", o, diag.ErrConfigInvalid)
-}
-
-func decodeSel(b byte, imm int64) Operand {
-	switch b >> 5 {
-	case selIn:
-		return FromIn(Dir(b & 7))
-	case selALU:
-		return FromALU()
-	case selReg:
-		return FromReg(int(b & 31))
-	case selConst:
-		return FromConst(imm)
-	case selMem:
-		return FromMem()
-	case selHold:
-		return Hold()
-	}
-	return Operand{}
 }
 
 // EncodeInstr packs one instruction into a WordSize(ndirs)-long slice.
@@ -162,42 +135,6 @@ func EncodeInstr(in *Instr, ndirs int) ([]byte, error) {
 	return w, nil
 }
 
-// DecodeInstr unpacks a configuration word for a fabric with ndirs link
-// directions. Memory tags are not part of the bitstream and come back
-// empty.
-func DecodeInstr(w []byte, ndirs int) (*Instr, error) {
-	if ndirs < int(NumDirs) || ndirs > int(MaxDirs) {
-		return nil, fmt.Errorf("arch: %d link directions not decodable: %w", ndirs, diag.ErrConfigInvalid)
-	}
-	if len(w) != WordSize(ndirs) {
-		return nil, fmt.Errorf("arch: word length %d, want %d: %w", len(w), WordSize(ndirs), diag.ErrConfigInvalid)
-	}
-	rw0, mem, immOff := 3+ndirs, 5+ndirs, 6+ndirs
-	imm := int64(int16(binary.LittleEndian.Uint16(w[immOff:])))
-	in := &Instr{Op: ir.OpKind(w[0])}
-	in.SrcA = decodeSel(w[1], imm)
-	in.SrcB = decodeSel(w[2], imm)
-	for d := 0; d < ndirs; d++ {
-		in.OutSel[d] = decodeSel(w[3+d], imm)
-	}
-	for i := 0; i < 2; i++ {
-		b := w[rw0+i]
-		if b>>5 == selNone {
-			continue
-		}
-		sel := (b & 0xE0) | ((b >> 2) & 7)
-		in.RegWr = append(in.RegWr, RegWrite{Reg: int(b & 3), Src: decodeSel(sel, imm)})
-	}
-	if w[mem]&1 != 0 {
-		in.MemRead = MemOp{Active: true}
-	}
-	if w[mem]&2 != 0 {
-		sel := (w[mem] & 0xE0) | ((w[mem] >> 2) & 7)
-		in.MemWrite = MemOp{Active: true, Src: decodeSel(sel, imm)}
-	}
-	return in, nil
-}
-
 // Bitstream is the full binary configuration image plus size accounting.
 type Bitstream struct {
 	// Words[r][c] holds PE (r,c)'s deduplicated configuration words.
@@ -231,7 +168,7 @@ func Encode(cfg *Config) (*Bitstream, error) {
 			for t := 0; t < cfg.II; t++ {
 				w, err := EncodeInstr(&cfg.Slots[r][c][t], ndirs)
 				if err != nil {
-					return nil, fmt.Errorf("PE(%d,%d) slot %d: %v: %w", r, c, t, err, diag.ErrConfigInvalid)
+					return nil, fmt.Errorf("PE(%d,%d) slot %d: %w", r, c, t, err) // err wraps ErrConfigInvalid
 				}
 				key := string(w)
 				idx, ok := index[key]
@@ -249,24 +186,6 @@ func Encode(cfg *Config) (*Bitstream, error) {
 		}
 	}
 	return bs, nil
-}
-
-// Decode reconstructs a configuration from the image (without the
-// simulation-only memory tags and provenance comments).
-func (bs *Bitstream) Decode(f Fabric) (*Config, error) {
-	cfg := NewConfig(f, bs.II)
-	for r := 0; r < f.Rows; r++ {
-		for c := 0; c < f.Cols; c++ {
-			for t := 0; t < bs.II; t++ {
-				in, err := DecodeInstr(bs.Words[r][c][bs.Schedule[r][c][t]], bs.NDirs)
-				if err != nil {
-					return nil, err
-				}
-				cfg.Slots[r][c][t] = *in
-			}
-		}
-	}
-	return cfg, nil
 }
 
 // TotalBytes returns the image size: words plus the schedule ROM

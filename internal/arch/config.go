@@ -147,13 +147,3 @@ func (cfg *Config) BusyFUs() int {
 	}
 	return n
 }
-
-// Utilization returns BusyFUs / (PEs × II), the hardware view of
-// U = |V_D| / |V_H^F|.
-func (cfg *Config) Utilization() float64 {
-	total := cfg.Fabric.NumPEs() * cfg.II
-	if total == 0 {
-		return 0
-	}
-	return float64(cfg.BusyFUs()) / float64(total)
-}

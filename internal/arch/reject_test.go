@@ -92,6 +92,12 @@ func TestEncodingRejects(t *testing.T) {
 	if _, err := Encode(cfg); err == nil || !strings.Contains(err.Error(), "PE(0,1) slot 1: arch: unencodable operand") {
 		t.Errorf("Encode of an unencodable slot: %v, want the slot named", err)
 	}
+	// Encode names the slot and keeps the word's typed cause, once.
+	cfg = NewConfig(DefaultFabric(1, 1), 1)
+	cfg.At(0, 0, 0).SrcA = FromConst(70000)
+	if _, err := Encode(cfg); err == nil || !errors.Is(err, diag.ErrConfigInvalid) || strings.Count(err.Error(), diag.ErrConfigInvalid.Error()) != 1 {
+		t.Errorf("Encode of a wide immediate: %v, want ErrConfigInvalid named once", err)
+	}
 	// An image whose direction count is not the fabric's (a Bitstream
 	// not made by Encode) is refused, not misread.
 	bs, err := Encode(NewConfig(DefaultFabric(1, 1), 1))
@@ -190,9 +196,6 @@ func TestSmallArchContracts(t *testing.T) {
 	}
 	if (&Instr{Op: ir.OpAdd}).IsNop() {
 		t.Error("an add is a nop")
-	}
-	if u := NewConfig(Fabric{}, 1).Utilization(); u != 0 {
-		t.Errorf("utilization of an empty fabric = %v, want 0", u)
 	}
 	for name, f := range map[string]func(){
 		"Delta of a bad direction":    func() { Dir(9).Delta() },

@@ -180,11 +180,10 @@ func TestFailedRoutesLeaveSessionReusable(t *testing.T) {
 				t.Fatalf("class %d net %d (src %d) shares its route.Net with another net of the plan", ci, i, cn.SrcID)
 			}
 			seen[cn.net] = true
-			nodes := cn.net.Nodes()
 			for _, sink := range cn.Sinks {
 				for _, n := range sink.Path {
-					if !nodes[mrrg.RealKey(n)] {
-						t.Fatalf("class %d net %d lost %v of its path to node %d", ci, i, n, sink.ConsumerID)
+					if ses.Occ(n) <= 0 {
+						t.Fatalf("class %d net %d lost %v of its path to node %d: the session holds no occupancy on it", ci, i, n, sink.ConsumerID)
 					}
 				}
 			}

@@ -51,10 +51,6 @@ type SubMapping struct {
 	Util float64 // compute ops / (S1·S2·Depth)
 }
 
-func (m *SubMapping) String() string {
-	return fmt.Sprintf("sub-CGRA (%d,%d,%d) util %.0f%%", m.S1, m.S2, m.Depth, m.Util*100)
-}
-
 func divisors(n int) []int {
 	var out []int
 	for d := 1; d <= n; d++ {

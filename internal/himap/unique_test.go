@@ -164,7 +164,7 @@ func stripeKernel() *kernel.Kernel {
 				kernel.Case{When: kernel.Always(), Src: kernel.Dep(0, 0, 1)}),
 			Stores: []kernel.StoreRule{
 				{When: kernel.Always(), Tensor: "O", Map: ij},
-				{When: kernel.AtIndex(0, 1), Tensor: "S", Map: ij}}}},
+				{When: kernel.Pred{{Kind: kernel.CondIndexEq, Dim: 0, Val: 1}}, Tensor: "S", Map: ij}}}},
 	}
 }
 

@@ -3,8 +3,6 @@ package ir
 import (
 	"fmt"
 	"slices"
-	"sort"
-	"strings"
 )
 
 // Node is a vertex of the DFG: one operation instance of the fully
@@ -309,27 +307,4 @@ func (d *DFG) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Stats summarizes node counts by kind, for logging and tests.
-func (d *DFG) Stats() string {
-	counts := map[OpKind]int{}
-	for _, n := range d.Nodes {
-		counts[n.Kind]++
-	}
-	kinds := make([]OpKind, 0, len(counts))
-	for k := range counts {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d nodes, %d edges (", len(d.Nodes), len(d.Edges))
-	for i, k := range kinds {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%s:%d", k, counts[k])
-	}
-	b.WriteString(")")
-	return b.String()
 }

@@ -160,13 +160,3 @@ func TestOpKindStringAllNamed(t *testing.T) {
 		}
 	}
 }
-
-func TestDFGStats(t *testing.T) {
-	d := buildChainDFG(t)
-	s := d.Stats()
-	for _, want := range []string{"7 nodes", "6 edges", "mul:2", "add:2", "load:3"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("Stats %q missing %q", s, want)
-		}
-	}
-}

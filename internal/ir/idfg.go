@@ -1,11 +1,5 @@
 package ir
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
-
 // IOPort describes one input or output node of an IDFG: a DFG node outside
 // the iteration cluster that directly connects to a node inside it
 // (V^I of §IV), annotated with the iteration-distance of the connection.
@@ -74,50 +68,4 @@ func (f *IDFG) NumCompute() int {
 		}
 	}
 	return n
-}
-
-// StructuralSignature is a canonical string identifying the *shape* of the
-// IDFG independent of absolute iteration position: per inside node its
-// body-op and kind, per inner edge the body-op endpoints, and per I/O port
-// the (body-op, port, iteration distance) triple. Two clusters with equal
-// structural signatures perform the same computation with the same
-// dependence geometry in iteration space. (The space-time uniqueness test
-// of Algorithm 1, which additionally folds in the systolic placement, is
-// implemented in the himap package.)
-func (f *IDFG) StructuralSignature() string {
-	var parts []string
-	for _, id := range f.Comp {
-		n := f.DFG.Nodes[id]
-		tag := fmt.Sprintf("N:%d:%s", n.BodyOp, n.Kind)
-		if n.Kind.IsMemory() && n.BodyOp < 0 { // synthesized at the block boundary
-			tag += ":" + n.Tensor
-		}
-		parts = append(parts, tag)
-	}
-	for _, e := range f.Inner {
-		fn, tn := f.DFG.Nodes[e.From], f.DFG.Nodes[e.To]
-		parts = append(parts, fmt.Sprintf("E:%d>%d.%d", fn.BodyOp, tn.BodyOp, e.ToPort))
-	}
-	for _, p := range f.Inputs {
-		in, out := f.DFG.Nodes[p.Inside], f.DFG.Nodes[p.Outside]
-		parts = append(parts, fmt.Sprintf("I:%d.%d<%d@%s", in.BodyOp, p.Port, out.BodyOp, p.Dist.Key()))
-	}
-	for _, p := range f.Outputs {
-		in, out := f.DFG.Nodes[p.Inside], f.DFG.Nodes[p.Outside]
-		parts = append(parts, fmt.Sprintf("O:%d>%d.%d@%s", in.BodyOp, out.BodyOp, p.Port, p.Dist.Key()))
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ";")
-}
-
-// CountStructuralClasses groups all clusters of the ISDG by structural
-// signature and returns the number of distinct classes. This is the
-// iteration-space analogue of Table II's "max unique iterations" before
-// the systolic placement refinement.
-func CountStructuralClasses(g *ISDG) int {
-	seen := make(map[string]bool)
-	for _, c := range g.Clusters {
-		seen[ExtractIDFG(g, c.ID).StructuralSignature()] = true
-	}
-	return len(seen)
 }

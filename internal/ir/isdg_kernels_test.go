@@ -77,7 +77,7 @@ func hop2Kernel() *kernel.Kernel {
 		Body: []kernel.BodyOp{{Name: "acc", Kind: ir.OpAdd,
 			A: kernel.Fixed(kernel.Mem("A", ij)),
 			B: kernel.In(
-				kernel.Case{When: kernel.Before(1, 2), Src: kernel.Const(0)},
+				kernel.Case{When: kernel.Pred{{Kind: kernel.CondIndexLt, Dim: 1, Val: 2}}, Src: kernel.Const(0)},
 				kernel.Case{When: kernel.Always(), Src: kernel.Dep(0, 0, 2)}),
 			Stores: []kernel.StoreRule{{When: kernel.Always(), Tensor: "O", Map: ij}}}},
 	}
@@ -99,7 +99,7 @@ func stripeKernel() *kernel.Kernel {
 				kernel.Case{When: kernel.Always(), Src: kernel.Dep(0, 0, 1)}),
 			Stores: []kernel.StoreRule{
 				{When: kernel.Always(), Tensor: "O", Map: ij},
-				{When: kernel.AtIndex(0, 1), Tensor: "S", Map: ij}}}},
+				{When: kernel.Pred{{Kind: kernel.CondIndexEq, Dim: 0, Val: 1}}, Tensor: "S", Map: ij}}}},
 	}
 }
 
@@ -112,7 +112,7 @@ func lagKernel() *kernel.Kernel {
 	k := hop2Kernel()
 	k.Name = "LAG3"
 	k.Body[0].B = kernel.In(
-		kernel.Case{When: kernel.Before(1, 3), Src: kernel.Const(0)},
+		kernel.Case{When: kernel.Pred{{Kind: kernel.CondIndexLt, Dim: 1, Val: 3}}, Src: kernel.Const(0)},
 		kernel.Case{When: kernel.Always(), Src: kernel.Dep(0, 0, 2)})
 	return k
 }
@@ -262,5 +262,57 @@ func TestBuildISDGFootprint(t *testing.T) {
 	t.Logf("GEMM 64x64x4: %d nodes, %d clusters, %d bytes", len(d.Nodes), len(g.Clusters), bytes)
 	if bytes > isdgFootprintCeiling {
 		t.Errorf("BuildISDG allocated %d bytes, ceiling is %d", bytes, isdgFootprintCeiling)
+	}
+}
+
+// placedClasses is the unique-class partition a compile computes for
+// kernel k at block: himap.IdentifyUnique over the ISDG placed under the
+// top-ranked systolic scheme.
+func placedClasses(t *testing.T, k *kernel.Kernel, block []int) (*ir.ISDG, []*himap.UniqueClass, []int) {
+	t.Helper()
+	_, g, err := k.BuildISDG(block)
+	if err != nil {
+		t.Fatalf("%s %v: %v", k.Name, block, err)
+	}
+	cands := systolic.SearchN(k.DistanceVectors(), block, 0, 1)
+	if len(cands) == 0 {
+		t.Fatalf("%s %v: no systolic scheme", k.Name, block)
+	}
+	classes, byCluster := himap.IdentifyUnique(g, himap.PlaceClusters(g, cands[0].Mapping))
+	return g, classes, byCluster
+}
+
+// TestStructuralClasses2D: a 2-D kernel with dependences in both
+// dimensions has 3x3 = 9 classes once the block is at least 3 wide in
+// each (first, middle, last per dimension): Table II's BiCG, ATAX and
+// MVT value. At block 2 every iteration touches a boundary: 4 classes.
+func TestStructuralClasses2D(t *testing.T) {
+	for _, k := range []*kernel.Kernel{kernel.ATAX(), kernel.BICG(), kernel.MVT()} {
+		for _, b := range []int{2, 3, 4, 6, 8} {
+			want := 9
+			if b == 2 {
+				want = 4
+			}
+			if _, classes, _ := placedClasses(t, k, []int{b, b}); len(classes) != want {
+				t.Errorf("%s b=%d: %d classes, want %d", k.Name, b, len(classes), want)
+			}
+		}
+	}
+}
+
+// TestStructuralSignatureDistinguishesBoundary: on BICG at block 4 two
+// interior iterations share a class, while the corner, the top edge and
+// the left edge each have their own.
+func TestStructuralSignatureDistinguishesBoundary(t *testing.T) {
+	g, _, byCluster := placedClasses(t, kernel.BICG(), []int{4, 4})
+	class := func(iv ir.IterVec) int { return byCluster[g.ClusterAt(iv).ID] }
+	if class(ir.IterVec{1, 1}) != class(ir.IterVec{2, 2}) {
+		t.Error("two interior iterations should share a class")
+	}
+	if class(ir.IterVec{0, 0}) == class(ir.IterVec{1, 1}) {
+		t.Error("corner and interior must differ")
+	}
+	if class(ir.IterVec{0, 1}) == class(ir.IterVec{1, 0}) {
+		t.Error("top edge and left edge must differ")
 	}
 }

@@ -106,57 +106,12 @@ func TestExtractIDFGInterior(t *testing.T) {
 		t.Errorf("interior outputs = %d, want 2 (route-out, acc-out)", len(f.Outputs))
 	}
 	for _, p := range f.Inputs {
-		if p.Dist.ManhattanNorm() != 1 {
+		if p.Dist.Dot(p.Dist) != 1 {
 			t.Errorf("input dist %v not unit", p.Dist)
 		}
 		if !neg(p.Dist).LexNonNegative() {
 			t.Errorf("input dist %v should point to an earlier iteration", p.Dist)
 		}
-	}
-}
-
-func TestStructuralClasses2D(t *testing.T) {
-	// A 2-D kernel with dependencies in both dimensions has 3x3 = 9
-	// boundary classes once the block is at least 3 wide in each dim
-	// (first / middle / last per dimension) — Table II's BiCG/ATAX/MVT value.
-	for _, b := range []int{3, 4, 6, 8} {
-		d := build2DDFG(t, b, b)
-		g, err := BuildISDG(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := CountStructuralClasses(g); got != 9 {
-			t.Errorf("b=%d: structural classes = %d, want 9", b, got)
-		}
-	}
-	// At b=2 every iteration touches a boundary: 4 distinct classes.
-	d := build2DDFG(t, 2, 2)
-	g, err := BuildISDG(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := CountStructuralClasses(g); got != 4 {
-		t.Errorf("b=2: structural classes = %d, want 4", got)
-	}
-}
-
-func TestStructuralSignatureDistinguishesBoundary(t *testing.T) {
-	d := build2DDFG(t, 4, 4)
-	g, err := BuildISDG(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sig := func(iv IterVec) string {
-		return ExtractIDFG(g, g.ClusterAt(iv).ID).StructuralSignature()
-	}
-	if sig(IterVec{1, 1}) != sig(IterVec{2, 2}) {
-		t.Error("two interior iterations should share a signature")
-	}
-	if sig(IterVec{0, 0}) == sig(IterVec{1, 1}) {
-		t.Error("corner and interior must differ")
-	}
-	if sig(IterVec{0, 1}) == sig(IterVec{1, 0}) {
-		t.Error("top edge and left edge must differ")
 	}
 }
 

@@ -137,19 +137,6 @@ func (v IterVec) Key() string {
 // String renders v as "(i0,i1,...)".
 func (v IterVec) String() string { return "(" + v.Key() + ")" }
 
-// ManhattanNorm returns the L1 norm of v.
-func (v IterVec) ManhattanNorm() int {
-	s := 0
-	for _, x := range v {
-		if x < 0 {
-			s -= x
-		} else {
-			s += x
-		}
-	}
-	return s
-}
-
 // BoxSize returns the product of the box extents, i.e. the number of
 // iteration points in the block.
 func BoxSize(box []int) int {

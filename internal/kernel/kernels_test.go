@@ -133,68 +133,6 @@ func TestDFGComputeCountScalesWithBlock(t *testing.T) {
 	}
 }
 
-func TestStructuralClassesMatchTableII(t *testing.T) {
-	// Structural iteration classes in iteration space (before systolic
-	// placement): 2-D kernels with dependencies along both dims have 3x3=9,
-	// ADI (inner-dim deps only) has 3, GEMM/SYRK 3^3=27, TTM 27 (its j
-	// dimension is structurally uniform). These saturate with block size —
-	// the property behind Table II's block-size-independent compilation.
-	want := map[string]int{
-		"ADI": 3, "ATAX": 9, "BICG": 9, "MVT": 9,
-		"GEMM": 27, "SYRK": 27, "TTM": 27,
-	}
-	for _, k := range Evaluation() {
-		if k.Name == "FW" {
-			continue // saturation asserted separately (diagonal classes)
-		}
-		n := 4
-		if k.Dim >= 4 {
-			n = 3
-		}
-		_, g, err := k.BuildISDG(k.UniformBlock(n))
-		if err != nil {
-			t.Fatalf("%s: %v", k.Name, err)
-		}
-		if got := ir.CountStructuralClasses(g); got != want[k.Name] {
-			t.Errorf("%s: structural classes = %d, want %d", k.Name, got, want[k.Name])
-		}
-	}
-}
-
-func TestStructuralClassesSaturate(t *testing.T) {
-	// The number of unique iteration classes must become independent of
-	// block size (the paper's scalability argument, §II).
-	for _, k := range Evaluation() {
-		if k.Dim > 3 {
-			continue // 4-D blocks get large; covered by the TTM case below
-		}
-		_, g1, err := k.BuildISDG(k.UniformBlock(6))
-		if err != nil {
-			t.Fatalf("%s: %v", k.Name, err)
-		}
-		_, g2, err := k.BuildISDG(k.UniformBlock(7))
-		if err != nil {
-			t.Fatalf("%s: %v", k.Name, err)
-		}
-		c1, c2 := ir.CountStructuralClasses(g1), ir.CountStructuralClasses(g2)
-		if c1 != c2 {
-			t.Errorf("%s: classes not saturated: %d at b=6, %d at b=7", k.Name, c1, c2)
-		}
-	}
-	ttm := TTM()
-	_, g1, err := ttm.BuildISDG(ttm.UniformBlock(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, g2, err := ttm.BuildISDG(ttm.UniformBlock(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1, c2 := ir.CountStructuralClasses(g1), ir.CountStructuralClasses(g2); c1 != c2 {
-		t.Errorf("TTM: classes not saturated: %d at b=3, %d at b=4", c1, c2)
-	}
-}
-
 func TestGenericIDFGInteriorHasOnlyDepInputs(t *testing.T) {
 	for _, k := range Evaluation() {
 		f, err := k.GenericIDFG()
@@ -332,8 +270,8 @@ func TestTensorBasics(t *testing.T) {
 	if got := tt.At(ir.IterVec{1, 2}); got != 42 {
 		t.Errorf("At = %d", got)
 	}
-	if tt.Size() != 6 {
-		t.Errorf("Size = %d", tt.Size())
+	if len(tt.Data) != 6 {
+		t.Errorf("%d elements, want 6", len(tt.Data))
 	}
 	c := tt.Clone()
 	c.Set(ir.IterVec{0, 0}, 1)
@@ -363,8 +301,8 @@ func TestAffineMap(t *testing.T) {
 	if !got.Equal(ir.IterVec{2, 8}) {
 		t.Errorf("Apply = %v, want (2,8)", got)
 	}
-	if m.Rank() != 2 {
-		t.Errorf("Rank = %d", m.Rank())
+	if len(m.Coef) != 2 {
+		t.Errorf("%d index rows, want 2", len(m.Coef))
 	}
 }
 
@@ -380,7 +318,7 @@ func TestPredEval(t *testing.T) {
 		{First(0), ir.IterVec{1, 3}, false},
 		{Last(1), ir.IterVec{0, 3}, true},
 		{Last(1), ir.IterVec{0, 2}, false},
-		{NotFirst(0), ir.IterVec{1, 0}, true},
+		{Pred{{Kind: CondNotFirst, Dim: 0}}, ir.IterVec{1, 0}, true},
 		{EqDims(0, 1), ir.IterVec{2, 2}, true},
 		{EqDims(0, 1), ir.IterVec{2, 1}, false},
 		{Pred{{Kind: CondNotLast, Dim: 1}}, ir.IterVec{0, 2}, true},
@@ -494,17 +432,19 @@ func TestRectangularBlocksProperty(t *testing.T) {
 
 func TestAtIndexAndBeforePredicates(t *testing.T) {
 	block := []int{5, 5}
-	if !AtIndex(0, 3).Eval(ir.IterVec{3, 1}, block) {
-		t.Error("AtIndex(0,3) at i=3 should hold")
+	atIndex := Pred{{Kind: CondIndexEq, Dim: 0, Val: 3}}
+	before := Pred{{Kind: CondIndexLt, Dim: 1, Val: 2}}
+	if !atIndex.Eval(ir.IterVec{3, 1}, block) {
+		t.Error("i == 3 at i=3 should hold")
 	}
-	if AtIndex(0, 3).Eval(ir.IterVec{2, 1}, block) {
-		t.Error("AtIndex(0,3) at i=2 should not hold")
+	if atIndex.Eval(ir.IterVec{2, 1}, block) {
+		t.Error("i == 3 at i=2 should not hold")
 	}
-	if !Before(1, 2).Eval(ir.IterVec{0, 1}, block) {
-		t.Error("Before(1,2) at j=1 should hold")
+	if !before.Eval(ir.IterVec{0, 1}, block) {
+		t.Error("j < 2 at j=1 should hold")
 	}
-	if Before(1, 2).Eval(ir.IterVec{0, 2}, block) {
-		t.Error("Before(1,2) at j=2 should not hold")
+	if before.Eval(ir.IterVec{0, 2}, block) {
+		t.Error("j < 2 at j=2 should not hold")
 	}
 }
 

@@ -53,9 +53,6 @@ func (m AffineMap) Apply(iter ir.IterVec) ir.IterVec {
 	return out
 }
 
-// Rank returns the number of index dimensions the map produces.
-func (m AffineMap) Rank() int { return len(m.Coef) }
-
 // CondKind enumerates the guard conditions of operand selection.
 type CondKind uint8
 
@@ -124,10 +121,7 @@ func (p Pred) Eval(iter ir.IterVec, block []int) bool {
 func Always() Pred           { return nil }
 func First(dim int) Pred     { return Pred{{Kind: CondFirst, Dim: dim}} }
 func Last(dim int) Pred      { return Pred{{Kind: CondLast, Dim: dim}} }
-func NotFirst(dim int) Pred  { return Pred{{Kind: CondNotFirst, Dim: dim}} }
 func EqDims(d1, d2 int) Pred { return Pred{{Kind: CondEqDims, Dim: d1, Dim2: d2}} }
-func AtIndex(d, v int) Pred  { return Pred{{Kind: CondIndexEq, Dim: d, Val: v}} }
-func Before(d, v int) Pred   { return Pred{{Kind: CondIndexLt, Dim: d, Val: v}} }
 func And(ps ...Pred) Pred {
 	var out Pred
 	for _, p := range ps {

@@ -47,9 +47,6 @@ func (t *Tensor) At(idx ir.IterVec) int64 { return t.Data[t.flat(idx)] }
 // Set stores v at idx.
 func (t *Tensor) Set(idx ir.IterVec, v int64) { t.Data[t.flat(idx)] = v }
 
-// Size returns the number of elements.
-func (t *Tensor) Size() int { return len(t.Data) }
-
 // Clone returns a deep copy of t.
 func (t *Tensor) Clone() *Tensor {
 	c := NewTensor(t.Dims...)

@@ -64,7 +64,7 @@ func TestSessionOwnsNets(t *testing.T) {
 				t.Fatalf("%s: net %d (src %v, paths %v) changed under later searches: want src %v, paths %v",
 					what, net.ID, net.Src, net.Paths, srcs[i], out[i].paths)
 			}
-			nodes := net.Nodes()
+			nodes := heldKeys(net)
 			for _, p := range out[i].paths {
 				for _, n := range p {
 					if !nodes[mrrg.RealKey(n)] {
@@ -131,4 +131,14 @@ func inward(x int) int {
 		return 1
 	}
 	return -1
+}
+
+// heldKeys is the set of real-keyed resource nodes a net occupies: its
+// source and every node it charged.
+func heldKeys(n *Net) map[uint64]bool {
+	m := map[uint64]bool{n.srcKey: true}
+	for _, k := range n.keys {
+		m[k] = true
+	}
+	return m
 }

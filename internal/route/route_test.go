@@ -89,13 +89,13 @@ func TestNetFanoutSharesPrefix(t *testing.T) {
 	if _, _, err := s.RouteSink(net, g.OperandTargets(2, 0, 2)); err != nil {
 		t.Fatal(err)
 	}
-	occBefore := len(net.Nodes())
+	occBefore := len(heldKeys(net))
 	// Second sink: the intermediate PE (0,1) at t=1 — its delivery node
 	// OUT.E@(0,0)t0 is already part of the net, so no new resources.
 	if _, _, err := s.RouteSink(net, g.OperandTargets(1, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(net.Nodes()); got != occBefore {
+	if got := len(heldKeys(net)); got != occBefore {
 		t.Errorf("fanout tap added %d nodes, want 0", got-occBefore)
 	}
 }

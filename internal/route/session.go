@@ -124,16 +124,6 @@ type charged struct {
 	t, spat int32
 }
 
-// Nodes reports the set of real-keyed resource nodes the net occupies.
-func (n *Net) Nodes() map[uint64]bool {
-	m := make(map[uint64]bool, len(n.keys)+1)
-	m[n.srcKey] = true
-	for _, k := range n.keys {
-		m[k] = true
-	}
-	return m
-}
-
 // Session tracks resource occupancy and history costs across the nets of
 // one mapping attempt. A Session (and its scratch storage) may be reused
 // across many routing rounds, and re-targeted by Reset to the graph of

@@ -75,9 +75,6 @@ func (m *Machine) StoreLog(r, c, slot int) []int64 {
 	return m.storeLog[portKey{r, c, slot}]
 }
 
-// Cycle returns the number of executed cycles.
-func (m *Machine) Cycle() int { return m.cycle }
-
 // Step executes one cycle.
 func (m *Machine) Step() error {
 	a := m.Cfg.Fabric

@@ -147,18 +147,6 @@ func TestMachineExhaustedFeedReadsZero(t *testing.T) {
 	}
 }
 
-// TestMachineCycleCount.
-func TestMachineCycleCount(t *testing.T) {
-	cfg := arch.NewConfig(arch.DefaultFabric(2, 2), 3)
-	m := New(cfg)
-	if err := m.Run(7); err != nil {
-		t.Fatal(err)
-	}
-	if m.Cycle() != 7 {
-		t.Errorf("Cycle = %d", m.Cycle())
-	}
-}
-
 // TestMachineBorderInputsAreZero: input latches on the array border read
 // zero rather than garbage.
 func TestMachineBorderInputsAreZero(t *testing.T) {

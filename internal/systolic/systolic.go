@@ -265,20 +265,16 @@ type Candidate struct {
 	Score   float64 // lower is better
 }
 
-// Search enumerates valid schemes for the dependence set over the given
+// SearchN enumerates valid schemes for the dependence set over the given
 // block and returns them ranked: fewer forwarded dependencies first, then
 // smaller total time distances (register pressure), then smaller skews.
 // wantSpaceDims restricts the number of VSA axes (1 for linear arrays,
-// 2 for meshes; 0 = either).
-func Search(deps []ir.IterVec, block []int, wantSpaceDims int) []Candidate {
-	return SearchN(deps, block, wantSpaceDims, 1)
-}
-
-// SearchN is Search sharded over up to workers goroutines: each
-// space-dimension assignment (the outermost enumeration axis) is scored
-// independently, the per-shard candidate lists are concatenated in
-// enumeration order, and the final stable sort runs over the merged list
-// — so the ranked result is byte-identical for every worker count.
+// 2 for meshes; 0 = either). The search is sharded over up to workers
+// goroutines: each space-dimension assignment (the outermost
+// enumeration axis) is scored independently, the per-shard candidate
+// lists are concatenated in enumeration order, and the final stable sort
+// runs over the merged list — so the ranked result is byte-identical for
+// every worker count.
 func SearchN(deps []ir.IterVec, block []int, wantSpaceDims, workers int) []Candidate {
 	dim := len(block)
 	spaceDimSets := [][]int{}

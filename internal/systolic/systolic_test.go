@@ -124,7 +124,7 @@ func TestSearchFindsLocalSchemesForAllKernels(t *testing.T) {
 	for _, k := range kernel.Evaluation() {
 		deps := k.DistanceVectors()
 		block := k.UniformBlock(4)
-		cands := Search(deps, block, 2)
+		cands := SearchN(deps, block, 2, 1)
 		if len(cands) == 0 {
 			t.Errorf("%s: no valid scheme", k.Name)
 			continue
@@ -141,7 +141,7 @@ func TestSearchFindsLocalSchemesForAllKernels(t *testing.T) {
 func TestSearchLinearForBiCG(t *testing.T) {
 	// The §II example: BiCG on a linear VSA.
 	deps := kernel.BICG().DistanceVectors()
-	cands := Search(deps, []int{4, 4}, 1)
+	cands := SearchN(deps, []int{4, 4}, 1, 1)
 	if len(cands) == 0 {
 		t.Fatal("no linear scheme for BiCG")
 	}
@@ -159,7 +159,7 @@ func TestSearchRankingPrefersLocal(t *testing.T) {
 	// With dep (0,2), schemes mapping dim 1 to space need forwarding;
 	// schemes sequencing dim 1 in time are local and must rank first.
 	deps := []ir.IterVec{{1, 0}, {0, 2}}
-	cands := Search(deps, []int{4, 4}, 0)
+	cands := SearchN(deps, []int{4, 4}, 0, 1)
 	if len(cands) == 0 {
 		t.Fatal("no scheme")
 	}
@@ -173,8 +173,8 @@ func TestSearchRankingPrefersLocal(t *testing.T) {
 
 func TestSearchDeterministic(t *testing.T) {
 	deps := kernel.GEMM().DistanceVectors()
-	a := Search(deps, []int{4, 4, 4}, 2)
-	b := Search(deps, []int{4, 4, 4}, 2)
+	a := SearchN(deps, []int{4, 4, 4}, 2, 1)
+	b := SearchN(deps, []int{4, 4, 4}, 2, 1)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -208,7 +208,7 @@ func TestTTMSchemeAvoidsLongHolds(t *testing.T) {
 	// j and l in time (weights chosen mixed-radix).
 	k := kernel.TTM()
 	deps := k.DistanceVectors()
-	cands := Search(deps, []int{3, 3, 3, 3}, 2)
+	cands := SearchN(deps, []int{3, 3, 3, 3}, 2, 1)
 	if len(cands) == 0 {
 		t.Fatal("no TTM scheme")
 	}

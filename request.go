@@ -2,7 +2,6 @@ package himap
 
 import (
 	"context"
-	"fmt"
 
 	"himap/internal/diag"
 	core "himap/internal/himap"
@@ -105,6 +104,10 @@ func CompileRequest(ctx context.Context, req Request) (*Result, error) {
 		return nil, diag.Failf(diag.ErrInvalidRequest, "nil kernel").
 			Stamp("request", "", req.Fabric.String(), 0)
 	}
+	if req.Options.InnerBlock < 0 {
+		return nil, diag.Failf(diag.ErrInvalidRequest, "inner block %d is negative", req.Options.InnerBlock).
+			Stamp("request", req.Kernel.Name, req.Fabric.String(), 0)
+	}
 	m := req.Mapper
 	if m == "" {
 		m = MapperHiMap
@@ -118,7 +121,8 @@ func CompileRequest(ctx context.Context, req Request) (*Result, error) {
 	case MapperExact:
 		compile = compileExact
 	default:
-		return nil, fmt.Errorf("himap: unknown mapper %q (want %s)", req.Mapper, BackendNames())
+		return nil, diag.Failf(diag.ErrInvalidRequest, "unknown mapper %q (want %s)", req.Mapper, BackendNames()).
+			Stamp("request", req.Kernel.Name, req.Fabric.String(), 0)
 	}
 	res, err := compile(ctx, req)
 	if err != nil {

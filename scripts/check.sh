@@ -22,7 +22,7 @@ go run ./cmd/himaplint ./...
 go test -race -shuffle=on ./...
 # The speculative window's schedule is timing-dependent, a panic in one of its attempts must reach the caller whichever goroutine runs it, and nets, path storage and a live region's stale occupancy persist across the attempts that re-target a session from the window's free list, so these tests run three more times under the race detector.
 go test -race -count=3 -run 'TestWorkersDeterminism$|TestSpeculationWindowSpans|TestAttemptPanicPropagates|TestSpeculationAllocBudget|TestCancellationLatencyMidRun|TestPathArenaContract|TestSessionOwnsNets|TestFailedRoutesLeaveSessionReusable|TestLiveRegion|TestRouteWorkFlat|TestRoutedAttemptDropsSession' . ./internal/route ./internal/himap
-# The coverage ledger: per function of the ten mapping packages, the statements no test runs (~60 s). Code that no test reaches cannot come back unnoticed, and code a change stops running shows as a new row.
+# The coverage ledger, two sections (~70 s): per function of the ten mapping packages, the statements no test runs; then, by name, the functions no product command runs (cmd/ binaries, examples and the himapd smoke built with -cover and run at GOMAXPROCS=1 over the script's command list, ~8 s more on 2 cores with a warm build cache). Code that no test reaches, or that only tests reach, cannot come back unnoticed, and code a change stops running shows as a new row.
 go run ./scripts/coverage_core | diff - results/coverage_core.txt
 # The configuration encoder against encoding/json on ten seconds of new fuzz inputs (the committed seeds ran above).
 go test -run '^$' -fuzz FuzzConfigAppendJSON -fuzztime 10s ./internal/arch

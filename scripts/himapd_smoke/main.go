@@ -33,6 +33,15 @@ import (
 const (
 	compileBody   = `{"kernel":"MVT","fabric":{"rows":4,"cols":4},"options":{}}`
 	compileBodyV1 = `{"schema_version":1,"kernel":"MVT","fabric":{"rows":4,"cols":4},"options":{}}`
+	// An inline kernel specification: O[i][j] = A[i][j] + O[i][j-2], a
+	// dependence two iterations long that the mapping forwards through a
+	// relay PE.
+	inlineBody = `{"spec":{"name":"HOP2","dim":2,"min_block":4,` +
+		`"tensors":[{"name":"A","dims":[{"coef":[1,0]},{"coef":[0,1]}]},{"name":"O","out":true,"dims":[{"coef":[1,0]},{"coef":[0,1]}]}],` +
+		`"body":[{"name":"acc","op":"add","a":[{"src":{"kind":"mem","tensor":"A","map":[{"coef":[1,0]},{"coef":[0,1]}]}}],` +
+		`"b":[{"when":[{"kind":"index_lt","dim":1,"val":2}],"src":{"kind":"const"}},{"src":{"kind":"dep","dist":[0,2]}}],` +
+		`"stores":[{"tensor":"O","map":[{"coef":[1,0]},{"coef":[0,1]}]}]}]},` +
+		`"fabric":{"rows":4,"cols":4},"options":{}}`
 )
 
 func main() {
@@ -159,6 +168,35 @@ func run() error {
 		if !strings.Contains(metrics, want) {
 			return fmt.Errorf("metrics missing %q:\n%s", want, metrics)
 		}
+	}
+
+	// The registry lists every kernel the direct API resolves by name,
+	// each with its compute operations.
+	listed, err := get(base + "/v1/kernels")
+	if err != nil {
+		return err
+	}
+	var reg serve.KernelsResponse
+	if err := json.Unmarshal([]byte(listed), &reg); err != nil {
+		return fmt.Errorf("kernel registry: %w", err)
+	}
+	if len(reg.Kernels) == 0 {
+		return fmt.Errorf("kernel registry is empty")
+	}
+	for _, k := range reg.Kernels {
+		if _, err := himap.KernelByName(k.Name); err != nil || k.Ops == 0 {
+			return fmt.Errorf("registry entry %+v: %v", k, err)
+		}
+	}
+
+	// An inline specification is served like a registry kernel: the
+	// body is the direct compile's.
+	status, _, inline, err := post(base+"/v1/compile", inlineBody)
+	if err != nil {
+		return err
+	}
+	if direct, _, err := directBytes(inlineBody); err != nil || status != http.StatusOK || !bytes.Equal(inline, direct) {
+		return fmt.Errorf("inline spec: status %d, direct compile %v; served %s", status, err, inline)
 	}
 
 	// Graceful shutdown: SIGTERM, clean exit, confirmation line.
